@@ -36,18 +36,15 @@ impl std::error::Error for StateError {}
 /// merely *concurrent* (§4.4); overriding the three state methods makes it
 /// *preemptible*.
 ///
-/// # Migrating from `tick`
+/// # The wakeup contract
 ///
-/// Implement **exactly one** of [`Accelerator::wake`] and the deprecated
-/// [`Accelerator::tick`] — each defaults to calling the other. Legacy
-/// implementations that only define `tick` keep working: the default
-/// `wake` runs `tick` and conservatively asks to be woken every cycle,
-/// which is exactly the old dense behaviour. New implementations define
-/// `wake` and return a precise [`Wakeup`] so the event-driven drivers can
-/// skip their quiescent cycles. A `wake` implementation must tolerate
-/// spurious calls (earlier than the wakeup it requested) by no-opping,
-/// and must never request a wakeup *later* than the first cycle at which
-/// its dense-ticked twin would have changed state.
+/// Return a precise [`Wakeup`] so the event-driven drivers can skip the
+/// accelerator's quiescent cycles. A `wake` implementation must tolerate
+/// spurious calls (earlier than the wakeup it requested) by no-opping, and
+/// must never request a wakeup *later* than the first cycle at which a
+/// twin woken on every cycle would have changed state. When unsure, return
+/// `Wakeup::AtOrMessage(now + 1)`: that is per-cycle polling, always
+/// correct and never skipped.
 pub trait Accelerator {
     /// A short, stable name (for traces and floor plans).
     fn name(&self) -> &'static str;
@@ -56,18 +53,7 @@ pub trait Accelerator {
     ///
     /// The driver re-arms [`Wakeup::OnMessage`] sleepers implicitly when a
     /// message lands in the tile's inbox.
-    fn wake(&mut self, now: Cycle, os: &mut dyn TileOs) -> Wakeup {
-        #[allow(deprecated)]
-        self.tick(os);
-        Wakeup::AtOrMessage(now.saturating_add(1))
-    }
-
-    /// Advances the accelerator by one cycle.
-    #[deprecated(note = "implement `wake` instead; `tick` is the pre-event-core name")]
-    fn tick(&mut self, os: &mut dyn TileOs) {
-        let now = os.now();
-        let _ = self.wake(now, os);
-    }
+    fn wake(&mut self, now: Cycle, os: &mut dyn TileOs) -> Wakeup;
 
     /// Returns `true` if the accelerator externalizes its architectural
     /// state ([`Accelerator::save_state`] works).
@@ -509,49 +495,6 @@ mod tests {
         let mut a = ServerAccel::new(Crasher);
         assert_eq!(a.wake(os.now(), &mut os), Wakeup::Idle);
         assert_eq!(os.faults, vec![0xdead]);
-    }
-
-    #[test]
-    fn deprecated_tick_shim_drives_wake() {
-        // One release of backwards compatibility: external code calling
-        // the old per-cycle `tick` must see identical behaviour.
-        let mut os = MockOs::new();
-        os.deliver(request(b"abc"));
-        let mut a = ServerAccel::new(Upper);
-        for _ in 0..6 {
-            #[allow(deprecated)]
-            a.tick(&mut os);
-            os.advance(1);
-        }
-        assert_eq!(os.sent.len(), 1);
-        assert_eq!(os.sent[0].3, b"ABC");
-    }
-
-    #[test]
-    fn legacy_tick_only_impls_still_wake() {
-        // The other direction of the shim: an implementor that only
-        // defines the deprecated `tick` gets a conservative every-cycle
-        // wakeup from the default `wake`.
-        struct Legacy(u32);
-        impl Accelerator for Legacy {
-            fn name(&self) -> &'static str {
-                "legacy"
-            }
-            #[allow(deprecated)]
-            fn tick(&mut self, _os: &mut dyn TileOs) {
-                self.0 += 1;
-            }
-            fn as_any(&self) -> &dyn core::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
-                self
-            }
-        }
-        let mut os = MockOs::new();
-        let mut a = Legacy(0);
-        assert_eq!(a.wake(os.now(), &mut os), Wakeup::AtOrMessage(Cycle(1)));
-        assert_eq!(a.0, 1);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! These complement the experiment binaries (which regenerate the paper's
 //! tables/figures) with statistically solid measurements of the core
 //! primitives: the capability check on the message path, segment allocation
-//! vs paging, NoC transit, monitor send, codecs, and the full-system cycle.
+//! vs paging, NoC transit, monitor send, codecs, the full-system cycle, and
+//! the fabric and cluster cycles when most of the machine is quiet.
 
 use apiary_bench::scenarios::{client_server, drive, MonitorClient};
 use apiary_cap::{CapKind, CapTable, Capability, EndpointId, MemRange, Rights};
@@ -172,12 +173,77 @@ fn bench_system(c: &mut Criterion) {
     });
 }
 
+/// The lockstep cluster when most of it is quiet: what a cycle costs
+/// should follow the boards and links that have work, not how many exist.
+fn bench_cluster(c: &mut Criterion) {
+    use apiary_accel::apps::echo::echo;
+    use apiary_cap::ServiceId;
+    use apiary_cluster::{Body, ClusterConfig, ClusterMsg, ClusterSystem, Fabric, FabricConfig};
+    use apiary_core::{AppId, FaultPolicy};
+    use apiary_sim::Cycle;
+
+    // An 8-board star has 16 links. Board 0 streams to board 1, keeping its
+    // uplink and board 1's downlink busy; the other 14 links stay quiet.
+    c.bench_function("cluster/fabric_step_one_busy_link_of_16", |b| {
+        let mut fabric = Fabric::new(8, FabricConfig::default());
+        let msg = ClusterMsg {
+            src: 0,
+            dst: 1,
+            body: Body::Invoke {
+                service: 17,
+                tag: 1,
+                payload: vec![0u8; 64],
+            },
+        };
+        let mut now = Cycle::ZERO;
+        b.iter(|| {
+            now += 1;
+            if now.as_u64().is_multiple_of(16) {
+                fabric.send(&msg);
+            }
+            black_box(fabric.step(now))
+        })
+    });
+
+    // Eight boards, one replica, one client, both on board 0: that board's
+    // NoC and kernel phases are busy, the other seven have nothing due.
+    c.bench_function("cluster/cluster_cycle_one_busy_board_of_8", |b| {
+        let mut cluster = ClusterSystem::new(ClusterConfig {
+            boards: 8,
+            ..ClusterConfig::default()
+        });
+        cluster
+            .deploy_replica(
+                0,
+                "echo",
+                ServiceId(40),
+                NodeId(5),
+                AppId(1),
+                FaultPolicy::FailStop,
+                4096,
+                Box::new(|| Box::new(echo(8))),
+            )
+            .expect("replica tile free");
+        let mut tag = 0u64;
+        b.iter(|| {
+            let next = cluster.now() + 1;
+            if next.as_u64().is_multiple_of(64) {
+                tag += 1;
+                let _ = black_box(cluster.submit(0, "echo", tag, vec![0u8; 64]));
+            }
+            cluster.advance_toward(next);
+            black_box(cluster.take_completions())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_cap_check,
     bench_allocators,
     bench_noc,
     bench_codecs,
-    bench_system
+    bench_system,
+    bench_cluster
 );
 criterion_main!(benches);

@@ -251,3 +251,267 @@ fn serverless_plane_clocks_agree() {
     set_clock_mode(ClockMode::Event);
     assert_eq!(event, dense, "serverless plane diverged between clocks");
 }
+
+// ---------------------------------------------------------------------
+// Random op sequences against a 4-board cluster.
+// ---------------------------------------------------------------------
+
+/// One step of a cluster scenario. Boards, names and sizes are drawn small
+/// so sequences collide: submits race cuts, kills and migrations.
+#[derive(Debug, Clone)]
+enum ClusterOp {
+    /// Submit to `NAMES[name]` from `origin`.
+    Submit {
+        origin: u16,
+        name: usize,
+        payload: usize,
+    },
+    /// `tick_n`, collecting completions.
+    Advance(u64),
+    CutLink(u16),
+    RestoreLink(u16),
+    /// Board 3 dies (repeat kills are no-ops).
+    KillBoard,
+    /// Move "kv" from wherever it last went to `dst`.
+    Migrate {
+        dst: u16,
+    },
+    PoolDeploy(u16),
+    PoolTeardown(u16),
+    /// Reach into a board and send from a client tile to a local echo.
+    Poke {
+        board: u16,
+        payload: usize,
+    },
+}
+
+const NAMES: [&str; 3] = ["svc", "kv", "fn"];
+
+fn arb_cluster_op() -> impl Strategy<Value = ClusterOp> {
+    // `prop_oneof!` picks uniformly, so the draw below sets the mix: mostly
+    // submits and short advances (requests overlap), chaos now and then,
+    // the kill rarely (it is permanent).
+    (0u32..40, 0u16..4, 0usize..3, 1usize..96, 1u64..400).prop_map(
+        |(kind, board, name, payload, cycles)| match kind {
+            0..=15 => ClusterOp::Submit {
+                origin: board,
+                name,
+                payload,
+            },
+            16..=24 => ClusterOp::Advance(cycles),
+            25 => ClusterOp::Advance(cycles * 8),
+            26..=27 => ClusterOp::CutLink(board),
+            28..=30 => ClusterOp::RestoreLink(board),
+            31 => ClusterOp::KillBoard,
+            32..=33 => ClusterOp::Migrate { dst: board },
+            34..=35 => ClusterOp::PoolDeploy(board),
+            36 => ClusterOp::PoolTeardown(board),
+            _ => ClusterOp::Poke { board, payload },
+        },
+    )
+}
+
+/// Runs `ops` under `mode`; returns everything observable: the result of
+/// every op, completions in order, every counter, every board's clock and
+/// the merged traces.
+fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> String {
+    use apiary_accel::apps::kv::kv_store;
+    use apiary_cap::ServiceId;
+    use apiary_cluster::{ClusterConfig, ClusterSystem};
+    use apiary_monitor::wire::KIND_REQUEST;
+    use apiary_noc::TrafficClass;
+    use std::fmt::Write;
+
+    const POKE_CLIENT: NodeId = NodeId(2);
+    const POKE_SERVER: NodeId = NodeId(9);
+    const SVC_NODE: NodeId = NodeId(5);
+    const KV_NODE: NodeId = NodeId(6);
+    const FN_NODE: NodeId = NodeId(10);
+
+    set_clock_mode(mode);
+    let mut cfg = ClusterConfig {
+        boards: 4,
+        ..ClusterConfig::default()
+    };
+    cfg.system.monitor.trace_depth = 512;
+    let mut c = ClusterSystem::new(cfg);
+    let mut poke_caps = Vec::new();
+    for b in 0..4 {
+        c.deploy_replica(
+            b,
+            "svc",
+            ServiceId(40),
+            SVC_NODE,
+            AppId(1),
+            FaultPolicy::FailStop,
+            4096,
+            Box::new(|| Box::new(echo(30))),
+        )
+        .expect("svc tile free");
+        let sys = c.board_mut(b);
+        sys.install(
+            POKE_CLIENT,
+            Box::new(idle()),
+            AppId(2),
+            FaultPolicy::FailStop,
+        )
+        .expect("client slot free");
+        sys.install(
+            POKE_SERVER,
+            Box::new(echo(5)),
+            AppId(2),
+            FaultPolicy::FailStop,
+        )
+        .expect("server slot free");
+        poke_caps.push(
+            sys.connect(POKE_CLIENT, POKE_SERVER, false)
+                .expect("same app"),
+        );
+        sys.connect(POKE_SERVER, POKE_CLIENT, false)
+            .expect("reply path");
+    }
+    c.deploy_replica(
+        0,
+        "kv",
+        ServiceId(41),
+        KV_NODE,
+        AppId(1),
+        FaultPolicy::FailStop,
+        4096,
+        Box::new(|| Box::new(kv_store())),
+    )
+    .expect("kv tile free");
+    c.tick_n(1_500); // gossip spreads the bindings
+    c.check_invariants();
+
+    let mut log = String::new();
+    let mut kv_home = 0u16;
+    let mut next_tag = 1u64 << 32;
+    for op in ops {
+        match *op {
+            ClusterOp::Submit {
+                origin,
+                name,
+                payload,
+            } => {
+                next_tag += 1;
+                let r = c.submit(origin, NAMES[name], next_tag, vec![0x5A; payload]);
+                let _ = write!(log, "submit:{r:?};");
+            }
+            ClusterOp::Advance(n) => {
+                c.tick_n(n);
+                let _ = write!(log, "done:{:?};", c.take_completions());
+            }
+            ClusterOp::CutLink(b) => c.cut_link(b, None),
+            ClusterOp::RestoreLink(b) => c.restore_link(b, None),
+            ClusterOp::KillBoard => c.kill_board(3),
+            ClusterOp::Migrate { dst } => {
+                let r = c.migrate_replica(
+                    "kv",
+                    kv_home,
+                    dst,
+                    KV_NODE,
+                    Box::new(|| Box::new(kv_store())),
+                );
+                if r.is_ok() {
+                    kv_home = dst;
+                }
+                let _ = write!(log, "migrate:{};", r.is_ok());
+            }
+            ClusterOp::PoolDeploy(b) => {
+                let r = c.pool_deploy(
+                    b,
+                    "fn",
+                    ServiceId(60 + b as u32),
+                    FN_NODE,
+                    AppId(1),
+                    FaultPolicy::FailStop,
+                    2048,
+                    Box::new(|| Box::new(echo(12))),
+                );
+                let _ = write!(log, "deploy:{:?};", r.ok());
+            }
+            ClusterOp::PoolTeardown(b) => {
+                let r = c.pool_teardown(b, "fn");
+                let _ = write!(log, "teardown:{:?};", r.ok());
+            }
+            ClusterOp::Poke { board, payload } => {
+                next_tag += 1;
+                let sys = c.board_mut(board);
+                let now = sys.now();
+                let monitor = &mut sys.tile_mut(POKE_CLIENT).monitor;
+                let mut echoed = 0;
+                while monitor.recv().is_some() {
+                    echoed += 1;
+                }
+                let sent = monitor.send(
+                    poke_caps[board as usize],
+                    KIND_REQUEST,
+                    next_tag,
+                    TrafficClass::Request,
+                    vec![0xA5; payload],
+                    now,
+                );
+                let _ = write!(log, "poke:{echoed},{};", sent.is_ok());
+            }
+        }
+        c.check_invariants();
+    }
+    // Let in-flight work land so late divergence shows too.
+    c.tick_n(6_000);
+    c.check_invariants();
+
+    let done = c.take_completions();
+    let e2e = c.end_to_end.histogram();
+    let _ = write!(
+        log,
+        "\nend:{:?} done:{done:?} local={} remote={} timeouts={} refused={} stale={} dead_drops={} \
+         revoked={} mig_failed={} mig={:?} fabric={:?} picks={} e2e=({},{},{})",
+        c.now(),
+        c.local_submitted,
+        c.remote_submitted,
+        c.timeouts,
+        c.refused,
+        c.stale_replies,
+        c.dead_board_drops,
+        c.caps_revoked,
+        c.migrations_failed,
+        c.migration_outcomes(),
+        c.fabric().stats(),
+        c.balancer().picks,
+        e2e.count(),
+        e2e.p50(),
+        e2e.p99(),
+    );
+    for b in 0..4 {
+        let sys = c.board(b);
+        let _ = write!(
+            log,
+            "\nboard{b}: now={:?} alive={} noc={:?} dir={:?}",
+            sys.now(),
+            c.alive(b),
+            sys.noc().stats(),
+            c.directory(b).snapshot(),
+        );
+        for n in 0..sys.noc().mesh().nodes() as u16 {
+            let _ = write!(log, " {:?}", sys.tile(NodeId(n)).monitor.stats());
+        }
+        let _ = write!(log, "\ntrace{b}: {:?}", sys.merged_trace());
+    }
+    log
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Component-sparse stepping (only due boards, links and timeouts) is
+    /// invisible: any op sequence ends in the state dense ticking reaches.
+    #[test]
+    fn cluster_ops_agree_across_clocks(ops in prop::collection::vec(arb_cluster_op(), 40..160)) {
+        let _guard = CLOCK.lock().unwrap();
+        let event = run_cluster_ops(ClockMode::Event, &ops);
+        let dense = run_cluster_ops(ClockMode::Dense, &ops);
+        set_clock_mode(ClockMode::Event);
+        prop_assert_eq!(event, dense);
+    }
+}

@@ -1,0 +1,145 @@
+//! One board of the cluster: a full [`System`] plus the cluster kernel's
+//! per-board state.
+//!
+//! The board caches its system's next-event deadline so the lockstep loop
+//! can pass over a board with nothing due in O(1). The system is private to
+//! this module for that reason: every mutable hand-out goes through
+//! [`Board::sys_mut`], which drops the cached deadline, so no caller can
+//! change the board behind the cache's back.
+
+use crate::directory::Directory;
+use apiary_cap::{CapRef, ServiceId};
+use apiary_core::{AppId, FaultPolicy, System};
+use apiary_noc::NodeId;
+use apiary_sim::Cycle;
+use apiary_trace::EventKind;
+use std::collections::BTreeMap;
+
+#[derive(Clone)]
+pub(crate) struct ReplicaMeta {
+    pub(crate) service: ServiceId,
+    pub(crate) node: NodeId,
+    pub(crate) app: AppId,
+    pub(crate) policy: FaultPolicy,
+    pub(crate) bitstream_bytes: u64,
+}
+
+pub(crate) struct Republish {
+    pub(crate) name: String,
+    pub(crate) meta: ReplicaMeta,
+}
+
+pub(crate) struct Ingress {
+    pub(crate) src: u16,
+    pub(crate) tag: u64,
+}
+
+pub(crate) struct Board {
+    sys: System,
+    /// `sys.next_event_due()`, if nothing has touched the system since it
+    /// was computed. The deadline does not move as the clock approaches it,
+    /// so it stays exact until the board runs or is handed out mutably.
+    due: Option<Cycle>,
+    pub(crate) dir: Directory,
+    pub(crate) alive: bool,
+    /// Gateway caps to local replicas, by service id (from `attach_client`,
+    /// so they survive supervisor restarts and migrations).
+    pub(crate) local_caps: BTreeMap<u32, CapRef>,
+    /// Gateway caps for remote invocation, by `(board, service)`.
+    pub(crate) remote_caps: BTreeMap<(u16, u32), CapRef>,
+    /// Forwarded remote work in flight on this board, by local ingress tag.
+    pub(crate) ingress: BTreeMap<u64, Ingress>,
+    /// Locally deployed replicas, by name.
+    pub(crate) replicas: BTreeMap<String, ReplicaMeta>,
+    /// Reconfigurations whose directory entry awaits republish.
+    pub(crate) republish: Vec<Republish>,
+}
+
+impl Board {
+    pub(crate) fn new(sys: System, dir: Directory) -> Board {
+        Board {
+            sys,
+            due: None,
+            dir,
+            alive: true,
+            local_caps: BTreeMap::new(),
+            remote_caps: BTreeMap::new(),
+            ingress: BTreeMap::new(),
+            replicas: BTreeMap::new(),
+            republish: Vec::new(),
+        }
+    }
+
+    pub(crate) fn sys(&self) -> &System {
+        &self.sys
+    }
+
+    /// Mutable access to the system; forgets the cached deadline.
+    pub(crate) fn sys_mut(&mut self) -> &mut System {
+        self.due = None;
+        &mut self.sys
+    }
+
+    /// The next cycle this board can do anything on its own
+    /// ([`System::next_event_due`]), computed at most once per change.
+    pub(crate) fn next_event_due(&mut self) -> Cycle {
+        *self.due.get_or_insert_with(|| self.sys.next_event_due())
+    }
+
+    /// Brings the board to cluster cycle `now`. The dense reference ticks
+    /// it (`now` is then exactly one cycle ahead); the event clock jumps a
+    /// board with nothing due and otherwise takes the single-board event
+    /// path, which steps the NoC only while flits are in flight and runs
+    /// the kernel phases only on a cycle they are due.
+    pub(crate) fn advance_to(&mut self, now: Cycle, dense: bool) {
+        if dense {
+            self.sys_mut().tick();
+        } else if self.next_event_due() > now {
+            debug_assert!(
+                self.sys.next_event_due() > now,
+                "stale cached deadline: board skipped while due"
+            );
+            self.sys.skip_to(now);
+        } else {
+            let sys = self.sys_mut();
+            while sys.now() < now {
+                sys.advance_toward(now);
+            }
+        }
+        debug_assert_eq!(self.sys.now(), now, "board left lockstep");
+    }
+
+    /// Records a `Remote` span at the gateway tile. Tracing never moves a
+    /// deadline, so the cached one is kept.
+    pub(crate) fn trace_remote(
+        &mut self,
+        gw: NodeId,
+        now: Cycle,
+        phase: &'static str,
+        board: u16,
+        tag: u64,
+    ) {
+        self.sys.tile_mut(gw).monitor.tracer_mut().record(
+            now,
+            gw.0,
+            EventKind::Remote { phase, board, tag },
+        );
+    }
+
+    /// Panics unless the board is in lockstep with cluster cycle `now` and
+    /// its cached deadline, if any, is what the system reports.
+    pub(crate) fn check_invariants(&self, index: usize, now: Cycle) {
+        assert_eq!(
+            self.sys.now(),
+            now,
+            "board {index} is not on the cluster's cycle"
+        );
+        if let Some(due) = self.due {
+            assert_eq!(
+                due,
+                self.sys.next_event_due(),
+                "board {index} caches a stale deadline"
+            );
+        }
+    }
+}

@@ -20,17 +20,24 @@
 //! completed as an error, retried with backoff, and re-balanced — usually
 //! onto a different replica.
 //!
-//! **Determinism.** Boards tick in index order, the fabric in link-key
+//! **Determinism.** Boards advance in index order, the fabric in link-key
 //! order, directories and balancer state live in `BTreeMap`s, and every
 //! random draw comes from seeded [`apiary_sim::SimRng`] streams. The same
 //! config and seed replay byte-identically at any host parallelism — E17's
 //! CI check.
+//!
+//! **Event-sparse lockstep.** All live boards share one cycle counter, but
+//! a cluster cycle only touches what is due on it: boards whose cached
+//! next-event deadline has come ([`crate::board`]), fabric links with work,
+//! and the front of the timeout queue. [`ClusterSystem::tick`] is the dense
+//! reference that visits everything; the two must be indistinguishable.
 
 use crate::balancer::Balancer;
+use crate::board::{Board, Ingress, ReplicaMeta, Republish};
 use crate::directory::Directory;
 use crate::fabric::{Body, ClusterMsg, Fabric, FabricConfig};
 use apiary_accel::apps::idle::idle;
-use apiary_cap::{CapKind, CapRef, Capability, Rights, ServiceId};
+use apiary_cap::{CapKind, Capability, Rights, ServiceId};
 use apiary_core::process::OS_APP;
 use apiary_core::supervisor::AccelFactory;
 use apiary_core::{AppId, FaultPolicy, Snapshot, System, SystemConfig, SystemError};
@@ -39,7 +46,7 @@ use apiary_net::{BreakerConfig, BreakerState, RequestGen, RetryPolicy, Workload}
 use apiary_noc::{NodeId, TrafficClass};
 use apiary_sim::{clock_mode, ClockMode, Cycle};
 use apiary_trace::{EventKind, LatencyTracker};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// High bit marks gateway-local ingress tags, so a board can tell replies
 /// to forwarded remote work from replies to its own clients' local work.
@@ -97,6 +104,33 @@ impl Default for ClusterConfig {
     }
 }
 
+impl ClusterConfig {
+    /// Validates internal consistency.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero boards, a zero gossip interval, or a gateway tile
+    /// that lies outside the board's mesh or on its memory-service node.
+    pub fn validate(&self) {
+        assert!(self.boards > 0, "a cluster needs at least one board");
+        assert!(
+            self.gossip_interval > 0,
+            "gossip_interval must be at least one cycle"
+        );
+        let nodes = self.system.noc.nodes();
+        assert!(
+            self.gateway.index() < nodes,
+            "gateway {} lies outside the {nodes}-node mesh",
+            self.gateway
+        );
+        assert!(
+            self.gateway != self.system.memory_node(),
+            "gateway {} is the memory-service node",
+            self.gateway
+        );
+    }
+}
+
 /// Why a submit was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
@@ -118,25 +152,6 @@ pub struct Completion {
     pub tag: u64,
     /// Error reply, refused send, or timeout.
     pub is_error: bool,
-}
-
-#[derive(Clone)]
-struct ReplicaMeta {
-    service: ServiceId,
-    node: NodeId,
-    app: AppId,
-    policy: FaultPolicy,
-    bitstream_bytes: u64,
-}
-
-struct Republish {
-    name: String,
-    meta: ReplicaMeta,
-}
-
-struct Ingress {
-    src: u16,
-    tag: u64,
 }
 
 struct Pending {
@@ -207,23 +222,6 @@ impl MigrationOutcome {
     }
 }
 
-struct Board {
-    sys: System,
-    dir: Directory,
-    alive: bool,
-    /// Gateway caps to local replicas, by service id (from `attach_client`,
-    /// so they survive supervisor restarts and migrations).
-    local_caps: BTreeMap<u32, CapRef>,
-    /// Gateway caps for remote invocation, by `(board, service)`.
-    remote_caps: BTreeMap<(u16, u32), CapRef>,
-    /// Forwarded remote work in flight on this board, by local ingress tag.
-    ingress: BTreeMap<u64, Ingress>,
-    /// Locally deployed replicas, by name.
-    replicas: BTreeMap<String, ReplicaMeta>,
-    /// Reconfigurations whose directory entry awaits republish.
-    republish: Vec<Republish>,
-}
-
 /// The multi-board machine.
 pub struct ClusterSystem {
     cfg: ClusterConfig,
@@ -232,6 +230,12 @@ pub struct ClusterSystem {
     fabric: Fabric,
     balancer: Balancer,
     pending: BTreeMap<u64, Pending>,
+    /// `(deadline, tag)` of every submit, oldest first. `request_timeout`
+    /// is constant and the clock monotonic, so submit order is deadline
+    /// order and the front is the earliest timeout. Entries of requests
+    /// that completed (or whose tag was resubmitted) go stale and are
+    /// dropped when they reach the front.
+    deadlines: VecDeque<(Cycle, u64)>,
     completions: Vec<Completion>,
     next_ingress: u64,
     /// Origin gateway → target-board ingress (outbound fabric hop).
@@ -272,22 +276,18 @@ pub struct ClusterSystem {
 impl ClusterSystem {
     /// Builds the cluster: `boards` identical systems, a gateway installed
     /// on each, and the fabric between them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`ClusterConfig::validate`].
     pub fn new(cfg: ClusterConfig) -> ClusterSystem {
+        cfg.validate();
         let mut boards = Vec::with_capacity(cfg.boards as usize);
         for b in 0..cfg.boards {
             let mut sys = System::new(cfg.system.clone());
             sys.install(cfg.gateway, Box::new(idle()), OS_APP, FaultPolicy::FailStop)
                 .expect("gateway tile is free on a fresh board");
-            boards.push(Board {
-                sys,
-                dir: Directory::new(b, cfg.lease),
-                alive: true,
-                local_caps: BTreeMap::new(),
-                remote_caps: BTreeMap::new(),
-                ingress: BTreeMap::new(),
-                replicas: BTreeMap::new(),
-                republish: Vec::new(),
-            });
+            boards.push(Board::new(sys, Directory::new(b, cfg.lease)));
         }
         let fabric = Fabric::new(cfg.boards, cfg.fabric);
         let balancer = Balancer::new(cfg.seed);
@@ -298,6 +298,7 @@ impl ClusterSystem {
             fabric,
             balancer,
             pending: BTreeMap::new(),
+            deadlines: VecDeque::new(),
             completions: Vec::new(),
             next_ingress: 0,
             fabric_out: LatencyTracker::new(),
@@ -326,12 +327,12 @@ impl ClusterSystem {
 
     /// One board's system.
     pub fn board(&self, b: u16) -> &System {
-        &self.boards[b as usize].sys
+        self.boards[b as usize].sys()
     }
 
     /// One board's system, mutably (chaos injection, inspection).
     pub fn board_mut(&mut self, b: u16) -> &mut System {
-        &mut self.boards[b as usize].sys
+        self.boards[b as usize].sys_mut()
     }
 
     /// One board's directory view.
@@ -372,7 +373,7 @@ impl ClusterSystem {
     /// Count of `Remote` trace events recorded at a board's gateway.
     pub fn remote_trace_count(&self, b: u16) -> u64 {
         self.boards[b as usize]
-            .sys
+            .sys()
             .tile(self.cfg.gateway)
             .monitor
             .tracer()
@@ -402,9 +403,9 @@ impl ClusterSystem {
     ) -> Result<Option<(ServiceId, NodeId)>, SystemError> {
         let now = self.now();
         let b = &mut self.boards[board as usize];
-        b.sys
+        b.sys_mut()
             .deploy_service(service, node, app, policy, bitstream_bytes, factory)?;
-        let cap = b.sys.attach_client(self.cfg.gateway, service)?;
+        let cap = b.sys_mut().attach_client(self.cfg.gateway, service)?;
         b.local_caps.insert(service.0, cap);
         b.replicas.insert(
             name.to_string(),
@@ -441,7 +442,7 @@ impl ClusterSystem {
             .cloned()
             .ok_or(SystemError::BadNode(NodeId(u16::MAX)))?;
         b.dir.withdraw(now, name);
-        b.sys
+        b.sys_mut()
             .reconfigure(meta.node, factory(), meta.app, meta.policy, bitstream_bytes)?;
         b.republish.push(Republish {
             name: name.to_string(),
@@ -481,20 +482,13 @@ impl ClusterSystem {
         }
         self.boards[src as usize].dir.withdraw(now, name);
         let gw = self.cfg.gateway;
-        self.boards[src as usize]
-            .sys
-            .tile_mut(gw)
-            .monitor
-            .tracer_mut()
-            .record(
-                now,
-                gw.0,
-                EventKind::Remote {
-                    phase: "migrate-quiesce",
-                    board: dst,
-                    tag: meta.service.0 as u64,
-                },
-            );
+        self.boards[src as usize].trace_remote(
+            gw,
+            now,
+            "migrate-quiesce",
+            dst,
+            meta.service.0 as u64,
+        );
         self.migrations.insert(
             meta.service.0,
             Migration {
@@ -539,7 +533,7 @@ impl ClusterSystem {
     ) -> Result<bool, SystemError> {
         let b = &mut self.boards[board as usize];
         let state = b
-            .sys
+            .sys_mut()
             .checkpoint_store_mut()
             .latest(service.0)
             .map(|s| s.state.clone());
@@ -556,12 +550,12 @@ impl ClusterSystem {
             // Never deploy a half-restored instance: rebuild fresh.
             accel = factory();
         }
-        b.sys
+        b.sys_mut()
             .reconfigure(node, accel, app, policy, bitstream_bytes + warm_bytes)?;
         if warm {
-            b.sys.checkpoint_store_mut().warm_restores += 1;
+            b.sys_mut().checkpoint_store_mut().warm_restores += 1;
         }
-        b.sys
+        b.sys_mut()
             .adopt_service(service, node, app, policy, bitstream_bytes, factory);
         let meta = ReplicaMeta {
             service,
@@ -602,9 +596,9 @@ impl ClusterSystem {
             return Err(SystemError::BadNode(node));
         }
         let done = b
-            .sys
+            .sys_mut()
             .reconfigure(node, factory(), app, policy, bitstream_bytes)?;
-        b.sys
+        b.sys_mut()
             .adopt_service(service, node, app, policy, bitstream_bytes, factory);
         let meta = ReplicaMeta {
             service,
@@ -640,13 +634,13 @@ impl ClusterSystem {
                 return Err(bad());
             }
             let meta = b.replicas.get(name).cloned().ok_or_else(bad)?;
-            if b.sys.reconfiguring(meta.node) {
+            if b.sys().reconfiguring(meta.node) {
                 return Err(bad());
             }
             service = meta.service;
             node = meta.node;
             b.dir.withdraw(now, name);
-            b.sys.undeploy_service(meta.service);
+            b.sys_mut().undeploy_service(meta.service);
             b.local_caps.remove(&meta.service.0);
             b.replicas.remove(name);
             b.republish.retain(|r| r.name != name);
@@ -657,7 +651,7 @@ impl ClusterSystem {
                 continue;
             }
             if let Some(cap) = peer.remote_caps.remove(&(board, service.0)) {
-                if peer.sys.tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
+                if peer.sys_mut().tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
                     self.caps_revoked += 1;
                 }
             }
@@ -685,9 +679,9 @@ impl ClusterSystem {
         let gw = self.cfg.gateway;
         let m = self.migrations.get_mut(&sid).expect("listed by caller");
         let b = &mut self.boards[m.src as usize];
-        let home = b.sys.service_home(m.service);
+        let home = b.sys().service_home(m.service);
         let state = home
-            .and_then(|n| b.sys.tile_mut(n).accel.as_mut())
+            .and_then(|n| b.sys().tile(n).accel.as_ref())
             .and_then(|a| a.save_state());
         let Some(state) = state else {
             if let Some(n) = home {
@@ -697,19 +691,11 @@ impl ClusterSystem {
             self.migrations_failed += 1;
             return;
         };
-        b.sys.tile_mut(gw).monitor.tracer_mut().record(
-            now,
-            gw.0,
-            EventKind::Remote {
-                phase: "migrate-xfer",
-                board: m.dst,
-                tag: sid as u64,
-            },
-        );
+        b.trace_remote(gw, now, "migrate-xfer", m.dst, sid as u64);
         m.snapshot_at = now;
         m.state_bytes = state.len() as u64;
         m.phase = MigPhase::Transfer;
-        b.sys.undeploy_service(m.service);
+        b.sys_mut().undeploy_service(m.service);
         b.local_caps.remove(&sid);
         b.replicas.remove(&m.name);
         let msg = ClusterMsg {
@@ -779,7 +765,7 @@ impl ClusterSystem {
                 .get(&service.0)
                 .copied()
                 .ok_or(SubmitError::NoReplica)?;
-            b.sys
+            b.sys_mut()
                 .tile_mut(gw)
                 .monitor
                 .send(cap, KIND_REQUEST, tag, TrafficClass::Request, payload, now)
@@ -796,7 +782,7 @@ impl ClusterSystem {
                 Some(c) => *c,
                 None => {
                     let c = b
-                        .sys
+                        .sys_mut()
                         .tile_mut(gw)
                         .monitor
                         .install_cap(Capability::new(
@@ -811,7 +797,7 @@ impl ClusterSystem {
                     c
                 }
             };
-            if b.sys
+            if b.sys()
                 .tile(gw)
                 .monitor
                 .caps()
@@ -821,15 +807,7 @@ impl ClusterSystem {
                 self.refused += 1;
                 return Err(SubmitError::Refused);
             }
-            b.sys.tile_mut(gw).monitor.tracer_mut().record(
-                now,
-                gw.0,
-                EventKind::Remote {
-                    phase: "send",
-                    board: tboard,
-                    tag,
-                },
-            );
+            b.trace_remote(gw, now, "send", tboard, tag);
             self.fabric_out.start(tag, now);
             self.fabric.send(&ClusterMsg {
                 src: origin,
@@ -843,14 +821,16 @@ impl ClusterSystem {
             self.remote_submitted += 1;
         }
         self.balancer.started((tboard, tnode));
+        let deadline = now + self.cfg.request_timeout;
         self.pending.insert(
             tag,
             Pending {
                 origin,
                 target: (tboard, tnode),
-                deadline: now + self.cfg.request_timeout,
+                deadline,
             },
         );
+        self.deadlines.push_back((deadline, tag));
         Ok((tboard, tnode))
     }
 
@@ -860,20 +840,7 @@ impl ClusterSystem {
     pub fn note_breaker_open(&mut self, origin: u16) {
         let now = self.now();
         let gw = self.cfg.gateway;
-        self.boards[origin as usize]
-            .sys
-            .tile_mut(gw)
-            .monitor
-            .tracer_mut()
-            .record(
-                now,
-                gw.0,
-                EventKind::Remote {
-                    phase: "breaker-open",
-                    board: origin,
-                    tag: 0,
-                },
-            );
+        self.boards[origin as usize].trace_remote(gw, now, "breaker-open", origin, 0);
     }
 
     /// Finished requests since the last call, in completion order.
@@ -898,7 +865,7 @@ impl ClusterSystem {
                 .boards
                 .iter()
                 .filter(|b| b.alive)
-                .all(|b| b.ingress.is_empty() && b.sys.is_idle())
+                .all(|b| b.ingress.is_empty() && b.sys().is_idle())
     }
 
     fn finish_request(&mut self, tag: u64, is_error: bool, now: Cycle) {
@@ -918,16 +885,30 @@ impl ClusterSystem {
         }
     }
 
-    /// Advances the whole cluster by one cycle.
+    /// Advances the whole cluster by one cycle, densely: every live board
+    /// ticks, every link is pumped, every pending request is checked for
+    /// timeout. This is the reference the event clock is held to
+    /// (`clock_equivalence.rs`, `--det-check=event-vs-dense`); drivers that
+    /// want speed call [`ClusterSystem::advance_toward`] or
+    /// [`ClusterSystem::tick_n`].
     pub fn tick(&mut self) {
         self.ticks += 1;
+        self.cycle(true);
+    }
+
+    /// Everything one cluster cycle does, at the cycle `self.ticks` already
+    /// names. `dense` selects the reference behaviour of
+    /// [`ClusterSystem::tick`]; otherwise only the boards, links and
+    /// timeouts that are due at this cycle are touched. The two differ in
+    /// what they visit, never in what happens.
+    fn cycle(&mut self, dense: bool) {
         let now = Cycle(self.ticks);
         let gw = self.cfg.gateway;
 
         // 1. Boards advance in index order; dead boards stay frozen.
         for b in &mut self.boards {
             if b.alive {
-                b.sys.tick();
+                b.advance_to(now, dense);
             }
         }
 
@@ -972,7 +953,7 @@ impl ClusterSystem {
                 .republish
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| self.boards[bi].sys.tile(r.meta.node).accel.is_some())
+                .filter(|(_, r)| self.boards[bi].sys().tile(r.meta.node).accel.is_some())
                 .map(|(i, _)| i)
                 .collect();
             for i in done.into_iter().rev() {
@@ -981,7 +962,7 @@ impl ClusterSystem {
                 // Re-wire: the reset wiped the replica tile's reply caps;
                 // attach_client reinstalls them and refreshes the
                 // gateway's service cap.
-                if let Ok(cap) = b.sys.attach_client(gw, r.meta.service) {
+                if let Ok(cap) = b.sys_mut().attach_client(gw, r.meta.service) {
                     b.local_caps.insert(r.meta.service.0, cap);
                 }
                 let _ = b.dir.publish(now, &r.name, r.meta.service, r.meta.node);
@@ -1007,26 +988,13 @@ impl ClusterSystem {
             .collect();
         for sid in finished {
             let m = self.migrations.remove(&sid).expect("listed above");
-            self.boards[m.dst as usize]
-                .sys
-                .tile_mut(gw)
-                .monitor
-                .tracer_mut()
-                .record(
-                    now,
-                    gw.0,
-                    EventKind::Remote {
-                        phase: "migrate-done",
-                        board: m.src,
-                        tag: sid as u64,
-                    },
-                );
+            self.boards[m.dst as usize].trace_remote(gw, now, "migrate-done", m.src, sid as u64);
             for b in &mut self.boards {
                 if !b.alive {
                     continue;
                 }
                 if let Some(cap) = b.remote_caps.remove(&(m.src, sid)) {
-                    if b.sys.tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
+                    if b.sys_mut().tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
                         self.caps_revoked += 1;
                     }
                 }
@@ -1060,7 +1028,7 @@ impl ClusterSystem {
                         continue;
                     }
                     if let Some(cap) = b.remote_caps.remove(&(dead.home, dead.service.0)) {
-                        if b.sys.tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
+                        if b.sys_mut().tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
                             self.caps_revoked += 1;
                         }
                     }
@@ -1100,7 +1068,7 @@ impl ClusterSystem {
                         .collect();
                     for (name, sid) in replicas {
                         let Some(snap) = self.boards[bi as usize]
-                            .sys
+                            .sys_mut()
                             .checkpoint_store_mut()
                             .latest(sid)
                         else {
@@ -1131,26 +1099,18 @@ impl ClusterSystem {
         }
 
         // 4. Fabric: deliveries and ARQ retransmission attribution.
-        let (deliveries, retx) = self.fabric.step(now);
+        let (deliveries, retx) = if dense {
+            self.fabric.step_dense(now)
+        } else {
+            self.fabric.step(now)
+        };
         for (src_board, n) in retx {
-            if !self.boards[src_board as usize].alive {
+            let b = &mut self.boards[src_board as usize];
+            if !b.alive {
                 continue;
             }
-            let tracer = self.boards[src_board as usize]
-                .sys
-                .tile_mut(gw)
-                .monitor
-                .tracer_mut();
             for _ in 0..n {
-                tracer.record(
-                    now,
-                    gw.0,
-                    EventKind::Remote {
-                        phase: "retransmit",
-                        board: src_board,
-                        tag: 0,
-                    },
-                );
+                b.trace_remote(gw, now, "retransmit", src_board, 0);
             }
         }
         for msg in deliveries {
@@ -1167,12 +1127,12 @@ impl ClusterSystem {
                     self.fabric_out.finish(tag, now);
                     let b = &mut self.boards[msg.dst as usize];
                     let cap = b.local_caps.get(&service).copied();
-                    let home = b.sys.service_home(ServiceId(service));
+                    let home = b.sys().service_home(ServiceId(service));
                     let forwarded = match (cap, home) {
                         (Some(cap), Some(_)) => {
                             let ltag = INGRESS_BIT | self.next_ingress;
                             self.next_ingress += 1;
-                            match b.sys.tile_mut(gw).monitor.send(
+                            match b.sys_mut().tile_mut(gw).monitor.send(
                                 cap,
                                 KIND_REQUEST,
                                 ltag,
@@ -1208,20 +1168,7 @@ impl ClusterSystem {
                     payload: _,
                 } => {
                     self.fabric_back.finish(tag, now);
-                    self.boards[msg.dst as usize]
-                        .sys
-                        .tile_mut(gw)
-                        .monitor
-                        .tracer_mut()
-                        .record(
-                            now,
-                            gw.0,
-                            EventKind::Remote {
-                                phase: "reply",
-                                board: msg.src,
-                                tag,
-                            },
-                        );
+                    self.boards[msg.dst as usize].trace_remote(gw, now, "reply", msg.src, tag);
                     self.finish_request(tag, is_error, now);
                 }
                 Body::Gossip { entries } => {
@@ -1246,7 +1193,7 @@ impl ClusterSystem {
                     }
                     let warm_bytes = if m.warm { snapshot.len() as u64 } else { 0 };
                     let b = &mut self.boards[msg.dst as usize];
-                    match b.sys.reconfigure(
+                    match b.sys_mut().reconfigure(
                         m.dst_node,
                         accel,
                         m.app,
@@ -1254,16 +1201,8 @@ impl ClusterSystem {
                         m.bitstream_bytes + warm_bytes,
                     ) {
                         Ok(_) => {
-                            b.sys.tile_mut(gw).monitor.tracer_mut().record(
-                                now,
-                                gw.0,
-                                EventKind::Remote {
-                                    phase: "migrate-restore",
-                                    board: msg.src,
-                                    tag: service as u64,
-                                },
-                            );
-                            b.sys.adopt_service(
+                            b.trace_remote(gw, now, "migrate-restore", msg.src, service as u64);
+                            b.sys_mut().adopt_service(
                                 m.service,
                                 m.dst_node,
                                 m.app,
@@ -1298,7 +1237,7 @@ impl ClusterSystem {
                 } => {
                     if let Ok(snap) = Snapshot::decode(&snapshot) {
                         if self.boards[msg.dst as usize]
-                            .sys
+                            .sys_mut()
                             .checkpoint_store_mut()
                             .adopt(service, snap)
                         {
@@ -1313,10 +1252,12 @@ impl ClusterSystem {
         //    directly; replies to forwarded ingress go back over the
         //    fabric.
         for bi in 0..self.boards.len() {
-            if !self.boards[bi].alive {
+            // Look before taking the board mutably: an empty inbox is the
+            // common case and must not cost the board its cached deadline.
+            if !self.boards[bi].alive || self.boards[bi].sys().tile(gw).monitor.inbox_len() == 0 {
                 continue;
             }
-            while let Some(d) = self.boards[bi].sys.tile_mut(gw).monitor.recv() {
+            while let Some(d) = self.boards[bi].sys_mut().tile_mut(gw).monitor.recv() {
                 let is_error = d.msg.kind == KIND_ERROR;
                 if d.msg.tag & INGRESS_BIT != 0 {
                     if let Some(ing) = self.boards[bi].ingress.remove(&d.msg.tag) {
@@ -1339,14 +1280,8 @@ impl ClusterSystem {
         }
 
         // 6. Cluster-level timeouts feed the client retry path.
-        let expired: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(&t, _)| t)
-            .collect();
-        for tag in expired {
-            let p = self.pending.remove(&tag).expect("listed above");
+        for tag in self.expired_requests(now, dense) {
+            let p = self.pending.remove(&tag).expect("listed as pending");
             self.balancer.finished(p.target);
             self.timeouts += 1;
             self.completions.push(Completion {
@@ -1357,51 +1292,100 @@ impl ClusterSystem {
         }
     }
 
-    /// The next cycle, no later than `horizon`, at which anything in the
-    /// cluster can happen: a board's kernel phases come due (including all
-    /// in-flight NoC traffic), a fabric link has work, a gossip round
-    /// fires, or a cluster-level request timeout expires. Every cycle
-    /// strictly before the returned one is provably a no-op for the whole
-    /// machine, so the event clock may skip it.
-    fn next_due(&self, horizon: Cycle) -> Cycle {
-        let now = self.now();
-        let next = now.saturating_add(1);
-        let mut due = horizon.max(next);
-        for b in &self.boards {
+    /// Tags of the pending requests whose deadline has passed, ascending.
+    /// Consumes the front of the deadline queue up to `now` and past any
+    /// stale entries, so the front is again the earliest live deadline. The
+    /// dense reference also scans `pending` and demands the same answer.
+    fn expired_requests(&mut self, now: Cycle, dense: bool) -> Vec<u64> {
+        let mut expired = Vec::new();
+        while let Some(&(deadline, tag)) = self.deadlines.front() {
+            let live = self
+                .pending
+                .get(&tag)
+                .is_some_and(|p| p.deadline == deadline);
+            if live && deadline > now {
+                break;
+            }
+            self.deadlines.pop_front();
+            if live {
+                expired.push(tag);
+            }
+        }
+        // The same tag can sit in the queue twice with one deadline
+        // (completed and resubmitted within a cycle).
+        expired.sort_unstable();
+        expired.dedup();
+        if dense {
+            let scanned: Vec<u64> = self
+                .pending
+                .iter()
+                .filter(|(_, p)| p.deadline <= now)
+                .map(|(&t, _)| t)
+                .collect();
+            assert_eq!(expired, scanned, "deadline queue disagrees with a scan");
+        }
+        expired
+    }
+
+    /// The next cycle at which anything in the cluster can happen: a
+    /// board's kernel phases come due (including all in-flight NoC
+    /// traffic), a fabric link has work, a gossip round fires, a
+    /// cluster-level request timeout expires or a migration's quiesce
+    /// window ends. Every cycle strictly before the returned one is
+    /// provably a no-op for the whole machine, so the event clock may skip
+    /// it.
+    fn next_due(&mut self) -> Cycle {
+        let next = self.now().saturating_add(1);
+        let mut due = Cycle::MAX;
+        for b in &mut self.boards {
             if b.alive {
-                due = due.min(b.sys.next_event_due(horizon));
+                due = due.min(b.next_event_due());
             }
         }
         due = due.min(self.fabric.next_activity(next));
         let g = self.cfg.gossip_interval;
         due = due.min(Cycle((self.ticks / g + 1) * g));
-        if let Some(d) = self.pending.values().map(|p| p.deadline).min() {
-            due = due.min(d.max(next));
+        if let Some(&(deadline, _)) = self.deadlines.front() {
+            due = due.min(deadline);
         }
         for m in self.migrations.values() {
             if let MigPhase::Quiesce { until } = m.phase {
-                due = due.min(until.max(next));
+                due = due.min(until);
             }
         }
         due.max(next)
     }
 
-    /// One event-clock step: fast-forward every live board (and the shared
-    /// tick counter) through the provably quiet cycles, then run the next
-    /// eventful cycle through the ordinary dense [`ClusterSystem::tick`].
-    /// Always advances at least one cycle and never beyond `horizon`.
+    /// One event-clock step: jump the shared cycle counter to the next
+    /// eventful cycle (or to `horizon`, which must lie ahead, if that comes
+    /// first) and run that cycle touching only what is due. A live board
+    /// with nothing due is carried along in O(1); it never falls behind
+    /// the cluster's clock.
     fn event_step(&mut self, horizon: Cycle) {
-        let due = self.next_due(horizon);
-        if due.0 > self.ticks + 1 {
-            let resume = Cycle(due.0 - 1);
-            for b in &mut self.boards {
-                if b.alive {
-                    b.sys.skip_to(resume);
-                }
+        self.ticks = self.next_due().min(horizon).0;
+        self.cycle(false);
+    }
+
+    /// Panics unless the lockstep bookkeeping is consistent: every live
+    /// board is on the cluster's cycle and caches no stale deadline, and
+    /// the deadline queue's front is no later than the earliest timeout of
+    /// any pending request (a later front would let the event clock sleep
+    /// through an expiry). Boards and links that a cycle passes over are
+    /// checked where they are skipped, under `debug_assertions`.
+    pub fn check_invariants(&self) {
+        let now = self.now();
+        for (i, b) in self.boards.iter().enumerate() {
+            if b.alive {
+                b.check_invariants(i, now);
             }
-            self.ticks = resume.0;
         }
-        self.tick();
+        if let Some(earliest) = self.pending.values().map(|p| p.deadline).min() {
+            let front = self.deadlines.front().map(|&(d, _)| d);
+            assert!(
+                front.is_some_and(|d| d <= earliest),
+                "deadline queue front {front:?} is later than pending minimum {earliest:?}"
+            );
+        }
     }
 
     /// Advances time by one scheduling step: one cycle under the dense

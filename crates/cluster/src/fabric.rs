@@ -18,8 +18,9 @@
 //! so a *transient* cut costs latency while a *permanent* one strands
 //! traffic until lease expiry fails the directory over.
 //!
-//! Everything ticks in `BTreeMap` key order, so a fabric built from the
-//! same config and seed replays byte-identically.
+//! Links are visited in `(from, to)` key order and only when they have work
+//! ([`Fabric::step`]), so a fabric built from the same config and seed
+//! replays byte-identically and a quiet link costs nothing.
 
 use crate::directory::DirEntry;
 use apiary_cap::ServiceId;
@@ -27,7 +28,7 @@ use apiary_net::arq::{Ack, GoBackNReceiver, GoBackNSender, Packet};
 use apiary_net::{Frame, Wire};
 use apiary_noc::NodeId;
 use apiary_sim::{Cycle, Payload, Schedulable, Wakeup};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Endpoint id of the top-of-rack switch (star topology only).
 const TOR: u16 = u16::MAX;
@@ -331,6 +332,8 @@ impl<'a> Reader<'a> {
 /// (the egress proxy's queue — the ARQ window is the real admission gate).
 #[derive(Debug)]
 struct Link {
+    /// `(from, to)` endpoints; [`TOR`] is the switch.
+    key: (u16, u16),
     data: Wire,
     acks: Wire,
     tx: GoBackNSender,
@@ -342,13 +345,14 @@ struct Link {
 }
 
 impl Link {
-    fn new(cfg: &LinkConfig, seed: u64) -> Link {
+    fn new(key: (u16, u16), cfg: &LinkConfig, seed: u64) -> Link {
         let data = if cfg.loss > 0.0 {
             Wire::with_loss(cfg.latency, cfg.bytes_per_cycle, cfg.loss, seed)
         } else {
             Wire::new(cfg.latency, cfg.bytes_per_cycle)
         };
         Link {
+            key,
             data,
             // Acks are tiny and travel the reverse direction; loss on them
             // only delays (cumulative acks), so they share the loss model
@@ -369,9 +373,9 @@ impl Link {
     }
 
     /// One cycle: admit backlog into the ARQ window, transmit, receive,
-    /// ack. Returns delivered payloads and how many packets were
-    /// retransmitted this cycle.
-    fn pump(&mut self, now: Cycle) -> (Vec<Payload>, u64) {
+    /// ack. Appends delivered payloads to `out` and returns how many
+    /// packets were retransmitted this cycle.
+    fn pump(&mut self, now: Cycle, out: &mut Vec<Payload>) -> u64 {
         let retx_before = self.tx.retransmissions;
         while let Some(m) = self.backlog.front() {
             // Admission is a refcount bump: the ARQ window and the backlog
@@ -397,7 +401,6 @@ impl Link {
                 self.cut_drops += 1;
             }
         }
-        let mut out = Vec::new();
         // Acks are cumulative and the receiver's expected-seq only grows,
         // so a burst of in-order arrivals needs exactly one ack frame: the
         // last one of the burst dominates every earlier one. Coalescing
@@ -438,7 +441,7 @@ impl Link {
                 self.cut_drops += 1;
             }
         }
-        (out, self.tx.retransmissions - retx_before)
+        self.tx.retransmissions - retx_before
     }
 
     fn idle(&self) -> bool {
@@ -488,43 +491,51 @@ pub struct FabricStats {
 pub struct Fabric {
     cfg: FabricConfig,
     boards: u16,
-    links: BTreeMap<(u16, u16), Link>,
+    /// Every directed link, sorted by `(from, to)`: star uplinks `(b, TOR)`
+    /// sort before the ToR downlinks `(TOR, b)`. [`Fabric::link_index`]
+    /// finds a link by arithmetic on that order.
+    links: Vec<Link>,
     delivered: u64,
+    /// Per-pump delivery buffer, kept to reuse its allocation.
+    pumped: Vec<Payload>,
 }
 
 impl Fabric {
     /// Builds the fabric for `boards` boards.
     pub fn new(boards: u16, cfg: FabricConfig) -> Fabric {
-        let mut links = BTreeMap::new();
+        let mut links = Vec::new();
         let mut link_seed = cfg.seed;
-        let mut mk = |a: u16, b: u16, links: &mut BTreeMap<(u16, u16), Link>| {
+        let mut mk = |a: u16, b: u16| {
             link_seed = link_seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(1);
-            links.insert((a, b), Link::new(&cfg.link, link_seed));
+            links.push(Link::new((a, b), &cfg.link, link_seed));
         };
         match cfg.topology {
             Topology::Star => {
                 for b in 0..boards {
-                    mk(b, TOR, &mut links);
-                    mk(TOR, b, &mut links);
+                    mk(b, TOR);
+                    mk(TOR, b);
                 }
             }
             Topology::FullMesh => {
                 for a in 0..boards {
                     for b in 0..boards {
                         if a != b {
-                            mk(a, b, &mut links);
+                            mk(a, b);
                         }
                     }
                 }
             }
         }
+        // Loss seeds follow creation order; stepping follows key order.
+        links.sort_by_key(|l| l.key);
         Fabric {
             cfg,
             boards,
             links,
             delivered: 0,
+            pumped: Vec::new(),
         }
     }
 
@@ -533,16 +544,30 @@ impl Fabric {
         self.boards
     }
 
+    /// Position of the `from → to` link in `links`, if the topology has it.
+    fn link_index(&self, from: u16, to: u16) -> Option<usize> {
+        let n = self.boards as usize;
+        let (a, b) = (from as usize, to as usize);
+        match self.cfg.topology {
+            Topology::Star if to == TOR && a < n => Some(a),
+            Topology::Star if from == TOR && b < n => Some(n + b),
+            Topology::FullMesh if a < n && b < n && a != b => {
+                Some(a * (n - 1) + b - usize::from(b > a))
+            }
+            _ => None,
+        }
+    }
+
     /// Queues a message at its source board's egress.
     pub fn send(&mut self, msg: &ClusterMsg) {
         let first_hop = match self.cfg.topology {
-            Topology::Star => (msg.src, TOR),
-            Topology::FullMesh => (msg.src, msg.dst),
+            Topology::Star => self.link_index(msg.src, TOR),
+            Topology::FullMesh => self.link_index(msg.src, msg.dst),
         };
-        if let Some(l) = self.links.get_mut(&first_hop) {
+        if let Some(i) = first_hop {
             // Encode once; every later hop and retransmission shares the
             // buffer.
-            l.backlog.push_back(msg.encode().into());
+            self.links[i].backlog.push_back(msg.encode().into());
         }
     }
 
@@ -551,44 +576,64 @@ impl Fabric {
     /// `b = Some(peer)` cuts the pair to one peer (mesh) or degrades to the
     /// board's uplink (star — there is no per-peer link to cut).
     pub fn set_link(&mut self, a: u16, b: Option<u16>, up: bool) {
-        let peers: Vec<(u16, u16)> = self
-            .links
-            .keys()
-            .copied()
-            .filter(|&(x, y)| match (self.cfg.topology, b) {
-                (Topology::Star, _) => x == a || y == a,
-                (Topology::FullMesh, None) => x == a || y == a,
+        let topology = self.cfg.topology;
+        for l in &mut self.links {
+            let (x, y) = l.key;
+            let hit = match (topology, b) {
+                (Topology::Star, _) | (Topology::FullMesh, None) => x == a || y == a,
                 (Topology::FullMesh, Some(p)) => (x, y) == (a, p) || (x, y) == (p, a),
-            })
-            .collect();
-        for k in peers {
-            if let Some(l) = self.links.get_mut(&k) {
+            };
+            if hit {
                 l.up = up;
             }
         }
     }
 
-    /// One cycle for every link, in deterministic key order. Star uplinks
-    /// sort before ToR downlinks, so a frame can be switched the same cycle
-    /// it reaches the ToR. Returns decoded deliveries plus per-source-board
-    /// retransmission counts for the tracer.
+    /// One cycle for every link that has work at `now`, in deterministic
+    /// key order. A link whose [`Link::next_activity`] lies in the future
+    /// is not pumped: pumping it would be a no-op, so a quiet link costs
+    /// one comparison. Each link's activity is evaluated when its turn
+    /// comes, and star uplinks sort before ToR downlinks, so a frame the
+    /// switch forwards onto an otherwise idle downlink still leaves on the
+    /// same cycle it reached the ToR. Returns decoded deliveries plus
+    /// per-source-board retransmission counts for the tracer.
     pub fn step(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
-        let keys: Vec<(u16, u16)> = self.links.keys().copied().collect();
+        self.step_links(now, false)
+    }
+
+    /// The dense reference for [`Fabric::step`]: pumps every link whether
+    /// it is due or not. Same deliveries, same counters, more work.
+    pub fn step_dense(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
+        self.step_links(now, true)
+    }
+
+    fn step_links(&mut self, now: Cycle, all: bool) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
         let mut out = Vec::new();
         let mut retx = Vec::new();
-        for key in keys {
-            let (payloads, r) = self.links.get_mut(&key).expect("key just listed").pump(now);
+        let mut pumped = std::mem::take(&mut self.pumped);
+        let mut skipped = Vec::new();
+        for i in 0..self.links.len() {
+            let link = &mut self.links[i];
+            if !all && link.next_activity(now) > now {
+                if cfg!(debug_assertions) {
+                    skipped.push(i);
+                }
+                continue;
+            }
+            let key = link.key;
+            let r = link.pump(now, &mut pumped);
             if r > 0 && key.0 != TOR {
                 retx.push((key.0, r));
             }
-            for p in payloads {
+            for p in pumped.drain(..) {
                 let Some(msg) = ClusterMsg::decode(&p) else {
                     continue;
                 };
                 if key.1 == TOR {
                     // Store-and-forward at the switch: onto the downlink.
-                    if let Some(down) = self.links.get_mut(&(TOR, msg.dst)) {
-                        down.backlog.push_back(p);
+                    if let Some(down) = self.link_index(TOR, msg.dst) {
+                        debug_assert!(down > i, "downlinks are pumped after uplinks");
+                        self.links[down].backlog.push_back(p);
                     }
                 } else {
                     self.delivered += 1;
@@ -596,13 +641,18 @@ impl Fabric {
                 }
             }
         }
+        self.pumped = pumped;
+        // Nothing later in the cycle may make a link that was passed over
+        // due: skipping it must have been a no-op.
+        for i in skipped {
+            let l = &self.links[i];
+            debug_assert!(
+                l.next_activity(now) > now,
+                "link {:?} became due at {now:?} after it was skipped",
+                l.key
+            );
+        }
         (out, retx)
-    }
-
-    /// Advances the fabric by one cycle.
-    #[deprecated(note = "use `Fabric::step` (or drive via `Schedulable::wake`)")]
-    pub fn tick(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
-        self.step(now)
     }
 
     /// The earliest cycle at or after `next` at which any link has work:
@@ -612,7 +662,7 @@ impl Fabric {
     /// a single delivery or retransmission.
     pub fn next_activity(&self, next: Cycle) -> Cycle {
         self.links
-            .values()
+            .iter()
             .map(|l| l.next_activity(next))
             .min()
             .unwrap_or(Cycle::MAX)
@@ -620,7 +670,7 @@ impl Fabric {
 
     /// Nothing queued, unacked, or in flight anywhere.
     pub fn idle(&self) -> bool {
-        self.links.values().all(Link::idle)
+        self.links.iter().all(Link::idle)
     }
 
     /// Aggregate counters.
@@ -629,7 +679,7 @@ impl Fabric {
             delivered: self.delivered,
             ..FabricStats::default()
         };
-        for l in self.links.values() {
+        for l in &self.links {
             s.retransmissions += l.tx.retransmissions;
             s.cut_drops += l.cut_drops;
             s.loss_drops += l.data.dropped;
@@ -658,6 +708,7 @@ impl Schedulable<FabricOutput> for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apiary_sim::SimRng;
 
     fn msg(src: u16, dst: u16, tag: u64) -> ClusterMsg {
         ClusterMsg {
@@ -744,6 +795,97 @@ mod tests {
         let mut trailing = enc.clone();
         trailing.push(0);
         assert_eq!(ClusterMsg::decode(&trailing), None);
+    }
+
+    #[test]
+    fn links_sit_where_link_index_looks() {
+        for (topology, boards) in [
+            (Topology::Star, 1),
+            (Topology::Star, 5),
+            (Topology::FullMesh, 2),
+            (Topology::FullMesh, 5),
+        ] {
+            let f = Fabric::new(
+                boards,
+                FabricConfig {
+                    topology,
+                    ..FabricConfig::default()
+                },
+            );
+            assert!(f.links.windows(2).all(|w| w[0].key < w[1].key));
+            for (i, l) in f.links.iter().enumerate() {
+                assert_eq!(f.link_index(l.key.0, l.key.1), Some(i), "{:?}", l.key);
+            }
+            assert_eq!(f.link_index(boards, 0), None);
+            assert_eq!(f.link_index(0, 0), None);
+        }
+        let star = Fabric::new(3, FabricConfig::default());
+        assert_eq!(
+            star.link_index(0, 1),
+            None,
+            "a star has no board-to-board link"
+        );
+    }
+
+    #[test]
+    fn tor_switches_onto_an_idle_downlink_in_the_arrival_cycle() {
+        let mut f = Fabric::new(2, FabricConfig::default());
+        f.send(&msg(0, 1, 1));
+        let up = f.link_index(0, TOR).expect("uplink");
+        let down = f.link_index(TOR, 1).expect("downlink");
+        // Walk the fabric's own wakeups until the uplink hands the frame to
+        // the switch. On every one of them only the uplink is due.
+        let mut now = Cycle::ZERO;
+        while f.links[up].rx.expected() == 0 {
+            now = f.next_activity(now + 1);
+            assert_ne!(now, Cycle::MAX, "the frame got lost");
+            assert_eq!(f.links[down].next_activity(now), Cycle::MAX);
+            f.step(now);
+        }
+        // The downlink was not due when the cycle began, yet the frame is
+        // already past its backlog and on its wire.
+        assert!(f.links[down].backlog.is_empty());
+        assert_eq!(f.links[down].data.in_flight(), 1);
+    }
+
+    #[test]
+    fn stepping_only_due_links_matches_pumping_every_link() {
+        for topology in [Topology::Star, Topology::FullMesh] {
+            let cfg = FabricConfig {
+                topology,
+                link: LinkConfig {
+                    loss: 0.02,
+                    ..LinkConfig::default()
+                },
+                seed: 11,
+            };
+            let mut sparse = Fabric::new(4, cfg);
+            let mut dense = Fabric::new(4, cfg);
+            let mut rng = SimRng::new(5);
+            // 30k cycles of traffic and cuts, then time to drain.
+            for c in 1..=60_000u64 {
+                if c < 30_000 && rng.gen_bool(0.01) {
+                    let src = rng.gen_range(4) as u16;
+                    let dst = (src + 1 + rng.gen_range(3) as u16) % 4;
+                    sparse.send(&msg(src, dst, c));
+                    dense.send(&msg(src, dst, c));
+                }
+                if c < 30_000 && (c % 5_000 == 1_000 || c % 5_000 == 2_500) {
+                    let up = c % 5_000 == 2_500;
+                    sparse.set_link(1, None, up);
+                    dense.set_link(1, None, up);
+                }
+                assert_eq!(
+                    sparse.step(Cycle(c)),
+                    dense.step_dense(Cycle(c)),
+                    "{topology:?} diverged at cycle {c}"
+                );
+            }
+            assert_eq!(sparse.stats(), dense.stats());
+            let s = sparse.stats();
+            assert!(s.delivered > 100 && s.retransmissions > 0 && s.cut_drops > 0);
+            assert!(sparse.idle() && dense.idle());
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@
 //! experiment E17 checks.
 
 pub mod balancer;
+mod board;
 pub mod cluster;
 pub mod directory;
 pub mod fabric;

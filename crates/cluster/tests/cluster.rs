@@ -1,9 +1,12 @@
 //! End-to-end cluster tests: remote invocation, gossip convergence,
 //! determinism, board-kill failover, link cuts, and reconfiguration churn.
+//! The lockstep invariants are checked after every cycle these tests drive.
 
 use apiary_accel::apps::echo::echo;
 use apiary_cap::ServiceId;
-use apiary_cluster::{drive_clients, ClusterClient, ClusterConfig, ClusterSystem};
+use apiary_cluster::{
+    drive_clients, run_clients, ClusterClient, ClusterConfig, ClusterSystem, FabricConfig, Topology,
+};
 use apiary_core::{AppId, FaultPolicy};
 use apiary_net::Workload;
 use apiary_noc::NodeId;
@@ -50,6 +53,86 @@ fn run(c: &mut ClusterSystem, clients: &mut [ClusterClient], cycles: u64) {
     for _ in 0..cycles {
         c.tick();
         drive_clients(c, clients);
+        c.check_invariants();
+    }
+}
+
+#[test]
+#[should_panic(expected = "at least one board")]
+fn zero_boards_rejected() {
+    cluster(0);
+}
+
+#[test]
+#[should_panic(expected = "gossip_interval")]
+fn zero_gossip_interval_rejected() {
+    // Used to divide by zero under the event clock and silently never
+    // gossip under the dense one.
+    ClusterSystem::new(ClusterConfig {
+        gossip_interval: 0,
+        ..ClusterConfig::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "outside the 16-node mesh")]
+fn gateway_outside_the_mesh_rejected() {
+    ClusterSystem::new(ClusterConfig {
+        gateway: NodeId(16),
+        ..ClusterConfig::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "memory-service node")]
+fn gateway_on_the_memory_node_rejected() {
+    ClusterSystem::new(ClusterConfig {
+        gateway: NodeId(15),
+        ..ClusterConfig::default()
+    });
+}
+
+/// The event clock under load and chaos: every executed cycle leaves all
+/// live boards on the cluster's cycle with exact cached deadlines, and the
+/// deadline queue never lets a timeout slip. (`run_clients` calls `stop`
+/// after each executed cycle; debug builds also check every board and link
+/// a cycle passes over.)
+#[test]
+fn event_clock_keeps_the_lockstep_invariants() {
+    for topology in [Topology::Star, Topology::FullMesh] {
+        let mut c = ClusterSystem::new(ClusterConfig {
+            boards: 4,
+            fabric: FabricConfig {
+                topology,
+                ..FabricConfig::default()
+            },
+            ..ClusterConfig::default()
+        });
+        for b in 0..4 {
+            deploy_echo(&mut c, b, 60);
+        }
+        let mut clients: Vec<ClusterClient> =
+            (0..4).map(|b| client(b as u32 + 1, b, 180.0)).collect();
+        let mut executed = 0u64;
+        let mut go = |c: &mut ClusterSystem, clients: &mut [ClusterClient], cycles: u64| {
+            run_clients(c, clients, cycles, |c, _| {
+                c.check_invariants();
+                executed += 1;
+                false
+            });
+        };
+        go(&mut c, &mut clients, 8_000);
+        c.cut_link(1, None);
+        go(&mut c, &mut clients, 3_000);
+        c.restore_link(1, None);
+        go(&mut c, &mut clients, 6_000);
+        c.kill_board(3);
+        go(&mut c, &mut clients, 15_000);
+        assert_eq!(c.now().as_u64(), 32_000);
+        assert!(executed < 32_000, "the event clock skipped idle cycles");
+        assert!(c.timeouts > 0, "requests to the dead board timed out");
+        let done: u64 = clients.iter().map(|cl| cl.gen.stats.completed).sum();
+        assert!(done > 300, "traffic flowed: {done}");
     }
 }
 

@@ -39,6 +39,14 @@ pub struct SystemConfig {
     pub supervisor: SupervisorConfig,
 }
 
+impl SystemConfig {
+    /// The node hosting the memory service: `mem_node`, or the last node of
+    /// the mesh when unset.
+    pub fn memory_node(&self) -> NodeId {
+        self.mem_node.unwrap_or(NodeId(self.noc.nodes() as u16 - 1))
+    }
+}
+
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
@@ -149,7 +157,7 @@ impl System {
         let tiles: Vec<Tile> = (0..nodes)
             .map(|i| Tile::new(Monitor::new(NodeId(i as u16), cfg.monitor)))
             .collect();
-        let mem_node = cfg.mem_node.unwrap_or(NodeId(nodes as u16 - 1));
+        let mem_node = cfg.memory_node();
         let mem_capacity = cfg.mem_capacity;
         let dram = cfg.dram;
         let supervisor = Supervisor {
@@ -1165,19 +1173,20 @@ impl System {
         }
     }
 
-    /// The next cycle, no later than `horizon`, at which the kernel phases
-    /// could do something a skipped cycle would not: a reconfiguration
-    /// completes, an outbox head becomes ready, a watchdog window expires,
-    /// an accelerator's scheduled wakeup (or a message already waiting for
-    /// an `OnMessage` sleeper) comes due, or the supervisor has a detection
-    /// or backoff expiry pending. Undelivered NoC traffic is handled by the
-    /// caller, which steps the NoC densely while anything is in flight.
-    fn next_phase_due(&self, now: Cycle, horizon: Cycle) -> Cycle {
+    /// The next cycle at which the kernel phases could do something a
+    /// skipped cycle would not: a reconfiguration completes, an outbox head
+    /// becomes ready, a watchdog window expires, an accelerator's scheduled
+    /// wakeup (or a message already waiting for an `OnMessage` sleeper)
+    /// comes due, or the supervisor has a detection or backoff expiry
+    /// pending. [`Cycle::MAX`] when nothing is scheduled. Undelivered NoC
+    /// traffic is handled by the caller, which steps the NoC densely while
+    /// anything is in flight.
+    fn next_phase_due(&self, now: Cycle) -> Cycle {
         let next = now.saturating_add(1);
         if self.noc.rx_pending_total() > 0 {
             return next;
         }
-        let mut due = horizon;
+        let mut due = Cycle::MAX;
         if let Some(t) = self.reconfig.next_completion() {
             due = due.min(t.max(next));
         }
@@ -1246,40 +1255,47 @@ impl System {
     }
 
     /// One event-clock step: advance to the next cycle where the kernel
-    /// phases can matter — stepping the NoC cycle-by-cycle while traffic is
-    /// in flight (a delivery re-arms every `OnMessage` sleeper, so phases
-    /// run the cycle it lands), jumping the clock outright when the
-    /// interconnect is provably idle — then run the phases for that cycle.
-    /// Always advances at least one cycle and never beyond `horizon`.
+    /// phases can matter, or to `horizon` if that comes first — stepping
+    /// the NoC cycle-by-cycle while traffic is in flight (a delivery
+    /// re-arms every `OnMessage` sleeper, so phases run the cycle it
+    /// lands), jumping the clock outright when the interconnect is provably
+    /// idle — then run the phases if that cycle is one they are due on.
+    /// Stopping at the caller's `horizon` alone runs no phases: the cycle
+    /// is a no-op by the wakeup contract. Always advances at least one
+    /// cycle and never beyond `horizon`.
     fn event_step(&mut self, horizon: Cycle) {
-        let due = self.next_phase_due(self.clock.now(), horizon);
+        let due = self.next_phase_due(self.clock.now());
+        let stop = due.min(horizon);
         let now = loop {
             if self.noc.pending() == 0 && self.noc.rx_pending_total() == 0 {
-                self.noc.skip_idle_to(due);
-                self.clock.advance_to(due);
-                break due;
+                self.noc.skip_idle_to(stop);
+                self.clock.advance_to(stop);
+                break stop;
             }
             let now = self.clock.tick();
             self.noc.step();
-            if now >= due || self.noc.rx_pending_total() > 0 {
+            if now >= stop || self.noc.rx_pending_total() > 0 {
                 break now;
             }
         };
-        self.cycle_phases(now);
+        if now >= due || self.noc.rx_pending_total() > 0 {
+            self.cycle_phases(now);
+        }
     }
 
-    /// The next cycle, no later than `horizon`, at which this system can do
-    /// anything on its own: `now + 1` while NoC traffic is in flight or
-    /// undrained, else the earliest kernel-phase deadline. Lockstep drivers
-    /// that advance several systems against one shared clock (the cluster)
-    /// use this to find the global next event; every cycle strictly before
-    /// the returned one is provably a no-op for this system.
-    pub fn next_event_due(&self, horizon: Cycle) -> Cycle {
+    /// The next cycle at which this system can do anything on its own:
+    /// `now + 1` while NoC traffic is in flight or undrained, else the
+    /// earliest kernel-phase deadline ([`Cycle::MAX`] when nothing is
+    /// scheduled). Lockstep drivers that advance several systems against
+    /// one shared clock (the cluster) use this to find the global next
+    /// event; every cycle strictly before the returned one is provably a
+    /// no-op for this system and may be crossed with [`System::skip_to`].
+    pub fn next_event_due(&self) -> Cycle {
         let now = self.clock.now();
         if self.noc.pending() > 0 {
             return now.saturating_add(1);
         }
-        self.next_phase_due(now, horizon)
+        self.next_phase_due(now)
     }
 
     /// Jumps the clock to `target` without running any kernel phases. Only
@@ -1384,7 +1400,8 @@ impl System {
         let mut quiet = 0u64;
         while self.clock.now() < end {
             let now = self.clock.now();
-            let due = self.next_phase_due(now, end);
+            let phase_due = self.next_phase_due(now);
+            let due = phase_due.min(end);
             if self.is_idle() {
                 let finish = now.saturating_add(SETTLE.saturating_sub(quiet));
                 if finish < due {
@@ -1395,7 +1412,9 @@ impl System {
                 quiet += due.saturating_since(now).saturating_sub(1);
                 self.noc.skip_idle_to(due);
                 self.clock.advance_to(due);
-                self.cycle_phases(due);
+                if due == phase_due {
+                    self.cycle_phases(due);
+                }
             } else {
                 quiet = 0;
                 self.event_step(end);

@@ -751,3 +751,102 @@ fn shared_tile_guards_slots_and_preemptibility() {
     assert_eq!(sys.tile(m).accel_name(), "flooder");
     assert!(sys.tile(m).parked.is_some(), "parked tenant untouched");
 }
+
+/// Counts its wakes and asks to sleep until `until`.
+struct WakeCounter {
+    wakes: u64,
+    until: apiary_sim::Cycle,
+}
+
+impl apiary_accel::Accelerator for WakeCounter {
+    fn name(&self) -> &'static str {
+        "wake-counter"
+    }
+    fn wake(
+        &mut self,
+        _now: apiary_sim::Cycle,
+        _os: &mut dyn apiary_accel::TileOs,
+    ) -> apiary_sim::Wakeup {
+        self.wakes += 1;
+        apiary_sim::Wakeup::At(self.until)
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+/// Everything about a system a skipped cycle could have changed.
+fn observable(sys: &System) -> String {
+    let tiles: Vec<String> = (0..sys.noc().mesh().nodes() as u16)
+        .map(|n| {
+            let t = sys.tile(NodeId(n));
+            format!("{:?}/{:?}", t.monitor.stats(), t.monitor.state())
+        })
+        .collect();
+    format!(
+        "{:?} {:?} idle={} {tiles:?} {:?}",
+        sys.now(),
+        sys.noc().stats(),
+        sys.is_idle(),
+        sys.merged_trace()
+    )
+}
+
+#[test]
+fn advance_toward_a_horizon_before_every_deadline_runs_no_phases() {
+    use apiary_sim::Cycle;
+    let build = || {
+        let mut sys = small_system();
+        let counter = WakeCounter {
+            wakes: 0,
+            until: Cycle(1_000_000),
+        };
+        sys.install(
+            NodeId(3),
+            Box::new(counter),
+            AppId(1),
+            FaultPolicy::FailStop,
+        )
+        .expect("free");
+        sys
+    };
+    let wakes = |sys: &System| {
+        sys.accel_as::<WakeCounter>(NodeId(3))
+            .expect("installed")
+            .wakes
+    };
+
+    // Let every freshly installed accelerator take its first wake.
+    let mut event = build();
+    let mut dense = build();
+    event.run(10);
+    for _ in 0..10 {
+        dense.tick();
+    }
+    let settled = wakes(&event);
+    assert!(settled > 0, "the first wake ran");
+    assert!(
+        event.next_event_due() > Cycle(510),
+        "nothing is scheduled soon"
+    );
+
+    // The horizon is the only reason to stop: no phase runs there.
+    event.advance_toward(Cycle(510));
+    assert_eq!(event.now(), Cycle(510));
+    assert_eq!(wakes(&event), settled, "reaching the horizon woke nobody");
+
+    // ... and the state is what 500 dense ticks leave behind.
+    for _ in 0..500 {
+        dense.tick();
+    }
+    assert!(wakes(&dense) > settled, "dense ticking wakes every cycle");
+    assert_eq!(observable(&event), observable(&dense));
+
+    // A real deadline still runs its phases on its own cycle.
+    event.advance_toward(Cycle(2_000_000));
+    assert_eq!(event.now(), Cycle(1_000_000));
+    assert_eq!(wakes(&event), settled + 1);
+}

@@ -842,12 +842,6 @@ impl Noc {
         self.check_progress_valve();
     }
 
-    /// Advances the network by one cycle.
-    #[deprecated(note = "use `Noc::step` (or drive via `Schedulable::wake`)")]
-    pub fn tick(&mut self) {
-        self.step();
-    }
-
     /// Skips ahead through provably idle cycles, up to and including
     /// `target`. While no packet is in flight every phase of
     /// [`Noc::step`] is a no-op, so the clock and cycle counter can jump

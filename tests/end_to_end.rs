@@ -9,6 +9,7 @@ use apiary::core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary::monitor::wire;
 use apiary::net::{EthernetTile, NetConfig, RequestGen, Workload};
 use apiary::noc::{Delivered, NodeId, TrafficClass};
+use apiary::sim::{Cycle, Wakeup};
 
 // ---------------------------------------------------------------------
 // Hash service: verify payload integrity across the whole stack.
@@ -169,17 +170,18 @@ impl Accelerator for MemEcho {
         self
     }
 
-    fn tick(&mut self, os: &mut dyn TileOs) {
+    /// Every state waits on a message and a wake consumes at most one, so
+    /// `OnMessage` is exact: the driver re-wakes while the inbox is non-empty.
+    fn wake(&mut self, _now: Cycle, os: &mut dyn TileOs) -> Wakeup {
         let mem = os.cap_env().get("mem").expect("granted at setup");
         match std::mem::replace(&mut self.state, MemEchoState::Idle) {
             MemEchoState::Idle => {
                 if let Some(req) = os.recv() {
-                    if req.msg.kind != wire::KIND_REQUEST {
-                        return;
+                    if req.msg.kind == wire::KIND_REQUEST {
+                        os.mem_write(mem, 0, &req.msg.payload, 1)
+                            .expect("segment is large enough");
+                        self.state = MemEchoState::Writing { req };
                     }
-                    os.mem_write(mem, 0, &req.msg.payload, 1)
-                        .expect("segment is large enough");
-                    self.state = MemEchoState::Writing { req };
                 }
             }
             MemEchoState::Writing { req } => {
@@ -207,6 +209,7 @@ impl Accelerator for MemEcho {
                 _ => self.state = MemEchoState::Reading { req, len },
             },
         }
+        Wakeup::OnMessage
     }
 }
 
