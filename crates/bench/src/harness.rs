@@ -16,27 +16,39 @@ use std::time::Instant;
 /// An experiment entry point: `quick` → structured report.
 pub type ExperimentFn = fn(bool) -> ExperimentReport;
 
-/// The full suite, in output order.
-pub const SUITE: &[ExperimentFn] = &[
-    e::e01_table1::report,
-    e::e02_figure1::report,
-    e::e03_monitor_overhead::report,
-    e::e04_direct_vs_host::report,
-    e::e05_isolation_cost::report,
-    e::e06_rate_limiting::report,
-    e::e07_segments_vs_pages::report,
-    e::e08_fault_handling::report,
-    e::e09_noc_scaling::report,
-    e::e10_video_pipeline::report,
-    e::e11_multi_tenant::report,
-    e::e12_remote_service::report,
-    e::e13_noc_ablation::report,
-    e::e14_reconfig_churn::report,
-    e::e15_memory_service::report,
-    e::e16_chaos::report,
-    e::e17_cluster_scaleout::report,
-    e::e18_serverless::report,
-    e::e19_checkpoint::report,
+/// One [`SUITE`] row from an id and an experiment module: the module's
+/// name is the slug, so the two cannot drift apart.
+macro_rules! row {
+    ($id:literal, $module:ident) => {
+        ($id, stringify!($module), e::$module::report)
+    };
+}
+
+/// The full suite, in output order: the one table that says which
+/// experiments exist, what they are called and where their results go.
+/// Each row is the id the report carries (`E9`), the slug that names the
+/// module and the `results/<slug>.{json,txt}` pair (`e09_noc_scaling`; its
+/// `eNN` prefix is the name `apiary-exp` takes), and the entry point.
+pub const SUITE: &[(&str, &str, ExperimentFn)] = &[
+    row!("E1", e01_table1),
+    row!("E2", e02_figure1),
+    row!("E3", e03_monitor_overhead),
+    row!("E4", e04_direct_vs_host),
+    row!("E5", e05_isolation_cost),
+    row!("E6", e06_rate_limiting),
+    row!("E7", e07_segments_vs_pages),
+    row!("E8", e08_fault_handling),
+    row!("E9", e09_noc_scaling),
+    row!("E10", e10_video_pipeline),
+    row!("E11", e11_multi_tenant),
+    row!("E12", e12_remote_service),
+    row!("E13", e13_noc_ablation),
+    row!("E14", e14_reconfig_churn),
+    row!("E15", e15_memory_service),
+    row!("E16", e16_chaos),
+    row!("E17", e17_cluster_scaleout),
+    row!("E18", e18_serverless),
+    row!("E19", e19_checkpoint),
 ];
 
 /// Default worker count: the machine's available cores.
@@ -44,34 +56,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Per-experiment result file path (matches the module and bin names so
-/// `results/e09_noc_scaling.json` sits beside `results/e09_noc_scaling.txt`).
-pub fn result_file(id: &str) -> String {
-    let slug = match id {
-        "E1" => "e01_table1",
-        "E2" => "e02_figure1",
-        "E3" => "e03_monitor_overhead",
-        "E4" => "e04_direct_vs_host",
-        "E5" => "e05_isolation_cost",
-        "E6" => "e06_rate_limiting",
-        "E7" => "e07_segments_vs_pages",
-        "E8" => "e08_fault_handling",
-        "E9" => "e09_noc_scaling",
-        "E10" => "e10_video_pipeline",
-        "E11" => "e11_multi_tenant",
-        "E12" => "e12_remote_service",
-        "E13" => "e13_noc_ablation",
-        "E14" => "e14_reconfig_churn",
-        "E15" => "e15_memory_service",
-        "E16" => "e16_chaos",
-        "E17" => "e17_cluster_scaleout",
-        "E18" => "e18_serverless",
-        "E19" => "e19_checkpoint",
-        other => return format!("results/{}.json", other.to_ascii_lowercase()),
-    };
-    format!("results/{slug}.json")
 }
 
 /// Runs one experiment and stamps its wall time.
@@ -93,8 +77,10 @@ pub fn run_suite(quick: bool, jobs: usize) -> Vec<ExperimentReport> {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&f) = SUITE.get(i) else { break };
-                let report = run_one(f, quick);
+                let Some(&(_, _, run)) = SUITE.get(i) else {
+                    break;
+                };
+                let report = run_one(run, quick);
                 *slots[i].lock().unwrap() = Some(report);
             });
         }
@@ -114,12 +100,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn suite_ids_are_ordered() {
-        // Cheap structural check: the two cheapest experiments sit where
-        // the suite order says they do.
-        let e1 = run_one(SUITE[0], true);
-        assert_eq!(e1.id, "E1");
-        let e2 = run_one(SUITE[1], true);
-        assert_eq!(e2.id, "E2");
+    fn table_names_agree() {
+        // `E9` <-> `e09_...`: one number, two spellings. Whether `run`
+        // reports under the same id is checked where the whole suite runs
+        // anyway (tests/suite_determinism.rs).
+        for (i, &(id, slug, _)) in SUITE.iter().enumerate() {
+            assert_eq!(id, format!("E{}", i + 1));
+            assert!(slug.starts_with(&format!("e{:02}_", i + 1)), "{slug}");
+        }
     }
 }

@@ -37,16 +37,16 @@ pub fn write_result_or_exit(path: impl AsRef<Path>, contents: &str) {
 }
 
 /// Writes one experiment's artifact pair: `results/<slug>.json` (the
-/// structured report) and `results/<slug>.txt` (the rendered text).
-/// Exits non-zero if either write fails.
+/// structured report) and `results/<slug>.txt` (the rendered text), under
+/// the slug [`harness::SUITE`] gives its id. Exits non-zero if the id is
+/// not in the suite or either write fails.
 pub fn write_report_or_exit(report: &ExperimentReport) {
-    let json_path = harness::result_file(report.id);
-    write_result_or_exit(&json_path, &report.to_json());
-    let txt_path = json_path
-        .strip_suffix(".json")
-        .map(|stem| format!("{stem}.txt"))
-        .unwrap_or_else(|| format!("{json_path}.txt"));
-    write_result_or_exit(&txt_path, &report.rendered);
+    let Some(&(_, slug, _)) = harness::SUITE.iter().find(|row| row.0 == report.id) else {
+        eprintln!("no experiment `{}` in harness::SUITE", report.id);
+        std::process::exit(1);
+    };
+    write_result_or_exit(format!("results/{slug}.json"), &report.to_json());
+    write_result_or_exit(format!("results/{slug}.txt"), &report.rendered);
 }
 
 #[cfg(test)]

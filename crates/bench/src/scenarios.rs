@@ -5,7 +5,7 @@ use apiary_cap::CapRef;
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary_monitor::{wire, SendError};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{clock_mode, ClockMode, Cycle, Histogram, Payload};
+use apiary_sim::{jump_target, Cycle, Histogram, Payload};
 use std::collections::HashMap;
 
 /// A closed-loop request driver attached directly to a tile's monitor —
@@ -271,29 +271,17 @@ pub fn client_server(
 /// Runs the system, pumping every client as needed, until all clients are
 /// done or `max_cycles` pass. Returns the cycles consumed.
 ///
-/// Under [`ClockMode::Dense`] every cycle ticks and every client is pumped
-/// every cycle. Under [`ClockMode::Event`] the system jumps between
-/// wakeups and clients are pumped only on cycles where a pump can act:
-/// when mail is waiting, a timeout expires, or a send could be attempted.
-/// Both stop on the same cycle with identical client statistics.
+/// The system jumps between wakeups and clients are pumped only on cycles
+/// where a pump can act: when mail is waiting, a timeout expires, or a
+/// send could be attempted. [`jump_target`] makes the dense reference
+/// clock pump every client every cycle instead; both stop on the same
+/// cycle with identical client statistics.
 pub fn drive(sys: &mut System, clients: &mut [&mut MonitorClient], max_cycles: u64) -> u64 {
     let start = sys.now();
-    if clock_mode() == ClockMode::Dense {
-        for _ in 0..max_cycles {
-            sys.tick();
-            for c in clients.iter_mut() {
-                c.pump(sys);
-            }
-            if clients.iter().all(|c| c.done()) {
-                break;
-            }
-        }
-        return sys.now() - start;
-    }
     let end = start.saturating_add(max_cycles);
     while sys.now() < end {
-        // Dense checks `done` after every tick, so if the clients are
-        // already done it consumes exactly one cycle before breaking.
+        // `done` is checked after every executed cycle, so clients that
+        // are already done still consume exactly one cycle.
         let mut due = if clients.iter().all(|c| c.done()) {
             sys.now().saturating_add(1)
         } else {
@@ -302,11 +290,10 @@ pub fn drive(sys: &mut System, clients: &mut [&mut MonitorClient], max_cycles: u
         for c in clients.iter() {
             due = due.min(c.next_wakeup(sys));
         }
+        let due = jump_target(sys.now(), due);
         loop {
             sys.advance_toward(due);
-            let now = sys.now();
-            if now >= due
-                || now >= end
+            if sys.now() >= due
                 || clients
                     .iter()
                     .any(|c| sys.tile(c.node).monitor.inbox_len() > 0)

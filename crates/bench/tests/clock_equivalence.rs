@@ -16,7 +16,8 @@ use apiary_accel::apps::idle::idle;
 use apiary_bench::scenarios::{drive, MonitorClient};
 use apiary_bench::{ExperimentReport, Json};
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
-use apiary_noc::NodeId;
+use apiary_monitor::wire;
+use apiary_noc::{NodeId, TrafficClass};
 use apiary_sim::{set_clock_mode, ClockMode};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -93,6 +94,40 @@ fn run_system(mode: ClockMode, p: &Params) -> String {
     let mut metrics = Json::obj()
         .set("cycles_consumed", consumed)
         .set("end_cycle", sys.now().as_u64());
+
+    // A second burst that nobody pumps, one window per client straight
+    // through its monitor, and then the three undriven run loops in turn.
+    // Each must stop on the same cycle under both clocks: `run` with the
+    // burst still in flight, `run_until` the moment the fabric drains (the
+    // echo servers are still computing), `run_until_idle` once the replies
+    // have settled or its budget, sometimes shorter than the settle window,
+    // runs out.
+    let now = sys.now();
+    for (c, cp) in clients.iter().zip(&p.clients) {
+        for k in 0..cp.outstanding {
+            let sent = sys.tile_mut(c.node).monitor.send(
+                c.cap,
+                wire::KIND_REQUEST,
+                c.tag_base + (1 << 32) + u64::from(k),
+                TrafficClass::Request,
+                vec![0xA5; cp.payload],
+                now,
+            );
+            sent.expect("an idle monitor takes one window");
+        }
+    }
+    sys.run(4);
+    assert!(!sys.is_idle(), "the burst is still on its way");
+    metrics = metrics.set("run_end", sys.now().as_u64());
+    let drained = sys.run_until(100_000, |s| s.is_idle());
+    metrics = metrics
+        .set("run_until_fired", drained)
+        .set("run_until_end", sys.now().as_u64());
+    let settled = sys.run_until_idle(3_000 + 100 * p.echo_cost);
+    metrics = metrics
+        .set("run_until_idle_settled", settled)
+        .set("run_until_idle_end", sys.now().as_u64());
+
     for (i, c) in clients.iter().enumerate() {
         metrics = metrics.set(
             format!("client{i}"),
@@ -102,6 +137,7 @@ fn run_system(mode: ClockMode, p: &Params) -> String {
                 .set("errors", c.errors)
                 .set("refused", c.refused)
                 .set("lost", c.lost)
+                .set("unread", sys.tile(c.node).monitor.inbox_len())
                 .set("rtt_p50", c.rtt.p50())
                 .set("rtt_p99", c.rtt.p99()),
         );

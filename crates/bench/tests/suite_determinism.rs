@@ -10,12 +10,10 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
     let serial = harness::run_suite(true, 1);
     let parallel = harness::run_suite(true, 8);
     assert_eq!(serial.len(), parallel.len());
-    let mut last_num = 0u32;
-    for (a, b) in serial.iter().zip(&parallel) {
-        // Suite order: numeric experiment ids strictly ascending.
-        let num: u32 = a.id.trim_start_matches('E').parse().expect("E<n> id");
-        assert!(num > last_num, "suite order: {} after E{last_num}", a.id);
-        last_num = num;
+    for ((a, b), &(id, _, _)) in serial.iter().zip(&parallel).zip(harness::SUITE) {
+        // Suite order, and every report carries the id its table row
+        // names (the unit test in harness.rs pins those to E1..E19).
+        assert_eq!(a.id, id);
         assert_eq!(a.id, b.id);
         assert_eq!(
             a.deterministic_bytes(),

@@ -44,7 +44,7 @@ use apiary_core::{AppId, FaultPolicy, Snapshot, System, SystemConfig, SystemErro
 use apiary_monitor::wire::{KIND_ERROR, KIND_REQUEST};
 use apiary_net::{BreakerConfig, BreakerState, RequestGen, RetryPolicy, Workload};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{clock_mode, ClockMode, Cycle};
+use apiary_sim::{clock_mode, jump_target, ClockMode, Cycle};
 use apiary_trace::{EventKind, LatencyTracker};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -1404,18 +1404,12 @@ impl ClusterSystem {
         }
     }
 
-    /// Ticks `n` cycles (jumping between wakeups under the event clock;
-    /// both clocks end on the same cycle with bit-identical state).
+    /// Runs `n` cycles, one [`ClusterSystem::advance_toward`] step at a
+    /// time (both clocks end on the same cycle with bit-identical state).
     pub fn tick_n(&mut self, n: u64) {
-        if clock_mode() == ClockMode::Dense {
-            for _ in 0..n {
-                self.tick();
-            }
-            return;
-        }
         let end = Cycle(self.ticks.saturating_add(n));
         while self.now() < end {
-            self.event_step(end);
+            self.advance_toward(end);
         }
     }
 }
@@ -1495,14 +1489,14 @@ pub fn drive_clients(cluster: &mut ClusterSystem, clients: &mut [ClusterClient])
 }
 
 /// Runs the cluster for up to `cycles` cycles with `clients` attached,
-/// stopping early when `stop` returns true. Under the dense clock this is
-/// the classic loop: tick, drive, check. Under the event clock the cluster
-/// jumps between wakeups and the clients are driven at every cycle where
-/// they can act — a completion is pending, or a client timed event
-/// (arrival, retry, breaker cooldown) is due. Skipped cycles are cycles
-/// where `drive_clients` would have been a pure no-op, and `stop` is
-/// re-checked after every executed cycle, so both clocks stop on the same
-/// cycle with bit-identical client stats.
+/// stopping early when `stop` returns true. The cluster jumps between
+/// wakeups and the clients are driven at every cycle where they can act —
+/// a completion is pending, or a client timed event (arrival, retry,
+/// breaker cooldown) is due. Skipped cycles are cycles where
+/// `drive_clients` would have been a pure no-op, and `stop` is re-checked
+/// after every executed cycle. [`jump_target`] makes the dense reference
+/// clock drive the clients on every cycle instead, so both clocks stop on
+/// the same cycle with bit-identical client stats.
 ///
 /// Returns `true` if `stop` fired before the cycle budget ran out.
 pub fn run_clients(
@@ -1512,16 +1506,6 @@ pub fn run_clients(
     mut stop: impl FnMut(&ClusterSystem, &[ClusterClient]) -> bool,
 ) -> bool {
     let end = Cycle(cluster.now().as_u64().saturating_add(cycles));
-    if clock_mode() == ClockMode::Dense {
-        while cluster.now() < end {
-            cluster.tick();
-            drive_clients(cluster, clients);
-            if stop(cluster, clients) {
-                return true;
-            }
-        }
-        return false;
-    }
     while cluster.now() < end {
         // Next cycle any client does timed work. Client state only changes
         // inside drive_clients, so this stays valid until the next drive.
@@ -1532,6 +1516,7 @@ pub fn run_clients(
                 due = due.min(t.max(next));
             }
         }
+        let due = jump_target(cluster.now(), due);
         loop {
             cluster.advance_toward(due);
             if cluster.now() >= due || cluster.has_completions() {
@@ -1539,8 +1524,7 @@ pub fn run_clients(
             }
             // `stop` may flip on any executed cycle (e.g. the last board
             // draining), not only on client-drive cycles. Client timed
-            // events are not due yet, so driving here would be a no-op —
-            // checking without driving matches the dense ordering.
+            // events are not due yet, so driving here would be a no-op.
             if stop(cluster, clients) {
                 return true;
             }

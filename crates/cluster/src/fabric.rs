@@ -27,7 +27,7 @@ use apiary_cap::ServiceId;
 use apiary_net::arq::{Ack, GoBackNReceiver, GoBackNSender, Packet};
 use apiary_net::{Frame, Wire};
 use apiary_noc::NodeId;
-use apiary_sim::{Cycle, Payload, Schedulable, Wakeup};
+use apiary_sim::{Cycle, Payload};
 use std::collections::VecDeque;
 
 /// Endpoint id of the top-of-rack switch (star topology only).
@@ -686,22 +686,6 @@ impl Fabric {
             s.acks_coalesced += l.acks_coalesced;
         }
         s
-    }
-}
-
-/// Deliveries and per-source-board retransmission counts accumulated by a
-/// [`Schedulable`]-driven fabric (the `Ctx` is the output sink).
-pub type FabricOutput = (Vec<ClusterMsg>, Vec<(u16, u64)>);
-
-impl Schedulable<FabricOutput> for Fabric {
-    fn wake(&mut self, now: Cycle, out: &mut FabricOutput) -> Wakeup {
-        let (msgs, retx) = self.step(now);
-        out.0.extend(msgs);
-        out.1.extend(retx);
-        match self.next_activity(now.saturating_add(1)) {
-            Cycle::MAX => Wakeup::Idle,
-            t => Wakeup::At(t),
-        }
     }
 }
 

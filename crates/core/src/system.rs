@@ -1309,19 +1309,12 @@ impl System {
         self.clock.advance_to(target);
     }
 
-    /// Runs for `cycles` cycles. Under [`ClockMode::Event`] the clock jumps
-    /// between scheduled wakeups; under [`ClockMode::Dense`] every cycle is
-    /// ticked. Both end at exactly the same time with bit-identical state.
+    /// Runs for `cycles` cycles, one [`System::advance_toward`] step at a
+    /// time, and ends at exactly `now + cycles`.
     pub fn run(&mut self, cycles: u64) {
         let end = self.clock.now().saturating_add(cycles);
-        if clock_mode() == ClockMode::Dense {
-            while self.clock.now() < end {
-                self.tick();
-            }
-            return;
-        }
         while self.clock.now() < end {
-            self.event_step(end);
+            self.advance_toward(end);
         }
     }
 
@@ -1344,24 +1337,15 @@ impl System {
     }
 
     /// Runs until `pred` returns `true` or `max_cycles` elapse; returns
-    /// whether the predicate fired. Under the dense clock the predicate is
-    /// checked after every cycle; under the event clock it is checked after
-    /// every cycle whose kernel phases ran. The two stop on exactly the
+    /// whether the predicate fired. The predicate is checked after every
+    /// [`System::advance_toward`] step, so both clocks stop on exactly the
     /// same cycle provided `pred` is a function of component state (which
-    /// only changes on phase cycles), not of raw clock time.
+    /// only changes on cycles whose kernel phases ran), not of raw clock
+    /// time.
     pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&System) -> bool) -> bool {
         let end = self.clock.now().saturating_add(max_cycles);
-        if clock_mode() == ClockMode::Dense {
-            while self.clock.now() < end {
-                self.tick();
-                if pred(self) {
-                    return true;
-                }
-            }
-            return false;
-        }
         while self.clock.now() < end {
-            self.event_step(end);
+            self.advance_toward(end);
             if pred(self) {
                 return true;
             }
@@ -1379,47 +1363,26 @@ impl System {
     pub fn run_until_idle(&mut self, max_cycles: u64) -> bool {
         const SETTLE: u64 = 4096;
         let end = self.clock.now().saturating_add(max_cycles);
-        if clock_mode() == ClockMode::Dense {
-            let mut quiet = 0u64;
-            for _ in 0..max_cycles {
-                self.tick();
-                if self.is_idle() {
-                    quiet += 1;
-                    if quiet >= SETTLE {
-                        return true;
-                    }
-                } else {
-                    quiet = 0;
-                }
-            }
-            return self.is_idle();
-        }
-        // Event clock: the idle streak only breaks on cycles the phases
-        // run, so count the skipped cycles in bulk. The settle window ends
-        // at exactly the cycle dense ticking would have stopped on.
         let mut quiet = 0u64;
+        let mut idle = self.is_idle();
         while self.clock.now() < end {
-            let now = self.clock.now();
-            let phase_due = self.next_phase_due(now);
-            let due = phase_due.min(end);
-            if self.is_idle() {
-                let finish = now.saturating_add(SETTLE.saturating_sub(quiet));
-                if finish < due {
-                    self.noc.skip_idle_to(finish);
-                    self.clock.advance_to(finish);
-                    return true;
-                }
-                quiet += due.saturating_since(now).saturating_sub(1);
-                self.noc.skip_idle_to(due);
-                self.clock.advance_to(due);
-                if due == phase_due {
-                    self.cycle_phases(due);
-                }
+            let before = self.clock.now();
+            // Idleness only changes on the cycle a step lands on: the
+            // cycles it crosses on the way keep the state it started in.
+            // An idle system is therefore stepped no further than the end
+            // of its settle window, which is the cycle per-cycle ticking
+            // would stop on.
+            let horizon = if idle {
+                end.min(before.saturating_add(SETTLE - quiet))
             } else {
-                quiet = 0;
-                self.event_step(end);
+                end
+            };
+            self.advance_toward(horizon);
+            if idle {
+                quiet += self.clock.now().saturating_since(before) - 1;
             }
-            if self.is_idle() {
+            idle = self.is_idle();
+            if idle {
                 quiet += 1;
                 if quiet >= SETTLE {
                     return true;
@@ -1428,7 +1391,7 @@ impl System {
                 quiet = 0;
             }
         }
-        self.is_idle()
+        idle
     }
 
     /// Returns `true` when no traffic is in flight (see

@@ -6,7 +6,7 @@ use crate::fault::{FaultEvent, FaultPlane};
 use crate::packet::{packetize, Delivered, Flit, FlitKind, Message, PacketId};
 use crate::router::{LockOwner, Router, PORTS};
 use crate::topology::{Direction, Mesh, NodeId, Port};
-use apiary_sim::{Cycle, FxHashMap, FxHashSet, Histogram, Schedulable, Wakeup};
+use apiary_sim::{Cycle, FxHashMap, FxHashSet, Histogram};
 use std::collections::VecDeque;
 
 /// Why an injection was refused.
@@ -174,12 +174,11 @@ pub struct Noc {
     /// no-progress valve that guarantees injected faults never deadlock the
     /// network.
     last_progress: u64,
-    /// Active-set scheduling: when true (the default) the per-cycle phases
-    /// skip nodes with no buffered work. A node whose router FIFOs, incoming
-    /// links and NIC are all empty cannot produce a move, an arrival or an
-    /// injection, so skipping it is exactly behaviour-preserving; the toggle
-    /// exists so the speedup can be measured against the dense scan.
-    active_set: bool,
+    /// Makes the per-cycle phases scan every node, for the tests that pin
+    /// active-set scheduling to that reference (see
+    /// [`Noc::skips_idle_nodes`]).
+    #[cfg(test)]
+    dense_scan: bool,
     /// Flits buffered in each node's router input FIFOs (all ports, VCs).
     router_occ: Vec<usize>,
     /// Flits in flight on each node's outgoing links (all four directions).
@@ -295,7 +294,8 @@ impl Noc {
             rx_poisoned: FxHashSet::default(),
             fault_plane: None,
             last_progress: 0,
-            active_set: true,
+            #[cfg(test)]
+            dense_scan: false,
             router_occ: vec![0; n],
             link_occ: vec![0; n],
             nic_occ: vec![0; n],
@@ -392,11 +392,16 @@ impl Noc {
         self.eject_q[node.index()].len()
     }
 
-    /// Enables or disables active-set scheduling. On by default; results
-    /// are bit-identical either way (quiescent nodes can contribute no
-    /// work) — the switch exists so the speedup can be measured.
-    pub fn set_active_set(&mut self, on: bool) {
-        self.active_set = on;
+    /// Active-set scheduling: the per-cycle phases skip nodes with no
+    /// buffered work. A node whose router FIFOs, incoming links and NIC are
+    /// all empty cannot produce a move, an arrival or an injection, so
+    /// skipping it is exactly behaviour-preserving.
+    #[inline]
+    fn skips_idle_nodes(&self) -> bool {
+        #[cfg(test)]
+        return !self.dense_scan;
+        #[cfg(not(test))]
+        true
     }
 
     /// Takes all delivered messages currently waiting at `node`.
@@ -877,18 +882,6 @@ impl Noc {
         self.now
     }
 
-    /// The next cycle at which stepping this NoC could change state, or
-    /// `None` when it is empty (nothing buffered, nothing in flight). An
-    /// empty NoC only becomes busy through [`Noc::try_inject`] — message
-    /// arrival, in scheduling terms.
-    pub fn next_activity(&self) -> Option<Cycle> {
-        if self.in_flight > 0 {
-            Some(self.now + 1)
-        } else {
-            None
-        }
-    }
-
     /// Runs until no messages are in flight or `max_cycles` elapse; returns
     /// `true` on quiescence.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
@@ -903,7 +896,7 @@ impl Noc {
 
     fn phase_link_arrivals(&mut self) {
         for node in 0..self.mesh.nodes() {
-            if self.active_set && self.link_occ[node] == 0 {
+            if self.skips_idle_nodes() && self.link_occ[node] == 0 {
                 continue;
             }
             for (di, &in_port) in OPP_PORT.iter().enumerate() {
@@ -1211,7 +1204,7 @@ impl Noc {
     fn phase_inject(&mut self) {
         let local = Port::Local.index();
         for node in 0..self.mesh.nodes() {
-            if self.active_set && self.nic_occ[node] == 0 {
+            if self.skips_idle_nodes() && self.nic_occ[node] == 0 {
                 continue;
             }
             for vc in 0..self.cfg.vcs {
@@ -1238,21 +1231,6 @@ impl Noc {
                 self.last_progress = self.stats.cycles;
                 break; // One flit per node per cycle.
             }
-        }
-    }
-}
-
-/// The NoC under the unified wakeup contract: one `wake` advances the
-/// network one cycle and reports when it next needs to run. The NoC keeps
-/// its own clock (`Noc::now`); drivers are expected to call `wake` once per
-/// elapsed simulated cycle while the network is busy, and may park it on
-/// the returned `OnMessage` when it drains (re-arming on `try_inject`).
-impl Schedulable for Noc {
-    fn wake(&mut self, _now: Cycle, _ctx: &mut ()) -> Wakeup {
-        self.step();
-        match self.next_activity() {
-            Some(t) => Wakeup::AtOrMessage(t),
-            None => Wakeup::OnMessage,
         }
     }
 }
@@ -1621,7 +1599,7 @@ mod fault_tests {
         // counter must agree exactly (the skipped nodes had no work).
         let run = |active: bool| {
             let mut noc = Noc::new(NocConfig::soft(4, 4));
-            noc.set_active_set(active);
+            noc.dense_scan = !active;
             noc.install_fault_plane(FaultPlane::new(FaultPlaneConfig::with_rate(77, 0.02)));
             let mut delivered = Vec::new();
             for round in 0..300u64 {
@@ -1670,7 +1648,7 @@ mod fault_tests {
         // exercises that path. The run must still drain and stay accounted.
         let run = |active: bool| {
             let mut noc = Noc::new(NocConfig::soft(4, 4));
-            noc.set_active_set(active);
+            noc.dense_scan = !active;
             for s in 0..16u16 {
                 let _ = noc.try_inject(NodeId(s), msg(s, (s + 7) % 16, 400));
             }

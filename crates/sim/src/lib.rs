@@ -7,11 +7,12 @@
 //!   arithmetic helpers,
 //! - [`EventQueue`], a deterministic time-ordered event queue with
 //!   cancellation handles — the public scheduling API of the event core,
-//! - [`Wakeup`] and [`Schedulable`], the wakeup-scheduling contract that
-//!   replaced per-cycle ticking: components report when they next need to
-//!   run and the drivers jump the clock between wakeups,
+//! - [`Wakeup`], the answer a component gives when it is run: when it next
+//!   needs to run. `apiary_accel::Accelerator::wake` is the contract that
+//!   returns it, and the drivers jump the clock between wakeups,
 //! - [`ClockMode`], the process-wide dense/event switch used by
-//!   `--det-check=event-vs-dense`,
+//!   `--det-check=event-vs-dense`, and [`jump_target`], the one place a
+//!   driver with its own schedule meets it,
 //! - [`SimRng`], a small, seedable PRNG so every run is reproducible from a
 //!   single seed,
 //! - [`FxHashMap`]/[`FxHashSet`], fast deterministic hashing for
@@ -38,5 +39,5 @@ pub use event::{EventHandle, EventQueue};
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use payload::Payload;
 pub use rng::SimRng;
-pub use sched::{clock_mode, set_clock_mode, ClockMode, Schedulable, Wakeup};
+pub use sched::{clock_mode, jump_target, set_clock_mode, ClockMode, Wakeup};
 pub use stats::{Counter, Histogram, RunningStats};

@@ -3,12 +3,13 @@
 //!
 //! The old world ticked every component every cycle; a quiescent DMA engine
 //! or an accelerator waiting on a DRAM row burned host time doing nothing.
-//! Under the event-driven core a component's step function returns a
-//! [`Wakeup`] describing the *next* cycle it could possibly do work, and the
-//! driver (see `System` / `ClusterSystem`) advances the clock straight to
-//! the earliest pending wakeup. Message arrival implicitly re-arms
-//! [`Wakeup::OnMessage`] sleepers, so request/response components stay
-//! latency-exact without busy-polling.
+//! Under the event-driven core a component's step function — the contract
+//! is `apiary_accel::Accelerator::wake` — returns a [`Wakeup`] describing
+//! the *next* cycle it could possibly do work, and the driver (see `System`
+//! / `ClusterSystem`) advances the clock straight to the earliest pending
+//! wakeup. Message arrival implicitly re-arms [`Wakeup::OnMessage`]
+//! sleepers, so request/response components stay latency-exact without
+//! busy-polling.
 //!
 //! # Determinism rules
 //!
@@ -80,21 +81,6 @@ impl Wakeup {
     }
 }
 
-/// The unified step contract all ticked components converge on.
-///
-/// `Ctx` is whatever the component needs handed in per step — `()` for
-/// self-contained engines like the NoC, an OS handle for accelerators, an
-/// output sink for the cluster fabric. `wake` performs one cycle's worth of
-/// work at `now` and returns when it next needs to run.
-///
-/// Implementations must tolerate spurious wakeups (being called earlier
-/// than requested) by no-opping; the driver exploits this to keep wakeups
-/// conservative.
-pub trait Schedulable<Ctx = ()> {
-    /// Runs the component at `now`; returns the next wakeup.
-    fn wake(&mut self, now: Cycle, ctx: &mut Ctx) -> Wakeup;
-}
-
 /// How the simulation drivers advance time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockMode {
@@ -121,6 +107,19 @@ pub fn clock_mode() -> ClockMode {
 /// the previous mode (and not run concurrently with mode-sensitive tests).
 pub fn set_clock_mode(mode: ClockMode) {
     CLOCK_MODE.store(matches!(mode, ClockMode::Event) as u8, Ordering::Relaxed);
+}
+
+/// How far a driver that keeps its own schedule (a load generator, a
+/// client pump) may let the system run before it must look at its clients
+/// again: `due`, the driver's own next deadline, under the event clock,
+/// and at most `now + 1` under the dense reference clock. The reference
+/// run thus visits every client on every cycle, so a `due` computed too
+/// late shows up as a divergence between the two clocks.
+pub fn jump_target(now: Cycle, due: Cycle) -> Cycle {
+    match clock_mode() {
+        ClockMode::Event => due,
+        ClockMode::Dense => due.min(now.saturating_add(1)),
+    }
 }
 
 #[cfg(test)]
@@ -150,20 +149,5 @@ mod tests {
         assert!(Wakeup::AtOrMessage(Cycle(1)).wakes_on_message());
         assert!(!Wakeup::At(Cycle(1)).wakes_on_message());
         assert_eq!(Wakeup::after(Cycle(10), 5), Wakeup::At(Cycle(15)));
-    }
-
-    #[test]
-    fn schedulable_is_object_safe() {
-        struct Pulse(u64);
-        impl Schedulable for Pulse {
-            fn wake(&mut self, now: Cycle, _ctx: &mut ()) -> Wakeup {
-                self.0 += 1;
-                Wakeup::after(now, 10)
-            }
-        }
-        let mut p = Pulse(0);
-        let dynp: &mut dyn Schedulable = &mut p;
-        assert_eq!(dynp.wake(Cycle(0), &mut ()), Wakeup::At(Cycle(10)));
-        assert_eq!(p.0, 1);
     }
 }
