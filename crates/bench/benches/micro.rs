@@ -10,7 +10,7 @@ use apiary_bench::scenarios::{client_server, drive, MonitorClient};
 use apiary_cap::{CapKind, CapTable, Capability, EndpointId, MemRange, Rights};
 use apiary_core::SystemConfig;
 use apiary_mem::{AccessKind, AllocPolicy, PagedMmu, SegmentAllocator, SegmentChecker};
-use apiary_noc::{Message, Noc, NocConfig, NodeId, TrafficClass};
+use apiary_noc::{Message, Noc, NocConfig, NodeId, Payload, TrafficClass};
 use apiary_sim::SimRng;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -85,7 +85,7 @@ fn bench_allocators(c: &mut Criterion) {
 }
 
 fn bench_noc(c: &mut Criterion) {
-    c.bench_function("noc/tick_idle_8x8", |b| {
+    c.bench_function("noc/step_idle_8x8", |b| {
         let mut noc = Noc::new(NocConfig::soft(8, 8));
         b.iter(|| noc.step())
     });
@@ -101,7 +101,7 @@ fn bench_noc(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    c.bench_function("noc/tick_loaded_4x4", |b| {
+    c.bench_function("noc/step_loaded_4x4", |b| {
         let mut noc = Noc::new(NocConfig::soft(4, 4));
         let mut rng = SimRng::new(9);
         b.iter(|| {
@@ -117,6 +117,37 @@ fn bench_noc(c: &mut Criterion) {
             noc.step();
             for n in 0..16u16 {
                 noc.drain_eject(NodeId(n));
+            }
+        })
+    });
+    // The `noc_uniform` shape of `apiary-benchmark`: Bernoulli 0.08 per node
+    // per cycle, uniform destinations, 80 % 8 B (2 flits) and 20 % 64 B (5).
+    c.bench_function("noc/step_saturated_8x8", |b| {
+        let mut noc = Noc::new(NocConfig::soft(8, 8));
+        let mut rng = SimRng::new(9);
+        let small: Payload = vec![0xA5; 8].into();
+        let big: Payload = vec![0x5A; 64].into();
+        b.iter(|| {
+            for src in 0..64u16 {
+                if rng.gen_bool(0.08) {
+                    let dst = (src + 1 + rng.gen_range(63) as u16) % 64;
+                    let payload = if rng.gen_bool(0.2) { &big } else { &small };
+                    let _ = noc.try_inject(
+                        NodeId(src),
+                        Message::new(
+                            NodeId(src),
+                            NodeId(dst),
+                            TrafficClass::Request,
+                            payload.clone(),
+                        ),
+                    );
+                }
+            }
+            noc.step();
+            for n in 0..64u16 {
+                while let Some(d) = noc.poll_eject(NodeId(n)) {
+                    black_box(d);
+                }
             }
         })
     });

@@ -49,7 +49,7 @@ pub enum Chaos {
     /// Kill the highest-numbered board at `duration / 2`.
     KillBoard,
     /// Cut the highest-numbered board's uplink at `duration / 2` for
-    /// [`CUT_WINDOW`] cycles, then restore it.
+    /// `CUT_WINDOW` (3 000) cycles, then restore it.
     CutLink,
 }
 

@@ -28,9 +28,10 @@
 //!
 //! **Event-sparse lockstep.** All live boards share one cycle counter, but
 //! a cluster cycle only touches what is due on it: boards whose cached
-//! next-event deadline has come ([`crate::board`]), fabric links with work,
-//! and the front of the timeout queue. [`ClusterSystem::tick`] is the dense
-//! reference that visits everything; the two must be indistinguishable.
+//! next-event deadline has come (the private `board` module), fabric links
+//! with work, and the front of the timeout queue. [`ClusterSystem::tick`]
+//! is the dense reference that visits everything; the two must be
+//! indistinguishable.
 
 use crate::balancer::Balancer;
 use crate::board::{Board, Ingress, ReplicaMeta, Republish};

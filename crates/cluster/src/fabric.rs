@@ -590,7 +590,7 @@ impl Fabric {
     }
 
     /// One cycle for every link that has work at `now`, in deterministic
-    /// key order. A link whose [`Link::next_activity`] lies in the future
+    /// key order. A link whose `Link::next_activity` lies in the future
     /// is not pumped: pumping it would be a no-op, so a quiet link costs
     /// one comparison. Each link's activity is evaluated when its turn
     /// comes, and star uplinks sort before ToR downlinks, so a frame the

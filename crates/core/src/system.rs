@@ -1088,7 +1088,7 @@ impl System {
 
     /// Advances the machine by one cycle (the dense reference clock: every
     /// kernel phase runs every cycle). The event clock in [`System::run`]
-    /// reaches the same states by running [`System::cycle_phases`] only on
+    /// reaches the same states by running the private `cycle_phases` only on
     /// cycles a component scheduled a wakeup for.
     pub fn tick(&mut self) {
         let now = self.clock.tick();

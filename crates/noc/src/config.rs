@@ -70,7 +70,9 @@ impl NocConfig {
     /// # Panics
     ///
     /// Panics on zero dimensions, fewer VCs than traffic classes, zero
-    /// buffers, or zero-size flits.
+    /// buffers, zero-size flits, a `vc_buffer` above 255 (FIFO depths and
+    /// credits are byte-wide counters) or a `hop_latency` above 255 (every
+    /// link is a delay line of `hop_latency + 1` slots).
     pub fn validate(&self) {
         assert!(self.width > 0 && self.height > 0, "empty mesh");
         assert!(
@@ -78,6 +80,14 @@ impl NocConfig {
             "need one VC per traffic class"
         );
         assert!(self.vc_buffer > 0, "VC buffers must hold at least one flit");
+        assert!(
+            self.vc_buffer <= u8::MAX as usize,
+            "VC buffer depth must fit the byte-wide credit counters"
+        );
+        assert!(
+            self.hop_latency <= u8::MAX as u64,
+            "hop latency sizes every link's delay line; 255 is the most supported"
+        );
         assert!(self.flit_bytes > 0, "flits must carry data");
         assert!(self.inject_queue > 0, "injection queue must exist");
     }
@@ -108,7 +118,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "VC")]
+    #[should_panic(expected = "VC buffer depth")]
+    fn vc_buffer_wider_than_a_byte_rejected() {
+        let c = NocConfig {
+            vc_buffer: 256,
+            ..NocConfig::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "hop latency")]
+    fn hop_latency_wider_than_a_byte_rejected() {
+        let c = NocConfig {
+            hop_latency: 256,
+            ..NocConfig::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    fn byte_wide_limits_themselves_validate() {
+        let c = NocConfig {
+            vc_buffer: 255,
+            hop_latency: 255,
+            ..NocConfig::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "one VC per traffic class")]
     fn too_few_vcs_rejected() {
         let c = NocConfig {
             vcs: 2,

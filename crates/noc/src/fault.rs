@@ -168,7 +168,7 @@ impl FaultPlane {
     }
 
     /// Produces this cycle's events: due scheduled events plus random
-    /// draws. Called by `Noc::tick` exactly once per cycle.
+    /// draws. Called by `Noc::step` (or `skip_idle_to`) exactly once per cycle.
     pub(crate) fn step(&mut self, now: Cycle, mesh: &Mesh) -> Vec<FaultEvent> {
         let mut events = Vec::new();
         while let Some((at, ev)) = self.scheduled.get(self.next_scheduled) {

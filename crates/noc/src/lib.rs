@@ -19,12 +19,18 @@
 //! exhaustion exactly as in hardware. A `hardened` configuration models the
 //! hard NoCs of Versal-class parts (wider links, faster clock) by widening
 //! flits and removing the per-hop pipeline bubble.
+//!
+//! Modules: [`config`] (parameters and the ranges accepted), [`topology`]
+//! (mesh, ports, XY routing), [`packet`] (messages, plain-data flits, the
+//! in-flight packet table), [`network`] (the engine: ring-slab input FIFOs,
+//! delay-line links and NIC queues as flat arrays behind [`Noc`], with
+//! [`Noc::check_invariants`] stating their laws) and [`fault`] (the seeded
+//! chaos plane).
 
 pub mod config;
 pub mod fault;
 pub mod network;
 pub mod packet;
-pub mod router;
 pub mod topology;
 
 pub use apiary_sim::Payload;

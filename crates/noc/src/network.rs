@@ -3,10 +3,11 @@
 
 use crate::config::NocConfig;
 use crate::fault::{FaultEvent, FaultPlane};
-use crate::packet::{packetize, Delivered, Flit, FlitKind, Message, PacketId};
-use crate::router::{LockOwner, Router, PORTS};
-use crate::topology::{Direction, Mesh, NodeId, Port};
-use apiary_sim::{Cycle, FxHashMap, FxHashSet, Histogram};
+use crate::packet::{
+    flits_for, Delivered, Flit, Message, PacketEntry, PacketId, PacketTable, TrafficClass,
+};
+use crate::topology::{Direction, Mesh, NodeId, Port, PORTS};
+use apiary_sim::{Cycle, Histogram};
 use std::collections::VecDeque;
 
 /// Why an injection was refused.
@@ -85,13 +86,24 @@ impl NocStats {
 }
 
 /// One switch decision: move the head flit of `(node, in_port, vc)` to
-/// `out_port`.
+/// `out_port`. Six bytes, so a cycle's move list stays in a few cache lines.
 #[derive(Debug, Clone, Copy)]
 struct Move {
-    node: usize,
-    in_port: usize,
-    vc: usize,
-    out_port: usize,
+    node: u16,
+    in_port: u8,
+    vc: u8,
+    out_port: u8,
+}
+
+impl Move {
+    fn new(node: usize, in_port: usize, vc: usize, out_port: usize) -> Move {
+        Move {
+            node: node as u16,
+            in_port: in_port as u8,
+            vc: vc as u8,
+            out_port: out_port as u8,
+        }
+    }
 }
 
 pub(crate) const DIRS: [Direction; 4] = [
@@ -131,23 +143,60 @@ pub struct Noc {
     cfg: NocConfig,
     mesh: Mesh,
     now: Cycle,
-    routers: Vec<Router>,
-    /// `links[node][dir]`: flits in flight toward `neighbor(node, dir)`,
-    /// as (arrival cycle, flit) in FIFO order.
-    links: Vec<[VecDeque<(Cycle, Flit)>; 4]>,
-    /// Injection queues: `nic[node][vc]` holds packetised messages.
-    nic: Vec<Vec<VecDeque<VecDeque<Flit>>>>,
-    /// Inject timestamp per in-flight packet.
-    inject_time: FxHashMap<u64, Cycle>,
-    /// Head-flit messages awaiting their tail at the destination.
-    reassembly: FxHashMap<u64, Box<Message>>,
+    // ------------------------------------------------------------------
+    // Router state, flat. Input FIFO `f = (node * 5 + port) * vcs + vc`;
+    // the same index over *output* ports addresses the wormhole locks.
+    // ------------------------------------------------------------------
+    /// Every input FIFO as a ring in one slab: FIFO `f` owns
+    /// `fifo[f * vc_buffer..][..vc_buffer]`. Credits keep `fifo_len[f]`
+    /// at or below `vc_buffer`, so a ring never grows.
+    fifo: Vec<Flit>,
+    /// Ring position of FIFO `f`'s front flit.
+    fifo_head: Vec<u8>,
+    /// Flits in FIFO `f`; also the buffer half of the credit computation.
+    fifo_len: Vec<u8>,
+    /// Head-of-FIFO summary the allocator reads instead of the slab: packed
+    /// presence/head-flit flags and destination (see `H_PRESENT`), kept by
+    /// the ring's push and pop. The arrays are sized exactly (stride `vcs`,
+    /// not a power of two) so the allocator's working set stays L1-resident.
+    heads: Vec<u16>,
+    /// Per-node bitset over `(port << 3) | vc` of non-empty input FIFOs.
+    head_mask: Vec<u64>,
+    /// Wormhole lock on output `(port, vc)`: the input port whose packet
+    /// holds it from head to tail, or `NO_LOCK`.
+    lock_in: Vec<u8>,
+    /// The packet holding each lock (meaningful only while `lock_in` is
+    /// set), so fault handling can release locks whose owner was purged.
+    lock_pkt: Vec<PacketId>,
+    /// Round-robin pointer (last input port granted), `[node * 5 + out_port]`.
+    rr: Vec<u8>,
+    /// Links as delay lines. The allocator grants one flit per output port
+    /// per cycle and a flit stays `link_cap = hop_latency + 1` cycles, so
+    /// link `l = node * 4 + dir` needs exactly `link_cap` slots: a flit due
+    /// at cycle `t` sits in `link[l * link_cap + t % link_cap]` and no
+    /// arrival time is stored. Relies on [`Noc::step`] being the only way
+    /// time advances while anything is in flight.
+    link: Vec<Option<Flit>>,
+    link_cap: usize,
+    /// In-flight flits per `(node, dir, vc)`, `[(node * 4 + dir) * vcs + vc]`
+    /// — the link half of the credit computation.
+    link_vc: Vec<u8>,
+    /// Injection queues, `nic[node * vcs + vc]`.
+    nic: Vec<VecDeque<NicEntry>>,
+    /// Every packet between `try_inject` and delivery, drop or purge; its
+    /// live count is the number of messages in flight.
+    packets: PacketTable,
+    /// Accepted packets later dropped, all causes. Unlike
+    /// [`NocStats::dropped`] this leaves out injections refused as
+    /// `Unreachable`, which were never in flight; `check_invariants` needs
+    /// it for message conservation.
+    dropped_in_flight: u64,
     /// Delivered messages awaiting pickup, per node.
     eject_q: Vec<VecDeque<Delivered>>,
     /// Total messages across all eject queues — lets the event clock ask
     /// "does any tile have mail?" without scanning every node.
     rx_pending: usize,
     next_packet: u64,
-    in_flight: usize,
     stats: NocStats,
     /// Flits sent per outgoing link, indexed `[node][dir]` — the raw data
     /// behind [`Noc::link_utilization`].
@@ -165,9 +214,6 @@ pub struct Noc {
     /// Router stalls: the cycle (exclusive) until which node `i` allocates
     /// no flits.
     stall_until: Vec<u64>,
-    /// Packets detected corrupt at the destination, awaiting their tail so
-    /// the whole packet can be dropped.
-    rx_poisoned: FxHashSet<u64>,
     /// Optional chaos plane driving random fault injection.
     fault_plane: Option<FaultPlane>,
     /// `stats.cycles` value at which a flit last moved anywhere; feeds the
@@ -176,44 +222,29 @@ pub struct Noc {
     last_progress: u64,
     /// Makes the per-cycle phases scan every node, for the tests that pin
     /// active-set scheduling to that reference (see
-    /// [`Noc::skips_idle_nodes`]).
+    /// [`Noc::scans_every_node`]).
     #[cfg(test)]
     dense_scan: bool,
-    /// Flits buffered in each node's router input FIFOs (all ports, VCs).
-    router_occ: Vec<usize>,
     /// Flits in flight on each node's outgoing links (all four directions).
     link_occ: Vec<usize>,
     /// Packets queued in each node's NIC (all VCs).
     nic_occ: Vec<usize>,
-    // ------------------------------------------------------------------
-    // Flat shadow state for the switch-allocation fast path. The router
-    // FIFOs above stay the source of truth; these mirrors are maintained
-    // at every push/pop so the per-cycle allocator reads only small,
-    // cache-resident arrays instead of chasing VecDeque heads. Profiling
-    // put `phase_allocate` at ~73% of NoC time before this.
-    // ------------------------------------------------------------------
     /// Per-node neighbour table, `nbr[node * 4 + dir]`, `u16::MAX` at mesh
     /// edges. Mesh geometry is static, so this never changes.
     nbr: Vec<u16>,
-    /// Head-of-FIFO summary, `heads[(node * 5 + port) * vcs + vc]`: packed
-    /// presence/head-flit flags and destination (see `H_PRESENT`). The
-    /// arrays are sized exactly (stride `vcs`, not a power of two) so the
-    /// whole shadow state stays L1-resident.
-    heads: Vec<u16>,
-    /// Per-node bitset over `(port << 3) | vc` of non-empty input FIFOs.
-    head_mask: Vec<u64>,
-    /// Input FIFO depths, same indexing as `heads` — O(1) credit checks.
-    fifo_len: Vec<u8>,
-    /// In-flight flits per `(node, dir, vc)`, `[(node * 4 + dir) * vcs + vc]`
-    /// — the link half of the credit computation.
-    link_vc: Vec<u8>,
-    /// Wormhole lock shadow, same indexing as `heads` over *output* ports:
-    /// the owning input port, or `NO_LOCK`.
-    lock_shadow: Vec<u8>,
-    /// Round-robin pointer shadow, `[node * 5 + out_port]`.
-    rr_shadow: Vec<u8>,
     /// Reused per-step move list (avoids a per-cycle allocation).
     moves_buf: Vec<Move>,
+}
+
+/// A packet queued at its source NIC. Flit `next` is formed when it enters
+/// the router; the packet has started streaming once `next > 0`.
+#[derive(Debug, Clone, Copy)]
+struct NicEntry {
+    pid: PacketId,
+    slot: u32,
+    dst: NodeId,
+    next: u32,
+    nflits: u32,
 }
 
 /// `heads` encoding: entry is valid (FIFO non-empty).
@@ -222,9 +253,9 @@ const H_PRESENT: u16 = 1 << 15;
 const H_HEADFLIT: u16 = 1 << 14;
 /// `heads` encoding: destination node id (14 bits).
 const H_DST: u16 = (1 << 14) - 1;
-/// `lock_shadow` sentinel for "no lock held".
+/// `lock_in` sentinel for "no lock held".
 const NO_LOCK: u8 = u8::MAX;
-/// Most VCs the shadow bitsets support (`5 * 8 = 40` mask bits).
+/// Most VCs the `head_mask` bitset supports (`5 * 8 = 40` mask bits).
 const MAX_VCS: usize = 8;
 /// Input-port index a flit arrives on after crossing a link in `DIRS[di]`:
 /// `Port::Dir(DIRS[di].opposite()).index()`.
@@ -246,7 +277,7 @@ impl Noc {
         cfg.validate();
         assert!(
             cfg.vcs <= MAX_VCS,
-            "shadow arrays support at most {MAX_VCS} virtual channels"
+            "the head bitset supports at most {MAX_VCS} virtual channels"
         );
         let mesh = Mesh::new(cfg.width, cfg.height);
         let n = mesh.nodes();
@@ -269,43 +300,41 @@ impl Noc {
                 })
             })
             .collect();
+        let fifos = n * PORTS * cfg.vcs;
+        let link_cap = cfg.hop_latency as usize + 1;
         Noc {
             mesh,
             now: Cycle::ZERO,
-            routers: (0..n).map(|_| Router::new(cfg.vcs)).collect(),
-            links: (0..n)
-                .map(|_| std::array::from_fn(|_| VecDeque::new()))
-                .collect(),
-            nic: (0..n)
-                .map(|_| (0..cfg.vcs).map(|_| VecDeque::new()).collect())
-                .collect(),
-            inject_time: FxHashMap::default(),
-            reassembly: FxHashMap::default(),
+            fifo: vec![Flit::default(); fifos * cfg.vc_buffer],
+            fifo_head: vec![0; fifos],
+            fifo_len: vec![0; fifos],
+            heads: vec![0; fifos],
+            head_mask: vec![0; n],
+            lock_in: vec![NO_LOCK; fifos],
+            lock_pkt: vec![PacketId(0); fifos],
+            rr: vec![0; n * PORTS],
+            link: vec![None; n * 4 * link_cap],
+            link_cap,
+            link_vc: vec![0; n * 4 * cfg.vcs],
+            nic: (0..n * cfg.vcs).map(|_| VecDeque::new()).collect(),
+            packets: PacketTable::default(),
+            dropped_in_flight: 0,
             eject_q: (0..n).map(|_| VecDeque::new()).collect(),
             rx_pending: 0,
             next_packet: 0,
-            in_flight: 0,
             stats: NocStats::default(),
             link_flits: (0..n).map(|_| [0; 4]).collect(),
             routes,
             dead_links: vec![[false; 4]; n],
             link_down_until: vec![[0; 4]; n],
             stall_until: vec![0; n],
-            rx_poisoned: FxHashSet::default(),
             fault_plane: None,
             last_progress: 0,
             #[cfg(test)]
             dense_scan: false,
-            router_occ: vec![0; n],
             link_occ: vec![0; n],
             nic_occ: vec![0; n],
             nbr,
-            heads: vec![0; n * PORTS * cfg.vcs],
-            head_mask: vec![0; n],
-            fifo_len: vec![0; n * PORTS * cfg.vcs],
-            link_vc: vec![0; n * 4 * cfg.vcs],
-            lock_shadow: vec![NO_LOCK; n * PORTS * cfg.vcs],
-            rr_shadow: vec![0; n * PORTS],
             moves_buf: Vec::new(),
             cfg,
         }
@@ -328,7 +357,7 @@ impl Noc {
 
     /// Messages injected but not yet delivered.
     pub fn pending(&self) -> usize {
-        self.in_flight
+        self.packets.live()
     }
 
     /// Statistics so far.
@@ -337,8 +366,8 @@ impl Noc {
     }
 
     /// Free message slots in `node`'s injection queue for `class`.
-    pub fn inject_space(&self, node: NodeId, class: crate::packet::TrafficClass) -> usize {
-        self.cfg.inject_queue - self.nic[node.index()][class.vc()].len()
+    pub fn inject_space(&self, node: NodeId, class: TrafficClass) -> usize {
+        self.cfg.inject_queue - self.nic[node.index() * self.cfg.vcs + class.vc()].len()
     }
 
     /// Offers a message for injection at `from`.
@@ -351,6 +380,10 @@ impl Noc {
     ///
     /// [`InjectError`] when the queue is full, the destination invalid, or
     /// the source field forged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the message would occupy more than `u32::MAX` flits.
     pub fn try_inject(&mut self, from: NodeId, msg: Message) -> Result<PacketId, InjectError> {
         if !self.mesh.contains(msg.dst) {
             return Err(InjectError::BadDestination);
@@ -362,18 +395,31 @@ impl Noc {
             self.stats.dropped_unreachable += 1;
             return Err(InjectError::Unreachable);
         }
-        let vc = msg.class.vc();
-        if self.nic[from.index()][vc].len() >= self.cfg.inject_queue {
+        let queue = from.index() * self.cfg.vcs + msg.class.vc();
+        if self.nic[queue].len() >= self.cfg.inject_queue {
             self.stats.rejected += 1;
             return Err(InjectError::QueueFull);
         }
+        let nflits = u32::try_from(flits_for(&msg, self.cfg.flit_bytes, self.cfg.header_bytes))
+            .expect("a packet holds at most u32::MAX flits");
         let pid = PacketId(self.next_packet);
         self.next_packet += 1;
-        let flits = packetize(msg, pid, self.cfg.flit_bytes, self.cfg.header_bytes);
-        self.nic[from.index()][vc].push_back(flits.into());
+        let dst = msg.dst;
+        let slot = self.packets.insert(PacketEntry {
+            id: pid,
+            injected_at: self.now,
+            msg,
+            head_ejected: false,
+            poisoned: false,
+        });
+        self.nic[queue].push_back(NicEntry {
+            pid,
+            slot,
+            dst,
+            next: 0,
+            nflits,
+        });
         self.nic_occ[from.index()] += 1;
-        self.inject_time.insert(pid.0, self.now);
-        self.in_flight += 1;
         self.stats.injected += 1;
         Ok(pid)
     }
@@ -393,15 +439,16 @@ impl Noc {
     }
 
     /// Active-set scheduling: the per-cycle phases skip nodes with no
-    /// buffered work. A node whose router FIFOs, incoming links and NIC are
-    /// all empty cannot produce a move, an arrival or an injection, so
-    /// skipping it is exactly behaviour-preserving.
+    /// buffered work (see [`next_busy`]). A node whose router FIFOs,
+    /// incoming links and NIC are all empty cannot produce a move, an
+    /// arrival or an injection, so skipping it is exactly
+    /// behaviour-preserving. Only the equivalence tests scan every node.
     #[inline]
-    fn skips_idle_nodes(&self) -> bool {
+    fn scans_every_node(&self) -> bool {
         #[cfg(test)]
-        return !self.dense_scan;
+        return self.dense_scan;
         #[cfg(not(test))]
-        true
+        false
     }
 
     /// Takes all delivered messages currently waiting at `node`.
@@ -458,30 +505,66 @@ impl Noc {
         out
     }
 
-    /// Refreshes the head summary for input `(node, port, vc)` after a
-    /// FIFO mutation.
+    /// Appends `flit` to input FIFO `(node, port, vc)`.
     #[inline]
-    fn refresh_head(&mut self, node: usize, port: usize, vc: usize) {
-        let vcs = self.cfg.vcs;
-        let idx = (node * PORTS + port) * vcs + vc;
-        let entry = match self.routers[node].inputs[port].fifos[vc].front() {
-            Some(f) => {
-                H_PRESENT
-                    | if matches!(f.kind, FlitKind::Head(_)) {
-                        H_HEADFLIT
-                    } else {
-                        0
-                    }
-                    | f.dst.0
-            }
-            None => 0,
-        };
-        self.heads[idx] = entry;
-        let bit = 1u64 << (port << 3 | vc);
-        if entry == 0 {
-            self.head_mask[node] &= !bit;
+    fn fifo_push(&mut self, node: usize, port: usize, vc: usize, flit: Flit) {
+        let f = (node * PORTS + port) * self.cfg.vcs + vc;
+        let cap = self.cfg.vc_buffer;
+        let len = self.fifo_len[f] as usize;
+        debug_assert!(len < cap, "credit accounting must guarantee buffer space");
+        let mut at = self.fifo_head[f] as usize + len;
+        if at >= cap {
+            at -= cap;
+        }
+        self.fifo[f * cap + at] = flit;
+        self.fifo_len[f] = len as u8 + 1;
+        if len == 0 {
+            self.heads[f] = head_summary(&flit);
+            self.head_mask[node] |= 1 << (port << 3 | vc);
+        }
+    }
+
+    /// Takes the front flit of input FIFO `(node, port, vc)`, which must not
+    /// be empty.
+    #[inline]
+    fn fifo_pop(&mut self, node: usize, port: usize, vc: usize) -> Flit {
+        let f = (node * PORTS + port) * self.cfg.vcs + vc;
+        let cap = self.cfg.vc_buffer;
+        debug_assert!(self.fifo_len[f] > 0, "move references a buffered flit");
+        let head = self.fifo_head[f] as usize;
+        let flit = self.fifo[f * cap + head];
+        let next = if head + 1 == cap { 0 } else { head + 1 };
+        self.fifo_head[f] = next as u8;
+        self.fifo_len[f] -= 1;
+        if self.fifo_len[f] == 0 {
+            self.heads[f] = 0;
+            self.head_mask[node] &= !(1 << (port << 3 | vc));
         } else {
-            self.head_mask[node] |= bit;
+            self.heads[f] = head_summary(&self.fifo[f * cap + next]);
+        }
+        flit
+    }
+
+    /// The flits buffered in input FIFO `f`, front first.
+    fn fifo_flits(&self, f: usize) -> impl Iterator<Item = &Flit> {
+        let cap = self.cfg.vc_buffer;
+        let head = self.fifo_head[f] as usize;
+        (0..self.fifo_len[f] as usize).map(move |i| &self.fifo[f * cap + (head + i) % cap])
+    }
+
+    /// The slot of every link's delay line that holds the flit due this cycle.
+    #[inline]
+    fn due_slot(&self) -> usize {
+        (self.now.as_u64() % self.link_cap as u64) as usize
+    }
+
+    /// Corrupts every flit crossing outgoing link `l = node * 4 + dir`.
+    fn corrupt_in_link(&mut self, l: usize) {
+        for flit in self.link[l * self.link_cap..][..self.link_cap]
+            .iter_mut()
+            .flatten()
+        {
+            flit.corrupt();
         }
     }
 
@@ -490,7 +573,7 @@ impl Noc {
     // ------------------------------------------------------------------
 
     /// Installs a chaos plane; its schedule and random draws are applied
-    /// at the start of every [`Noc::tick`].
+    /// at the start of every [`Noc::step`].
     pub fn install_fault_plane(&mut self, plane: FaultPlane) {
         self.fault_plane = Some(plane);
     }
@@ -522,12 +605,12 @@ impl Noc {
         }
         self.dead_links[node.index()][di] = true;
         self.stats.link_faults += 1;
-        for (_, flit) in self.links[node.index()][di].iter_mut() {
-            flit.corrupt();
-        }
+        self.corrupt_in_link(node.index() * 4 + di);
         let old = std::mem::take(&mut self.routes);
         self.recompute_routes();
         self.flush_rerouted(&old);
+        #[cfg(debug_assertions)]
+        self.check_invariants();
         true
     }
 
@@ -544,9 +627,7 @@ impl Noc {
         let slot = &mut self.link_down_until[node.index()][di];
         *slot = (*slot).max(until);
         self.stats.link_faults += 1;
-        for (_, flit) in self.links[node.index()][di].iter_mut() {
-            flit.corrupt();
-        }
+        self.corrupt_in_link(node.index() * 4 + di);
         true
     }
 
@@ -648,55 +729,40 @@ impl Noc {
     /// NIC packets at sources whose route changed.
     fn flush_rerouted(&mut self, old_routes: &[u8]) {
         let n = self.mesh.nodes();
-        // (packet, destination now unreachable?) for every affected flit.
-        let mut doomed: Vec<(u64, bool)> = Vec::new();
-        let note = |routes: &[u8], at: usize, flit: &Flit, doomed: &mut Vec<(u64, bool)>| {
-            let new = routes[at * n + flit.dst.index()];
-            if new != old_routes[at * n + flit.dst.index()] {
-                doomed.push((flit.packet.0, new == UNREACHABLE));
-            }
+        let vcs = self.cfg.vcs;
+        // (packet, table slot, destination now unreachable?) per affected flit.
+        let mut doomed: Vec<(PacketId, u32, bool)> = Vec::new();
+        // `Some(now unreachable?)` if the next hop at `at` toward `dst` changed.
+        let rerouted = |at: usize, dst: NodeId| {
+            let new = self.routes[at * n + dst.index()];
+            (new != old_routes[at * n + dst.index()]).then_some(new == UNREACHABLE)
         };
-        for (node, router) in self.routers.iter().enumerate() {
-            for port in &router.inputs {
-                for fifo in &port.fifos {
-                    for flit in fifo {
-                        note(&self.routes, node, flit, &mut doomed);
-                    }
-                }
+        for f in 0..self.fifo_len.len() {
+            for flit in self.fifo_flits(f) {
+                let lost = rerouted(f / (PORTS * vcs), flit.dst);
+                doomed.extend(lost.map(|lost| (flit.packet, flit.slot, lost)));
             }
         }
-        for (node, dirs) in self.links.iter().enumerate() {
-            for (di, link) in dirs.iter().enumerate() {
-                let Some(nb) = self.mesh.neighbor(NodeId(node as u16), DIRS[di]) else {
-                    continue;
-                };
-                for (_, flit) in link {
-                    // The flit will route next at the receiving neighbour.
-                    note(&self.routes, nb.index(), flit, &mut doomed);
-                }
+        for (l, slots) in self.link.chunks(self.link_cap).enumerate() {
+            for flit in slots.iter().flatten() {
+                // The flit will route next at the receiving neighbour.
+                let lost = rerouted(self.nbr[l] as usize, flit.dst);
+                doomed.extend(lost.map(|lost| (flit.packet, flit.slot, lost)));
             }
         }
-        for (node, vcs) in self.nic.iter().enumerate() {
-            for q in vcs {
-                for pkt in q {
-                    let Some(first) = pkt.front() else { continue };
-                    // A sub-queue whose first flit is no longer the head has
-                    // already started streaming; a route change splits it.
-                    // Unstarted packets survive any reroute except losing
-                    // their destination entirely.
-                    let started = !matches!(first.kind, FlitKind::Head(_));
-                    if started {
-                        note(&self.routes, node, first, &mut doomed);
-                    } else if self.routes[node * n + first.dst.index()] == UNREACHABLE {
-                        doomed.push((first.packet.0, true));
-                    }
-                }
+        for (q, queue) in self.nic.iter().enumerate() {
+            for e in queue {
+                // A packet that has started streaming is split by a route
+                // change. Unstarted packets survive any reroute except
+                // losing their destination entirely.
+                let lost = rerouted(q / vcs, e.dst).filter(|&lost| lost || e.next > 0);
+                doomed.extend(lost.map(|lost| (e.pid, e.slot, lost)));
             }
         }
-        doomed.sort_unstable_by_key(|&(pid, unreachable)| (pid, !unreachable));
-        doomed.dedup_by_key(|&mut (pid, _)| pid);
-        for (pid, unreachable) in doomed {
-            self.purge_packet(pid);
+        doomed.sort_unstable_by_key(|&(pid, _, unreachable)| (pid.0, !unreachable));
+        doomed.dedup_by_key(|&mut (pid, _, _)| pid);
+        for (pid, slot, unreachable) in doomed {
+            self.purge_packet(pid, slot);
             if unreachable {
                 self.stats.dropped_unreachable += 1;
             } else {
@@ -705,120 +771,168 @@ impl Noc {
         }
     }
 
-    /// Removes every trace of packet `pid` from the network: buffered
-    /// flits, wormhole locks it owns, NIC sub-queues, reassembly state and
-    /// the in-flight count. Counters are the caller's responsibility.
-    fn purge_packet(&mut self, pid: u64) {
-        for router in &mut self.routers {
-            for port in &mut router.inputs {
-                for fifo in &mut port.fifos {
-                    fifo.retain(|f| f.packet.0 != pid);
+    /// Removes every trace of packet `pid` (table slot `slot`) from the
+    /// network: buffered flits, wormhole locks it owns, link slots, its NIC
+    /// entry and the table entry. Which `NocStats` drop counter it lands in
+    /// is the caller's responsibility.
+    fn purge_packet(&mut self, pid: PacketId, slot: u32) {
+        let vcs = self.cfg.vcs;
+        let cap = self.cfg.vc_buffer;
+        for f in 0..self.fifo_len.len() {
+            // Compact the ring in place, front first.
+            let (head, len) = (self.fifo_head[f] as usize, self.fifo_len[f] as usize);
+            let ring = &mut self.fifo[f * cap..][..cap];
+            let mut kept = 0;
+            for i in 0..len {
+                let flit = ring[(head + i) % cap];
+                if flit.packet != pid {
+                    ring[(head + kept) % cap] = flit;
+                    kept += 1;
                 }
             }
-            for port in &mut router.out_lock {
-                for lock in port.iter_mut() {
-                    if lock.is_some_and(|o| o.packet.0 == pid) {
-                        *lock = None;
-                    }
+            if kept != len {
+                self.fifo_len[f] = kept as u8;
+                let (node, port, vc) = (f / (PORTS * vcs), f / vcs % PORTS, f % vcs);
+                if kept == 0 {
+                    self.heads[f] = 0;
+                    self.head_mask[node] &= !(1 << (port << 3 | vc));
+                } else {
+                    self.heads[f] = head_summary(&ring[head]);
                 }
             }
-        }
-        for dirs in &mut self.links {
-            for link in dirs.iter_mut() {
-                link.retain(|(_, f)| f.packet.0 != pid);
+            if self.lock_in[f] != NO_LOCK && self.lock_pkt[f] == pid {
+                self.lock_in[f] = NO_LOCK;
             }
         }
-        for vcs in &mut self.nic {
-            for q in vcs.iter_mut() {
-                q.retain(|pkt| pkt.front().is_some_and(|f| f.packet.0 != pid));
+        for (i, cell) in self.link.iter_mut().enumerate() {
+            if let Some(flit) = cell.filter(|flit| flit.packet == pid) {
+                *cell = None;
+                let l = i / self.link_cap;
+                self.link_vc[l * vcs + flit.vc as usize] -= 1;
+                self.link_occ[l / 4] -= 1;
             }
         }
-        self.reassembly.remove(&pid);
-        self.rx_poisoned.remove(&pid);
-        if self.inject_time.remove(&pid).is_some() {
-            self.in_flight -= 1;
+        for (q, queue) in self.nic.iter_mut().enumerate() {
+            let before = queue.len();
+            queue.retain(|e| e.pid != pid);
+            self.nic_occ[q / vcs] -= before - queue.len();
         }
-        self.recount_occupancy();
+        let freed = self.packets.remove(slot);
+        debug_assert!(
+            freed.is_some_and(|e| e.id == pid),
+            "purged packets are live"
+        );
+        self.dropped_in_flight += 1;
+        #[cfg(debug_assertions)]
+        self.check_invariants();
     }
 
-    /// Rebuilds the active-set occupancy counters and the allocator's flat
-    /// shadow state from scratch. Only needed after bulk removals
-    /// ([`Noc::purge_packet`]'s retains); the per-flit paths maintain
-    /// everything incrementally.
-    fn recount_occupancy(&mut self) {
-        for n in 0..self.mesh.nodes() {
-            self.router_occ[n] = self.routers[n].buffered();
-            self.link_occ[n] = self.links[n].iter().map(|l| l.len()).sum();
-            self.nic_occ[n] = self.nic[n].iter().map(|q| q.len()).sum();
-            self.head_mask[n] = 0;
-            for port in 0..PORTS {
-                for vc in 0..self.cfg.vcs {
-                    let idx = (n * PORTS + port) * self.cfg.vcs + vc;
-                    self.fifo_len[idx] = self.routers[n].inputs[port].fifos[vc].len() as u8;
-                    self.refresh_head(n, port, vc);
-                    self.lock_shadow[idx] =
-                        self.routers[n].out_lock[port][vc].map_or(NO_LOCK, |o| o.in_port as u8);
-                }
-                self.rr_shadow[n * PORTS + port] = self.routers[n].rr[port] as u8;
+    /// Checks the laws the flat representation must keep: credits, the
+    /// allocator's head summary, the occupancy counters, packet-table
+    /// liveness and message conservation. Runs under `debug_assertions`
+    /// after every purge and link kill; tests call it after every step.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violated law.
+    pub fn check_invariants(&self) {
+        let vcs = self.cfg.vcs;
+        let live = |pid: PacketId, slot: u32| self.packets.get(slot).is_some_and(|e| e.id == pid);
+        for f in 0..self.fifo_len.len() {
+            let (node, port, vc) = (f / (PORTS * vcs), f / vcs % PORTS, f % vcs);
+            assert!(
+                self.fifo_len[f] as usize <= self.cfg.vc_buffer,
+                "FIFO {f} overran its ring"
+            );
+            let front = self.fifo_flits(f).next();
+            assert_eq!(
+                self.heads[f],
+                front.map_or(0, head_summary),
+                "head summary of FIFO {f} disagrees with its ring"
+            );
+            assert_eq!(
+                self.head_mask[node] >> (port << 3 | vc) & 1 == 1,
+                front.is_some(),
+                "head mask of FIFO {f} disagrees with its ring"
+            );
+            for flit in self.fifo_flits(f) {
+                assert!(live(flit.packet, flit.slot), "FIFO {f} holds a dead flit");
+                assert_eq!(flit.vc as usize, vc, "flit buffered on the wrong VC");
             }
-            for di in 0..4 {
-                for vc in 0..self.cfg.vcs {
-                    self.link_vc[(n * 4 + di) * self.cfg.vcs + vc] =
-                        self.links[n][di].iter().filter(|(_, f)| f.vc == vc).count() as u8;
-                }
+            if self.lock_in[f] != NO_LOCK {
+                let owner = self.lock_pkt[f];
+                assert!(
+                    self.packets.iter().any(|(_, e)| e.id == owner),
+                    "lock {f} is held by dead packet {owner:?}"
+                );
             }
         }
-    }
-
-    /// All packets currently anywhere in the network, deduplicated and
-    /// sorted (deterministic).
-    fn buffered_packets(&self) -> Vec<u64> {
-        let mut pids: Vec<u64> = self
-            .routers
-            .iter()
-            .flat_map(|r| r.inputs.iter())
-            .flat_map(|p| p.fifos.iter())
-            .flatten()
-            .map(|f| f.packet.0)
-            .chain(
-                self.links
+        for node in 0..self.mesh.nodes() {
+            let mut on_links = 0;
+            for (di, &in_port) in OPP_PORT.iter().enumerate() {
+                let l = node * 4 + di;
+                let mut per_vc = [0u8; MAX_VCS];
+                for flit in self.link[l * self.link_cap..][..self.link_cap]
                     .iter()
                     .flatten()
-                    .flatten()
-                    .map(|(_, f)| f.packet.0),
-            )
-            .chain(
-                self.nic
-                    .iter()
-                    .flatten()
-                    .flatten()
-                    .filter_map(|pkt| pkt.front())
-                    .map(|f| f.packet.0),
-            )
-            .collect();
-        pids.sort_unstable();
-        pids.dedup();
-        pids
+                {
+                    assert!(live(flit.packet, flit.slot), "link {l} carries a dead flit");
+                    per_vc[flit.vc as usize] += 1;
+                    on_links += 1;
+                }
+                assert_eq!(
+                    per_vc[..vcs],
+                    self.link_vc[l * vcs..][..vcs],
+                    "link_vc[{l}]"
+                );
+                let nb = self.nbr[l] as usize;
+                if nb == u16::MAX as usize {
+                    assert_eq!(per_vc, [0; MAX_VCS], "flit on a mesh-edge link");
+                    continue;
+                }
+                for (vc, &in_link) in per_vc[..vcs].iter().enumerate() {
+                    let buffered = self.fifo_len[(nb * PORTS + in_port) * vcs + vc];
+                    assert!(
+                        (buffered + in_link) as usize <= self.cfg.vc_buffer,
+                        "credits of link {l} vc {vc} overrun the downstream buffer"
+                    );
+                }
+            }
+            assert_eq!(on_links, self.link_occ[node], "link_occ[{node}]");
+            let queues = &self.nic[node * vcs..][..vcs];
+            let queued: usize = queues.iter().map(VecDeque::len).sum();
+            assert_eq!(queued, self.nic_occ[node], "nic_occ[{node}]");
+            for e in queues.iter().flatten() {
+                assert!(live(e.pid, e.slot), "NIC {node} queues a dead packet");
+                assert!(e.next < e.nflits, "NIC {node} kept a fully streamed packet");
+            }
+        }
+        assert_eq!(
+            self.stats.injected,
+            self.stats.delivered + self.dropped_in_flight + self.pending() as u64,
+            "message conservation"
+        );
     }
 
     /// The no-progress valve: if packets are in flight but nothing has
-    /// moved for [`DEADLOCK_WINDOW`] cycles, purge everything buffered.
-    /// This converts a (detour-induced) routing deadlock into bounded,
-    /// counted packet loss — an injected fault can never hang the NoC.
+    /// moved for [`DEADLOCK_WINDOW`] cycles, purge every packet in the
+    /// table (a live packet always has its tail somewhere: unformed at the
+    /// NIC, buffered or on a link). This converts a (detour-induced)
+    /// routing deadlock into bounded, counted packet loss — an injected
+    /// fault can never hang the NoC.
     fn check_progress_valve(&mut self) {
-        if self.in_flight == 0 {
+        if self.pending() == 0 {
             self.last_progress = self.stats.cycles;
             return;
         }
         if self.stats.cycles - self.last_progress <= DEADLOCK_WINDOW {
             return;
         }
-        for pid in self.buffered_packets() {
-            self.purge_packet(pid);
+        let wedged: Vec<(PacketId, u32)> = self.packets.iter().map(|(s, e)| (e.id, s)).collect();
+        for (pid, slot) in wedged {
+            self.purge_packet(pid, slot);
             self.stats.dropped_flushed += 1;
         }
-        // Anything still "in flight" now has no flits anywhere (should not
-        // happen, but the valve must leave the network consistent).
         self.last_progress = self.stats.cycles;
     }
 
@@ -856,7 +970,7 @@ impl Noc {
     /// the cycle actually reached — always `target` unless traffic appears
     /// (it cannot, mid-skip, but the guard keeps the contract obvious).
     pub fn skip_idle_to(&mut self, target: Cycle) -> Cycle {
-        if self.in_flight > 0 {
+        if self.pending() > 0 {
             return self.now;
         }
         match self.fault_plane.take() {
@@ -886,46 +1000,29 @@ impl Noc {
     /// `true` on quiescence.
     pub fn run_until_quiescent(&mut self, max_cycles: u64) -> bool {
         for _ in 0..max_cycles {
-            if self.in_flight == 0 {
+            if self.pending() == 0 {
                 return true;
             }
             self.step();
         }
-        self.in_flight == 0
+        self.pending() == 0
     }
 
     fn phase_link_arrivals(&mut self) {
-        for node in 0..self.mesh.nodes() {
-            if self.skips_idle_nodes() && self.link_occ[node] == 0 {
-                continue;
-            }
+        let due = self.due_slot();
+        let mut next = 0;
+        while let Some(node) = next_busy(&self.link_occ, next, self.scans_every_node()) {
+            next = node + 1;
             for (di, &in_port) in OPP_PORT.iter().enumerate() {
-                let nb = self.nbr[node * 4 + di] as usize;
-                if nb == u16::MAX as usize {
+                let l = node * 4 + di;
+                let Some(flit) = self.link[l * self.link_cap + due].take() else {
                     continue;
-                }
-                while let Some(&(at, _)) = self.links[node][di].front() {
-                    if at > self.now {
-                        break;
-                    }
-                    let (_, flit) = self.links[node][di].pop_front().expect("peeked");
-                    self.link_occ[node] -= 1;
-                    let vc = flit.vc;
-                    self.link_vc[(node * 4 + di) * self.cfg.vcs + vc] -= 1;
-                    let fifo = &mut self.routers[nb].inputs[in_port].fifos[vc];
-                    debug_assert!(
-                        fifo.len() < self.cfg.vc_buffer,
-                        "credit accounting must guarantee buffer space"
-                    );
-                    let was_empty = fifo.is_empty();
-                    fifo.push_back(flit);
-                    self.fifo_len[(nb * PORTS + in_port) * self.cfg.vcs + vc] += 1;
-                    if was_empty {
-                        self.refresh_head(nb, in_port, vc);
-                    }
-                    self.router_occ[nb] += 1;
-                    self.last_progress = self.stats.cycles;
-                }
+                };
+                let vc = flit.vc as usize;
+                self.link_occ[node] -= 1;
+                self.link_vc[l * self.cfg.vcs + vc] -= 1;
+                self.fifo_push(self.nbr[l] as usize, in_port, vc, flit);
+                self.last_progress = self.stats.cycles;
             }
         }
     }
@@ -954,15 +1051,14 @@ impl Noc {
         // so stale values from earlier nodes are never observed and the
         // buckets need no per-node clear.
         let mut cand = [[0u8; MAX_VCS]; PORTS];
-        for node in 0..n {
-            // A router with no buffered flits cannot source a move: every
-            // move pops an input-FIFO head. Skipping it leaves `rr` and
-            // locks untouched, which is what the dense scan does too.
-            // (`head_mask == 0` iff every input FIFO is empty.)
+        // A router with no buffered flits cannot source a move: every move
+        // pops an input-FIFO head. Skipping it leaves `rr` and locks
+        // untouched, which is what a dense scan would do too.
+        // (`head_mask == 0` iff every input FIFO is empty.)
+        let mut next = 0;
+        while let Some(node) = next_busy(&self.head_mask, next, false) {
+            next = node + 1;
             let mask = self.head_mask[node];
-            if mask == 0 {
-                continue;
-            }
             if self.stall_until[node] > now {
                 continue;
             }
@@ -989,19 +1085,14 @@ impl Noc {
                         continue;
                     }
                 }
-                let lock = self.lock_shadow[hbase + out_port * vcs + vc];
+                let lock = self.lock_in[hbase + out_port * vcs + vc];
                 let eligible = if lock == NO_LOCK {
                     head & H_HEADFLIT != 0
                 } else {
                     lock as usize == port
                 };
                 if eligible {
-                    moves.push(Move {
-                        node,
-                        in_port: port,
-                        vc,
-                        out_port,
-                    });
+                    moves.push(Move::new(node, port, vc, out_port));
                 }
                 continue;
             }
@@ -1034,7 +1125,7 @@ impl Noc {
                 if dvc == 0 {
                     continue;
                 }
-                let rr = self.rr_shadow[node * PORTS + out_port] as usize;
+                let rr = self.rr[node * PORTS + out_port] as usize;
                 #[allow(clippy::needless_range_loop)] // `vc` indexes heads/fifo_len/link_vc too
                 'found: for vc in 0..vcs {
                     if dvc & (1 << vc) == 0 {
@@ -1050,7 +1141,7 @@ impl Noc {
                             continue;
                         }
                     }
-                    let lock = self.lock_shadow[hbase + out_port * vcs + vc];
+                    let lock = self.lock_in[hbase + out_port * vcs + vc];
                     let cbits = cand[out_port][vc];
                     for k in 1..=PORTS {
                         let in_port = (rr + k) % PORTS;
@@ -1065,12 +1156,7 @@ impl Noc {
                         if !eligible {
                             continue;
                         }
-                        moves.push(Move {
-                            node,
-                            in_port,
-                            vc,
-                            out_port,
-                        });
+                        moves.push(Move::new(node, in_port, vc, out_port));
                         break 'found;
                     }
                 }
@@ -1083,46 +1169,42 @@ impl Noc {
         if !moves.is_empty() {
             self.last_progress = self.stats.cycles;
         }
+        // A flit granted now is due `link_cap` cycles on: the slot this
+        // cycle's arrivals just emptied.
+        let due = self.due_slot();
         for m in moves {
-            let mut flit = self.routers[m.node].inputs[m.in_port].fifos[m.vc]
-                .pop_front()
-                .expect("move references a buffered flit");
-            self.router_occ[m.node] -= 1;
-            self.fifo_len[(m.node * PORTS + m.in_port) * self.cfg.vcs + m.vc] -= 1;
-            self.refresh_head(m.node, m.in_port, m.vc);
+            let (node, in_port) = (m.node as usize, m.in_port as usize);
+            let (vc, out_port) = (m.vc as usize, m.out_port as usize);
+            let mut flit = self.fifo_pop(node, in_port, vc);
             // Wormhole lock maintenance.
-            let lock = &mut self.routers[m.node].out_lock[m.out_port][m.vc];
-            let shadow = &mut self.lock_shadow[(m.node * PORTS + m.out_port) * self.cfg.vcs + m.vc];
+            let lock = (node * PORTS + out_port) * self.cfg.vcs + vc;
             if flit.is_tail {
-                *lock = None;
-                *shadow = NO_LOCK;
-            } else if matches!(flit.kind, FlitKind::Head(_)) {
-                *lock = Some(LockOwner {
-                    in_port: m.in_port,
-                    packet: flit.packet,
-                });
-                *shadow = m.in_port as u8;
+                self.lock_in[lock] = NO_LOCK;
+            } else if flit.is_head {
+                self.lock_in[lock] = in_port as u8;
+                self.lock_pkt[lock] = flit.packet;
             }
-            self.routers[m.node].rr[m.out_port] = m.in_port;
-            self.rr_shadow[m.node * PORTS + m.out_port] = m.in_port as u8;
+            self.rr[node * PORTS + out_port] = in_port as u8;
 
-            if m.out_port == Port::Local.index() {
-                self.eject(m.node, flit);
+            if out_port == Port::Local.index() {
+                self.eject(node, flit);
             } else {
-                let di = m.out_port - 1;
+                let di = out_port - 1;
                 // One corruption roll per link traversal (fixed RNG
                 // consumption), plus deterministic corruption on downed
                 // links. `corrupt` is idempotent, so a doubly-faulted hop
                 // is still detected.
                 let rolled = plane.as_deref_mut().is_some_and(|p| p.corrupt_roll());
-                if rolled || self.link_is_down(m.node, di) {
+                if rolled || self.link_is_down(node, di) {
                     flit.corrupt();
                 }
-                let arrive = self.now + 1 + self.cfg.hop_latency;
-                self.link_vc[(m.node * 4 + di) * self.cfg.vcs + m.vc] += 1;
-                self.links[m.node][di].push_back((arrive, flit));
-                self.link_occ[m.node] += 1;
-                self.link_flits[m.node][di] += 1;
+                let l = node * 4 + di;
+                let cell = &mut self.link[l * self.link_cap + due];
+                debug_assert!(cell.is_none(), "one flit per link per cycle");
+                *cell = Some(flit);
+                self.link_vc[l * self.cfg.vcs + vc] += 1;
+                self.link_occ[node] += 1;
+                self.link_flits[node][di] += 1;
                 self.stats.flit_hops += 1;
             }
         }
@@ -1134,105 +1216,85 @@ impl Noc {
         if !intact {
             self.stats.corrupted_flits += 1;
         }
-        let is_tail = flit.is_tail;
-        let pid = flit.packet;
+        debug_assert_eq!(flit.dst.index(), node, "misrouted flit");
+        let entry = self
+            .packets
+            .get_mut(flit.slot)
+            .expect("a flit names a live packet");
+        debug_assert_eq!(entry.id, flit.packet, "flit names another packet's slot");
         // A single damaged flit poisons the whole packet: nothing of it is
         // delivered, and the drop is accounted once the tail arrives.
-        let poisoned = !intact || self.rx_poisoned.contains(&pid.0);
-        match flit.kind {
-            FlitKind::Head(msg) => {
-                debug_assert_eq!(msg.dst.index(), node, "misrouted flit");
-                match (is_tail, poisoned) {
-                    (true, false) => self.deliver(node, pid, *msg),
-                    (true, true) => self.drop_at_rx(pid),
-                    (false, false) => {
-                        self.reassembly.insert(pid.0, msg);
-                    }
-                    (false, true) => {
-                        self.rx_poisoned.insert(pid.0);
-                    }
-                }
-            }
-            FlitKind::Body => {
-                if poisoned {
-                    self.reassembly.remove(&pid.0);
-                    if is_tail {
-                        self.rx_poisoned.remove(&pid.0);
-                        self.drop_at_rx(pid);
-                    } else {
-                        self.rx_poisoned.insert(pid.0);
-                    }
-                } else if is_tail {
-                    let msg = self
-                        .reassembly
-                        .remove(&pid.0)
-                        .expect("head always precedes tail on a VC");
-                    self.deliver(node, pid, *msg);
-                }
-            }
+        entry.poisoned |= !intact;
+        entry.head_ejected |= flit.is_head;
+        if !flit.is_tail {
+            return;
         }
-    }
-
-    /// Accounts a packet dropped at the destination for corruption.
-    fn drop_at_rx(&mut self, pid: PacketId) {
-        self.inject_time
-            .remove(&pid.0)
-            .expect("every packet has an inject timestamp");
-        self.in_flight -= 1;
-        self.stats.dropped_corrupt += 1;
-    }
-
-    fn deliver(&mut self, node: usize, pid: PacketId, msg: Message) {
-        let injected_at = self
-            .inject_time
-            .remove(&pid.0)
-            .expect("every packet has an inject timestamp");
+        debug_assert!(entry.head_ejected, "head always precedes tail on a VC");
+        let entry = self
+            .packets
+            .remove(flit.slot)
+            .expect("checked live just above");
+        if entry.poisoned {
+            self.dropped_in_flight += 1;
+            self.stats.dropped_corrupt += 1;
+            return;
+        }
         let d = Delivered {
-            msg,
-            injected_at,
+            msg: entry.msg,
+            injected_at: entry.injected_at,
             delivered_at: self.now,
         };
         self.stats.latency.record(d.latency());
         self.stats.delivered += 1;
-        self.in_flight -= 1;
         self.rx_pending += 1;
         self.eject_q[node].push_back(d);
     }
 
-    /// NIC: stream queued flits into the router's local input port, one flit
-    /// per node per cycle, highest-priority class first.
+    /// NIC: stream queued packets into the router's local input port, one
+    /// flit per node per cycle, highest-priority class first.
     fn phase_inject(&mut self) {
         let local = Port::Local.index();
-        for node in 0..self.mesh.nodes() {
-            if self.skips_idle_nodes() && self.nic_occ[node] == 0 {
-                continue;
-            }
-            for vc in 0..self.cfg.vcs {
-                let len_idx = (node * PORTS + local) * self.cfg.vcs + vc;
-                if self.fifo_len[len_idx] as usize >= self.cfg.vc_buffer {
+        let vcs = self.cfg.vcs;
+        let mut next = 0;
+        while let Some(node) = next_busy(&self.nic_occ, next, self.scans_every_node()) {
+            next = node + 1;
+            for vc in 0..vcs {
+                if self.fifo_len[(node * PORTS + local) * vcs + vc] as usize >= self.cfg.vc_buffer {
                     continue;
                 }
-                let Some(pkt) = self.nic[node][vc].front_mut() else {
+                let queue = &mut self.nic[node * vcs + vc];
+                let Some(e) = queue.front_mut() else {
                     continue;
                 };
-                let flit = pkt.pop_front().expect("queued packets are never empty");
-                if pkt.is_empty() {
-                    self.nic[node][vc].pop_front();
+                let flit = Flit::form(e.pid, e.slot, e.dst, vc as u8, e.next, e.nflits);
+                e.next += 1;
+                if e.next == e.nflits {
+                    queue.pop_front();
                     self.nic_occ[node] -= 1;
                 }
-                let fifo = &mut self.routers[node].inputs[local].fifos[vc];
-                let was_empty = fifo.is_empty();
-                fifo.push_back(flit);
-                self.fifo_len[len_idx] += 1;
-                if was_empty {
-                    self.refresh_head(node, local, vc);
-                }
-                self.router_occ[node] += 1;
+                self.fifo_push(node, local, vc, flit);
                 self.last_progress = self.stats.cycles;
                 break; // One flit per node per cycle.
             }
         }
     }
+}
+
+/// The active-set scan: the first node at or after `from` whose entry in
+/// `occ` (an occupancy counter or head mask) is non-zero, or simply `from`
+/// when `every_node` is set. A slice search compiles to a tight loop, so an
+/// idle node costs a fraction of a nanosecond.
+#[inline]
+fn next_busy<T: Default + PartialEq>(occ: &[T], from: usize, every_node: bool) -> Option<usize> {
+    let idle = T::default();
+    let off = occ[from..].iter().position(|o| every_node || *o != idle)?;
+    Some(from + off)
+}
+
+/// The `heads` entry of a FIFO whose front flit is `flit`.
+#[inline]
+fn head_summary(flit: &Flit) -> u16 {
+    H_PRESENT | if flit.is_head { H_HEADFLIT } else { 0 } | flit.dst.0
 }
 
 #[cfg(test)]
@@ -1346,9 +1408,11 @@ mod tests {
             }
             for _ in 0..50 {
                 noc.step();
+                noc.check_invariants();
             }
         }
         assert!(noc.run_until_quiescent(100_000));
+        noc.check_invariants();
         let total: u64 = (0..n)
             .map(|i| noc.drain_eject(NodeId(i)).len() as u64)
             .sum();
@@ -1520,12 +1584,212 @@ mod fault_tests {
         noc.kill_link(NodeId(1), Direction::East);
         noc.kill_link(NodeId(2), Direction::West);
         noc.kill_link(NodeId(5), Direction::North);
-        assert!(
-            noc.run_until_quiescent(1_000_000),
-            "network must always drain"
-        );
+        for _ in 0..1_000_000 {
+            if noc.pending() == 0 {
+                break;
+            }
+            noc.step();
+            noc.check_invariants();
+        }
+        assert_eq!(noc.pending(), 0, "network must always drain");
         let st = noc.stats();
         assert_eq!(st.delivered + st.dropped(), st.injected);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX flits")]
+    fn packet_longer_than_the_nic_entry_counts_rejected() {
+        let mut noc = Noc::new(NocConfig {
+            flit_bytes: 1,
+            header_bytes: u32::MAX as usize + 1,
+            ..NocConfig::soft(2, 2)
+        });
+        let _ = noc.try_inject(NodeId(0), msg(0, 3, 0));
+    }
+
+    /// Uniform random load on a 4x4: per node per cycle, one 5-flit message
+    /// with probability `rate`.
+    fn offer_uniform(noc: &mut Noc, rng: &mut apiary_sim::SimRng, rate: f64) {
+        for src in 0..16u64 {
+            if rng.gen_bool(rate) {
+                let dst = (src + 1 + rng.gen_range(15)) % 16;
+                let _ = noc.try_inject(NodeId(src as u16), msg(src as u16, dst as u16, 64));
+            }
+        }
+    }
+
+    /// Steps once, checks every law, and returns the tags delivered.
+    fn step_checked(noc: &mut Noc) -> Vec<u64> {
+        noc.step();
+        noc.check_invariants();
+        (0..noc.mesh().nodes() as u16)
+            .flat_map(|n| noc.drain_eject(NodeId(n)))
+            .map(|d| d.msg.tag)
+            .collect()
+    }
+
+    #[test]
+    fn link_kill_on_wrapped_rings_keeps_every_law() {
+        let mut noc = Noc::new(NocConfig::soft(4, 4));
+        let mut rng = apiary_sim::SimRng::new(3);
+        let mut handed_out = 0u64;
+        // Load until the rings have wrapped: a front that moved off slot 0
+        // has been all the way round or is on its way.
+        for _ in 0..2_000 {
+            offer_uniform(&mut noc, &mut rng, 0.15);
+            handed_out += step_checked(&mut noc).len() as u64;
+        }
+        let wrapped = noc.fifo_head.iter().filter(|&&h| h != 0).count();
+        assert!(wrapped >= 40, "only {wrapped} rings sit off slot 0");
+        // Stop on a cycle with a flit on the doomed link, a buffered flit
+        // that will reroute, and a partially streamed packet in a NIC.
+        let doomed = NodeId(5).index() * 4 + dir_index(Direction::East);
+        let ready = |noc: &Noc| {
+            noc.link[doomed * noc.link_cap..][..noc.link_cap]
+                .iter()
+                .any(Option::is_some)
+                && noc.nic.iter().flatten().any(|e| e.next > 0)
+        };
+        while !ready(&noc) {
+            offer_uniform(&mut noc, &mut rng, 0.15);
+            handed_out += step_checked(&mut noc).len() as u64;
+            assert!(noc.stats().cycles < 10_000, "load never reached the link");
+        }
+        let before = noc.stats().dropped();
+        assert!(noc.kill_link(NodeId(5), Direction::East));
+        noc.check_invariants();
+        assert!(noc.stats().dropped() > before, "the kill flushes packets");
+        // Traffic keeps flowing while the rest drains; then one message
+        // whose XY route was the dead link must arrive over the detour.
+        for _ in 0..500 {
+            offer_uniform(&mut noc, &mut rng, 0.05);
+            handed_out += step_checked(&mut noc).len() as u64;
+        }
+        let mut late = msg(5, 6, 64);
+        late.tag = 4242;
+        noc.try_inject(NodeId(5), late).expect("space");
+        let mut late_arrivals = 0;
+        while noc.pending() > 0 {
+            let tags = step_checked(&mut noc);
+            handed_out += tags.len() as u64;
+            late_arrivals += tags.iter().filter(|&&t| t == 4242).count();
+            assert!(noc.stats().cycles < 1_000_000, "network must always drain");
+        }
+        assert_eq!(
+            late_arrivals, 1,
+            "the detoured message arrives exactly once"
+        );
+        let st = noc.stats();
+        assert_eq!(st.delivered, handed_out, "each delivery is handed out once");
+        assert_eq!(st.delivered + st.dropped(), st.injected);
+    }
+
+    #[test]
+    fn no_progress_valve_purges_a_wedged_mesh() {
+        // Stall every router for longer than the valve's window: nothing
+        // can move, so the valve must purge what is buffered, leave every
+        // law intact, and let fresh traffic through once the stalls lift.
+        let mut noc = Noc::new(NocConfig::soft(4, 4));
+        let mut rng = apiary_sim::SimRng::new(5);
+        for _ in 0..200 {
+            offer_uniform(&mut noc, &mut rng, 0.15);
+            step_checked(&mut noc);
+        }
+        assert!(noc.fifo_len.iter().any(|&l| l > 0) && noc.link_occ.iter().any(|&l| l > 0));
+        for n in 0..16u16 {
+            noc.stall_router(NodeId(n), 3 * DEADLOCK_WINDOW);
+        }
+        let wedged = noc.pending() as u64;
+        assert!(wedged > 0);
+        let before = noc.stats().clone();
+        for _ in 0..DEADLOCK_WINDOW + 16 {
+            step_checked(&mut noc);
+        }
+        let after = noc.stats().clone();
+        assert_eq!(noc.pending(), 0, "the valve empties the network");
+        // Flits already on a link still arrive and may eject; everything
+        // else that was in flight is flushed and counted.
+        let flushed = after.dropped_flushed - before.dropped_flushed;
+        assert_eq!(flushed, wedged - (after.delivered - before.delivered));
+        assert!(flushed > 0);
+        assert!(noc.head_mask.iter().all(|&m| m == 0) && noc.fifo_len.iter().all(|&l| l == 0));
+        assert!(noc.lock_in.iter().all(|&l| l == NO_LOCK));
+        // Once the stalls lift the mesh carries traffic again.
+        for _ in 0..3 * DEADLOCK_WINDOW {
+            noc.step();
+        }
+        noc.try_inject(NodeId(0), msg(0, 15, 64)).expect("space");
+        while noc.pending() > 0 {
+            step_checked(&mut noc);
+        }
+        assert_eq!(noc.stats().delivered, after.delivered + 1);
+    }
+
+    #[test]
+    fn golden_chaos_run_matches_the_parent_commit() {
+        // Fixed-seed uniform load (the `noc_uniform` shape) on an 8x8 under
+        // a busy chaos plane plus one scripted link death. Every expected
+        // value was captured on the commit before the flat layout, so a
+        // slip in ring, delay-line or packet-table indexing fails here.
+        use crate::fault::FaultEvent;
+        let run = |active: bool| {
+            let mut plane = FaultPlane::new(FaultPlaneConfig::with_rate(2024, 0.01));
+            plane.schedule(
+                Cycle(5_000),
+                FaultEvent::LinkDown {
+                    node: NodeId(27),
+                    dir: Direction::East,
+                    heal_after: None,
+                },
+            );
+            let mut noc = Noc::new(NocConfig::soft(8, 8));
+            noc.dense_scan = !active;
+            noc.install_fault_plane(plane);
+            let mut rng = apiary_sim::SimRng::new(7);
+            for _ in 0..20_000 {
+                for src in 0..64u64 {
+                    if rng.gen_bool(0.08) {
+                        let dst = (src + 1 + rng.gen_range(63)) % 64;
+                        let bytes = if rng.gen_bool(0.2) { 64 } else { 8 };
+                        let _ =
+                            noc.try_inject(NodeId(src as u16), msg(src as u16, dst as u16, bytes));
+                    }
+                }
+                step_checked(&mut noc);
+            }
+            let st = noc.stats();
+            assert_eq!(
+                noc.fault_plane()
+                    .expect("installed")
+                    .stats()
+                    .corrupted_flits,
+                105
+            );
+            [
+                st.injected,
+                st.delivered,
+                st.rejected,
+                st.flit_hops,
+                st.flits_ejected,
+                st.cycles,
+                st.corrupted_flits,
+                st.dropped_corrupt,
+                st.dropped_unreachable,
+                st.dropped_flushed,
+                st.link_faults,
+                st.router_stalls,
+                st.latency.count(),
+                st.latency.p50(),
+                st.latency.p99(),
+                noc.pending() as u64,
+            ]
+        };
+        let golden = [
+            42_658, 38_558, 59_782, 553_820, 105_304, 20_000, 4_837, 1_935, 0, 1_443, 206, 102,
+            38_558, 27, 768, 722,
+        ];
+        assert_eq!(run(true), golden, "active-set scan");
+        assert_eq!(run(false), golden, "every-node scan");
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl TrafficClass {
 }
 
 /// A unique packet identifier, assigned at injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PacketId(pub u64);
 
 /// An application-level message, the unit handed to and from the NoC.
@@ -88,44 +88,52 @@ impl Message {
     }
 }
 
-/// What a flit carries.
-#[derive(Debug, Clone)]
-pub enum FlitKind {
-    /// The head flit carries the full message (the simulator's stand-in for
-    /// reassembly buffers).
-    Head(Box<Message>),
-    /// A body flit.
-    Body,
-}
-
-/// One flit of a packet.
-#[derive(Debug, Clone)]
-pub struct Flit {
+/// One flit of a packet: plain `Copy` data. The message itself stays in
+/// the [`PacketTable`] entry `slot` names, so moving a flit through a FIFO
+/// or a link copies 24 bytes and drops nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Flit {
     /// Owning packet.
     pub packet: PacketId,
-    /// Head or body.
-    pub kind: FlitKind,
-    /// `true` on the last flit of the packet (a single-flit packet's head is
-    /// also its tail).
-    pub is_tail: bool,
+    /// The packet's [`PacketTable`] slot.
+    pub slot: u32,
+    /// Link-level checksum, set when the flit is formed. Fault injection
+    /// flips it; the ejecting node verifies it so corruption is *detected*
+    /// (and the packet dropped) rather than silently delivered.
+    pub checksum: u32,
     /// Destination node (replicated so body flits can be audited).
     pub dst: NodeId,
     /// Virtual channel.
-    pub vc: usize,
-    /// Link-level checksum, set at packetisation. Fault injection flips it;
-    /// the ejecting node verifies it so corruption is *detected* (and the
-    /// packet dropped) rather than silently delivered.
-    pub checksum: u32,
+    pub vc: u8,
+    /// `true` on the first flit of the packet.
+    pub is_head: bool,
+    /// `true` on the last flit of the packet (a single-flit packet's head is
+    /// also its tail).
+    pub is_tail: bool,
 }
 
 impl Flit {
+    /// Forms flit `index` of an `nflits`-flit packet, checksum included.
+    pub fn form(packet: PacketId, slot: u32, dst: NodeId, vc: u8, index: u32, nflits: u32) -> Flit {
+        let mut flit = Flit {
+            packet,
+            slot,
+            checksum: 0,
+            dst,
+            vc,
+            is_head: index == 0,
+            is_tail: index + 1 == nflits,
+        };
+        flit.checksum = flit.expected_checksum();
+        flit
+    }
+
     /// The checksum a pristine copy of this flit would carry.
     pub fn expected_checksum(&self) -> u32 {
-        let head = matches!(self.kind, FlitKind::Head(_)) as u64;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for word in [
             self.packet.0,
-            head,
+            self.is_head as u64,
             self.is_tail as u64,
             self.dst.0 as u64,
             self.vc as u64,
@@ -148,44 +156,77 @@ impl Flit {
     }
 }
 
-/// Segments a message into flits.
-///
-/// A flit carries `flit_bytes` of data; the header occupies `header_bytes`
-/// at the front. Every packet has at least one flit.
-pub fn packetize(
-    msg: Message,
-    packet: PacketId,
-    flit_bytes: usize,
-    header_bytes: usize,
-) -> Vec<Flit> {
-    assert!(flit_bytes > 0, "flit size must be positive");
-    let total = msg.wire_bytes(header_bytes);
-    let nflits = total.div_ceil(flit_bytes).max(1);
-    let dst = msg.dst;
-    let vc = msg.class.vc();
-    let mut flits = Vec::with_capacity(nflits);
-    flits.push(Flit {
-        packet,
-        kind: FlitKind::Head(Box::new(msg)),
-        is_tail: nflits == 1,
-        dst,
-        vc,
-        checksum: 0,
-    });
-    for i in 1..nflits {
-        flits.push(Flit {
-            packet,
-            kind: FlitKind::Body,
-            is_tail: i == nflits - 1,
-            dst,
-            vc,
-            checksum: 0,
+/// Flits a message occupies on the wire: `flit_bytes` of data per flit, the
+/// header in front, and at least one flit per packet.
+pub(crate) fn flits_for(msg: &Message, flit_bytes: usize, header_bytes: usize) -> usize {
+    msg.wire_bytes(header_bytes).div_ceil(flit_bytes).max(1)
+}
+
+/// What the network remembers about one in-flight packet.
+#[derive(Debug)]
+pub(crate) struct PacketEntry {
+    /// The packet's id; every flit naming this slot carries the same one.
+    pub id: PacketId,
+    /// Cycle of the `try_inject` call.
+    pub injected_at: Cycle,
+    /// The message, handed over at delivery.
+    pub msg: Message,
+    /// The head flit has been ejected at the destination.
+    pub head_ejected: bool,
+    /// A flit arrived corrupt: the packet is dropped when its tail ejects.
+    pub poisoned: bool,
+}
+
+/// In-flight packets in a slab with a free list. An entry lives from
+/// `try_inject` until delivery, drop-at-tail or purge, so it outlives every
+/// flit that names it. Slot numbers are reused LIFO; that order is
+/// deterministic and never observable (only `PacketId`s leave the crate).
+#[derive(Debug, Default)]
+pub(crate) struct PacketTable {
+    entries: Vec<Option<PacketEntry>>,
+    free: Vec<u32>,
+}
+
+impl PacketTable {
+    /// Stores `entry`, returning its slot.
+    pub fn insert(&mut self, entry: PacketEntry) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            u32::try_from(self.entries.len() - 1).expect("packet slots fit u32")
         });
+        self.entries[slot as usize] = Some(entry);
+        slot
     }
-    for f in &mut flits {
-        f.checksum = f.expected_checksum();
+
+    /// The live entry at `slot`, if any.
+    pub fn get(&self, slot: u32) -> Option<&PacketEntry> {
+        self.entries.get(slot as usize)?.as_ref()
     }
-    flits
+
+    /// The live entry at `slot`, if any, for update.
+    pub fn get_mut(&mut self, slot: u32) -> Option<&mut PacketEntry> {
+        self.entries.get_mut(slot as usize)?.as_mut()
+    }
+
+    /// Frees `slot`, returning its entry if it was live.
+    pub fn remove(&mut self, slot: u32) -> Option<PacketEntry> {
+        let entry = self.entries.get_mut(slot as usize)?.take();
+        if entry.is_some() {
+            self.free.push(slot);
+        }
+        entry
+    }
+
+    /// Every live entry with its slot, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &PacketEntry)> {
+        let slots = self.entries.iter().enumerate();
+        slots.filter_map(|(slot, e)| Some((slot as u32, e.as_ref()?)))
+    }
+
+    /// Number of live entries.
+    pub fn live(&self) -> usize {
+        self.entries.len() - self.free.len()
+    }
 }
 
 /// A message delivered at its destination's local port, with timing.
@@ -227,29 +268,35 @@ mod tests {
         Message::new(NodeId(0), NodeId(1), TrafficClass::Request, vec![0; bytes])
     }
 
+    fn flits(msg: Message, packet: PacketId) -> Vec<Flit> {
+        let n = flits_for(&msg, 16, 8) as u32;
+        (0..n)
+            .map(|i| Flit::form(packet, 0, msg.dst, msg.class.vc() as u8, i, n))
+            .collect()
+    }
+
     #[test]
     fn single_flit_message() {
-        let flits = packetize(msg(0), PacketId(1), 16, 8);
+        let flits = flits(msg(0), PacketId(1));
         assert_eq!(flits.len(), 1);
         assert!(flits[0].is_tail);
-        assert!(matches!(flits[0].kind, FlitKind::Head(_)));
+        assert!(flits[0].is_head);
     }
 
     #[test]
     fn flit_count_matches_wire_size() {
         // 8-byte header + 100-byte payload = 108 bytes = 7 x 16 B flits.
-        let flits = packetize(msg(100), PacketId(2), 16, 8);
+        let flits = flits(msg(100), PacketId(2));
         assert_eq!(flits.len(), 7);
         assert!(flits[6].is_tail);
         assert!(!flits[0].is_tail);
-        assert!(flits[1..].iter().all(|f| matches!(f.kind, FlitKind::Body)));
+        assert!(flits[1..].iter().all(|f| !f.is_head));
     }
 
     #[test]
     fn exact_multiple_has_no_extra_flit() {
         // 8 + 24 = 32 bytes = exactly 2 x 16.
-        let flits = packetize(msg(24), PacketId(3), 16, 8);
-        assert_eq!(flits.len(), 2);
+        assert_eq!(flits_for(&msg(24), 16, 8), 2);
     }
 
     #[test]
@@ -259,13 +306,12 @@ mod tests {
         assert_eq!(TrafficClass::Bulk.vc(), 2);
         let mut m = msg(0);
         m.class = TrafficClass::Bulk;
-        let flits = packetize(m, PacketId(4), 16, 8);
-        assert_eq!(flits[0].vc, 2);
+        assert_eq!(flits(m, PacketId(4))[0].vc, 2);
     }
 
     #[test]
     fn checksums_verify_and_detect_corruption() {
-        let mut flits = packetize(msg(100), PacketId(9), 16, 8);
+        let mut flits = flits(msg(100), PacketId(9));
         assert!(flits.iter().all(|f| f.checksum_ok()));
         flits[3].corrupt();
         assert!(!flits[3].checksum_ok());
@@ -273,6 +319,35 @@ mod tests {
         assert!(!flits[3].checksum_ok(), "double corruption stays detected");
         // Head and body of the same packet have distinct checksums.
         assert_ne!(flits[0].checksum, flits[1].checksum);
+    }
+
+    #[test]
+    fn flits_are_small_plain_data() {
+        assert_eq!(core::mem::size_of::<Flit>(), 24);
+        // The `bool` niche keeps an empty link slot free of charge.
+        assert_eq!(core::mem::size_of::<Option<Flit>>(), 24);
+        assert!(!core::mem::needs_drop::<Flit>());
+    }
+
+    #[test]
+    fn packet_table_reuses_freed_slots() {
+        let entry = |id| PacketEntry {
+            id: PacketId(id),
+            injected_at: Cycle(0),
+            msg: msg(0),
+            head_ejected: false,
+            poisoned: false,
+        };
+        let mut t = PacketTable::default();
+        let (a, b) = (t.insert(entry(1)), t.insert(entry(2)));
+        assert_eq!(t.live(), 2);
+        assert_eq!(t.remove(a).map(|e| e.id), Some(PacketId(1)));
+        assert!(t.remove(a).is_none(), "double free is a no-op");
+        assert!(t.get(a).is_none());
+        assert_eq!(t.live(), 1);
+        assert_eq!(t.insert(entry(3)), a, "freed slot is reused");
+        assert_eq!(t.get(b).map(|e| e.id), Some(PacketId(2)));
+        assert_eq!(t.get_mut(a).map(|e| e.id), Some(PacketId(3)));
     }
 
     #[test]

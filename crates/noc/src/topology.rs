@@ -25,7 +25,7 @@ impl fmt::Display for Coord {
 }
 
 /// A flat node identifier: `id = y * width + x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -66,6 +66,9 @@ impl Direction {
         }
     }
 }
+
+/// Number of ports on a mesh router (4 links + local).
+pub const PORTS: usize = Port::ALL.len();
 
 /// A router port: four mesh links plus the local (tile) port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
