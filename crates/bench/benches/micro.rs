@@ -8,7 +8,7 @@
 
 use apiary_bench::scenarios::{client_server, drive, MonitorClient};
 use apiary_cap::{CapKind, CapTable, Capability, EndpointId, MemRange, Rights};
-use apiary_core::SystemConfig;
+use apiary_core::{System, SystemConfig};
 use apiary_mem::{AccessKind, AllocPolicy, PagedMmu, SegmentAllocator, SegmentChecker};
 use apiary_noc::{Message, Noc, NocConfig, NodeId, Payload, TrafficClass};
 use apiary_sim::SimRng;
@@ -177,7 +177,7 @@ fn bench_system(c: &mut Criterion) {
     use apiary_accel::apps::echo::echo;
     c.bench_function("system/tick_4x4", |b| {
         let (mut sys, _cap) = client_server(
-            SystemConfig::default(),
+            System::new(SystemConfig::default()),
             NodeId(0),
             NodeId(5),
             Box::new(echo(4)),
@@ -188,7 +188,7 @@ fn bench_system(c: &mut Criterion) {
         b.iter_batched(
             || {
                 client_server(
-                    SystemConfig::default(),
+                    System::new(SystemConfig::default()),
                     NodeId(0),
                     NodeId(5),
                     Box::new(echo(4)),

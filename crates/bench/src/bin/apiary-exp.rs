@@ -5,9 +5,12 @@
 //! experiment on a scoped thread pool, writes each artifact pair and the
 //! perf baseline `results/BENCH_apiary.json` (wall time, simulated
 //! cycles/sec, headline metrics). Runs are full sweeps unless `--quick`
-//! asks for the scaled-down configuration the tests use. An unknown flag,
-//! an unknown experiment or a suite flag given to a single experiment is
-//! an error (exit 2), never a silently different run.
+//! asks for the scaled-down configuration the tests use; a quick run
+//! prints its reports and writes nothing, because the committed
+//! `results/` are the full-mode behavioural contract. An unknown flag, an
+//! unknown experiment, a suite flag given to a single experiment or
+//! `--quick` with `--bench-guard` is an error (exit 2), never a silently
+//! different run.
 //!
 //! Suite flags (`all` only):
 //!
@@ -17,21 +20,26 @@
 //! - `--det-check` (or `--det-check=jobs`) runs the suite a second time at
 //!   a different worker count and fails (exit 1) unless every report's
 //!   deterministic portion is byte-identical — the contract CI enforces.
-//! - `--det-check=event-vs-dense` replays the suite under the dense
-//!   per-cycle reference clock and fails (exit 1) unless every report is
-//!   byte-identical to the event-clock run. The wall-time ratio between
-//!   the two runs is the event-core speedup, recorded in the baseline.
+//! - `--det-check=event-vs-dense` replays the suite with every machine on
+//!   the dense per-cycle reference clock (`Run { clock: Dense, .. }`) and
+//!   fails (exit 1) unless every report is byte-identical to the
+//!   event-clock run. The wall-time ratio between the two runs is the
+//!   event-core speedup, recorded in the baseline.
 //! - `--bench-guard` compares this run's aggregate `sim_cycles_per_sec`
 //!   against the committed `results/BENCH_apiary.json` *before* overwriting
 //!   it and fails (exit 1) on a drop of more than 10% — the perf-regression
-//!   tripwire CI runs. Baselines from a different mode (quick vs full) are
-//!   skipped with a warning rather than compared.
+//!   tripwire CI runs. The baseline is always a full run, so the guard
+//!   refuses `--quick`.
 
-use apiary_bench::harness;
+use apiary_bench::harness::{self, Run};
 use apiary_bench::report::{round3, ExperimentReport, Json};
 use apiary_bench::results;
-use apiary_sim::{set_clock_mode, ClockMode};
+use apiary_sim::ClockMode;
 use std::time::Instant;
+
+/// What a `--quick` run says in place of `wrote results/...`.
+const QUICK_NOTE: &str = "quick run: scaled-down numbers, nothing written under results/ \
+                          (the committed artifacts are full runs)";
 
 const USAGE: &str = "usage: apiary-exp <all|e01..e19> [--quick] [--jobs N] \
                      [--det-check[=jobs]] [--det-check=event-vs-dense] [--bench-guard]";
@@ -78,6 +86,9 @@ fn parse(argv: &[&str]) -> Result<Args, String> {
     if args.only.is_some() && suite_flags {
         return Err("`--jobs`, `--det-check` and `--bench-guard` only apply to `all`".into());
     }
+    if args.quick && args.bench_guard {
+        return Err("`--bench-guard` compares against a full-run baseline, not `--quick`".into());
+    }
     Ok(args)
 }
 
@@ -104,30 +115,37 @@ fn main() {
         eprintln!("apiary-exp: {e}\n{USAGE}");
         std::process::exit(2);
     });
-    let quick = args.quick;
+    let run = if args.quick { Run::QUICK } else { Run::FULL };
     if let Some(i) = args.only {
-        let r = harness::run_one(harness::SUITE[i].2, quick);
+        let r = harness::run_one(harness::SUITE[i].2, run);
         print!("{}", r.rendered);
-        results::write_report_or_exit(&r);
+        if run.quick {
+            println!("{QUICK_NOTE}");
+        } else {
+            results::write_report_or_exit(&r);
+        }
         return;
     }
     let jobs = args.jobs.unwrap_or_else(harness::default_jobs);
 
     let suite_t0 = Instant::now();
-    let reports = harness::run_suite(quick, jobs);
+    let reports = harness::run_suite(run, jobs);
     let suite_wall_ms = suite_t0.elapsed().as_secs_f64() * 1000.0;
 
     let mut clock_check: Option<Json> = None;
     if args.det_check_clock {
-        // Replay under the dense per-cycle reference clock: the event core
-        // must be an invisible optimisation, so every report's
-        // deterministic portion must match byte for byte. The wall-time
-        // ratio is the measured event-core speedup on this workload.
-        set_clock_mode(ClockMode::Dense);
+        // Replay with every machine on the dense per-cycle reference
+        // clock: the event core must be an invisible optimisation, so every
+        // report's deterministic portion must match byte for byte. The
+        // wall-time ratio is the measured event-core speedup on this
+        // workload.
+        let dense_run = Run {
+            clock: ClockMode::Dense,
+            ..run
+        };
         let dense_t0 = Instant::now();
-        let dense = harness::run_suite(quick, jobs);
+        let dense = harness::run_suite(dense_run, jobs);
         let dense_wall_ms = dense_t0.elapsed().as_secs_f64() * 1000.0;
-        set_clock_mode(ClockMode::Event);
         require_identical(&reports, &dense, "event and dense clocks");
         let speedup = dense_wall_ms / suite_wall_ms.max(1e-9);
         println!(
@@ -150,7 +168,7 @@ fn main() {
         // field). On a single-core box the replay still uses two workers,
         // so the check always crosses job counts.
         let alt_jobs = if jobs == 1 { 2 } else { 1 };
-        let replay = harness::run_suite(quick, alt_jobs);
+        let replay = harness::run_suite(run, alt_jobs);
         let across = format!("--jobs {jobs} and --jobs {alt_jobs}");
         require_identical(&reports, &replay, &across);
         println!(
@@ -163,6 +181,10 @@ fn main() {
         println!("==================== {} ====================", r.id);
         print!("{}", r.rendered);
         println!();
+    }
+    if run.quick {
+        println!("{QUICK_NOTE}");
+        return;
     }
     for r in &reports {
         results::write_report_or_exit(r);
@@ -186,14 +208,10 @@ fn main() {
         };
         match std::fs::read_to_string("results/BENCH_apiary.json") {
             Ok(old) => {
-                let old_mode = field(&old, "mode");
                 let baseline =
                     field(&old, "sim_cycles_per_sec").and_then(|v| v.parse::<f64>().ok());
-                match (old_mode.as_deref(), baseline) {
-                    (Some(m), _) if m != if quick { "quick" } else { "full" } => eprintln!(
-                        "bench-guard: baseline mode `{m}` differs from this run; skipping comparison"
-                    ),
-                    (_, Some(base)) if base > 0.0 => {
+                match baseline {
+                    Some(base) if base > 0.0 => {
                         let ratio = cycles_per_sec / base;
                         if ratio < 0.9 {
                             eprintln!(
@@ -231,7 +249,8 @@ fn main() {
         .collect();
     let mut bench = Json::obj()
         .set("schema", "apiary-bench-v1")
-        .set("mode", if quick { "quick" } else { "full" })
+        // Only full runs are recorded; the key stays for schema stability.
+        .set("mode", "full")
         .set("clock", "event")
         .set("jobs", jobs)
         .set("suite_wall_ms", round3(suite_wall_ms))
@@ -316,6 +335,21 @@ mod tests {
             let err = parse(argv).unwrap_err();
             assert!(err.contains("--jobs"), "{argv:?}: {err}");
         }
+    }
+
+    #[test]
+    fn rejects_bench_guard_on_a_quick_run() {
+        // The committed baseline is a full run; a quick run measured
+        // against it would "regress" by construction.
+        for argv in [
+            &["all", "--quick", "--bench-guard"][..],
+            &["--bench-guard", "all", "--quick"],
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains("--bench-guard"), "{argv:?}: {err}");
+        }
+        assert!(parse(&["all", "--quick", "--det-check"]).is_ok());
+        assert!(parse(&["all", "--bench-guard"]).is_ok());
     }
 
     #[test]

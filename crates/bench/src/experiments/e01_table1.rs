@@ -4,12 +4,13 @@
 //! the growth factors the surrounding text quotes ("about 50%" for the
 //! smallest parts, "3x" for the largest — the exact quotient is 4.3).
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::table::TextTable;
 use apiary_resources::catalog::{table1_growth_factors, table1_rows};
 
 /// Runs the experiment; returns the structured report.
-pub fn report(_quick: bool) -> ExperimentReport {
+pub fn report(_run: Run) -> ExperimentReport {
     let mut t = TextTable::new(&["Family", "Year Released", "Part Number", "Logic Cells"]);
     let rows = table1_rows();
     for p in &rows {
@@ -46,11 +47,6 @@ pub fn report(_quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 fn format_cells(n: u64) -> String {
     // Thousands separators, as in the paper.
     let s = n.to_string();
@@ -70,7 +66,7 @@ mod tests {
 
     #[test]
     fn reproduces_paper_values() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         for needle in [
             "582,720",
             "876,160",
@@ -87,7 +83,7 @@ mod tests {
 
     #[test]
     fn growth_factors_reported() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("1.48x"));
         assert!(out.contains("4.31x"));
     }

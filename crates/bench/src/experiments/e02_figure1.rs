@@ -8,6 +8,7 @@
 //! tile, per-application capability wiring, and no authority between the
 //! two applications.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use apiary_accel::apps::compress::compressor;
 use apiary_accel::apps::idle::idle;
@@ -20,8 +21,8 @@ use core::fmt::Write;
 /// Builds the Figure-1 configuration: application 1 is the §2 video
 /// pipeline (ingress + encoder + compressor), application 2 is an
 /// independent KV store with its own client. Returns the system.
-pub fn build() -> System {
-    let mut sys = System::new(SystemConfig::default());
+pub fn build(run: Run) -> System {
+    let mut sys = run.system(SystemConfig::default());
     // Application 1: video pipeline across three tiles.
     let ingress = NodeId(0);
     let enc = NodeId(1);
@@ -63,8 +64,8 @@ pub fn build() -> System {
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(_quick: bool) -> ExperimentReport {
-    let sys = build();
+pub fn report(run: Run) -> ExperimentReport {
+    let sys = build(run);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -119,18 +120,13 @@ pub fn report(_quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn figure_contains_both_applications() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("video-encoder"));
         assert!(out.contains("compressor"));
         assert!(out.contains("kv-store"));
@@ -141,13 +137,13 @@ mod tests {
 
     #[test]
     fn no_cross_app_authority() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("(must be 0): 0"), "{out}");
     }
 
     #[test]
     fn built_system_runs() {
-        let mut sys = build();
+        let mut sys = build(Run::QUICK);
         sys.run(100);
         assert_eq!(sys.now().as_u64(), 100);
     }

@@ -9,6 +9,7 @@
 //! 2. **Cycles**: sweep the monitor's per-message check pipeline depth and
 //!    measure the end-to-end request latency it adds.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::scenarios::{client_server, drive, MonitorClient};
 use crate::table::TextTable;
@@ -20,7 +21,7 @@ use apiary_resources::{FloorPlanner, PARTS};
 use core::fmt::Write;
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
+pub fn report(run: Run) -> ExperimentReport {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -47,7 +48,7 @@ pub fn report(quick: bool) -> ExperimentReport {
 
     // Part B: framework fraction vs tile count, per part.
     let monitor = model.area(&MonitorFeatures::default());
-    let tile_counts: &[u64] = if quick {
+    let tile_counts: &[u64] = if run.quick {
         &[4, 16, 64]
     } else {
         &[4, 9, 16, 36, 64, 100]
@@ -96,7 +97,7 @@ pub fn report(quick: bool) -> ExperimentReport {
     );
 
     // Part C: cycle overhead of the monitor's message-path checks.
-    let requests = if quick { 20 } else { 200 };
+    let requests = if run.quick { 20 } else { 200 };
     let mut t = TextTable::new(&["check cycles", "RTT p50", "RTT p99", "added vs 0"]);
     let mut base_p50 = 0;
     let mut deep_p50 = 0;
@@ -113,7 +114,8 @@ pub fn report(quick: bool) -> ExperimentReport {
             },
             ..SystemConfig::default()
         };
-        let (mut sys, cap) = client_server(cfg, NodeId(0), NodeId(5), Box::new(echo(4)));
+        let (mut sys, cap) =
+            client_server(run.system(cfg), NodeId(0), NodeId(5), Box::new(echo(4)));
         let mut client = MonitorClient::new(NodeId(0), cap, 32).max_requests(requests);
         sim_cycles += drive(&mut sys, &mut [&mut client], 2_000_000);
         assert!(client.done(), "E3 load did not complete");
@@ -154,18 +156,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn report_has_all_three_parts() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("feature set"));
         assert!(out.contains("framework %"));
         assert!(out.contains("check cycles"));
@@ -174,7 +171,7 @@ mod tests {
 
     #[test]
     fn deeper_checks_cost_more_latency() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         // Extract p50 columns for check=0 and check=8.
         let p50 = |needle: &str| -> u64 {
             out.lines()

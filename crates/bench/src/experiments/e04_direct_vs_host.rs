@@ -14,10 +14,11 @@
 //! request. Expectation from the paper: direct wins on latency, tail, and
 //! energy; the gap narrows as compute dominates.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_host::{EnergyModel, HostConfig, HostMode, HostSim};
 use apiary_net::{EthernetTile, NetConfig, RequestGen, Workload};
 use apiary_noc::NodeId;
@@ -25,8 +26,8 @@ use core::fmt::Write;
 
 /// Direct-attached measurement: RTT histogram + FPGA busy cycles +
 /// NoC bytes + simulated cycles driven.
-fn run_direct(compute: u64, requests: u64) -> (apiary_sim::Histogram, u64, u64, u64) {
-    let mut sys = System::new(SystemConfig::default());
+fn run_direct(run: Run, compute: u64, requests: u64) -> (apiary_sim::Histogram, u64, u64, u64) {
+    let mut sys = run.system(SystemConfig::default());
     let mac_node = NodeId(0);
     let svc_node = NodeId(5);
     let mut mac = EthernetTile::new(NetConfig::default());
@@ -95,9 +96,9 @@ fn run_host(compute: u64, requests: u64, mode: HostMode) -> (apiary_sim::Histogr
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let requests: u64 = if quick { 30 } else { 300 };
-    let computes: &[u64] = if quick {
+pub fn report(run: Run) -> ExperimentReport {
+    let requests: u64 = if run.quick { 30 } else { 300 };
+    let computes: &[u64] = if run.quick {
         &[256, 4096]
     } else {
         &[64, 256, 1024, 4096, 16384]
@@ -130,7 +131,7 @@ pub fn report(quick: bool) -> ExperimentReport {
     let mut first_speedup = 0.0;
     let mut first_energy_ratio = 0.0;
     for &compute in computes {
-        let (d_rtt, d_fpga, d_noc, cyc) = run_direct(compute, requests);
+        let (d_rtt, d_fpga, d_noc, cyc) = run_direct(run, compute, requests);
         sim_cycles += cyc;
         let (c_rtt, c_cpu, c_fpga) = run_host(compute, requests, HostMode::Coyote);
         let (a_rtt, _, _) = run_host(compute, requests, amorphos);
@@ -178,11 +179,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,7 +186,7 @@ mod tests {
     #[test]
     fn direct_beats_coyote_at_small_compute() {
         let requests = 20;
-        let (d, _, _, _) = run_direct(256, requests);
+        let (d, _, _, _) = run_direct(Run::QUICK, 256, requests);
         let (c, _, _) = run_host(256, requests, HostMode::Coyote);
         assert!(
             c.p50() > d.p50(),
@@ -218,7 +214,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("speedup"));
         assert!(out.contains("energy ratio"));
     }

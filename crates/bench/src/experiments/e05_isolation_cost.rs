@@ -8,6 +8,7 @@
 //!    check pipeline deepens, against an unchecked (`check_cycles = 0`,
 //!    rate limiter off) configuration.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::scenarios::{client_server, drive, MonitorClient};
 use crate::table::TextTable;
@@ -19,13 +20,13 @@ use apiary_noc::{NodeId, TrafficClass};
 use core::fmt::Write;
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
+pub fn report(run: Run) -> ExperimentReport {
     let mut out = String::new();
     let _ = writeln!(out, "E5: Capability enforcement and its cost\n");
 
     // Part A: enforcement is absolute.
     let (mut sys, cap) = client_server(
-        SystemConfig::default(),
+        run.system(SystemConfig::default()),
         NodeId(0),
         NodeId(5),
         Box::new(echo(1)),
@@ -72,7 +73,7 @@ pub fn report(quick: bool) -> ExperimentReport {
     assert!(matches!(err, SendError::Cap(CapError::StaleRef)));
 
     // Part B: the cost of checking.
-    let requests: u64 = if quick { 40 } else { 400 };
+    let requests: u64 = if run.quick { 40 } else { 400 };
     let mut t = TextTable::new(&[
         "config",
         "RTT p50 (cyc)",
@@ -95,7 +96,8 @@ pub fn report(quick: bool) -> ExperimentReport {
             },
             ..SystemConfig::default()
         };
-        let (mut sys, cap) = client_server(cfg, NodeId(0), NodeId(5), Box::new(echo(1)));
+        let (mut sys, cap) =
+            client_server(run.system(cfg), NodeId(0), NodeId(5), Box::new(echo(1)));
         let mut client = MonitorClient::new(NodeId(0), cap, 16)
             .window(4)
             .max_requests(requests);
@@ -155,18 +157,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn enforcement_section_present() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("invalid capability reference"));
         assert!(out.contains("stale capability reference"));
         assert!(out.contains("Monitor denial counter       -> 2"));
@@ -174,7 +171,7 @@ mod tests {
 
     #[test]
     fn one_cycle_check_is_cheap() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         // The realistic row's overhead column should be small; just check
         // the row exists and the table rendered.
         assert!(out.contains("checked (1-cycle, realistic)"));
@@ -186,7 +183,7 @@ mod tests {
     fn flow_cache_closes_the_gap() {
         // The acceptance bar for the batched-verdict path: checked
         // throughput within 2% of unchecked.
-        let r = report(true);
+        let r = report(Run::QUICK);
         let gap = match r.metrics.get("checked_vs_unchecked_gap_pct") {
             Some(crate::report::Json::F64(x)) => *x,
             other => panic!("metric missing or mistyped: {other:?}"),

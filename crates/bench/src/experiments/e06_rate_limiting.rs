@@ -12,13 +12,14 @@
 //! - **monitor rate limit**: the flooder's own monitor meters its egress
 //!   to a trickle, and the victim returns to baseline.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::scenarios::{drive, MonitorClient};
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::flood::{flooder, FlooderAccel};
 use apiary_accel::apps::idle::idle;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::{Monitor, MonitorConfig};
 use apiary_noc::{NodeId, TrafficClass};
 use core::fmt::Write;
@@ -39,6 +40,7 @@ const SERVICE_COST: u64 = 8;
 const FLOOD_BYTES: usize = 64;
 
 fn run_policy(
+    run: Run,
     attacker_present: bool,
     flood_class: TrafficClass,
     flooder_rate: Option<(u64, u64)>,
@@ -47,7 +49,7 @@ fn run_policy(
     let client = NodeId(0);
     let service = NodeId(5);
     let attacker = NodeId(10);
-    let mut sys = System::new(SystemConfig::default());
+    let mut sys = run.system(SystemConfig::default());
     sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
         .expect("free");
     sys.install(
@@ -107,8 +109,8 @@ fn run_policy(
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let requests = if quick { 30 } else { 200 };
+pub fn report(run: Run) -> ExperimentReport {
+    let requests = if run.quick { 30 } else { 200 };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -126,19 +128,19 @@ pub fn report(quick: bool) -> ExperimentReport {
     let rows: Vec<(&str, Outcome)> = vec![
         (
             "no attacker (baseline)",
-            run_policy(false, TrafficClass::Request, None, requests),
+            run_policy(run, false, TrafficClass::Request, None, requests),
         ),
         (
             "no defense",
-            run_policy(true, TrafficClass::Request, None, requests),
+            run_policy(run, true, TrafficClass::Request, None, requests),
         ),
         (
             "NoC QoS only (flood demoted to bulk)",
-            run_policy(true, TrafficClass::Bulk, None, requests),
+            run_policy(run, true, TrafficClass::Bulk, None, requests),
         ),
         (
             "monitor rate limit (0.05 B/cyc)",
-            run_policy(true, TrafficClass::Request, Some((50, 512)), requests),
+            run_policy(run, true, TrafficClass::Request, Some((50, 512)), requests),
         ),
     ];
     for (name, o) in &rows {
@@ -177,20 +179,15 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn flood_hurts_and_rate_limit_heals() {
-        let quiet = run_policy(false, TrafficClass::Request, None, 25);
-        let bad = run_policy(true, TrafficClass::Request, None, 25);
-        let healed = run_policy(true, TrafficClass::Request, Some((50, 512)), 25);
+        let quiet = run_policy(Run::QUICK, false, TrafficClass::Request, None, 25);
+        let bad = run_policy(Run::QUICK, true, TrafficClass::Request, None, 25);
+        let healed = run_policy(Run::QUICK, true, TrafficClass::Request, Some((50, 512)), 25);
         assert!(
             bad.victim_p99 > quiet.victim_p99 * 2,
             "flood p99 {} vs quiet {}",
@@ -209,7 +206,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("no defense"));
         assert!(out.contains("monitor rate limit"));
     }

@@ -13,6 +13,7 @@
 //! unusable-free stranding), and mean translation/check latency under a
 //! working set larger than the TLB reach.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::table::TextTable;
 use apiary_cap::MemRange;
@@ -148,8 +149,8 @@ fn run_trace(arena: &mut dyn Arena, ops: u64, seed: u64) -> Outcome {
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let ops = if quick { 2_000 } else { 20_000 };
+pub fn report(run: Run) -> ExperimentReport {
+    let ops = if run.quick { 2_000 } else { 20_000 };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -241,11 +242,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,7 +279,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("segments, first-fit"));
         assert!(out.contains("paging, 4 KiB"));
     }

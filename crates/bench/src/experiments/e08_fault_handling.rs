@@ -13,6 +13,7 @@
 //! Either way, a bystander application on another tile must be untouched —
 //! the containment property itself.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::scenarios::{drive, MonitorClient};
 use crate::table::TextTable;
@@ -20,7 +21,7 @@ use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::faulty::faulty;
 use apiary_accel::apps::idle::idle;
 use apiary_core::fault::FaultAction;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_noc::NodeId;
 use core::fmt::Write;
@@ -37,12 +38,12 @@ struct Outcome {
 
 const BITSTREAM_BYTES: u64 = 512 << 10; // A tile-sized partial bitstream.
 
-fn run_policy(policy: FaultPolicy, requests: u64) -> Outcome {
+fn run_policy(run: Run, policy: FaultPolicy, requests: u64) -> Outcome {
     let client = NodeId(0);
     let victim = NodeId(5);
     let bclient = NodeId(3);
     let bystander = NodeId(6);
-    let mut sys = System::new(SystemConfig::default());
+    let mut sys = run.system(SystemConfig::default());
     sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
         .expect("free");
     sys.install(victim, Box::new(faulty(10)), AppId(1), policy)
@@ -127,8 +128,8 @@ fn run_policy(policy: FaultPolicy, requests: u64) -> Outcome {
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let requests = if quick { 40 } else { 200 };
+pub fn report(run: Run) -> ExperimentReport {
+    let requests = if run.quick { 40 } else { 200 };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -148,7 +149,7 @@ pub fn report(quick: bool) -> ExperimentReport {
         ("fail-stop + reconfigure", FaultPolicy::FailStop),
         ("preempt (context swap)", FaultPolicy::Preempt),
     ] {
-        let o = run_policy(policy, requests);
+        let o = run_policy(run, policy, requests);
         sim_cycles += o.cycles;
         let key = if policy == FaultPolicy::FailStop {
             "fail_stop"
@@ -197,19 +198,14 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn preemption_recovers_much_faster_than_reconfig() {
-        let fs = run_policy(FaultPolicy::FailStop, 30);
-        let pr = run_policy(FaultPolicy::Preempt, 30);
+        let fs = run_policy(Run::QUICK, FaultPolicy::FailStop, 30);
+        let pr = run_policy(Run::QUICK, FaultPolicy::Preempt, 30);
         assert!(
             fs.recovery_cycles > pr.recovery_cycles * 100,
             "fail-stop {} vs preempt {}",
@@ -223,13 +219,13 @@ mod tests {
 
     #[test]
     fn bystander_is_never_affected() {
-        let fs = run_policy(FaultPolicy::FailStop, 30);
+        let fs = run_policy(Run::QUICK, FaultPolicy::FailStop, 30);
         assert_eq!(fs.bystander_ok, 30);
     }
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("fail-stop + reconfigure"));
         assert!(out.contains("preempt (context swap)"));
     }

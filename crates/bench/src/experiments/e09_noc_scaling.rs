@@ -12,6 +12,7 @@
 //! - **neighbour**: nearest-neighbour pipelines — the composition shape,
 //!   nearly contention-free.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::table::TextTable;
 use apiary_noc::{Message, Noc, NocConfig, NodeId, TrafficClass};
@@ -100,10 +101,10 @@ fn measure(size: u8, pattern: Pattern, rate: f64, cycles: u64, seed: u64) -> Poi
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let cycles = if quick { 3_000 } else { 20_000 };
-    let sizes: &[u8] = if quick { &[2, 4] } else { &[2, 4, 6, 8] };
-    let rates: &[f64] = if quick {
+pub fn report(run: Run) -> ExperimentReport {
+    let cycles = if run.quick { 3_000 } else { 20_000 };
+    let sizes: &[u8] = if run.quick { &[2, 4] } else { &[2, 4, 6, 8] };
+    let rates: &[f64] = if run.quick {
         &[0.02, 0.10, 0.30]
     } else {
         &[0.01, 0.02, 0.05, 0.10, 0.20, 0.30, 0.50]
@@ -164,11 +165,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +196,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("pattern: uniform"));
         assert!(out.contains("pattern: hotspot"));
         assert!(out.contains("pattern: neighbour"));

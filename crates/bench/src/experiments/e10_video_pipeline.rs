@@ -10,13 +10,14 @@
 //! Every frame is verified end-to-end: decompress + decode must equal the
 //! original (lossless settings), so throughput numbers are for real work.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::scenarios::{pump_group, MonitorClient};
 use crate::table::TextTable;
 use apiary_accel::apps::compress::compressor;
 use apiary_accel::apps::video::{encode_request, video_encoder};
 use apiary_accel::codec::{lz, video};
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_noc::{NocConfig, NodeId};
 use core::fmt::Write;
 
@@ -33,13 +34,13 @@ struct PipelineRun {
 
 /// Builds `replicas` parallel encoder->compressor lanes on a 4x4 mesh and
 /// pushes `frames` frames through them round-robin from one ingress tile.
-fn run_pipeline(replicas: usize, frames: u64) -> PipelineRun {
+fn run_pipeline(run: Run, replicas: usize, frames: u64) -> PipelineRun {
     assert!(replicas <= 4, "a 4x4 mesh fits four lanes");
     let cfg = SystemConfig {
         noc: NocConfig::soft(4, 4),
         ..SystemConfig::default()
     };
-    let mut sys = System::new(cfg);
+    let mut sys = run.system(cfg);
     let ingress = NodeId(0);
     sys.install(
         ingress,
@@ -133,8 +134,8 @@ fn run_pipeline(replicas: usize, frames: u64) -> PipelineRun {
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let frames: u64 = if quick { 8 } else { 64 };
+pub fn report(run: Run) -> ExperimentReport {
+    let frames: u64 = if run.quick { 8 } else { 64 };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -155,7 +156,7 @@ pub fn report(quick: bool) -> ExperimentReport {
     let mut all_verified = true;
     let mut speedup4 = 0.0;
     for replicas in [1usize, 2, 4] {
-        let r = run_pipeline(replicas, frames);
+        let r = run_pipeline(run, replicas, frames);
         sim_cycles += r.cycles;
         all_verified &= r.verified;
         let fpm = r.frames as f64 / r.cycles as f64 * 1e6;
@@ -197,18 +198,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn pipeline_verifies_end_to_end() {
-        let r = run_pipeline(1, 4);
+        let r = run_pipeline(Run::QUICK, 1, 4);
         assert_eq!(r.frames, 4);
         assert!(r.verified, "frame corrupted in flight");
         assert!(r.bytes_out > 0);
@@ -216,8 +212,8 @@ mod tests {
 
     #[test]
     fn two_lanes_beat_one() {
-        let one = run_pipeline(1, 8);
-        let two = run_pipeline(2, 8);
+        let one = run_pipeline(Run::QUICK, 1, 8);
+        let two = run_pipeline(Run::QUICK, 2, 8);
         let f1 = one.frames as f64 / one.cycles as f64;
         let f2 = two.frames as f64 / two.cycles as f64;
         assert!(f2 > f1 * 1.3, "1 lane {f1:.2e}, 2 lanes {f2:.2e}");
@@ -225,7 +221,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("lanes"));
         assert!(out.contains("verified"));
     }

@@ -15,6 +15,7 @@
 //! the KV store namespaces by capability badge, so the attacker reads
 //! nothing of the victim's data even while connected to the same store.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::scenarios::{drive, MonitorClient};
 use crate::table::TextTable;
@@ -24,7 +25,7 @@ use apiary_accel::apps::idle::idle;
 use apiary_accel::apps::kv::{self, KvStoreAccel};
 use apiary_accel::apps::video::{encode_request, video_encoder};
 use apiary_accel::codec::video::Frame;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::{Monitor, MonitorConfig};
 use apiary_noc::NodeId;
 use core::fmt::Write;
@@ -46,14 +47,14 @@ struct Outcome {
     cycles: u64,
 }
 
-fn run_scenario(s: Scenario, requests: u64) -> Outcome {
+fn run_scenario(run: Run, s: Scenario, requests: u64) -> Outcome {
     let kv_client = NodeId(0);
     let kv_node = NodeId(5);
     let vid_client = NodeId(3);
     let enc = NodeId(7);
     let comp = NodeId(11);
     let attacker = NodeId(10);
-    let mut sys = System::new(SystemConfig::default());
+    let mut sys = run.system(SystemConfig::default());
 
     // Tenant A: the KV store application.
     sys.install(kv_client, Box::new(idle()), AppId(1), FaultPolicy::Preempt)
@@ -206,8 +207,8 @@ fn run_scenario(s: Scenario, requests: u64) -> Outcome {
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let requests = if quick { 30 } else { 200 };
+pub fn report(run: Run) -> ExperimentReport {
+    let requests = if run.quick { 30 } else { 200 };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -232,7 +233,7 @@ pub fn report(quick: bool) -> ExperimentReport {
             Scenario::WithFloodDefended,
         ),
     ] {
-        let o = run_scenario(s, requests);
+        let o = run_scenario(run, s, requests);
         sim_cycles += o.cycles;
         let key = match s {
             Scenario::KvAlone => "kv_alone",
@@ -273,19 +274,14 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn honest_colocation_is_cheap() {
-        let alone = run_scenario(Scenario::KvAlone, 20);
-        let shared = run_scenario(Scenario::WithVideo, 20);
+        let alone = run_scenario(Run::QUICK, Scenario::KvAlone, 20);
+        let shared = run_scenario(Run::QUICK, Scenario::WithVideo, 20);
         assert!(
             shared.kv_p50 < alone.kv_p50 * 3,
             "video neighbour tripled KV latency: {} vs {}",
@@ -298,8 +294,8 @@ mod tests {
 
     #[test]
     fn flood_hurts_then_rate_limit_heals() {
-        let flooded = run_scenario(Scenario::WithFlood, 20);
-        let defended = run_scenario(Scenario::WithFloodDefended, 20);
+        let flooded = run_scenario(Run::QUICK, Scenario::WithFlood, 20);
+        let defended = run_scenario(Run::QUICK, Scenario::WithFloodDefended, 20);
         assert!(
             defended.kv_p99 < flooded.kv_p99,
             "defended {} vs flooded {}",
@@ -314,7 +310,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("KV alone"));
         assert!(out.contains("flooder rate-limited"));
     }

@@ -14,12 +14,13 @@
 //! invocation rate to show when remote hosting stops being acceptable
 //! (queueing blows up the tail).
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::scenarios::MonitorClient;
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_net::proxy::{RemoteConfig, RemoteCpuProxy};
 use apiary_noc::NodeId;
 use core::fmt::Write;
@@ -34,10 +35,10 @@ struct Point {
     cycles: u64,
 }
 
-fn measure(remote: bool, think: u64, window: u32, requests: u64) -> Point {
+fn measure(run: Run, remote: bool, think: u64, window: u32, requests: u64) -> Point {
     let client = NodeId(0);
     let server = NodeId(5);
-    let mut sys = System::new(SystemConfig::default());
+    let mut sys = run.system(SystemConfig::default());
     sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
         .expect("free");
     if remote {
@@ -81,10 +82,10 @@ fn measure(remote: bool, think: u64, window: u32, requests: u64) -> Point {
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let requests = if quick { 15 } else { 100 };
+pub fn report(run: Run) -> ExperimentReport {
+    let requests = if run.quick { 15 } else { 100 };
     // (think, window, label): rare callers are serial; hot callers pipeline.
-    let patterns: &[(u64, u32, &str)] = if quick {
+    let patterns: &[(u64, u32, &str)] = if run.quick {
         &[(5_000, 1, "rare (serial)"), (0, 4, "hot (pipelined x4)")]
     } else {
         &[
@@ -113,8 +114,8 @@ pub fn report(quick: bool) -> ExperimentReport {
     let mut sim_cycles = 0u64;
     let mut serial_penalty = 0.0;
     for &(think, window, label) in patterns {
-        let fab = measure(false, think, window, requests);
-        let rem = measure(true, think, window, requests);
+        let fab = measure(run, false, think, window, requests);
+        let rem = measure(run, true, think, window, requests);
         sim_cycles += fab.cycles + rem.cycles;
         if window == 1 && serial_penalty == 0.0 {
             serial_penalty = rem.p50 as f64 / fab.p50 as f64;
@@ -156,19 +157,14 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn remote_costs_wire_when_rare() {
-        let fab = measure(false, 5_000, 1, 12);
-        let rem = measure(true, 5_000, 1, 12);
+        let fab = measure(Run::QUICK, false, 5_000, 1, 12);
+        let rem = measure(Run::QUICK, true, 5_000, 1, 12);
         // Two 500-cycle crossings, minus fabric's NoC hops.
         assert!(
             rem.p50 > fab.p50 + 800,
@@ -181,14 +177,14 @@ mod tests {
 
     #[test]
     fn remote_tail_blows_up_when_frequent() {
-        let rare = measure(true, 5_000, 1, 12);
-        let hot = measure(true, 0, 4, 12);
+        let rare = measure(Run::QUICK, true, 5_000, 1, 12);
+        let hot = measure(Run::QUICK, true, 0, 4, 12);
         assert!(hot.p99 > rare.p99 * 2, "hot {} rare {}", hot.p99, rare.p99);
     }
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("remote penalty"));
     }
 }

@@ -11,6 +11,7 @@
 //! - **soft vs hardened preset** — the §4.3 argument for hardened NoCs in
 //!   one row.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::table::TextTable;
 use apiary_noc::{Message, Noc, NocConfig, NodeId, TrafficClass};
@@ -66,8 +67,8 @@ fn measure(cfg: NocConfig, cycles: u64, seed: u64) -> Point {
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let cycles = if quick { 4_000 } else { 30_000 };
+pub fn report(run: Run) -> ExperimentReport {
+    let cycles = if run.quick { 4_000 } else { 30_000 };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -163,11 +164,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +225,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("vc_buffer = 1"));
         assert!(out.contains("preset: hardened"));
     }

@@ -13,19 +13,20 @@
 //!    the outage a swap inflicts on live traffic (bounded, fail-stop
 //!    semantics — never a hang).
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::scenarios::MonitorClient;
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
 use apiary_core::reconfig::ReconfigController;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
 use core::fmt::Write;
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
+pub fn report(run: Run) -> ExperimentReport {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -100,7 +101,7 @@ pub fn report(quick: bool) -> ExperimentReport {
     );
 
     // Part 3: availability under churn.
-    let requests: u64 = if quick { 60 } else { 400 };
+    let requests: u64 = if run.quick { 60 } else { 400 };
     let mut t = TextTable::new(&[
         "reconfig period (cyc)",
         "reconfigs",
@@ -113,7 +114,7 @@ pub fn report(quick: bool) -> ExperimentReport {
     for period in [200_000u64, 400_000, 800_000] {
         let client = NodeId(0);
         let server = NodeId(5);
-        let mut sys = System::new(SystemConfig::default());
+        let mut sys = run.system(SystemConfig::default());
         sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
             .expect("free");
         sys.install(server, Box::new(echo(8)), AppId(1), FaultPolicy::FailStop)
@@ -195,18 +196,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn report_covers_all_parts() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("Swap latency"));
         assert!(out.contains("serialises concurrent swaps"));
         assert!(out.contains("availability"));
@@ -214,7 +210,7 @@ mod tests {
 
     #[test]
     fn longer_periods_mean_higher_availability() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         // Extract the availability column values in order.
         let avail: Vec<f64> = out
             .lines()

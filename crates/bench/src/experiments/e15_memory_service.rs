@@ -8,12 +8,13 @@
 //! path to memory (monitor check -> NoC -> DRAM -> NoC) pipelines — an
 //! accelerator that keeps requests in flight hides most of the round trip.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::table::TextTable;
 use apiary_accel::apps::idle::idle;
 use apiary_cap::CapRef;
 use apiary_core::memsvc::MemoryService;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_mem::AccessKind;
 use apiary_monitor::{wire, SendError};
 use apiary_noc::NodeId;
@@ -54,11 +55,11 @@ struct Outcome {
 
 /// Issues `count` reads of `read` bytes with `window` outstanding from a
 /// driver tile, returns achieved bandwidth and latency.
-fn measure(pattern: Pattern, window: usize, count: u64) -> Outcome {
+fn measure(run: Run, pattern: Pattern, window: usize, count: u64) -> Outcome {
     const SPAN: u64 = 4 << 20;
     const READ: u64 = 1024;
     let client = NodeId(0);
-    let mut sys = System::new(SystemConfig::default());
+    let mut sys = run.system(SystemConfig::default());
     sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
         .expect("free");
     let mem_cap: CapRef = sys.grant_memory(client, SPAN).expect("space");
@@ -124,8 +125,8 @@ fn measure(pattern: Pattern, window: usize, count: u64) -> Outcome {
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let count = if quick { 40 } else { 300 };
+pub fn report(run: Run) -> ExperimentReport {
+    let count = if run.quick { 40 } else { 300 };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -138,13 +139,13 @@ pub fn report(quick: bool) -> ExperimentReport {
         "mean latency (cyc)",
         "DRAM row hits",
     ]);
-    let windows: &[usize] = if quick { &[1, 8] } else { &[1, 2, 4, 8] };
+    let windows: &[usize] = if run.quick { &[1, 8] } else { &[1, 2, 4, 8] };
     let mut sim_cycles = 0u64;
     let mut peak_bw = 0.0f64;
     let mut seq_row_hits = 0.0;
     for pattern in [Pattern::Sequential, Pattern::Strided, Pattern::Random] {
         for &w in windows {
-            let o = measure(pattern, w, count);
+            let o = measure(run, pattern, w, count);
             sim_cycles += o.cycles;
             peak_bw = peak_bw.max(o.bytes_per_cycle);
             if pattern == Pattern::Sequential && w == *windows.last().unwrap() {
@@ -182,19 +183,14 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    report(quick).rendered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn window_pipelines_bandwidth() {
-        let one = measure(Pattern::Sequential, 1, 30);
-        let eight = measure(Pattern::Sequential, 8, 30);
+        let one = measure(Run::QUICK, Pattern::Sequential, 1, 30);
+        let eight = measure(Run::QUICK, Pattern::Sequential, 8, 30);
         // The ceiling is the NoC's reply serialisation (~16 B/cycle for
         // 16 B flits on one ejection port); window 8 should reach it.
         assert!(
@@ -208,8 +204,8 @@ mod tests {
 
     #[test]
     fn sequential_beats_random_on_row_hits() {
-        let seq = measure(Pattern::Sequential, 4, 30);
-        let rand = measure(Pattern::Random, 4, 30);
+        let seq = measure(Run::QUICK, Pattern::Sequential, 4, 30);
+        let rand = measure(Run::QUICK, Pattern::Random, 4, 30);
         assert!(
             seq.row_hit_pct > rand.row_hit_pct,
             "seq {:.0}% vs random {:.0}%",
@@ -220,7 +216,7 @@ mod tests {
 
     #[test]
     fn report_renders() {
-        let out = run(true);
+        let out = report(Run::QUICK).rendered;
         assert!(out.contains("sequential"));
         assert!(out.contains("row hits"));
     }

@@ -15,6 +15,7 @@
 //! and the blast radius (tiles with any fault on record). Every run must
 //! drain — an injected fault may cost packets, never the network.
 
+use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
 use crate::scenarios::MonitorClient;
 use crate::table::TextTable;
@@ -22,7 +23,7 @@ use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
 use apiary_cap::ServiceId;
 use apiary_core::supervisor::SupervisorConfig;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_noc::{FaultPlane, FaultPlaneConfig, NodeId};
 use apiary_sim::SimRng;
@@ -99,8 +100,8 @@ pub struct ChaosReport {
 
 /// Drives one cell: `duration` cycles of closed-loop load against a
 /// supervised echo service while the chaos plane and the tile-killer run.
-pub fn run_one(seed: u64, fault_rate: f64, recovery: bool, duration: u64) -> RunOutcome {
-    let mut sys = System::new(SystemConfig {
+pub fn run_one(run: Run, seed: u64, fault_rate: f64, recovery: bool, duration: u64) -> RunOutcome {
+    let mut sys = run.system(SystemConfig {
         supervisor: SupervisorConfig {
             enabled: recovery,
             max_restarts: 2,
@@ -209,16 +210,16 @@ pub fn run_one(seed: u64, fault_rate: f64, recovery: bool, duration: u64) -> Run
 }
 
 /// Executes the sweep.
-pub fn execute(quick: bool) -> ChaosReport {
+pub fn execute(run: Run) -> ChaosReport {
     let seed = 0xE16;
-    let duration: u64 = if quick { 120_000 } else { 400_000 };
+    let duration: u64 = if run.quick { 120_000 } else { 400_000 };
     let rates = [0.0005, 0.002, 0.01];
-    let baseline = run_one(seed, 0.0, false, duration);
+    let baseline = run_one(run, seed, 0.0, false, duration);
     assert!(baseline.drained, "fault-free baseline must drain");
     let mut runs = Vec::new();
     for &rate in &rates {
         for recovery in [false, true] {
-            let o = run_one(seed, rate, recovery, duration);
+            let o = run_one(run, seed, rate, recovery, duration);
             assert!(
                 o.drained,
                 "chaos run (rate {rate}, recovery {recovery}) failed to drain"
@@ -291,64 +292,11 @@ impl ChaosReport {
         );
         out
     }
-
-    /// Machine-readable results (hand-rolled JSON; no serde offline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"experiment\": \"e16_chaos\",");
-        let _ = writeln!(s, "  \"duration_cycles\": {},", self.duration);
-        let _ = writeln!(s, "  \"baseline_ok\": {},", self.baseline_ok);
-        s.push_str("  \"runs\": [\n");
-        for (i, o) in self.runs.iter().enumerate() {
-            let mttr = o
-                .mttr
-                .iter()
-                .map(|m| m.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = write!(
-                s,
-                "    {{\"fault_rate\": {}, \"policy\": \"{}\", \"completed_ok\": {}, \
-                 \"goodput_retention\": {:.4}, \"errors\": {}, \"lost\": {}, \
-                 \"bystander_ok\": {}, \"kills\": {}, \"incidents\": {}, \
-                 \"abandoned\": {}, \"mttr_cycles\": [{}], \"mttr_mean\": {}, \
-                 \"blast_radius_tiles\": {}, \"corrupted_flits\": {}, \
-                 \"noc_dropped\": {}, \"link_faults\": {}, \"router_stalls\": {}, \
-                 \"drained\": {}}}",
-                o.fault_rate,
-                if o.recovery {
-                    "supervisor"
-                } else {
-                    "no-recovery"
-                },
-                o.completed_ok,
-                self.retention(o),
-                o.errors,
-                o.lost,
-                o.bystander_ok,
-                o.kills,
-                o.incidents,
-                o.abandoned,
-                mttr,
-                o.mttr_mean(),
-                o.blast_tiles,
-                o.corrupted_flits,
-                o.noc_dropped,
-                o.link_faults,
-                o.router_stalls,
-                o.drained,
-            );
-            s.push_str(if i + 1 < self.runs.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let r = execute(quick);
+pub fn report(run: Run) -> ExperimentReport {
+    let r = execute(run);
     let sim_cycles = r.duration + r.runs.iter().map(|o| o.sim_cycles).sum::<u64>();
     let mut metrics = Json::obj()
         .set("duration_cycles", r.duration)
@@ -391,18 +339,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    execute(quick).render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn supervisor_retains_goodput_no_recovery_does_not() {
-        let r = execute(true);
+        let r = execute(Run::QUICK);
         // The lowest sweep rate is the "moderate" cell (~10% link-outage
         // duty cycle plus periodic tile kills); the others are harsher.
         let moderate: Vec<&RunOutcome> = r
@@ -428,21 +371,12 @@ mod tests {
 
     #[test]
     fn chaos_runs_are_deterministic() {
-        let a = run_one(7, 0.002, true, 60_000);
-        let b = run_one(7, 0.002, true, 60_000);
+        let a = run_one(Run::QUICK, 7, 0.002, true, 60_000);
+        let b = run_one(Run::QUICK, 7, 0.002, true, 60_000);
         assert_eq!(a.completed_ok, b.completed_ok);
         assert_eq!(a.mttr, b.mttr);
         assert_eq!(a.corrupted_flits, b.corrupted_flits);
         assert_eq!(a.noc_dropped, b.noc_dropped);
         assert_eq!(a.kills, b.kills);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let r = execute(true);
-        let j = r.to_json();
-        assert!(j.contains("\"experiment\": \"e16_chaos\""));
-        assert_eq!(j.matches("\"policy\"").count(), 6, "3 rates x 2 policies");
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -18,11 +18,12 @@
 //! back) that separates wire time from service time. Every cell must
 //! drain — chaos may cost requests, never wedge the cluster.
 
+use crate::harness::Run;
 use crate::report::{round3, ExperimentReport, Json};
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_cap::ServiceId;
-use apiary_cluster::{run_clients, ClusterClient, ClusterConfig, ClusterSystem};
+use apiary_cluster::{run_clients, ClusterClient, ClusterConfig};
 use apiary_core::{AppId, FaultPolicy};
 use apiary_net::Workload;
 use apiary_noc::NodeId;
@@ -118,8 +119,8 @@ pub struct ScaleoutReport {
 
 /// Drives one cell: `duration` cycles of fixed open-loop load against a
 /// `boards`-wide cluster with one echo replica per board.
-pub fn run_one(boards: u16, chaos: Chaos, duration: u64) -> RunOutcome {
-    let mut c = ClusterSystem::new(ClusterConfig {
+pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> RunOutcome {
+    let mut c = run.cluster(ClusterConfig {
         boards,
         // At 3x overload a full queue (replica inbox + NoC + gateway
         // outbox) is worth ~5k cycles of wait; 8k separates "slow" from
@@ -219,14 +220,14 @@ pub fn run_one(boards: u16, chaos: Chaos, duration: u64) -> RunOutcome {
 }
 
 /// Executes the sweep.
-pub fn execute(quick: bool) -> ScaleoutReport {
-    let duration: u64 = if quick { 25_000 } else { 80_000 };
+pub fn execute(run: Run) -> ScaleoutReport {
+    let duration: u64 = if run.quick { 25_000 } else { 80_000 };
     let mut runs = Vec::new();
     for boards in [1u16, 2, 4, 8] {
-        runs.push(run_one(boards, Chaos::None, duration));
+        runs.push(run_one(run, boards, Chaos::None, duration));
     }
-    runs.push(run_one(8, Chaos::KillBoard, duration));
-    runs.push(run_one(8, Chaos::CutLink, duration));
+    runs.push(run_one(run, 8, Chaos::KillBoard, duration));
+    runs.push(run_one(run, 8, Chaos::CutLink, duration));
     for o in &runs {
         assert!(
             o.drained,
@@ -319,8 +320,8 @@ impl ScaleoutReport {
 }
 
 /// Builds the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let r = execute(quick);
+pub fn report(run: Run) -> ExperimentReport {
+    let r = execute(run);
     let sim_cycles: u64 = r.runs.iter().map(|o| o.sim_cycles).sum();
     let mut metrics = Json::obj()
         .set("duration_cycles", r.duration)
@@ -374,18 +375,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    execute(quick).render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn goodput_scales_and_chaos_retains_80_percent() {
-        let r = execute(true);
+        let r = execute(Run::QUICK);
         let (g1, g2, g4) = (
             r.fault_free(1).completed_ok,
             r.fault_free(2).completed_ok,
@@ -420,8 +416,8 @@ mod tests {
 
     #[test]
     fn same_inputs_same_cell() {
-        let a = run_one(2, Chaos::None, 6_000);
-        let b = run_one(2, Chaos::None, 6_000);
+        let a = run_one(Run::QUICK, 2, Chaos::None, 6_000);
+        let b = run_one(Run::QUICK, 2, Chaos::None, 6_000);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

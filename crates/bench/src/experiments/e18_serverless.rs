@@ -24,6 +24,7 @@
 //! timeline sampled at every autoscale boundary, per-function lifecycle
 //! counters, bitstream-cache hits/misses/evictions, and admission sheds.
 
+use crate::harness::Run;
 use crate::report::{round3, ExperimentReport, Json};
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
@@ -131,8 +132,8 @@ pub struct ServerlessReport {
     pub sim_cycles: u64,
 }
 
-fn build(duration: u64) -> (FaasSystem, usize) {
-    let mut s = FaasSystem::new(FaasConfig {
+fn build(run: Run, duration: u64) -> (FaasSystem, usize) {
+    let mut s = run.faas(FaasConfig {
         cluster: ClusterConfig {
             boards: BOARDS,
             // Mild (~1.1x) transient overload during the flash ramp: a
@@ -179,14 +180,14 @@ fn build(duration: u64) -> (FaasSystem, usize) {
 }
 
 /// Drives the storm and collects the cell's measurements.
-pub fn execute(quick: bool) -> ServerlessReport {
-    let duration: u64 = if quick { 60_000 } else { 150_000 };
+pub fn execute(run: Run) -> ServerlessReport {
+    let duration: u64 = if run.quick { 60_000 } else { 150_000 };
     let flash_start = duration * 2 / 5;
     let flash_end = duration * 3 / 5;
     let idle_check_at = duration * 3 / 4;
     let idle_reinvoke_at = duration * 4 / 5;
 
-    let (mut s, idle_fn) = build(duration);
+    let (mut s, idle_fn) = build(run, duration);
     let mut rng = SimRng::new(SEED ^ 0x5707);
     let draw = |r: &mut SimRng, mean: f64| (r.gen_exp(mean).ceil() as u64).max(1);
 
@@ -463,8 +464,8 @@ impl ServerlessReport {
 }
 
 /// Builds the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let r = execute(quick);
+pub fn report(run: Run) -> ExperimentReport {
+    let r = execute(run);
     let mut metrics = Json::obj()
         .set("duration_cycles", r.duration)
         .set("boards", BOARDS as u64)
@@ -549,18 +550,13 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    execute(quick).render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn cold_exceeds_warm_and_scale_to_zero_works() {
-        let r = execute(true);
+        let r = execute(Run::QUICK);
         assert!(r.drained);
         assert!(
             r.cold.1 > r.warm.1,
@@ -593,8 +589,8 @@ mod tests {
 
     #[test]
     fn same_inputs_same_report() {
-        let a = report(true);
-        let b = report(true);
+        let a = report(Run::QUICK);
+        let b = report(Run::QUICK);
         assert_eq!(a.deterministic_bytes(), b.deterministic_bytes());
     }
 }

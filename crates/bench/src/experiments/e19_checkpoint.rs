@@ -21,16 +21,17 @@
 //!   downtime (charged on the combined snapshot bytes) and slice-boundary
 //!   waits that show up in tenant p99.
 
+use crate::harness::Run;
 use crate::report::{round3, ExperimentReport, Json};
 use crate::scenarios::MonitorClient;
 use crate::table::TextTable;
 use apiary_accel::apps::idle::idle;
 use apiary_accel::apps::kv::{self, kv_store, KvStoreAccel};
 use apiary_cap::ServiceId;
-use apiary_cluster::{run_clients, ClusterClient, ClusterConfig, ClusterSystem};
+use apiary_cluster::{run_clients, ClusterClient, ClusterConfig};
 use apiary_core::fault::preemption_downtime;
 use apiary_core::supervisor::SupervisorConfig;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_net::Workload;
 use apiary_noc::NodeId;
@@ -74,8 +75,8 @@ pub struct MigrationCell {
 }
 
 /// Drives one migration cell.
-pub fn run_migration(entries: u64, duration: u64) -> MigrationCell {
-    let mut c = ClusterSystem::new(ClusterConfig {
+pub fn run_migration(run: Run, entries: u64, duration: u64) -> MigrationCell {
+    let mut c = run.cluster(ClusterConfig {
         boards: 2,
         request_timeout: 8_000,
         ..ClusterConfig::default()
@@ -194,8 +195,14 @@ pub struct RecoveryCell {
 
 /// Drives one recovery cell: a closed-loop writer against a supervised KV
 /// service, with two deterministic tile kills when `kill` is set.
-pub fn run_recovery(interval: u64, preloaded: u64, kill: bool, duration: u64) -> RecoveryCell {
-    let mut sys = System::new(SystemConfig {
+pub fn run_recovery(
+    run: Run,
+    interval: u64,
+    preloaded: u64,
+    kill: bool,
+    duration: u64,
+) -> RecoveryCell {
+    let mut sys = run.system(SystemConfig {
         supervisor: SupervisorConfig {
             enabled: true,
             max_restarts: 2,
@@ -332,8 +339,8 @@ pub struct SharingCell {
 
 /// Drives one sharing cell: each tenant's client writes a rolling window
 /// of keys, so every swap carries both tenants' real KV state.
-pub fn run_sharing(shared: bool, duration: u64) -> SharingCell {
-    let mut sys = System::new(SystemConfig::default());
+pub fn run_sharing(run: Run, shared: bool, duration: u64) -> SharingCell {
+    let mut sys = run.system(SystemConfig::default());
     sys.install(CA, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
         .expect("free");
     sys.install(CB, Box::new(idle()), AppId(2), FaultPolicy::FailStop)
@@ -463,16 +470,16 @@ pub struct CheckpointReport {
 }
 
 /// Executes every cell.
-pub fn execute(quick: bool) -> CheckpointReport {
-    let mig_duration: u64 = if quick { 50_000 } else { 80_000 };
-    let rec_duration: u64 = if quick { 36_000 } else { 90_000 };
-    let share_duration: u64 = if quick { 30_000 } else { 80_000 };
+pub fn execute(run: Run) -> CheckpointReport {
+    let mig_duration: u64 = if run.quick { 50_000 } else { 80_000 };
+    let rec_duration: u64 = if run.quick { 36_000 } else { 90_000 };
+    let share_duration: u64 = if run.quick { 30_000 } else { 80_000 };
     let interval: u64 = 4_000;
     let preloaded: u64 = 200;
 
     let migrations: Vec<MigrationCell> = [64u64, 512, 2048]
         .iter()
-        .map(|&n| run_migration(n, mig_duration))
+        .map(|&n| run_migration(run, n, mig_duration))
         .collect();
     for m in &migrations {
         assert!(
@@ -483,9 +490,9 @@ pub fn execute(quick: bool) -> CheckpointReport {
         assert_eq!(m.failed, 0, "a migration failed");
     }
     let recovery = vec![
-        run_recovery(0, preloaded, false, rec_duration), // fault-free baseline
-        run_recovery(0, preloaded, true, rec_duration),  // cold restarts
-        run_recovery(interval, preloaded, true, rec_duration), // warm restores
+        run_recovery(run, 0, preloaded, false, rec_duration), // fault-free baseline
+        run_recovery(run, 0, preloaded, true, rec_duration),  // cold restarts
+        run_recovery(run, interval, preloaded, true, rec_duration), // warm restores
     ];
     for r in &recovery {
         assert!(
@@ -495,8 +502,8 @@ pub fn execute(quick: bool) -> CheckpointReport {
         );
     }
     let sharing = vec![
-        run_sharing(false, share_duration),
-        run_sharing(true, share_duration),
+        run_sharing(run, false, share_duration),
+        run_sharing(run, true, share_duration),
     ];
     CheckpointReport {
         migrations,
@@ -623,8 +630,8 @@ impl CheckpointReport {
 }
 
 /// Builds the structured report.
-pub fn report(quick: bool) -> ExperimentReport {
-    let r = execute(quick);
+pub fn report(run: Run) -> ExperimentReport {
+    let r = execute(run);
     let sim_cycles: u64 = r.migrations.iter().map(|m| m.sim_cycles).sum::<u64>()
         + r.recovery.iter().map(|c| c.sim_cycles).sum::<u64>()
         + r.sharing.iter().map(|c| c.sim_cycles).sum::<u64>();
@@ -699,11 +706,6 @@ pub fn report(quick: bool) -> ExperimentReport {
     )
 }
 
-/// Runs the experiment; returns the report text.
-pub fn run(quick: bool) -> String {
-    execute(quick).render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,8 +713,8 @@ mod tests {
     #[test]
     fn blackout_scales_and_migration_is_warm() {
         let d = 50_000;
-        let small = run_migration(64, d);
-        let large = run_migration(2048, d);
+        let small = run_migration(Run::QUICK, 64, d);
+        let large = run_migration(Run::QUICK, 2048, d);
         assert!(small.warm && large.warm, "both migrations restore warm");
         assert_eq!(small.retained, 64);
         assert_eq!(large.retained, 2048);
@@ -729,8 +731,8 @@ mod tests {
     #[test]
     fn warm_recovery_retains_kv_cold_does_not() {
         let d = 36_000;
-        let cold = run_recovery(0, 200, true, d);
-        let warm = run_recovery(4_000, 200, true, d);
+        let cold = run_recovery(Run::QUICK, 0, 200, true, d);
+        let warm = run_recovery(Run::QUICK, 4_000, 200, true, d);
         assert_eq!(cold.kills, 2);
         assert_eq!(warm.kills, 2);
         assert_eq!(cold.retained, 0, "cold restart is factory-fresh");
@@ -747,8 +749,8 @@ mod tests {
     #[test]
     fn sharing_trades_tiles_for_latency() {
         let d = 30_000;
-        let fixed = run_sharing(false, d);
-        let shared = run_sharing(true, d);
+        let fixed = run_sharing(Run::QUICK, false, d);
+        let shared = run_sharing(Run::QUICK, true, d);
         assert_eq!(fixed.tiles, 2);
         assert_eq!(shared.tiles, 1);
         assert!(shared.swaps >= 8, "swaps ran: {}", shared.swaps);
@@ -764,11 +766,17 @@ mod tests {
 
     #[test]
     fn cells_are_deterministic() {
-        assert_eq!(run_migration(256, 40_000), run_migration(256, 40_000));
         assert_eq!(
-            run_recovery(4_000, 100, true, 30_000),
-            run_recovery(4_000, 100, true, 30_000)
+            run_migration(Run::QUICK, 256, 40_000),
+            run_migration(Run::QUICK, 256, 40_000)
         );
-        assert_eq!(run_sharing(true, 20_000), run_sharing(true, 20_000));
+        assert_eq!(
+            run_recovery(Run::QUICK, 4_000, 100, true, 30_000),
+            run_recovery(Run::QUICK, 4_000, 100, true, 30_000)
+        );
+        assert_eq!(
+            run_sharing(Run::QUICK, true, 20_000),
+            run_sharing(Run::QUICK, true, 20_000)
+        );
     }
 }

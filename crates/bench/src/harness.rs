@@ -9,12 +9,61 @@
 
 use crate::experiments as e;
 use crate::report::ExperimentReport;
+use apiary_cluster::{ClusterConfig, ClusterSystem};
+use apiary_core::{System, SystemConfig};
+use apiary_faas::{FaasConfig, FaasSystem};
+use apiary_sim::ClockMode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// An experiment entry point: `quick` → structured report.
-pub type ExperimentFn = fn(bool) -> ExperimentReport;
+/// What one run of an experiment is handed: how big a sweep to make and
+/// which clock its machines step by. The three constructors are the only
+/// place an experiment builds a machine, so the run's clock reaches every
+/// one of them: a replay under [`ClockMode::Dense`] really is dense
+/// throughout (a source check in this module's tests holds experiment
+/// modules to that).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// The scaled-down configuration the tests use, not the full sweep.
+    pub quick: bool,
+    /// The clock every machine of this run carries.
+    pub clock: ClockMode,
+}
+
+impl Run {
+    /// The full sweep under the event clock: what `results/` records.
+    pub const FULL: Run = Run {
+        quick: false,
+        clock: ClockMode::Event,
+    };
+    /// The scaled-down sweep under the event clock.
+    pub const QUICK: Run = Run {
+        quick: true,
+        clock: ClockMode::Event,
+    };
+
+    /// A board on this run's clock.
+    pub fn system(self, mut cfg: SystemConfig) -> System {
+        cfg.clock = self.clock;
+        System::new(cfg)
+    }
+
+    /// A cluster whose boards are on this run's clock.
+    pub fn cluster(self, mut cfg: ClusterConfig) -> ClusterSystem {
+        cfg.system.clock = self.clock;
+        ClusterSystem::new(cfg)
+    }
+
+    /// A serverless fleet whose boards are on this run's clock.
+    pub fn faas(self, mut cfg: FaasConfig) -> FaasSystem {
+        cfg.cluster.system.clock = self.clock;
+        FaasSystem::new(cfg)
+    }
+}
+
+/// An experiment entry point: one run → structured report.
+pub type ExperimentFn = fn(Run) -> ExperimentReport;
 
 /// One [`SUITE`] row from an id and an experiment module: the module's
 /// name is the slug, so the two cannot drift apart.
@@ -59,16 +108,16 @@ pub fn default_jobs() -> usize {
 }
 
 /// Runs one experiment and stamps its wall time.
-pub fn run_one(f: ExperimentFn, quick: bool) -> ExperimentReport {
+pub fn run_one(f: ExperimentFn, run: Run) -> ExperimentReport {
     let t0 = Instant::now();
-    let mut report = f(quick);
+    let mut report = f(run);
     report.wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
     report
 }
 
 /// Runs the whole suite on `jobs` scoped workers (clamped to [1, suite
 /// size]) and returns the reports in suite order.
-pub fn run_suite(quick: bool, jobs: usize) -> Vec<ExperimentReport> {
+pub fn run_suite(run: Run, jobs: usize) -> Vec<ExperimentReport> {
     let jobs = jobs.clamp(1, SUITE.len());
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ExperimentReport>>> =
@@ -77,10 +126,10 @@ pub fn run_suite(quick: bool, jobs: usize) -> Vec<ExperimentReport> {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(_, _, run)) = SUITE.get(i) else {
+                let Some(&(_, _, f)) = SUITE.get(i) else {
                     break;
                 };
-                let report = run_one(run, quick);
+                let report = run_one(f, run);
                 *slots[i].lock().unwrap() = Some(report);
             });
         }
@@ -107,6 +156,53 @@ mod tests {
         for (i, &(id, slug, _)) in SUITE.iter().enumerate() {
             assert_eq!(id, format!("E{}", i + 1));
             assert!(slug.starts_with(&format!("e{:02}_", i + 1)), "{slug}");
+        }
+    }
+
+    #[test]
+    fn experiments_build_machines_only_through_run() {
+        // A machine built with `System::new` in an experiment module would
+        // keep the event clock through the dense replay, and
+        // `--det-check=event-vs-dense` would compare it with itself.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/experiments");
+        let mut modules = 0;
+        for entry in std::fs::read_dir(&dir).expect("experiments directory") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            modules += 1;
+            let src = std::fs::read_to_string(&path).expect("readable source");
+            for (n, line) in src.lines().enumerate() {
+                // Also the tail of `ClusterSystem::new(` and `FaasSystem::new(`.
+                assert!(
+                    !line.contains("System::new("),
+                    "{}:{}: a machine built here bypasses the run's clock; use \
+                     `Run::system`, `Run::cluster` or `Run::faas`",
+                    path.display(),
+                    n + 1
+                );
+            }
+        }
+        assert_eq!(modules, SUITE.len(), "one module per suite row");
+    }
+
+    #[test]
+    fn a_run_stamps_its_clock_into_every_machine() {
+        let dense = Run {
+            clock: ClockMode::Dense,
+            ..Run::QUICK
+        };
+        for run in [Run::QUICK, dense] {
+            assert_eq!(
+                run.system(SystemConfig::default()).config().clock,
+                run.clock
+            );
+            let cluster = run.cluster(ClusterConfig::default());
+            assert_eq!(cluster.board(1).config().clock, run.clock);
+            cluster.check_invariants();
+            let faas = run.faas(FaasConfig::default());
+            assert_eq!(faas.cluster().board(0).config().clock, run.clock);
         }
     }
 }

@@ -2,10 +2,10 @@
 
 use apiary_accel::apps::idle::idle;
 use apiary_cap::CapRef;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, System};
 use apiary_monitor::{wire, SendError};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{jump_target, Cycle, Histogram, Payload};
+use apiary_sim::{Cycle, Histogram, Payload};
 use std::collections::HashMap;
 
 /// A closed-loop request driver attached directly to a tile's monitor —
@@ -250,15 +250,14 @@ pub fn pump_group(sys: &mut System, node: NodeId, clients: &mut [MonitorClient])
     }
 }
 
-/// Builds a system with an idle client tile and one serving tile, wired
-/// bidirectionally. Returns `(system, client_cap)`.
+/// Populates a fresh system with an idle client tile and one serving
+/// tile, wired bidirectionally. Returns `(system, client_cap)`.
 pub fn client_server(
-    cfg: SystemConfig,
+    mut sys: System,
     client: NodeId,
     server: NodeId,
     accel: Box<dyn apiary_accel::Accelerator>,
 ) -> (System, CapRef) {
-    let mut sys = System::new(cfg);
     sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
         .expect("client slot free");
     sys.install(server, accel, AppId(1), FaultPolicy::FailStop)
@@ -273,7 +272,7 @@ pub fn client_server(
 ///
 /// The system jumps between wakeups and clients are pumped only on cycles
 /// where a pump can act: when mail is waiting, a timeout expires, or a
-/// send could be attempted. [`jump_target`] makes the dense reference
+/// send could be attempted. [`apiary_sim::ClockMode::jump_target`] makes the dense
 /// clock pump every client every cycle instead; both stop on the same
 /// cycle with identical client statistics.
 pub fn drive(sys: &mut System, clients: &mut [&mut MonitorClient], max_cycles: u64) -> u64 {
@@ -290,7 +289,7 @@ pub fn drive(sys: &mut System, clients: &mut [&mut MonitorClient], max_cycles: u
         for c in clients.iter() {
             due = due.min(c.next_wakeup(sys));
         }
-        let due = jump_target(sys.now(), due);
+        let due = sys.config().clock.jump_target(sys.now(), due);
         loop {
             sys.advance_toward(due);
             if sys.now() >= due
@@ -314,12 +313,14 @@ pub fn drive(sys: &mut System, clients: &mut [&mut MonitorClient], max_cycles: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::Run;
     use apiary_accel::apps::echo::echo;
+    use apiary_core::SystemConfig;
 
     #[test]
     fn monitor_client_completes_closed_loop() {
         let (mut sys, cap) = client_server(
-            SystemConfig::default(),
+            Run::QUICK.system(SystemConfig::default()),
             NodeId(0),
             NodeId(5),
             Box::new(echo(4)),
@@ -341,7 +342,7 @@ mod tests {
     #[test]
     fn think_time_slows_issue_rate() {
         let (mut sys, cap) = client_server(
-            SystemConfig::default(),
+            Run::QUICK.system(SystemConfig::default()),
             NodeId(0),
             NodeId(5),
             Box::new(echo(1)),
@@ -350,7 +351,7 @@ mod tests {
         let fast_cycles = drive(&mut sys, &mut [&mut fast], 100_000);
 
         let (mut sys2, cap2) = client_server(
-            SystemConfig::default(),
+            Run::QUICK.system(SystemConfig::default()),
             NodeId(0),
             NodeId(5),
             Box::new(echo(1)),

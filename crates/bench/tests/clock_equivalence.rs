@@ -8,22 +8,21 @@
 //! request timeouts, service costs), run each under both clocks, and
 //! compare the resulting [`ExperimentReport`] digests.
 //!
-//! The clock mode is process-global, so every test here serialises on one
-//! mutex and restores [`ClockMode::Event`] (the default) before returning.
+//! The clock is a field of the machine (`SystemConfig::clock`), so the
+//! tests here share nothing: they run in parallel at the default test
+//! thread count, and `both_clocks_in_one_process` steps an event machine
+//! and a dense one side by side on one thread.
 
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
+use apiary_bench::harness::Run;
 use apiary_bench::scenarios::{drive, MonitorClient};
 use apiary_bench::{ExperimentReport, Json};
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary_monitor::wire;
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{set_clock_mode, ClockMode};
+use apiary_sim::ClockMode;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serialises tests in this binary: the clock mode is process-global.
-static CLOCK: Mutex<()> = Mutex::new(());
 
 #[derive(Debug, Clone)]
 struct ClientParams {
@@ -66,12 +65,14 @@ fn arb_params() -> impl Strategy<Value = Params> {
         .prop_map(|(echo_cost, clients)| Params { echo_cost, clients })
 }
 
-/// Runs the workload under `mode` and returns a deterministic digest of
-/// everything a client can observe.
-fn run_system(mode: ClockMode, p: &Params) -> String {
-    set_clock_mode(mode);
+/// A system on clock `mode` with the workload's echo servers installed and
+/// its clients wired, nothing sent yet.
+fn build_system(mode: ClockMode, p: &Params) -> (System, Vec<MonitorClient>) {
     let spots = [(NodeId(0), NodeId(5)), (NodeId(3), NodeId(6))];
-    let mut sys = System::new(SystemConfig::default());
+    let mut sys = System::new(SystemConfig {
+        clock: mode,
+        ..SystemConfig::default()
+    });
     let mut clients: Vec<MonitorClient> = Vec::new();
     for (i, cp) in p.clients.iter().enumerate() {
         let (cn, sn) = spots[i];
@@ -89,6 +90,26 @@ fn run_system(mode: ClockMode, p: &Params) -> String {
         c.tag_base = (i as u64) << 48;
         clients.push(c);
     }
+    (sys, clients)
+}
+
+/// Everything a client can observe, as JSON.
+fn client_metrics(sys: &System, c: &MonitorClient) -> Json {
+    Json::obj()
+        .set("issued", c.issued)
+        .set("completed", c.completed)
+        .set("errors", c.errors)
+        .set("refused", c.refused)
+        .set("lost", c.lost)
+        .set("unread", sys.tile(c.node).monitor.inbox_len())
+        .set("rtt_p50", c.rtt.p50())
+        .set("rtt_p99", c.rtt.p99())
+}
+
+/// Runs the workload under `mode` and returns a deterministic digest of
+/// everything a client can observe.
+fn run_system(mode: ClockMode, p: &Params) -> String {
+    let (mut sys, mut clients) = build_system(mode, p);
     let mut refs: Vec<&mut MonitorClient> = clients.iter_mut().collect();
     let consumed = drive(&mut sys, &mut refs, 400_000);
     let mut metrics = Json::obj()
@@ -129,18 +150,7 @@ fn run_system(mode: ClockMode, p: &Params) -> String {
         .set("run_until_idle_end", sys.now().as_u64());
 
     for (i, c) in clients.iter().enumerate() {
-        metrics = metrics.set(
-            format!("client{i}"),
-            Json::obj()
-                .set("issued", c.issued)
-                .set("completed", c.completed)
-                .set("errors", c.errors)
-                .set("refused", c.refused)
-                .set("lost", c.lost)
-                .set("unread", sys.tile(c.node).monitor.inbox_len())
-                .set("rtt_p50", c.rtt.p50())
-                .set("rtt_p99", c.rtt.p99()),
-        );
+        metrics = metrics.set(format!("client{i}"), client_metrics(&sys, c));
     }
     ExperimentReport::new(
         "PROP",
@@ -157,12 +167,61 @@ proptest! {
 
     #[test]
     fn dense_and_event_clocks_agree(p in arb_params()) {
-        let _guard = CLOCK.lock().unwrap();
         let event = run_system(ClockMode::Event, &p);
         let dense = run_system(ClockMode::Dense, &p);
-        set_clock_mode(ClockMode::Event);
         prop_assert_eq!(event, dense);
     }
+}
+
+/// An event machine and a dense machine on the same workload, stepped
+/// alternately on one thread in slices short enough to cut requests in
+/// half: neither clock leaks into the other machine, and the two end in
+/// the same state. With a process-wide clock mode this could not be
+/// written: both machines would have stepped by whichever was set last.
+#[test]
+fn both_clocks_in_one_process() {
+    let client = |payload, outstanding, think, max_requests, timeout| ClientParams {
+        payload,
+        outstanding,
+        think,
+        max_requests,
+        timeout,
+    };
+    let p = Params {
+        echo_cost: 23,
+        clients: vec![client(96, 3, 11, 40, 0), client(17, 2, 0, 35, 900)],
+    };
+    let (mut event, mut event_clients) = build_system(ClockMode::Event, &p);
+    let (mut dense, mut dense_clients) = build_system(ClockMode::Dense, &p);
+    assert_eq!(event.config().clock, ClockMode::Event);
+    assert_eq!(dense.config().clock, ClockMode::Dense);
+
+    const SLICE: u64 = 37;
+    let mut slices = 0;
+    while !(event_clients.iter().all(|c| c.done()) && dense_clients.iter().all(|c| c.done())) {
+        let mut refs: Vec<&mut MonitorClient> = event_clients.iter_mut().collect();
+        drive(&mut event, &mut refs, SLICE);
+        let mut refs: Vec<&mut MonitorClient> = dense_clients.iter_mut().collect();
+        drive(&mut dense, &mut refs, SLICE);
+        assert_eq!(event.now(), dense.now(), "slice {slices} ended apart");
+        slices += 1;
+        assert!(slices < 10_000, "workload did not finish");
+    }
+    assert!(slices > 10, "the slices must interleave the two machines");
+
+    let digest = |sys: &System, clients: &[MonitorClient]| {
+        let mut metrics = Json::obj()
+            .set("end_cycle", sys.now().as_u64())
+            .set("noc", format!("{:?}", sys.noc().stats()));
+        for (i, c) in clients.iter().enumerate() {
+            metrics = metrics.set(format!("client{i}"), client_metrics(sys, c));
+        }
+        metrics.render()
+    };
+    assert_eq!(
+        digest(&event, &event_clients),
+        digest(&dense, &dense_clients)
+    );
 }
 
 /// The cluster path (fabric ARQ, gossip, request timeouts, chaos windows)
@@ -170,14 +229,15 @@ proptest! {
 #[test]
 fn cluster_cell_clocks_agree() {
     use apiary_bench::experiments::e17_cluster_scaleout::{run_one, Chaos};
-    let _guard = CLOCK.lock().unwrap();
-    let run = |mode| {
-        set_clock_mode(mode);
-        format!("{:?}", run_one(2, Chaos::CutLink, 6_000))
+    let run = |clock| {
+        let run = Run {
+            clock,
+            ..Run::QUICK
+        };
+        format!("{:?}", run_one(run, 2, Chaos::CutLink, 6_000))
     };
     let event = run(ClockMode::Event);
     let dense = run(ClockMode::Dense);
-    set_clock_mode(ClockMode::Event);
     assert_eq!(event, dense, "cluster cell diverged between clocks");
 }
 
@@ -189,11 +249,13 @@ fn live_migration_clocks_agree() {
     use apiary_cap::ServiceId;
     use apiary_cluster::{ClusterConfig, ClusterSystem};
 
-    let _guard = CLOCK.lock().unwrap();
-    let run = |mode| {
-        set_clock_mode(mode);
+    let run = |clock| {
         let mut c = ClusterSystem::new(ClusterConfig {
             boards: 2,
+            system: SystemConfig {
+                clock,
+                ..SystemConfig::default()
+            },
             ..ClusterConfig::default()
         });
         c.deploy_replica(
@@ -229,7 +291,6 @@ fn live_migration_clocks_agree() {
     };
     let event = run(ClockMode::Event);
     let dense = run(ClockMode::Dense);
-    set_clock_mode(ClockMode::Event);
     assert_eq!(event, dense, "migration diverged between clocks");
 }
 
@@ -244,12 +305,14 @@ fn serverless_plane_clocks_agree() {
     use apiary_resources::Area;
     use std::rc::Rc;
 
-    let _guard = CLOCK.lock().unwrap();
-    let run = |mode| {
-        set_clock_mode(mode);
+    let run = |clock| {
         let mut s = FaasSystem::new(FaasConfig {
             cluster: ClusterConfig {
                 boards: 2,
+                system: SystemConfig {
+                    clock,
+                    ..SystemConfig::default()
+                },
                 ..ClusterConfig::default()
             },
             autoscale_interval: 1_000,
@@ -284,7 +347,6 @@ fn serverless_plane_clocks_agree() {
     };
     let event = run(ClockMode::Event);
     let dense = run(ClockMode::Dense);
-    set_clock_mode(ClockMode::Event);
     assert_eq!(event, dense, "serverless plane diverged between clocks");
 }
 
@@ -364,11 +426,11 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> String {
     const KV_NODE: NodeId = NodeId(6);
     const FN_NODE: NodeId = NodeId(10);
 
-    set_clock_mode(mode);
     let mut cfg = ClusterConfig {
         boards: 4,
         ..ClusterConfig::default()
     };
+    cfg.system.clock = mode;
     cfg.system.monitor.trace_depth = 512;
     let mut c = ClusterSystem::new(cfg);
     let mut poke_caps = Vec::new();
@@ -544,10 +606,8 @@ proptest! {
     /// invisible: any op sequence ends in the state dense ticking reaches.
     #[test]
     fn cluster_ops_agree_across_clocks(ops in prop::collection::vec(arb_cluster_op(), 40..160)) {
-        let _guard = CLOCK.lock().unwrap();
         let event = run_cluster_ops(ClockMode::Event, &ops);
         let dense = run_cluster_ops(ClockMode::Dense, &ops);
-        set_clock_mode(ClockMode::Event);
         prop_assert_eq!(event, dense);
     }
 }

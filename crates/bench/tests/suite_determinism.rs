@@ -3,12 +3,12 @@
 //! cycle counts) in E1..E19 order. Only `wall_ms` may differ, and it is
 //! excluded from `deterministic_bytes`.
 
-use apiary_bench::harness;
+use apiary_bench::harness::{self, Run};
 
 #[test]
 fn jobs_1_and_jobs_8_are_byte_identical() {
-    let serial = harness::run_suite(true, 1);
-    let parallel = harness::run_suite(true, 8);
+    let serial = harness::run_suite(Run::QUICK, 1);
+    let parallel = harness::run_suite(Run::QUICK, 8);
     assert_eq!(serial.len(), parallel.len());
     for ((a, b), &(id, _, _)) in serial.iter().zip(&parallel).zip(harness::SUITE) {
         // Suite order, and every report carries the id its table row

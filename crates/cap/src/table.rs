@@ -56,7 +56,6 @@ impl std::error::Error for CapError {}
 struct Slot {
     cap: Capability,
     generation: u16,
-    parent: Option<u16>,
     children: Vec<(u16, u16)>,
     live: bool,
 }
@@ -118,7 +117,7 @@ impl CapTable {
         self.slots.len()
     }
 
-    fn alloc_slot(&mut self, cap: Capability, parent: Option<u16>) -> Result<CapRef, CapError> {
+    fn alloc_slot(&mut self, cap: Capability) -> Result<CapRef, CapError> {
         let index = self.free.pop().ok_or(CapError::TableFull)?;
         let generation = match &self.slots[index as usize] {
             // Reused slot: bump the generation so old handles go stale.
@@ -128,7 +127,6 @@ impl CapTable {
         self.slots[index as usize] = Some(Slot {
             cap,
             generation,
-            parent,
             children: Vec::new(),
             live: true,
         });
@@ -143,7 +141,7 @@ impl CapTable {
     ///
     /// Returns [`CapError::TableFull`] when no slot is free.
     pub fn insert_root(&mut self, cap: Capability) -> Result<CapRef, CapError> {
-        self.alloc_slot(cap, None)
+        self.alloc_slot(cap)
     }
 
     fn slot(&self, r: CapRef) -> Result<&Slot, CapError> {
@@ -215,7 +213,7 @@ impl CapTable {
         if !parent_cap.can_derive(&child) {
             return Err(CapError::IllegalDerivation);
         }
-        let child_ref = self.alloc_slot(child, Some(parent.index))?;
+        let child_ref = self.alloc_slot(child)?;
         self.slots[parent.index as usize]
             .as_mut()
             .expect("parent slot verified live above")
@@ -268,22 +266,6 @@ impl CapTable {
             }
         }
         Ok(())
-    }
-
-    /// Returns the handle's parent in the derivation tree, or `None` for a
-    /// root capability.
-    ///
-    /// # Errors
-    ///
-    /// Returns a handle-validity error if `r` is dead.
-    pub fn parent_of(&self, r: CapRef) -> Result<Option<CapRef>, CapError> {
-        let slot = self.slot(r)?;
-        Ok(slot.parent.and_then(|pi| {
-            self.slots[pi as usize].as_ref().map(|p| CapRef {
-                index: pi,
-                generation: p.generation,
-            })
-        }))
     }
 
     /// Iterates over all live capabilities (for tracing and debug dumps).

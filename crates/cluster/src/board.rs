@@ -9,6 +9,7 @@
 
 use crate::directory::Directory;
 use apiary_cap::{CapRef, ServiceId};
+use apiary_core::supervisor::AccelFactory;
 use apiary_core::{AppId, FaultPolicy, System};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
@@ -107,6 +108,25 @@ impl Board {
             }
         }
         debug_assert_eq!(self.sys.now(), now, "board left lockstep");
+    }
+
+    /// Takes on a replica whose tile is loading its bitstream: supervised
+    /// from now, published (with the gateway wired as its client) by the
+    /// republish pass once the tile is back online.
+    pub(crate) fn adopt_replica(&mut self, name: &str, meta: ReplicaMeta, factory: AccelFactory) {
+        self.sys_mut().adopt_service(
+            meta.service,
+            meta.node,
+            meta.app,
+            meta.policy,
+            meta.bitstream_bytes,
+            factory,
+        );
+        self.replicas.insert(name.to_string(), meta.clone());
+        self.republish.push(Republish {
+            name: name.to_string(),
+            meta,
+        });
     }
 
     /// Records a `Remote` span at the gateway tile. Tracing never moves a

@@ -37,6 +37,8 @@ use crate::balancer::Balancer;
 use crate::board::{Board, Ingress, ReplicaMeta, Republish};
 use crate::directory::Directory;
 use crate::fabric::{Body, ClusterMsg, Fabric, FabricConfig};
+use crate::migration::Migration;
+pub use crate::migration::MigrationOutcome;
 use apiary_accel::apps::idle::idle;
 use apiary_cap::{CapKind, Capability, Rights, ServiceId};
 use apiary_core::process::OS_APP;
@@ -45,7 +47,7 @@ use apiary_core::{AppId, FaultPolicy, Snapshot, System, SystemConfig, SystemErro
 use apiary_monitor::wire::{KIND_ERROR, KIND_REQUEST};
 use apiary_net::{BreakerConfig, BreakerState, RequestGen, RetryPolicy, Workload};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{clock_mode, jump_target, ClockMode, Cycle};
+use apiary_sim::{ClockMode, Cycle};
 use apiary_trace::{EventKind, LatencyTracker};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -161,74 +163,12 @@ struct Pending {
     deadline: Cycle,
 }
 
-/// Phase of an in-flight live migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MigPhase {
-    /// Source entry withdrawn; draining until the snapshot cycle.
-    Quiesce { until: Cycle },
-    /// Snapshot serialized onto the fabric; source already decommissioned.
-    Transfer,
-    /// Destination loading bitstream + state through the ICAP, awaiting
-    /// republish.
-    Restore,
-}
-
-/// One live migration in flight.
-struct Migration {
-    name: String,
-    service: ServiceId,
-    src: u16,
-    dst: u16,
-    dst_node: NodeId,
-    app: AppId,
-    policy: FaultPolicy,
-    bitstream_bytes: u64,
-    /// Consumed at restore; the same factory then seeds the destination
-    /// supervisor's spec for future cold restarts.
-    factory: Option<AccelFactory>,
-    started_at: Cycle,
-    snapshot_at: Cycle,
-    state_bytes: u64,
-    warm: bool,
-    phase: MigPhase,
-}
-
-/// A completed live migration, with its measured phase boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MigrationOutcome {
-    /// Migrated service name.
-    pub name: String,
-    /// Its registry id.
-    pub service: ServiceId,
-    /// Source board.
-    pub src: u16,
-    /// Destination board.
-    pub dst: u16,
-    /// Serialized architectural state moved, bytes.
-    pub state_bytes: u64,
-    /// Cycle the migration was requested (source entry withdrawn).
-    pub started_at: Cycle,
-    /// Cycle the source stopped serving (snapshot taken, tile freed).
-    pub snapshot_at: Cycle,
-    /// Cycle the destination replica was republished and answering.
-    pub restored_at: Cycle,
-    /// `true` if the destination restored the snapshot (vs cold fallback).
-    pub warm: bool,
-}
-
-impl MigrationOutcome {
-    /// Cycles with no live replica: source down → destination republished.
-    pub fn blackout(&self) -> u64 {
-        self.restored_at - self.snapshot_at
-    }
-}
-
 /// The multi-board machine.
 pub struct ClusterSystem {
-    cfg: ClusterConfig,
+    pub(crate) cfg: ClusterConfig,
     ticks: u64,
-    boards: Vec<Board>,
-    fabric: Fabric,
+    pub(crate) boards: Vec<Board>,
+    pub(crate) fabric: Fabric,
     balancer: Balancer,
     pending: BTreeMap<u64, Pending>,
     /// `(deadline, tag)` of every submit, oldest first. `request_timeout`
@@ -267,9 +207,9 @@ pub struct ClusterSystem {
     /// Checkpoints adopted from a peer via fabric replication.
     pub checkpoints_replicated: u64,
     /// In-flight migrations, by service id.
-    migrations: BTreeMap<u32, Migration>,
+    pub(crate) migrations: BTreeMap<u32, Migration>,
     /// Completed migrations, in completion order.
-    migrations_done: Vec<MigrationOutcome>,
+    pub(crate) migrations_done: Vec<MigrationOutcome>,
     /// Highest checkpoint sequence replicated, per (home board, service).
     replicated_seq: BTreeMap<(u16, u32), u64>,
 }
@@ -361,16 +301,6 @@ impl ClusterSystem {
         self.boards[b as usize].remote_caps.len()
     }
 
-    /// Completed live migrations, in completion order.
-    pub fn migration_outcomes(&self) -> &[MigrationOutcome] {
-        &self.migrations_done
-    }
-
-    /// Live migrations currently in flight.
-    pub fn migrations_in_flight(&self) -> usize {
-        self.migrations.len()
-    }
-
     /// Count of `Remote` trace events recorded at a board's gateway.
     pub fn remote_trace_count(&self, b: u16) -> u64 {
         self.boards[b as usize]
@@ -452,68 +382,6 @@ impl ClusterSystem {
         Ok(())
     }
 
-    /// Starts a live migration of the named replica from `src` to a free
-    /// tile on `dst`: **withdraw → quiesce → snapshot → transfer → restore
-    /// → republish**. The source keeps serving through the quiesce window
-    /// (new work is steered away as the withdrawal tombstone gossips),
-    /// then stops at the snapshot cycle; the blackout ends when the
-    /// destination replica is republished. Client capabilities survive the
-    /// move: naming is late-bound, so the same service name simply
-    /// resolves to the new home — no client re-attach.
-    pub fn migrate_replica(
-        &mut self,
-        name: &str,
-        src: u16,
-        dst: u16,
-        dst_node: NodeId,
-        factory: AccelFactory,
-    ) -> Result<(), SystemError> {
-        let now = self.now();
-        let bad = || SystemError::BadNode(NodeId(u16::MAX));
-        if src == dst || !self.boards[src as usize].alive || !self.boards[dst as usize].alive {
-            return Err(bad());
-        }
-        let meta = self.boards[src as usize]
-            .replicas
-            .get(name)
-            .cloned()
-            .ok_or_else(bad)?;
-        if self.migrations.contains_key(&meta.service.0) {
-            return Err(bad());
-        }
-        self.boards[src as usize].dir.withdraw(now, name);
-        let gw = self.cfg.gateway;
-        self.boards[src as usize].trace_remote(
-            gw,
-            now,
-            "migrate-quiesce",
-            dst,
-            meta.service.0 as u64,
-        );
-        self.migrations.insert(
-            meta.service.0,
-            Migration {
-                name: name.to_string(),
-                service: meta.service,
-                src,
-                dst,
-                dst_node,
-                app: meta.app,
-                policy: meta.policy,
-                bitstream_bytes: meta.bitstream_bytes,
-                factory: Some(factory),
-                started_at: now,
-                snapshot_at: now,
-                state_bytes: 0,
-                warm: false,
-                phase: MigPhase::Quiesce {
-                    until: now + self.cfg.migration_quiesce,
-                },
-            },
-        );
-        Ok(())
-    }
-
     /// Redeploys a replica on `board` from a checkpoint previously adopted
     /// over the fabric ([`ClusterConfig::replicate_checkpoints`]): warm if
     /// a verified snapshot of `service` is held, cold (factory-fresh)
@@ -556,8 +424,6 @@ impl ClusterSystem {
         if warm {
             b.sys_mut().checkpoint_store_mut().warm_restores += 1;
         }
-        b.sys_mut()
-            .adopt_service(service, node, app, policy, bitstream_bytes, factory);
         let meta = ReplicaMeta {
             service,
             node,
@@ -565,11 +431,7 @@ impl ClusterSystem {
             policy,
             bitstream_bytes,
         };
-        b.replicas.insert(name.to_string(), meta.clone());
-        b.republish.push(Republish {
-            name: name.to_string(),
-            meta,
-        });
+        b.adopt_replica(name, meta, factory);
         Ok(warm)
     }
 
@@ -599,8 +461,6 @@ impl ClusterSystem {
         let done = b
             .sys_mut()
             .reconfigure(node, factory(), app, policy, bitstream_bytes)?;
-        b.sys_mut()
-            .adopt_service(service, node, app, policy, bitstream_bytes, factory);
         let meta = ReplicaMeta {
             service,
             node,
@@ -608,11 +468,7 @@ impl ClusterSystem {
             policy,
             bitstream_bytes,
         };
-        b.replicas.insert(name.to_string(), meta.clone());
-        b.republish.push(Republish {
-            name: name.to_string(),
-            meta,
-        });
+        b.adopt_replica(name, meta, factory);
         Ok(done)
     }
 
@@ -646,17 +502,7 @@ impl ClusterSystem {
             b.replicas.remove(name);
             b.republish.retain(|r| r.name != name);
         }
-        let gw = self.cfg.gateway;
-        for peer in &mut self.boards {
-            if !peer.alive {
-                continue;
-            }
-            if let Some(cap) = peer.remote_caps.remove(&(board, service.0)) {
-                if peer.sys_mut().tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
-                    self.caps_revoked += 1;
-                }
-            }
-        }
+        self.revoke_remote_caps(board, service.0);
         Ok(node)
     }
 
@@ -669,46 +515,6 @@ impl ClusterSystem {
         self.boards[board as usize]
             .local_caps
             .contains_key(&service.0)
-    }
-
-    /// Quiesce elapsed: capture the source replica's state and put it on
-    /// the fabric (transfer time scales with state size through the link's
-    /// serialization model). Aborts — republishing the source binding — if
-    /// the service cannot snapshot right now (mid-reconfiguration or not
-    /// preemptible).
-    fn drive_migration_snapshot(&mut self, sid: u32, now: Cycle) {
-        let gw = self.cfg.gateway;
-        let m = self.migrations.get_mut(&sid).expect("listed by caller");
-        let b = &mut self.boards[m.src as usize];
-        let home = b.sys().service_home(m.service);
-        let state = home
-            .and_then(|n| b.sys().tile(n).accel.as_ref())
-            .and_then(|a| a.save_state());
-        let Some(state) = state else {
-            if let Some(n) = home {
-                let _ = b.dir.publish(now, &m.name, m.service, n);
-            }
-            self.migrations.remove(&sid);
-            self.migrations_failed += 1;
-            return;
-        };
-        b.trace_remote(gw, now, "migrate-xfer", m.dst, sid as u64);
-        m.snapshot_at = now;
-        m.state_bytes = state.len() as u64;
-        m.phase = MigPhase::Transfer;
-        b.sys_mut().undeploy_service(m.service);
-        b.local_caps.remove(&sid);
-        b.replicas.remove(&m.name);
-        let msg = ClusterMsg {
-            src: m.src,
-            dst: m.dst,
-            body: Body::Migrate {
-                service: sid,
-                name: m.name.clone(),
-                snapshot: state,
-            },
-        };
-        self.fabric.send(&msg);
     }
 
     /// Kills a board: it stops ticking, its fabric links go down, its
@@ -904,48 +710,30 @@ impl ClusterSystem {
     /// what they visit, never in what happens.
     fn cycle(&mut self, dense: bool) {
         let now = Cycle(self.ticks);
-        let gw = self.cfg.gateway;
+        self.advance_boards(now, dense);
+        self.drive_migrations(now);
+        self.republish_ready(now);
+        self.finish_migrations(now);
+        if self.ticks.is_multiple_of(self.cfg.gossip_interval) {
+            self.gossip_round(now);
+        }
+        self.deliver_fabric(now, dense);
+        self.drain_gateways(now);
+        self.expire_requests(now, dense);
+    }
 
-        // 1. Boards advance in index order; dead boards stay frozen.
+    /// 1. Boards advance in index order; dead boards stay frozen.
+    fn advance_boards(&mut self, now: Cycle, dense: bool) {
         for b in &mut self.boards {
             if b.alive {
                 b.advance_to(now, dense);
             }
         }
+    }
 
-        // 1b. Live migrations whose quiesce window elapsed take their
-        //     snapshot: the source stops serving (tile decommissioned,
-        //     spec and checkpoint dropped) and the state goes out over the
-        //     fabric. Migrations whose source or destination died abort.
-        if !self.migrations.is_empty() {
-            let due: Vec<u32> = self
-                .migrations
-                .iter()
-                .filter(|(_, m)| {
-                    matches!(m.phase, MigPhase::Quiesce { until } if until <= now)
-                        && self.boards[m.src as usize].alive
-                        && self.boards[m.dst as usize].alive
-                })
-                .map(|(&s, _)| s)
-                .collect();
-            for sid in due {
-                self.drive_migration_snapshot(sid, now);
-            }
-            let dead: Vec<u32> = self
-                .migrations
-                .iter()
-                .filter(|(_, m)| {
-                    !self.boards[m.src as usize].alive || !self.boards[m.dst as usize].alive
-                })
-                .map(|(&s, _)| s)
-                .collect();
-            for sid in dead {
-                self.migrations.remove(&sid);
-                self.migrations_failed += 1;
-            }
-        }
-
-        // 2. Completed reconfigurations republish their directory entry.
+    /// 2. Completed reconfigurations republish their directory entry.
+    fn republish_ready(&mut self, now: Cycle) {
+        let gw = self.cfg.gateway;
         for bi in 0..self.boards.len() {
             if !self.boards[bi].alive {
                 continue;
@@ -969,137 +757,118 @@ impl ClusterSystem {
                 let _ = b.dir.publish(now, &r.name, r.meta.service, r.meta.node);
             }
         }
+    }
 
-        // 2b. Migrations finalize once the destination republished: the
-        //     blackout window closes, and every live board's stale remote
-        //     cap against the old home is proactively revoked (a fresh cap
-        //     is minted against the new home on the next submit — clients
-        //     never see a cap change, naming is late-bound).
-        let finished: Vec<u32> = self
-            .migrations
-            .iter()
-            .filter(|(_, m)| {
-                m.phase == MigPhase::Restore
-                    && self.boards[m.dst as usize]
-                        .dir
-                        .lookup_local(now, &m.name)
-                        .is_some_and(|e| e.node == m.dst_node)
-            })
-            .map(|(&s, _)| s)
-            .collect();
-        for sid in finished {
-            let m = self.migrations.remove(&sid).expect("listed above");
-            self.boards[m.dst as usize].trace_remote(gw, now, "migrate-done", m.src, sid as u64);
-            for b in &mut self.boards {
-                if !b.alive {
-                    continue;
-                }
-                if let Some(cap) = b.remote_caps.remove(&(m.src, sid)) {
-                    if b.sys_mut().tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
-                        self.caps_revoked += 1;
-                    }
-                }
-            }
-            self.migrations_done.push(MigrationOutcome {
-                name: m.name,
-                service: m.service,
-                src: m.src,
-                dst: m.dst,
-                state_bytes: m.state_bytes,
-                started_at: m.started_at,
-                snapshot_at: m.snapshot_at,
-                restored_at: now,
-                warm: m.warm,
-            });
-        }
-
-        // 3. Gossip round: renew leases, sweep expiries (revoking remote
-        //    caps for entries that lapsed), push one snapshot round-robin.
-        if self.ticks.is_multiple_of(self.cfg.gossip_interval) {
-            let round = self.ticks / self.cfg.gossip_interval;
-            let n = self.boards.len() as u16;
-            for bi in 0..n {
-                if !self.boards[bi as usize].alive {
-                    continue;
-                }
-                let b = &mut self.boards[bi as usize];
-                b.dir.renew_local(now);
-                for dead in b.dir.sweep(now) {
-                    if dead.home == bi {
-                        continue;
-                    }
-                    if let Some(cap) = b.remote_caps.remove(&(dead.home, dead.service.0)) {
-                        if b.sys_mut().tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
-                            self.caps_revoked += 1;
-                        }
-                    }
-                }
-                if n > 1 {
-                    let peers: Vec<u16> = (0..n).filter(|&p| p != bi).collect();
-                    let partner = peers[(round as usize) % peers.len()];
-                    let snapshot = self.boards[bi as usize].dir.snapshot();
-                    self.fabric.send(&ClusterMsg {
-                        src: bi,
-                        dst: partner,
-                        body: Body::Gossip { entries: snapshot },
-                    });
-                }
-            }
-
-            // Checkpoint replication piggybacks on the gossip cadence:
-            // each board pushes any snapshot whose sequence advanced since
-            // the last round to its ring successor, so a board kill can
-            // recover warm from the peer's adopted copy
-            // ([`ClusterSystem::recover_replica`]).
-            if self.cfg.replicate_checkpoints && n > 1 {
-                for bi in 0..n {
-                    if !self.boards[bi as usize].alive {
-                        continue;
-                    }
-                    let Some(peer) = (1..n)
-                        .map(|d| (bi + d) % n)
-                        .find(|&p| self.boards[p as usize].alive)
-                    else {
-                        continue;
-                    };
-                    let replicas: Vec<(String, u32)> = self.boards[bi as usize]
-                        .replicas
-                        .iter()
-                        .map(|(name, meta)| (name.clone(), meta.service.0))
-                        .collect();
-                    for (name, sid) in replicas {
-                        let Some(snap) = self.boards[bi as usize]
-                            .sys_mut()
-                            .checkpoint_store_mut()
-                            .latest(sid)
-                        else {
-                            continue;
-                        };
-                        let seq = snap.seq;
-                        if self
-                            .replicated_seq
-                            .get(&(bi, sid))
-                            .is_some_and(|&sent| sent >= seq)
-                        {
-                            continue;
-                        }
-                        let snapshot = snap.encode();
-                        self.replicated_seq.insert((bi, sid), seq);
-                        self.fabric.send(&ClusterMsg {
-                            src: bi,
-                            dst: peer,
-                            body: Body::Checkpoint {
-                                service: sid,
-                                name,
-                                snapshot,
-                            },
-                        });
-                    }
-                }
+    /// Drops board `at`'s remote capability against `service` on board
+    /// `home`, if it holds one: revoked at the gateway and counted.
+    fn revoke_remote_cap(&mut self, at: u16, home: u16, service: u32) {
+        let gw = self.cfg.gateway;
+        let b = &mut self.boards[at as usize];
+        if let Some(cap) = b.remote_caps.remove(&(home, service)) {
+            if b.sys_mut().tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
+                self.caps_revoked += 1;
             }
         }
+    }
 
-        // 4. Fabric: deliveries and ARQ retransmission attribution.
+    /// Revokes every live board's remote capability against `service` on
+    /// board `home`: the binding is gone (torn down or migrated away), so
+    /// authority over it must not linger until the lease runs out.
+    pub(crate) fn revoke_remote_caps(&mut self, home: u16, service: u32) {
+        for at in 0..self.cfg.boards {
+            if self.boards[at as usize].alive {
+                self.revoke_remote_cap(at, home, service);
+            }
+        }
+    }
+
+    /// 3. Gossip round: renew leases, sweep expiries (revoking remote caps
+    ///    for entries that lapsed), push one snapshot round-robin.
+    fn gossip_round(&mut self, now: Cycle) {
+        let round = self.ticks / self.cfg.gossip_interval;
+        let n = self.cfg.boards;
+        for bi in 0..n {
+            if !self.boards[bi as usize].alive {
+                continue;
+            }
+            let b = &mut self.boards[bi as usize];
+            b.dir.renew_local(now);
+            for dead in b.dir.sweep(now) {
+                if dead.home != bi {
+                    self.revoke_remote_cap(bi, dead.home, dead.service.0);
+                }
+            }
+            if n > 1 {
+                let peers: Vec<u16> = (0..n).filter(|&p| p != bi).collect();
+                let partner = peers[(round as usize) % peers.len()];
+                let snapshot = self.boards[bi as usize].dir.snapshot();
+                self.fabric.send(&ClusterMsg {
+                    src: bi,
+                    dst: partner,
+                    body: Body::Gossip { entries: snapshot },
+                });
+            }
+        }
+        if self.cfg.replicate_checkpoints && n > 1 {
+            self.replicate_checkpoints();
+        }
+    }
+
+    /// Checkpoint replication piggybacks on the gossip cadence: each board
+    /// pushes any snapshot whose sequence advanced since the last round to
+    /// its ring successor, so a board kill can recover warm from the peer's
+    /// adopted copy ([`ClusterSystem::recover_replica`]).
+    fn replicate_checkpoints(&mut self) {
+        let n = self.cfg.boards;
+        for bi in 0..n {
+            if !self.boards[bi as usize].alive {
+                continue;
+            }
+            let Some(peer) = (1..n)
+                .map(|d| (bi + d) % n)
+                .find(|&p| self.boards[p as usize].alive)
+            else {
+                continue;
+            };
+            let replicas: Vec<(String, u32)> = self.boards[bi as usize]
+                .replicas
+                .iter()
+                .map(|(name, meta)| (name.clone(), meta.service.0))
+                .collect();
+            for (name, sid) in replicas {
+                let Some(snap) = self.boards[bi as usize]
+                    .sys_mut()
+                    .checkpoint_store_mut()
+                    .latest(sid)
+                else {
+                    continue;
+                };
+                let seq = snap.seq;
+                if self
+                    .replicated_seq
+                    .get(&(bi, sid))
+                    .is_some_and(|&sent| sent >= seq)
+                {
+                    continue;
+                }
+                let snapshot = snap.encode();
+                self.replicated_seq.insert((bi, sid), seq);
+                self.fabric.send(&ClusterMsg {
+                    src: bi,
+                    dst: peer,
+                    body: Body::Checkpoint {
+                        service: sid,
+                        name,
+                        snapshot,
+                    },
+                });
+            }
+        }
+    }
+
+    /// 4. Fabric: deliveries and ARQ retransmission attribution.
+    fn deliver_fabric(&mut self, now: Cycle, dense: bool) {
+        let gw = self.cfg.gateway;
         let (deliveries, retx) = if dense {
             self.fabric.step_dense(now)
         } else {
@@ -1124,45 +893,7 @@ impl ClusterSystem {
                     service,
                     tag,
                     payload,
-                } => {
-                    self.fabric_out.finish(tag, now);
-                    let b = &mut self.boards[msg.dst as usize];
-                    let cap = b.local_caps.get(&service).copied();
-                    let home = b.sys().service_home(ServiceId(service));
-                    let forwarded = match (cap, home) {
-                        (Some(cap), Some(_)) => {
-                            let ltag = INGRESS_BIT | self.next_ingress;
-                            self.next_ingress += 1;
-                            match b.sys_mut().tile_mut(gw).monitor.send(
-                                cap,
-                                KIND_REQUEST,
-                                ltag,
-                                TrafficClass::Request,
-                                payload,
-                                now,
-                            ) {
-                                Ok(()) => {
-                                    b.ingress.insert(ltag, Ingress { src: msg.src, tag });
-                                    self.on_board.start(tag, now);
-                                    true
-                                }
-                                Err(_) => false,
-                            }
-                        }
-                        _ => false,
-                    };
-                    if !forwarded {
-                        self.fabric.send(&ClusterMsg {
-                            src: msg.dst,
-                            dst: msg.src,
-                            body: Body::Reply {
-                                tag,
-                                is_error: true,
-                                payload: vec![apiary_monitor::wire::err::NO_SUCH_SERVICE],
-                            },
-                        });
-                    }
-                }
+                } => self.forward_invoke(msg.src, msg.dst, service, tag, payload, now),
                 Body::Reply {
                     tag,
                     is_error,
@@ -1179,58 +910,7 @@ impl ClusterSystem {
                     service,
                     name: _,
                     snapshot,
-                } => {
-                    let Some(m) = self.migrations.get_mut(&service) else {
-                        // Migration aborted while the snapshot was in
-                        // flight; the state is lost with it.
-                        continue;
-                    };
-                    let factory = m.factory.take().expect("consumed exactly once");
-                    let mut accel = factory();
-                    m.warm = accel.restore_state(&snapshot).is_ok();
-                    if !m.warm {
-                        // Never install a half-restored instance.
-                        accel = factory();
-                    }
-                    let warm_bytes = if m.warm { snapshot.len() as u64 } else { 0 };
-                    let b = &mut self.boards[msg.dst as usize];
-                    match b.sys_mut().reconfigure(
-                        m.dst_node,
-                        accel,
-                        m.app,
-                        m.policy,
-                        m.bitstream_bytes + warm_bytes,
-                    ) {
-                        Ok(_) => {
-                            b.trace_remote(gw, now, "migrate-restore", msg.src, service as u64);
-                            b.sys_mut().adopt_service(
-                                m.service,
-                                m.dst_node,
-                                m.app,
-                                m.policy,
-                                m.bitstream_bytes,
-                                factory,
-                            );
-                            let meta = ReplicaMeta {
-                                service: m.service,
-                                node: m.dst_node,
-                                app: m.app,
-                                policy: m.policy,
-                                bitstream_bytes: m.bitstream_bytes,
-                            };
-                            b.replicas.insert(m.name.clone(), meta.clone());
-                            b.republish.push(Republish {
-                                name: m.name.clone(),
-                                meta,
-                            });
-                            m.phase = MigPhase::Restore;
-                        }
-                        Err(_) => {
-                            self.migrations.remove(&service);
-                            self.migrations_failed += 1;
-                        }
-                    }
-                }
+                } => self.restore_migration(msg.src, msg.dst, service, &snapshot, now),
                 Body::Checkpoint {
                     service,
                     name: _,
@@ -1248,10 +928,64 @@ impl ClusterSystem {
                 }
             }
         }
+    }
 
-        // 5. Drain gateway inboxes: replies to local submits complete
-        //    directly; replies to forwarded ingress go back over the
-        //    fabric.
+    /// A remote invocation arrived at live board `dst`: forward it to the
+    /// local replica through the gateway's capability, or answer `src` with
+    /// an error reply if there is none to forward to.
+    fn forward_invoke(
+        &mut self,
+        src: u16,
+        dst: u16,
+        service: u32,
+        tag: u64,
+        payload: Vec<u8>,
+        now: Cycle,
+    ) {
+        let gw = self.cfg.gateway;
+        self.fabric_out.finish(tag, now);
+        let b = &mut self.boards[dst as usize];
+        let cap = b.local_caps.get(&service).copied();
+        let home = b.sys().service_home(ServiceId(service));
+        let forwarded = match (cap, home) {
+            (Some(cap), Some(_)) => {
+                let ltag = INGRESS_BIT | self.next_ingress;
+                self.next_ingress += 1;
+                match b.sys_mut().tile_mut(gw).monitor.send(
+                    cap,
+                    KIND_REQUEST,
+                    ltag,
+                    TrafficClass::Request,
+                    payload,
+                    now,
+                ) {
+                    Ok(()) => {
+                        b.ingress.insert(ltag, Ingress { src, tag });
+                        self.on_board.start(tag, now);
+                        true
+                    }
+                    Err(_) => false,
+                }
+            }
+            _ => false,
+        };
+        if !forwarded {
+            self.fabric.send(&ClusterMsg {
+                src: dst,
+                dst: src,
+                body: Body::Reply {
+                    tag,
+                    is_error: true,
+                    payload: vec![apiary_monitor::wire::err::NO_SUCH_SERVICE],
+                },
+            });
+        }
+    }
+
+    /// 5. Drain gateway inboxes: replies to local submits complete
+    ///    directly; replies to forwarded ingress go back over the fabric.
+    fn drain_gateways(&mut self, now: Cycle) {
+        let gw = self.cfg.gateway;
         for bi in 0..self.boards.len() {
             // Look before taking the board mutably: an empty inbox is the
             // common case and must not cost the board its cached deadline.
@@ -1279,9 +1013,11 @@ impl ClusterSystem {
                 }
             }
         }
+    }
 
-        // 6. Cluster-level timeouts feed the client retry path.
-        for tag in self.expired_requests(now, dense) {
+    /// 6. Cluster-level timeouts feed the client retry path.
+    fn expire_requests(&mut self, now: Cycle, dense: bool) {
+        for tag in self.pop_expired(now, dense) {
             let p = self.pending.remove(&tag).expect("listed as pending");
             self.balancer.finished(p.target);
             self.timeouts += 1;
@@ -1297,7 +1033,7 @@ impl ClusterSystem {
     /// Consumes the front of the deadline queue up to `now` and past any
     /// stale entries, so the front is again the earliest live deadline. The
     /// dense reference also scans `pending` and demands the same answer.
-    fn expired_requests(&mut self, now: Cycle, dense: bool) -> Vec<u64> {
+    fn pop_expired(&mut self, now: Cycle, dense: bool) -> Vec<u64> {
         let mut expired = Vec::new();
         while let Some(&(deadline, tag)) = self.deadlines.front() {
             let live = self
@@ -1349,11 +1085,7 @@ impl ClusterSystem {
         if let Some(&(deadline, _)) = self.deadlines.front() {
             due = due.min(deadline);
         }
-        for m in self.migrations.values() {
-            if let MigPhase::Quiesce { until } = m.phase {
-                due = due.min(until);
-            }
-        }
+        due = due.min(self.next_migration_due());
         due.max(next)
     }
 
@@ -1367,8 +1099,9 @@ impl ClusterSystem {
         self.cycle(false);
     }
 
-    /// Panics unless the lockstep bookkeeping is consistent: every live
-    /// board is on the cluster's cycle and caches no stale deadline, and
+    /// Panics unless the lockstep bookkeeping is consistent: every board
+    /// steps by the cluster's clock, every live board is on the cluster's
+    /// cycle and caches no stale deadline, and
     /// the deadline queue's front is no later than the earliest timeout of
     /// any pending request (a later front would let the event clock sleep
     /// through an expiry). Boards and links that a cycle passes over are
@@ -1376,6 +1109,11 @@ impl ClusterSystem {
     pub fn check_invariants(&self) {
         let now = self.now();
         for (i, b) in self.boards.iter().enumerate() {
+            assert_eq!(
+                b.sys().config().clock,
+                self.cfg.system.clock,
+                "board {i} is not on the cluster's clock"
+            );
             if b.alive {
                 b.check_invariants(i, now);
             }
@@ -1398,10 +1136,9 @@ impl ClusterSystem {
         if self.now() >= horizon {
             return;
         }
-        if clock_mode() == ClockMode::Dense {
-            self.tick();
-        } else {
-            self.event_step(horizon);
+        match self.cfg.system.clock {
+            ClockMode::Dense => self.tick(),
+            ClockMode::Event => self.event_step(horizon),
         }
     }
 
@@ -1495,7 +1232,7 @@ pub fn drive_clients(cluster: &mut ClusterSystem, clients: &mut [ClusterClient])
 /// a completion is pending, or a client timed event (arrival, retry,
 /// breaker cooldown) is due. Skipped cycles are cycles where
 /// `drive_clients` would have been a pure no-op, and `stop` is re-checked
-/// after every executed cycle. [`jump_target`] makes the dense reference
+/// after every executed cycle. [`ClockMode::jump_target`] makes the dense reference
 /// clock drive the clients on every cycle instead, so both clocks stop on
 /// the same cycle with bit-identical client stats.
 ///
@@ -1517,7 +1254,7 @@ pub fn run_clients(
                 due = due.min(t.max(next));
             }
         }
-        let due = jump_target(cluster.now(), due);
+        let due = cluster.cfg.system.clock.jump_target(cluster.now(), due);
         loop {
             cluster.advance_toward(due);
             if cluster.now() >= due || cluster.has_completions() {

@@ -21,7 +21,8 @@
 //!   [`apiary_cap::CapKind::Remote`] capability held at a board's gateway
 //!   tile is forwarded by the kernel's egress proxy onto the fabric, with
 //!   the client-side retry/backoff and circuit breaker of
-//!   [`apiary_net::RequestGen`] applying end-to-end.
+//!   [`apiary_net::RequestGen`] applying end-to-end; its cross-board live
+//!   migration state machine lives in the private `migration` module.
 //!
 //! Everything is seeded and ticked in board order: the same configuration
 //! and seed replay byte-identically regardless of host parallelism, which
@@ -32,6 +33,7 @@ mod board;
 pub mod cluster;
 pub mod directory;
 pub mod fabric;
+mod migration;
 
 pub use balancer::Balancer;
 pub use cluster::{

@@ -1,0 +1,335 @@
+//! Cross-board live migration: the state machine a replica moves through
+//! on its way from one board to another, **withdraw → quiesce → snapshot →
+//! transfer → restore → republish**.
+//!
+//! A second `impl ClusterSystem`: [`ClusterSystem::migrate_replica`] starts
+//! a migration, and the cluster cycle calls back into this module at the
+//! three points one can make progress (`drive_migrations` after the boards
+//! advanced, `restore_migration` when the snapshot comes off the fabric,
+//! `finish_migrations` after the republish pass).
+
+use crate::board::ReplicaMeta;
+use crate::cluster::ClusterSystem;
+use crate::fabric::{Body, ClusterMsg};
+use apiary_cap::ServiceId;
+use apiary_core::supervisor::AccelFactory;
+use apiary_core::{AppId, FaultPolicy, SystemError};
+use apiary_noc::NodeId;
+use apiary_sim::Cycle;
+
+/// Phase of an in-flight live migration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MigPhase {
+    /// Source entry withdrawn; draining until the snapshot cycle.
+    Quiesce { until: Cycle },
+    /// Snapshot serialized onto the fabric; source already decommissioned.
+    Transfer,
+    /// Destination loading bitstream + state through the ICAP, awaiting
+    /// republish.
+    Restore,
+}
+
+/// One live migration in flight.
+pub(crate) struct Migration {
+    name: String,
+    service: ServiceId,
+    src: u16,
+    dst: u16,
+    dst_node: NodeId,
+    app: AppId,
+    policy: FaultPolicy,
+    bitstream_bytes: u64,
+    /// Consumed at restore; the same factory then seeds the destination
+    /// supervisor's spec for future cold restarts.
+    factory: Option<AccelFactory>,
+    started_at: Cycle,
+    snapshot_at: Cycle,
+    state_bytes: u64,
+    warm: bool,
+    phase: MigPhase,
+}
+
+/// A completed live migration, with its measured phase boundaries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MigrationOutcome {
+    /// Migrated service name.
+    pub name: String,
+    /// Its registry id.
+    pub service: ServiceId,
+    /// Source board.
+    pub src: u16,
+    /// Destination board.
+    pub dst: u16,
+    /// Serialized architectural state moved, bytes.
+    pub state_bytes: u64,
+    /// Cycle the migration was requested (source entry withdrawn).
+    pub started_at: Cycle,
+    /// Cycle the source stopped serving (snapshot taken, tile freed).
+    pub snapshot_at: Cycle,
+    /// Cycle the destination replica was republished and answering.
+    pub restored_at: Cycle,
+    /// `true` if the destination restored the snapshot (vs cold fallback).
+    pub warm: bool,
+}
+
+impl MigrationOutcome {
+    /// Cycles with no live replica: source down → destination republished.
+    pub fn blackout(&self) -> u64 {
+        self.restored_at - self.snapshot_at
+    }
+}
+
+impl ClusterSystem {
+    /// Starts a live migration of the named replica from `src` to a free
+    /// tile on `dst`: **withdraw → quiesce → snapshot → transfer → restore
+    /// → republish**. The source keeps serving through the quiesce window
+    /// (new work is steered away as the withdrawal tombstone gossips),
+    /// then stops at the snapshot cycle; the blackout ends when the
+    /// destination replica is republished. Client capabilities survive the
+    /// move: naming is late-bound, so the same service name simply
+    /// resolves to the new home — no client re-attach.
+    pub fn migrate_replica(
+        &mut self,
+        name: &str,
+        src: u16,
+        dst: u16,
+        dst_node: NodeId,
+        factory: AccelFactory,
+    ) -> Result<(), SystemError> {
+        let now = self.now();
+        let bad = || SystemError::BadNode(NodeId(u16::MAX));
+        if src == dst || !self.boards[src as usize].alive || !self.boards[dst as usize].alive {
+            return Err(bad());
+        }
+        let meta = self.boards[src as usize]
+            .replicas
+            .get(name)
+            .cloned()
+            .ok_or_else(bad)?;
+        if self.migrations.contains_key(&meta.service.0) {
+            return Err(bad());
+        }
+        self.boards[src as usize].dir.withdraw(now, name);
+        let gw = self.cfg.gateway;
+        self.boards[src as usize].trace_remote(
+            gw,
+            now,
+            "migrate-quiesce",
+            dst,
+            meta.service.0 as u64,
+        );
+        self.migrations.insert(
+            meta.service.0,
+            Migration {
+                name: name.to_string(),
+                service: meta.service,
+                src,
+                dst,
+                dst_node,
+                app: meta.app,
+                policy: meta.policy,
+                bitstream_bytes: meta.bitstream_bytes,
+                factory: Some(factory),
+                started_at: now,
+                snapshot_at: now,
+                state_bytes: 0,
+                warm: false,
+                phase: MigPhase::Quiesce {
+                    until: now + self.cfg.migration_quiesce,
+                },
+            },
+        );
+        Ok(())
+    }
+
+    /// Completed live migrations, in completion order.
+    pub fn migration_outcomes(&self) -> &[MigrationOutcome] {
+        &self.migrations_done
+    }
+
+    /// Live migrations currently in flight.
+    pub fn migrations_in_flight(&self) -> usize {
+        self.migrations.len()
+    }
+
+    /// The earliest cycle a migration needs the cluster awake for on its
+    /// own account: the end of a quiesce window. The other phases wait on
+    /// a fabric delivery or a board's reconfiguration, which wake the
+    /// cluster themselves.
+    pub(crate) fn next_migration_due(&self) -> Cycle {
+        self.migrations
+            .values()
+            .filter_map(|m| match m.phase {
+                MigPhase::Quiesce { until } => Some(until),
+                _ => None,
+            })
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// Cycle phase 1b. Live migrations whose quiesce window elapsed take
+    /// their snapshot: the source stops serving (tile decommissioned, spec
+    /// and checkpoint dropped) and the state goes out over the fabric.
+    /// Migrations whose source or destination died abort.
+    pub(crate) fn drive_migrations(&mut self, now: Cycle) {
+        if self.migrations.is_empty() {
+            return;
+        }
+        let due: Vec<u32> = self
+            .migrations
+            .iter()
+            .filter(|(_, m)| {
+                matches!(m.phase, MigPhase::Quiesce { until } if until <= now)
+                    && self.boards[m.src as usize].alive
+                    && self.boards[m.dst as usize].alive
+            })
+            .map(|(&s, _)| s)
+            .collect();
+        for sid in due {
+            self.drive_migration_snapshot(sid, now);
+        }
+        let dead: Vec<u32> = self
+            .migrations
+            .iter()
+            .filter(|(_, m)| {
+                !self.boards[m.src as usize].alive || !self.boards[m.dst as usize].alive
+            })
+            .map(|(&s, _)| s)
+            .collect();
+        for sid in dead {
+            self.migrations.remove(&sid);
+            self.migrations_failed += 1;
+        }
+    }
+
+    /// Quiesce elapsed: capture the source replica's state and put it on
+    /// the fabric (transfer time scales with state size through the link's
+    /// serialization model). Aborts — republishing the source binding — if
+    /// the service cannot snapshot right now (mid-reconfiguration or not
+    /// preemptible).
+    fn drive_migration_snapshot(&mut self, sid: u32, now: Cycle) {
+        let gw = self.cfg.gateway;
+        let m = self.migrations.get_mut(&sid).expect("listed by caller");
+        let b = &mut self.boards[m.src as usize];
+        let home = b.sys().service_home(m.service);
+        let state = home
+            .and_then(|n| b.sys().tile(n).accel.as_ref())
+            .and_then(|a| a.save_state());
+        let Some(state) = state else {
+            if let Some(n) = home {
+                let _ = b.dir.publish(now, &m.name, m.service, n);
+            }
+            self.migrations.remove(&sid);
+            self.migrations_failed += 1;
+            return;
+        };
+        b.trace_remote(gw, now, "migrate-xfer", m.dst, sid as u64);
+        m.snapshot_at = now;
+        m.state_bytes = state.len() as u64;
+        m.phase = MigPhase::Transfer;
+        b.sys_mut().undeploy_service(m.service);
+        b.local_caps.remove(&sid);
+        b.replicas.remove(&m.name);
+        let msg = ClusterMsg {
+            src: m.src,
+            dst: m.dst,
+            body: Body::Migrate {
+                service: sid,
+                name: m.name.clone(),
+                snapshot: state,
+            },
+        };
+        self.fabric.send(&msg);
+    }
+
+    /// A [`Body::Migrate`] snapshot came off the fabric at live board
+    /// `dst`: restore it into a fresh instance (cold if the snapshot does
+    /// not verify) and load that through the ICAP, priced as bitstream plus
+    /// restored state. The republish pass publishes the new home once the
+    /// tile is back online.
+    pub(crate) fn restore_migration(
+        &mut self,
+        src: u16,
+        dst: u16,
+        service: u32,
+        snapshot: &[u8],
+        now: Cycle,
+    ) {
+        let gw = self.cfg.gateway;
+        let Some(m) = self.migrations.get_mut(&service) else {
+            // Migration aborted while the snapshot was in flight; the
+            // state is lost with it.
+            return;
+        };
+        let factory = m.factory.take().expect("consumed exactly once");
+        let mut accel = factory();
+        m.warm = accel.restore_state(snapshot).is_ok();
+        if !m.warm {
+            // Never install a half-restored instance.
+            accel = factory();
+        }
+        let warm_bytes = if m.warm { snapshot.len() as u64 } else { 0 };
+        let b = &mut self.boards[dst as usize];
+        match b.sys_mut().reconfigure(
+            m.dst_node,
+            accel,
+            m.app,
+            m.policy,
+            m.bitstream_bytes + warm_bytes,
+        ) {
+            Ok(_) => {
+                b.trace_remote(gw, now, "migrate-restore", src, service as u64);
+                let meta = ReplicaMeta {
+                    service: m.service,
+                    node: m.dst_node,
+                    app: m.app,
+                    policy: m.policy,
+                    bitstream_bytes: m.bitstream_bytes,
+                };
+                b.adopt_replica(&m.name, meta, factory);
+                m.phase = MigPhase::Restore;
+            }
+            Err(_) => {
+                self.migrations.remove(&service);
+                self.migrations_failed += 1;
+            }
+        }
+    }
+
+    /// Cycle phase 2b. Migrations finalize once the destination
+    /// republished: the blackout window closes, and every live board's
+    /// stale remote cap against the old home is proactively revoked (a
+    /// fresh cap is minted against the new home on the next submit —
+    /// clients never see a cap change, naming is late-bound).
+    pub(crate) fn finish_migrations(&mut self, now: Cycle) {
+        let finished: Vec<u32> = self
+            .migrations
+            .iter()
+            .filter(|(_, m)| {
+                m.phase == MigPhase::Restore
+                    && self.boards[m.dst as usize]
+                        .dir
+                        .lookup_local(now, &m.name)
+                        .is_some_and(|e| e.node == m.dst_node)
+            })
+            .map(|(&s, _)| s)
+            .collect();
+        let gw = self.cfg.gateway;
+        for sid in finished {
+            let m = self.migrations.remove(&sid).expect("listed above");
+            self.boards[m.dst as usize].trace_remote(gw, now, "migrate-done", m.src, sid as u64);
+            self.revoke_remote_caps(m.src, sid);
+            self.migrations_done.push(MigrationOutcome {
+                name: m.name,
+                service: m.service,
+                src: m.src,
+                dst: m.dst,
+                state_bytes: m.state_bytes,
+                started_at: m.started_at,
+                snapshot_at: m.snapshot_at,
+                restored_at: now,
+                warm: m.warm,
+            });
+        }
+    }
+}

@@ -63,12 +63,6 @@ impl MemoryService {
         self.store.len() as u64
     }
 
-    /// Direct store access for tests and for kernel-side bootstrapping
-    /// (e.g. preloading a dataset).
-    pub fn store_mut(&mut self) -> &mut [u8] {
-        &mut self.store
-    }
-
     /// DRAM row-buffer statistics: (hits, misses, conflicts).
     pub fn dram_stats(&self) -> (u64, u64, u64) {
         self.dram.stats()

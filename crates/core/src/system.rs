@@ -16,7 +16,7 @@ use apiary_cap::{CapError, CapKind, CapRef, Capability, EndpointId, Rights, Serv
 use apiary_mem::{AllocError, AllocPolicy, DramConfig, SegmentAllocator};
 use apiary_monitor::{Monitor, MonitorConfig, TileState};
 use apiary_noc::{Noc, NocConfig, NodeId};
-use apiary_sim::{clock_mode, Clock, ClockMode, Cycle, Wakeup};
+use apiary_sim::{Clock, ClockMode, Cycle, Wakeup};
 use apiary_trace::EventKind;
 use core::fmt;
 
@@ -37,6 +37,10 @@ pub struct SystemConfig {
     pub icap_bytes_per_cycle: u64,
     /// Self-healing supervisor policy (off by default).
     pub supervisor: SupervisorConfig,
+    /// The clock [`System::advance_toward`] steps this machine by: the
+    /// event core (default) or the dense per-cycle reference it is
+    /// replayed against.
+    pub clock: ClockMode,
 }
 
 impl SystemConfig {
@@ -57,6 +61,7 @@ impl Default for SystemConfig {
             mem_node: None,
             icap_bytes_per_cycle: 4,
             supervisor: SupervisorConfig::default(),
+            clock: ClockMode::default(),
         }
     }
 }
@@ -557,19 +562,7 @@ impl System {
         factory: AccelFactory,
     ) -> Result<(), SystemError> {
         self.install(node, factory(), app, policy)?;
-        let next_checkpoint_at = self.first_checkpoint_due();
-        self.supervisor.specs.push(ServiceSpec {
-            service,
-            node,
-            app,
-            policy,
-            bitstream_bytes,
-            factory,
-            clients: Vec::new(),
-            restarts_used: 0,
-            abandoned: false,
-            next_checkpoint_at,
-        });
+        self.adopt_service(service, node, app, policy, bitstream_bytes, factory);
         Ok(())
     }
 
@@ -1329,10 +1322,9 @@ impl System {
         if self.clock.now() >= horizon {
             return;
         }
-        if clock_mode() == ClockMode::Dense {
-            self.tick();
-        } else {
-            self.event_step(horizon);
+        match self.cfg.clock {
+            ClockMode::Dense => self.tick(),
+            ClockMode::Event => self.event_step(horizon),
         }
     }
 

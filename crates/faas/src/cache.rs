@@ -104,16 +104,6 @@ impl BitstreamCache {
     pub fn capacity_bytes(&self) -> u64 {
         self.capacity_bytes
     }
-
-    /// Hit fraction over all lookups so far, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]

@@ -58,11 +58,6 @@ impl Resource {
     pub fn units(&self) -> usize {
         self.free_at.len()
     }
-
-    /// The earliest time any unit is free.
-    pub fn earliest_free(&self) -> Cycle {
-        *self.free_at.iter().min().expect("pool is non-empty")
-    }
 }
 
 #[cfg(test)]

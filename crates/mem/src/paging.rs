@@ -242,11 +242,6 @@ impl PagedMmu {
     pub fn internal_fragmentation(&self) -> u64 {
         self.mapped_bytes() - self.requested_bytes
     }
-
-    /// TLB (hits, misses).
-    pub fn tlb_stats(&self) -> (u64, u64) {
-        self.tlb.stats()
-    }
 }
 
 #[cfg(test)]

@@ -70,15 +70,6 @@ pub struct NocStats {
 }
 
 impl NocStats {
-    /// Mean delivered throughput in flits per cycle (ejection side).
-    pub fn throughput_flits_per_cycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.flits_ejected as f64 / self.cycles as f64
-        }
-    }
-
     /// Packets lost to faults, all causes.
     pub fn dropped(&self) -> u64 {
         self.dropped_corrupt + self.dropped_unreachable + self.dropped_flushed

@@ -10,9 +10,10 @@
 //! - [`Wakeup`], the answer a component gives when it is run: when it next
 //!   needs to run. `apiary_accel::Accelerator::wake` is the contract that
 //!   returns it, and the drivers jump the clock between wakeups,
-//! - [`ClockMode`], the process-wide dense/event switch used by
-//!   `--det-check=event-vs-dense`, and [`jump_target`], the one place a
-//!   driver with its own schedule meets it,
+//! - [`ClockMode`], the dense/event choice a machine carries in its
+//!   configuration (`SystemConfig::clock`; there is no process-wide
+//!   switch), and [`ClockMode::jump_target`], the one place a driver with
+//!   its own schedule meets it,
 //! - [`SimRng`], a small, seedable PRNG so every run is reproducible from a
 //!   single seed,
 //! - [`FxHashMap`]/[`FxHashSet`], fast deterministic hashing for
@@ -39,5 +40,5 @@ pub use event::{EventHandle, EventQueue};
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use payload::Payload;
 pub use rng::SimRng;
-pub use sched::{clock_mode, jump_target, set_clock_mode, ClockMode, Wakeup};
+pub use sched::{ClockMode, Wakeup};
 pub use stats::{Counter, Histogram, RunningStats};

@@ -22,7 +22,6 @@
 //! only decides *which cycles run*, never the order within a cycle.
 
 use crate::clock::Cycle;
-use core::sync::atomic::{AtomicU8, Ordering};
 
 /// When a component next needs to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,44 +80,32 @@ impl Wakeup {
     }
 }
 
-/// How the simulation drivers advance time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a machine's drivers advance its time. The mode is a field of the
+/// machine's configuration (`SystemConfig::clock`): two machines under
+/// different clocks can be stepped side by side in one process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockMode {
     /// Tick every cycle (the legacy loop; reference behaviour).
     Dense,
     /// Jump between scheduled wakeups (default; bit-identical by
     /// construction, validated by `--det-check=event-vs-dense`).
+    #[default]
     Event,
 }
 
-static CLOCK_MODE: AtomicU8 = AtomicU8::new(1);
-
-/// The process-wide clock mode. Defaults to [`ClockMode::Event`].
-pub fn clock_mode() -> ClockMode {
-    if CLOCK_MODE.load(Ordering::Relaxed) == 0 {
-        ClockMode::Dense
-    } else {
-        ClockMode::Event
-    }
-}
-
-/// Sets the process-wide clock mode. Used by `--det-check=event-vs-dense`
-/// to replay the suite under both clocks; tests that toggle it must restore
-/// the previous mode (and not run concurrently with mode-sensitive tests).
-pub fn set_clock_mode(mode: ClockMode) {
-    CLOCK_MODE.store(matches!(mode, ClockMode::Event) as u8, Ordering::Relaxed);
-}
-
-/// How far a driver that keeps its own schedule (a load generator, a
-/// client pump) may let the system run before it must look at its clients
-/// again: `due`, the driver's own next deadline, under the event clock,
-/// and at most `now + 1` under the dense reference clock. The reference
-/// run thus visits every client on every cycle, so a `due` computed too
-/// late shows up as a divergence between the two clocks.
-pub fn jump_target(now: Cycle, due: Cycle) -> Cycle {
-    match clock_mode() {
-        ClockMode::Event => due,
-        ClockMode::Dense => due.min(now.saturating_add(1)),
+impl ClockMode {
+    /// How far a driver that keeps its own schedule (a load generator, a
+    /// client pump) may let its machine run before it must look at its
+    /// clients again: `due`, the driver's own next deadline, under the
+    /// event clock, and at most `now + 1` under the dense reference clock.
+    /// The reference run thus visits every client on every cycle, so a
+    /// `due` computed too late shows up as a divergence between the two
+    /// clocks.
+    pub fn jump_target(self, now: Cycle, due: Cycle) -> Cycle {
+        match self {
+            ClockMode::Event => due,
+            ClockMode::Dense => due.min(now.saturating_add(1)),
+        }
     }
 }
 
@@ -149,5 +136,26 @@ mod tests {
         assert!(Wakeup::AtOrMessage(Cycle(1)).wakes_on_message());
         assert!(!Wakeup::At(Cycle(1)).wakes_on_message());
         assert_eq!(Wakeup::after(Cycle(10), 5), Wakeup::At(Cycle(15)));
+    }
+
+    #[test]
+    fn dense_clock_clamps_a_drivers_jump_to_one_cycle() {
+        assert_eq!(ClockMode::default(), ClockMode::Event);
+        assert_eq!(
+            ClockMode::Event.jump_target(Cycle(10), Cycle(50)),
+            Cycle(50)
+        );
+        assert_eq!(
+            ClockMode::Dense.jump_target(Cycle(10), Cycle(50)),
+            Cycle(11)
+        );
+        assert_eq!(
+            ClockMode::Dense.jump_target(Cycle(10), Cycle(11)),
+            Cycle(11)
+        );
+        assert_eq!(
+            ClockMode::Dense.jump_target(Cycle::MAX, Cycle::MAX),
+            Cycle::MAX
+        );
     }
 }

@@ -117,11 +117,6 @@ impl RunningStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (zero when empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {
