@@ -2,10 +2,10 @@
 //!
 //! Every experiment owns its own seeded `SimRng`, so experiments are
 //! independent and can run concurrently. Determinism contract: for any
-//! `jobs` value the per-experiment [`ExperimentReport`]s are byte-identical
-//! (rendered text, metrics, sim_cycles) — only `wall_ms` varies. Results
-//! are always returned (and printed) in E1..E19 order regardless of which
-//! worker finished first.
+//! `jobs` value the per-experiment [`ExperimentReport`]s are byte-identical.
+//! Reports are always returned (and printed) in E1..E19 order regardless of
+//! which worker finished first; each experiment's host time is kept beside
+//! its report ([`SuiteRun::wall_ms`]), never in it.
 
 use crate::experiments as e;
 use crate::report::ExperimentReport;
@@ -107,20 +107,20 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs one experiment and stamps its wall time.
-pub fn run_one(f: ExperimentFn, run: Run) -> ExperimentReport {
-    let t0 = Instant::now();
-    let mut report = f(run);
-    report.wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
-    report
+/// What [`run_suite`] hands back, both in suite order.
+pub struct SuiteRun {
+    /// Every experiment's report: the deterministic bytes.
+    pub reports: Vec<ExperimentReport>,
+    /// The host milliseconds each experiment took on its worker.
+    pub wall_ms: Vec<f64>,
 }
 
 /// Runs the whole suite on `jobs` scoped workers (clamped to [1, suite
-/// size]) and returns the reports in suite order.
-pub fn run_suite(run: Run, jobs: usize) -> Vec<ExperimentReport> {
+/// size]).
+pub fn run_suite(run: Run, jobs: usize) -> SuiteRun {
     let jobs = jobs.clamp(1, SUITE.len());
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ExperimentReport>>> =
+    let slots: Vec<Mutex<Option<(ExperimentReport, f64)>>> =
         SUITE.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
@@ -129,19 +129,22 @@ pub fn run_suite(run: Run, jobs: usize) -> Vec<ExperimentReport> {
                 let Some(&(_, _, f)) = SUITE.get(i) else {
                     break;
                 };
-                let report = run_one(f, run);
-                *slots[i].lock().unwrap() = Some(report);
+                let t0 = Instant::now();
+                let report = f(run);
+                let wall_ms = t0.elapsed().as_secs_f64() * 1000.0;
+                *slots[i].lock().expect("no panic holds a slot") = Some((report, wall_ms));
             });
         }
     });
-    slots
+    let (reports, wall_ms) = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .unwrap()
+                .expect("no panic holds a slot")
                 .expect("worker filled every slot")
         })
-        .collect()
+        .unzip();
+    SuiteRun { reports, wall_ms }
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! Structured experiment reports.
 //!
-//! Every experiment produces an [`ExperimentReport`]: the rendered prose
-//! (unchanged from the original `fn(bool) -> String` era), a machine-readable
-//! `metrics` value, and the simulated-cycle count behind it. Wall-clock time
-//! is stamped by the harness, never by the experiment, so it is the only
-//! non-deterministic field — everything else must be byte-identical run to
-//! run regardless of `--jobs`.
+//! Every experiment produces an [`ExperimentReport`]: the rendered prose, a
+//! machine-readable `metrics` value, and the simulated-cycle count behind
+//! it. A report is exactly what gets committed under `results/`, so it
+//! holds nothing read from the host clock: every byte of
+//! [`ExperimentReport::artifacts`] is identical run to run, for any
+//! `--jobs` and under either simulated clock. Host time is the harness's
+//! business ([`crate::harness::SuiteRun::wall_ms`]) and `benchmark/`'s.
 //!
 //! The workspace builds offline (no serde), so [`Json`] is a minimal
 //! order-preserving JSON value with a deterministic renderer.
@@ -217,24 +218,21 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 /// One experiment's structured result.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
-    /// Short identifier, `"E1"` .. `"E17"`.
+    /// Short identifier, `"E1"` .. `"E19"`.
     pub id: &'static str,
     /// One-line human title.
     pub title: &'static str,
-    /// Wall-clock milliseconds, stamped by the harness (0 until then).
-    /// The only non-deterministic field — excluded from determinism checks.
-    pub wall_ms: f64,
     /// Total simulated cycles driven by the experiment (0 when the
     /// experiment is analytic and drives no clock).
     pub sim_cycles: u64,
     /// Headline metrics, machine-readable.
     pub metrics: Json,
-    /// The human-readable report, unchanged from the legacy `run` output.
+    /// The human-readable report.
     pub rendered: String,
 }
 
 impl ExperimentReport {
-    /// A report with everything but the harness-stamped wall time.
+    /// A report from its five parts.
     pub fn new(
         id: &'static str,
         title: &'static str,
@@ -245,49 +243,46 @@ impl ExperimentReport {
         ExperimentReport {
             id,
             title,
-            wall_ms: 0.0,
             sim_cycles,
             metrics,
             rendered,
         }
     }
 
-    /// Simulated cycles per wall-clock second (0 when either is unknown).
-    pub fn cycles_per_sec(&self) -> f64 {
-        if self.wall_ms <= 0.0 {
-            0.0
-        } else {
-            self.sim_cycles as f64 / (self.wall_ms / 1000.0)
-        }
-    }
-
-    /// The deterministic portion of the report (everything except
-    /// `wall_ms`): byte-identical across runs and `--jobs` values.
-    pub fn deterministic_bytes(&self) -> String {
-        format!(
-            "{}\n{}\n{}\n{}\n{}",
-            self.id,
-            self.title,
-            self.sim_cycles,
-            self.metrics.render(),
-            self.rendered
-        )
-    }
-
-    /// Per-experiment result file contents (`results/<file>.json`).
+    /// Per-experiment result file contents (`results/<slug>.json`).
     pub fn to_json(&self) -> String {
         Json::obj()
             .set("experiment", self.id)
             .set("title", self.title)
-            .set("wall_ms", round3(self.wall_ms))
             .set("sim_cycles", self.sim_cycles)
-            .set("sim_cycles_per_sec", round3(self.cycles_per_sec()))
             .set("metrics", self.metrics.clone())
             .render_pretty()
     }
+
+    /// The two files a full run commits as `results/<slug>.<ext>`, as
+    /// (extension, contents). The det-checks and the `results/` test
+    /// compare these very bytes.
+    pub fn artifacts(&self) -> [(&'static str, String); 2] {
+        [("json", self.to_json()), ("txt", self.rendered.clone())]
+    }
 }
 
-/// Rounds to 3 decimals so wall-clock noise doesn't produce 17-digit floats.
+/// Where two artifacts first differ, ready to print: the 1-based line
+/// number, then `a`'s line and `b`'s (`<end>` past a side's last line).
+/// `None` when they are byte-identical.
+pub fn first_difference(a: &str, b: &str) -> Option<String> {
+    let (mut a, mut b) = (a.split('\n'), b.split('\n'));
+    (1..).find_map(|n| match (a.next(), b.next()) {
+        (None, None) => Some(None),
+        (x, y) if x == y => None,
+        (x, y) => {
+            let (x, y) = (x.unwrap_or("<end>"), y.unwrap_or("<end>"));
+            Some(Some(format!("line {n}:\n  - {x}\n  + {y}")))
+        }
+    })?
+}
+
+/// Rounds to 3 decimals so a derived ratio doesn't print 17 digits.
 pub fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
 }
@@ -328,33 +323,38 @@ mod tests {
     }
 
     #[test]
-    fn report_json_has_schema_fields() {
-        let mut r = ExperimentReport::new(
+    fn report_json_is_the_four_deterministic_fields() {
+        let r = ExperimentReport::new(
             "E0",
             "test",
             1000,
             Json::obj().set("k", 1u64),
             "body".into(),
         );
-        r.wall_ms = 2.0;
         let j = r.to_json();
-        for needle in [
-            "\"experiment\": \"E0\"",
-            "\"wall_ms\": 2.0",
-            "\"sim_cycles\": 1000",
-            "\"sim_cycles_per_sec\": 500000.0",
-            "\"metrics\": {",
-        ] {
-            assert!(j.contains(needle), "missing {needle} in:\n{j}");
-        }
+        assert_eq!(
+            j,
+            "{\n  \"experiment\": \"E0\",\n  \"title\": \"test\",\n  \
+             \"sim_cycles\": 1000,\n  \"metrics\": {\n    \"k\": 1\n  }\n}\n"
+        );
+        assert_eq!(r.artifacts(), [("json", j), ("txt", "body".to_string())]);
     }
 
     #[test]
-    fn deterministic_bytes_excludes_wall_ms() {
-        let mut a = ExperimentReport::new("E0", "t", 5, Json::obj(), "r".into());
-        let mut b = a.clone();
-        a.wall_ms = 1.0;
-        b.wall_ms = 99.0;
-        assert_eq!(a.deterministic_bytes(), b.deterministic_bytes());
+    fn first_difference_names_the_line() {
+        assert_eq!(first_difference("a\nb\n", "a\nb\n"), None);
+        assert_eq!(
+            first_difference("a\nb\nc", "a\nB\nc").as_deref(),
+            Some("line 2:\n  - b\n  + B")
+        );
+        // A missing final newline is a difference too.
+        assert_eq!(
+            first_difference("a\n", "a").as_deref(),
+            Some("line 2:\n  - \n  + <end>")
+        );
+        assert_eq!(
+            first_difference("", "x").as_deref(),
+            Some("line 1:\n  - \n  + x")
+        );
     }
 }

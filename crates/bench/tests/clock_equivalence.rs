@@ -159,7 +159,7 @@ fn run_system(mode: ClockMode, p: &Params) -> String {
         metrics,
         String::new(),
     )
-    .deterministic_bytes()
+    .to_json()
 }
 
 proptest! {

@@ -13,7 +13,7 @@ use apiary_core::supervisor::AccelFactory;
 use apiary_core::{AppId, FaultPolicy, System};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
-use apiary_trace::EventKind;
+use apiary_trace::{EventKind, RemotePhase};
 use std::collections::BTreeMap;
 
 #[derive(Clone)]
@@ -135,7 +135,7 @@ impl Board {
         &mut self,
         gw: NodeId,
         now: Cycle,
-        phase: &'static str,
+        phase: RemotePhase,
         board: u16,
         tag: u64,
     ) {

@@ -48,7 +48,7 @@ use apiary_monitor::wire::{KIND_ERROR, KIND_REQUEST};
 use apiary_net::{BreakerConfig, BreakerState, RequestGen, RetryPolicy, Workload};
 use apiary_noc::{NodeId, TrafficClass};
 use apiary_sim::{ClockMode, Cycle};
-use apiary_trace::{EventKind, LatencyTracker};
+use apiary_trace::{EventKind, LatencyTracker, RemotePhase};
 use std::collections::{BTreeMap, VecDeque};
 
 /// High bit marks gateway-local ingress tags, so a board can tell replies
@@ -309,7 +309,7 @@ impl ClusterSystem {
             .monitor
             .tracer()
             .count(&EventKind::Remote {
-                phase: "",
+                phase: RemotePhase::Send,
                 board: 0,
                 tag: 0,
             })
@@ -614,7 +614,7 @@ impl ClusterSystem {
                 self.refused += 1;
                 return Err(SubmitError::Refused);
             }
-            b.trace_remote(gw, now, "send", tboard, tag);
+            b.trace_remote(gw, now, RemotePhase::Send, tboard, tag);
             self.fabric_out.start(tag, now);
             self.fabric.send(&ClusterMsg {
                 src: origin,
@@ -647,7 +647,7 @@ impl ClusterSystem {
     pub fn note_breaker_open(&mut self, origin: u16) {
         let now = self.now();
         let gw = self.cfg.gateway;
-        self.boards[origin as usize].trace_remote(gw, now, "breaker-open", origin, 0);
+        self.boards[origin as usize].trace_remote(gw, now, RemotePhase::BreakerOpen, origin, 0);
     }
 
     /// Finished requests since the last call, in completion order.
@@ -880,7 +880,7 @@ impl ClusterSystem {
                 continue;
             }
             for _ in 0..n {
-                b.trace_remote(gw, now, "retransmit", src_board, 0);
+                b.trace_remote(gw, now, RemotePhase::Retransmit, src_board, 0);
             }
         }
         for msg in deliveries {
@@ -900,7 +900,13 @@ impl ClusterSystem {
                     payload: _,
                 } => {
                     self.fabric_back.finish(tag, now);
-                    self.boards[msg.dst as usize].trace_remote(gw, now, "reply", msg.src, tag);
+                    self.boards[msg.dst as usize].trace_remote(
+                        gw,
+                        now,
+                        RemotePhase::Reply,
+                        msg.src,
+                        tag,
+                    );
                     self.finish_request(tag, is_error, now);
                 }
                 Body::Gossip { entries } => {

@@ -16,6 +16,7 @@ use apiary_core::supervisor::AccelFactory;
 use apiary_core::{AppId, FaultPolicy, SystemError};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
+use apiary_trace::RemotePhase;
 
 /// Phase of an in-flight live migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +115,7 @@ impl ClusterSystem {
         self.boards[src as usize].trace_remote(
             gw,
             now,
-            "migrate-quiesce",
+            RemotePhase::MigrateQuiesce,
             dst,
             meta.service.0 as u64,
         );
@@ -223,7 +224,7 @@ impl ClusterSystem {
             self.migrations_failed += 1;
             return;
         };
-        b.trace_remote(gw, now, "migrate-xfer", m.dst, sid as u64);
+        b.trace_remote(gw, now, RemotePhase::MigrateXfer, m.dst, sid as u64);
         m.snapshot_at = now;
         m.state_bytes = state.len() as u64;
         m.phase = MigPhase::Transfer;
@@ -278,7 +279,7 @@ impl ClusterSystem {
             m.bitstream_bytes + warm_bytes,
         ) {
             Ok(_) => {
-                b.trace_remote(gw, now, "migrate-restore", src, service as u64);
+                b.trace_remote(gw, now, RemotePhase::MigrateRestore, src, service as u64);
                 let meta = ReplicaMeta {
                     service: m.service,
                     node: m.dst_node,
@@ -317,7 +318,13 @@ impl ClusterSystem {
         let gw = self.cfg.gateway;
         for sid in finished {
             let m = self.migrations.remove(&sid).expect("listed above");
-            self.boards[m.dst as usize].trace_remote(gw, now, "migrate-done", m.src, sid as u64);
+            self.boards[m.dst as usize].trace_remote(
+                gw,
+                now,
+                RemotePhase::MigrateDone,
+                m.src,
+                sid as u64,
+            );
             self.revoke_remote_caps(m.src, sid);
             self.migrations_done.push(MigrationOutcome {
                 name: m.name,

@@ -33,12 +33,15 @@
 //! the incident's MTTR, the metric experiment E16 sweeps.
 
 use crate::checkpoint::CheckpointStore;
-use crate::fault::FaultPolicy;
+use crate::fault::{checkpoint_downtime, FaultPolicy};
 use crate::process::AppId;
-use apiary_accel::Accelerator;
-use apiary_cap::ServiceId;
+use crate::system::System;
+use apiary_accel::{Accelerator, CapEnv};
+use apiary_cap::{CapKind, Capability, EndpointId, Rights, ServiceId};
+use apiary_monitor::TileState;
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
+use apiary_trace::EventKind;
 use std::collections::VecDeque;
 
 /// Builds a fresh instance of a supervised service's accelerator.
@@ -215,6 +218,261 @@ impl Supervisor {
     /// Mutable checkpoint store (fabric replication adopts snapshots).
     pub fn checkpoints_mut(&mut self) -> &mut CheckpointStore {
         &mut self.checkpoints
+    }
+}
+
+/// The ladder itself: the half of [`System`] that steps the supervisor.
+impl System {
+    /// One supervisor pass: take due checkpoints, detect fail-stopped
+    /// services, escalate through the restart/migrate ladder, and finish
+    /// recoveries whose bitstream completed. Runs at the end of every tick
+    /// when enabled.
+    pub(crate) fn step_supervisor(&mut self, now: Cycle) {
+        let mut sup = std::mem::take(&mut self.supervisor);
+        self.checkpoint_pass(&mut sup, now);
+        for si in 0..sup.specs.len() {
+            let service = sup.specs[si].service;
+            match sup.open_incident(service) {
+                None => {
+                    // Detection: the service's home tile fail-stopped. Once
+                    // an incident was abandoned the service stays down —
+                    // re-detecting it every cycle would flood the log.
+                    let node = sup.specs[si].node;
+                    if self.tiles[node.index()].monitor.state() != TileState::FailStopped
+                        || self.reconfig.in_progress(node)
+                        || sup.specs[si].abandoned
+                    {
+                        continue;
+                    }
+                    let spec = &sup.specs[si];
+                    let code = self.tiles[node.index()].faults.last().map_or(0, |f| f.code);
+                    let backoff = self
+                        .cfg
+                        .supervisor
+                        .restart_backoff
+                        .saturating_mul(1u64 << spec.restarts_used.min(16));
+                    let target = if spec.restarts_used < self.cfg.supervisor.max_restarts {
+                        RecoveryTarget::InPlace(node)
+                    } else if let Some(spare) = sup.free_spares.pop_front() {
+                        RecoveryTarget::Migrate(spare)
+                    } else {
+                        RecoveryTarget::Abandoned
+                    };
+                    let phase = if target == RecoveryTarget::Abandoned {
+                        sup.specs[si].abandoned = true;
+                        Phase::Closed
+                    } else {
+                        Phase::Backoff {
+                            restart_at: now + backoff,
+                        }
+                    };
+                    sup.incidents.push(Incident {
+                        service,
+                        node,
+                        code,
+                        detected_at: now,
+                        recovered_at: None,
+                        target,
+                        warm: false,
+                        phase,
+                    });
+                }
+                Some(ii) => {
+                    let (target, phase) = (sup.incidents[ii].target, sup.incidents[ii].phase);
+                    let dst = match target {
+                        RecoveryTarget::InPlace(n) | RecoveryTarget::Migrate(n) => n,
+                        RecoveryTarget::Abandoned => continue,
+                    };
+                    match phase {
+                        Phase::Backoff { restart_at } if now >= restart_at => {
+                            // Warm path: restore the latest verified
+                            // checkpoint into the fresh instance before
+                            // loading it. The snapshot crosses the ICAP
+                            // with the bitstream, so recovery time scales
+                            // with state size; a missing or corrupt
+                            // snapshot falls back to the cold
+                            // factory-fresh path.
+                            let warm_state =
+                                sup.checkpoints.latest(service.0).map(|s| s.state.clone());
+                            let spec = &mut sup.specs[si];
+                            let mut accel = (spec.factory)();
+                            let mut warm_bytes = 0u64;
+                            let warm = match warm_state {
+                                Some(state) if accel.restore_state(&state).is_ok() => {
+                                    warm_bytes = state.len() as u64;
+                                    true
+                                }
+                                _ => false,
+                            };
+                            // A busy ICAP just pushes the restart out.
+                            match self.reconfigure(
+                                dst,
+                                accel,
+                                spec.app,
+                                spec.policy,
+                                spec.bitstream_bytes + warm_bytes,
+                            ) {
+                                Ok(_) => {
+                                    spec.restarts_used += 1;
+                                    sup.incidents[ii].phase = Phase::Reconfiguring;
+                                    sup.incidents[ii].warm = warm;
+                                    if warm {
+                                        sup.checkpoints.warm_restores += 1;
+                                    }
+                                }
+                                Err(_) => {
+                                    // The ICAP is mid-flight on this very
+                                    // tile. Rather than silently polling
+                                    // every cycle, park the incident until
+                                    // the blocking job lands — the exact
+                                    // cycle the old retry loop would have
+                                    // first succeeded — and leave a span in
+                                    // the trace so the stall is visible.
+                                    let resume = self
+                                        .reconfig
+                                        .completion_of(dst)
+                                        .unwrap_or_else(|| now.saturating_add(1));
+                                    sup.incidents[ii].phase = Phase::Backoff { restart_at: resume };
+                                    self.tiles[dst.index()].monitor.tracer_mut().record(
+                                        now,
+                                        dst.0,
+                                        EventKind::Note(format!(
+                                            "supervisor restart blocked by reconfig; retry at {resume}"
+                                        )),
+                                    );
+                                }
+                            }
+                        }
+                        Phase::Reconfiguring if !self.reconfig.in_progress(dst) => {
+                            // Bitstream done; the tile came back reset this
+                            // tick. Rewire clients and close the incident.
+                            let spec = &mut sup.specs[si];
+                            let old = spec.node;
+                            if old != dst {
+                                // Decommission the dead tile: wipe every
+                                // capability and name binding, then seal it
+                                // again so no stale authority survives.
+                                let dead = &mut self.tiles[old.index()];
+                                dead.monitor.reset(now);
+                                dead.monitor.fail_stop(now);
+                                dead.accel = None;
+                                dead.app = None;
+                                dead.env = CapEnv::new();
+                            }
+                            spec.node = dst;
+                            for &c in &spec.clients {
+                                self.tiles[c.index()].monitor.bind_service(service.0, dst);
+                                let home = &mut self.tiles[dst.index()];
+                                if home.monitor.find_endpoint_cap(c).is_none() {
+                                    let _ = home.monitor.install_cap(Capability::new(
+                                        CapKind::Endpoint(EndpointId(c.0 as u32)),
+                                        Rights::SEND,
+                                    ));
+                                }
+                            }
+                            sup.incidents[ii].recovered_at = Some(now);
+                            sup.incidents[ii].phase = Phase::Closed;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        self.supervisor = sup;
+    }
+
+    /// Periodic checkpointing: snapshot every healthy preemptible service
+    /// whose interval elapsed. The tile stalls for the save leg
+    /// ([`checkpoint_downtime`]), so checkpoints are not free — E19
+    /// measures the trade. A service whose accelerator cannot externalize
+    /// state is permanently excused (`next_checkpoint_at = Cycle::MAX`).
+    fn checkpoint_pass(&mut self, sup: &mut Supervisor, now: Cycle) {
+        let interval = self.cfg.supervisor.checkpoint_interval;
+        if interval == 0 {
+            return;
+        }
+        for spec in &mut sup.specs {
+            if spec.abandoned || now < spec.next_checkpoint_at {
+                continue;
+            }
+            let node = spec.node;
+            if self.reconfig.in_progress(node) {
+                continue;
+            }
+            let tile = &mut self.tiles[node.index()];
+            if tile.monitor.state() != TileState::Running || tile.busy_until > now {
+                continue;
+            }
+            let Some(accel) = tile.accel.as_ref() else {
+                continue;
+            };
+            match accel.save_state() {
+                Some(state) => {
+                    let len = state.len();
+                    tile.busy_until = now + checkpoint_downtime(len);
+                    let seq = sup.checkpoints.put(spec.service.0, now, state);
+                    tile.monitor.tracer_mut().record(
+                        now,
+                        node.0,
+                        EventKind::Note(format!("checkpoint seq {seq} ({len} B)")),
+                    );
+                    spec.next_checkpoint_at = now + interval;
+                }
+                None => {
+                    spec.next_checkpoint_at = Cycle::MAX;
+                }
+            }
+        }
+    }
+
+    /// The supervisor's contribution to [`System::next_phase_due`]: `next`
+    /// if a fail-stop is waiting to be detected, else the earliest backoff
+    /// expiry or periodic-checkpoint deadline. Reconfiguring incidents
+    /// close on the bitstream completion cycle, which the reconfig
+    /// deadline already covers. A due-but-blocked checkpoint (tile busy)
+    /// re-arms at `busy_until` — the first cycle the dense clock's
+    /// every-cycle retry would have succeeded.
+    pub(crate) fn supervisor_due(&self, next: Cycle) -> Cycle {
+        let mut due = Cycle::MAX;
+        for spec in &self.supervisor.specs {
+            match self.supervisor.open_incident(spec.service) {
+                None => {
+                    let node = spec.node;
+                    if spec.abandoned {
+                        continue;
+                    }
+                    let tile = &self.tiles[node.index()];
+                    if tile.monitor.state() == TileState::FailStopped
+                        && !self.reconfig.in_progress(node)
+                    {
+                        return next;
+                    }
+                    if spec.next_checkpoint_at != Cycle::MAX
+                        && tile.monitor.state() == TileState::Running
+                        && !self.reconfig.in_progress(node)
+                    {
+                        due = due.min(spec.next_checkpoint_at.max(tile.busy_until).max(next));
+                    }
+                }
+                Some(ii) => {
+                    if let Phase::Backoff { restart_at } = self.supervisor.incidents[ii].phase {
+                        due = due.min(restart_at.max(next));
+                    }
+                }
+            }
+        }
+        due
+    }
+
+    /// When a freshly (re)deployed service's first periodic checkpoint is
+    /// due: one interval from now, or never if checkpointing is off.
+    pub(crate) fn first_checkpoint_due(&self) -> Cycle {
+        let interval = self.cfg.supervisor.checkpoint_interval;
+        if interval > 0 {
+            self.clock.now() + interval
+        } else {
+            Cycle::MAX
+        }
     }
 }
 

@@ -1,15 +1,11 @@
 //! The machine: NoC + tiles + clock, and the kernel management API.
 
 use crate::checkpoint::CheckpointStore;
-use crate::fault::{
-    checkpoint_downtime, preemption_downtime, FaultAction, FaultPolicy, FaultRecord,
-};
+use crate::fault::{preemption_downtime, FaultAction, FaultPolicy, FaultRecord};
 use crate::memsvc::MemoryService;
 use crate::process::{AppId, OS_APP};
 use crate::reconfig::ReconfigController;
-use crate::supervisor::{
-    AccelFactory, Incident, Phase, RecoveryTarget, ServiceSpec, Supervisor, SupervisorConfig,
-};
+use crate::supervisor::{AccelFactory, Incident, Phase, ServiceSpec, Supervisor, SupervisorConfig};
 use crate::tile::{KernelOs, ParkedTenant, Tile};
 use apiary_accel::{Accelerator, CapEnv};
 use apiary_cap::{CapError, CapKind, CapRef, Capability, EndpointId, Rights, ServiceId};
@@ -143,14 +139,14 @@ impl From<AllocError> for SystemError {
 /// assert_eq!(sys.now().as_u64(), 10);
 /// ```
 pub struct System {
-    cfg: SystemConfig,
-    clock: Clock,
+    pub(crate) cfg: SystemConfig,
+    pub(crate) clock: Clock,
     noc: Noc,
-    tiles: Vec<Tile>,
+    pub(crate) tiles: Vec<Tile>,
     allocator: SegmentAllocator,
     mem_node: NodeId,
-    reconfig: ReconfigController,
-    supervisor: Supervisor,
+    pub(crate) reconfig: ReconfigController,
+    pub(crate) supervisor: Supervisor,
 }
 
 impl System {
@@ -566,17 +562,6 @@ impl System {
         Ok(())
     }
 
-    /// When a freshly (re)deployed service's first periodic checkpoint is
-    /// due: one interval from now, or never if checkpointing is off.
-    fn first_checkpoint_due(&self) -> Cycle {
-        let interval = self.cfg.supervisor.checkpoint_interval;
-        if interval > 0 {
-            self.clock.now() + interval
-        } else {
-            Cycle::MAX
-        }
-    }
-
     /// Registers an already-arriving service with the supervisor *without*
     /// installing anything: the caller is responsible for bringing the
     /// accelerator up at `node` (the destination half of a cross-board
@@ -693,208 +678,6 @@ impl System {
     /// Current home node of a supervised service.
     pub fn service_home(&self, service: ServiceId) -> Option<NodeId> {
         self.supervisor.service_home(service)
-    }
-
-    /// Periodic checkpointing: snapshot every healthy preemptible service
-    /// whose interval elapsed. The tile stalls for the save leg
-    /// ([`checkpoint_downtime`]), so checkpoints are not free — E19
-    /// measures the trade. A service whose accelerator cannot externalize
-    /// state is permanently excused (`next_checkpoint_at = Cycle::MAX`).
-    fn checkpoint_pass(&mut self, sup: &mut Supervisor, now: Cycle) {
-        let interval = self.cfg.supervisor.checkpoint_interval;
-        if interval == 0 {
-            return;
-        }
-        for spec in &mut sup.specs {
-            if spec.abandoned || now < spec.next_checkpoint_at {
-                continue;
-            }
-            let node = spec.node;
-            if self.reconfig.in_progress(node) {
-                continue;
-            }
-            let tile = &mut self.tiles[node.index()];
-            if tile.monitor.state() != TileState::Running || tile.busy_until > now {
-                continue;
-            }
-            let Some(accel) = tile.accel.as_ref() else {
-                continue;
-            };
-            match accel.save_state() {
-                Some(state) => {
-                    let len = state.len();
-                    tile.busy_until = now + checkpoint_downtime(len);
-                    let seq = sup.checkpoints.put(spec.service.0, now, state);
-                    tile.monitor.tracer_mut().record(
-                        now,
-                        node.0,
-                        EventKind::Note(format!("checkpoint seq {seq} ({len} B)")),
-                    );
-                    spec.next_checkpoint_at = now + interval;
-                }
-                None => {
-                    spec.next_checkpoint_at = Cycle::MAX;
-                }
-            }
-        }
-    }
-
-    /// One supervisor pass: take due checkpoints, detect fail-stopped
-    /// services, escalate through the restart/migrate ladder, and finish
-    /// recoveries whose bitstream completed. Runs at the end of every tick
-    /// when enabled.
-    fn step_supervisor(&mut self, now: Cycle) {
-        let mut sup = std::mem::take(&mut self.supervisor);
-        self.checkpoint_pass(&mut sup, now);
-        for si in 0..sup.specs.len() {
-            let service = sup.specs[si].service;
-            match sup.open_incident(service) {
-                None => {
-                    // Detection: the service's home tile fail-stopped. Once
-                    // an incident was abandoned the service stays down —
-                    // re-detecting it every cycle would flood the log.
-                    let node = sup.specs[si].node;
-                    if self.tiles[node.index()].monitor.state() != TileState::FailStopped
-                        || self.reconfig.in_progress(node)
-                        || sup.specs[si].abandoned
-                    {
-                        continue;
-                    }
-                    let spec = &sup.specs[si];
-                    let code = self.tiles[node.index()].faults.last().map_or(0, |f| f.code);
-                    let backoff = self
-                        .cfg
-                        .supervisor
-                        .restart_backoff
-                        .saturating_mul(1u64 << spec.restarts_used.min(16));
-                    let target = if spec.restarts_used < self.cfg.supervisor.max_restarts {
-                        RecoveryTarget::InPlace(node)
-                    } else if let Some(spare) = sup.free_spares.pop_front() {
-                        RecoveryTarget::Migrate(spare)
-                    } else {
-                        RecoveryTarget::Abandoned
-                    };
-                    let phase = if target == RecoveryTarget::Abandoned {
-                        sup.specs[si].abandoned = true;
-                        Phase::Closed
-                    } else {
-                        Phase::Backoff {
-                            restart_at: now + backoff,
-                        }
-                    };
-                    sup.incidents.push(Incident {
-                        service,
-                        node,
-                        code,
-                        detected_at: now,
-                        recovered_at: None,
-                        target,
-                        warm: false,
-                        phase,
-                    });
-                }
-                Some(ii) => {
-                    let (target, phase) = (sup.incidents[ii].target, sup.incidents[ii].phase);
-                    let dst = match target {
-                        RecoveryTarget::InPlace(n) | RecoveryTarget::Migrate(n) => n,
-                        RecoveryTarget::Abandoned => continue,
-                    };
-                    match phase {
-                        Phase::Backoff { restart_at } if now >= restart_at => {
-                            // Warm path: restore the latest verified
-                            // checkpoint into the fresh instance before
-                            // loading it. The snapshot crosses the ICAP
-                            // with the bitstream, so recovery time scales
-                            // with state size; a missing or corrupt
-                            // snapshot falls back to the cold
-                            // factory-fresh path.
-                            let warm_state =
-                                sup.checkpoints.latest(service.0).map(|s| s.state.clone());
-                            let spec = &mut sup.specs[si];
-                            let mut accel = (spec.factory)();
-                            let mut warm_bytes = 0u64;
-                            let warm = match warm_state {
-                                Some(state) if accel.restore_state(&state).is_ok() => {
-                                    warm_bytes = state.len() as u64;
-                                    true
-                                }
-                                _ => false,
-                            };
-                            // A busy ICAP just pushes the restart out.
-                            match self.reconfigure(
-                                dst,
-                                accel,
-                                spec.app,
-                                spec.policy,
-                                spec.bitstream_bytes + warm_bytes,
-                            ) {
-                                Ok(_) => {
-                                    spec.restarts_used += 1;
-                                    sup.incidents[ii].phase = Phase::Reconfiguring;
-                                    sup.incidents[ii].warm = warm;
-                                    if warm {
-                                        sup.checkpoints.warm_restores += 1;
-                                    }
-                                }
-                                Err(_) => {
-                                    // The ICAP is mid-flight on this very
-                                    // tile. Rather than silently polling
-                                    // every cycle, park the incident until
-                                    // the blocking job lands — the exact
-                                    // cycle the old retry loop would have
-                                    // first succeeded — and leave a span in
-                                    // the trace so the stall is visible.
-                                    let resume = self
-                                        .reconfig
-                                        .completion_of(dst)
-                                        .unwrap_or_else(|| now.saturating_add(1));
-                                    sup.incidents[ii].phase = Phase::Backoff { restart_at: resume };
-                                    self.tiles[dst.index()].monitor.tracer_mut().record(
-                                        now,
-                                        dst.0,
-                                        EventKind::Note(format!(
-                                            "supervisor restart blocked by reconfig; retry at {resume}"
-                                        )),
-                                    );
-                                }
-                            }
-                        }
-                        Phase::Reconfiguring if !self.reconfig.in_progress(dst) => {
-                            // Bitstream done; the tile came back reset this
-                            // tick. Rewire clients and close the incident.
-                            let spec = &mut sup.specs[si];
-                            let old = spec.node;
-                            if old != dst {
-                                // Decommission the dead tile: wipe every
-                                // capability and name binding, then seal it
-                                // again so no stale authority survives.
-                                let dead = &mut self.tiles[old.index()];
-                                dead.monitor.reset(now);
-                                dead.monitor.fail_stop(now);
-                                dead.accel = None;
-                                dead.app = None;
-                                dead.env = CapEnv::new();
-                            }
-                            spec.node = dst;
-                            for &c in &spec.clients {
-                                self.tiles[c.index()].monitor.bind_service(service.0, dst);
-                                let home = &mut self.tiles[dst.index()];
-                                if home.monitor.find_endpoint_cap(c).is_none() {
-                                    let _ = home.monitor.install_cap(Capability::new(
-                                        CapKind::Endpoint(EndpointId(c.0 as u32)),
-                                        Rights::SEND,
-                                    ));
-                                }
-                            }
-                            sup.incidents[ii].recovered_at = Some(now);
-                            sup.incidents[ii].phase = Phase::Closed;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        self.supervisor = sup;
     }
 
     /// Manually preempts a tile: saves and immediately restores the
@@ -1089,13 +872,23 @@ impl System {
         self.cycle_phases(now);
     }
 
-    /// Everything a cycle does after the NoC moves its flits: reconfig
-    /// completions, inbound pumping, accelerator wakes, watchdogs, outbound
-    /// pumping and the supervisor. Both clocks funnel through this, so a
-    /// cycle that runs is identical under either; the clocks differ only in
-    /// *which* cycles run.
+    /// Everything a cycle does after the NoC moves its flits, one named
+    /// phase after another. Both clocks funnel through this, so a cycle that
+    /// runs is identical under either; the clocks differ only in *which*
+    /// cycles run.
     fn cycle_phases(&mut self, now: Cycle) {
-        // Completed reconfigurations come online reset.
+        self.finish_reconfigs(now);
+        self.pump_inbound(now);
+        self.wake_accelerators(now);
+        self.check_watchdogs(now);
+        self.pump_outbound(now);
+        if self.cfg.supervisor.enabled {
+            self.step_supervisor(now);
+        }
+    }
+
+    /// Completed reconfigurations come online reset.
+    fn finish_reconfigs(&mut self, now: Cycle) {
         for job in self.reconfig.take_completed(now) {
             let tile = &mut self.tiles[job.node.index()];
             tile.monitor.reset(now);
@@ -1106,17 +899,22 @@ impl System {
             tile.busy_until = now;
             tile.wake = Wakeup::AtOrMessage(Cycle::ZERO);
         }
+    }
 
-        // Deliveries into monitors (fail-stopped tiles NACK here). Skip
-        // tiles with nothing ejected: pump_in is a no-op for them, and most
-        // tiles are quiet most cycles.
+    /// Deliveries into monitors (fail-stopped tiles NACK here). Skips tiles
+    /// with nothing ejected: pump_in is a no-op for them, and most tiles are
+    /// quiet most cycles.
+    fn pump_inbound(&mut self, now: Cycle) {
         for (i, tile) in self.tiles.iter_mut().enumerate() {
             if self.noc.eject_pending(NodeId(i as u16)) > 0 {
                 tile.monitor.pump_in(&mut self.noc, now);
             }
         }
+    }
 
-        // Accelerator execution.
+    /// Accelerator execution: every installed, running, non-busy tile is
+    /// woken, and the first fault it raises gets the tile's fault policy.
+    fn wake_accelerators(&mut self, now: Cycle) {
         for i in 0..self.tiles.len() {
             let node = NodeId(i as u16);
             if self.reconfig.in_progress(node) {
@@ -1144,25 +942,24 @@ impl System {
                 self.apply_fault(node, code, now);
             }
         }
+    }
 
-        // Watchdog: tiles sitting on unconsumed traffic beyond their
-        // window are treated as hung (§4.4) and get the fault policy.
+    /// Watchdog: tiles sitting on unconsumed traffic beyond their window
+    /// are treated as hung (§4.4) and get the fault policy.
+    fn check_watchdogs(&mut self, now: Cycle) {
         for i in 0..self.tiles.len() {
             if self.tiles[i].monitor.hang_detected(now) {
                 self.apply_fault(NodeId(i as u16), crate::fault::WATCHDOG_FAULT, now);
             }
         }
+    }
 
-        // Outbound traffic into the NoC; empty outboxes have nothing to do.
+    /// Outbound traffic into the NoC; empty outboxes have nothing to do.
+    fn pump_outbound(&mut self, now: Cycle) {
         for tile in &mut self.tiles {
             if tile.monitor.outbox_len() > 0 {
                 tile.monitor.pump_out(&mut self.noc, now);
             }
-        }
-
-        // Self-healing: detect fail-stopped services and drive recovery.
-        if self.cfg.supervisor.enabled {
-            self.step_supervisor(now);
         }
     }
 
@@ -1206,45 +1003,6 @@ impl System {
             due = due.min(self.supervisor_due(next));
         }
         due.max(next)
-    }
-
-    /// The supervisor's contribution to [`System::next_phase_due`]: `next`
-    /// if a fail-stop is waiting to be detected, else the earliest backoff
-    /// expiry or periodic-checkpoint deadline. Reconfiguring incidents
-    /// close on the bitstream completion cycle, which the reconfig
-    /// deadline already covers. A due-but-blocked checkpoint (tile busy)
-    /// re-arms at `busy_until` — the first cycle the dense clock's
-    /// every-cycle retry would have succeeded.
-    fn supervisor_due(&self, next: Cycle) -> Cycle {
-        let mut due = Cycle::MAX;
-        for spec in &self.supervisor.specs {
-            match self.supervisor.open_incident(spec.service) {
-                None => {
-                    let node = spec.node;
-                    if spec.abandoned {
-                        continue;
-                    }
-                    let tile = &self.tiles[node.index()];
-                    if tile.monitor.state() == TileState::FailStopped
-                        && !self.reconfig.in_progress(node)
-                    {
-                        return next;
-                    }
-                    if spec.next_checkpoint_at != Cycle::MAX
-                        && tile.monitor.state() == TileState::Running
-                        && !self.reconfig.in_progress(node)
-                    {
-                        due = due.min(spec.next_checkpoint_at.max(tile.busy_until).max(next));
-                    }
-                }
-                Some(ii) => {
-                    if let Phase::Backoff { restart_at } = self.supervisor.incidents[ii].phase {
-                        due = due.min(restart_at.max(next));
-                    }
-                }
-            }
-        }
-        due
     }
 
     /// One event-clock step: advance to the next cycle where the kernel

@@ -15,4 +15,4 @@ pub mod latency;
 pub mod tracer;
 
 pub use latency::LatencyTracker;
-pub use tracer::{Event, EventKind, Tracer};
+pub use tracer::{Event, EventKind, RemotePhase, Tracer};

@@ -61,19 +61,55 @@ pub enum EventKind {
     Reconfig,
     /// Free-form annotation from an accelerator or service.
     Note(String),
-    /// A remote (cross-board) invocation phase at this board's gateway:
-    /// `"send"` (forwarded onto the fabric), `"retransmit"` (link-layer ARQ
-    /// resent it), `"reply"` (response returned from the fabric) or
-    /// `"breaker-open"` (the end-to-end circuit breaker tripped).
+    /// A remote (cross-board) invocation or migration phase at this board's
+    /// gateway.
     Remote {
-        /// Phase name (see above).
-        phase: &'static str,
+        /// Which phase (see [`RemotePhase`]).
+        phase: RemotePhase,
         /// The remote board involved.
         board: u16,
         /// End-to-end correlation tag (0 when the phase is not tied to one
         /// request, e.g. `breaker-open`).
         tag: u64,
     },
+}
+
+/// The phases a cross-board request or migration passes through at a
+/// gateway; [`RemotePhase::as_str`] is the spelling rendered traces use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RemotePhase {
+    /// The request was forwarded onto the fabric.
+    Send,
+    /// Link-layer ARQ resent a frame.
+    Retransmit,
+    /// The response returned from the fabric.
+    Reply,
+    /// The end-to-end circuit breaker tripped.
+    BreakerOpen,
+    /// A migrating service was withdrawn and is draining at its source.
+    MigrateQuiesce,
+    /// The migration snapshot left for the destination board.
+    MigrateXfer,
+    /// The destination restored the snapshot and began loading it.
+    MigrateRestore,
+    /// The migrated service is serving at its new home.
+    MigrateDone,
+}
+
+impl RemotePhase {
+    /// The phase's name in rendered traces.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            RemotePhase::Send => "send",
+            RemotePhase::Retransmit => "retransmit",
+            RemotePhase::Reply => "reply",
+            RemotePhase::BreakerOpen => "breaker-open",
+            RemotePhase::MigrateQuiesce => "migrate-quiesce",
+            RemotePhase::MigrateXfer => "migrate-xfer",
+            RemotePhase::MigrateRestore => "migrate-restore",
+            RemotePhase::MigrateDone => "migrate-done",
+        }
+    }
 }
 
 impl EventKind {
@@ -157,7 +193,7 @@ impl fmt::Display for Event {
             EventKind::CapOp { op } => write!(f, "{op}"),
             EventKind::Note(s) => write!(f, "{s}"),
             EventKind::Remote { phase, board, tag } => {
-                write!(f, "{phase} board {board} tag={tag}")
+                write!(f, "{} board {board} tag={tag}", phase.as_str())
             }
             EventKind::FailStop | EventKind::Reconfig => Ok(()),
         }
@@ -343,7 +379,7 @@ mod tests {
             Cycle(1),
             0,
             EventKind::Remote {
-                phase: "send",
+                phase: RemotePhase::Send,
                 board: 2,
                 tag: 77,
             },
@@ -352,14 +388,14 @@ mod tests {
             Cycle(9),
             0,
             EventKind::Remote {
-                phase: "reply",
+                phase: RemotePhase::Reply,
                 board: 2,
                 tag: 77,
             },
         );
         assert_eq!(
             t.count(&EventKind::Remote {
-                phase: "",
+                phase: RemotePhase::Send,
                 board: 0,
                 tag: 0
             }),
@@ -369,6 +405,35 @@ mod tests {
         assert!(s.contains("remote"));
         assert!(s.contains("send board 2 tag=77"));
         assert!(s.contains("reply board 2 tag=77"));
+    }
+
+    #[test]
+    fn remote_phases_keep_their_trace_spellings() {
+        // Rendered traces are diffed byte for byte; these are their words.
+        use RemotePhase::*;
+        let all = [
+            Send,
+            Retransmit,
+            Reply,
+            BreakerOpen,
+            MigrateQuiesce,
+            MigrateXfer,
+            MigrateRestore,
+            MigrateDone,
+        ];
+        assert_eq!(
+            all.map(RemotePhase::as_str),
+            [
+                "send",
+                "retransmit",
+                "reply",
+                "breaker-open",
+                "migrate-quiesce",
+                "migrate-xfer",
+                "migrate-restore",
+                "migrate-done",
+            ]
+        );
     }
 
     #[test]
