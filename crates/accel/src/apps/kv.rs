@@ -15,6 +15,7 @@
 use crate::accelerator::{ServerAccel, Service, ServiceAction, ServiceReply, StateError};
 use crate::os::TileOs;
 use apiary_noc::Delivered;
+use apiary_sim::Reader;
 use std::collections::BTreeMap;
 
 /// Operations.
@@ -235,35 +236,26 @@ impl Service for KvStoreService {
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), StateError> {
-        fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], StateError> {
-            if b.len() < n {
-                return Err(StateError::Corrupt);
+        fn parse(state: &[u8]) -> Option<KvStoreService> {
+            let mut r = Reader::new(state);
+            let mut map = BTreeMap::new();
+            for _ in 0..r.u64()? {
+                let badge = r.u64()?;
+                let klen = r.u32()? as usize;
+                let key = r.bytes(klen)?.to_vec();
+                let vlen = r.u32()? as usize;
+                let value = r.bytes(vlen)?.to_vec();
+                map.insert((badge, key), value);
             }
-            let (head, tail) = b.split_at(n);
-            *b = tail;
-            Ok(head)
+            let base_cost = r.u64()?;
+            let ops = (r.u64()?, r.u64()?, r.u64()?);
+            r.is_empty().then_some(KvStoreService {
+                map,
+                ops,
+                base_cost,
+            })
         }
-        let mut b = state;
-        let count = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-        let mut map = BTreeMap::new();
-        for _ in 0..count {
-            let badge = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-            let klen = u32::from_le_bytes(take(&mut b, 4)?.try_into().expect("sized")) as usize;
-            let key = take(&mut b, klen)?.to_vec();
-            let vlen = u32::from_le_bytes(take(&mut b, 4)?.try_into().expect("sized")) as usize;
-            let value = take(&mut b, vlen)?.to_vec();
-            map.insert((badge, key), value);
-        }
-        let base_cost = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-        let gets = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-        let puts = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-        let dels = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-        if !b.is_empty() {
-            return Err(StateError::Corrupt);
-        }
-        self.map = map;
-        self.base_cost = base_cost;
-        self.ops = (gets, puts, dels);
+        *self = parse(state).ok_or(StateError::Corrupt)?;
         Ok(())
     }
 }

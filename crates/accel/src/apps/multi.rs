@@ -18,7 +18,7 @@ use crate::accelerator::{Accelerator, Service, ServiceAction, ServiceReply, Stat
 use crate::os::TileOs;
 use apiary_monitor::wire;
 use apiary_noc::{Delivered, TrafficClass};
-use apiary_sim::{Cycle, Wakeup};
+use apiary_sim::{Cycle, Reader, Wakeup};
 use std::collections::BTreeMap;
 
 /// One in-flight job (per tile, one execution unit shared by contexts —
@@ -163,28 +163,19 @@ impl<S: Service + 'static> Accelerator for MultiService<S> {
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), StateError> {
-        fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], StateError> {
-            if b.len() < n {
-                return Err(StateError::Corrupt);
-            }
-            let (h, t) = b.split_at(n);
-            *b = t;
-            Ok(h)
-        }
-        let mut b = state;
-        let count = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
+        let mut r = Reader::new(state);
+        let count = r.u64().ok_or(StateError::Corrupt)?;
         let mut contexts = BTreeMap::new();
         for _ in 0..count {
-            let badge = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-            let len = u32::from_le_bytes(take(&mut b, 4)?.try_into().expect("sized"));
+            let badge = r.u64().ok_or(StateError::Corrupt)?;
+            let len = r.u32().ok_or(StateError::Corrupt)?;
             let mut ctx = (self.factory)();
             if len != u32::MAX {
-                let bytes = take(&mut b, len as usize)?;
-                ctx.restore(bytes)?;
+                ctx.restore(r.bytes(len as usize).ok_or(StateError::Corrupt)?)?;
             }
             contexts.insert(badge, ctx);
         }
-        if !b.is_empty() {
+        if !r.is_empty() {
             return Err(StateError::Corrupt);
         }
         self.contexts = contexts;

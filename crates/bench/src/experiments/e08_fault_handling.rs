@@ -15,7 +15,7 @@
 
 use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
-use crate::scenarios::{drive, MonitorClient};
+use crate::scenarios::{drive, pump, step, MonitorClient};
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::faulty::faulty;
@@ -72,10 +72,11 @@ fn run_policy(run: Run, policy: FaultPolicy, requests: u64) -> Outcome {
     let mut recovery_cycles = 0;
     let mut reconfigured = false;
     let mut rewired = false;
-    for _ in 0..20_000_000u64 {
-        sys.tick();
-        vc.pump(&mut sys);
-        bc.pump(&mut sys);
+    let mut clients = [&mut vc, &mut bc];
+    let end = sys.now().saturating_add(20_000_000);
+    while sys.now() < end {
+        step(&mut sys, &clients, end);
+        pump(&mut sys, &mut clients);
         if !reconfigured
             && policy == FaultPolicy::FailStop
             && sys.tile(victim).monitor.state() == TileState::FailStopped
@@ -98,7 +99,7 @@ fn run_policy(run: Run, policy: FaultPolicy, requests: u64) -> Outcome {
                 .expect("re-wire reply path");
             rewired = true;
         }
-        if vc.done() && bc.done() {
+        if clients.iter().all(|c| c.done()) {
             break;
         }
     }
@@ -112,7 +113,7 @@ fn run_policy(run: Run, policy: FaultPolicy, requests: u64) -> Outcome {
     }
     // Let any stragglers settle, and let an in-flight reconfiguration
     // land so the tile's final state reflects the recovery.
-    drive(&mut sys, &mut [&mut vc, &mut bc], 2_000_000);
+    drive(&mut sys, &mut clients, 2_000_000);
     if reconfigured && !rewired {
         sys.run(200_000);
     }

@@ -12,7 +12,7 @@
 
 use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
-use crate::scenarios::{pump_group, MonitorClient};
+use crate::scenarios::{drive, MonitorClient};
 use crate::table::TextTable;
 use apiary_accel::apps::compress::compressor;
 use apiary_accel::apps::video::{encode_request, video_encoder};
@@ -98,15 +98,8 @@ fn run_pipeline(run: Run, replicas: usize, frames: u64) -> PipelineRun {
         })
         .collect();
 
-    let start = sys.now();
-    for _ in 0..500_000_000u64 {
-        sys.tick();
-        pump_group(&mut sys, ingress, &mut clients);
-        if clients.iter().all(|c| c.done()) {
-            break;
-        }
-    }
-    let cycles = sys.now() - start;
+    let mut lanes: Vec<&mut MonitorClient> = clients.iter_mut().collect();
+    let cycles = drive(&mut sys, &mut lanes, 500_000_000);
     // Verify kept responses decode back to the original frames.
     let mut verified = true;
     let mut bytes_out = 0u64;

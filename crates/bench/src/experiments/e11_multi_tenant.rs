@@ -156,28 +156,15 @@ fn run_scenario(run: Run, s: Scenario, requests: u64) -> Outcome {
     .max_requests(requests);
     kvc.timeout = 200_000;
 
-    match vid.as_mut() {
-        Some(v) => {
-            // The video tenant pushes a fixed number of frames; the run
-            // ends when both tenants finish, so the KV measurements overlap
-            // the video activity.
-            v.max_requests = (requests / 4).max(4);
-            let mut clients = [&mut kvc, v];
-            for _ in 0..100_000_000u64 {
-                sys.tick();
-                // Separate tiles, so individual pumps are safe.
-                for c in clients.iter_mut() {
-                    c.pump(&mut sys);
-                }
-                if clients.iter().all(|c| c.done()) {
-                    break;
-                }
-            }
-        }
-        None => {
-            drive(&mut sys, &mut [&mut kvc], 100_000_000);
-        }
+    let mut clients = vec![&mut kvc];
+    if let Some(v) = vid.as_mut() {
+        // The video tenant pushes a fixed number of frames; the run ends
+        // when both tenants finish, so the KV measurements overlap the
+        // video activity.
+        v.max_requests = (requests / 4).max(4);
+        clients.push(v);
     }
+    drive(&mut sys, &mut clients, 100_000_000);
     assert!(kvc.done(), "KV tenant never finished");
 
     // Isolation check: every victim key lives under badge 0xA and the

@@ -15,7 +15,7 @@
 
 use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
-use crate::scenarios::MonitorClient;
+use crate::scenarios::{pump, step, MonitorClient};
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
@@ -127,9 +127,10 @@ pub fn report(run: Run) -> ExperimentReport {
         c.timeout = 100_000;
         let mut reconfigs = 0u64;
         let mut next_swap = period;
-        for _ in 0..200_000_000u64 {
-            sys.tick();
-            c.pump(&mut sys);
+        let end = Cycle(200_000_000);
+        while sys.now() < end {
+            step(&mut sys, &[&mut c], end.min(Cycle(next_swap)));
+            pump(&mut sys, &mut [&mut c]);
             if sys.now().as_u64() >= next_swap {
                 next_swap += period;
                 if sys

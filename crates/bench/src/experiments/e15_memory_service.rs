@@ -72,7 +72,8 @@ fn measure(run: Run, pattern: Pattern, window: usize, count: u64) -> Outcome {
     let mut sent_at = std::collections::HashMap::new();
     let mut latency_sum = 0u64;
     let start = sys.now();
-    for _ in 0..200_000_000u64 {
+    let end = start.saturating_add(200_000_000);
+    while sys.now() < end {
         // Refill the window.
         while in_flight < window && issued < count {
             let off = pattern.offset(issued, SPAN, READ, &mut rng);
@@ -96,7 +97,14 @@ fn measure(run: Run, pattern: Pattern, window: usize, count: u64) -> Outcome {
                 Err(e) => panic!("mem read refused: {e}"),
             }
         }
-        sys.tick();
+        // A refused read is retried next cycle; a full window waits for a
+        // reply, which only a step's kernel phases can deliver.
+        let due = if in_flight < window && issued < count {
+            sys.now().saturating_add(1)
+        } else {
+            end
+        };
+        sys.advance_toward(due);
         let now = sys.now();
         while let Some(d) = sys.tile_mut(client).monitor.recv() {
             assert_eq!(d.msg.kind, wire::KIND_MEM_REPLY);

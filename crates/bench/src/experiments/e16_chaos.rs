@@ -17,7 +17,7 @@
 
 use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
-use crate::scenarios::MonitorClient;
+use crate::scenarios::{pump, step, MonitorClient};
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
@@ -26,7 +26,7 @@ use apiary_core::supervisor::SupervisorConfig;
 use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_noc::{FaultPlane, FaultPlaneConfig, NodeId};
-use apiary_sim::SimRng;
+use apiary_sim::{Cycle, SimRng};
 use core::fmt::Write;
 
 const SVC: ServiceId = ServiceId(16);
@@ -156,10 +156,11 @@ pub fn run_one(run: Run, seed: u64, fault_rate: f64, recovery: bool, duration: u
     };
     let mut kills = 0u64;
 
-    for _ in 0..duration {
-        sys.tick();
-        vc.pump(&mut sys);
-        bc.pump(&mut sys);
+    let mut clients = [&mut vc, &mut bc];
+    let end = sys.now().saturating_add(duration);
+    while sys.now() < end {
+        step(&mut sys, &clients, end.min(Cycle(next_kill)));
+        pump(&mut sys, &mut clients);
         let now = sys.now().as_u64();
         if now >= next_kill {
             if let Some(home) = sys.service_home(SVC) {
@@ -172,13 +173,13 @@ pub fn run_one(run: Run, seed: u64, fault_rate: f64, recovery: bool, duration: u
         }
     }
     // Stop issuing and drain: no injected fault may wedge the network.
-    vc.max_requests = vc.issued;
-    bc.max_requests = bc.issued;
+    for c in clients.iter_mut() {
+        c.max_requests = c.issued;
+    }
     let mut drained = false;
     for _ in 0..3 {
         drained = sys.run_until_idle(2_000_000);
-        vc.pump(&mut sys);
-        bc.pump(&mut sys);
+        pump(&mut sys, &mut clients);
         if drained {
             break;
         }

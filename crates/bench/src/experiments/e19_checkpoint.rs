@@ -23,7 +23,7 @@
 
 use crate::harness::Run;
 use crate::report::{round3, ExperimentReport, Json};
-use crate::scenarios::MonitorClient;
+use crate::scenarios::{drive, pump, step, MonitorClient};
 use crate::table::TextTable;
 use apiary_accel::apps::idle::idle;
 use apiary_accel::apps::kv::{self, kv_store, KvStoreAccel};
@@ -35,6 +35,7 @@ use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_net::Workload;
 use apiary_noc::NodeId;
+use apiary_sim::Cycle;
 use core::fmt::Write;
 
 const SVC: ServiceId = ServiceId(19);
@@ -224,9 +225,7 @@ pub fn run_recovery(
     )
     .expect("free");
     let cap = sys.attach_client(CLIENT, SVC).expect("wired");
-    for _ in 0..2_000 {
-        sys.tick(); // bitstream load; preload lands before the 1st checkpoint
-    }
+    sys.run(2_000); // bitstream load; preload lands before the 1st checkpoint
     let accel = sys
         .accel_as_mut::<KvStoreAccel>(HOME)
         .expect("kv installed");
@@ -253,11 +252,15 @@ pub fn run_recovery(
     };
     let mut kills = 0u64;
     let mut next = 0usize;
-    for _ in 0..duration {
-        sys.tick();
-        vc.pump(&mut sys);
-        let now = sys.now().as_u64();
-        if next < kills_at.len() && now >= 2_000 + kills_at[next] {
+    let end = sys.now().saturating_add(duration);
+    while sys.now() < end {
+        // A kill whose time has passed waits for its tile to be running,
+        // which is polled after every step and needs no deadline.
+        let kill_at = kills_at.get(next).map_or(Cycle::MAX, |&k| Cycle(2_000 + k));
+        let deadline = if kill_at > sys.now() { kill_at } else { end };
+        step(&mut sys, &[&mut vc], deadline.min(end));
+        pump(&mut sys, &mut [&mut vc]);
+        if sys.now() >= kill_at {
             if let Some(home) = sys.service_home(SVC) {
                 if sys.tile(home).monitor.state() == TileState::Running {
                     sys.inject_fault(home, KILL_CODE);
@@ -271,7 +274,7 @@ pub fn run_recovery(
     let mut drained = false;
     for _ in 0..3 {
         drained = sys.run_until_idle(2_000_000);
-        vc.pump(&mut sys);
+        pump(&mut sys, &mut [&mut vc]);
         if drained {
             break;
         }
@@ -394,48 +397,41 @@ pub fn run_sharing(run: Run, shared: bool, duration: u64) -> SharingCell {
     };
     let mut ca = mk(CA, cap_a);
     let mut cb = mk(CB, cap_b);
+    let mut clients = [&mut ca, &mut cb];
 
     let mut swaps = 0u64;
     let mut swap_downtime = 0u64;
     if shared {
         // A starts active; B's client is gated until its first slice.
-        cb.max_requests = 0;
-        let t0 = sys.now().as_u64();
-        let mut a_active = true;
-        let mut next_swap = t0 + SLICE;
-        while sys.now().as_u64() < t0 + duration {
-            sys.tick();
-            let now = sys.now().as_u64();
-            if now + GUARD >= next_swap {
-                let act = if a_active { &mut ca } else { &mut cb };
-                act.max_requests = act.issued;
+        clients[1].max_requests = 0;
+        let end = sys.now().saturating_add(duration);
+        let mut active = 0;
+        let mut next_swap = sys.now() + SLICE;
+        while sys.now() < end {
+            step(&mut sys, &clients, end.min(next_swap));
+            if sys.now() + GUARD >= next_swap {
+                clients[active].max_requests = clients[active].issued;
             }
-            ca.pump(&mut sys);
-            cb.pump(&mut sys);
-            if now >= next_swap {
+            pump(&mut sys, &mut clients);
+            if sys.now() >= next_swap {
                 if let Ok((out, inn)) = sys.swap_context(SHARED) {
                     swaps += 1;
                     swap_downtime += preemption_downtime(out + inn);
-                    a_active = !a_active;
-                    let act = if a_active { &mut ca } else { &mut cb };
-                    act.max_requests = u64::MAX;
+                    active = 1 - active;
+                    clients[active].max_requests = u64::MAX;
                 }
-                next_swap = now + SLICE;
+                next_swap = sys.now() + SLICE;
             }
         }
     } else {
-        for _ in 0..duration {
-            sys.tick();
-            ca.pump(&mut sys);
-            cb.pump(&mut sys);
-        }
+        drive(&mut sys, &mut clients, duration);
     }
-    ca.max_requests = ca.issued;
-    cb.max_requests = cb.issued;
+    for c in clients.iter_mut() {
+        c.max_requests = c.issued;
+    }
     for _ in 0..3 {
         let drained = sys.run_until_idle(2_000_000);
-        ca.pump(&mut sys);
-        cb.pump(&mut sys);
+        pump(&mut sys, &mut clients);
         if drained {
             break;
         }

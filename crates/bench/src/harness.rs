@@ -22,7 +22,8 @@ use std::time::Instant;
 /// place an experiment builds a machine, so the run's clock reaches every
 /// one of them: a replay under [`ClockMode::Dense`] really is dense
 /// throughout (a source check in this module's tests holds experiment
-/// modules to that).
+/// modules to that, and to advancing those machines only through the
+/// clock-aware primitives, never `tick()`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
     /// The scaled-down configuration the tests use, not the full sweep.
@@ -182,6 +183,16 @@ mod tests {
                     !line.contains("System::new("),
                     "{}:{}: a machine built here bypasses the run's clock; use \
                      `Run::system`, `Run::cluster` or `Run::faas`",
+                    path.display(),
+                    n + 1
+                );
+                // Likewise a hand-rolled `tick()` loop is dense whatever
+                // clock the run carries.
+                assert!(
+                    !line.contains(".tick()"),
+                    "{}:{}: `tick()` steps the dense reference clock whatever the run's \
+                     clock; advance with `scenarios::step` (or `drive`, `System::run`, \
+                     `System::advance_toward`)",
                     path.display(),
                     n + 1
                 );

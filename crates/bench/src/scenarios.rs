@@ -112,11 +112,6 @@ impl MonitorClient {
         self
     }
 
-    /// Returns `true` if `tag` belongs to this client's namespace.
-    pub fn owns_tag(&self, tag: u64) -> bool {
-        tag & TAG_BASE_MASK == self.tag_base
-    }
-
     /// Expires timed-out requests (lost to a faulted service).
     fn expire(&mut self, now: Cycle) {
         if self.timeout > 0 {
@@ -149,20 +144,8 @@ impl MonitorClient {
         self.next_fire = now + self.think;
     }
 
-    /// Drives one cycle for a client that is alone on its tile: collect
-    /// responses, then refill the window. Call once per [`System::tick`].
-    /// Co-resident clients must use [`pump_group`] instead.
-    pub fn pump(&mut self, sys: &mut System) {
-        let now = sys.now();
-        self.expire(now);
-        while let Some(d) = sys.tile_mut(self.node).monitor.recv() {
-            self.absorb(d, now);
-        }
-        self.refill(sys);
-    }
-
     /// Refills the request window.
-    pub fn refill(&mut self, sys: &mut System) {
+    fn refill(&mut self, sys: &mut System) {
         let now = sys.now();
         while self.in_flight < self.outstanding
             && self.issued < self.max_requests
@@ -199,7 +182,7 @@ impl MonitorClient {
         self.issued >= self.max_requests && self.in_flight == 0
     }
 
-    /// When this client next needs a [`MonitorClient::pump`]: immediately
+    /// When this client next needs a [`pump`]: immediately
     /// if a response is already waiting at its monitor, at the earliest
     /// request-timeout expiry, or whenever it could attempt a send (which
     /// must be retried every cycle while the window is open — dense ticking
@@ -228,26 +211,52 @@ impl MonitorClient {
     }
 }
 
-/// High bits of the tag reserved for the client namespace (see
-/// [`MonitorClient::tag_base`]).
-pub const TAG_BASE_MASK: u64 = 0xFFFF << 48;
-
-/// Drives one cycle for several clients sharing one tile: responses are
-/// dispatched to their owning client by tag namespace.
-pub fn pump_group(sys: &mut System, node: NodeId, clients: &mut [MonitorClient]) {
+/// Lets every client act on the current cycle: expire timed-out requests,
+/// collect the responses waiting at its tile, refill its window. Call it
+/// after each [`step`]. Clients may share a tile: a response goes to the
+/// client that sent its tag, so co-resident clients need distinct
+/// [`MonitorClient::tag_base`]s.
+pub fn pump(sys: &mut System, clients: &mut [&mut MonitorClient]) {
     let now = sys.now();
     for c in clients.iter_mut() {
-        debug_assert_eq!(c.node, node, "grouped clients share a tile");
         c.expire(now);
     }
-    while let Some(d) = sys.tile_mut(node).monitor.recv() {
-        if let Some(c) = clients.iter_mut().find(|c| c.owns_tag(d.msg.tag)) {
-            c.absorb(d, now);
+    for i in 0..clients.len() {
+        let node = clients[i].node;
+        while let Some(d) = sys.tile_mut(node).monitor.recv() {
+            let sender = clients
+                .iter_mut()
+                .find(|c| c.node == node && c.sent_at.contains_key(&d.msg.tag));
+            if let Some(c) = sender {
+                c.absorb(d, now);
+            }
         }
     }
     for c in clients.iter_mut() {
         c.refill(sys);
     }
+}
+
+/// The one place a harness loop advances time: a single
+/// [`System::advance_toward`] step toward the earliest cycle on which the
+/// driver has something to do, which is the clients' [`next_wakeup`]s or
+/// the caller's own `deadline` (its next kill, its next swap, the end of
+/// its window). The caller then [`pump`]s and looks at the machine.
+///
+/// A step executes at most one cycle's kernel phases and component state
+/// changes nowhere else, so a condition polled after every step (a tile
+/// came back `Running`, a client is done) is seen on the cycle per-cycle
+/// ticking would see it. A condition on raw clock time is not: it must be
+/// the `deadline`. Under the dense clock a step is one cycle whatever the
+/// target, so a target computed too late shows as a divergence between
+/// the two clocks.
+///
+/// [`next_wakeup`]: MonitorClient::next_wakeup
+pub fn step(sys: &mut System, clients: &[&mut MonitorClient], deadline: Cycle) {
+    let due = clients
+        .iter()
+        .fold(deadline, |due, c| due.min(c.next_wakeup(sys)));
+    sys.advance_toward(due);
 }
 
 /// Populates a fresh system with an idle client tile and one serving
@@ -267,43 +276,23 @@ pub fn client_server(
     (sys, cap)
 }
 
-/// Runs the system, pumping every client as needed, until all clients are
-/// done or `max_cycles` pass. Returns the cycles consumed.
-///
-/// The system jumps between wakeups and clients are pumped only on cycles
-/// where a pump can act: when mail is waiting, a timeout expires, or a
-/// send could be attempted. [`apiary_sim::ClockMode::jump_target`] makes the dense
-/// clock pump every client every cycle instead; both stop on the same
-/// cycle with identical client statistics.
+/// Runs the system, one [`step`] and one [`pump`] at a time, until all
+/// clients are done or `max_cycles` pass. Returns the cycles consumed.
 pub fn drive(sys: &mut System, clients: &mut [&mut MonitorClient], max_cycles: u64) -> u64 {
+    let all_done = |clients: &[&mut MonitorClient]| clients.iter().all(|c| c.done());
     let start = sys.now();
     let end = start.saturating_add(max_cycles);
     while sys.now() < end {
         // `done` is checked after every executed cycle, so clients that
         // are already done still consume exactly one cycle.
-        let mut due = if clients.iter().all(|c| c.done()) {
+        let deadline = if all_done(clients) {
             sys.now().saturating_add(1)
         } else {
             end
         };
-        for c in clients.iter() {
-            due = due.min(c.next_wakeup(sys));
-        }
-        let due = sys.config().clock.jump_target(sys.now(), due);
-        loop {
-            sys.advance_toward(due);
-            if sys.now() >= due
-                || clients
-                    .iter()
-                    .any(|c| sys.tile(c.node).monitor.inbox_len() > 0)
-            {
-                break;
-            }
-        }
-        for c in clients.iter_mut() {
-            c.pump(sys);
-        }
-        if clients.iter().all(|c| c.done()) {
+        step(sys, clients, deadline);
+        pump(sys, clients);
+        if all_done(clients) {
             break;
         }
     }

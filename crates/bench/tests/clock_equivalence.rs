@@ -16,12 +16,12 @@
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
 use apiary_bench::harness::Run;
-use apiary_bench::scenarios::{drive, MonitorClient};
+use apiary_bench::scenarios::{drive, pump, step, MonitorClient};
 use apiary_bench::{ExperimentReport, Json};
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
-use apiary_monitor::wire;
+use apiary_monitor::{wire, TileState};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::ClockMode;
+use apiary_sim::{ClockMode, Cycle};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -36,6 +36,8 @@ struct ClientParams {
 #[derive(Debug, Clone)]
 struct Params {
     echo_cost: u64,
+    /// The cycle on which the operator kills the first client's server.
+    kill_at: u64,
     clients: Vec<ClientParams>,
 }
 
@@ -61,8 +63,18 @@ fn arb_client() -> impl Strategy<Value = ClientParams> {
 }
 
 fn arb_params() -> impl Strategy<Value = Params> {
-    (0u64..80, prop::collection::vec(arb_client(), 1..3))
-        .prop_map(|(echo_cost, clients)| Params { echo_cost, clients })
+    // Kills land mid-stream, between requests, and after every client has
+    // finished (when only the deadline can stop the clock).
+    (
+        0u64..80,
+        1u64..4_000,
+        prop::collection::vec(arb_client(), 1..3),
+    )
+        .prop_map(|(echo_cost, kill_at, clients)| Params {
+            echo_cost,
+            kill_at,
+            clients,
+        })
 }
 
 /// A system on clock `mode` with the workload's echo servers installed and
@@ -111,8 +123,51 @@ fn client_metrics(sys: &System, c: &MonitorClient) -> Json {
 fn run_system(mode: ClockMode, p: &Params) -> String {
     let (mut sys, mut clients) = build_system(mode, p);
     let mut refs: Vec<&mut MonitorClient> = clients.iter_mut().collect();
+
+    // An operator action through `step`: the first client's server is
+    // killed on a scheduled cycle (a deadline no client knows about),
+    // reconfigured the moment the tile reads fail-stopped, and its reply
+    // path re-wired the moment the fresh accelerator comes up (conditions
+    // polled after every step). Requests the kill swallowed time out or
+    // hang until `drive` gives up, whichever the client is set to do.
+    let (cn, sn) = (NodeId(0), NodeId(5));
+    let kill_at = Cycle(p.kill_at);
+    let mut reconfigured_at = None;
+    let rewired_at = loop {
+        assert!(sys.now() < Cycle(100_000), "the tile never came back");
+        let deadline = if sys.now() < kill_at {
+            kill_at
+        } else {
+            Cycle::MAX
+        };
+        step(&mut sys, &refs, deadline);
+        pump(&mut sys, &mut refs);
+        if reconfigured_at.is_none() && sys.now() >= kill_at {
+            sys.inject_fault(sn, 0xDEAD);
+        }
+        let state = sys.tile(sn).monitor.state();
+        if reconfigured_at.is_none() && state == TileState::FailStopped {
+            sys.reconfigure(
+                sn,
+                Box::new(echo(p.echo_cost)),
+                AppId(1),
+                FaultPolicy::FailStop,
+                64 * (1 + p.echo_cost),
+            )
+            .expect("the tile just fail-stopped");
+            reconfigured_at = Some(sys.now().as_u64());
+        } else if reconfigured_at.is_some() && state == TileState::Running {
+            sys.connect(sn, cn, false).expect("re-wire reply path");
+            break sys.now().as_u64();
+        }
+    };
     let consumed = drive(&mut sys, &mut refs, 400_000);
     let mut metrics = Json::obj()
+        .set(
+            "reconfigured_at",
+            reconfigured_at.expect("set before the re-wire"),
+        )
+        .set("rewired_at", rewired_at)
         .set("cycles_consumed", consumed)
         .set("end_cycle", sys.now().as_u64());
 
@@ -189,6 +244,7 @@ fn both_clocks_in_one_process() {
     };
     let p = Params {
         echo_cost: 23,
+        kill_at: 0, // no operator here: `drive` alone
         clients: vec![client(96, 3, 11, 40, 0), client(17, 2, 0, 35, 900)],
     };
     let (mut event, mut event_clients) = build_system(ClockMode::Event, &p);

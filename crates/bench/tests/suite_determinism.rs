@@ -1,8 +1,12 @@
 //! The harness determinism contract: for any `--jobs` value the suite
 //! produces byte-identical artifacts (the JSON report and the rendered
 //! text) in E1..E19 order, and nothing in them comes from the host clock.
+//! Nor from the simulator's: the dense reference clock produces the same
+//! artifacts as the event clock (`--det-check=event-vs-dense` at quick
+//! size, so tier-1 sees a late wakeup without waiting for CI).
 
 use apiary_bench::harness::{self, Run};
+use apiary_sim::ClockMode;
 
 #[test]
 fn jobs_1_and_jobs_8_are_byte_identical() {
@@ -23,6 +27,24 @@ fn jobs_1_and_jobs_8_are_byte_identical() {
         assert!(
             !json.contains("wall_ms") && !json.contains("per_sec"),
             "{} reports host time:\n{json}",
+            a.id
+        );
+    }
+}
+
+#[test]
+fn event_and_dense_clocks_are_byte_identical() {
+    let dense = Run {
+        clock: ClockMode::Dense,
+        ..Run::QUICK
+    };
+    let event = harness::run_suite(Run::QUICK, 2).reports;
+    let dense = harness::run_suite(dense, 2).reports;
+    for (a, b) in event.iter().zip(&dense) {
+        assert_eq!(
+            a.artifacts(),
+            b.artifacts(),
+            "{} differs between the event and the dense clock",
             a.id
         );
     }

@@ -27,7 +27,7 @@ use apiary_cap::ServiceId;
 use apiary_net::arq::{Ack, GoBackNReceiver, GoBackNSender, Packet};
 use apiary_net::{Frame, Wire};
 use apiary_noc::NodeId;
-use apiary_sim::{Cycle, Payload};
+use apiary_sim::{Cycle, Payload, Reader};
 use std::collections::VecDeque;
 
 /// Endpoint id of the top-of-rack switch (star topology only).
@@ -226,7 +226,7 @@ impl ClusterMsg {
 
     /// Parses a wire payload; `None` for malformed bytes.
     pub fn decode(buf: &[u8]) -> Option<ClusterMsg> {
-        let mut r = Reader(buf);
+        let mut r = Reader::new(buf);
         let src = r.u16()?;
         let dst = r.u16()?;
         let body = match r.u8()? {
@@ -296,35 +296,7 @@ impl ClusterMsg {
             }
             _ => return None,
         };
-        if !r.0.is_empty() {
-            return None;
-        }
-        Some(ClusterMsg { src, dst, body })
-    }
-}
-
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.0.len() < n {
-            return None;
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Some(head)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.bytes(1)?[0])
-    }
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.bytes(2)?.try_into().ok()?))
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
+        r.is_empty().then_some(ClusterMsg { src, dst, body })
     }
 }
 

@@ -13,7 +13,7 @@
 //! cold (factory-fresh) path rather than half-restoring corrupt state.
 
 use apiary_accel::StateError;
-use apiary_sim::Cycle;
+use apiary_sim::{Cycle, Reader};
 use std::collections::BTreeMap;
 
 /// Current snapshot wire-format version.
@@ -84,35 +84,25 @@ impl Snapshot {
     /// [`StateError::Corrupt`] on truncation, trailing bytes, an unknown
     /// version, or a checksum mismatch — never a partial snapshot.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, StateError> {
-        fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], StateError> {
-            if b.len() < n {
-                return Err(StateError::Corrupt);
-            }
-            let (head, tail) = b.split_at(n);
-            *b = tail;
-            Ok(head)
+        fn parse(bytes: &[u8]) -> Option<Snapshot> {
+            let mut r = Reader::new(bytes);
+            let version = r.u16()?;
+            let seq = r.u64()?;
+            let taken_at = Cycle(r.u64()?);
+            let checksum = r.u64()?;
+            let len = r.u32()? as usize;
+            let state = r.bytes(len)?.to_vec();
+            r.is_empty().then_some(Snapshot {
+                version,
+                seq,
+                taken_at,
+                checksum,
+                state,
+            })
         }
-        let mut b = bytes;
-        let version = u16::from_le_bytes(take(&mut b, 2)?.try_into().expect("sized"));
-        let seq = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-        let taken_at = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-        let checksum = u64::from_le_bytes(take(&mut b, 8)?.try_into().expect("sized"));
-        let len = u32::from_le_bytes(take(&mut b, 4)?.try_into().expect("sized")) as usize;
-        let state = take(&mut b, len)?.to_vec();
-        if !b.is_empty() {
-            return Err(StateError::Corrupt);
-        }
-        let snap = Snapshot {
-            version,
-            seq,
-            taken_at: Cycle(taken_at),
-            checksum,
-            state,
-        };
-        if !snap.verify() {
-            return Err(StateError::Corrupt);
-        }
-        Ok(snap)
+        parse(bytes)
+            .filter(Snapshot::verify)
+            .ok_or(StateError::Corrupt)
     }
 }
 

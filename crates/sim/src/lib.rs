@@ -14,6 +14,8 @@
 //!   configuration (`SystemConfig::clock`; there is no process-wide
 //!   switch), and [`ClockMode::jump_target`], the one place a driver with
 //!   its own schedule meets it,
+//! - [`Reader`], the bounds-checked little-endian cursor every decoder of
+//!   untrusted bytes (fabric frames, snapshots) reads through,
 //! - [`SimRng`], a small, seedable PRNG so every run is reproducible from a
 //!   single seed,
 //! - [`FxHashMap`]/[`FxHashSet`], fast deterministic hashing for
@@ -31,6 +33,7 @@ pub mod clock;
 pub mod event;
 pub mod fxmap;
 pub mod payload;
+pub mod reader;
 pub mod rng;
 pub mod sched;
 pub mod stats;
@@ -39,6 +42,7 @@ pub use clock::{Clock, Cycle};
 pub use event::{EventHandle, EventQueue};
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use payload::Payload;
+pub use reader::Reader;
 pub use rng::SimRng;
 pub use sched::{ClockMode, Wakeup};
 pub use stats::{Counter, Histogram, RunningStats};

@@ -56,16 +56,11 @@ fn main() {
         .expect("installed")
         .bind_flow(80, flow);
 
-    for _ in 0..50_000_000u64 {
-        sys.tick();
-        if sys
-            .accel_as::<EthernetTile>(mac_node)
+    sys.run_until(50_000_000, |s| {
+        s.accel_as::<EthernetTile>(mac_node)
             .expect("installed")
             .all_done()
-        {
-            break;
-        }
-    }
+    });
     let mac = sys.accel_as::<EthernetTile>(mac_node).expect("installed");
     let mut direct_rtt = apiary::sim::Histogram::new();
     for c in mac.clients() {
