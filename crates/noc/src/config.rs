@@ -71,8 +71,9 @@ impl NocConfig {
     ///
     /// Panics on zero dimensions, fewer VCs than traffic classes, zero
     /// buffers, zero-size flits, a `vc_buffer` above 255 (FIFO depths and
-    /// credits are byte-wide counters) or a `hop_latency` above 255 (every
-    /// link is a delay line of `hop_latency + 1` slots).
+    /// credits are byte-wide counters) or a `hop_latency` above 255 (a flit
+    /// in flight carries its slot of the `hop_latency + 1` landing slots in
+    /// a byte).
     pub fn validate(&self) {
         assert!(self.width > 0 && self.height > 0, "empty mesh");
         assert!(
@@ -86,7 +87,7 @@ impl NocConfig {
         );
         assert!(
             self.hop_latency <= u8::MAX as u64,
-            "hop latency sizes every link's delay line; 255 is the most supported"
+            "hop latency sizes the landing schedule; 255 is the most supported"
         );
         assert!(self.flit_bytes > 0, "flits must carry data");
         assert!(self.inject_queue > 0, "injection queue must exist");

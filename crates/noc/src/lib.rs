@@ -22,8 +22,9 @@
 //!
 //! Modules: [`config`] (parameters and the ranges accepted), [`topology`]
 //! (mesh, ports, XY routing), [`packet`] (messages, plain-data flits, the
-//! in-flight packet table), [`network`] (the engine: ring-slab input FIFOs,
-//! delay-line links and NIC queues as flat arrays behind [`Noc`], with
+//! in-flight packet table), [`network`] (the engine: ring-slab input FIFOs
+//! that also hold the flits crossing the link in front of them, standing
+//! switch requests and NIC queues as flat arrays behind [`Noc`], with
 //! [`Noc::check_invariants`] stating their laws) and [`fault`] (the seeded
 //! chaos plane).
 

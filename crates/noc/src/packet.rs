@@ -89,8 +89,8 @@ impl Message {
 }
 
 /// One flit of a packet: plain `Copy` data. The message itself stays in
-/// the [`PacketTable`] entry `slot` names, so moving a flit through a FIFO
-/// or a link copies 24 bytes and drops nothing.
+/// the [`PacketTable`] entry `slot` names, so moving a flit from one router
+/// to the next copies 24 bytes and drops nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Flit {
     /// Owning packet.
@@ -110,6 +110,10 @@ pub(crate) struct Flit {
     /// `true` on the last flit of the packet (a single-flit packet's head is
     /// also its tail).
     pub is_tail: bool,
+    /// While the flit is crossing a link: the slot of the network's landing
+    /// schedule that lists it. Set by the switch at every hop; not part of
+    /// the checksum.
+    pub due: u8,
 }
 
 impl Flit {
@@ -123,6 +127,7 @@ impl Flit {
             vc,
             is_head: index == 0,
             is_tail: index + 1 == nflits,
+            due: 0,
         };
         flit.checksum = flit.expected_checksum();
         flit
@@ -324,8 +329,6 @@ mod tests {
     #[test]
     fn flits_are_small_plain_data() {
         assert_eq!(core::mem::size_of::<Flit>(), 24);
-        // The `bool` niche keeps an empty link slot free of charge.
-        assert_eq!(core::mem::size_of::<Option<Flit>>(), 24);
         assert!(!core::mem::needs_drop::<Flit>());
     }
 
