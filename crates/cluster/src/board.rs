@@ -41,6 +41,8 @@ pub(crate) struct Board {
     /// was computed. The deadline does not move as the clock approaches it,
     /// so it stays exact until the board runs or is handed out mutably.
     due: Option<Cycle>,
+    /// [`System::phase_cycles`] when the gateway inbox was last looked at.
+    mail_seen: u64,
     pub(crate) dir: Directory,
     pub(crate) alive: bool,
     /// Gateway caps to local replicas, by service id (from `attach_client`,
@@ -61,6 +63,7 @@ impl Board {
         Board {
             sys,
             due: None,
+            mail_seen: 0,
             dir,
             alive: true,
             local_caps: BTreeMap::new(),
@@ -85,6 +88,16 @@ impl Board {
     /// ([`System::next_event_due`]), computed at most once per change.
     pub(crate) fn next_event_due(&mut self) -> Cycle {
         *self.due.get_or_insert_with(|| self.sys.next_event_due())
+    }
+
+    /// Whether mail waits in the gateway inbox, which fills in the kernel
+    /// phases and nowhere else: looked at only if they ran since last time.
+    pub(crate) fn has_gateway_mail(&mut self, gw: NodeId) -> bool {
+        let ran = self.sys.phase_cycles();
+        let looked = std::mem::replace(&mut self.mail_seen, ran) != ran;
+        let waiting = || self.sys.tile(gw).monitor.inbox_len() > 0;
+        debug_assert!(looked || !waiting(), "mail arrived outside the phases");
+        looked && waiting()
     }
 
     /// Brings the board to cluster cycle `now`. The dense reference ticks
@@ -139,21 +152,20 @@ impl Board {
         board: u16,
         tag: u64,
     ) {
-        self.sys.tile_mut(gw).monitor.tracer_mut().record(
-            now,
-            gw.0,
-            EventKind::Remote { phase, board, tag },
-        );
+        let event = EventKind::Remote { phase, board, tag };
+        self.sys.tracer_mut(gw).record(now, gw.0, event);
     }
 
     /// Panics unless the board is in lockstep with cluster cycle `now` and
-    /// its cached deadline, if any, is what the system reports.
+    /// its cached deadline, if any, is what the system reports, whose own
+    /// memoised kernel deadline is in turn what a fresh scan reports.
     pub(crate) fn check_invariants(&self, index: usize, now: Cycle) {
         assert_eq!(
             self.sys.now(),
             now,
             "board {index} is not on the cluster's cycle"
         );
+        self.sys.check_invariants();
         if let Some(due) = self.due {
             assert_eq!(
                 due,

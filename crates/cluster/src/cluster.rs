@@ -177,6 +177,9 @@ pub struct ClusterSystem {
     /// that completed (or whose tag was resubmitted) go stale and are
     /// dropped when they reach the front.
     deadlines: VecDeque<(Cycle, u64)>,
+    /// The front of `deadlines` was looked up and found live, and `pending`
+    /// has lost or replaced no entry since: it need not be looked up again.
+    front_live: bool,
     completions: Vec<Completion>,
     next_ingress: u64,
     /// Origin gateway → target-board ingress (outbound fabric hop).
@@ -240,6 +243,7 @@ impl ClusterSystem {
             balancer,
             pending: BTreeMap::new(),
             deadlines: VecDeque::new(),
+            front_live: false,
             completions: Vec::new(),
             next_ingress: 0,
             fabric_out: LatencyTracker::new(),
@@ -629,14 +633,12 @@ impl ClusterSystem {
         }
         self.balancer.started((tboard, tnode));
         let deadline = now + self.cfg.request_timeout;
-        self.pending.insert(
-            tag,
-            Pending {
-                origin,
-                target: (tboard, tnode),
-                deadline,
-            },
-        );
+        let pending = Pending {
+            origin,
+            target: (tboard, tnode),
+            deadline,
+        };
+        self.front_live &= self.pending.insert(tag, pending).is_none();
         self.deadlines.push_back((deadline, tag));
         Ok((tboard, tnode))
     }
@@ -678,6 +680,7 @@ impl ClusterSystem {
     fn finish_request(&mut self, tag: u64, is_error: bool, now: Cycle) {
         match self.pending.remove(&tag) {
             Some(p) => {
+                self.front_live = false;
                 self.balancer.finished(p.target);
                 if !is_error {
                     self.end_to_end.finish(tag, now);
@@ -735,7 +738,7 @@ impl ClusterSystem {
     fn republish_ready(&mut self, now: Cycle) {
         let gw = self.cfg.gateway;
         for bi in 0..self.boards.len() {
-            if !self.boards[bi].alive {
+            if !self.boards[bi].alive || self.boards[bi].republish.is_empty() {
                 continue;
             }
             let done: Vec<usize> = self.boards[bi]
@@ -995,7 +998,7 @@ impl ClusterSystem {
         for bi in 0..self.boards.len() {
             // Look before taking the board mutably: an empty inbox is the
             // common case and must not cost the board its cached deadline.
-            if !self.boards[bi].alive || self.boards[bi].sys().tile(gw).monitor.inbox_len() == 0 {
+            if !self.boards[bi].alive || !self.boards[bi].has_gateway_mail(gw) {
                 continue;
             }
             while let Some(d) = self.boards[bi].sys_mut().tile_mut(gw).monitor.recv() {
@@ -1024,14 +1027,8 @@ impl ClusterSystem {
     /// 6. Cluster-level timeouts feed the client retry path.
     fn expire_requests(&mut self, now: Cycle, dense: bool) {
         for tag in self.pop_expired(now, dense) {
-            let p = self.pending.remove(&tag).expect("listed as pending");
-            self.balancer.finished(p.target);
             self.timeouts += 1;
-            self.completions.push(Completion {
-                origin: p.origin,
-                tag,
-                is_error: true,
-            });
+            self.finish_request(tag, true, now);
         }
     }
 
@@ -1042,15 +1039,13 @@ impl ClusterSystem {
     fn pop_expired(&mut self, now: Cycle, dense: bool) -> Vec<u64> {
         let mut expired = Vec::new();
         while let Some(&(deadline, tag)) = self.deadlines.front() {
-            let live = self
-                .pending
-                .get(&tag)
-                .is_some_and(|p| p.deadline == deadline);
-            if live && deadline > now {
+            let live = |p: &Pending| p.deadline == deadline;
+            self.front_live = self.front_live || self.pending.get(&tag).is_some_and(live);
+            if self.front_live && deadline > now {
                 break;
             }
             self.deadlines.pop_front();
-            if live {
+            if std::mem::take(&mut self.front_live) {
                 expired.push(tag);
             }
         }
@@ -1107,11 +1102,12 @@ impl ClusterSystem {
 
     /// Panics unless the lockstep bookkeeping is consistent: every board
     /// steps by the cluster's clock, every live board is on the cluster's
-    /// cycle and caches no stale deadline, and
-    /// the deadline queue's front is no later than the earliest timeout of
-    /// any pending request (a later front would let the event clock sleep
-    /// through an expiry). Boards and links that a cycle passes over are
-    /// checked where they are skipped, under `debug_assertions`.
+    /// cycle and caches no stale deadline (nor does its system), the
+    /// deadline queue's front is no later than the earliest timeout of any
+    /// pending request (a later front would let the event clock sleep
+    /// through an expiry) and is live if marked so, and the fabric's laws
+    /// hold ([`Fabric::check_invariants`]). Boards and links that a cycle
+    /// passes over are checked where they are skipped, in debug builds.
     pub fn check_invariants(&self) {
         let now = self.now();
         for (i, b) in self.boards.iter().enumerate() {
@@ -1131,6 +1127,10 @@ impl ClusterSystem {
                 "deadline queue front {front:?} is later than pending minimum {earliest:?}"
             );
         }
+        let live = |&(d, t): &(Cycle, u64)| self.pending.get(&t).is_some_and(|p| p.deadline == d);
+        let marked_right = !self.front_live || self.deadlines.front().is_some_and(live);
+        assert!(marked_right, "deadline queue front wrongly marked live");
+        self.fabric.check_invariants();
     }
 
     /// Advances time by one scheduling step: one cycle under the dense

@@ -20,7 +20,7 @@
 //!
 //! Links are visited in `(from, to)` key order and only when they have work
 //! ([`Fabric::step`]), so a fabric built from the same config and seed
-//! replays byte-identically and a quiet link costs nothing.
+//! replays byte-identically and a quiet link costs one comparison.
 
 use crate::directory::DirEntry;
 use apiary_cap::ServiceId;
@@ -154,10 +154,18 @@ pub enum Body {
 }
 
 impl ClusterMsg {
-    /// Serialises for the wire. The fabric routes on the decoded `dst`, so
-    /// the header rides in-band like any real switch expects.
+    /// Serialises for the wire. The switch routes on the 4-byte
+    /// `src`/`dst` header, which rides in-band like any real switch expects.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Sized once: the bulk plus the largest fixed part (4 + an invoke's 17).
+        let bulk = match &self.body {
+            Body::Invoke { payload, .. } | Body::Reply { payload, .. } => payload.len(),
+            Body::Gossip { entries } => entries.iter().map(|e| 27 + e.name.len()).sum(),
+            Body::Migrate { name, snapshot, .. } | Body::Checkpoint { name, snapshot, .. } => {
+                name.len() + snapshot.len()
+            }
+        };
+        let mut out = Vec::with_capacity(21 + bulk);
         out.extend_from_slice(&self.src.to_le_bytes());
         out.extend_from_slice(&self.dst.to_le_bytes());
         match &self.body {
@@ -358,7 +366,7 @@ impl Link {
                 break;
             }
         }
-        for pkt in self.tx.poll(now) {
+        for pkt in self.tx.transmit(now) {
             if self.up {
                 self.data.push(
                     now,
@@ -420,26 +428,18 @@ impl Link {
         self.backlog.is_empty() && self.tx.idle() && self.data.in_flight() == 0
     }
 
-    /// The earliest cycle at or after `next` at which a pump can do
-    /// anything: transmit queued or backlogged packets, hit the ARQ
+    /// The earliest cycle at which a pump can do anything: transmit queued
+    /// or backlogged packets ([`Cycle::ZERO`], ready now), hit the ARQ
     /// retransmission timer, or receive a frame on either wire.
     /// [`Cycle::MAX`] when the link is completely quiet. Pumping earlier is
     /// a harmless no-op; pumping later than this would change ARQ timing.
-    fn next_activity(&self, next: Cycle) -> Cycle {
-        let mut due = Cycle::MAX;
+    fn next_activity(&self) -> Cycle {
         if self.tx.queued() > 0 || (!self.backlog.is_empty() && self.tx.window_free()) {
-            due = next;
+            return Cycle::ZERO;
         }
-        if let Some(t) = self.tx.next_timeout() {
-            due = due.min(t.max(next));
-        }
-        if let Some(t) = self.data.next_due() {
-            due = due.min(t.max(next));
-        }
-        if let Some(t) = self.acks.next_due() {
-            due = due.min(t.max(next));
-        }
-        due
+        let arrival = |w: &Wire| w.next_due().unwrap_or(Cycle::MAX);
+        let timeout = self.tx.next_timeout().unwrap_or(Cycle::MAX);
+        timeout.min(arrival(&self.data)).min(arrival(&self.acks))
     }
 }
 
@@ -467,6 +467,9 @@ pub struct Fabric {
     /// sort before the ToR downlinks `(TOR, b)`. [`Fabric::link_index`]
     /// finds a link by arithmetic on that order.
     links: Vec<Link>,
+    /// `due[i] == links[i].next_activity()` between calls: whoever changes
+    /// a link's queues posts its new deadline, and a cycle reads the array.
+    due: Vec<Cycle>,
     delivered: u64,
     /// Per-pump delivery buffer, kept to reuse its allocation.
     pumped: Vec<Payload>,
@@ -505,6 +508,7 @@ impl Fabric {
         Fabric {
             cfg,
             boards,
+            due: vec![Cycle::MAX; links.len()],
             links,
             delivered: 0,
             pumped: Vec::new(),
@@ -530,6 +534,12 @@ impl Fabric {
         }
     }
 
+    /// Queues a frame on link `i`'s egress and posts the link's new deadline.
+    fn enqueue(&mut self, i: usize, frame: Payload) {
+        self.links[i].backlog.push_back(frame);
+        self.due[i] = self.links[i].next_activity();
+    }
+
     /// Queues a message at its source board's egress.
     pub fn send(&mut self, msg: &ClusterMsg) {
         let first_hop = match self.cfg.topology {
@@ -539,7 +549,7 @@ impl Fabric {
         if let Some(i) = first_hop {
             // Encode once; every later hop and retransmission shares the
             // buffer.
-            self.links[i].backlog.push_back(msg.encode().into());
+            self.enqueue(i, msg.encode().into());
         }
     }
 
@@ -562,12 +572,12 @@ impl Fabric {
     }
 
     /// One cycle for every link that has work at `now`, in deterministic
-    /// key order. A link whose `Link::next_activity` lies in the future
-    /// is not pumped: pumping it would be a no-op, so a quiet link costs
-    /// one comparison. Each link's activity is evaluated when its turn
-    /// comes, and star uplinks sort before ToR downlinks, so a frame the
-    /// switch forwards onto an otherwise idle downlink still leaves on the
-    /// same cycle it reached the ToR. Returns decoded deliveries plus
+    /// key order. A link whose posted deadline lies in the future is not
+    /// pumped: pumping it would be a no-op, so a quiet link costs one
+    /// comparison. The switch posts a downlink's deadline as it forwards
+    /// onto it, and star uplinks sort before ToR downlinks, so a frame
+    /// forwarded onto an otherwise idle downlink still leaves on the same
+    /// cycle it reached the ToR. Returns decoded deliveries plus
     /// per-source-board retransmission counts for the tracer.
     pub fn step(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
         self.step_links(now, false)
@@ -586,7 +596,8 @@ impl Fabric {
         let mut skipped = Vec::new();
         for i in 0..self.links.len() {
             let link = &mut self.links[i];
-            if !all && link.next_activity(now) > now {
+            debug_assert_eq!(self.due[i], link.next_activity(), "stale {:?}", link.key);
+            if !all && self.due[i] > now {
                 if cfg!(debug_assertions) {
                     skipped.push(i);
                 }
@@ -594,20 +605,20 @@ impl Fabric {
             }
             let key = link.key;
             let r = link.pump(now, &mut pumped);
+            self.due[i] = link.next_activity();
             if r > 0 && key.0 != TOR {
                 retx.push((key.0, r));
             }
             for p in pumped.drain(..) {
-                let Some(msg) = ClusterMsg::decode(&p) else {
-                    continue;
-                };
                 if key.1 == TOR {
-                    // Store-and-forward at the switch: onto the downlink.
-                    if let Some(down) = self.link_index(TOR, msg.dst) {
+                    // Store-and-forward at the switch on the `dst` header
+                    // alone; a frame with none, or for no board, dies here.
+                    let dst = p.get(2..4).map(|d| u16::from_le_bytes([d[0], d[1]]));
+                    if let Some(down) = dst.and_then(|d| self.link_index(TOR, d)) {
                         debug_assert!(down > i, "downlinks are pumped after uplinks");
-                        self.links[down].backlog.push_back(p);
+                        self.enqueue(down, p);
                     }
-                } else {
+                } else if let Some(msg) = ClusterMsg::decode(&p) {
                     self.delivered += 1;
                     out.push(msg);
                 }
@@ -616,33 +627,34 @@ impl Fabric {
         self.pumped = pumped;
         // Nothing later in the cycle may make a link that was passed over
         // due: skipping it must have been a no-op.
-        for i in skipped {
-            let l = &self.links[i];
-            debug_assert!(
-                l.next_activity(now) > now,
-                "link {:?} became due at {now:?} after it was skipped",
-                l.key
-            );
-        }
+        let late = skipped.into_iter().find(|&i| self.due[i] <= now);
+        debug_assert_eq!(late, None, "a skipped link became due at {now:?}");
         (out, retx)
     }
 
-    /// The earliest cycle at or after `next` at which any link has work:
+    /// The earliest cycle at or after `from` at which any link has work:
     /// a queued transmission, an ARQ retransmission deadline, or a frame
     /// arriving. [`Cycle::MAX`] when the whole fabric is quiet. Event-clock
     /// drivers may skip every cycle strictly before this without changing
     /// a single delivery or retransmission.
-    pub fn next_activity(&self, next: Cycle) -> Cycle {
-        self.links
-            .iter()
-            .map(|l| l.next_activity(next))
-            .min()
-            .unwrap_or(Cycle::MAX)
+    pub fn next_activity(&self, from: Cycle) -> Cycle {
+        let due = self.due.iter().min().copied().unwrap_or(Cycle::MAX);
+        due.max(from)
     }
 
     /// Nothing queued, unacked, or in flight anywhere.
     pub fn idle(&self) -> bool {
         self.links.iter().all(Link::idle)
+    }
+
+    /// Panics unless every posted deadline is what its link reports and
+    /// every link's ARQ window holds its laws (acknowledged never exceeds
+    /// sent, outstanding never exceeds the window).
+    pub fn check_invariants(&self) {
+        for (l, &due) in self.links.iter().zip(&self.due) {
+            assert_eq!(due, l.next_activity(), "stale deadline on {:?}", l.key);
+            l.tx.check_invariants();
+        }
     }
 
     /// Aggregate counters.
@@ -795,13 +807,47 @@ mod tests {
         while f.links[up].rx.expected() == 0 {
             now = f.next_activity(now + 1);
             assert_ne!(now, Cycle::MAX, "the frame got lost");
-            assert_eq!(f.links[down].next_activity(now), Cycle::MAX);
+            assert_eq!(f.due[down], Cycle::MAX);
             f.step(now);
+            f.check_invariants();
         }
         // The downlink was not due when the cycle began, yet the frame is
         // already past its backlog and on its wire.
         assert!(f.links[down].backlog.is_empty());
         assert_eq!(f.links[down].data.in_flight(), 1);
+    }
+
+    /// The switch reads four bytes. [`Fabric::send`] only ever enqueues
+    /// `encode()` output, so these frames are put on the uplink by hand:
+    /// one whose header is valid but whose body does not decode crosses the
+    /// switch and dies at the destination's decode; one shorter than the
+    /// header dies at the switch. Neither is delivered or counted.
+    #[test]
+    fn tor_routes_on_the_header_and_malformed_frames_die_quietly() {
+        let mut f = Fabric::new(2, FabricConfig::default());
+        let up = f.link_index(0, TOR).expect("uplink");
+        let down = f.link_index(TOR, 1).expect("downlink");
+        let mut garbled = msg(0, 1, 1).encode();
+        garbled.truncate(9);
+        assert_eq!(ClusterMsg::decode(&garbled), None);
+        f.enqueue(up, garbled.into());
+        f.enqueue(up, vec![0u8, 0, 1].into());
+        f.send(&msg(0, 1, 2));
+        let got = run(&mut f, Cycle(0), 2_000);
+        assert_eq!(
+            got,
+            vec![msg(0, 1, 2)],
+            "only the well-formed frame arrives"
+        );
+        assert_eq!(f.stats().delivered, 1);
+        assert_eq!(f.links[up].rx.expected(), 3, "all three reached the switch");
+        assert_eq!(
+            f.links[down].rx.expected(),
+            2,
+            "the short one went no further"
+        );
+        assert!(f.idle(), "the links drained");
+        f.check_invariants();
     }
 
     #[test]
@@ -837,6 +883,8 @@ mod tests {
                     "{topology:?} diverged at cycle {c}"
                 );
             }
+            sparse.check_invariants();
+            dense.check_invariants();
             assert_eq!(sparse.stats(), dense.stats());
             let s = sparse.stats();
             assert!(s.delivered > 100 && s.retransmissions > 0 && s.cut_drops > 0);

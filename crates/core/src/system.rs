@@ -147,6 +147,10 @@ pub struct System {
     mem_node: NodeId,
     pub(crate) reconfig: ReconfigController,
     pub(crate) supervisor: Supervisor,
+    /// `next_phase_due(now)`, kept while nothing that scan reads can have
+    /// changed: `cycle_phases` and every public `&mut self` entry drop it.
+    phase_due: Option<Cycle>,
+    phase_cycles: u64,
 }
 
 impl System {
@@ -173,6 +177,8 @@ impl System {
             mem_node,
             reconfig: ReconfigController::new(cfg.icap_bytes_per_cycle),
             supervisor,
+            phase_due: None,
+            phase_cycles: 0,
             cfg,
         };
         sys.install(
@@ -203,7 +209,20 @@ impl System {
     /// Mutable NoC access (external injectors such as the network service
     /// front-end).
     pub fn noc_mut(&mut self) -> &mut Noc {
-        &mut self.noc
+        &mut self.touched().noc
+    }
+
+    /// Cycles on which the kernel phases ran, ever: the machine's work count,
+    /// and until it grows no tile has changed except under a caller's `&mut`.
+    pub fn phase_cycles(&self) -> u64 {
+        self.phase_cycles
+    }
+
+    /// The funnel of every public `&mut self` entry that does not step the
+    /// clock: the caller may move the kernel deadline, so the memo is dropped.
+    fn touched(&mut self) -> &mut System {
+        self.phase_due = None;
+        self
     }
 
     /// The node hosting the memory service.
@@ -246,7 +265,12 @@ impl System {
     ///
     /// Panics on an out-of-mesh node.
     pub fn tile_mut(&mut self, n: NodeId) -> &mut Tile {
-        &mut self.tiles[n.index()]
+        &mut self.touched().tiles[n.index()]
+    }
+
+    /// A tile's tracer: recording moves no deadline, so the memo is kept.
+    pub fn tracer_mut(&mut self, n: NodeId) -> &mut apiary_trace::Tracer {
+        self.tiles[n.index()].monitor.tracer_mut()
     }
 
     /// Downcasts a tile's accelerator to a concrete type.
@@ -260,7 +284,7 @@ impl System {
 
     /// Mutable accelerator downcast.
     pub fn accel_as_mut<T: 'static>(&mut self, n: NodeId) -> Option<&mut T> {
-        self.tiles[n.index()]
+        self.touched().tiles[n.index()]
             .accel
             .as_mut()?
             .as_any_mut()
@@ -283,7 +307,7 @@ impl System {
         app: AppId,
         policy: FaultPolicy,
     ) -> Result<(), SystemError> {
-        self.check_node(node)?;
+        self.touched().check_node(node)?;
         let tile = &mut self.tiles[node.index()];
         if tile.accel.is_some() {
             return Err(SystemError::SlotOccupied(node));
@@ -331,7 +355,7 @@ impl System {
         badge: u64,
         allow_cross_app: bool,
     ) -> Result<CapRef, SystemError> {
-        self.check_node(from)?;
+        self.touched().check_node(from)?;
         self.check_node(to)?;
         let from_app = self.tiles[from.index()]
             .app
@@ -378,7 +402,7 @@ impl System {
 
     /// Places an existing capability into a tile's environment.
     pub fn grant_env(&mut self, node: NodeId, name: &str, cap: CapRef) {
-        self.tiles[node.index()].env.insert(name, cap);
+        self.touched().tiles[node.index()].env.insert(name, cap);
     }
 
     /// Allocates `len` bytes of segment memory for `node`: installs a
@@ -389,7 +413,7 @@ impl System {
     ///
     /// Allocation or capability errors.
     pub fn grant_memory(&mut self, node: NodeId, len: u64) -> Result<CapRef, SystemError> {
-        self.check_node(node)?;
+        self.touched().check_node(node)?;
         let range = self.allocator.alloc(len)?;
         let tile = &mut self.tiles[node.index()];
         let mem_cap = tile.monitor.install_cap(Capability::new(
@@ -432,7 +456,7 @@ impl System {
         rights: Rights,
         narrow: Option<apiary_cap::MemRange>,
     ) -> Result<CapRef, SystemError> {
-        self.check_node(owner)?;
+        self.touched().check_node(owner)?;
         self.check_node(peer)?;
         let capability = *self.tiles[owner.index()]
             .monitor
@@ -482,7 +506,7 @@ impl System {
     ///
     /// Capability or allocator errors.
     pub fn release_memory(&mut self, node: NodeId, cap: CapRef) -> Result<(), SystemError> {
-        self.check_node(node)?;
+        self.touched().check_node(node)?;
         let tile = &mut self.tiles[node.index()];
         let capability = *tile.monitor.caps().lookup(cap).map_err(SystemError::Cap)?;
         let CapKind::Memory(range) = capability.kind else {
@@ -505,7 +529,7 @@ impl System {
         service: ServiceId,
         target: NodeId,
     ) -> Result<CapRef, SystemError> {
-        self.check_node(client)?;
+        self.touched().check_node(client)?;
         self.check_node(target)?;
         let tile = &mut self.tiles[client.index()];
         tile.monitor.bind_service(service.0, target);
@@ -517,7 +541,7 @@ impl System {
 
     /// Manually fail-stops a tile (operator action or watchdog).
     pub fn fail_stop(&mut self, node: NodeId) {
-        let now = self.clock.now();
+        let now = self.touched().clock.now();
         let tile = &mut self.tiles[node.index()];
         tile.monitor.fail_stop(now);
         tile.faults.push(FaultRecord {
@@ -532,7 +556,7 @@ impl System {
     /// [`FaultRecord`] lands in its history. This is the chaos plane's
     /// tile-kill primitive and an operator's big red button.
     pub fn inject_fault(&mut self, node: NodeId, code: u32) {
-        let now = self.clock.now();
+        let now = self.touched().clock.now();
         self.apply_fault(node, code, now);
     }
 
@@ -576,7 +600,7 @@ impl System {
         bitstream_bytes: u64,
         factory: AccelFactory,
     ) {
-        let next_checkpoint_at = self.first_checkpoint_due();
+        let next_checkpoint_at = self.touched().first_checkpoint_due();
         self.supervisor.specs.push(ServiceSpec {
             service,
             node,
@@ -597,6 +621,7 @@ impl System {
     /// cross-board migration. Returns the node it was removed from.
     pub fn undeploy_service(&mut self, service: ServiceId) -> Option<NodeId> {
         let idx = self
+            .touched()
             .supervisor
             .specs
             .iter()
@@ -623,7 +648,7 @@ impl System {
 
     /// Mutable checkpoint store (the cluster adopts replicated snapshots).
     pub fn checkpoint_store_mut(&mut self) -> &mut CheckpointStore {
-        self.supervisor.checkpoints_mut()
+        self.touched().supervisor.checkpoints_mut()
     }
 
     /// Wires `client` to a supervised service: binds the logical name to
@@ -689,7 +714,7 @@ impl System {
     /// [`SystemError::NotPreemptible`] if the accelerator cannot
     /// externalize state.
     pub fn preempt(&mut self, node: NodeId) -> Result<usize, SystemError> {
-        self.check_node(node)?;
+        self.touched().check_node(node)?;
         let now = self.clock.now();
         let tile = &mut self.tiles[node.index()];
         let accel = tile.accel.as_mut().ok_or(SystemError::SlotEmpty(node))?;
@@ -723,7 +748,7 @@ impl System {
         app: AppId,
         policy: FaultPolicy,
     ) -> Result<(), SystemError> {
-        self.check_node(node)?;
+        self.touched().check_node(node)?;
         let tile = &mut self.tiles[node.index()];
         if tile.accel.is_none() {
             return Err(SystemError::SlotEmpty(node));
@@ -755,7 +780,7 @@ impl System {
     /// externalize state (the swap does not happen),
     /// [`SystemError::ReconfigInProgress`] mid-bitstream.
     pub fn swap_context(&mut self, node: NodeId) -> Result<(usize, usize), SystemError> {
-        self.check_node(node)?;
+        self.touched().check_node(node)?;
         if self.reconfig.in_progress(node) {
             return Err(SystemError::ReconfigInProgress(node));
         }
@@ -844,7 +869,7 @@ impl System {
         policy: FaultPolicy,
         bitstream_bytes: u64,
     ) -> Result<Cycle, SystemError> {
-        self.check_node(node)?;
+        self.touched().check_node(node)?;
         if self.reconfig.in_progress(node) {
             return Err(SystemError::ReconfigInProgress(node));
         }
@@ -877,6 +902,7 @@ impl System {
     /// runs is identical under either; the clocks differ only in *which*
     /// cycles run.
     fn cycle_phases(&mut self, now: Cycle) {
+        self.touched().phase_cycles += 1;
         self.finish_reconfigs(now);
         self.pump_inbound(now);
         self.wake_accelerators(now);
@@ -1015,7 +1041,7 @@ impl System {
     /// is a no-op by the wakeup contract. Always advances at least one
     /// cycle and never beyond `horizon`.
     fn event_step(&mut self, horizon: Cycle) {
-        let due = self.next_phase_due(self.clock.now());
+        let due = self.phase_due();
         let stop = due.min(horizon);
         let now = loop {
             if self.noc.pending() == 0 && self.noc.rx_pending_total() == 0 {
@@ -1031,7 +1057,24 @@ impl System {
         };
         if now >= due || self.noc.rx_pending_total() > 0 {
             self.cycle_phases(now);
+        } else {
+            // No phase ran and nothing waits to be ejected: the scan would
+            // read what it read, and `due` still lies ahead of the clock.
+            self.phase_due = Some(due);
         }
+    }
+
+    /// `next_phase_due(now)`, from the memo when one is held.
+    fn phase_due(&self) -> Cycle {
+        let fresh = || self.next_phase_due(self.clock.now());
+        debug_assert!(self.phase_due.is_none_or(|d| d == fresh()), "stale memo");
+        self.phase_due.unwrap_or_else(fresh)
+    }
+
+    /// Panics unless the memoised kernel deadline, if held, is a fresh scan's.
+    pub fn check_invariants(&self) {
+        let fresh = self.next_phase_due(self.clock.now());
+        assert!(self.phase_due.is_none_or(|d| d == fresh), "stale memo");
     }
 
     /// The next cycle at which this system can do anything on its own:
@@ -1042,11 +1085,10 @@ impl System {
     /// event; every cycle strictly before the returned one is provably a
     /// no-op for this system and may be crossed with [`System::skip_to`].
     pub fn next_event_due(&self) -> Cycle {
-        let now = self.clock.now();
         if self.noc.pending() > 0 {
-            return now.saturating_add(1);
+            return self.clock.now().saturating_add(1);
         }
-        self.next_phase_due(now)
+        self.phase_due()
     }
 
     /// Jumps the clock to `target` without running any kernel phases. Only

@@ -850,3 +850,170 @@ fn advance_toward_a_horizon_before_every_deadline_runs_no_phases() {
     assert_eq!(event.now(), Cycle(1_000_000));
     assert_eq!(wakes(&event), settled + 1);
 }
+
+/// Every public `&mut self` entry of `System` either steps the clock or
+/// drops the memoised kernel deadline through `touched()`, itself or by
+/// calling an entry that does. A method added without it would let the
+/// event clock sleep on a deadline its caller just moved.
+#[test]
+fn every_mutable_entry_steps_the_clock_or_calls_touched() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/system.rs");
+    let src = std::fs::read_to_string(path).expect("readable source");
+    // (name, body) of each `pub fn` that takes `&mut self`. A body ends at
+    // the method's closing brace, four spaces in.
+    let mut entries: Vec<(&str, &str)> = Vec::new();
+    for (at, _) in src.match_indices("\n    pub fn ") {
+        let rest = &src[at + "\n    pub fn ".len()..];
+        let open = rest.find('{').expect("a body");
+        let name = &rest[..rest.find(['(', '<']).expect("a parameter list")];
+        if rest[..open].contains("&mut self") {
+            let close = rest.find("\n    }\n").expect("a closing brace");
+            entries.push((name, &rest[open..close]));
+        }
+    }
+    let steps = ["self.clock.tick()", "self.clock.advance_to(", "touched()"];
+    let mut safe: Vec<&str> = Vec::new();
+    // `tracer_mut` is the one exception: recording an event moves no
+    // deadline, and the cluster traces on boards it must not wake.
+    safe.push("tracer_mut");
+    loop {
+        let before = safe.len();
+        for &(name, body) in &entries {
+            let direct = steps.iter().any(|s| body.contains(s));
+            let delegates = || safe.iter().any(|s| body.contains(&format!("self.{s}(")));
+            if !safe.contains(&name) && (direct || delegates()) {
+                safe.push(name);
+            }
+        }
+        if safe.len() == before {
+            break;
+        }
+    }
+    assert!(entries.len() >= 25, "the scan found System's methods");
+    for (name, _) in entries {
+        assert!(
+            safe.contains(&name),
+            "System::{name} takes `&mut self` but neither steps the clock nor calls \
+             `touched()`: the memoised kernel deadline would survive whatever it changes"
+        );
+    }
+}
+
+const MEMO_CLIENT: NodeId = NodeId(0);
+const MEMO_SERVER: NodeId = NodeId(5);
+const MEMO_SERVICE: apiary_cap::ServiceId = apiary_cap::ServiceId(9);
+
+/// Builds an event-clock system and its dense twin, lets both settle, has
+/// the event one cross a step that runs no kernel phase (so it holds a
+/// memoised deadline), applies `entry` to both and demands the same state
+/// on every one of the next cycles and at a few later ones: a memo that
+/// outlived `entry` would sleep through the work `entry` scheduled.
+fn wakes_like_its_dense_twin(entry: impl Fn(&mut System, apiary_cap::CapRef)) {
+    use apiary_sim::{ClockMode, Cycle};
+    let build = |clock| {
+        let mut sys = System::new(SystemConfig {
+            clock,
+            supervisor: apiary_core::SupervisorConfig {
+                enabled: true,
+                ..Default::default()
+            },
+            ..SystemConfig::default()
+        });
+        sys.install(
+            MEMO_CLIENT,
+            Box::new(idle()),
+            AppId(1),
+            FaultPolicy::FailStop,
+        )
+        .expect("free");
+        let factory = Box::new(|| Box::new(echo(3)) as Box<dyn apiary_accel::Accelerator>);
+        sys.deploy_service(
+            MEMO_SERVICE,
+            MEMO_SERVER,
+            AppId(1),
+            FaultPolicy::FailStop,
+            256,
+            factory,
+        )
+        .expect("free");
+        let cap = sys.attach_client(MEMO_CLIENT, MEMO_SERVICE).expect("wired");
+        (sys, cap)
+    };
+    let (mut event, cap) = build(ClockMode::Event);
+    let (mut dense, _) = build(ClockMode::Dense);
+    event.run(50);
+    dense.run(50);
+    let phases = event.phase_cycles();
+    event.advance_toward(Cycle(60));
+    dense.run(10);
+    assert_eq!(event.now(), Cycle(60));
+    assert_eq!(event.phase_cycles(), phases, "the step ran no phase");
+    entry(&mut event, cap);
+    entry(&mut dense, cap);
+    event.check_invariants();
+    let see = |sys: &System| format!("{} {:?}", observable(sys), sys.incidents());
+    for end in (61..=200).chain([1_000, 5_000, 50_000]) {
+        while event.now() < Cycle(end) {
+            event.advance_toward(Cycle(end));
+        }
+        while dense.now() < Cycle(end) {
+            dense.advance_toward(Cycle(end));
+        }
+        event.check_invariants();
+        assert_eq!(see(&event), see(&dense), "diverged by cycle {end}");
+    }
+    assert!(
+        event.phase_cycles() < dense.phase_cycles(),
+        "the event clock skipped"
+    );
+}
+
+#[test]
+fn a_send_through_tile_mut_wakes_the_board_on_time() {
+    wakes_like_its_dense_twin(|sys, cap| client_send(sys, MEMO_CLIENT, cap, 1, vec![1, 2, 3]));
+}
+
+#[test]
+fn a_reconfigure_wakes_the_board_on_time() {
+    wakes_like_its_dense_twin(|sys, _| {
+        sys.reconfigure(
+            NodeId(6),
+            Box::new(echo(1)),
+            AppId(1),
+            FaultPolicy::FailStop,
+            300,
+        )
+        .expect("idle ICAP");
+    });
+}
+
+#[test]
+fn a_fail_stop_wakes_the_board_on_time() {
+    // The supervisor detects the stopped service on the very next cycle.
+    wakes_like_its_dense_twin(|sys, _| sys.fail_stop(MEMO_SERVER));
+}
+
+#[test]
+fn an_attach_client_wakes_the_board_on_time() {
+    wakes_like_its_dense_twin(|sys, _| {
+        sys.install(NodeId(2), Box::new(idle()), AppId(1), FaultPolicy::FailStop)
+            .expect("free");
+        let cap = sys.attach_client(NodeId(2), MEMO_SERVICE).expect("wired");
+        client_send(sys, NodeId(2), cap, 2, vec![4]);
+    });
+}
+
+#[test]
+fn an_injection_through_noc_mut_wakes_the_board_on_time() {
+    wakes_like_its_dense_twin(|sys, _| {
+        let msg = apiary_noc::Message::new(
+            MEMO_CLIENT,
+            MEMO_SERVER,
+            TrafficClass::Request,
+            vec![9u8; 40],
+        );
+        sys.noc_mut()
+            .try_inject(MEMO_CLIENT, msg)
+            .expect("queue has room");
+    });
+}

@@ -120,8 +120,15 @@ impl GoBackNSender {
     }
 
     /// Advances time: on timeout, requeues the entire window (go-back-N).
-    /// Returns packets to put on the wire (new and retransmitted).
+    /// Returns packets to put on the wire (new and retransmitted), copied
+    /// out so the caller may ack while it walks them.
     pub fn poll(&mut self, now: Cycle) -> Vec<Packet> {
+        self.transmit(now).collect()
+    }
+
+    /// [`GoBackNSender::poll`] without the copy: the outbox itself, drained
+    /// as the caller puts each packet on the wire.
+    pub fn transmit(&mut self, now: Cycle) -> impl Iterator<Item = Packet> + '_ {
         if let Some(deadline) = self.timer {
             if now >= deadline {
                 // Retransmit everything outstanding.
@@ -136,7 +143,7 @@ impl GoBackNSender {
                 self.timer = Some(self.deadline(now));
             }
         }
-        self.outbox.drain(..).collect()
+        self.outbox.drain(..)
     }
 
     /// Payloads not yet acknowledged.
@@ -164,6 +171,23 @@ impl GoBackNSender {
     /// Everything offered has been acknowledged.
     pub fn idle(&self) -> bool {
         self.unacked.is_empty() && self.outbox.is_empty()
+    }
+
+    /// Panics unless the window's laws hold: the packets acknowledged plus
+    /// the packets outstanding are exactly the packets sent (so acks never
+    /// exceed sends), and no more than a window is outstanding.
+    pub fn check_invariants(&self) {
+        assert_eq!(
+            self.base + self.unacked.len() as u64,
+            self.next_seq,
+            "acknowledged + outstanding != sent"
+        );
+        assert!(
+            self.unacked.len() <= self.window,
+            "{} packets outstanding in a window of {}",
+            self.unacked.len(),
+            self.window
+        );
     }
 }
 
@@ -353,6 +377,7 @@ mod tests {
         tx.on_ack(Ack { next: u64::MAX }, Cycle(5));
         assert!(tx.unacked.is_empty());
         assert_eq!(tx.base, tx.next_seq, "base clamps to next_seq");
+        tx.check_invariants();
         // The sender keeps working afterwards.
         assert!(tx.offer(vec![3], Cycle(6)));
         let pkts = tx.poll(Cycle(6));
@@ -430,6 +455,7 @@ mod tests {
                 let (_, ack) = ack_wire.pop_front().expect("peeked");
                 tx.on_ack(ack, now);
             }
+            tx.check_invariants();
             if delivered.len() as u64 == total && tx.idle() {
                 break;
             }
