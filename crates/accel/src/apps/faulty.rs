@@ -4,6 +4,7 @@
 use crate::accelerator::{Service, ServiceAction, ServiceReply, StateError};
 use crate::os::TileOs;
 use apiary_noc::Delivered;
+use apiary_sim::Reader;
 
 /// Echoes requests, but the `fault_after`-th request (exactly) trips an
 /// internal error and raises a fault. The kernel's policy then decides the
@@ -55,11 +56,11 @@ impl Service for FaultyService {
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), StateError> {
-        if state.len() != 16 {
+        let mut r = Reader::new(state);
+        let (Some(fault_after), Some(served), true) = (r.u64(), r.u64(), r.is_empty()) else {
             return Err(StateError::Corrupt);
-        }
-        self.fault_after = u64::from_le_bytes(state[0..8].try_into().expect("sized"));
-        self.served = u64::from_le_bytes(state[8..16].try_into().expect("sized"));
+        };
+        (self.fault_after, self.served) = (fault_after, served);
         Ok(())
     }
 }

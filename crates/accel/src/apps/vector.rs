@@ -12,6 +12,7 @@
 use crate::accelerator::{ServerAccel, Service, ServiceAction, ServiceReply};
 use crate::os::TileOs;
 use apiary_noc::Delivered;
+use apiary_sim::Reader;
 
 /// Operation codes.
 pub mod op {
@@ -129,11 +130,11 @@ impl Service for VectorService {
     }
 
     fn restore(&mut self, state: &[u8]) -> Result<(), crate::accelerator::StateError> {
-        if state.len() != 16 {
+        let mut r = Reader::new(state);
+        let (Some(ops), Some(elements), true) = (r.u64(), r.u64(), r.is_empty()) else {
             return Err(crate::accelerator::StateError::Corrupt);
-        }
-        self.ops = u64::from_le_bytes(state[0..8].try_into().expect("sized"));
-        self.elements = u64::from_le_bytes(state[8..16].try_into().expect("sized"));
+        };
+        (self.ops, self.elements) = (ops, elements);
         Ok(())
     }
 }

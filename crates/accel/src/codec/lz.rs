@@ -11,6 +11,7 @@
 //! Matching uses a 3-byte hash table over a 64 KiB window — greedy, single
 //! pass, exactly the shape a streaming hardware implementation takes.
 
+use apiary_sim::Reader;
 use core::fmt;
 
 /// Decompression errors.
@@ -117,12 +118,11 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, LzError> {
                 i += 2 + n;
             }
             0x01 => {
-                if i + 3 >= stream.len() {
+                let mut r = Reader::new(&stream[i + 1..]);
+                let (Some(dist), Some(len)) = (r.u16(), r.u8()) else {
                     return Err(LzError::Corrupt);
-                }
-                let dist =
-                    u16::from_le_bytes(stream[i + 1..i + 3].try_into().expect("sized")) as usize;
-                let len = stream[i + 3] as usize;
+                };
+                let (dist, len) = (dist as usize, len as usize);
                 if dist == 0 || len < MIN_MATCH || dist > out.len() {
                     return Err(LzError::Corrupt);
                 }

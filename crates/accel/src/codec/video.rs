@@ -12,6 +12,7 @@
 //! - `0x00, n, v` — run of `n` copies of `v` (n >= 1),
 //! - `0x01, n, v0..v{n-1}` — literal run of `n` bytes.
 
+use apiary_sim::Reader;
 use core::fmt;
 
 /// Codec errors.
@@ -205,16 +206,14 @@ pub fn encode(frame: &Frame, quant_shift: u32) -> Vec<u8> {
 ///
 /// [`VideoError::Corrupt`] on malformed streams.
 pub fn decode(stream: &[u8]) -> Result<Frame, VideoError> {
-    if stream.len() < 12 {
+    let mut r = Reader::new(stream);
+    let (Some(width), Some(height), Some(quant_shift)) = (r.u32(), r.u32(), r.u32()) else {
         return Err(VideoError::Corrupt);
-    }
-    let width = u32::from_le_bytes(stream[0..4].try_into().expect("sized"));
-    let height = u32::from_le_bytes(stream[4..8].try_into().expect("sized"));
-    let quant_shift = u32::from_le_bytes(stream[8..12].try_into().expect("sized"));
+    };
     if quant_shift > 7 {
         return Err(VideoError::Corrupt);
     }
-    let deltas = rle_decode(&stream[12..])?;
+    let deltas = rle_decode(r.rest())?;
     if deltas.len() != (width as usize) * (height as usize) {
         return Err(VideoError::Corrupt);
     }

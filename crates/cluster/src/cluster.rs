@@ -167,6 +167,9 @@ struct Pending {
 pub struct ClusterSystem {
     pub(crate) cfg: ClusterConfig,
     ticks: u64,
+    /// The next multiple of `gossip_interval`, advanced where the round
+    /// fires: neither the cycle nor `next_due` divides to find it.
+    next_gossip: Cycle,
     pub(crate) boards: Vec<Board>,
     pub(crate) fabric: Fabric,
     balancer: Balancer,
@@ -236,6 +239,7 @@ impl ClusterSystem {
         let fabric = Fabric::new(cfg.boards, cfg.fabric);
         let balancer = Balancer::new(cfg.seed);
         ClusterSystem {
+            next_gossip: Cycle(cfg.gossip_interval),
             cfg,
             ticks: 0,
             boards,
@@ -717,7 +721,10 @@ impl ClusterSystem {
         self.drive_migrations(now);
         self.republish_ready(now);
         self.finish_migrations(now);
-        if self.ticks.is_multiple_of(self.cfg.gossip_interval) {
+        let g = self.cfg.gossip_interval;
+        debug_assert_eq!(now == self.next_gossip, self.ticks.is_multiple_of(g));
+        if now == self.next_gossip {
+            self.next_gossip += g;
             self.gossip_round(now);
         }
         self.deliver_fabric(now, dense);
@@ -1082,7 +1089,8 @@ impl ClusterSystem {
         }
         due = due.min(self.fabric.next_activity(next));
         let g = self.cfg.gossip_interval;
-        due = due.min(Cycle((self.ticks / g + 1) * g));
+        debug_assert_eq!(self.next_gossip, Cycle((self.ticks / g + 1) * g));
+        due = due.min(self.next_gossip);
         if let Some(&(deadline, _)) = self.deadlines.front() {
             due = due.min(deadline);
         }

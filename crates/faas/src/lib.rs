@@ -26,6 +26,10 @@
 //!   [`apiary_cluster::ClusterSystem::pool_deploy`] (ICAP-priced, directory
 //!   published only when the tile is live) and reclaimed through
 //!   `pool_teardown` (tombstoned, caps revoked).
+//! - `pool.rs` (private) — the replica state machine `Fetching → Loading →
+//!   Live` and every function's pool of replicas and queued invocations,
+//!   changed only through transitions that post what the control loop asks
+//!   on every step, so a warm step walks nobody (DESIGN.md §6).
 //!
 //! **Determinism.** The orchestrator owns no randomness beyond the seeded
 //! placement RNG, schedules every timer (bitstream fetches, autoscale
@@ -37,6 +41,7 @@
 pub mod admission;
 pub mod cache;
 pub mod orchestrator;
+mod pool;
 
 pub use admission::{AdmissionConfig, TenantAdmission};
 pub use cache::BitstreamCache;

@@ -33,19 +33,22 @@
 //! executed cycle and is a provable no-op on cycles the event clock skips
 //! (its remaining triggers — completions, republishes, gossip merges — are
 //! all board- or fabric-eventful). The only randomness is the seeded
-//! placement RNG, drawn in a fixed order.
+//! placement RNG, drawn in a fixed order. What `pump` visits and when
+//! `next_wakeup` is due are read from what the pools post (`pool.rs`).
 
 use crate::admission::{AdmissionConfig, TenantAdmission};
 use crate::cache::BitstreamCache;
+pub use crate::pool::ReplicaState;
+use crate::pool::{Pools, Queued};
 use apiary_accel::Accelerator;
 use apiary_cap::ServiceId;
 use apiary_cluster::{ClusterConfig, ClusterSystem, SubmitError};
-use apiary_core::{AppId, FaultPolicy};
+use apiary_core::AppId;
 use apiary_noc::NodeId;
 use apiary_resources::{Area, FloorPlanner, Part};
-use apiary_sim::{Cycle, SimRng};
+use apiary_sim::{ClockMode, Cycle, SimRng};
 use apiary_trace::LatencyTracker;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// Service ids for functions start here, clear of the hand-assigned ids
@@ -130,41 +133,11 @@ pub struct FunctionSpec {
     pub factory: Rc<dyn Fn() -> Box<dyn Accelerator>>,
 }
 
-/// Lifecycle of one replica slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaState {
-    /// Cache miss: the bitstream is streaming from the store; the tile and
-    /// area are already reserved.
-    Fetching {
-        /// Cycle the fetch completes and the ICAP load can start.
-        ready_at: Cycle,
-    },
-    /// Bitstream loading through the ICAP; directory entry not yet
-    /// republished.
-    Loading,
-    /// Published and serving (the gateway holds its client cap).
-    Live,
-}
-
-#[derive(Debug, Clone)]
-struct Replica {
-    board: u16,
-    node: NodeId,
-    state: ReplicaState,
-}
-
-struct Queued {
-    tag: u64,
-    origin: u16,
-    payload: Vec<u8>,
-    deadline: Cycle,
-}
-
-struct Function {
-    spec: FunctionSpec,
-    service: ServiceId,
-    replicas: Vec<Replica>,
-    queue: VecDeque<Queued>,
+/// A registered function's identity and counters; its replicas and queue
+/// are its pool's ([`Pools`]).
+pub(crate) struct Function {
+    pub(crate) spec: FunctionSpec,
+    pub(crate) service: ServiceId,
     invoked_this_interval: bool,
     idle_intervals: u64,
     invocations: u64,
@@ -172,19 +145,19 @@ struct Function {
     completed_ok: u64,
     completed_err: u64,
     expired: u64,
-    deploys: u64,
-    reclaims: u64,
+    pub(crate) deploys: u64,
+    pub(crate) reclaims: u64,
 }
 
 /// One board's elastic resource ledger.
-struct BoardLedger {
+pub(crate) struct BoardLedger {
     /// Shared dynamic-region budget: tile slot x usable tiles.
-    budget: Area,
+    pub(crate) budget: Area,
     /// Footprints of resident (and reserving) replicas.
-    used: Area,
+    pub(crate) used: Area,
     /// Usable mesh nodes not hosting a replica.
-    free_nodes: BTreeSet<NodeId>,
-    cache: BitstreamCache,
+    pub(crate) free_nodes: BTreeSet<NodeId>,
+    pub(crate) cache: BitstreamCache,
 }
 
 struct Inflight {
@@ -255,13 +228,14 @@ pub struct FaasStats {
 
 /// The serverless plane over a board fleet.
 pub struct FaasSystem {
-    cfg: FaasConfig,
-    cluster: ClusterSystem,
-    boards: Vec<BoardLedger>,
-    functions: Vec<Function>,
+    pub(crate) cfg: FaasConfig,
+    pub(crate) cluster: ClusterSystem,
+    pub(crate) boards: Vec<BoardLedger>,
+    pub(crate) functions: Vec<Function>,
+    pub(crate) pools: Pools,
     inflight: BTreeMap<u64, Inflight>,
     admission: TenantAdmission,
-    rng: SimRng,
+    pub(crate) rng: SimRng,
     next_tag: u64,
     next_autoscale: Cycle,
     finished: Vec<Finished>,
@@ -317,6 +291,7 @@ impl FaasSystem {
             cluster,
             boards,
             functions: Vec::new(),
+            pools: Pools::default(),
             inflight: BTreeMap::new(),
             admission,
             rng,
@@ -347,8 +322,6 @@ impl FaasSystem {
         self.functions.push(Function {
             spec,
             service,
-            replicas: Vec::new(),
-            queue: VecDeque::new(),
             invoked_this_interval: false,
             idle_intervals: 0,
             invocations: 0,
@@ -359,6 +332,7 @@ impl FaasSystem {
             deploys: 0,
             reclaims: 0,
         });
+        self.pools.register();
         self.functions.len() - 1
     }
 
@@ -379,11 +353,7 @@ impl FaasSystem {
         }
         let tag = self.next_tag;
         self.next_tag += 1;
-        let name = self.functions[fn_idx].spec.name.clone();
-        let cold = !self.functions[fn_idx]
-            .replicas
-            .iter()
-            .any(|r| r.state == ReplicaState::Live);
+        let cold = self.pools.live(fn_idx) == 0;
         {
             let f = &mut self.functions[fn_idx];
             f.invocations += 1;
@@ -408,7 +378,8 @@ impl FaasSystem {
             },
         );
         if !cold {
-            match self.cluster.submit(origin, &name, tag, payload.clone()) {
+            let name = &self.functions[fn_idx].spec.name;
+            match self.cluster.submit(origin, name, tag, payload.clone()) {
                 Ok(_) => return InvokeOutcome::Submitted,
                 Err(SubmitError::OriginDead) => {
                     self.complete(tag, false, now);
@@ -419,111 +390,18 @@ impl FaasSystem {
                 Err(SubmitError::NoReplica) | Err(SubmitError::Refused) => {}
             }
         }
-        self.functions[fn_idx].queue.push_back(Queued {
+        let deadline = now + self.cfg.queue_timeout;
+        let queued = Queued {
             tag,
             origin,
             payload,
-            deadline: now + self.cfg.queue_timeout,
-        });
-        let bringing = self.functions[fn_idx]
-            .replicas
-            .iter()
-            .any(|r| r.state != ReplicaState::Live);
-        if cold && !bringing {
+            deadline,
+        };
+        self.pools.push_queue(fn_idx, queued);
+        if cold && self.pending_replicas(fn_idx) == 0 {
             self.start_deploy(fn_idx);
         }
         InvokeOutcome::Queued { cold }
-    }
-
-    /// Starts one replica deploy for `fn_idx`: power-of-two-choices over
-    /// boards with a free tile and area headroom, then cache lookup →
-    /// fetch (miss) or straight to the ICAP (hit). Returns whether a
-    /// deploy started.
-    fn start_deploy(&mut self, fn_idx: usize) -> bool {
-        let now = self.cluster.now();
-        let footprint = self.functions[fn_idx].spec.footprint;
-        let candidates: Vec<u16> = (0..self.cfg.cluster.boards)
-            .filter(|&b| {
-                let l = &self.boards[b as usize];
-                self.cluster.alive(b)
-                    && !l.free_nodes.is_empty()
-                    && (l.used + footprint).fits_in(&l.budget)
-                    && !self.functions[fn_idx].replicas.iter().any(|r| r.board == b)
-            })
-            .collect();
-        let board = match candidates.len() {
-            0 => {
-                self.scale_up_denied += 1;
-                return false;
-            }
-            1 => candidates[0],
-            n => {
-                // Power of two choices on area utilisation; lower board id
-                // breaks ties so the draw order alone decides nothing.
-                let a = candidates[self.rng.gen_range(n as u64) as usize];
-                let b = candidates[self.rng.gen_range(n as u64) as usize];
-                let util = |x: u16| {
-                    let l = &self.boards[x as usize];
-                    l.used.utilisation_of(&l.budget)
-                };
-                let (ua, ub) = (util(a), util(b));
-                if ua < ub || (ua == ub && a <= b) {
-                    a
-                } else {
-                    b
-                }
-            }
-        };
-        let ledger = &mut self.boards[board as usize];
-        let node = *ledger.free_nodes.iter().next().expect("candidate has one");
-        ledger.free_nodes.remove(&node);
-        ledger.used += footprint;
-        let name = self.functions[fn_idx].spec.name.clone();
-        let bytes = self.functions[fn_idx].spec.bitstream_bytes;
-        let hit = ledger.cache.lookup(&name);
-        if !hit {
-            ledger.cache.insert(&name, bytes);
-        }
-        let state = if hit {
-            match self.icap_load(fn_idx, board, node) {
-                Ok(()) => ReplicaState::Loading,
-                Err(()) => {
-                    let ledger = &mut self.boards[board as usize];
-                    ledger.free_nodes.insert(node);
-                    ledger.used = ledger.used.saturating_sub(&footprint);
-                    self.scale_up_denied += 1;
-                    return false;
-                }
-            }
-        } else {
-            ReplicaState::Fetching {
-                ready_at: now + bytes.div_ceil(self.cfg.fetch_bytes_per_cycle.max(1)),
-            }
-        };
-        let f = &mut self.functions[fn_idx];
-        f.deploys += 1;
-        f.replicas.push(Replica { board, node, state });
-        true
-    }
-
-    /// Pushes a fetched bitstream into the ICAP via the cluster's pool
-    /// hook. The directory entry appears when the republish pass fires.
-    fn icap_load(&mut self, fn_idx: usize, board: u16, node: NodeId) -> Result<(), ()> {
-        let f = &self.functions[fn_idx];
-        let factory = f.spec.factory.clone();
-        self.cluster
-            .pool_deploy(
-                board,
-                &f.spec.name,
-                f.service,
-                node,
-                f.spec.app,
-                FaultPolicy::FailStop,
-                f.spec.bitstream_bytes,
-                Box::new(move || factory()),
-            )
-            .map(|_| ())
-            .map_err(|_| ())
     }
 
     /// Completes `tag` toward trackers, counters and the finished log.
@@ -559,69 +437,32 @@ impl FaasSystem {
     pub fn pump(&mut self) {
         let now = self.cluster.now();
 
-        // 1. Fetches that finished start their ICAP load.
-        for fn_idx in 0..self.functions.len() {
-            for ri in 0..self.functions[fn_idx].replicas.len() {
-                let r = self.functions[fn_idx].replicas[ri].clone();
-                if let ReplicaState::Fetching { ready_at } = r.state {
-                    if ready_at <= now {
-                        match self.icap_load(fn_idx, r.board, r.node) {
-                            Ok(()) => {
-                                self.functions[fn_idx].replicas[ri].state = ReplicaState::Loading;
-                            }
-                            Err(()) => {
-                                // Tile unusable (should not happen on a
-                                // live board): release the reservation.
-                                let ledger = &mut self.boards[r.board as usize];
-                                ledger.free_nodes.insert(r.node);
-                                let fp = self.functions[fn_idx].spec.footprint;
-                                ledger.used = ledger.used.saturating_sub(&fp);
-                                self.functions[fn_idx].replicas.remove(ri);
-                                self.scale_up_denied += 1;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        // 1, 2. Replicas coming up (`pool.rs`).
+        self.assert_posted();
+        self.finish_fetches(now);
+        self.promote_loaded();
 
-        // 2. Loading → Live once the republish pass wired the gateway.
-        for f in &mut self.functions {
-            for r in &mut f.replicas {
-                if r.state == ReplicaState::Loading
-                    && self.cluster.has_local_cap(r.board, f.service)
-                {
-                    r.state = ReplicaState::Live;
-                }
-            }
-        }
-
-        // 3. Flush queues in function order, FIFO within each; stop at the
-        //    first submit the directory or gateway cannot take yet.
-        for fn_idx in 0..self.functions.len() {
-            while let Some(deadline) = self.functions[fn_idx].queue.front().map(|q| q.deadline) {
-                if deadline <= now {
-                    let q = self.functions[fn_idx].queue.pop_front().expect("front");
+        // 3. Flush the waiting queues in function order, FIFO within each;
+        //    stop at the first submit the directory or gateway cannot take
+        //    yet.
+        let mut from = 0;
+        while let Some(fn_idx) = self.pools.waiting_from(from) {
+            from = fn_idx + 1;
+            while let Some(q) = self.pools.queue(fn_idx).front() {
+                if q.deadline <= now {
+                    let q = self.pools.pop_queue(fn_idx).expect("front");
                     self.functions[fn_idx].expired += 1;
                     self.complete(q.tag, false, now);
                     continue;
                 }
-                if !self.functions[fn_idx]
-                    .replicas
-                    .iter()
-                    .any(|r| r.state == ReplicaState::Live)
-                {
+                if self.pools.live(fn_idx) == 0 {
                     break;
                 }
-                let name = self.functions[fn_idx].spec.name.clone();
-                let (tag, origin, payload) = {
-                    let q = self.functions[fn_idx].queue.front().expect("checked");
-                    (q.tag, q.origin, q.payload.clone())
-                };
-                match self.cluster.submit(origin, &name, tag, payload) {
+                let (tag, origin, payload) = (q.tag, q.origin, q.payload.clone());
+                let name = &self.functions[fn_idx].spec.name;
+                match self.cluster.submit(origin, name, tag, payload) {
                     Ok(_) => {
-                        self.functions[fn_idx].queue.pop_front();
+                        self.pools.pop_queue(fn_idx);
                     }
                     Err(SubmitError::NoReplica) => break, // gossip lag
                     Err(SubmitError::Refused) => {
@@ -629,7 +470,7 @@ impl FaasSystem {
                         break; // backpressure: retry next pump
                     }
                     Err(SubmitError::OriginDead) => {
-                        self.functions[fn_idx].queue.pop_front();
+                        self.pools.pop_queue(fn_idx);
                         self.complete(tag, false, now);
                     }
                 }
@@ -644,37 +485,24 @@ impl FaasSystem {
         // 5. Autoscale boundaries (absolute cycles, so both clocks land on
         //    exactly the same boundary cycles).
         while now >= self.next_autoscale {
-            let boundary = self.next_autoscale;
-            self.next_autoscale = boundary + self.cfg.autoscale_interval;
-            self.autoscale(boundary);
+            self.next_autoscale += self.cfg.autoscale_interval;
+            self.autoscale();
         }
     }
 
     /// One autoscaler boundary: grow pools whose queues outrun their
     /// replicas, shrink pools idle long enough — one replica either way
     /// per function per boundary.
-    fn autoscale(&mut self, _boundary: Cycle) {
-        let now = self.cluster.now();
+    fn autoscale(&mut self) {
         for fn_idx in 0..self.functions.len() {
-            let (live, pending, depth) = {
-                let f = &self.functions[fn_idx];
-                let live = f
-                    .replicas
-                    .iter()
-                    .filter(|r| r.state == ReplicaState::Live)
-                    .count() as u64;
-                let pending = f.replicas.len() as u64 - live;
-                (live, pending, f.queue.len() as u64)
-            };
-            let busy = {
-                let f = &self.functions[fn_idx];
-                f.invoked_this_interval
-                    || !f.queue.is_empty()
-                    || self.inflight.values().any(|i| i.fn_idx == fn_idx)
-            };
+            let replicas = self.pools.replicas(fn_idx).len();
+            let depth = self.pools.queue(fn_idx).len() as u64;
+            let busy = self.functions[fn_idx].invoked_this_interval
+                || depth > 0
+                || self.inflight.values().any(|i| i.fn_idx == fn_idx);
             self.functions[fn_idx].invoked_this_interval = false;
-            if depth > (live + pending) * self.cfg.target_queue_per_replica
-                && ((live + pending) as usize) < self.boards.len()
+            if depth > replicas as u64 * self.cfg.target_queue_per_replica
+                && replicas < self.boards.len()
             {
                 self.start_deploy(fn_idx);
             }
@@ -684,50 +512,7 @@ impl FaasSystem {
             }
             self.functions[fn_idx].idle_intervals += 1;
             if self.functions[fn_idx].idle_intervals >= self.cfg.idle_intervals_to_zero {
-                self.reclaim_one(fn_idx, now);
-            }
-        }
-    }
-
-    /// Reclaims one replica of an idle function: a still-fetching slot is
-    /// cancelled outright (nothing touched the cluster yet); otherwise the
-    /// highest-board live replica is torn down through the tombstoning
-    /// pool hook. Loading replicas are skipped — the ICAP completion would
-    /// resurrect a decommissioned tile.
-    fn reclaim_one(&mut self, fn_idx: usize, _now: Cycle) {
-        let footprint = self.functions[fn_idx].spec.footprint;
-        if let Some(ri) = self.functions[fn_idx]
-            .replicas
-            .iter()
-            .position(|r| matches!(r.state, ReplicaState::Fetching { .. }))
-        {
-            let r = self.functions[fn_idx].replicas.remove(ri);
-            let ledger = &mut self.boards[r.board as usize];
-            ledger.free_nodes.insert(r.node);
-            ledger.used = ledger.used.saturating_sub(&footprint);
-            self.functions[fn_idx].reclaims += 1;
-            return;
-        }
-        let Some(ri) = self.functions[fn_idx]
-            .replicas
-            .iter()
-            .rposition(|r| r.state == ReplicaState::Live)
-        else {
-            return;
-        };
-        let name = self.functions[fn_idx].spec.name.clone();
-        let board = self.functions[fn_idx].replicas[ri].board;
-        match self.cluster.pool_teardown(board, &name) {
-            Ok(node) => {
-                let ledger = &mut self.boards[board as usize];
-                ledger.free_nodes.insert(node);
-                ledger.used = ledger.used.saturating_sub(&footprint);
-                self.functions[fn_idx].replicas.remove(ri);
-                self.functions[fn_idx].reclaims += 1;
-            }
-            Err(_) => {
-                // Mid-reconfiguration (racing a deploy): try again at the
-                // next boundary.
+                self.reclaim_one(fn_idx);
             }
         }
     }
@@ -738,22 +523,18 @@ impl FaasSystem {
     /// events are the cluster's own business
     /// ([`ClusterSystem::advance_toward`] caps at them already).
     pub fn next_wakeup(&self, horizon: Cycle) -> Cycle {
-        let next = self.cluster.now().saturating_add(1);
-        let mut due = horizon.max(next);
-        due = due.min(self.next_autoscale.max(next));
-        for f in &self.functions {
-            for r in &f.replicas {
-                if let ReplicaState::Fetching { ready_at } = r.state {
-                    due = due.min(ready_at.max(next));
-                }
-            }
-            // FIFO queues with a fixed timeout have monotone deadlines, so
-            // the front is the earliest.
-            if let Some(q) = f.queue.front() {
-                due = due.min(q.deadline.max(next));
-            }
+        self.assert_posted();
+        let due = horizon.min(self.next_autoscale).min(self.pools.timer_due());
+        due.max(self.cluster.now().saturating_add(1))
+    }
+
+    /// Holds the pools' law where posted state is about to be read: always
+    /// under the dense reference clock, in debug builds under the event one.
+    fn assert_posted(&self) {
+        if self.cfg.cluster.system.clock == ClockMode::Dense || cfg!(debug_assertions) {
+            let law = self.pools.check();
+            law.expect("pool state is posted where it changes");
         }
-        due.max(next)
     }
 
     /// Advances the fleet by one scheduling step (never beyond `horizon`)
@@ -794,10 +575,10 @@ impl FaasSystem {
     /// No queued, in-flight, or half-deployed work anywhere: every replica
     /// is live and the cluster itself has drained.
     pub fn quiescent(&self) -> bool {
+        self.assert_posted();
         self.inflight.is_empty()
-            && self.functions.iter().all(|f| {
-                f.queue.is_empty() && f.replicas.iter().all(|r| r.state == ReplicaState::Live)
-            })
+            && self.pools.waiting_from(0).is_none()
+            && self.pools.bringing_from(0).is_none()
             && self.cluster.quiescent()
     }
 
@@ -834,22 +615,17 @@ impl FaasSystem {
 
     /// Live replica count for one function.
     pub fn live_replicas(&self, fn_idx: usize) -> usize {
-        self.functions[fn_idx]
-            .replicas
-            .iter()
-            .filter(|r| r.state == ReplicaState::Live)
-            .count()
+        self.pools.live(fn_idx)
     }
 
     /// Fetching or loading replica count for one function.
     pub fn pending_replicas(&self, fn_idx: usize) -> usize {
-        self.functions[fn_idx].replicas.len() - self.live_replicas(fn_idx)
+        self.pools.replicas(fn_idx).len() - self.pools.live(fn_idx)
     }
 
     /// Point-in-time stats for one function.
     pub fn stats(&self, fn_idx: usize) -> FaasStats {
         let f = &self.functions[fn_idx];
-        let live = self.live_replicas(fn_idx);
         FaasStats {
             invocations: f.invocations,
             cold_invocations: f.cold_invocations,
@@ -858,9 +634,9 @@ impl FaasSystem {
             expired: f.expired,
             deploys: f.deploys,
             reclaims: f.reclaims,
-            live,
-            pending: f.replicas.len() - live,
-            queue_depth: f.queue.len(),
+            live: self.pools.live(fn_idx),
+            pending: self.pending_replicas(fn_idx),
+            queue_depth: self.pools.queue(fn_idx).len(),
         }
     }
 
@@ -873,12 +649,14 @@ impl FaasSystem {
     /// cluster's capability state. Used by tests (including the warm-pool
     /// proptest) after arbitrary interleavings.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.pools.check()?;
         for (bi, l) in self.boards.iter().enumerate() {
             let b = bi as u16;
             let mut used = Area::ZERO;
             let mut nodes = BTreeSet::new();
-            for f in &self.functions {
-                let on_board: Vec<&Replica> = f.replicas.iter().filter(|r| r.board == b).collect();
+            for (fi, f) in self.functions.iter().enumerate() {
+                let replicas = self.pools.replicas(fi);
+                let on_board: Vec<_> = replicas.iter().filter(|r| r.board == b).collect();
                 if on_board.len() > 1 {
                     return Err(format!(
                         "fn `{}` has {} replicas on board {b}",
@@ -886,7 +664,7 @@ impl FaasSystem {
                         on_board.len()
                     ));
                 }
-                for r in on_board {
+                for r in &on_board {
                     used += f.spec.footprint;
                     if !nodes.insert(r.node) {
                         return Err(format!("node {:?} on board {b} double-booked", r.node));
@@ -904,9 +682,7 @@ impl FaasSystem {
                         ));
                     }
                 }
-                if f.replicas.iter().all(|r| r.board != b)
-                    && self.cluster.has_local_cap(b, f.service)
-                {
+                if on_board.is_empty() && self.cluster.has_local_cap(b, f.service) {
                     return Err(format!(
                         "board {b} holds a cap for `{}` with no replica",
                         f.spec.name

@@ -10,12 +10,18 @@
 //! never does, footprints always sum to the ledger and fit the budget.
 //! After the drain, invocation conservation must hold, every pool must
 //! scale to zero, and a final cold invocation must still succeed.
+//!
+//! Every op also runs on a twin under the dense reference clock, which
+//! walks every pool wherever the orchestrator reads what the pools posted
+//! and panics on a difference (`pool.rs`); the twins must agree on every
+//! counter, both latency histograms and the clock after each op.
 
 use apiary_accel::apps::echo::echo;
 use apiary_cluster::ClusterConfig;
 use apiary_core::AppId;
 use apiary_faas::{AdmissionConfig, FaasConfig, FaasSystem, FunctionSpec};
 use apiary_resources::Area;
+use apiary_sim::ClockMode;
 use proptest::prelude::*;
 use std::rc::Rc;
 
@@ -42,12 +48,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn build() -> FaasSystem {
+fn build(clock: ClockMode) -> FaasSystem {
+    let mut cluster = ClusterConfig {
+        boards: BOARDS,
+        ..ClusterConfig::default()
+    };
+    cluster.system.clock = clock;
     let mut s = FaasSystem::new(FaasConfig {
-        cluster: ClusterConfig {
-            boards: BOARDS,
-            ..ClusterConfig::default()
-        },
+        cluster,
         autoscale_interval: AUTOSCALE,
         idle_intervals_to_zero: 2,
         // Generous ingress: this test is about the pool machinery, not
@@ -71,6 +79,13 @@ fn build() -> FaasSystem {
     s
 }
 
+/// Everything a driver can see of the plane.
+fn observed(s: &FaasSystem) -> String {
+    let stats: Vec<_> = (0..FUNCTIONS).map(|f| s.stats(f)).collect();
+    let (cold, warm) = (s.cold_latency.histogram(), s.warm_latency.histogram());
+    format!("{stats:?} {cold:?} {warm:?} {:?}", s.now())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -78,17 +93,21 @@ proptest! {
     fn warm_pool_consistent_under_any_interleaving(
         ops in prop::collection::vec(arb_op(), 1..40)
     ) {
-        let mut s = build();
+        let mut s = build(ClockMode::Event);
+        let mut dense = build(ClockMode::Dense);
         for op in &ops {
-            match *op {
-                Op::Invoke { f, tenant, origin } => {
-                    s.invoke(f, tenant, origin, vec![0u8; 24]);
+            for s in [&mut s, &mut dense] {
+                match *op {
+                    Op::Invoke { f, tenant, origin } => {
+                        s.invoke(f, tenant, origin, vec![0u8; 24]);
+                    }
+                    Op::Advance { cycles } => s.run(cycles),
                 }
-                Op::Advance { cycles } => s.run(cycles),
+                if let Err(e) = s.check_invariants() {
+                    prop_assert!(false, "after {op:?}: {e}");
+                }
             }
-            if let Err(e) = s.check_invariants() {
-                prop_assert!(false, "after {op:?}: {e}");
-            }
+            prop_assert_eq!(observed(&s), observed(&dense), "clocks part after {:?}", op);
         }
 
         // Drain: all queued and in-flight work resolves.

@@ -199,8 +199,9 @@ pub struct Noc {
     /// Router stalls: the cycle (exclusive) until which node `i` allocates
     /// no flits.
     stall_until: Vec<u64>,
-    /// Optional chaos plane driving random fault injection.
-    fault_plane: Option<FaultPlane>,
+    /// Optional chaos plane driving random fault injection. Boxed: every
+    /// step takes it out and puts it back, which should move a pointer.
+    fault_plane: Option<Box<FaultPlane>>,
     /// `stats.cycles` value at which a flit last moved anywhere; feeds the
     /// no-progress valve that guarantees injected faults never deadlock the
     /// network.

@@ -30,7 +30,7 @@ impl Noc {
             }
         }
         self.phase_arrivals();
-        self.phase_switch(plane.as_mut());
+        self.phase_switch(plane.as_deref_mut());
         self.phase_inject();
         self.fault_plane = plane;
         self.check_progress_valve();

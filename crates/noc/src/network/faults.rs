@@ -31,12 +31,12 @@ impl Noc {
     /// Installs a chaos plane; its schedule and random draws are applied
     /// at the start of every [`Noc::step`].
     pub fn install_fault_plane(&mut self, plane: FaultPlane) {
-        self.fault_plane = Some(plane);
+        self.fault_plane = Some(Box::new(plane));
     }
 
     /// The installed chaos plane, if any.
     pub fn fault_plane(&self) -> Option<&FaultPlane> {
-        self.fault_plane.as_ref()
+        self.fault_plane.as_deref()
     }
 
     /// Whether a live route from `from` to `to` exists.

@@ -62,6 +62,12 @@ impl<'a> Reader<'a> {
         Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
     }
 
+    /// The bytes not read yet, for a decoder of its own to take over.
+    #[inline]
+    pub fn rest(self) -> &'a [u8] {
+        self.0
+    }
+
     /// Whether every byte has been read: a decoder that ends anywhere else
     /// was handed trailing bytes.
     #[inline]
