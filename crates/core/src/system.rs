@@ -995,8 +995,8 @@ impl System {
     /// wakeup (or a message already waiting for an `OnMessage` sleeper)
     /// comes due, or the supervisor has a detection or backoff expiry
     /// pending. [`Cycle::MAX`] when nothing is scheduled. Undelivered NoC
-    /// traffic is handled by the caller, which steps the NoC densely while
-    /// anything is in flight.
+    /// traffic is handled by the caller, which asks the NoC how long it
+    /// stays quiet ([`Noc::quiet_until`]).
     fn next_phase_due(&self, now: Cycle) -> Cycle {
         let next = now.saturating_add(1);
         if self.noc.rx_pending_total() > 0 {
@@ -1032,22 +1032,23 @@ impl System {
     }
 
     /// One event-clock step: advance to the next cycle where the kernel
-    /// phases can matter, or to `horizon` if that comes first — stepping
-    /// the NoC cycle-by-cycle while traffic is in flight (a delivery
-    /// re-arms every `OnMessage` sleeper, so phases run the cycle it
-    /// lands), jumping the clock outright when the interconnect is provably
-    /// idle — then run the phases if that cycle is one they are due on.
-    /// Stopping at the caller's `horizon` alone runs no phases: the cycle
-    /// is a no-op by the wakeup contract. Always advances at least one
-    /// cycle and never beyond `horizon`.
+    /// phases can matter, or to `horizon` if that comes first — jumping
+    /// the clock while the NoC is quiet (empty, or carrying one packet
+    /// alone, which the jump delivers on its cycle), stepping it cycle by
+    /// cycle otherwise (a delivery re-arms every `OnMessage` sleeper, so
+    /// phases run the cycle it lands) — then run the phases if that cycle
+    /// is one they are due on. Stopping at the caller's `horizon` alone
+    /// runs no phases: the cycle is a no-op by the wakeup contract. Always
+    /// advances at least one cycle and never beyond `horizon`.
     fn event_step(&mut self, horizon: Cycle) {
         let due = self.phase_due();
         let stop = due.min(horizon);
         let now = loop {
-            if self.noc.pending() == 0 && self.noc.rx_pending_total() == 0 {
-                self.noc.skip_idle_to(stop);
-                self.clock.advance_to(stop);
-                break stop;
+            if let Some(quiet) = self.noc.quiet_until() {
+                let to = stop.min(quiet);
+                self.noc.skip_to(to);
+                self.clock.advance_to(to);
+                break to;
             }
             let now = self.clock.tick();
             self.noc.step();
@@ -1077,28 +1078,35 @@ impl System {
         assert!(self.phase_due.is_none_or(|d| d == fresh), "stale memo");
     }
 
-    /// The next cycle at which this system can do anything on its own:
-    /// `now + 1` while NoC traffic is in flight or undrained, else the
-    /// earliest kernel-phase deadline ([`Cycle::MAX`] when nothing is
-    /// scheduled). Lockstep drivers that advance several systems against
-    /// one shared clock (the cluster) use this to find the global next
-    /// event; every cycle strictly before the returned one is provably a
-    /// no-op for this system and may be crossed with [`System::skip_to`].
+    /// The next cycle at which this system can do anything on its own: the
+    /// earlier of the NoC's next event and the earliest kernel-phase
+    /// deadline ([`Cycle::MAX`] when nothing is scheduled). The NoC's is
+    /// `now + 1` while traffic it must step is in flight, the delivery
+    /// cycle of a packet flying alone, and none when it is empty; undrained
+    /// deliveries make the kernel due at `now + 1`. Lockstep drivers that
+    /// advance several systems against one shared clock (the cluster) use
+    /// this to find the global next event; every cycle strictly before the
+    /// returned one is provably a no-op for this system and may be crossed
+    /// with [`System::skip_to`].
     pub fn next_event_due(&self) -> Cycle {
-        if self.noc.pending() > 0 {
-            return self.clock.now().saturating_add(1);
+        match self.noc.quiet_until() {
+            Some(quiet) => quiet.min(self.phase_due()),
+            None => self.clock.now().saturating_add(1),
         }
-        self.phase_due()
     }
 
     /// Jumps the clock to `target` without running any kernel phases. Only
     /// sound when every cycle in `(now, target]` is a no-op — i.e. `target`
-    /// is strictly before what [`System::next_event_due`] reported (the NoC
-    /// must be empty, which that contract guarantees). The idle NoC still
-    /// accounts the skipped cycles and steps its chaos plane through them.
+    /// is strictly before what [`System::next_event_due`] reported, so the
+    /// NoC is quiet until past it: empty, or carrying one packet alone that
+    /// lands later. The NoC still accounts the skipped cycles (and the lone
+    /// packet's progress) and steps its chaos plane through them.
     pub fn skip_to(&mut self, target: Cycle) {
-        debug_assert_eq!(self.noc.pending(), 0, "cannot skip over in-flight traffic");
-        self.noc.skip_idle_to(target);
+        debug_assert!(
+            self.noc.quiet_until().is_some_and(|quiet| quiet > target),
+            "cannot skip over traffic that must be stepped or lands by then"
+        );
+        self.noc.skip_to(target);
         self.clock.advance_to(target);
     }
 

@@ -851,6 +851,57 @@ fn advance_toward_a_horizon_before_every_deadline_runs_no_phases() {
     assert_eq!(wakes(&event), settled + 1);
 }
 
+#[test]
+fn a_board_carrying_one_packet_is_due_when_it_lands() {
+    use apiary_sim::{ClockMode, Cycle};
+    let build = |clock| {
+        System::new(SystemConfig {
+            clock,
+            ..SystemConfig::default()
+        })
+    };
+    let mut event = build(ClockMode::Event);
+    let mut dense = build(ClockMode::Dense);
+    event.run(50);
+    dense.run(50);
+    assert!(
+        event.next_event_due() > Cycle(1_000),
+        "nothing is scheduled soon"
+    );
+    // 0 -> 5 on the soft 4x4: two hops of hop latency 1, and 40 payload
+    // bytes behind the 16-byte header make four 16-byte flits.
+    for sys in [&mut event, &mut dense] {
+        let msg =
+            apiary_noc::Message::new(NodeId(0), NodeId(5), TrafficClass::Request, vec![7u8; 40]);
+        sys.noc_mut().try_inject(NodeId(0), msg).expect("room");
+    }
+    let lands = Cycle(50 + 1 + 4 + 2 * 2);
+    assert_eq!(event.noc().quiet_until(), Some(lands));
+    assert_eq!(event.next_event_due(), lands, "due when the tail lands");
+    // One event step crosses the flight and runs the phases on its last
+    // cycle; from there on every event step lands where the dense twin is.
+    let phases = event.phase_cycles();
+    let mut steps = 0;
+    while event.now() < Cycle(5_000) {
+        event.advance_toward(Cycle(5_000));
+        while dense.now() < event.now() {
+            dense.advance_toward(event.now());
+        }
+        if steps == 0 {
+            assert_eq!(event.now(), lands);
+            assert_eq!(event.phase_cycles(), phases + 1);
+        }
+        event.check_invariants();
+        assert_eq!(observable(&event), observable(&dense), "step {steps}");
+        steps += 1;
+    }
+    assert_eq!(event.noc().stats().delivered, 1);
+    assert!(
+        event.phase_cycles() < dense.phase_cycles(),
+        "the event clock skipped"
+    );
+}
+
 /// Every public `&mut self` entry of `System` either steps the clock or
 /// drops the memoised kernel deadline through `touched()`, itself or by
 /// calling an entry that does. A method added without it would let the

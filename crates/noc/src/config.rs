@@ -1,5 +1,9 @@
 //! NoC configuration.
 
+/// Most VCs a NoC supports: the switch's per-router `demand` bitset holds
+/// `5 ports * 8` bits.
+pub(crate) const MAX_VCS: usize = 8;
+
 /// Parameters of the mesh NoC.
 #[derive(Debug, Clone, Copy)]
 pub struct NocConfig {
@@ -9,9 +13,12 @@ pub struct NocConfig {
     pub height: u8,
     /// Virtual channels per link. Must be at least
     /// [`crate::TrafficClass::ALL`]`.len()` (3) because traffic classes map
-    /// onto VCs.
+    /// onto VCs, and at most 8.
     pub vcs: usize,
-    /// Input-buffer depth per VC, in flits.
+    /// Input-buffer depth per VC, in flits. At `hop_latency + 2` or more,
+    /// credits never throttle a single stream, and a packet that finds the
+    /// network empty flies alone in closed form
+    /// ([`crate::Noc::quiet_until`]); shallower buffers are always stepped.
     pub vc_buffer: usize,
     /// Data bytes carried per flit (link width).
     pub flit_bytes: usize,
@@ -69,16 +76,20 @@ impl NocConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero dimensions, fewer VCs than traffic classes, zero
-    /// buffers, zero-size flits, a `vc_buffer` above 255 (FIFO depths and
-    /// credits are byte-wide counters) or a `hop_latency` above 255 (a flit
-    /// in flight carries its slot of the `hop_latency + 1` landing slots in
-    /// a byte).
+    /// Panics on zero dimensions, fewer VCs than traffic classes or more
+    /// than 8, zero buffers, zero-size flits, a `vc_buffer` above 255 (FIFO
+    /// depths and credits are byte-wide counters) or a `hop_latency` above
+    /// 255 (a flit in flight carries its slot of the `hop_latency + 1`
+    /// landing slots in a byte).
     pub fn validate(&self) {
         assert!(self.width > 0 && self.height > 0, "empty mesh");
         assert!(
             self.vcs >= crate::packet::TrafficClass::ALL.len(),
             "need one VC per traffic class"
+        );
+        assert!(
+            self.vcs <= MAX_VCS,
+            "the demand bitset supports at most {MAX_VCS} virtual channels"
         );
         assert!(self.vc_buffer > 0, "VC buffers must hold at least one flit");
         assert!(
@@ -143,6 +154,25 @@ mod tests {
         let c = NocConfig {
             vc_buffer: 255,
             hop_latency: 255,
+            ..NocConfig::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 virtual channels")]
+    fn more_vcs_than_the_demand_bitset_rejected() {
+        let c = NocConfig {
+            vcs: 9,
+            ..NocConfig::default()
+        };
+        c.validate();
+    }
+
+    #[test]
+    fn eight_vcs_validate() {
+        let c = NocConfig {
+            vcs: 8,
             ..NocConfig::default()
         };
         c.validate();

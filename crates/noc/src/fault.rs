@@ -15,11 +15,11 @@
 //! | transient link down| flits crossing the link are corrupted until it heals |
 //! | permanent link down| as transient, forever; routing detours around it |
 //! | router stall       | the router allocates no flits for N cycles       |
-//! | flit corruption    | one link traversal flips the flit checksum       |
+//! | flit corruption    | one link traversal marks the flit damaged        |
 //!
-//! Corruption is *detected* at the ejecting node via the flit checksum and
-//! the packet is dropped and counted — never silently delivered — modelling
-//! CRC-protected links with drop-on-error semantics.
+//! Corruption is *detected* at the ejecting node, which reads the flit's
+//! damage bit, and the packet is dropped and counted — never silently
+//! delivered — modelling CRC-protected links with drop-on-error semantics.
 
 use crate::topology::{Direction, Mesh, NodeId};
 use apiary_sim::{Cycle, SimRng};
@@ -168,7 +168,9 @@ impl FaultPlane {
     }
 
     /// Produces this cycle's events: due scheduled events plus random
-    /// draws. Called by `Noc::step` (or `skip_idle_to`) exactly once per cycle.
+    /// draws. Called exactly once per cycle, by `Noc::step` or, across an
+    /// empty network, by `Noc::skip_to` (a packet never flies alone under an
+    /// installed plane, so no cycle is carried in closed form past it).
     pub(crate) fn step(&mut self, now: Cycle, mesh: &Mesh) -> Vec<FaultEvent> {
         let mut events = Vec::new();
         while let Some((at, ev)) = self.scheduled.get(self.next_scheduled) {

@@ -1,11 +1,13 @@
 //! The NoC engine. This module holds the state, its constructor and the
-//! caller-facing queue API; the cycle itself is in `network/cycle.rs`, fault
+//! caller-facing queue API; the cycle itself is in `network/cycle.rs`, the
+//! closed form of a packet alone on the mesh in `network/lone.rs`, fault
 //! handling in `network/faults.rs` and the laws of the layout in
 //! `network/invariants.rs`.
 
 mod cycle;
 mod faults;
 mod invariants;
+mod lone;
 
 use crate::config::NocConfig;
 use crate::fault::FaultPlane;
@@ -14,6 +16,7 @@ use crate::packet::{
 };
 use crate::topology::{Direction, Mesh, NodeId, PORTS};
 use apiary_sim::{Cycle, Histogram};
+use lone::LoneFlight;
 use std::collections::VecDeque;
 
 /// Why an injection was refused.
@@ -59,7 +62,7 @@ pub struct NocStats {
     pub flits_ejected: u64,
     /// Cycles simulated.
     pub cycles: u64,
-    /// Flits whose checksum failed verification at the ejecting node.
+    /// Flits that arrived damaged at the ejecting node.
     pub corrupted_flits: u64,
     /// Packets dropped because at least one of their flits arrived corrupt.
     pub dropped_corrupt: u64,
@@ -152,9 +155,9 @@ pub struct Noc {
     /// Wormhole lock on output `(port, vc)`: the input port whose packet
     /// holds it from head to tail, or `NO_LOCK`.
     lock_in: Vec<u8>,
-    /// The packet holding each lock and its table slot (meaningful only
+    /// The table slot of the packet holding each lock (meaningful only
     /// while `lock_in` is set): fault handling releases a purged packet's locks.
-    lock_owner: Vec<(PacketId, u32)>,
+    lock_owner: Vec<u32>,
     /// Round-robin pointer (last input port granted), `[node * 5 + out_port]`.
     rr: Vec<u8>,
     /// Landing schedule, `hop_latency + 1` lists: a flit granted at cycle
@@ -212,13 +215,15 @@ pub struct Noc {
     /// ring of the neighbour's facing input port (node `u16::MAX`, and a ring
     /// past the slab, at mesh edges). Mesh geometry is static: never changes.
     feeds: Vec<Landing>,
+    /// The packet alone on the mesh, carried in closed form while rings,
+    /// locks and NIC stay as they were at its injection (`network/lone.rs`).
+    lone: Option<LoneFlight>,
 }
 
 /// A packet queued at its source NIC. Flit `next` is formed when it enters
 /// the router; the packet has started streaming once `next > 0`.
 #[derive(Debug, Clone, Copy)]
 struct NicEntry {
-    pid: PacketId,
     slot: u32,
     dst: NodeId,
     next: u32,
@@ -237,8 +242,6 @@ struct Landing {
 
 /// `lock_in` sentinel for "no lock held".
 const NO_LOCK: u8 = u8::MAX;
-/// Most VCs the `demand` bitset supports (`5 * 8 = 40` bits).
-const MAX_VCS: usize = 8;
 /// Input-port index a flit arrives on after crossing a link in `DIRS[di]`:
 /// `Port::Dir(DIRS[di].opposite()).index()`.
 const OPP_PORT: [usize; 4] = [2, 1, 4, 3];
@@ -250,10 +253,6 @@ impl Noc {
     /// Builds a NoC from a validated configuration.
     pub fn new(cfg: NocConfig) -> Noc {
         cfg.validate();
-        assert!(
-            cfg.vcs <= MAX_VCS,
-            "the demand bitset supports at most {MAX_VCS} virtual channels"
-        );
         let mesh = Mesh::new(cfg.width, cfg.height);
         let n = mesh.nodes();
         let routes = (0..n)
@@ -285,7 +284,7 @@ impl Noc {
             req: vec![0; fifos],
             demand: vec![0; n],
             lock_in: vec![NO_LOCK; fifos],
-            lock_owner: vec![(PacketId(0), 0); fifos],
+            lock_owner: vec![0; fifos],
             rr: vec![0; n * PORTS],
             due: vec![Vec::new(); cfg.hop_latency as usize + 1],
             credit_returns: Vec::new(),
@@ -305,6 +304,7 @@ impl Noc {
             last_progress: 0,
             nic_occ: vec![0; n],
             feeds,
+            lone: None,
             cfg,
         }
     }
@@ -336,14 +336,18 @@ impl Noc {
 
     /// Free message slots in `node`'s injection queue for `class`.
     pub fn inject_space(&self, node: NodeId, class: TrafficClass) -> usize {
-        self.cfg.inject_queue - self.nic[node.index() * self.cfg.vcs + class.vc()].len()
+        let (node, vc) = (node.index(), class.vc());
+        let streamed = self.lone.is_some_and(|l| l.streamed(node, vc, self.now));
+        self.cfg.inject_queue - self.nic[node * self.cfg.vcs + vc].len() + usize::from(streamed)
     }
 
     /// Offers a message for injection at `from`.
     ///
     /// On success the message is queued at the local network interface and
     /// will be streamed into the mesh one flit per cycle; the returned
-    /// [`PacketId`] can be used to correlate trace events.
+    /// [`PacketId`] can be used to correlate trace events. A message that
+    /// finds the network empty may fly alone ([`Noc::quiet_until`]); one
+    /// that finds a lone flight settles it first.
     ///
     /// # Errors
     ///
@@ -364,7 +368,9 @@ impl Noc {
             self.stats.dropped_unreachable += 1;
             return Err(InjectError::Unreachable);
         }
-        let queue = from.index() * self.cfg.vcs + msg.class.vc();
+        self.settle();
+        let vc = msg.class.vc();
+        let queue = from.index() * self.cfg.vcs + vc;
         if self.nic[queue].len() >= self.cfg.inject_queue {
             self.stats.rejected += 1;
             return Err(InjectError::QueueFull);
@@ -382,7 +388,6 @@ impl Noc {
             poisoned: false,
         });
         self.nic[queue].push_back(NicEntry {
-            pid,
             slot,
             dst,
             next: 0,
@@ -390,6 +395,9 @@ impl Noc {
         });
         self.nic_occ[from.index()] += 1;
         self.stats.injected += 1;
+        if self.pending() == 1 {
+            self.lone = self.lone_flight(from.index(), vc, dst.index(), nflits);
+        }
         Ok(pid)
     }
 
@@ -524,5 +532,7 @@ impl Noc {
 mod fault_tests;
 #[cfg(test)]
 mod link_stats_tests;
+#[cfg(test)]
+mod lone_tests;
 #[cfg(test)]
 mod tests;

@@ -2,7 +2,7 @@
 
 use super::{Landing, Noc, NO_LOCK};
 use crate::fault::FaultPlane;
-use crate::packet::{Delivered, Flit};
+use crate::packet::{Delivered, Flit, PacketEntry};
 use crate::topology::{Port, PORTS};
 use apiary_sim::Cycle;
 
@@ -19,7 +19,16 @@ impl Noc {
     /// - **One pop per ring per cycle.** A pop may uncover a head bound for
     ///   an output its router has yet to arbitrate; the ring is masked out
     ///   of the rest of that router's cycle.
+    ///
+    /// A lone flight open on the network is settled first (stepped for real
+    /// from its injection cycle), so stepping never uses its closed form.
     pub fn step(&mut self) {
+        self.settle();
+        self.cycle();
+    }
+
+    /// One cycle of the mesh, on state no lone flight is holding frozen.
+    pub(super) fn cycle(&mut self) {
         self.now += 1;
         self.stats.cycles += 1;
         // Chaos first: this cycle's faults land before traffic moves.
@@ -36,15 +45,20 @@ impl Noc {
         self.check_progress_valve();
     }
 
-    /// Skips ahead through provably idle cycles, up to and including
-    /// `target`. While no packet is in flight every phase of
-    /// [`Noc::step`] is a no-op, so the clock and cycle counter can jump
-    /// in one go; an installed chaos plane is still stepped cycle-by-cycle
-    /// (its RNG draws are part of the deterministic timeline) and its fault
-    /// events land exactly when they would under dense ticking. Returns
-    /// the cycle actually reached — always `target` unless traffic appears
-    /// (it cannot, mid-skip, but the guard keeps the contract obvious).
-    pub fn skip_idle_to(&mut self, target: Cycle) -> Cycle {
+    /// Skips ahead to `target` without stepping, if the network is quiet
+    /// ([`Noc::quiet_until`] is `Some`); returns the cycle reached: `target`,
+    /// or `now` unchanged when the network must be stepped.
+    ///
+    /// A lone flight is carried in closed form: cycles before its delivery
+    /// move only its counters, and reaching the delivery cycle writes the
+    /// state stepping would have left and ejects the message. Past that, or
+    /// with no packet in flight at all, every phase of [`Noc::step`] is a
+    /// no-op and the clock and cycle counter jump in one go; an installed
+    /// chaos plane is still stepped cycle by cycle (its RNG draws are part
+    /// of the deterministic timeline) and its fault events land exactly
+    /// when they would under dense ticking.
+    pub fn skip_to(&mut self, target: Cycle) -> Cycle {
+        self.fly_lone_to(target);
         if self.pending() > 0 {
             return self.now;
         }
@@ -196,7 +210,7 @@ impl Noc {
                     self.lock_in[o] = NO_LOCK;
                 } else if flit.is_head {
                     self.lock_in[o] = in_port as u8;
-                    self.lock_owner[o] = (flit.packet, flit.slot);
+                    self.lock_owner[o] = flit.slot;
                 }
                 self.rr[node * PORTS + out] = in_port as u8;
 
@@ -239,19 +253,19 @@ impl Noc {
 
     fn eject(&mut self, node: usize, flit: Flit) {
         self.stats.flits_ejected += 1;
-        let intact = flit.checksum_ok();
-        if !intact {
-            self.stats.corrupted_flits += 1;
-        }
         debug_assert_eq!(flit.dst.index(), node, "misrouted flit");
+        // An intact body flit changes nothing its packet's entry records.
+        if !(flit.is_head || flit.is_tail || flit.damaged) {
+            return;
+        }
+        self.stats.corrupted_flits += u64::from(flit.damaged);
         let entry = self
             .packets
             .get_mut(flit.slot)
             .expect("a flit names a live packet");
-        debug_assert_eq!(entry.id, flit.packet, "flit names another packet's slot");
         // A single damaged flit poisons the whole packet: nothing of it is
         // delivered, and the drop is accounted once the tail arrives.
-        entry.poisoned |= !intact;
+        entry.poisoned |= flit.damaged;
         entry.head_ejected |= flit.is_head;
         if !flit.is_tail {
             return;
@@ -266,6 +280,12 @@ impl Noc {
             self.stats.dropped_corrupt += 1;
             return;
         }
+        self.deliver(node, entry);
+    }
+
+    /// Hands a packet whose tail just ejected intact at `node` to the node's
+    /// eject queue.
+    pub(super) fn deliver(&mut self, node: usize, entry: PacketEntry) {
         let d = Delivered {
             msg: entry.msg,
             injected_at: entry.injected_at,
@@ -298,7 +318,7 @@ impl Noc {
                 let Some(e) = queue.front_mut() else {
                     continue;
                 };
-                let flit = Flit::form(e.pid, e.slot, e.dst, vc as u8, e.next, e.nflits);
+                let flit = Flit::form(e.slot, e.dst, vc as u8, e.next, e.nflits);
                 e.next += 1;
                 if e.next == e.nflits {
                     queue.pop_front();

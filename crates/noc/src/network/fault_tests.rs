@@ -44,7 +44,7 @@ fn outage_heals_and_traffic_resumes() {
 #[test]
 fn permanent_kill_detours_around_the_dead_link() {
     // 4x4 mesh: kill 0->East; XY route 0->3 would use it. A detour
-    // through row 1 must deliver intact (checksum passes: the packet
+    // through row 1 must deliver intact (no damage: the packet
     // never touches the dead link).
     let mut noc = Noc::new(NocConfig::soft(4, 4));
     assert!(noc.kill_link(NodeId(0), Direction::East));

@@ -3,7 +3,6 @@
 
 use super::{dir_index, Noc, DIRS, NO_LOCK, UNREACHABLE};
 use crate::fault::{FaultEvent, FaultPlane};
-use crate::packet::PacketId;
 use crate::topology::{Direction, NodeId, Port, PORTS};
 use std::collections::VecDeque;
 
@@ -31,6 +30,7 @@ impl Noc {
     /// Installs a chaos plane; its schedule and random draws are applied
     /// at the start of every [`Noc::step`].
     pub fn install_fault_plane(&mut self, plane: FaultPlane) {
+        self.settle();
         self.fault_plane = Some(Box::new(plane));
     }
 
@@ -59,6 +59,7 @@ impl Noc {
         if self.dead_links[node.index()][di] {
             return true;
         }
+        self.settle();
         self.dead_links[node.index()][di] = true;
         self.stats.link_faults += 1;
         self.corrupt_in_link(node.index() * 4 + di);
@@ -79,6 +80,7 @@ impl Noc {
         if self.mesh.neighbor(node, dir).is_none() {
             return false;
         }
+        self.settle();
         let di = dir_index(dir);
         let until = self.now.as_u64() + cycles;
         let slot = &mut self.link_down_until[node.index()][di];
@@ -91,6 +93,7 @@ impl Noc {
     /// Freezes `node`'s switch allocator for `cycles` cycles: buffered
     /// flits stay put, arrivals still buffer (pure added delay).
     pub fn stall_router(&mut self, node: NodeId, cycles: u64) {
+        self.settle();
         let until = self.now.as_u64() + cycles;
         let slot = &mut self.stall_until[node.index()];
         *slot = (*slot).max(until);
@@ -200,8 +203,8 @@ impl Noc {
     fn flush_rerouted(&mut self, old_routes: &[u8]) {
         let n = self.mesh.nodes();
         let vcs = self.cfg.vcs;
-        // (packet, table slot, destination now unreachable?) per affected flit.
-        let mut doomed: Vec<(PacketId, u32, bool)> = Vec::new();
+        // (table slot, destination now unreachable?) per affected flit.
+        let mut doomed: Vec<(u32, bool)> = Vec::new();
         // `Some(now unreachable?)` if the next hop at `at` toward `dst` changed.
         let rerouted = |at: usize, dst: NodeId| {
             let new = self.routes[at * n + dst.index()];
@@ -211,7 +214,7 @@ impl Noc {
             // A flit in flight will route next where it lands: same node.
             for flit in self.ring_flits(f) {
                 let lost = rerouted(f / (PORTS * vcs), flit.dst);
-                doomed.extend(lost.map(|lost| (flit.packet, flit.slot, lost)));
+                doomed.extend(lost.map(|lost| (flit.slot, lost)));
             }
         }
         for (q, queue) in self.nic.iter().enumerate() {
@@ -220,13 +223,22 @@ impl Noc {
                 // change. Unstarted packets survive any reroute except
                 // losing their destination entirely.
                 let lost = rerouted(q / vcs, e.dst).filter(|&lost| lost || e.next > 0);
-                doomed.extend(lost.map(|lost| (e.pid, e.slot, lost)));
+                doomed.extend(lost.map(|lost| (e.slot, lost)));
             }
         }
-        doomed.sort_unstable_by_key(|&(pid, _, unreachable)| (pid.0, !unreachable));
-        doomed.dedup_by_key(|&mut (pid, _, _)| pid);
-        for (pid, slot, unreachable) in doomed {
-            self.purge_packet(pid, slot);
+        // Purged in packet-id order, each once, as unreachable if any of its
+        // flits is.
+        let id = |slot: u32| {
+            self.packets
+                .get(slot)
+                .expect("flits name live packets")
+                .id
+                .0
+        };
+        doomed.sort_unstable_by_key(|&(slot, unreachable)| (id(slot), !unreachable));
+        doomed.dedup_by_key(|&mut (slot, _)| slot);
+        for (slot, unreachable) in doomed {
+            self.purge_packet(slot);
             if unreachable {
                 self.stats.dropped_unreachable += 1;
             } else {
@@ -235,15 +247,15 @@ impl Noc {
         }
     }
 
-    /// Removes every trace of packet `pid` (table slot `slot`) from the
+    /// Removes every trace of the packet in table slot `slot` from the
     /// network: landed and in-flight flits, their landing-schedule entries,
     /// wormhole locks it owns, its NIC entry and the table entry. Which
     /// `NocStats` drop counter it lands in is the caller's responsibility.
-    fn purge_packet(&mut self, pid: PacketId, slot: u32) {
+    fn purge_packet(&mut self, slot: u32) {
         let vcs = self.cfg.vcs;
         let cap = self.cfg.vc_buffer;
         for f in 0..self.fifo_len.len() {
-            if self.lock_in[f] != NO_LOCK && self.lock_owner[f] == (pid, slot) {
+            if self.lock_in[f] != NO_LOCK && self.lock_owner[f] == slot {
                 self.lock_in[f] = NO_LOCK;
             }
             // Compact the ring in place, front first: the landed region,
@@ -254,7 +266,7 @@ impl Noc {
             let (mut kept, mut kept_landed) = (0, 0);
             for i in 0..held {
                 let flit = ring[(head + i) % cap];
-                if flit.packet != pid {
+                if flit.slot != slot {
                     ring[(head + kept) % cap] = flit;
                     kept += 1;
                     kept_landed += usize::from(i < len);
@@ -283,14 +295,11 @@ impl Noc {
         }
         for (q, queue) in self.nic.iter_mut().enumerate() {
             let before = queue.len();
-            queue.retain(|e| e.pid != pid);
+            queue.retain(|e| e.slot != slot);
             self.nic_occ[q / vcs] -= before - queue.len();
         }
         let freed = self.packets.remove(slot);
-        debug_assert!(
-            freed.is_some_and(|e| e.id == pid),
-            "purged packets are live"
-        );
+        debug_assert!(freed.is_some(), "purged packets are live");
         self.dropped_in_flight += 1;
         #[cfg(debug_assertions)]
         self.check_invariants();
@@ -310,9 +319,9 @@ impl Noc {
         if self.stats.cycles - self.last_progress <= DEADLOCK_WINDOW {
             return;
         }
-        let wedged: Vec<(PacketId, u32)> = self.packets.iter().map(|(s, e)| (e.id, s)).collect();
-        for (pid, slot) in wedged {
-            self.purge_packet(pid, slot);
+        let wedged: Vec<u32> = self.packets.iter().map(|(slot, _)| slot).collect();
+        for slot in wedged {
+            self.purge_packet(slot);
             self.stats.dropped_flushed += 1;
         }
         self.last_progress = self.stats.cycles;

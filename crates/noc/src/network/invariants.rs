@@ -1,7 +1,6 @@
 //! The laws of the flat layout, checked in one pass linear in its size.
 
 use super::{Noc, NO_LOCK, UNREACHABLE};
-use crate::packet::PacketId;
 use crate::topology::{Port, PORTS};
 use std::collections::VecDeque;
 
@@ -9,9 +8,10 @@ impl Noc {
     /// Checks the laws the flat representation must keep: credits, the
     /// in-flight region of every ring against the landing schedule, the
     /// switch's standing request sets, the NIC occupancy counters,
-    /// packet-table liveness and message conservation. Call it between
-    /// steps. Debug builds run it after every purge and link kill; tests
-    /// call it after every step.
+    /// packet-table liveness, message conservation and, while a packet
+    /// flies alone, the laws of its closed form. Call it between steps.
+    /// Debug builds run it after every purge and link kill; tests call it
+    /// after every step.
     ///
     /// # Panics
     ///
@@ -20,7 +20,7 @@ impl Noc {
         let vcs = self.cfg.vcs;
         let cap = self.cfg.vc_buffer;
         let slots = self.due.len();
-        let live = |pid: PacketId, slot: u32| self.packets.get(slot).is_some_and(|e| e.id == pid);
+        let live = |slot: u32| self.packets.get(slot).is_some();
         assert!(self.credit_returns.is_empty(), "credits still withheld");
         // The landing schedule first: an entry names its own ring, finds a
         // flit in flight there stamped with its slot, and is its link's only
@@ -65,7 +65,7 @@ impl Noc {
             // Landing slots of the flits in flight, as distances from the first.
             let (mut first_due, mut last_lap) = (None, None);
             for (i, flit) in self.ring_flits(f).enumerate() {
-                assert!(live(flit.packet, flit.slot), "FIFO {f} holds a dead flit");
+                assert!(live(flit.slot), "FIFO {f} holds a dead flit");
                 assert_eq!(flit.vc as usize, vc, "flit buffered on the wrong VC");
                 if i >= len {
                     let due = flit.due as usize;
@@ -83,8 +83,10 @@ impl Noc {
                 }
             }
             if self.lock_in[f] != NO_LOCK {
-                let (owner, slot) = self.lock_owner[f];
-                assert!(live(owner, slot), "lock {f} is held by a dead packet");
+                assert!(
+                    live(self.lock_owner[f]),
+                    "lock {f} is held by a dead packet"
+                );
             }
         }
         assert_eq!(self.req, req, "request sets disagree with the fronts");
@@ -94,7 +96,7 @@ impl Noc {
             let queued: usize = queues.iter().map(VecDeque::len).sum();
             assert_eq!(queued, self.nic_occ[node], "nic_occ[{node}]");
             for e in queues.iter().flatten() {
-                assert!(live(e.pid, e.slot), "NIC {node} queues a dead packet");
+                assert!(live(e.slot), "NIC {node} queues a dead packet");
                 assert!(e.next < e.nflits, "NIC {node} kept a fully streamed packet");
             }
         }
@@ -103,5 +105,8 @@ impl Noc {
             self.stats.delivered + self.dropped_in_flight + self.pending() as u64,
             "message conservation"
         );
+        if let Some(l) = &self.lone {
+            self.check_lone(l);
+        }
     }
 }

@@ -90,17 +90,12 @@ impl Message {
 
 /// One flit of a packet: plain `Copy` data. The message itself stays in
 /// the [`PacketTable`] entry `slot` names, so moving a flit from one router
-/// to the next copies 24 bytes and drops nothing.
+/// to the next copies 12 bytes and drops nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Flit {
-    /// Owning packet.
-    pub packet: PacketId,
-    /// The packet's [`PacketTable`] slot.
+    /// The packet's [`PacketTable`] slot. A slot is freed only once no flit
+    /// names it, so it identifies the packet while the flit exists.
     pub slot: u32,
-    /// Link-level checksum, set when the flit is formed. Fault injection
-    /// flips it; the ejecting node verifies it so corruption is *detected*
-    /// (and the packet dropped) rather than silently delivered.
-    pub checksum: u32,
     /// Destination node (replicated so body flits can be audited).
     pub dst: NodeId,
     /// Virtual channel.
@@ -110,54 +105,33 @@ pub(crate) struct Flit {
     /// `true` on the last flit of the packet (a single-flit packet's head is
     /// also its tail).
     pub is_tail: bool,
+    /// Damaged in transit: a CRC-protected link that fails its check. Set by
+    /// fault injection; the ejecting node reads it, so corruption is
+    /// *detected* (and the packet dropped) rather than silently delivered.
+    pub damaged: bool,
     /// While the flit is crossing a link: the slot of the network's landing
-    /// schedule that lists it. Set by the switch at every hop; not part of
-    /// the checksum.
+    /// schedule that lists it. Set by the switch at every hop.
     pub due: u8,
 }
 
 impl Flit {
-    /// Forms flit `index` of an `nflits`-flit packet, checksum included.
-    pub fn form(packet: PacketId, slot: u32, dst: NodeId, vc: u8, index: u32, nflits: u32) -> Flit {
-        let mut flit = Flit {
-            packet,
+    /// Forms flit `index` of an `nflits`-flit packet.
+    pub fn form(slot: u32, dst: NodeId, vc: u8, index: u32, nflits: u32) -> Flit {
+        Flit {
             slot,
-            checksum: 0,
             dst,
             vc,
             is_head: index == 0,
             is_tail: index + 1 == nflits,
+            damaged: false,
             due: 0,
-        };
-        flit.checksum = flit.expected_checksum();
-        flit
-    }
-
-    /// The checksum a pristine copy of this flit would carry.
-    pub fn expected_checksum(&self) -> u32 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for word in [
-            self.packet.0,
-            self.is_head as u64,
-            self.is_tail as u64,
-            self.dst.0 as u64,
-            self.vc as u64,
-        ] {
-            h ^= word;
-            h = h.wrapping_mul(0x100_0000_01b3);
         }
-        (h >> 32) as u32 ^ h as u32
     }
 
-    /// Whether the flit survived transit intact.
-    pub fn checksum_ok(&self) -> bool {
-        self.checksum == self.expected_checksum()
-    }
-
-    /// Marks the flit as damaged in transit (checksum no longer matches).
-    /// Idempotent: crossing several faulty links stays detectable.
+    /// Marks the flit as damaged in transit. Idempotent: crossing several
+    /// faulty links stays detectable.
     pub fn corrupt(&mut self) {
-        self.checksum = self.expected_checksum() ^ 0x5A5A_5A5A;
+        self.damaged = true;
     }
 }
 
@@ -273,16 +247,16 @@ mod tests {
         Message::new(NodeId(0), NodeId(1), TrafficClass::Request, vec![0; bytes])
     }
 
-    fn flits(msg: Message, packet: PacketId) -> Vec<Flit> {
+    fn flits(msg: Message) -> Vec<Flit> {
         let n = flits_for(&msg, 16, 8) as u32;
         (0..n)
-            .map(|i| Flit::form(packet, 0, msg.dst, msg.class.vc() as u8, i, n))
+            .map(|i| Flit::form(0, msg.dst, msg.class.vc() as u8, i, n))
             .collect()
     }
 
     #[test]
     fn single_flit_message() {
-        let flits = flits(msg(0), PacketId(1));
+        let flits = flits(msg(0));
         assert_eq!(flits.len(), 1);
         assert!(flits[0].is_tail);
         assert!(flits[0].is_head);
@@ -291,7 +265,7 @@ mod tests {
     #[test]
     fn flit_count_matches_wire_size() {
         // 8-byte header + 100-byte payload = 108 bytes = 7 x 16 B flits.
-        let flits = flits(msg(100), PacketId(2));
+        let flits = flits(msg(100));
         assert_eq!(flits.len(), 7);
         assert!(flits[6].is_tail);
         assert!(!flits[0].is_tail);
@@ -311,24 +285,24 @@ mod tests {
         assert_eq!(TrafficClass::Bulk.vc(), 2);
         let mut m = msg(0);
         m.class = TrafficClass::Bulk;
-        assert_eq!(flits(m, PacketId(4))[0].vc, 2);
+        assert_eq!(flits(m)[0].vc, 2);
     }
 
     #[test]
-    fn checksums_verify_and_detect_corruption() {
-        let mut flits = flits(msg(100), PacketId(9));
-        assert!(flits.iter().all(|f| f.checksum_ok()));
+    fn corruption_marks_one_flit_and_sticks() {
+        let mut flits = flits(msg(100));
+        assert!(flits.iter().all(|f| !f.damaged), "formed intact");
         flits[3].corrupt();
-        assert!(!flits[3].checksum_ok());
+        assert!(flits[3].damaged);
         flits[3].corrupt();
-        assert!(!flits[3].checksum_ok(), "double corruption stays detected");
-        // Head and body of the same packet have distinct checksums.
-        assert_ne!(flits[0].checksum, flits[1].checksum);
+        assert!(flits[3].damaged, "double corruption stays detected");
+        let damaged: Vec<usize> = (0..flits.len()).filter(|&i| flits[i].damaged).collect();
+        assert_eq!(damaged, [3], "damage is per flit");
     }
 
     #[test]
     fn flits_are_small_plain_data() {
-        assert_eq!(core::mem::size_of::<Flit>(), 24);
+        assert_eq!(core::mem::size_of::<Flit>(), 12);
         assert!(!core::mem::needs_drop::<Flit>());
     }
 
