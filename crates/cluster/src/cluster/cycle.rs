@@ -1,0 +1,327 @@
+//! The phases of one cluster cycle that are not migration's, in the order
+//! `ClusterSystem::cycle` runs them, with the helpers only they call.
+
+use super::ClusterSystem;
+use crate::board::Ingress;
+use crate::fabric::{Body, ClusterMsg};
+use apiary_cap::ServiceId;
+use apiary_core::Snapshot;
+use apiary_monitor::wire::{KIND_ERROR, KIND_REQUEST};
+use apiary_noc::TrafficClass;
+use apiary_sim::Cycle;
+use apiary_trace::RemotePhase;
+
+/// High bit marks gateway-local ingress tags, so a board can tell replies
+/// to forwarded remote work from replies to its own clients' local work.
+/// Client tags are `client_id << 32 | seq` with 32-bit ids, so the spaces
+/// cannot collide.
+const INGRESS_BIT: u64 = 1 << 63;
+
+impl ClusterSystem {
+    /// 1. Boards advance in index order; dead boards stay frozen.
+    pub(super) fn advance_boards(&mut self, now: Cycle, dense: bool) {
+        for b in &mut self.boards {
+            if b.alive {
+                b.advance_to(now, dense);
+            }
+        }
+    }
+
+    /// 2. Completed reconfigurations republish their directory entry.
+    pub(super) fn republish_ready(&mut self, now: Cycle) {
+        let gw = self.cfg.gateway;
+        for bi in 0..self.boards.len() {
+            if !self.boards[bi].alive || self.boards[bi].republish.is_empty() {
+                continue;
+            }
+            let done: Vec<usize> = self.boards[bi]
+                .republish
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| self.boards[bi].sys().tile(r.meta.node).accel.is_some())
+                .map(|(i, _)| i)
+                .collect();
+            for i in done.into_iter().rev() {
+                let r = self.boards[bi].republish.remove(i);
+                let b = &mut self.boards[bi];
+                // Re-wire: the reset wiped the replica tile's reply caps;
+                // attach_client reinstalls them and refreshes the
+                // gateway's service cap.
+                if let Ok(cap) = b.sys_mut().attach_client(gw, r.meta.service) {
+                    b.local_caps.insert(r.meta.service.0, cap);
+                }
+                let _ = b.dir.publish(now, &r.name, r.meta.service, r.meta.node);
+            }
+        }
+    }
+
+    /// Drops board `at`'s remote capability against `service` on board
+    /// `home`, if it holds one: revoked at the gateway and counted.
+    fn revoke_remote_cap(&mut self, at: u16, home: u16, service: u32) {
+        let gw = self.cfg.gateway;
+        let b = &mut self.boards[at as usize];
+        if let Some(cap) = b.remote_caps.remove(&(home, service)) {
+            if b.sys_mut().tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
+                self.caps_revoked += 1;
+            }
+        }
+    }
+
+    /// Revokes every live board's remote capability against `service` on
+    /// board `home`: the binding is gone (torn down or migrated away), so
+    /// authority over it must not linger until the lease runs out.
+    pub(super) fn revoke_remote_caps(&mut self, home: u16, service: u32) {
+        for at in 0..self.cfg.boards {
+            if self.boards[at as usize].alive {
+                self.revoke_remote_cap(at, home, service);
+            }
+        }
+    }
+
+    /// 3. Gossip round: renew leases, sweep expiries (revoking remote caps
+    ///    for entries that lapsed), push one snapshot round-robin.
+    pub(super) fn gossip_round(&mut self, now: Cycle) {
+        let round = self.ticks / self.cfg.gossip_interval;
+        let n = self.cfg.boards;
+        for bi in 0..n {
+            if !self.boards[bi as usize].alive {
+                continue;
+            }
+            let b = &mut self.boards[bi as usize];
+            b.dir.renew_local(now);
+            for dead in b.dir.sweep(now) {
+                if dead.home != bi {
+                    self.revoke_remote_cap(bi, dead.home, dead.service.0);
+                }
+            }
+            if n > 1 {
+                let peers: Vec<u16> = (0..n).filter(|&p| p != bi).collect();
+                let partner = peers[(round as usize) % peers.len()];
+                let snapshot = self.boards[bi as usize].dir.snapshot();
+                self.fabric.send(&ClusterMsg {
+                    src: bi,
+                    dst: partner,
+                    body: Body::Gossip { entries: snapshot },
+                });
+            }
+        }
+        if self.cfg.replicate_checkpoints && n > 1 {
+            self.replicate_checkpoints();
+        }
+    }
+
+    /// Checkpoint replication piggybacks on the gossip cadence: each board
+    /// pushes any snapshot whose sequence advanced since the last round to
+    /// its ring successor, so a board kill can recover warm from the peer's
+    /// adopted copy ([`ClusterSystem::recover_replica`]).
+    fn replicate_checkpoints(&mut self) {
+        let n = self.cfg.boards;
+        for bi in 0..n {
+            if !self.boards[bi as usize].alive {
+                continue;
+            }
+            let Some(peer) = (1..n)
+                .map(|d| (bi + d) % n)
+                .find(|&p| self.boards[p as usize].alive)
+            else {
+                continue;
+            };
+            let replicas: Vec<(String, u32)> = self.boards[bi as usize]
+                .replicas
+                .iter()
+                .map(|(name, meta)| (name.clone(), meta.service.0))
+                .collect();
+            for (name, sid) in replicas {
+                let Some(snap) = self.boards[bi as usize]
+                    .sys_mut()
+                    .checkpoint_store_mut()
+                    .latest(sid)
+                else {
+                    continue;
+                };
+                let seq = snap.seq;
+                if self
+                    .replicated_seq
+                    .get(&(bi, sid))
+                    .is_some_and(|&sent| sent >= seq)
+                {
+                    continue;
+                }
+                let snapshot = snap.encode();
+                self.replicated_seq.insert((bi, sid), seq);
+                self.fabric.send(&ClusterMsg {
+                    src: bi,
+                    dst: peer,
+                    body: Body::Checkpoint {
+                        service: sid,
+                        name,
+                        snapshot,
+                    },
+                });
+            }
+        }
+    }
+
+    /// 4. Fabric: deliveries and ARQ retransmission attribution.
+    pub(super) fn deliver_fabric(&mut self, now: Cycle, dense: bool) {
+        let gw = self.cfg.gateway;
+        let (deliveries, retx) = if dense {
+            self.fabric.step_dense(now)
+        } else {
+            self.fabric.step(now)
+        };
+        for (src_board, n) in retx {
+            let b = &mut self.boards[src_board as usize];
+            if !b.alive {
+                continue;
+            }
+            for _ in 0..n {
+                b.trace_remote(gw, now, RemotePhase::Retransmit, src_board, 0);
+            }
+        }
+        for msg in deliveries {
+            if !self.boards[msg.dst as usize].alive {
+                self.dead_board_drops += 1;
+                continue;
+            }
+            match msg.body {
+                Body::Invoke {
+                    service,
+                    tag,
+                    payload,
+                } => self.forward_invoke(msg.src, msg.dst, service, tag, payload, now),
+                Body::Reply {
+                    tag,
+                    is_error,
+                    payload: _,
+                } => {
+                    self.fabric_back.finish(tag, now);
+                    self.boards[msg.dst as usize].trace_remote(
+                        gw,
+                        now,
+                        RemotePhase::Reply,
+                        msg.src,
+                        tag,
+                    );
+                    self.finish_request(tag, is_error, now);
+                }
+                Body::Gossip { entries } => {
+                    self.boards[msg.dst as usize].dir.merge(&entries);
+                }
+                Body::Migrate {
+                    service,
+                    name: _,
+                    snapshot,
+                } => self.restore_migration(msg.src, msg.dst, service, &snapshot, now),
+                Body::Checkpoint {
+                    service,
+                    name: _,
+                    snapshot,
+                } => {
+                    if let Ok(snap) = Snapshot::decode(&snapshot) {
+                        if self.boards[msg.dst as usize]
+                            .sys_mut()
+                            .checkpoint_store_mut()
+                            .adopt(service, snap)
+                        {
+                            self.checkpoints_replicated += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A remote invocation arrived at live board `dst`: forward it to the
+    /// local replica through the gateway's capability, or answer `src` with
+    /// an error reply if there is none to forward to.
+    fn forward_invoke(
+        &mut self,
+        src: u16,
+        dst: u16,
+        service: u32,
+        tag: u64,
+        payload: Vec<u8>,
+        now: Cycle,
+    ) {
+        let gw = self.cfg.gateway;
+        self.fabric_out.finish(tag, now);
+        let b = &mut self.boards[dst as usize];
+        let cap = b.local_caps.get(&service).copied();
+        let home = b.sys().service_home(ServiceId(service));
+        let forwarded = match (cap, home) {
+            (Some(cap), Some(_)) => {
+                let ltag = INGRESS_BIT | self.next_ingress;
+                self.next_ingress += 1;
+                match b.sys_mut().tile_mut(gw).monitor.send(
+                    cap,
+                    KIND_REQUEST,
+                    ltag,
+                    TrafficClass::Request,
+                    payload,
+                    now,
+                ) {
+                    Ok(()) => {
+                        b.ingress.insert(ltag, Ingress { src, tag });
+                        self.on_board.start(tag, now);
+                        true
+                    }
+                    Err(_) => false,
+                }
+            }
+            _ => false,
+        };
+        if !forwarded {
+            self.fabric.send(&ClusterMsg {
+                src: dst,
+                dst: src,
+                body: Body::Reply {
+                    tag,
+                    is_error: true,
+                    payload: vec![apiary_monitor::wire::err::NO_SUCH_SERVICE],
+                },
+            });
+        }
+    }
+
+    /// 5. Drain gateway inboxes: replies to local submits complete
+    ///    directly; replies to forwarded ingress go back over the fabric.
+    pub(super) fn drain_gateways(&mut self, now: Cycle) {
+        let gw = self.cfg.gateway;
+        for bi in 0..self.boards.len() {
+            // Look before taking the board mutably: an empty inbox is the
+            // common case and must not cost the board its cached deadline.
+            if !self.boards[bi].alive || !self.boards[bi].has_gateway_mail(gw) {
+                continue;
+            }
+            while let Some(d) = self.boards[bi].sys_mut().tile_mut(gw).monitor.recv() {
+                let is_error = d.msg.kind == KIND_ERROR;
+                if d.msg.tag & INGRESS_BIT != 0 {
+                    if let Some(ing) = self.boards[bi].ingress.remove(&d.msg.tag) {
+                        self.on_board.finish(ing.tag, now);
+                        self.fabric_back.start(ing.tag, now);
+                        self.fabric.send(&ClusterMsg {
+                            src: bi as u16,
+                            dst: ing.src,
+                            body: Body::Reply {
+                                tag: ing.tag,
+                                is_error,
+                                payload: d.msg.payload.to_vec(),
+                            },
+                        });
+                    }
+                } else {
+                    self.finish_request(d.msg.tag, is_error, now);
+                }
+            }
+        }
+    }
+
+    /// 6. Cluster-level timeouts feed the client retry path.
+    pub(super) fn expire_requests(&mut self, now: Cycle, dense: bool) {
+        for tag in self.requests.pop_expired(now, dense) {
+            self.timeouts += 1;
+            self.finish_request(tag, true, now);
+        }
+    }
+}

@@ -1,0 +1,236 @@
+//! The replica and chaos plane: deploying, reconfiguring, recovering and
+//! tearing down replicas, and killing boards and cutting links.
+
+use super::ClusterSystem;
+use crate::board::{ReplicaMeta, Republish};
+use apiary_cap::ServiceId;
+use apiary_core::supervisor::AccelFactory;
+use apiary_core::{AppId, FaultPolicy, SystemError};
+use apiary_noc::NodeId;
+use apiary_sim::Cycle;
+
+impl ClusterSystem {
+    /// Deploys one replica of a named service: installs it under the
+    /// board's supervisor, wires the gateway as a client (the wiring
+    /// survives restarts and migrations), and publishes the binding in the
+    /// board's directory — gossip does the rest. Returns the displaced
+    /// binding if the name was already published here.
+    #[allow(clippy::too_many_arguments)]
+    pub fn deploy_replica(
+        &mut self,
+        board: u16,
+        name: &str,
+        service: ServiceId,
+        node: NodeId,
+        app: AppId,
+        policy: FaultPolicy,
+        bitstream_bytes: u64,
+        factory: AccelFactory,
+    ) -> Result<Option<(ServiceId, NodeId)>, SystemError> {
+        let now = self.now();
+        let b = &mut self.boards[board as usize];
+        b.sys_mut()
+            .deploy_service(service, node, app, policy, bitstream_bytes, factory)?;
+        let cap = b.sys_mut().attach_client(self.cfg.gateway, service)?;
+        b.local_caps.insert(service.0, cap);
+        b.replicas.insert(
+            name.to_string(),
+            ReplicaMeta {
+                service,
+                node,
+                app,
+                policy,
+                bitstream_bytes,
+            },
+        );
+        Ok(b.dir.publish(now, name, service, node))
+    }
+
+    /// Reconfigures the tile hosting a locally published replica:
+    /// **withdraw-then-republish**. The directory entry is tombstoned
+    /// before the bitstream starts loading (peers steer new work away as
+    /// gossip spreads), and republished — with the gateway re-wired — only
+    /// once the new accelerator is online. In-flight invocations against
+    /// the tile get monitor error replies and re-balance through the
+    /// client retry path.
+    pub fn reconfigure_replica(
+        &mut self,
+        board: u16,
+        name: &str,
+        factory: AccelFactory,
+        bitstream_bytes: u64,
+    ) -> Result<(), SystemError> {
+        let now = self.now();
+        let b = &mut self.boards[board as usize];
+        let meta = b
+            .replicas
+            .get(name)
+            .cloned()
+            .ok_or(SystemError::BadNode(NodeId(u16::MAX)))?;
+        b.dir.withdraw(now, name);
+        b.sys_mut()
+            .reconfigure(meta.node, factory(), meta.app, meta.policy, bitstream_bytes)?;
+        b.republish.push(Republish {
+            name: name.to_string(),
+            meta,
+        });
+        Ok(())
+    }
+
+    /// Redeploys a replica on `board` from a checkpoint previously adopted
+    /// over the fabric ([`ClusterConfig::replicate_checkpoints`]): warm if
+    /// a verified snapshot of `service` is held, cold (factory-fresh)
+    /// otherwise. The restore is priced through the ICAP like any
+    /// reconfiguration — bitstream plus restored state. Returns whether
+    /// the recovery was warm.
+    ///
+    /// [`ClusterConfig::replicate_checkpoints`]: super::ClusterConfig::replicate_checkpoints
+    #[allow(clippy::too_many_arguments)]
+    pub fn recover_replica(
+        &mut self,
+        board: u16,
+        name: &str,
+        service: ServiceId,
+        node: NodeId,
+        app: AppId,
+        policy: FaultPolicy,
+        bitstream_bytes: u64,
+        factory: AccelFactory,
+    ) -> Result<bool, SystemError> {
+        let b = &mut self.boards[board as usize];
+        let state = b
+            .sys_mut()
+            .checkpoint_store_mut()
+            .latest(service.0)
+            .map(|s| s.state.clone());
+        let mut accel = factory();
+        let mut warm_bytes = 0u64;
+        let warm = match state {
+            Some(s) if accel.restore_state(&s).is_ok() => {
+                warm_bytes = s.len() as u64;
+                true
+            }
+            _ => false,
+        };
+        if !warm {
+            // Never deploy a half-restored instance: rebuild fresh.
+            accel = factory();
+        }
+        b.sys_mut()
+            .reconfigure(node, accel, app, policy, bitstream_bytes + warm_bytes)?;
+        if warm {
+            b.sys_mut().checkpoint_store_mut().warm_restores += 1;
+        }
+        let meta = ReplicaMeta {
+            service,
+            node,
+            app,
+            policy,
+            bitstream_bytes,
+        };
+        b.adopt_replica(name, meta, factory);
+        Ok(warm)
+    }
+
+    /// Deploys a function replica into a warm-pool slot. Unlike
+    /// [`ClusterSystem::deploy_replica`] (instantaneous install, used to
+    /// seed experiments), the bitstream is priced through the ICAP like any
+    /// partial reconfiguration, and the directory entry is published — with
+    /// the gateway wired as a client — only once the tile is back online
+    /// (via the republish queue). Returns the cycle the reconfiguration
+    /// completes: the fabric-level share of the orchestrator's cold start.
+    #[allow(clippy::too_many_arguments)]
+    pub fn pool_deploy(
+        &mut self,
+        board: u16,
+        name: &str,
+        service: ServiceId,
+        node: NodeId,
+        app: AppId,
+        policy: FaultPolicy,
+        bitstream_bytes: u64,
+        factory: AccelFactory,
+    ) -> Result<Cycle, SystemError> {
+        let b = &mut self.boards[board as usize];
+        if !b.alive {
+            return Err(SystemError::BadNode(node));
+        }
+        let done = b
+            .sys_mut()
+            .reconfigure(node, factory(), app, policy, bitstream_bytes)?;
+        let meta = ReplicaMeta {
+            service,
+            node,
+            app,
+            policy,
+            bitstream_bytes,
+        };
+        b.adopt_replica(name, meta, factory);
+        Ok(done)
+    }
+
+    /// Tears down a pooled replica (scale-to-zero): the directory entry is
+    /// withdrawn with a **tombstone** — a version bump a stale peer
+    /// snapshot cannot out-rank, so the binding stays dead cluster-wide —
+    /// the tile is decommissioned, the gateway's local cap dropped, and
+    /// every live board's remote cap against the binding proactively
+    /// revoked. Refused while the tile's bitstream is still streaming
+    /// through the ICAP: the completion would resurrect the accelerator on
+    /// a decommissioned tile. Returns the freed node.
+    pub fn pool_teardown(&mut self, board: u16, name: &str) -> Result<NodeId, SystemError> {
+        let now = self.now();
+        let bad = || SystemError::BadNode(NodeId(u16::MAX));
+        let service;
+        let node;
+        {
+            let b = &mut self.boards[board as usize];
+            if !b.alive {
+                return Err(bad());
+            }
+            let meta = b.replicas.get(name).cloned().ok_or_else(bad)?;
+            if b.sys().reconfiguring(meta.node) {
+                return Err(bad());
+            }
+            service = meta.service;
+            node = meta.node;
+            b.dir.withdraw(now, name);
+            b.sys_mut().undeploy_service(meta.service);
+            b.local_caps.remove(&meta.service.0);
+            b.replicas.remove(name);
+            b.republish.retain(|r| r.name != name);
+        }
+        self.revoke_remote_caps(board, service.0);
+        Ok(node)
+    }
+
+    /// Whether a board's gateway currently holds a client capability for
+    /// `service` — i.e. a local replica is wired and invokable. The
+    /// republish pass installs this cap only once the tile's bitstream has
+    /// finished loading, so it doubles as the orchestrator's "replica is
+    /// live" signal.
+    pub fn has_local_cap(&self, board: u16, service: ServiceId) -> bool {
+        self.boards[board as usize]
+            .local_caps
+            .contains_key(&service.0)
+    }
+
+    /// Kills a board: it stops ticking, its fabric links go down, its
+    /// leases stop renewing. The rest of the cluster routes around it once
+    /// timeouts raise its in-flight counts and lease expiry drops its
+    /// directory entries.
+    pub fn kill_board(&mut self, b: u16) {
+        self.boards[b as usize].alive = false;
+        self.fabric.set_link(b, None, false);
+    }
+
+    /// Cuts a link (board↔ToR in a star; the pair, or all of `a`'s links
+    /// when `b` is `None`, in a mesh).
+    pub fn cut_link(&mut self, a: u16, b: Option<u16>) {
+        self.fabric.set_link(a, b, false);
+    }
+
+    /// Restores a previously cut link.
+    pub fn restore_link(&mut self, a: u16, b: Option<u16>) {
+        self.fabric.set_link(a, b, true);
+    }
+}

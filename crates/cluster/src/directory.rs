@@ -55,7 +55,9 @@ impl DirEntry {
 pub struct Directory {
     board: u16,
     lease: u64,
-    entries: BTreeMap<(String, u16), DirEntry>,
+    /// Entries by name, then by home board: `(name, home)` order, and a
+    /// name is found by borrowing it.
+    entries: BTreeMap<String, BTreeMap<u16, DirEntry>>,
     /// Publishes that displaced a live binding of the same name here.
     pub displaced: u64,
     /// Entries accepted from gossip (newer version than ours).
@@ -93,10 +95,10 @@ impl Directory {
         service: ServiceId,
         node: NodeId,
     ) -> Option<(ServiceId, NodeId)> {
-        let key = (name.to_string(), self.board);
-        let version = self.entries.get(&key).map_or(1, |e| e.version + 1);
-        let old = self.entries.insert(
-            key,
+        let homes = self.entries.entry(name.to_string()).or_default();
+        let version = homes.get(&self.board).map_or(1, |e| e.version + 1);
+        let old = homes.insert(
+            self.board,
             DirEntry {
                 name: name.to_string(),
                 home: self.board,
@@ -120,8 +122,8 @@ impl Directory {
     /// propagates (deleting outright would let a peer's stale copy
     /// resurrect the entry). Returns whether a live binding existed.
     pub fn withdraw(&mut self, now: Cycle, name: &str) -> bool {
-        let key = (name.to_string(), self.board);
-        match self.entries.get_mut(&key) {
+        let ours = self.entries.get_mut(name);
+        match ours.and_then(|homes| homes.get_mut(&self.board)) {
             Some(e) if e.live(now) => {
                 e.withdrawn = true;
                 e.version += 1;
@@ -137,8 +139,8 @@ impl Directory {
     /// gossip round; a dead board stops calling it, which is exactly how
     /// the rest of the cluster finds out.
     pub fn renew_local(&mut self, now: Cycle) {
-        for e in self.entries.values_mut() {
-            if e.home == self.board && e.live(now) {
+        for homes in self.entries.values_mut() {
+            if let Some(e) = homes.get_mut(&self.board).filter(|e| e.live(now)) {
                 e.version += 1;
                 e.expires_at = now + self.lease;
             }
@@ -154,11 +156,12 @@ impl Directory {
             if e.home == self.board {
                 continue;
             }
-            let key = (e.name.clone(), e.home);
-            match self.entries.get(&key) {
+            let ours = self.entries.get(&e.name).and_then(|h| h.get(&e.home));
+            match ours {
                 Some(ours) if ours.version >= e.version => {}
                 _ => {
-                    self.entries.insert(key, e.clone());
+                    let homes = self.entries.entry(e.name.clone()).or_default();
+                    homes.insert(e.home, e.clone());
                     self.merged_in += 1;
                 }
             }
@@ -168,28 +171,23 @@ impl Directory {
     /// Drops entries (and tombstones) whose lease has lapsed, returning
     /// them so the kernel can revoke any capabilities minted against them.
     pub fn sweep(&mut self, now: Cycle) -> Vec<DirEntry> {
-        let dead: Vec<(String, u16)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.expires_at <= now)
-            .map(|(k, _)| k.clone())
-            .collect();
-        let mut out = Vec::with_capacity(dead.len());
-        for k in dead {
-            if let Some(e) = self.entries.remove(&k) {
-                self.expired += 1;
-                out.push(e);
-            }
-        }
+        let mut out = Vec::new();
+        self.entries.retain(|_, homes| {
+            let dead = homes.extract_if(.., |_, e| e.expires_at <= now);
+            out.extend(dead.map(|(_, e)| e));
+            !homes.is_empty()
+        });
+        self.expired += out.len() as u64;
         out
     }
 
     /// Every live replica of `name`, in home-board order (deterministic:
-    /// the map is keyed `(name, home)`).
+    /// a name's entries are keyed by home).
     pub fn lookup_all(&self, now: Cycle, name: &str) -> Vec<&DirEntry> {
         self.entries
-            .range((name.to_string(), 0)..=(name.to_string(), u16::MAX))
-            .map(|(_, e)| e)
+            .get(name)
+            .into_iter()
+            .flat_map(|homes| homes.values())
             .filter(|e| e.live(now))
             .collect()
     }
@@ -197,23 +195,44 @@ impl Directory {
     /// The live local binding for `name`, if any.
     pub fn lookup_local(&self, now: Cycle, name: &str) -> Option<&DirEntry> {
         self.entries
-            .get(&(name.to_string(), self.board))
+            .get(name)
+            .and_then(|homes| homes.get(&self.board))
             .filter(|e| e.live(now))
     }
 
     /// Full-state snapshot for anti-entropy gossip (tombstones included).
     pub fn snapshot(&self) -> Vec<DirEntry> {
-        self.entries.values().cloned().collect()
+        self.entries
+            .values()
+            .flat_map(|homes| homes.values())
+            .cloned()
+            .collect()
     }
 
     /// Total entries held, tombstones included.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(BTreeMap::len).sum()
     }
 
     /// Returns `true` when no entries are held.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Panics unless every entry is filed under its own name and home and
+    /// no name is filed with an empty set of homes.
+    pub fn check_invariants(&self) {
+        for (name, homes) in &self.entries {
+            assert!(!homes.is_empty(), "{name} is filed with no home");
+            for (&home, e) in homes {
+                assert!(
+                    e.name == *name && e.home == home,
+                    "{}@{} is filed under {name}@{home}",
+                    e.name,
+                    e.home
+                );
+            }
+        }
     }
 }
 

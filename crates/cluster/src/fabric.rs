@@ -338,7 +338,7 @@ impl Link {
             // only delays (cumulative acks), so they share the loss model
             // through the data wire's retransmissions instead.
             acks: Wire::new(cfg.latency, cfg.bytes_per_cycle),
-            // Size-aware ARQ deadlines: a bulk frame (e.g. a migration
+            // Size-aware ARQ timeouts: a bulk frame (e.g. a migration
             // snapshot) can take longer to serialize than the flat timeout;
             // scaling the deadline with the outstanding bytes prevents a
             // retransmission storm while the first copy is still on the wire.

@@ -21,8 +21,13 @@
 //!   [`apiary_cap::CapKind::Remote`] capability held at a board's gateway
 //!   tile is forwarded by the kernel's egress proxy onto the fabric, with
 //!   the client-side retry/backoff and circuit breaker of
-//!   [`apiary_net::RequestGen`] applying end-to-end; its cross-board live
-//!   migration state machine lives in the private `migration` module.
+//!   [`apiary_net::RequestGen`] applying end-to-end. `cluster.rs` holds the
+//!   config, the machine, its clock and its invariants; private child
+//!   modules hold the rest of it, one concern each: `cluster/cycle.rs` (the
+//!   cycle's phases), `cluster/migration.rs` (cross-board live migration),
+//!   `cluster/requests.rs` (submit, completion and the timeout queue),
+//!   `cluster/replicas.rs` (the replica and chaos plane) and
+//!   `cluster/clients.rs` (external clients and the loop that runs them).
 //!
 //! Everything is seeded and ticked in board order: the same configuration
 //! and seed replay byte-identically regardless of host parallelism, which
@@ -33,7 +38,6 @@ mod board;
 pub mod cluster;
 pub mod directory;
 pub mod fabric;
-mod migration;
 
 pub use balancer::Balancer;
 pub use cluster::{

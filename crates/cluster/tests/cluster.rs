@@ -75,6 +75,18 @@ fn zero_gossip_interval_rejected() {
 }
 
 #[test]
+#[should_panic(expected = "lease 4000 must exceed gossip_interval × boards = 4000")]
+fn lease_within_one_gossip_cycle_rejected() {
+    // Eight boards push a snapshot each every 500 cycles: a lease of 4000
+    // lapses before a renewal is sure to have gossiped round.
+    ClusterSystem::new(ClusterConfig {
+        boards: 8,
+        lease: 4_000,
+        ..ClusterConfig::default()
+    });
+}
+
+#[test]
 #[should_panic(expected = "outside the 16-node mesh")]
 fn gateway_outside_the_mesh_rejected() {
     ClusterSystem::new(ClusterConfig {

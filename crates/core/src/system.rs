@@ -27,8 +27,6 @@ pub struct SystemConfig {
     pub mem_capacity: u64,
     /// DRAM timing.
     pub dram: DramConfig,
-    /// Which node hosts the memory service (default: the last node).
-    pub mem_node: Option<NodeId>,
     /// ICAP bandwidth for partial reconfiguration, bytes/cycle.
     pub icap_bytes_per_cycle: u64,
     /// Self-healing supervisor policy (off by default).
@@ -40,10 +38,9 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// The node hosting the memory service: `mem_node`, or the last node of
-    /// the mesh when unset.
+    /// The node hosting the memory service: the last node of the mesh.
     pub fn memory_node(&self) -> NodeId {
-        self.mem_node.unwrap_or(NodeId(self.noc.nodes() as u16 - 1))
+        NodeId(self.noc.nodes() as u16 - 1)
     }
 }
 
@@ -54,7 +51,6 @@ impl Default for SystemConfig {
             monitor: MonitorConfig::default(),
             mem_capacity: 16 << 20,
             dram: DramConfig::default(),
-            mem_node: None,
             icap_bytes_per_cycle: 4,
             supervisor: SupervisorConfig::default(),
             clock: ClockMode::default(),

@@ -260,7 +260,7 @@ impl FaasSystem {
     pub fn new(cfg: FaasConfig) -> FaasSystem {
         let part = Part::by_number(cfg.part).expect("part in catalog");
         let nodes = (cfg.cluster.system.noc.width * cfg.cluster.system.noc.height) as u16;
-        let mem_node = cfg.cluster.system.mem_node.unwrap_or(NodeId(nodes - 1));
+        let mem_node = cfg.cluster.system.memory_node();
         let usable: BTreeSet<NodeId> = (0..nodes)
             .map(NodeId)
             .filter(|&n| n != cfg.cluster.gateway && n != mem_node)
