@@ -50,14 +50,19 @@ use crate::board::Board;
 use crate::directory::Directory;
 use crate::fabric::{Fabric, FabricConfig};
 use apiary_accel::apps::idle::idle;
+use apiary_cap::ServiceId;
 use apiary_core::process::OS_APP;
-use apiary_core::{FaultPolicy, System, SystemConfig};
+use apiary_core::{FaultPolicy, System, SystemConfig, SystemError};
 use apiary_noc::NodeId;
 use apiary_sim::{ClockMode, Cycle};
 use apiary_trace::{EventKind, LatencyTracker, RemotePhase};
 use migration::Migration;
 use requests::Requests;
 use std::collections::BTreeMap;
+
+/// What a name-keyed entry fails with when this board serves no replica by
+/// that name, or cannot act on it: a name has no service id to report.
+const NO_REPLICA: SystemError = SystemError::UnknownService(ServiceId(u32::MAX));
 
 /// Cluster configuration.
 #[derive(Clone)]

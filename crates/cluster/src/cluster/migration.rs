@@ -9,7 +9,7 @@
 //! `finish_migrations` after the republish pass).
 
 use crate::board::ReplicaMeta;
-use crate::cluster::ClusterSystem;
+use crate::cluster::{ClusterSystem, NO_REPLICA};
 use crate::fabric::{Body, ClusterMsg};
 use apiary_cap::ServiceId;
 use apiary_core::supervisor::AccelFactory;
@@ -98,17 +98,16 @@ impl ClusterSystem {
         factory: AccelFactory,
     ) -> Result<(), SystemError> {
         let now = self.now();
-        let bad = || SystemError::BadNode(NodeId(u16::MAX));
         if src == dst || !self.boards[src as usize].alive || !self.boards[dst as usize].alive {
-            return Err(bad());
+            return Err(NO_REPLICA);
         }
         let meta = self.boards[src as usize]
             .replicas
             .get(name)
             .cloned()
-            .ok_or_else(bad)?;
+            .ok_or(NO_REPLICA)?;
         if self.migrations.contains_key(&meta.service.0) {
-            return Err(bad());
+            return Err(NO_REPLICA);
         }
         self.boards[src as usize].dir.withdraw(now, name);
         let gw = self.cfg.gateway;

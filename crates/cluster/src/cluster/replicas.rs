@@ -1,7 +1,7 @@
 //! The replica and chaos plane: deploying, reconfiguring, recovering and
 //! tearing down replicas, and killing boards and cutting links.
 
-use super::ClusterSystem;
+use super::{ClusterSystem, NO_REPLICA};
 use crate::board::{ReplicaMeta, Republish};
 use apiary_cap::ServiceId;
 use apiary_core::supervisor::AccelFactory;
@@ -62,11 +62,7 @@ impl ClusterSystem {
     ) -> Result<(), SystemError> {
         let now = self.now();
         let b = &mut self.boards[board as usize];
-        let meta = b
-            .replicas
-            .get(name)
-            .cloned()
-            .ok_or(SystemError::BadNode(NodeId(u16::MAX)))?;
+        let meta = b.replicas.get(name).cloned().ok_or(NO_REPLICA)?;
         b.dir.withdraw(now, name);
         b.sys_mut()
             .reconfigure(meta.node, factory(), meta.app, meta.policy, bitstream_bytes)?;
@@ -179,17 +175,16 @@ impl ClusterSystem {
     /// a decommissioned tile. Returns the freed node.
     pub fn pool_teardown(&mut self, board: u16, name: &str) -> Result<NodeId, SystemError> {
         let now = self.now();
-        let bad = || SystemError::BadNode(NodeId(u16::MAX));
         let service;
         let node;
         {
             let b = &mut self.boards[board as usize];
             if !b.alive {
-                return Err(bad());
+                return Err(NO_REPLICA);
             }
-            let meta = b.replicas.get(name).cloned().ok_or_else(bad)?;
+            let meta = b.replicas.get(name).cloned().ok_or(NO_REPLICA)?;
             if b.sys().reconfiguring(meta.node) {
-                return Err(bad());
+                return Err(SystemError::ReconfigInProgress(meta.node));
             }
             service = meta.service;
             node = meta.node;

@@ -6,10 +6,11 @@
 //! (Figure 1). This crate is the kernel tying the substrates together:
 //!
 //! - [`tile::Tile`] — a monitor plus an accelerator slot plus the tile's
-//!   fault policy and capability environment,
-//! - [`system::System`] — the machine: NoC + tiles + clock, with the
-//!   management API (install accelerators, connect processes, grant memory,
-//!   bind services) and the cycle loop,
+//!   fault policy and capability environment, and its lifecycle steps,
+//! - [`system::System`] — the machine: NoC + tiles + clock. `system.rs` holds
+//!   its state and laws, `system/plane.rs` the management API (install,
+//!   connect, grant memory, services) and `system/cycle.rs` the cycle loop,
+//! - [`supervisor`] — the self-healing escalation ladder and its law,
 //! - [`process`] — application/process identity and the trust rules of
 //!   §4.1–§4.2 (distrusting applications never share a tile; IPC must be
 //!   explicitly established),

@@ -35,9 +35,10 @@
 use crate::checkpoint::CheckpointStore;
 use crate::fault::{checkpoint_downtime, FaultPolicy};
 use crate::process::AppId;
+use crate::reconfig::ReconfigController;
 use crate::system::System;
-use apiary_accel::{Accelerator, CapEnv};
-use apiary_cap::{CapKind, Capability, EndpointId, Rights, ServiceId};
+use apiary_accel::Accelerator;
+use apiary_cap::ServiceId;
 use apiary_monitor::TileState;
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
@@ -219,6 +220,27 @@ impl Supervisor {
     pub fn checkpoints_mut(&mut self) -> &mut CheckpointStore {
         &mut self.checkpoints
     }
+
+    /// Panics unless every service stands on one rung of the ladder: at
+    /// most one incident open, none once abandoned, an open one naming the
+    /// service's node and, while `Reconfiguring`, its target's bitstream
+    /// in flight; and no free spare hosts a service.
+    pub(crate) fn check(&self, reconfig: &ReconfigController) {
+        for spec in &self.specs {
+            let (s, node) = (spec.service, spec.node);
+            assert!(!self.free_spares.contains(&node), "{s:?} on a free spare");
+            let open = |i: &&Incident| i.service == s && !i.closed();
+            for (k, i) in self.incidents.iter().filter(open).enumerate() {
+                assert!(k == 0, "{s:?} has two open incidents");
+                assert!(!spec.abandoned, "abandoned {s:?} has an open incident");
+                assert_eq!(i.node, node, "{s:?}'s open incident is elsewhere");
+                if let RecoveryTarget::InPlace(to) | RecoveryTarget::Migrate(to) = i.target {
+                    let idle = i.phase == Phase::Reconfiguring && !reconfig.in_progress(to);
+                    assert!(!idle, "{s:?} reconfigures {to} with nothing in flight");
+                }
+            }
+        }
+    }
 }
 
 /// The ladder itself: the half of [`System`] that steps the supervisor.
@@ -349,26 +371,12 @@ impl System {
                             let spec = &mut sup.specs[si];
                             let old = spec.node;
                             if old != dst {
-                                // Decommission the dead tile: wipe every
-                                // capability and name binding, then seal it
-                                // again so no stale authority survives.
-                                let dead = &mut self.tiles[old.index()];
-                                dead.monitor.reset(now);
-                                dead.monitor.fail_stop(now);
-                                dead.accel = None;
-                                dead.app = None;
-                                dead.env = CapEnv::new();
+                                self.tiles[old.index()].vacate(now);
                             }
                             spec.node = dst;
                             for &c in &spec.clients {
                                 self.tiles[c.index()].monitor.bind_service(service.0, dst);
-                                let home = &mut self.tiles[dst.index()];
-                                if home.monitor.find_endpoint_cap(c).is_none() {
-                                    let _ = home.monitor.install_cap(Capability::new(
-                                        CapKind::Endpoint(EndpointId(c.0 as u32)),
-                                        Rights::SEND,
-                                    ));
-                                }
+                                let _ = self.open_reply_path(dst, c);
                             }
                             sup.incidents[ii].recovered_at = Some(now);
                             sup.incidents[ii].phase = Phase::Closed;

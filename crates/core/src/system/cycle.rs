@@ -1,0 +1,334 @@
+//! The cycle loop: the dense tick, the six kernel phases every cycle
+//! that runs funnels through, and the event clock that runs them only on
+//! cycles something is due.
+
+use super::System;
+use crate::fault::{preemption_downtime, FaultAction, FaultPolicy, FaultRecord};
+use crate::tile::KernelOs;
+use apiary_accel::CapEnv;
+use apiary_monitor::TileState;
+use apiary_noc::NodeId;
+use apiary_sim::{ClockMode, Cycle};
+
+impl System {
+    /// Advances the machine by one cycle (the dense reference clock: every
+    /// kernel phase runs every cycle). The event clock in [`System::run`]
+    /// reaches the same states by running the private `cycle_phases` only on
+    /// cycles a component scheduled a wakeup for.
+    pub fn tick(&mut self) {
+        let now = self.clock.tick();
+        self.noc.step();
+        self.cycle_phases(now);
+    }
+
+    /// Everything a cycle does after the NoC moves its flits, one named
+    /// phase after another. Both clocks funnel through this, so a cycle that
+    /// runs is identical under either; the clocks differ only in *which*
+    /// cycles run.
+    fn cycle_phases(&mut self, now: Cycle) {
+        self.touched().phase_cycles += 1;
+        self.finish_reconfigs(now);
+        self.pump_inbound(now);
+        self.wake_accelerators(now);
+        self.check_watchdogs(now);
+        self.pump_outbound(now);
+        if self.cfg.supervisor.enabled {
+            self.step_supervisor(now);
+        }
+    }
+
+    /// Completed reconfigurations come online reset.
+    fn finish_reconfigs(&mut self, now: Cycle) {
+        for job in self.reconfig.take_completed(now) {
+            let tile = &mut self.tiles[job.node.index()];
+            tile.monitor.reset(now);
+            tile.seat(job.accel, job.app, job.policy, CapEnv::new());
+            tile.busy_until = now;
+        }
+    }
+
+    /// Deliveries into monitors (fail-stopped tiles NACK here). Skips tiles
+    /// with nothing ejected: pump_in is a no-op for them, and most tiles are
+    /// quiet most cycles.
+    fn pump_inbound(&mut self, now: Cycle) {
+        for (i, tile) in self.tiles.iter_mut().enumerate() {
+            if self.noc.eject_pending(NodeId(i as u16)) > 0 {
+                tile.monitor.pump_in(&mut self.noc, now);
+            }
+        }
+    }
+
+    /// Accelerator execution: every installed, running, non-busy tile is
+    /// woken, and the first fault it raises gets the tile's fault policy.
+    fn wake_accelerators(&mut self, now: Cycle) {
+        for i in 0..self.tiles.len() {
+            let node = NodeId(i as u16);
+            if self.reconfig.in_progress(node) {
+                continue;
+            }
+            {
+                let tile = &self.tiles[i];
+                if tile.accel.is_none()
+                    || tile.monitor.state() == TileState::FailStopped
+                    || tile.busy_until > now
+                {
+                    continue;
+                }
+            }
+            let tile = &mut self.tiles[i];
+            let mut accel = tile.accel.take().expect("checked above");
+            let (wake, raised) = {
+                let mut os = KernelOs::new(&mut tile.monitor, &tile.env, now);
+                let wake = accel.wake(now, &mut os);
+                (wake, os.raised)
+            };
+            tile.accel = Some(accel);
+            tile.wake = wake;
+            if let Some(&code) = raised.first() {
+                self.apply_fault(node, code, now);
+            }
+        }
+    }
+
+    /// Watchdog: tiles sitting on unconsumed traffic beyond their window
+    /// are treated as hung (§4.4) and get the fault policy.
+    fn check_watchdogs(&mut self, now: Cycle) {
+        for i in 0..self.tiles.len() {
+            if self.tiles[i].monitor.hang_detected(now) {
+                self.apply_fault(NodeId(i as u16), crate::fault::WATCHDOG_FAULT, now);
+            }
+        }
+    }
+
+    /// Outbound traffic into the NoC; empty outboxes have nothing to do.
+    fn pump_outbound(&mut self, now: Cycle) {
+        for tile in &mut self.tiles {
+            if tile.monitor.outbox_len() > 0 {
+                tile.monitor.pump_out(&mut self.noc, now);
+            }
+        }
+    }
+
+    /// The next cycle at which the kernel phases could do something a
+    /// skipped cycle would not: a reconfiguration completes, an outbox head
+    /// becomes ready, a watchdog window expires, an accelerator's scheduled
+    /// wakeup (or a message already waiting for an `OnMessage` sleeper)
+    /// comes due, or the supervisor has a detection or backoff expiry
+    /// pending. [`Cycle::MAX`] when nothing is scheduled. Undelivered NoC
+    /// traffic is handled by the caller, which asks the NoC how long it
+    /// stays quiet ([`Noc::quiet_until`]).
+    pub(super) fn next_phase_due(&self, now: Cycle) -> Cycle {
+        let next = now.saturating_add(1);
+        if self.noc.rx_pending_total() > 0 {
+            return next;
+        }
+        let mut due = Cycle::MAX;
+        if let Some(t) = self.reconfig.next_completion() {
+            due = due.min(t.max(next));
+        }
+        for tile in &self.tiles {
+            if let Some(ready) = tile.monitor.outbox_next_ready() {
+                due = due.min(ready.max(next));
+            }
+            if let Some(t) = tile.monitor.hang_deadline() {
+                due = due.min(t.max(next));
+            }
+            if tile.accel.is_some() && tile.monitor.state() != TileState::FailStopped {
+                let deadline = if tile.wake.wakes_on_message() && tile.monitor.inbox_len() > 0 {
+                    // The message it was sleeping on is already here.
+                    next
+                } else {
+                    tile.wake.deadline()
+                };
+                if deadline != Cycle::MAX {
+                    due = due.min(deadline.max(tile.busy_until).max(next));
+                }
+            }
+        }
+        if self.cfg.supervisor.enabled {
+            due = due.min(self.supervisor_due(next));
+        }
+        due.max(next)
+    }
+
+    /// One event-clock step: advance to the next cycle where the kernel
+    /// phases can matter, or to `horizon` if that comes first — jumping
+    /// the clock while the NoC is quiet (empty, or carrying one packet
+    /// alone, which the jump delivers on its cycle), stepping it cycle by
+    /// cycle otherwise (a delivery re-arms every `OnMessage` sleeper, so
+    /// phases run the cycle it lands) — then run the phases if that cycle
+    /// is one they are due on. Stopping at the caller's `horizon` alone
+    /// runs no phases: the cycle is a no-op by the wakeup contract. Always
+    /// advances at least one cycle and never beyond `horizon`.
+    fn event_step(&mut self, horizon: Cycle) {
+        let due = self.phase_due();
+        let stop = due.min(horizon);
+        let now = loop {
+            if let Some(quiet) = self.noc.quiet_until() {
+                let to = stop.min(quiet);
+                self.noc.skip_to(to);
+                self.clock.advance_to(to);
+                break to;
+            }
+            let now = self.clock.tick();
+            self.noc.step();
+            if now >= stop || self.noc.rx_pending_total() > 0 {
+                break now;
+            }
+        };
+        if now >= due || self.noc.rx_pending_total() > 0 {
+            self.cycle_phases(now);
+        } else {
+            // No phase ran and nothing waits to be ejected: the scan would
+            // read what it read, and `due` still lies ahead of the clock.
+            self.phase_due = Some(due);
+        }
+    }
+
+    /// `next_phase_due(now)`, from the memo when one is held.
+    fn phase_due(&self) -> Cycle {
+        let fresh = || self.next_phase_due(self.clock.now());
+        debug_assert!(self.phase_due.is_none_or(|d| d == fresh()), "stale memo");
+        self.phase_due.unwrap_or_else(fresh)
+    }
+
+    /// The next cycle at which this system can do anything on its own: the
+    /// earlier of the NoC's next event and the earliest kernel-phase
+    /// deadline ([`Cycle::MAX`] when nothing is scheduled). The NoC's is
+    /// `now + 1` while traffic it must step is in flight, the delivery
+    /// cycle of a packet flying alone, and none when it is empty; undrained
+    /// deliveries make the kernel due at `now + 1`. Lockstep drivers that
+    /// advance several systems against one shared clock (the cluster) use
+    /// this to find the global next event; every cycle strictly before the
+    /// returned one is provably a no-op for this system and may be crossed
+    /// with [`System::skip_to`].
+    pub fn next_event_due(&self) -> Cycle {
+        match self.noc.quiet_until() {
+            Some(quiet) => quiet.min(self.phase_due()),
+            None => self.clock.now().saturating_add(1),
+        }
+    }
+
+    /// Jumps the clock to `target` without running any kernel phases. Only
+    /// sound when every cycle in `(now, target]` is a no-op — i.e. `target`
+    /// is strictly before what [`System::next_event_due`] reported, so the
+    /// NoC is quiet until past it: empty, or carrying one packet alone that
+    /// lands later. The NoC still accounts the skipped cycles (and the lone
+    /// packet's progress) and steps its chaos plane through them.
+    pub fn skip_to(&mut self, target: Cycle) {
+        debug_assert!(
+            self.noc.quiet_until().is_some_and(|quiet| quiet > target),
+            "cannot skip over traffic that must be stepped or lands by then"
+        );
+        self.noc.skip_to(target);
+        self.clock.advance_to(target);
+    }
+
+    /// Runs for `cycles` cycles, one [`System::advance_toward`] step at a
+    /// time, and ends at exactly `now + cycles`.
+    pub fn run(&mut self, cycles: u64) {
+        self.run_until(cycles, |_| false);
+    }
+
+    /// Advances time by one scheduling step: one cycle under the dense
+    /// clock, or up to the next scheduled wakeup (never beyond `horizon`)
+    /// under the event clock. Harness components attached directly to
+    /// monitors — load generators, experiment drivers — use this to
+    /// interleave their own wakeups with the kernel's event loop: compute
+    /// your next deadline, `advance_toward` it in a loop, and check your
+    /// tiles for mail after each step.
+    pub fn advance_toward(&mut self, horizon: Cycle) {
+        if self.clock.now() >= horizon {
+            return;
+        }
+        match self.cfg.clock {
+            ClockMode::Dense => self.tick(),
+            ClockMode::Event => self.event_step(horizon),
+        }
+    }
+
+    /// Runs until `pred` returns `true` or `max_cycles` elapse; returns
+    /// whether the predicate fired. The predicate is checked after every
+    /// [`System::advance_toward`] step, so both clocks stop on exactly the
+    /// same cycle provided `pred` is a function of component state (which
+    /// only changes on cycles whose kernel phases ran), not of raw clock
+    /// time.
+    pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&System) -> bool) -> bool {
+        let end = self.clock.now().saturating_add(max_cycles);
+        while self.clock.now() < end {
+            self.advance_toward(end);
+            if pred(self) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Runs until no traffic has been in flight for a settle window (long
+    /// enough to cover in-progress accelerator compute), or until
+    /// `max_cycles` elapse; returns `true` on quiescence.
+    ///
+    /// "Idle" means the NoC and all outbound queues are empty. Messages
+    /// already delivered into inboxes do not count: an undriven tile (e.g.
+    /// a test client) may leave responses unread indefinitely.
+    pub fn run_until_idle(&mut self, max_cycles: u64) -> bool {
+        const SETTLE: u64 = 4096;
+        let end = self.clock.now().saturating_add(max_cycles);
+        let mut quiet = 0u64;
+        let mut idle = self.is_idle();
+        while self.clock.now() < end {
+            let before = self.clock.now();
+            // Idleness only changes on the cycle a step lands on: the
+            // cycles it crosses on the way keep the state it started in.
+            // An idle system is therefore stepped no further than the end
+            // of its settle window, which is the cycle per-cycle ticking
+            // would stop on.
+            let horizon = if idle {
+                end.min(before.saturating_add(SETTLE - quiet))
+            } else {
+                end
+            };
+            self.advance_toward(horizon);
+            if idle {
+                quiet += self.clock.now().saturating_since(before) - 1;
+            }
+            idle = self.is_idle();
+            if idle {
+                quiet += 1;
+                if quiet >= SETTLE {
+                    return true;
+                }
+            } else {
+                quiet = 0;
+            }
+        }
+        idle
+    }
+
+    /// Returns `true` when no traffic is in flight (see
+    /// [`System::run_until_idle`] for the caveat about compute in
+    /// progress).
+    pub fn is_idle(&self) -> bool {
+        self.noc.pending() == 0 && self.tiles.iter().all(|t| t.monitor.outbox_len() == 0)
+    }
+
+    pub(super) fn apply_fault(&mut self, node: NodeId, code: u32, now: Cycle) {
+        let tile = &mut self.tiles[node.index()];
+        let preemptible = tile.accel.as_ref().is_some_and(|a| a.is_preemptible());
+        let preempt = tile.policy == FaultPolicy::Preempt && preemptible;
+        let action = match preempt.then(|| tile.preempt_in_place(now)) {
+            Some(Ok(len)) => FaultAction::Preempted {
+                downtime: preemption_downtime(len),
+            },
+            _ => {
+                tile.monitor.fail_stop(now);
+                FaultAction::FailStopped
+            }
+        };
+        tile.faults.push(FaultRecord {
+            code,
+            at: now,
+            action,
+        });
+    }
+}

@@ -1,8 +1,9 @@
 //! A tile: monitor + accelerator slot + kernel bookkeeping, and the
 //! kernel's implementation of the [`TileOs`] interface.
 
-use crate::fault::{FaultPolicy, FaultRecord};
+use crate::fault::{preemption_downtime, FaultPolicy, FaultRecord};
 use crate::process::AppId;
+use crate::system::SystemError;
 use apiary_accel::{Accelerator, CapEnv, TileOs};
 use apiary_cap::CapRef;
 use apiary_mem::AccessKind;
@@ -74,6 +75,44 @@ impl Tile {
     /// The accelerator's name, or `"-"` for an empty slot.
     pub fn accel_name(&self) -> &'static str {
         self.accel.as_ref().map_or("-", |a| a.name())
+    }
+
+    /// Seats a tenant, due at once: its first wake reports its schedule.
+    pub(crate) fn seat(
+        &mut self,
+        accel: Box<dyn Accelerator>,
+        app: AppId,
+        policy: FaultPolicy,
+        env: CapEnv,
+    ) {
+        (self.accel, self.app, self.policy, self.env) = (Some(accel), Some(app), policy, env);
+        self.wake = Wakeup::AtOrMessage(Cycle::ZERO);
+    }
+
+    /// Decommissions the tile: every capability and name binding wiped,
+    /// the monitor sealed and the slot emptied, so no authority survives.
+    pub(crate) fn vacate(&mut self, now: Cycle) {
+        self.monitor.reset(now);
+        self.monitor.fail_stop(now);
+        (self.accel, self.app, self.env) = (None, None, CapEnv::new());
+    }
+
+    /// Saves and at once restores the accelerator's state, stalling the
+    /// tile for the downtime. Returns the snapshot's size; an error changes
+    /// nothing.
+    pub(crate) fn preempt_in_place(&mut self, now: Cycle) -> Result<usize, SystemError> {
+        let node = self.monitor.node();
+        let accel = self.accel.as_mut().ok_or(SystemError::SlotEmpty(node))?;
+        let snap = accel
+            .save_state()
+            .ok_or(SystemError::NotPreemptible(node))?;
+        accel
+            .restore_state(&snap)
+            .expect("an accelerator restores its own snapshot");
+        self.busy_until = now + preemption_downtime(snap.len());
+        let event = EventKind::Preempt { context: 0 };
+        self.monitor.tracer_mut().record(now, node.0, event);
+        Ok(snap.len())
     }
 }
 

@@ -5,7 +5,7 @@ use apiary_accel::apps::faulty::faulty;
 use apiary_accel::apps::idle::idle;
 use apiary_accel::apps::kv::{self, KvStoreAccel};
 use apiary_core::memsvc::MemoryService;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, System, SystemConfig, SystemError};
 use apiary_monitor::{wire, TileState};
 use apiary_noc::{NodeId, TrafficClass};
 
@@ -647,6 +647,61 @@ fn share_memory_cannot_amplify_rights_or_widen() {
         .is_err());
 }
 
+/// Memory capabilities held at `node`.
+fn memory_caps(sys: &System, node: NodeId) -> usize {
+    sys.tile(node)
+        .monitor
+        .caps()
+        .iter_live()
+        .filter(|(_, c)| matches!(c.kind, apiary_cap::CapKind::Memory(_)))
+        .count()
+}
+
+/// A grant or share refused by a full capability table takes nothing: the
+/// allocator is where it was and the tile holds no memory capability its
+/// caller was not handed. With 32 of 32 slots used the memory-service
+/// wiring does not fit; with 31 it does and the memory capability does not.
+#[test]
+fn a_grant_or_share_refused_for_room_leaks_nothing() {
+    use apiary_cap::{CapError, Rights};
+    for used in [32, 31] {
+        let mut sys = small_system();
+        let (owner, peer, target) = (NodeId(1), NodeId(2), NodeId(3));
+        for n in [owner, peer, target] {
+            sys.install(n, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
+                .expect("free");
+        }
+        let owned = sys.grant_memory(owner, 1024).expect("space");
+        for _ in 0..used {
+            sys.connect(peer, target, false).expect("a free slot");
+        }
+        let stats = sys.mem_stats();
+        let full = |e: SystemError| matches!(e, SystemError::Cap(CapError::TableFull));
+        let granted = sys.grant_memory(peer, 4096);
+        assert!(granted.is_err_and(full), "{used} slots used");
+        assert_eq!(sys.mem_stats(), stats, "{used} slots used");
+        assert_eq!(memory_caps(&sys, peer), 0, "{used} slots used");
+        let shared = sys.share_memory(owner, owned, peer, Rights::READ, None);
+        assert!(shared.is_err_and(full), "{used} slots used");
+        assert_eq!(sys.mem_stats(), stats, "{used} slots used");
+        assert_eq!(memory_caps(&sys, peer), 0, "{used} slots used");
+    }
+}
+
+#[test]
+fn attach_client_to_an_unknown_service_names_it() {
+    let mut sys = small_system();
+    sys.install(NodeId(1), Box::new(idle()), AppId(1), FaultPolicy::FailStop)
+        .expect("free");
+    let err = sys
+        .attach_client(NodeId(1), apiary_cap::ServiceId(77))
+        .expect_err("nothing deployed");
+    assert!(
+        matches!(err, SystemError::UnknownService(apiary_cap::ServiceId(77))),
+        "{err}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Preemptive tile sharing (§4.4): two tenants time-multiplex one tile.
 // ---------------------------------------------------------------------
@@ -908,8 +963,17 @@ fn a_board_carrying_one_packet_is_due_when_it_lands() {
 /// event clock sleep on a deadline its caller just moved.
 #[test]
 fn every_mutable_entry_steps_the_clock_or_calls_touched() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/src/system.rs");
-    let src = std::fs::read_to_string(path).expect("readable source");
+    // `System`'s `impl` blocks: `src/system.rs` and its child modules.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut paths = vec![root.join("system.rs")];
+    for entry in std::fs::read_dir(root.join("system")).expect("src/system/") {
+        paths.push(entry.expect("directory entry").path());
+    }
+    let src: String = paths
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("readable source"))
+        .collect::<Vec<_>>()
+        .join("\n");
     // (name, body) of each `pub fn` that takes `&mut self`. A body ends at
     // the method's closing brace, four spaces in.
     let mut entries: Vec<(&str, &str)> = Vec::new();

@@ -3,9 +3,11 @@
 //!
 //! Three properties are pinned here:
 //!
-//! 1. **Determinism** — the same seed reproduces the identical run:
-//!    byte-equal NoC statistics, per-tile fault records, supervisor
-//!    incident log and MTTR samples.
+//! 1. **Determinism** — the same seed reproduces the identical run under
+//!    either clock: byte-equal NoC statistics, per-tile fault records,
+//!    supervisor incident log and MTTR samples. Every step of every run
+//!    also holds the system's invariants, the supervisor's ladder among
+//!    them.
 //! 2. **Availability** — with the supervisor on, goodput under a moderate
 //!    fault rate stays within 90% of the fault-free baseline; with
 //!    recovery off it does not.
@@ -20,7 +22,7 @@ use apiary::cap::{CapRef, ServiceId};
 use apiary::core::{AppId, FaultPolicy, SupervisorConfig, System, SystemConfig};
 use apiary::monitor::wire;
 use apiary::noc::{FaultPlane, FaultPlaneConfig, NodeId, TrafficClass};
-use apiary::sim::{Cycle, SimRng};
+use apiary::sim::{ClockMode, Cycle, SimRng};
 
 const SVC: ServiceId = ServiceId(99);
 const CLIENT: NodeId = NodeId(0);
@@ -100,9 +102,11 @@ struct Soak {
 }
 
 /// Runs `duration` cycles of closed-loop load at a supervised echo service
-/// while the fault plane (rate > 0) and a seeded tile-killer run.
-fn soak(seed: u64, rate: f64, recovery: bool, duration: u64) -> Soak {
+/// while the fault plane (rate > 0) and a seeded tile-killer run, one
+/// cycle at a time on `clock`.
+fn soak(seed: u64, rate: f64, recovery: bool, duration: u64, clock: ClockMode) -> Soak {
     let mut sys = System::new(SystemConfig {
+        clock,
         supervisor: SupervisorConfig {
             enabled: recovery,
             max_restarts: 2,
@@ -140,7 +144,8 @@ fn soak(seed: u64, rate: f64, recovery: bool, duration: u64) -> Soak {
     let mut kills = 0u64;
 
     for _ in 0..duration {
-        sys.tick();
+        sys.advance_toward(sys.now() + 1);
+        sys.check_invariants();
         client.pump(&mut sys, true);
         let now = sys.now().as_u64();
         if now >= next_kill {
@@ -183,8 +188,8 @@ fn soak(seed: u64, rate: f64, recovery: bool, duration: u64) -> Soak {
 
 #[test]
 fn same_seed_reproduces_the_exact_run() {
-    let a = soak(0xC4A0, 0.002, true, 80_000);
-    let b = soak(0xC4A0, 0.002, true, 80_000);
+    let a = soak(0xC4A0, 0.002, true, 80_000, ClockMode::Event);
+    let b = soak(0xC4A0, 0.002, true, 80_000, ClockMode::Dense);
     assert_eq!(a.fingerprint, b.fingerprint);
     assert!(a.drained && b.drained);
     // The run actually exercised the chaos plane.
@@ -198,8 +203,8 @@ fn same_seed_reproduces_the_exact_run() {
 
 #[test]
 fn different_seeds_diverge() {
-    let a = soak(1, 0.002, true, 80_000);
-    let b = soak(2, 0.002, true, 80_000);
+    let a = soak(1, 0.002, true, 80_000, ClockMode::Event);
+    let b = soak(2, 0.002, true, 80_000, ClockMode::Event);
     assert!(a.drained && b.drained);
     assert_ne!(a.fingerprint, b.fingerprint);
 }
@@ -209,9 +214,9 @@ fn supervisor_keeps_goodput_within_90_percent_no_recovery_does_not() {
     // 0.0005/cycle is the sweep's "moderate" cell: some link is down ~10%
     // of the time and the service tile is killed ~3 times per run.
     let duration = 100_000;
-    let baseline = soak(42, 0.0, false, duration);
-    let supervised = soak(42, 0.0005, true, duration);
-    let unattended = soak(42, 0.0005, false, duration);
+    let baseline = soak(42, 0.0, false, duration, ClockMode::Event);
+    let supervised = soak(42, 0.0005, true, duration, ClockMode::Event);
+    let unattended = soak(42, 0.0005, false, duration, ClockMode::Event);
     assert!(baseline.drained && supervised.drained && unattended.drained);
     let bar = baseline.ok * 9 / 10;
     assert!(
@@ -232,7 +237,7 @@ fn supervisor_keeps_goodput_within_90_percent_no_recovery_does_not() {
 fn aggressive_chaos_never_wedges_the_network() {
     // Well past the sweep's harshest cell; liveness only.
     for seed in [3, 4, 5] {
-        let s = soak(seed, 0.02, true, 60_000);
+        let s = soak(seed, 0.02, true, 60_000, ClockMode::Event);
         assert!(s.drained, "seed {seed} failed to drain");
     }
 }
@@ -242,9 +247,9 @@ fn aggressive_chaos_never_wedges_the_network() {
 fn probe_seeds() {
     for seed in [1u64, 2, 3, 7, 9, 11, 42] {
         let duration = 100_000;
-        let baseline = soak(seed, 0.0, false, duration);
-        let supervised = soak(seed, 0.0005, true, duration);
-        let unattended = soak(seed, 0.0005, false, duration);
+        let baseline = soak(seed, 0.0, false, duration, ClockMode::Event);
+        let supervised = soak(seed, 0.0005, true, duration, ClockMode::Event);
+        let unattended = soak(seed, 0.0005, false, duration, ClockMode::Event);
         println!(
             "seed {seed}: base {} sup {} ({:.1}%) err {} lost {} | unatt {} ({:.1}%)",
             baseline.ok,

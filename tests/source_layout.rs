@@ -17,13 +17,7 @@ const LIMIT: usize = 700;
 const EXEMPT: &str = "crates/bench/src/experiments/";
 
 /// Files over the limit, each with the most lines it may have.
-const OVERSIZED: [(&str, usize); 5] = [
-    ("crates/core/src/system.rs", 1_282),
-    ("crates/monitor/src/monitor.rs", 1_053),
-    ("crates/cluster/src/fabric.rs", 980),
-    ("crates/faas/src/orchestrator.rs", 853),
-    ("crates/net/src/client.rs", 714),
-];
+const OVERSIZED: [(&str, usize); 1] = [("crates/faas/src/orchestrator.rs", 704)];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).expect("readable source directory") {
