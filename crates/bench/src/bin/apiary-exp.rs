@@ -212,14 +212,14 @@ fn main() {
     // to run, so it is in no artifact.
     let mut table = TextTable::new(&["id", "wall ms", "sim cycles"]);
     for (r, ms) in reports.iter().zip(&suite.wall_ms) {
-        table.row_owned(vec![
+        table.row(&[
             r.id.to_string(),
             format!("{ms:.0}"),
             r.sim_cycles.to_string(),
         ]);
     }
     let total_sim_cycles: u64 = reports.iter().map(|r| r.sim_cycles).sum();
-    table.row_owned(vec![
+    table.row(&[
         format!("all (--jobs {jobs})"),
         format!("{suite_wall_ms:.0}"),
         total_sim_cycles.to_string(),

@@ -14,7 +14,7 @@ pub fn report(_run: Run) -> ExperimentReport {
     let mut t = TextTable::new(&["Family", "Year Released", "Part Number", "Logic Cells"]);
     let rows = table1_rows();
     for p in &rows {
-        t.row_owned(vec![
+        t.row(&[
             p.family.name().to_string(),
             p.year.to_string(),
             p.number.to_string(),

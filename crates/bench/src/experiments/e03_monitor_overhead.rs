@@ -37,7 +37,7 @@ pub fn report(run: Run) -> ExperimentReport {
         ("full (+trace ring)", MonitorFeatures::full()),
     ] {
         let a = model.area(&f);
-        t.row_owned(vec![
+        t.row(&[
             name.to_string(),
             a.luts.to_string(),
             a.ffs.to_string(),
@@ -73,14 +73,14 @@ pub fn report(run: Run) -> ExperimentReport {
                 io_shell: FloorPlanner::IO_SHELL,
             };
             match planner.plan(part) {
-                Ok(plan) => t.row_owned(vec![
+                Ok(plan) => t.row(&[
                     part.number.to_string(),
                     tiles.to_string(),
                     plan.framework.luts.to_string(),
                     format!("{:.1}%", plan.framework_fraction() * 100.0),
                     plan.tile_slot.luts.to_string(),
                 ]),
-                Err(_) => t.row_owned(vec![
+                Err(_) => t.row(&[
                     part.number.to_string(),
                     tiles.to_string(),
                     "-".to_string(),
@@ -124,7 +124,7 @@ pub fn report(run: Run) -> ExperimentReport {
             base_p50 = p50;
         }
         deep_p50 = p50;
-        t.row_owned(vec![
+        t.row(&[
             check.to_string(),
             p50.to_string(),
             client.rtt.p99().to_string(),

@@ -141,7 +141,7 @@ pub fn report(run: Run) -> ExperimentReport {
             first_speedup = c_rtt.p50() as f64 / d_rtt.p50() as f64;
             first_energy_ratio = host_energy / direct_energy;
         }
-        t.row_owned(vec![
+        t.row(&[
             compute.to_string(),
             d_rtt.p50().to_string(),
             d_rtt.p99().to_string(),

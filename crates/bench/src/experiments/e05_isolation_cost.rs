@@ -111,7 +111,7 @@ pub fn report(run: Run) -> ExperimentReport {
         if check == 1 {
             realistic_thr = thr;
         }
-        t.row_owned(vec![
+        t.row(&[
             name.to_string(),
             client.rtt.p50().to_string(),
             format!("{thr:.2}"),
@@ -183,11 +183,9 @@ mod tests {
     fn flow_cache_closes_the_gap() {
         // The acceptance bar for the batched-verdict path: checked
         // throughput within 2% of unchecked.
-        let r = report(Run::QUICK);
-        let gap = match r.metrics.get("checked_vs_unchecked_gap_pct") {
-            Some(crate::report::Json::F64(x)) => *x,
-            other => panic!("metric missing or mistyped: {other:?}"),
-        };
+        let gap = report(Run::QUICK)
+            .metrics
+            .f64("checked_vs_unchecked_gap_pct");
         assert!(
             gap.abs() < 2.0,
             "checked-vs-unchecked gap {gap:.2}% exceeds 2%"

@@ -144,7 +144,7 @@ pub fn report(run: Run) -> ExperimentReport {
         ),
     ];
     for (name, o) in &rows {
-        t.row_owned(vec![
+        t.row(&[
             name.to_string(),
             o.victim_p50.to_string(),
             o.victim_p99.to_string(),

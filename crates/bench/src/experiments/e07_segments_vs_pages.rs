@@ -14,8 +14,7 @@
 //! working set larger than the TLB reach.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
-use crate::table::TextTable;
+use crate::report::{rows_json, table, ExperimentReport, Json, Row};
 use apiary_cap::MemRange;
 use apiary_mem::{AllocPolicy, BuddyAllocator, PagedMmu, SegmentAllocator};
 use apiary_sim::SimRng;
@@ -158,13 +157,6 @@ pub fn report(run: Run) -> ExperimentReport {
         ops,
         CAPACITY >> 20
     );
-    let mut t = TextTable::new(&[
-        "design",
-        "alloc failures",
-        "waste (phys-req)",
-        "waste %",
-        "access cyc (mean)",
-    ]);
     let designs: Vec<(&str, Box<dyn Arena>)> = vec![
         (
             "segments, first-fit",
@@ -198,33 +190,27 @@ pub fn report(run: Run) -> ExperimentReport {
             ))),
         ),
     ];
-    let mut metrics = Json::obj().set("ops", ops).set("arena_mib", CAPACITY >> 20);
-    let mut designs_json = Vec::new();
+    let mut rows = Vec::new();
     for (name, mut arena) in designs {
         let o = run_trace(arena.as_mut(), ops, 1234);
         let waste = o.physical_live.saturating_sub(o.requested_live);
-        designs_json.push(
-            Json::obj()
-                .set("design", name)
-                .set("alloc_failures", o.failures)
-                .set("waste_bytes", waste)
-                .set(
+        let waste_pct = 100.0 * waste as f64 / o.physical_live.max(1) as f64;
+        rows.push(
+            Row::new()
+                .both("design", "design", name)
+                .json("alloc_failures", o.failures)
+                .text("alloc failures", format!("{} / {}", o.failures, o.attempts))
+                .json("waste_bytes", waste)
+                .text("waste (phys-req)", format!("{} KiB", waste >> 10))
+                .text("waste %", format!("{waste_pct:.1}%"))
+                .json(
                     "access_cycles_mean",
                     (o.access_cycles * 100.0).round() / 100.0,
-                ),
+                )
+                .text("access cyc (mean)", format!("{:.2}", o.access_cycles)),
         );
-        t.row_owned(vec![
-            name.to_string(),
-            format!("{} / {}", o.failures, o.attempts),
-            format!("{} KiB", waste >> 10),
-            format!(
-                "{:.1}%",
-                100.0 * waste as f64 / o.physical_live.max(1) as f64
-            ),
-            format!("{:.2}", o.access_cycles),
-        ]);
     }
-    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(out, "{}", table(&rows));
     let _ = writeln!(
         out,
         "Reading: segments serve exact sizes (zero rounding waste) and check in one\n\
@@ -232,7 +218,10 @@ pub fn report(run: Run) -> ExperimentReport {
          large working set; 2 MiB paging trades misses for massive internal\n\
          fragmentation — the §4.6 design point in one table."
     );
-    metrics.put("designs", Json::Arr(designs_json));
+    let metrics = Json::obj()
+        .set("ops", ops)
+        .set("arena_mib", CAPACITY >> 20)
+        .set("designs", rows_json(&rows));
     ExperimentReport::new(
         "E7",
         "Segments vs pages: waste and translation latency",

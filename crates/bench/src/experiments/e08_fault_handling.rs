@@ -14,9 +14,8 @@
 //! the containment property itself.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
+use crate::report::{table, ExperimentReport, Json, Row};
 use crate::scenarios::{drive, pump, step, MonitorClient};
-use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::faulty::faulty;
 use apiary_accel::apps::idle::idle;
@@ -136,16 +135,9 @@ pub fn report(run: Run) -> ExperimentReport {
         out,
         "E8: Fault containment — a service faults on its 10th request under load\n"
     );
-    let mut t = TextTable::new(&[
-        "policy",
-        "ok responses",
-        "error responses",
-        "recovery (cycles)",
-        "bystander ok",
-        "tile alive after",
-    ]);
     let mut sim_cycles = 0u64;
     let mut metrics = Json::obj().set("requests", requests);
+    let mut rows = Vec::new();
     for (name, policy) in [
         ("fail-stop + reconfigure", FaultPolicy::FailStop),
         ("preempt (context swap)", FaultPolicy::Preempt),
@@ -157,30 +149,22 @@ pub fn report(run: Run) -> ExperimentReport {
         } else {
             "preempt"
         };
-        metrics.put(
-            key,
-            Json::obj()
-                .set("ok", o.ok_before_recovery)
-                .set("errors", o.errors)
-                .set("recovery_cycles", o.recovery_cycles)
-                .set("bystander_ok", o.bystander_ok)
-                .set("tile_alive_after", o.victim_alive_after),
-        );
-        t.row_owned(vec![
-            name.to_string(),
-            o.ok_before_recovery.to_string(),
-            o.errors.to_string(),
-            o.recovery_cycles.to_string(),
-            o.bystander_ok.to_string(),
-            o.victim_alive_after.to_string(),
-        ]);
+        let row = Row::new()
+            .text("policy", name)
+            .both("ok", "ok responses", o.ok_before_recovery)
+            .both("errors", "error responses", o.errors)
+            .both("recovery_cycles", "recovery (cycles)", o.recovery_cycles)
+            .both("bystander_ok", "bystander ok", o.bystander_ok)
+            .both("tile_alive_after", "tile alive after", o.victim_alive_after);
+        metrics.put(key, row.record().clone());
+        rows.push(row);
         assert_eq!(
             o.bystander_ok, requests,
             "containment violated: bystander lost requests"
         );
         let _ = o.served_total;
     }
-    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(out, "{}", table(&rows));
     let _ = writeln!(
         out,
         "Reading: fail-stop answers every request during the outage with an error and\n\

@@ -134,7 +134,7 @@ pub fn report(run: Run) -> ExperimentReport {
                 let p = measure(size, pattern, rate, cycles, 99);
                 sim_cycles += p.cycles;
                 peak = peak.max(p.delivered_per_node_cycle);
-                t.row_owned(vec![
+                t.row(&[
                     format!("{size}x{size}"),
                     format!("{rate:.2}"),
                     format!("{:.3}", p.delivered_per_node_cycle),

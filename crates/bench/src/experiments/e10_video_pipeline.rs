@@ -159,7 +159,7 @@ pub fn report(run: Run) -> ExperimentReport {
         if replicas == 4 {
             speedup4 = fpm / base;
         }
-        t.row_owned(vec![
+        t.row(&[
             replicas.to_string(),
             r.frames.to_string(),
             r.cycles.to_string(),

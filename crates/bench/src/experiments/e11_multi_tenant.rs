@@ -16,9 +16,8 @@
 //! nothing of the victim's data even while connected to the same store.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
+use crate::report::{table, ExperimentReport, Json, Row};
 use crate::scenarios::{drive, MonitorClient};
-use crate::table::TextTable;
 use apiary_accel::apps::compress::compressor;
 use apiary_accel::apps::flood::flooder;
 use apiary_accel::apps::idle::idle;
@@ -201,16 +200,9 @@ pub fn report(run: Run) -> ExperimentReport {
         out,
         "E11: Multi-tenant board — KV store + video pipeline + a misbehaving tenant\n"
     );
-    let mut t = TextTable::new(&[
-        "scenario",
-        "KV p50",
-        "KV p99",
-        "KV errors/lost",
-        "video frames",
-        "data isolation",
-    ]);
     let mut sim_cycles = 0u64;
     let mut metrics = Json::obj().set("requests", requests);
+    let mut rows = Vec::new();
     for (name, s) in [
         ("KV alone", Scenario::KvAlone),
         ("KV + video pipeline", Scenario::WithVideo),
@@ -228,23 +220,17 @@ pub fn report(run: Run) -> ExperimentReport {
             Scenario::WithFlood => "with_flood",
             Scenario::WithFloodDefended => "flood_defended",
         };
-        metrics.put(
-            key,
-            Json::obj()
-                .set("kv_p50", o.kv_p50)
-                .set("kv_p99", o.kv_p99)
-                .set("isolation_held", o.tenant_isolation_held),
-        );
-        t.row_owned(vec![
-            name.to_string(),
-            o.kv_p50.to_string(),
-            o.kv_p99.to_string(),
-            o.kv_errors.to_string(),
-            o.video_frames.to_string(),
-            o.tenant_isolation_held.to_string(),
-        ]);
+        let row = Row::new()
+            .text("scenario", name)
+            .both("kv_p50", "KV p50", o.kv_p50)
+            .both("kv_p99", "KV p99", o.kv_p99)
+            .text("KV errors/lost", o.kv_errors)
+            .text("video frames", o.video_frames)
+            .both("isolation_held", "data isolation", o.tenant_isolation_held);
+        metrics.put(key, row.record().clone());
+        rows.push(row);
     }
-    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(out, "{}", table(&rows));
     let _ = writeln!(
         out,
         "Reading: honest co-location is nearly free (distinct tiles, mostly disjoint\n\

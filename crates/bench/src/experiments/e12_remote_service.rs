@@ -120,7 +120,7 @@ pub fn report(run: Run) -> ExperimentReport {
         if window == 1 && serial_penalty == 0.0 {
             serial_penalty = rem.p50 as f64 / fab.p50 as f64;
         }
-        t.row_owned(vec![
+        t.row(&[
             label.to_string(),
             format!("{think}/{window}"),
             fab.p50.to_string(),

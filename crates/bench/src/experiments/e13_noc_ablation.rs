@@ -12,8 +12,7 @@
 //!   one row.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
-use crate::table::TextTable;
+use crate::report::{rows_json, table, ExperimentReport, Json, Row};
 use apiary_noc::{Message, Noc, NocConfig, NodeId, TrafficClass};
 use apiary_sim::SimRng;
 use core::fmt::Write;
@@ -76,24 +75,18 @@ pub fn report(run: Run) -> ExperimentReport {
     );
 
     let base = NocConfig::soft(4, 4);
-    let mut t = TextTable::new(&["variant", "p50", "p99", "delivered msg/cyc"]);
     let mut sim_cycles = 0u64;
-    let mut variants = Vec::new();
-    let mut add = |name: String, cfg: NocConfig, t: &mut TextTable| {
+    let mut rows = Vec::new();
+    let mut add = |name: String, cfg: NocConfig| {
         let p = measure(cfg, cycles, 1234);
         sim_cycles += p.cycles;
-        variants.push(
-            Json::obj()
-                .set("variant", name.clone())
-                .set("p50", p.p50)
-                .set("p99", p.p99),
+        rows.push(
+            Row::new()
+                .both("variant", "variant", name)
+                .both("p50", "p50", p.p50)
+                .both("p99", "p99", p.p99)
+                .text("delivered msg/cyc", format!("{:.3}", p.delivered_per_cycle)),
         );
-        t.row_owned(vec![
-            name,
-            p.p50.to_string(),
-            p.p99.to_string(),
-            format!("{:.3}", p.delivered_per_cycle),
-        ]);
     };
 
     for depth in [1usize, 2, 4, 8] {
@@ -103,7 +96,6 @@ pub fn report(run: Run) -> ExperimentReport {
                 vc_buffer: depth,
                 ..base
             },
-            &mut t,
         );
     }
     for flit in [8usize, 16, 32, 64] {
@@ -113,7 +105,6 @@ pub fn report(run: Run) -> ExperimentReport {
                 flit_bytes: flit,
                 ..base
             },
-            &mut t,
         );
     }
     for hop in [0u64, 1, 2, 4] {
@@ -123,16 +114,11 @@ pub fn report(run: Run) -> ExperimentReport {
                 hop_latency: hop,
                 ..base
             },
-            &mut t,
         );
     }
-    add("preset: soft".to_string(), base, &mut t);
-    add(
-        "preset: hardened".to_string(),
-        NocConfig::hardened(4, 4),
-        &mut t,
-    );
-    let _ = writeln!(out, "{}", t.render());
+    add("preset: soft".to_string(), base);
+    add("preset: hardened".to_string(), NocConfig::hardened(4, 4));
+    let _ = writeln!(out, "{}", table(&rows));
     let _ = writeln!(
         out,
         "Reading: buffer depth mainly trims the tail (credit stalls); flit width cuts\n\
@@ -141,20 +127,16 @@ pub fn report(run: Run) -> ExperimentReport {
          flits and zero-bubble hops — the quantitative case for §4.3's preference\n\
          for hardened NoCs."
     );
-    let soft_p50 = variants
-        .iter()
-        .find(|v| v.get("variant") == Some(&Json::Str("preset: soft".into())))
-        .and_then(|v| v.get("p50").cloned())
-        .unwrap_or(Json::Null);
-    let hard_p50 = variants
-        .iter()
-        .find(|v| v.get("variant") == Some(&Json::Str("preset: hardened".into())))
-        .and_then(|v| v.get("p50").cloned())
-        .unwrap_or(Json::Null);
+    let p50 = |variant: &str| {
+        rows.iter()
+            .map(Row::record)
+            .find(|v| v.get("variant") == Some(&Json::from(variant)))
+            .map_or(0, |v| v.u64("p50"))
+    };
     let metrics = Json::obj()
-        .set("soft_p50", soft_p50)
-        .set("hardened_p50", hard_p50)
-        .set("variants", Json::Arr(variants));
+        .set("soft_p50", p50("preset: soft"))
+        .set("hardened_p50", p50("preset: hardened"))
+        .set("variants", rows_json(&rows));
     ExperimentReport::new(
         "E13",
         "NoC design ablations: buffers, flit width, hop latency, presets",

@@ -14,7 +14,7 @@
 //!    semantics — never a hang).
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
+use crate::report::{rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::{pump, step, MonitorClient};
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
@@ -61,7 +61,7 @@ pub fn report(run: Run) -> ExperimentReport {
             metrics.put("swap_cycles_256kib", cycles);
         }
         let us = cycles as f64 * 0.004;
-        t.row_owned(vec![
+        t.row(&[
             label.to_string(),
             cycles.to_string(),
             format!("{us:.0} us"),
@@ -88,7 +88,7 @@ pub fn report(run: Run) -> ExperimentReport {
             first = first.min(done);
             last = last.max(done);
         }
-        t.row_owned(vec![
+        t.row(&[
             k.to_string(),
             first.as_u64().to_string(),
             last.as_u64().to_string(),
@@ -102,15 +102,8 @@ pub fn report(run: Run) -> ExperimentReport {
 
     // Part 3: availability under churn.
     let requests: u64 = if run.quick { 60 } else { 400 };
-    let mut t = TextTable::new(&[
-        "reconfig period (cyc)",
-        "reconfigs",
-        "ok",
-        "errors+lost",
-        "availability",
-    ]);
     let mut sim_cycles = 0u64;
-    let mut availabilities = Vec::new();
+    let mut rows = Vec::new();
     for period in [200_000u64, 400_000, 800_000] {
         let client = NodeId(0);
         let server = NodeId(5);
@@ -161,24 +154,21 @@ pub fn report(run: Run) -> ExperimentReport {
         let ok = c.completed - c.errors;
         let bad = c.errors + c.lost;
         let avail = 100.0 * ok as f64 / (ok + bad) as f64;
-        availabilities.push(
-            Json::obj()
-                .set("period", period)
-                .set("availability_pct", (avail * 10.0).round() / 10.0),
+        rows.push(
+            Row::new()
+                .both("period", "reconfig period (cyc)", period)
+                .text("reconfigs", reconfigs)
+                .text("ok", ok)
+                .text("errors+lost", bad)
+                .json("availability_pct", (avail * 10.0).round() / 10.0)
+                .text("availability", format!("{avail:.1}%")),
         );
-        t.row_owned(vec![
-            period.to_string(),
-            reconfigs.to_string(),
-            ok.to_string(),
-            bad.to_string(),
-            format!("{avail:.1}%"),
-        ]);
     }
     let _ = writeln!(
         out,
         "Service availability while its tile is repeatedly reconfigured\n\
          (64 KiB bitstream = 16384-cycle outage per swap; client sends every ~1000 cyc):\n{}",
-        t.render()
+        table(&rows)
     );
     let _ = writeln!(
         out,
@@ -187,7 +177,7 @@ pub fn report(run: Run) -> ExperimentReport {
          is simply uptime/(uptime+outage). Schedulers in the AmorphOS/Coyote tradition\n\
          can multiplex Apiary tiles with exactly these constants."
     );
-    metrics.put("availability_under_churn", Json::Arr(availabilities));
+    metrics.put("availability_under_churn", rows_json(&rows));
     ExperimentReport::new(
         "E14",
         "Partial-reconfiguration churn: swap latency, ICAP serialisation, availability",

@@ -159,7 +159,7 @@ pub fn report(run: Run) -> ExperimentReport {
             if pattern == Pattern::Sequential && w == *windows.last().unwrap() {
                 seq_row_hits = o.row_hit_pct;
             }
-            t.row_owned(vec![
+            t.row(&[
                 pattern.name().to_string(),
                 w.to_string(),
                 format!("{:.2}", o.bytes_per_cycle),

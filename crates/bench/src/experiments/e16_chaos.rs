@@ -16,18 +16,16 @@
 //! drain — an injected fault may cost packets, never the network.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
+use crate::report::{round4, rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::{pump, step, MonitorClient};
-use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
 use apiary_cap::ServiceId;
 use apiary_core::supervisor::SupervisorConfig;
-use apiary_core::{AppId, FaultPolicy, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_noc::{FaultPlane, FaultPlaneConfig, NodeId};
 use apiary_sim::{Cycle, SimRng};
-use core::fmt::Write;
 
 const SVC: ServiceId = ServiceId(16);
 const CLIENT: NodeId = NodeId(0);
@@ -38,69 +36,17 @@ const SPARES: [NodeId; 2] = [NodeId(10), NodeId(12)];
 const BITSTREAM: u64 = 4096; // 1024 cycles over the default 4 B/cycle ICAP.
 const KILL_CODE: u32 = 0xC4A0_0016;
 
-/// One `(fault rate, policy)` cell's measurements.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Per-cycle disruptive-event probability driven into the fault plane.
-    pub fault_rate: f64,
-    /// `true` when the supervisor was enabled.
-    pub recovery: bool,
-    /// Successful (non-error) responses at the driven client.
-    pub completed_ok: u64,
-    /// Error responses (outage replies).
-    pub errors: u64,
-    /// Requests abandoned on timeout (dropped by NoC faults).
-    pub lost: u64,
-    /// Successful responses at the bystander pair.
-    pub bystander_ok: u64,
-    /// Tile kills injected.
-    pub kills: u64,
-    /// Supervisor incidents opened / abandoned.
-    pub incidents: u64,
-    /// Incidents the supervisor gave up on.
-    pub abandoned: u64,
-    /// MTTR (cycles) of every recovered incident.
-    pub mttr: Vec<u64>,
-    /// Distinct tiles with at least one fault on record (blast radius).
-    pub blast_tiles: u64,
-    /// Flits the chaos plane corrupted (detected at ejection).
-    pub corrupted_flits: u64,
-    /// Packets the NoC dropped (corrupt + unreachable + flushed).
-    pub noc_dropped: u64,
-    /// Link faults applied (transient + permanent).
-    pub link_faults: u64,
-    /// Router stalls applied.
-    pub router_stalls: u64,
-    /// The post-run drain reached quiescence (must always be true).
-    pub drained: bool,
-    /// Simulated cycles at the end of the run (load + drain).
-    pub sim_cycles: u64,
-}
-
-impl RunOutcome {
-    fn mttr_mean(&self) -> u64 {
-        if self.mttr.is_empty() {
-            0
-        } else {
-            self.mttr.iter().sum::<u64>() / self.mttr.len() as u64
-        }
-    }
-}
-
-/// The whole experiment: a fault-free baseline plus the sweep grid.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// Successful responses of the fault-free, recovery-off baseline.
-    pub baseline_ok: u64,
-    /// Cycles of driven load per run.
-    pub duration: u64,
-    /// Sweep cells, in `(rate, policy)` order.
-    pub runs: Vec<RunOutcome>,
-}
-
 /// Drives one cell: `duration` cycles of closed-loop load against a
-/// supervised echo service while the chaos plane and the tile-killer run.
-pub fn run_one(run: Run, seed: u64, fault_rate: f64, recovery: bool, duration: u64) -> RunOutcome {
+/// supervised echo service while the chaos plane and the tile-killer run,
+/// then the drain every cell must reach. Returns the drained machine, the
+/// driven client and the tile kills injected.
+fn drive_cell(
+    run: Run,
+    seed: u64,
+    fault_rate: f64,
+    recovery: bool,
+    duration: u64,
+) -> (System, MonitorClient, u64) {
     let mut sys = run.system(SystemConfig {
         supervisor: SupervisorConfig {
             enabled: recovery,
@@ -123,7 +69,7 @@ pub fn run_one(run: Run, seed: u64, fault_rate: f64, recovery: bool, duration: u
     )
     .expect("free");
     let cap = sys.attach_client(CLIENT, SVC).expect("wired");
-    // A bystander pair on unrelated tiles measures collateral damage.
+    // A bystander pair on unrelated tiles loads the mesh beside the service.
     sys.install(B_CLIENT, Box::new(idle()), AppId(2), FaultPolicy::FailStop)
         .expect("free");
     sys.install(B_SERVER, Box::new(echo(1)), AppId(2), FaultPolicy::FailStop)
@@ -184,159 +130,99 @@ pub fn run_one(run: Run, seed: u64, fault_rate: f64, recovery: bool, duration: u
             break;
         }
     }
+    assert!(
+        drained,
+        "chaos run (rate {fault_rate}, recovery {recovery}) failed to drain"
+    );
+    (sys, vc, kills)
+}
 
+/// Drives one cell and writes its row, goodput retention taken against the
+/// fault-free baseline's `baseline_ok` responses. Beside the row is the
+/// drained machine, which holds the MTTR samples and the NoC's counters.
+pub fn run_one(
+    run: Run,
+    seed: u64,
+    fault_rate: f64,
+    recovery: bool,
+    duration: u64,
+    baseline_ok: u64,
+) -> (Row, System) {
+    let (sys, vc, kills) = drive_cell(run, seed, fault_rate, recovery, duration);
+    let retention = (vc.completed - vc.errors) as f64 / baseline_ok.max(1) as f64;
+    let incidents = sys.incidents();
+    let abandoned = incidents.iter().filter(|i| i.abandoned()).count();
+    let mttr = sys.mttr_samples();
     let blast_tiles = (0..sys.noc().mesh().nodes())
         .filter(|&i| !sys.tile(NodeId(i as u16)).faults.is_empty())
-        .count() as u64;
-    let st = sys.noc().stats().clone();
-    RunOutcome {
-        fault_rate,
-        recovery,
-        completed_ok: vc.completed - vc.errors,
-        errors: vc.errors,
-        lost: vc.lost,
-        bystander_ok: bc.completed - bc.errors,
-        kills,
-        incidents: sys.incidents().len() as u64,
-        abandoned: sys.incidents().iter().filter(|i| i.abandoned()).count() as u64,
-        mttr: sys.mttr_samples(),
-        blast_tiles,
-        corrupted_flits: st.corrupted_flits,
-        noc_dropped: st.dropped(),
-        link_faults: st.link_faults,
-        router_stalls: st.router_stalls,
-        drained,
-        sim_cycles: sys.now().as_u64(),
-    }
+        .count();
+    let policy = if recovery {
+        "supervisor"
+    } else {
+        "no-recovery"
+    };
+    let row = Row::new()
+        .both("fault_rate", "fault rate", fault_rate)
+        .both("policy", "policy", policy)
+        .json("goodput_retention", round4(retention))
+        .text("goodput retention", format!("{:.1}%", retention * 100.0))
+        .text("errors", vc.errors)
+        .text("lost", vc.lost)
+        .text("kills", kills)
+        .json("incidents", incidents.len())
+        .text(
+            "incidents",
+            format!("{} ({abandoned} abandoned)", incidents.len()),
+        )
+        .both(
+            "mttr_mean",
+            "mean MTTR (cyc)",
+            mttr.iter().sum::<u64>() / (mttr.len() as u64).max(1),
+        )
+        .text("blast tiles", blast_tiles)
+        .text("noc dropped", sys.noc().stats().dropped())
+        .json("drained", true); // `drive_cell` asserts it
+    (row, sys)
 }
 
-/// Executes the sweep.
-pub fn execute(run: Run) -> ChaosReport {
+/// Runs the fault-free baseline, then the sweep; returns the structured
+/// report.
+pub fn report(run: Run) -> ExperimentReport {
     let seed = 0xE16;
     let duration: u64 = if run.quick { 120_000 } else { 400_000 };
-    let rates = [0.0005, 0.002, 0.01];
-    let baseline = run_one(run, seed, 0.0, false, duration);
-    assert!(baseline.drained, "fault-free baseline must drain");
-    let mut runs = Vec::new();
-    for &rate in &rates {
+    let (_, baseline, _) = drive_cell(run, seed, 0.0, false, duration);
+    let baseline_ok = baseline.completed - baseline.errors;
+    let mut sim_cycles = duration;
+    let mut rows = Vec::new();
+    for rate in [0.0005, 0.002, 0.01] {
         for recovery in [false, true] {
-            let o = run_one(run, seed, rate, recovery, duration);
-            assert!(
-                o.drained,
-                "chaos run (rate {rate}, recovery {recovery}) failed to drain"
-            );
-            runs.push(o);
+            let (row, sys) = run_one(run, seed, rate, recovery, duration, baseline_ok);
+            sim_cycles += sys.now().as_u64();
+            rows.push(row);
         }
     }
-    ChaosReport {
-        baseline_ok: baseline.completed_ok,
-        duration,
-        runs,
-    }
-}
-
-impl ChaosReport {
-    /// Goodput retention of a cell against the fault-free baseline.
-    pub fn retention(&self, o: &RunOutcome) -> f64 {
-        o.completed_ok as f64 / self.baseline_ok.max(1) as f64
-    }
-
-    /// Human-readable report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E16: Chaos — goodput retention and MTTR under injected faults\n\
-             ({} cycles of closed-loop load per cell; fault-free baseline {} ok responses)\n",
-            self.duration, self.baseline_ok
-        );
-        let mut t = TextTable::new(&[
-            "fault rate",
-            "policy",
-            "goodput retention",
-            "errors",
-            "lost",
-            "kills",
-            "incidents",
-            "mean MTTR (cyc)",
-            "blast tiles",
-            "noc dropped",
-        ]);
-        for o in &self.runs {
-            t.row_owned(vec![
-                format!("{}", o.fault_rate),
-                if o.recovery {
-                    "supervisor"
-                } else {
-                    "no-recovery"
-                }
-                .to_string(),
-                format!("{:.1}%", self.retention(o) * 100.0),
-                o.errors.to_string(),
-                o.lost.to_string(),
-                o.kills.to_string(),
-                format!("{} ({} abandoned)", o.incidents, o.abandoned),
-                o.mttr_mean().to_string(),
-                o.blast_tiles.to_string(),
-                o.noc_dropped.to_string(),
-            ]);
-        }
-        let _ = writeln!(out, "{}", t.render());
-        let _ = writeln!(
-            out,
-            "Reading: without recovery the first tile kill is fatal — goodput is capped\n\
-             by whenever it lands. The supervisor holds goodput near baseline by paying a\n\
-             bounded MTTR (backoff + bitstream) per kill; NoC-level faults cost only the\n\
-             packets they touch (checksummed drops + timeouts), never the network: every\n\
-             run drains to quiescence. Blast radius stays at the killed tile — monitors\n\
-             contain faults (§4.4)."
-        );
-        out
-    }
-}
-
-/// Runs the experiment; returns the structured report.
-pub fn report(run: Run) -> ExperimentReport {
-    let r = execute(run);
-    let sim_cycles = r.duration + r.runs.iter().map(|o| o.sim_cycles).sum::<u64>();
-    let mut metrics = Json::obj()
-        .set("duration_cycles", r.duration)
-        .set("baseline_ok", r.baseline_ok);
-    let mut cells = Vec::new();
-    for o in &r.runs {
-        cells.push(
-            Json::obj()
-                .set("fault_rate", o.fault_rate)
-                .set(
-                    "policy",
-                    if o.recovery {
-                        "supervisor"
-                    } else {
-                        "no-recovery"
-                    },
-                )
-                .set(
-                    "goodput_retention",
-                    (r.retention(o) * 10_000.0).round() / 10_000.0,
-                )
-                .set("incidents", o.incidents)
-                .set("mttr_mean", {
-                    if o.mttr.is_empty() {
-                        0u64
-                    } else {
-                        o.mttr.iter().sum::<u64>() / o.mttr.len() as u64
-                    }
-                })
-                .set("drained", o.drained),
-        );
-    }
-    metrics.put("runs", Json::Arr(cells));
+    let rendered = format!(
+        "E16: Chaos — goodput retention and MTTR under injected faults\n\
+         ({duration} cycles of closed-loop load per cell; fault-free baseline \
+         {baseline_ok} ok responses)\n\n{}\n\
+         Reading: without recovery the first tile kill is fatal — goodput is capped\n\
+         by whenever it lands. The supervisor holds goodput near baseline by paying a\n\
+         bounded MTTR (backoff + bitstream) per kill; NoC-level faults cost only the\n\
+         packets they touch (checksummed drops + timeouts), never the network: every\n\
+         run drains to quiescence. Blast radius stays at the killed tile — monitors\n\
+         contain faults (§4.4).\n",
+        table(&rows)
+    );
+    let metrics = Json::obj()
+        .set("duration_cycles", duration)
+        .set("baseline_ok", baseline_ok)
+        .set("runs", rows_json(&rows));
     ExperimentReport::new(
         "E16",
         "Chaos: goodput retention and MTTR under injected faults",
         sim_cycles,
         metrics,
-        r.render(),
+        rendered,
     )
 }
 
@@ -346,38 +232,50 @@ mod tests {
 
     #[test]
     fn supervisor_retains_goodput_no_recovery_does_not() {
-        let r = execute(Run::QUICK);
+        let r = report(Run::QUICK);
         // The lowest sweep rate is the "moderate" cell (~10% link-outage
         // duty cycle plus periodic tile kills); the others are harsher.
-        let moderate: Vec<&RunOutcome> = r
-            .runs
-            .iter()
-            .filter(|o| (o.fault_rate - 0.0005).abs() < 1e-9)
-            .collect();
-        let no_rec = moderate.iter().find(|o| !o.recovery).expect("cell");
-        let sup = moderate.iter().find(|o| o.recovery).expect("cell");
+        let moderate = |policy: &str| {
+            r.metrics
+                .arr("runs")
+                .iter()
+                .find(|o| {
+                    (o.f64("fault_rate") - 0.0005).abs() < 1e-9
+                        && o.get("policy") == Some(&Json::from(policy))
+                })
+                .expect("cell")
+        };
+        let no_rec = moderate("no-recovery");
+        let sup = moderate("supervisor");
         assert!(
-            r.retention(sup) >= 0.90,
+            sup.f64("goodput_retention") >= 0.90,
             "supervised retention {:.3} below 90%",
-            r.retention(sup)
+            sup.f64("goodput_retention")
         );
         assert!(
-            r.retention(no_rec) < 0.90,
+            no_rec.f64("goodput_retention") < 0.90,
             "no-recovery retention {:.3} unexpectedly high",
-            r.retention(no_rec)
+            no_rec.f64("goodput_retention")
         );
-        assert!(sup.incidents > 0 && !sup.mttr.is_empty());
-        assert_eq!(no_rec.incidents, 0, "supervisor off records no incidents");
+        assert!(sup.u64("incidents") > 0 && sup.u64("mttr_mean") > 0);
+        assert_eq!(
+            no_rec.u64("incidents"),
+            0,
+            "supervisor off records no incidents"
+        );
     }
 
     #[test]
     fn chaos_runs_are_deterministic() {
-        let a = run_one(Run::QUICK, 7, 0.002, true, 60_000);
-        let b = run_one(Run::QUICK, 7, 0.002, true, 60_000);
-        assert_eq!(a.completed_ok, b.completed_ok);
-        assert_eq!(a.mttr, b.mttr);
-        assert_eq!(a.corrupted_flits, b.corrupted_flits);
-        assert_eq!(a.noc_dropped, b.noc_dropped);
-        assert_eq!(a.kills, b.kills);
+        // A baseline of one response makes the retention column the ok
+        // count itself; the row also carries kills and NoC drops.
+        let cell = || {
+            let (row, sys) = run_one(Run::QUICK, 7, 0.002, true, 60_000, 1);
+            (row, sys.mttr_samples(), sys.noc().stats().corrupted_flits)
+        };
+        let (a, b) = (cell(), cell());
+        assert_eq!(a.0, b.0);
+        assert_eq!(a.1, b.1);
+        assert_eq!(a.2, b.2);
     }
 }

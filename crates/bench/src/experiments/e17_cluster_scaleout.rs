@@ -19,8 +19,7 @@
 //! drain — chaos may cost requests, never wedge the cluster.
 
 use crate::harness::Run;
-use crate::report::{round3, ExperimentReport, Json};
-use crate::table::TextTable;
+use crate::report::{round3, round4, rows_json, table, ExperimentReport, Json, Row};
 use apiary_accel::apps::echo::echo;
 use apiary_cap::ServiceId;
 use apiary_cluster::{run_clients, ClusterClient, ClusterConfig};
@@ -28,6 +27,7 @@ use apiary_core::{AppId, FaultPolicy};
 use apiary_net::Workload;
 use apiary_noc::NodeId;
 use core::fmt::Write;
+use std::collections::BTreeMap;
 
 const SVC: ServiceId = ServiceId(17);
 const REPLICA_NODE: NodeId = NodeId(5);
@@ -64,62 +64,12 @@ impl Chaos {
     }
 }
 
-/// One `(boards, chaos)` cell's measurements.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Boards in the cluster.
-    pub boards: u16,
-    /// Chaos applied.
-    pub chaos: Chaos,
-    /// Requests issued across all clients (retries excluded).
-    pub issued: u64,
-    /// Successful (non-error) responses.
-    pub completed_ok: u64,
-    /// Error responses (timeouts, refusals, dead-origin submissions).
-    pub errors: u64,
-    /// Client-level retries.
-    pub retries: u64,
-    /// Requests that timed out at the cluster layer.
-    pub timeouts: u64,
-    /// Submissions served by a replica on the origin board.
-    pub local_submitted: u64,
-    /// Submissions forwarded over the fabric.
-    pub remote_submitted: u64,
-    /// Fabric ARQ retransmissions.
-    pub retransmissions: u64,
-    /// Frames dropped on downed links.
-    pub cut_drops: u64,
-    /// Remote caps revoked after lease expiry.
-    pub caps_revoked: u64,
-    /// End-to-end latency of successful requests (p50, p99).
-    pub e2e: (u64, u64),
-    /// Per-hop p50s: fabric out, on-board, fabric back.
-    pub hops_p50: (u64, u64, u64),
-    /// The post-run drain reached quiescence (must always be true).
-    pub drained: bool,
-    /// Simulated cycles at the end of the run (warm-up + load + drain).
-    pub sim_cycles: u64,
-}
-
-impl RunOutcome {
-    /// Successful responses per thousand cycles of driven load.
-    pub fn goodput_per_kcycle(&self, duration: u64) -> f64 {
-        self.completed_ok as f64 * 1000.0 / duration.max(1) as f64
-    }
-}
-
-/// The whole experiment: the scale-out sweep plus the chaos cells.
-#[derive(Debug, Clone)]
-pub struct ScaleoutReport {
-    /// Cycles of driven load per cell.
-    pub duration: u64,
-    /// Cells: boards ∈ {1, 2, 4, 8} fault-free, then the chaos cells.
-    pub runs: Vec<RunOutcome>,
-}
-
 /// Drives one cell: `duration` cycles of fixed open-loop load against a
-/// `boards`-wide cluster with one echo replica per board.
-pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> RunOutcome {
+/// `boards`-wide cluster with one echo replica per board, then the drain
+/// every cell must reach. Returns its row (the goodput retention and drain
+/// keys are the report's to append) and, beside it, the cycle the cell
+/// ended on (warm-up + load + drain).
+pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> (Row, u64) {
     let mut c = run.cluster(ClusterConfig {
         boards,
         // At 3x overload a full queue (replica inbox + NoC + gateway
@@ -187,191 +137,118 @@ pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> RunOutcome
     }
     let drained = run_clients(&mut c, &mut clients, DRAIN_LIMIT, |c, _| c.quiescent());
 
-    let issued: u64 = clients.iter().map(|cl| cl.gen.stats.issued).sum();
-    let completed: u64 = clients.iter().map(|cl| cl.gen.stats.completed).sum();
-    let errors: u64 = clients.iter().map(|cl| cl.gen.stats.errors).sum();
-    let retries: u64 = clients.iter().map(|cl| cl.gen.stats.retries).sum();
-    let fs = c.fabric().stats();
-    RunOutcome {
-        boards,
-        chaos,
-        issued,
-        completed_ok: completed - errors,
-        errors,
-        retries,
-        timeouts: c.timeouts,
-        local_submitted: c.local_submitted,
-        remote_submitted: c.remote_submitted,
-        retransmissions: fs.retransmissions,
-        cut_drops: fs.cut_drops,
-        caps_revoked: c.caps_revoked,
-        e2e: (
-            c.end_to_end.histogram().p50(),
-            c.end_to_end.histogram().p99(),
-        ),
-        hops_p50: (
-            c.fabric_out.histogram().p50(),
-            c.on_board.histogram().p50(),
-            c.fabric_back.histogram().p50(),
-        ),
+    assert!(
         drained,
-        sim_cycles: c.now().as_u64(),
-    }
+        "cell ({boards} boards, {}) failed to drain",
+        chaos.label()
+    );
+
+    let total = |f: fn(&ClusterClient) -> u64| clients.iter().map(f).sum::<u64>();
+    let errors = total(|cl| cl.gen.stats.errors);
+    let ok = total(|cl| cl.gen.stats.completed) - errors;
+    let goodput = per_kcycle(ok, duration);
+    let e2e = c.end_to_end.histogram();
+    let out = c.fabric_out.histogram().p50();
+    let on_board = c.on_board.histogram().p50();
+    let back = c.fabric_back.histogram().p50();
+    let fs = c.fabric().stats();
+    let row = Row::new()
+        .both("boards", "boards", u64::from(boards))
+        .both("chaos", "chaos", chaos.label())
+        .both("issued", "issued", total(|cl| cl.gen.stats.issued))
+        .both("completed_ok", "ok", ok)
+        .both("errors", "errors", errors)
+        .json("retries", total(|cl| cl.gen.stats.retries))
+        .json("timeouts", c.timeouts)
+        .json("goodput_per_kcycle", round3(goodput))
+        .text("goodput/kcyc", format!("{goodput:.1}"))
+        .both("e2e_p50", "e2e p50", e2e.p50())
+        .both("e2e_p99", "e2e p99", e2e.p99())
+        .json("fabric_out_p50", out)
+        .json("on_board_p50", on_board)
+        .json("fabric_back_p50", back)
+        .text("fabric p50 (out/back)", format!("{out}/{back}"))
+        .text("on-board p50", on_board)
+        .json("local_submitted", c.local_submitted)
+        .json("remote_submitted", c.remote_submitted)
+        .both("retransmissions", "retx", fs.retransmissions)
+        .json("cut_drops", fs.cut_drops)
+        .json("caps_revoked", c.caps_revoked)
+        .text("timeouts", c.timeouts);
+    (row, c.now().as_u64())
 }
 
-/// Executes the sweep.
-pub fn execute(run: Run) -> ScaleoutReport {
+/// Successful responses per thousand cycles of driven load.
+fn per_kcycle(ok: u64, duration: u64) -> f64 {
+    ok as f64 * 1000.0 / duration.max(1) as f64
+}
+
+/// Runs the scale-out sweep, then the chaos cells; returns the structured
+/// report.
+pub fn report(run: Run) -> ExperimentReport {
     let duration: u64 = if run.quick { 25_000 } else { 80_000 };
-    let mut runs = Vec::new();
-    for boards in [1u16, 2, 4, 8] {
-        runs.push(run_one(run, boards, Chaos::None, duration));
-    }
-    runs.push(run_one(run, 8, Chaos::KillBoard, duration));
-    runs.push(run_one(run, 8, Chaos::CutLink, duration));
-    for o in &runs {
-        assert!(
-            o.drained,
-            "cell ({} boards, {}) failed to drain",
-            o.boards,
-            o.chaos.label()
-        );
-    }
-    ScaleoutReport { duration, runs }
-}
-
-impl ScaleoutReport {
-    /// The fault-free cell at `boards`.
-    pub fn fault_free(&self, boards: u16) -> &RunOutcome {
-        self.runs
-            .iter()
-            .find(|o| o.boards == boards && o.chaos == Chaos::None)
-            .expect("fault-free cell present")
-    }
-
-    /// Goodput retention of a chaos cell against the fault-free cell at
-    /// the same board count.
-    pub fn retention(&self, o: &RunOutcome) -> f64 {
-        o.completed_ok as f64 / self.fault_free(o.boards).completed_ok.max(1) as f64
-    }
-
-    /// Human-readable report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E17: Cluster scale-out — goodput and latency across boards\n\
-             ({} cycles of fixed open-loop load per cell: {} clients, \
-             mean interarrival {} cycles, echo cost {} cycles)\n",
-            self.duration, CLIENTS, INTERARRIVAL, ECHO_COST
-        );
-        let mut t = TextTable::new(&[
-            "boards",
-            "chaos",
-            "issued",
-            "ok",
-            "errors",
-            "goodput/kcyc",
-            "e2e p50",
-            "e2e p99",
-            "fabric p50 (out/back)",
-            "on-board p50",
-            "retx",
-            "timeouts",
-        ]);
-        for o in &self.runs {
-            t.row_owned(vec![
-                o.boards.to_string(),
-                o.chaos.label().to_string(),
-                o.issued.to_string(),
-                o.completed_ok.to_string(),
-                o.errors.to_string(),
-                format!("{:.1}", o.goodput_per_kcycle(self.duration)),
-                o.e2e.0.to_string(),
-                o.e2e.1.to_string(),
-                format!("{}/{}", o.hops_p50.0, o.hops_p50.2),
-                o.hops_p50.1.to_string(),
-                o.retransmissions.to_string(),
-                o.timeouts.to_string(),
-            ]);
+    let cells = [
+        (1, Chaos::None),
+        (2, Chaos::None),
+        (4, Chaos::None),
+        (8, Chaos::None),
+        (8, Chaos::KillBoard),
+        (8, Chaos::CutLink),
+    ];
+    let mut rows = Vec::new();
+    let mut sim_cycles = 0;
+    let mut fault_free_ok = BTreeMap::new();
+    let mut chaos_lines = String::new();
+    for (boards, chaos) in cells {
+        let (row, cycles) = run_one(run, boards, chaos, duration);
+        sim_cycles += cycles;
+        let r = row.record();
+        let ok = r.u64("completed_ok");
+        if chaos == Chaos::None {
+            fault_free_ok.insert(boards, ok);
         }
-        out.push_str(&t.render());
-        let g1 = self.fault_free(1).goodput_per_kcycle(self.duration);
-        let g8 = self.fault_free(8).goodput_per_kcycle(self.duration);
-        let _ = writeln!(
-            out,
-            "\nScale-out: {:.1} -> {:.1} ok/kcycle (1 -> 8 boards, {:.2}x)",
-            g1,
-            g8,
-            g8 / g1.max(1e-9)
-        );
-        for o in self.runs.iter().filter(|o| o.chaos != Chaos::None) {
+        // Against the fault-free cell at the same board count, which the
+        // sweep order runs first.
+        let retention = ok as f64 / fault_free_ok[&boards].max(1) as f64;
+        if chaos != Chaos::None {
             let _ = writeln!(
-                out,
+                chaos_lines,
                 "Chaos {}: {:.1}% goodput retention, {} timeouts, {} caps revoked, {} retransmissions",
-                o.chaos.label(),
-                self.retention(o) * 100.0,
-                o.timeouts,
-                o.caps_revoked,
-                o.retransmissions
+                chaos.label(),
+                retention * 100.0,
+                r.u64("timeouts"),
+                r.u64("caps_revoked"),
+                r.u64("retransmissions")
             );
         }
-        out
+        // The last two keys; `run_one` asserted the drain.
+        rows.push(
+            row.json("goodput_retention", round4(retention))
+                .json("drained", true),
+        );
     }
-}
-
-/// Builds the structured report.
-pub fn report(run: Run) -> ExperimentReport {
-    let r = execute(run);
-    let sim_cycles: u64 = r.runs.iter().map(|o| o.sim_cycles).sum();
-    let mut metrics = Json::obj()
-        .set("duration_cycles", r.duration)
-        .set("clients", CLIENTS as u64)
+    let (ok1, ok8) = (fault_free_ok[&1], fault_free_ok[&8]);
+    let (g1, g8) = (per_kcycle(ok1, duration), per_kcycle(ok8, duration));
+    let rendered = format!(
+        "E17: Cluster scale-out — goodput and latency across boards\n\
+         ({duration} cycles of fixed open-loop load per cell: {CLIENTS} clients, \
+         mean interarrival {INTERARRIVAL} cycles, echo cost {ECHO_COST} cycles)\n\n{}\n\
+         Scale-out: {g1:.1} -> {g8:.1} ok/kcycle (1 -> 8 boards, {:.2}x)\n{chaos_lines}",
+        table(&rows),
+        g8 / g1.max(1e-9)
+    );
+    let metrics = Json::obj()
+        .set("duration_cycles", duration)
+        .set("clients", CLIENTS)
         .set("mean_interarrival", INTERARRIVAL)
-        .set(
-            "scaleout_1_to_8",
-            round3(
-                r.fault_free(8).completed_ok as f64 / r.fault_free(1).completed_ok.max(1) as f64,
-            ),
-        );
-    let mut cells = Vec::new();
-    for o in &r.runs {
-        cells.push(
-            Json::obj()
-                .set("boards", o.boards as u64)
-                .set("chaos", o.chaos.label())
-                .set("issued", o.issued)
-                .set("completed_ok", o.completed_ok)
-                .set("errors", o.errors)
-                .set("retries", o.retries)
-                .set("timeouts", o.timeouts)
-                .set(
-                    "goodput_per_kcycle",
-                    round3(o.goodput_per_kcycle(r.duration)),
-                )
-                .set("e2e_p50", o.e2e.0)
-                .set("e2e_p99", o.e2e.1)
-                .set("fabric_out_p50", o.hops_p50.0)
-                .set("on_board_p50", o.hops_p50.1)
-                .set("fabric_back_p50", o.hops_p50.2)
-                .set("local_submitted", o.local_submitted)
-                .set("remote_submitted", o.remote_submitted)
-                .set("retransmissions", o.retransmissions)
-                .set("cut_drops", o.cut_drops)
-                .set("caps_revoked", o.caps_revoked)
-                .set(
-                    "goodput_retention",
-                    (r.retention(o) * 10_000.0).round() / 10_000.0,
-                )
-                .set("drained", o.drained),
-        );
-    }
-    metrics.put("runs", Json::Arr(cells));
+        .set("scaleout_1_to_8", round3(ok8 as f64 / ok1.max(1) as f64))
+        .set("runs", rows_json(&rows));
     ExperimentReport::new(
         "E17",
         "Cluster scale-out: goodput and latency across boards",
         sim_cycles,
         metrics,
-        r.render(),
+        rendered,
     )
 }
 
@@ -381,43 +258,51 @@ mod tests {
 
     #[test]
     fn goodput_scales_and_chaos_retains_80_percent() {
-        let r = execute(Run::QUICK);
+        let r = report(Run::QUICK);
+        let cell = |boards: u64, chaos: Chaos| {
+            r.metrics
+                .arr("runs")
+                .iter()
+                .find(|o| {
+                    o.u64("boards") == boards && o.get("chaos") == Some(&Json::from(chaos.label()))
+                })
+                .expect("cell")
+        };
         let (g1, g2, g4) = (
-            r.fault_free(1).completed_ok,
-            r.fault_free(2).completed_ok,
-            r.fault_free(4).completed_ok,
+            cell(1, Chaos::None).u64("completed_ok"),
+            cell(2, Chaos::None).u64("completed_ok"),
+            cell(4, Chaos::None).u64("completed_ok"),
         );
         assert!(g2 as f64 > g1 as f64 * 1.2, "2 boards beat 1: {g1} -> {g2}");
         assert!(g4 as f64 > g2 as f64 * 1.2, "4 boards beat 2: {g2} -> {g4}");
-        for o in r.runs.iter().filter(|o| o.chaos != Chaos::None) {
+        for chaos in [Chaos::KillBoard, Chaos::CutLink] {
+            let retention = cell(8, chaos).f64("goodput_retention");
             assert!(
-                r.retention(o) >= 0.8,
+                retention >= 0.8,
                 "chaos {} retained {:.1}%",
-                o.chaos.label(),
-                r.retention(o) * 100.0
+                chaos.label(),
+                retention * 100.0
             );
         }
         // The kill cell actually exercised failover machinery.
-        let kill = r
-            .runs
-            .iter()
-            .find(|o| o.chaos == Chaos::KillBoard)
-            .expect("kill cell");
-        assert!(kill.timeouts > 0, "in-flight requests to the dead board");
-        assert!(kill.caps_revoked > 0, "lease expiry revoked its caps");
+        let kill = cell(8, Chaos::KillBoard);
+        assert!(
+            kill.u64("timeouts") > 0,
+            "in-flight requests to the dead board"
+        );
+        assert!(
+            kill.u64("caps_revoked") > 0,
+            "lease expiry revoked its caps"
+        );
         // The cut cell exercised the ARQ.
-        let cut = r
-            .runs
-            .iter()
-            .find(|o| o.chaos == Chaos::CutLink)
-            .expect("cut cell");
-        assert!(cut.cut_drops > 0 && cut.retransmissions > 0);
+        let cut = cell(8, Chaos::CutLink);
+        assert!(cut.u64("cut_drops") > 0 && cut.u64("retransmissions") > 0);
     }
 
     #[test]
     fn same_inputs_same_cell() {
         let a = run_one(Run::QUICK, 2, Chaos::None, 6_000);
         let b = run_one(Run::QUICK, 2, Chaos::None, 6_000);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(a, b);
     }
 }

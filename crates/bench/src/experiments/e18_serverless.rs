@@ -25,15 +25,13 @@
 //! counters, bitstream-cache hits/misses/evictions, and admission sheds.
 
 use crate::harness::Run;
-use crate::report::{round3, ExperimentReport, Json};
-use crate::table::TextTable;
+use crate::report::{round3, round4, rows_json, table, ExperimentReport, Json, Row};
 use apiary_accel::apps::echo::echo;
 use apiary_cluster::ClusterConfig;
 use apiary_core::AppId;
-use apiary_faas::{AdmissionConfig, FaasConfig, FaasStats, FaasSystem, FunctionSpec};
+use apiary_faas::{AdmissionConfig, FaasConfig, FaasSystem, FunctionSpec};
 use apiary_resources::Area;
 use apiary_sim::{Cycle, SimRng};
-use core::fmt::Write;
 use std::rc::Rc;
 
 const BOARDS: u16 = 4;
@@ -56,83 +54,7 @@ const IDLE_TOUCHES: [u64; 3] = [200, 2_200, 4_200];
 const DRAIN_LIMIT: u64 = 400_000;
 const SEED: u64 = 0xE18_0001;
 
-/// One timeline sample, taken at an autoscale boundary.
-#[derive(Debug, Clone, Copy)]
-pub struct Sample {
-    /// Sample cycle.
-    pub cycle: u64,
-    /// Live replicas, all functions.
-    pub live: usize,
-    /// Live replicas of the hottest function.
-    pub hot_live: usize,
-    /// Live replicas of the idle function.
-    pub idle_live: usize,
-    /// Queued invocations, all functions.
-    pub queued: usize,
-    /// Mean elastic-area utilisation across boards.
-    pub mean_util: f64,
-}
-
-/// Aggregated bitstream-cache counters across the fleet.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheTotals {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub bytes_evicted: u64,
-}
-
-/// The whole cell's measurements.
-#[derive(Debug, Clone)]
-pub struct ServerlessReport {
-    /// Cycles of driven load.
-    pub duration: u64,
-    /// Flash-crowd window `[start, end)`.
-    pub flash: (u64, u64),
-    /// Cold-start latency (p50, p99) of successful cold arrivals.
-    pub cold: (u64, u64),
-    /// Warm latency (p50, p99) of successful warm arrivals.
-    pub warm: (u64, u64),
-    /// Invocations that arrived cold / warm (admitted only).
-    pub cold_count: u64,
-    pub warm_count: u64,
-    /// Base tenants' ok-rate during the flash window over their pre-flash
-    /// ok-rate (arrival-classified).
-    pub goodput_retention: f64,
-    /// Base-tenant ok completions arriving before / during the flash.
-    pub pre_ok: u64,
-    pub flash_ok: u64,
-    /// Flash-tenant invocations shed at admission / admitted.
-    pub flash_shed: u64,
-    pub flash_admitted: u64,
-    /// Live replicas of the idle function at the 75% mark (must be 0).
-    pub idle_replicas_at_75: usize,
-    /// Measured cold-start latency of the idle function's re-invocation at
-    /// the 80% mark (0 if it failed — the test rejects that).
-    pub idle_reinvoke_latency: u64,
-    /// Peak live replicas of the hot function (autoscaling evidence).
-    pub hot_peak_live: usize,
-    /// Per-function end-of-run stats, `FUNCTIONS` entries then the idle fn.
-    pub fn_stats: Vec<FaasStats>,
-    /// Replica/queue timeline at every autoscale boundary.
-    pub timeline: Vec<Sample>,
-    pub cache: CacheTotals,
-    /// Scale-ups denied for want of a tile or area.
-    pub scale_up_denied: u64,
-    /// Queue flushes deferred by gateway backpressure.
-    pub refusals: u64,
-    /// Invocations expired waiting for a replica.
-    pub expired: u64,
-    /// Replica deploys / reclaims, all functions.
-    pub deploys: u64,
-    pub reclaims: u64,
-    /// The post-load drain reached quiescence (must always be true).
-    pub drained: bool,
-    /// Simulated cycles at the end of the run.
-    pub sim_cycles: u64,
-}
-
-fn build(run: Run, duration: u64) -> (FaasSystem, usize) {
+fn build(run: Run) -> (FaasSystem, usize) {
     let mut s = run.faas(FaasConfig {
         cluster: ClusterConfig {
             boards: BOARDS,
@@ -175,19 +97,18 @@ fn build(run: Run, duration: u64) -> (FaasSystem, usize) {
         app: AppId(30),
         factory: Rc::new(|| Box::new(echo(ECHO_COST))),
     });
-    let _ = duration;
     (s, idle_fn)
 }
 
-/// Drives the storm and collects the cell's measurements.
-pub fn execute(run: Run) -> ServerlessReport {
+/// Drives the storm, then writes the report from what it measured.
+pub fn report(run: Run) -> ExperimentReport {
     let duration: u64 = if run.quick { 60_000 } else { 150_000 };
     let flash_start = duration * 2 / 5;
     let flash_end = duration * 3 / 5;
     let idle_check_at = duration * 3 / 4;
     let idle_reinvoke_at = duration * 4 / 5;
 
-    let (mut s, idle_fn) = build(run, duration);
+    let (mut s, idle_fn) = build(run);
     let mut rng = SimRng::new(SEED ^ 0x5707);
     let draw = |r: &mut SimRng, mean: f64| (r.gen_exp(mean).ceil() as u64).max(1);
 
@@ -218,14 +139,16 @@ pub fn execute(run: Run) -> ServerlessReport {
                 (0..BOARDS).map(|b| s.board_utilisation(b)).sum::<f64>() / BOARDS as f64;
             let hot_live = s.live_replicas(0);
             hot_peak_live = hot_peak_live.max(hot_live);
-            timeline.push(Sample {
-                cycle: now,
-                live,
-                hot_live,
-                idle_live: s.live_replicas(idle_fn),
-                queued,
-                mean_util: util,
-            });
+            timeline.push(
+                Row::new()
+                    .both("cycle", "cycle", now)
+                    .both("live", "live", live)
+                    .both("hot_live", "hot", hot_live)
+                    .both("idle_live", "idle-fn", s.live_replicas(idle_fn))
+                    .both("queued", "queued", queued)
+                    .json("mean_util", round3(util))
+                    .text("mean util", format!("{util:.3}")),
+            );
             next_sample += AUTOSCALE_INTERVAL;
         }
         if !idle_checked && idle_check_at <= now {
@@ -323,230 +246,114 @@ pub fn execute(run: Run) -> ServerlessReport {
         0.0
     };
 
-    let fn_stats: Vec<FaasStats> = (0..s.function_count()).map(|f| s.stats(f)).collect();
-    let mut cache = CacheTotals {
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        bytes_evicted: 0,
-    };
-    for b in 0..BOARDS {
-        let c = s.cache(b);
-        cache.hits += c.hits;
-        cache.misses += c.misses;
-        cache.evictions += c.evictions;
-        cache.bytes_evicted += c.bytes_evicted;
-    }
-    let cold_count: u64 = fn_stats.iter().map(|st| st.cold_invocations).sum();
-    let warm_count: u64 = fn_stats
-        .iter()
-        .map(|st| st.invocations - st.cold_invocations)
-        .sum();
-
-    ServerlessReport {
-        duration,
-        flash: (flash_start, flash_end),
-        cold: (
-            s.cold_latency.histogram().p50(),
-            s.cold_latency.histogram().p99(),
-        ),
-        warm: (
-            s.warm_latency.histogram().p50(),
-            s.warm_latency.histogram().p99(),
-        ),
-        cold_count,
-        warm_count,
-        goodput_retention,
-        pre_ok,
-        flash_ok,
-        flash_shed: s.admission().shed_for(2),
-        // Every admitted invocation finishes by the drain, so the finished
-        // log is the exact admitted count per tenant.
-        flash_admitted: finished.iter().filter(|f| f.tenant == 2).count() as u64,
-        idle_replicas_at_75,
-        idle_reinvoke_latency,
-        hot_peak_live,
-        fn_stats,
-        timeline,
-        cache,
-        scale_up_denied: s.scale_up_denied,
-        refusals: s.refusals,
-        expired: (0..s.function_count()).map(|f| s.stats(f).expired).sum(),
-        deploys: (0..s.function_count()).map(|f| s.stats(f).deploys).sum(),
-        reclaims: (0..s.function_count()).map(|f| s.stats(f).reclaims).sum(),
-        drained,
-        sim_cycles,
-    }
-}
-
-impl ServerlessReport {
-    /// Human-readable report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "E18: Serverless orchestration — cold starts, warm pools, scale-to-zero\n\
-             ({} cycles of open-loop load on {BOARDS} boards: {FUNCTIONS} Zipf({ZIPF_THETA}) \
-             functions + 1 idle fn, echo cost {ECHO_COST}, flash crowd on fn0 in \
-             [{}, {}))\n",
-            self.duration, self.flash.0, self.flash.1
-        );
-        let mut t = TextTable::new(&[
-            "fn", "invoked", "cold", "ok", "err", "expired", "deploys", "reclaims", "live@end",
-        ]);
-        for (i, st) in self.fn_stats.iter().enumerate() {
-            let name = if i < FUNCTIONS {
-                format!("fn{i}")
+    let functions: Vec<Row> = (0..s.function_count())
+        .map(|f| {
+            let st = s.stats(f);
+            let name = if f < FUNCTIONS {
+                format!("fn{f}")
             } else {
                 "fn-idle".to_string()
             };
-            t.row_owned(vec![
-                name,
-                st.invocations.to_string(),
-                st.cold_invocations.to_string(),
-                st.completed_ok.to_string(),
-                st.completed_err.to_string(),
-                st.expired.to_string(),
-                st.deploys.to_string(),
-                st.reclaims.to_string(),
-                st.live.to_string(),
-            ]);
-        }
-        out.push_str(&t.render());
-        let _ = writeln!(
-            out,
-            "\nCold starts: {} invocations, p50 {} / p99 {} cycles\n\
-             Warm path:   {} invocations, p50 {} / p99 {} cycles",
-            self.cold_count, self.cold.0, self.cold.1, self.warm_count, self.warm.0, self.warm.1
-        );
-        let _ = writeln!(
-            out,
-            "Flash crowd: {} shed at admission; base-tenant goodput retention {:.1}% \
-             ({} ok before vs {} ok during, rate-normalised)",
-            self.flash_shed,
-            self.goodput_retention * 100.0,
-            self.pre_ok,
-            self.flash_ok
-        );
-        let _ = writeln!(
-            out,
-            "Scale-to-zero: idle fn at 75% mark had {} live replicas; re-invoke at 80% \
-             completed cold in {} cycles",
-            self.idle_replicas_at_75, self.idle_reinvoke_latency
-        );
-        let _ = writeln!(
-            out,
-            "Autoscaler: hot fn peaked at {} live replicas; {} deploys, {} reclaims, \
-             {} scale-ups denied",
-            self.hot_peak_live, self.deploys, self.reclaims, self.scale_up_denied
-        );
-        let _ = writeln!(
-            out,
-            "Bitstream cache: {} hits / {} misses, {} evictions ({} bytes re-fetch debt)",
-            self.cache.hits, self.cache.misses, self.cache.evictions, self.cache.bytes_evicted
-        );
-        let step = (self.timeline.len() / 15).max(1);
-        let mut tl = TextTable::new(&["cycle", "live", "hot", "idle-fn", "queued", "mean util"]);
-        for sm in self.timeline.iter().step_by(step) {
-            tl.row_owned(vec![
-                sm.cycle.to_string(),
-                sm.live.to_string(),
-                sm.hot_live.to_string(),
-                sm.idle_live.to_string(),
-                sm.queued.to_string(),
-                format!("{:.3}", sm.mean_util),
-            ]);
-        }
-        let _ = writeln!(out, "\nReplica timeline (every {step} boundaries):");
-        out.push_str(&tl.render());
-        out
+            Row::new()
+                .both("name", "fn", name)
+                .both("invocations", "invoked", st.invocations)
+                .both("cold_invocations", "cold", st.cold_invocations)
+                .both("completed_ok", "ok", st.completed_ok)
+                .both("completed_err", "err", st.completed_err)
+                .both("expired", "expired", st.expired)
+                .both("deploys", "deploys", st.deploys)
+                .both("reclaims", "reclaims", st.reclaims)
+                .both("live_at_end", "live@end", st.live)
+        })
+        .collect();
+    let total = |key| functions.iter().map(|r| r.record().u64(key)).sum::<u64>();
+    let cold_count = total("cold_invocations");
+    let warm_count = total("invocations") - cold_count;
+    let (deploys, reclaims) = (total("deploys"), total("reclaims"));
+    let (mut hits, mut misses, mut evictions, mut bytes_evicted) = (0, 0, 0, 0);
+    for b in 0..BOARDS {
+        let c = s.cache(b);
+        hits += c.hits;
+        misses += c.misses;
+        evictions += c.evictions;
+        bytes_evicted += c.bytes_evicted;
     }
-}
+    let cold = s.cold_latency.histogram();
+    let warm = s.warm_latency.histogram();
+    let flash_shed = s.admission().shed_for(2);
 
-/// Builds the structured report.
-pub fn report(run: Run) -> ExperimentReport {
-    let r = execute(run);
-    let mut metrics = Json::obj()
-        .set("duration_cycles", r.duration)
+    let step = (timeline.len() / 15).max(1);
+    let rendered = format!(
+        "E18: Serverless orchestration — cold starts, warm pools, scale-to-zero\n\
+         ({duration} cycles of open-loop load on {BOARDS} boards: {FUNCTIONS} Zipf({ZIPF_THETA}) \
+         functions + 1 idle fn, echo cost {ECHO_COST}, flash crowd on fn0 in \
+         [{flash_start}, {flash_end}))\n\n{}\n\
+         Cold starts: {cold_count} invocations, p50 {} / p99 {} cycles\n\
+         Warm path:   {warm_count} invocations, p50 {} / p99 {} cycles\n\
+         Flash crowd: {flash_shed} shed at admission; base-tenant goodput retention {:.1}% \
+         ({pre_ok} ok before vs {flash_ok} ok during, rate-normalised)\n\
+         Scale-to-zero: idle fn at 75% mark had {idle_replicas_at_75} live replicas; re-invoke \
+         at 80% completed cold in {idle_reinvoke_latency} cycles\n\
+         Autoscaler: hot fn peaked at {hot_peak_live} live replicas; {deploys} deploys, \
+         {reclaims} reclaims, {} scale-ups denied\n\
+         Bitstream cache: {hits} hits / {misses} misses, {evictions} evictions \
+         ({bytes_evicted} bytes re-fetch debt)\n\n\
+         Replica timeline (every {step} boundaries):\n{}",
+        table(&functions),
+        cold.p50(),
+        cold.p99(),
+        warm.p50(),
+        warm.p99(),
+        goodput_retention * 100.0,
+        s.scale_up_denied,
+        table(timeline.iter().step_by(step)),
+    );
+    let metrics = Json::obj()
+        .set("duration_cycles", duration)
         .set("boards", BOARDS as u64)
-        .set("functions", FUNCTIONS as u64)
+        .set("functions", rows_json(&functions))
         .set("zipf_theta", ZIPF_THETA)
+        .set("flash_window", vec![flash_start, flash_end])
+        .set("cold_count", cold_count)
+        .set("cold_p50", cold.p50())
+        .set("cold_p99", cold.p99())
+        .set("warm_count", warm_count)
+        .set("warm_p50", warm.p50())
+        .set("warm_p99", warm.p99())
+        .set("goodput_retention", round4(goodput_retention))
+        .set("pre_flash_ok", pre_ok)
+        .set("flash_ok", flash_ok)
+        .set("flash_shed", flash_shed)
+        // Every admitted invocation finishes by the drain, so the finished
+        // log is the exact admitted count per tenant.
         .set(
-            "flash_window",
-            Json::Arr(vec![Json::U64(r.flash.0), Json::U64(r.flash.1)]),
+            "flash_admitted",
+            finished.iter().filter(|f| f.tenant == 2).count(),
         )
-        .set("cold_count", r.cold_count)
-        .set("cold_p50", r.cold.0)
-        .set("cold_p99", r.cold.1)
-        .set("warm_count", r.warm_count)
-        .set("warm_p50", r.warm.0)
-        .set("warm_p99", r.warm.1)
-        .set(
-            "goodput_retention",
-            (r.goodput_retention * 10_000.0).round() / 10_000.0,
-        )
-        .set("pre_flash_ok", r.pre_ok)
-        .set("flash_ok", r.flash_ok)
-        .set("flash_shed", r.flash_shed)
-        .set("flash_admitted", r.flash_admitted)
-        .set("idle_replicas_at_75pct", r.idle_replicas_at_75 as u64)
-        .set("idle_reinvoke_cold_latency", r.idle_reinvoke_latency)
-        .set("hot_peak_live", r.hot_peak_live as u64)
-        .set("deploys", r.deploys)
-        .set("reclaims", r.reclaims)
-        .set("expired", r.expired)
-        .set("scale_up_denied", r.scale_up_denied)
-        .set("refusals", r.refusals)
+        .set("idle_replicas_at_75pct", idle_replicas_at_75)
+        .set("idle_reinvoke_cold_latency", idle_reinvoke_latency)
+        .set("hot_peak_live", hot_peak_live)
+        .set("deploys", deploys)
+        .set("reclaims", reclaims)
+        .set("expired", total("expired"))
+        .set("scale_up_denied", s.scale_up_denied)
+        .set("refusals", s.refusals)
         .set(
             "cache",
             Json::obj()
-                .set("hits", r.cache.hits)
-                .set("misses", r.cache.misses)
-                .set("evictions", r.cache.evictions)
-                .set("bytes_evicted", r.cache.bytes_evicted),
+                .set("hits", hits)
+                .set("misses", misses)
+                .set("evictions", evictions)
+                .set("bytes_evicted", bytes_evicted),
         )
-        .set("drained", r.drained);
-    let mut fns = Vec::new();
-    for (i, st) in r.fn_stats.iter().enumerate() {
-        let name = if i < FUNCTIONS {
-            format!("fn{i}")
-        } else {
-            "fn-idle".to_string()
-        };
-        fns.push(
-            Json::obj()
-                .set("name", name)
-                .set("invocations", st.invocations)
-                .set("cold_invocations", st.cold_invocations)
-                .set("completed_ok", st.completed_ok)
-                .set("completed_err", st.completed_err)
-                .set("expired", st.expired)
-                .set("deploys", st.deploys)
-                .set("reclaims", st.reclaims)
-                .set("live_at_end", st.live as u64),
-        );
-    }
-    metrics.put("functions", Json::Arr(fns));
-    let timeline: Vec<Json> = r
-        .timeline
-        .iter()
-        .map(|sm| {
-            Json::obj()
-                .set("cycle", sm.cycle)
-                .set("live", sm.live as u64)
-                .set("hot_live", sm.hot_live as u64)
-                .set("idle_live", sm.idle_live as u64)
-                .set("queued", sm.queued as u64)
-                .set("mean_util", round3(sm.mean_util))
-        })
-        .collect();
-    metrics.put("timeline", Json::Arr(timeline));
+        .set("drained", drained)
+        .set("timeline", rows_json(&timeline));
     ExperimentReport::new(
         "E18",
         "Serverless orchestration: cold starts, warm pools, scale-to-zero",
-        r.sim_cycles,
+        sim_cycles,
         metrics,
-        r.render(),
+        rendered,
     )
 }
 
@@ -556,35 +363,35 @@ mod tests {
 
     #[test]
     fn cold_exceeds_warm_and_scale_to_zero_works() {
-        let r = execute(Run::QUICK);
-        assert!(r.drained);
+        let r = report(Run::QUICK).metrics;
+        assert!(r.bool("drained"));
         assert!(
-            r.cold.1 > r.warm.1,
+            r.u64("cold_p99") > r.u64("warm_p99"),
             "cold p99 {} must exceed warm p99 {}",
-            r.cold.1,
-            r.warm.1
+            r.u64("cold_p99"),
+            r.u64("warm_p99")
         );
-        assert!(r.cold_count > 0 && r.warm_count > r.cold_count);
+        assert!(r.u64("cold_count") > 0 && r.u64("warm_count") > r.u64("cold_count"));
         // Scale-to-zero: the abandoned function's pool emptied, and the
         // re-invocation paid a real, measured cold start.
-        assert_eq!(r.idle_replicas_at_75, 0, "idle fn not reclaimed");
+        assert_eq!(r.u64("idle_replicas_at_75pct"), 0, "idle fn not reclaimed");
         assert!(
-            r.idle_reinvoke_latency > 1_000,
+            r.u64("idle_reinvoke_cold_latency") > 1_000,
             "re-invoke after scale-to-zero must pay a cold start, got {}",
-            r.idle_reinvoke_latency
+            r.u64("idle_reinvoke_cold_latency")
         );
         // The flash crowd was shed at the door, not absorbed by the base
         // tenants' goodput.
-        assert!(r.flash_shed > 0, "flash tenant never shed");
+        assert!(r.u64("flash_shed") > 0, "flash tenant never shed");
         assert!(
-            r.goodput_retention >= 0.7,
+            r.f64("goodput_retention") >= 0.7,
             "base goodput retention {:.2} under flash crowd",
-            r.goodput_retention
+            r.f64("goodput_retention")
         );
         // The autoscaler actually grew the hot pool.
-        assert!(r.hot_peak_live >= 2, "hot fn never scaled out");
-        assert!(r.reclaims > 0, "nothing ever scaled back down");
-        assert!(r.cache.misses > 0);
+        assert!(r.u64("hot_peak_live") >= 2, "hot fn never scaled out");
+        assert!(r.u64("reclaims") > 0, "nothing ever scaled back down");
+        assert!(r.get("cache").expect("cache totals").u64("misses") > 0);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! scaled-down configuration CI and the tests use) and which clock the
 //! run's machines step by, and `report` returns a structured
 //! [`ExperimentReport`] (rendered prose + machine-readable metrics +
-//! simulated-cycle count). Experiments build their machines through
+//! simulated-cycle count). Each line of a result table is one
+//! [`report::Row`], written once where its values are measured; the JSON
+//! array and the text table both come from the rows, and tests read the
+//! rows' JSON records back. Experiments build their machines through
 //! [`harness::Run::system`], [`harness::Run::cluster`] and
 //! [`harness::Run::faas`] only, so the dense replay of
 //! `--det-check=event-vs-dense` reaches every one of them. The

@@ -9,9 +9,12 @@
 //! business ([`crate::harness::SuiteRun::wall_ms`]) and `benchmark/`'s.
 //!
 //! The workspace builds offline (no serde), so [`Json`] is a minimal
-//! order-preserving JSON value with a deterministic renderer.
+//! order-preserving JSON value with a deterministic renderer. A result
+//! table is a list of [`Row`]s: each line is written once, and both its
+//! JSON object and its text cells come from that one write.
 
-use core::fmt::Write;
+use crate::table::TextTable;
+use core::fmt::{Display, Write};
 
 /// A JSON value. Object keys keep insertion order so rendered output is
 /// stable across runs and job counts.
@@ -59,6 +62,48 @@ impl Json {
         match self {
             Json::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// The value at `key`; panics naming the key when it is missing.
+    fn field(&self, key: &str) -> &Json {
+        self.get(key)
+            .unwrap_or_else(|| panic!("no key \"{key}\" in {}", self.render()))
+    }
+
+    /// The unsigned integer at `key`. Panics, naming the key, when it is
+    /// missing or holds another type.
+    pub fn u64(&self, key: &str) -> u64 {
+        match self.field(key) {
+            Json::U64(n) => *n,
+            v => panic!("\"{key}\" is {}, not a u64", v.render()),
+        }
+    }
+
+    /// The float at `key`. Panics, naming the key, when it is missing or
+    /// holds another type.
+    pub fn f64(&self, key: &str) -> f64 {
+        match self.field(key) {
+            Json::F64(x) => *x,
+            v => panic!("\"{key}\" is {}, not an f64", v.render()),
+        }
+    }
+
+    /// The boolean at `key`. Panics, naming the key, when it is missing or
+    /// holds another type.
+    pub fn bool(&self, key: &str) -> bool {
+        match self.field(key) {
+            Json::Bool(b) => *b,
+            v => panic!("\"{key}\" is {}, not a bool", v.render()),
+        }
+    }
+
+    /// The array at `key`. Panics, naming the key, when it is missing or
+    /// holds another type.
+    pub fn arr(&self, key: &str) -> &[Json] {
+        match self.field(key) {
+            Json::Arr(items) => items,
+            v => panic!("\"{key}\" is {}, not an array", v.render()),
         }
     }
 
@@ -267,6 +312,110 @@ impl ExperimentReport {
     }
 }
 
+/// One line of a result table, written once where its values are
+/// measured: the JSON object `results/<slug>.json` commits for it and the
+/// cells of its line in the `.txt` table.
+///
+/// [`Row::both`] writes a value both files show the same way,
+/// [`Row::json`] one only the JSON holds and [`Row::text`] a cell only the
+/// table shows, or shows formatted differently (a `{:.1}%` cell beside a
+/// rounded ratio, say). JSON keys and table columns each keep call order, so
+/// a value whose two renderings differ in format or place is written twice.
+///
+/// # Examples
+///
+/// ```
+/// use apiary_bench::report::{rows_json, table, Row};
+///
+/// let rows = [Row::new()
+///     .both("boards", "boards", 8u64)
+///     .json("retention", 0.9731)
+///     .text("retention", "97.3%")];
+/// assert_eq!(rows_json(&rows).render(), r#"[{"boards":8,"retention":0.9731}]"#);
+/// assert!(table(&rows).contains("| 8      | 97.3%     |"));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    record: Json,
+    headers: Vec<&'static str>,
+    cells: Vec<String>,
+}
+
+impl Default for Row {
+    fn default() -> Row {
+        Row::new()
+    }
+}
+
+impl Row {
+    /// A row with no values yet.
+    pub fn new() -> Row {
+        Row {
+            record: Json::obj(),
+            headers: Vec::new(),
+            cells: Vec::new(),
+        }
+    }
+
+    /// Writes `v` under `key` in the JSON and, displayed, under `header`
+    /// in the table.
+    pub fn both(self, key: &str, header: &'static str, v: impl Into<Json> + Display) -> Row {
+        let cell = v.to_string();
+        self.json(key, v).text(header, cell)
+    }
+
+    /// Writes `v` under `key` in the JSON only.
+    pub fn json(mut self, key: &str, v: impl Into<Json>) -> Row {
+        self.record.put(key, v);
+        self
+    }
+
+    /// Writes `cell` under `header` in the table only.
+    pub fn text(mut self, header: &'static str, cell: impl Display) -> Row {
+        self.headers.push(header);
+        self.cells.push(cell.to_string());
+        self
+    }
+
+    /// The JSON object this row commits: what tests read back.
+    pub fn record(&self) -> &Json {
+        &self.record
+    }
+}
+
+/// Renders rows as a [`TextTable`] headed by the first row's headers.
+///
+/// # Panics
+///
+/// Panics on no rows, and on a row whose headers differ from the first
+/// row's, naming the first header that differs.
+pub fn table<'a>(rows: impl IntoIterator<Item = &'a Row>) -> String {
+    let mut rows = rows.into_iter();
+    let first = rows.next().expect("a table has at least one row");
+    let mut t = TextTable::new(&first.headers);
+    t.row(&first.cells);
+    for row in rows {
+        if row.headers != first.headers {
+            let i = (0..)
+                .find(|&i| row.headers.get(i) != first.headers.get(i))
+                .expect("the headers differ somewhere");
+            let column = |h: &[&'static str]| h.get(i).copied().unwrap_or("<none>");
+            panic!(
+                "column {i} of a row is headed \"{}\", the table's \"{}\"",
+                column(&row.headers),
+                column(&first.headers)
+            );
+        }
+        t.row(&row.cells);
+    }
+    t.render()
+}
+
+/// The rows' JSON objects as one array, in order.
+pub fn rows_json<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Json {
+    Json::Arr(rows.into_iter().map(|r| r.record.clone()).collect())
+}
+
 /// Where two artifacts first differ, ready to print: the 1-based line
 /// number, then `a`'s line and `b`'s (`<end>` past a side's last line).
 /// `None` when they are byte-identical.
@@ -285,6 +434,11 @@ pub fn first_difference(a: &str, b: &str) -> Option<String> {
 /// Rounds to 3 decimals so a derived ratio doesn't print 17 digits.
 pub fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
+}
+
+/// Rounds to 4 decimals: how goodput retentions are recorded.
+pub fn round4(x: f64) -> f64 {
+    (x * 10_000.0).round() / 10_000.0
 }
 
 #[cfg(test)]
@@ -338,6 +492,51 @@ mod tests {
              \"sim_cycles\": 1000,\n  \"metrics\": {\n    \"k\": 1\n  }\n}\n"
         );
         assert_eq!(r.artifacts(), [("json", j), ("txt", "body".to_string())]);
+    }
+
+    #[test]
+    fn table_renders_what_text_table_renders() {
+        let rows = [
+            Row::new().both("n", "nodes", 4u64).text("util", "0.500"),
+            Row::new().both("n", "nodes", 64u64).text("util", "0.125"),
+        ];
+        let mut t = TextTable::new(&["nodes", "util"]);
+        t.row(&["4", "0.500"]);
+        t.row(&["64", "0.125"]);
+        assert_eq!(table(&rows), t.render());
+    }
+
+    #[test]
+    fn keys_and_columns_keep_call_order_and_both_writes_one_of_each() {
+        let row = Row::new()
+            .json("z", 1u64)
+            .both("policy", "policy", "supervisor")
+            .text("retention", "97.2%")
+            .json("a", 0.972)
+            .both("ok", "ok", true);
+        assert_eq!(
+            row.record().render(),
+            r#"{"z":1,"policy":"supervisor","a":0.972,"ok":true}"#
+        );
+        assert_eq!(row.headers, ["policy", "retention", "ok"]);
+        assert_eq!(row.cells, ["supervisor", "97.2%", "true"]);
+        assert_eq!(rows_json([&row]), Json::Arr(vec![row.record().clone()]));
+    }
+
+    #[test]
+    #[should_panic(expected = "column 1 of a row is headed \"p99\", the table's \"p50\"")]
+    fn a_row_with_other_headers_panics_naming_the_header() {
+        let rows = [
+            Row::new().both("n", "n", 1u64).both("p50", "p50", 2u64),
+            Row::new().both("n", "n", 1u64).both("p99", "p99", 2u64),
+        ];
+        table(&rows);
+    }
+
+    #[test]
+    #[should_panic(expected = "no key \"kills\"")]
+    fn a_missing_key_panics_naming_it() {
+        Json::obj().set("incidents", 3u64).u64("kills");
     }
 
     #[test]

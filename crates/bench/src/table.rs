@@ -34,20 +34,10 @@ impl TextTable {
     /// # Panics
     ///
     /// Panics if the column count differs from the header count.
-    pub fn row(&mut self, cells: &[&str]) {
+    pub fn row(&mut self, cells: &[impl AsRef<str>]) {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-    }
-
-    /// Appends a row of owned strings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column count differs from the header count.
-    pub fn row_owned(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
-        self.rows.push(cells);
+            .push(cells.iter().map(|s| s.as_ref().to_string()).collect());
     }
 
     /// Renders with aligned columns.

@@ -11,7 +11,7 @@
 //!   its state and laws, `system/plane.rs` the management API (install,
 //!   connect, grant memory, services) and `system/cycle.rs` the cycle loop,
 //! - [`supervisor`] — the self-healing escalation ladder and its law,
-//! - [`process`] — application/process identity and the trust rules of
+//! - [`process`] — application identity and the trust rules of
 //!   §4.1–§4.2 (distrusting applications never share a tile; IPC must be
 //!   explicitly established),
 //! - [`fault`] — the two §4.4 execution models: fail-stop for merely

@@ -1,6 +1,5 @@
-//! Application and process identity (§4.1–§4.2).
+//! Application identity (§4.1–§4.2).
 
-use apiary_noc::NodeId;
 use core::fmt;
 
 /// An application: one or more cooperating processes (accelerators) under a
@@ -19,30 +18,6 @@ impl fmt::Display for AppId {
 /// to them.
 pub const OS_APP: AppId = AppId(0);
 
-/// A process: one user context running on one accelerator (§4.2). The
-/// kernel-level unit of isolation is the tile; contexts within a tile are
-/// mutually trusting and distinguished by capability badges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProcessId {
-    /// The tile the process occupies.
-    pub node: NodeId,
-    /// Context index within the tile.
-    pub context: u16,
-}
-
-impl ProcessId {
-    /// The zeroth (default) context on a tile.
-    pub fn main(node: NodeId) -> ProcessId {
-        ProcessId { node, context: 0 }
-    }
-}
-
-impl fmt::Display for ProcessId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}", self.node, self.context)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,9 +26,6 @@ mod tests {
     fn identity_semantics() {
         assert_eq!(AppId(3), AppId(3));
         assert_ne!(AppId(3), AppId(4));
-        let p = ProcessId::main(NodeId(5));
-        assert_eq!(p.context, 0);
-        assert_eq!(format!("{p}"), "n5#0");
         assert_eq!(format!("{}", AppId(2)), "app2");
     }
 }

@@ -20,8 +20,8 @@
 //!   single seed,
 //! - [`FxHashMap`]/[`FxHashSet`], fast deterministic hashing for
 //!   simulator-internal maps,
-//! - [`stats`], counters, histograms and running statistics used by the
-//!   benchmark harness and by the tracing layer.
+//! - [`stats`], the [`Histogram`] the benchmark harness and the tracing
+//!   layer record latencies in.
 //!
 //! The simulator is *event-resolved with cycle-exact semantics*: every
 //! component behaves as if ticked each cycle, but the drivers skip cycles
@@ -45,4 +45,4 @@ pub use payload::Payload;
 pub use reader::Reader;
 pub use rng::SimRng;
 pub use sched::{ClockMode, Wakeup};
-pub use stats::{Counter, Histogram, RunningStats};
+pub use stats::Histogram;

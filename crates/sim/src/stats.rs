@@ -1,160 +1,9 @@
-//! Measurement primitives: counters, running statistics, and histograms.
+//! Measurement primitive: the latency histogram.
 //!
-//! Every Apiary experiment reports through these types so that the benchmark
+//! Every Apiary experiment reports latencies through it so that the benchmark
 //! harness can print consistent tables. [`Histogram`] uses HDR-style
 //! log-linear buckets: cheap to update on the simulation fast path, while
 //! still giving accurate tail percentiles.
-
-use core::fmt;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub const fn new() -> Counter {
-        Counter(0)
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Returns the current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Streaming mean/variance/min/max via Welford's algorithm.
-///
-/// # Examples
-///
-/// ```
-/// use apiary_sim::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for v in [2.0, 4.0, 6.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.mean(), 4.0);
-/// assert_eq!(s.min(), 2.0);
-/// assert_eq!(s.max(), 6.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for RunningStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> RunningStats {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (zero when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (zero for fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Smallest sample (zero when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (zero when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Number of linear sub-buckets per power-of-two bucket. 16 gives ~6%
 /// worst-case relative error on reported quantiles.
@@ -330,47 +179,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn running_stats_basics() {
-        let mut s = RunningStats::new();
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.variance() - 1.25).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_sequential() {
-        let mut all = RunningStats::new();
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for i in 0..100 {
-            let v = (i * 37 % 13) as f64;
-            all.record(v);
-            if i % 2 == 0 {
-                a.record(v)
-            } else {
-                b.record(v)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
 
     #[test]
     fn histogram_exact_for_small_values() {
