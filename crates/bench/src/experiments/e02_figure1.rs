@@ -123,6 +123,7 @@ pub fn report(run: Run) -> ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apiary_sim::Machine;
 
     #[test]
     fn figure_contains_both_applications() {

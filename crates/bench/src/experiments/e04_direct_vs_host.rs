@@ -22,6 +22,7 @@ use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_host::{EnergyModel, HostConfig, HostMode, HostSim};
 use apiary_net::{EthernetTile, NetConfig, RequestGen, Workload};
 use apiary_noc::NodeId;
+use apiary_sim::Machine;
 use core::fmt::Write;
 
 /// Direct-attached measurement: RTT histogram + FPGA busy cycles +
@@ -64,7 +65,7 @@ fn run_direct(run: Run, compute: u64, requests: u64) -> (apiary_sim::Histogram, 
         .expect("installed")
         .bind_flow(80, cap);
 
-    let finished = sys.run_until(200_000_000, |s| {
+    let finished = Machine::run_until(&mut sys, 200_000_000, |s| {
         s.accel_as::<EthernetTile>(mac_node)
             .expect("installed")
             .all_done()

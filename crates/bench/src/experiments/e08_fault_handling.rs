@@ -23,6 +23,7 @@ use apiary_core::fault::FaultAction;
 use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_noc::NodeId;
+use apiary_sim::Machine;
 use core::fmt::Write;
 
 struct Outcome {

@@ -18,7 +18,7 @@ use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_mem::AccessKind;
 use apiary_monitor::{wire, SendError};
 use apiary_noc::NodeId;
-use apiary_sim::SimRng;
+use apiary_sim::{Machine, SimRng};
 use core::fmt::Write;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +104,7 @@ fn measure(run: Run, pattern: Pattern, window: usize, count: u64) -> Outcome {
         } else {
             end
         };
-        sys.advance_toward(due);
+        Machine::advance_toward(&mut sys, due);
         let now = sys.now();
         while let Some(d) = sys.tile_mut(client).monitor.recv() {
             assert_eq!(d.msg.kind, wire::KIND_MEM_REPLY);

@@ -26,6 +26,7 @@ use apiary_cluster::{run_clients, ClusterClient, ClusterConfig};
 use apiary_core::{AppId, FaultPolicy};
 use apiary_net::Workload;
 use apiary_noc::NodeId;
+use apiary_sim::Machine;
 use core::fmt::Write;
 use std::collections::BTreeMap;
 
@@ -91,7 +92,7 @@ pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> (Row, u64)
         )
         .expect("replica tile free");
     }
-    c.tick_n(WARMUP);
+    c.run(WARMUP);
 
     let mut clients: Vec<ClusterClient> = (0..CLIENTS)
         .map(|i| {

@@ -31,7 +31,7 @@ use apiary_cluster::ClusterConfig;
 use apiary_core::AppId;
 use apiary_faas::{AdmissionConfig, FaasConfig, FaasSystem, FunctionSpec};
 use apiary_resources::Area;
-use apiary_sim::{Cycle, SimRng};
+use apiary_sim::{Cycle, Machine, SimRng};
 use std::rc::Rc;
 
 const BOARDS: u16 = 4;
@@ -113,7 +113,7 @@ pub fn report(run: Run) -> ExperimentReport {
     let draw = |r: &mut SimRng, mean: f64| (r.gen_exp(mean).ceil() as u64).max(1);
 
     // Absolute next-arrival cycles per stream. Every one of these is a
-    // step_toward horizon, so both clocks execute the exact same schedule.
+    // advance_toward horizon, so both clocks execute the exact same schedule.
     let mut next_base = [
         draw(&mut rng, BASE_INTERARRIVAL),
         draw(&mut rng, BASE_INTERARRIVAL),
@@ -210,7 +210,7 @@ pub fn report(run: Run) -> ExperimentReport {
         if now < flash_end {
             horizon = horizon.min(next_flash.max(flash_start));
         }
-        s.step_toward(Cycle(horizon));
+        s.advance_toward(Cycle(horizon));
     }
 
     // Stop issuing and drain: the storm may expire queued work, never

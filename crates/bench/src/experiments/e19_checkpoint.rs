@@ -34,7 +34,7 @@ use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_net::Workload;
 use apiary_noc::NodeId;
-use apiary_sim::Cycle;
+use apiary_sim::{Cycle, Machine};
 
 const SVC: ServiceId = ServiceId(19);
 const REPLICA_NODE: NodeId = NodeId(5);
@@ -65,7 +65,7 @@ pub fn run_migration(run: Run, entries: u64, duration: u64) -> Row {
         Box::new(|| Box::new(kv_store())),
     )
     .expect("replica tile free");
-    c.tick_n(2_000); // bitstream load + one gossip round
+    c.run(2_000); // bitstream load + one gossip round
     let accel = c
         .board_mut(0)
         .accel_as_mut::<KvStoreAccel>(REPLICA_NODE)

@@ -151,6 +151,7 @@ pub fn run_suite(run: Run, jobs: usize) -> SuiteRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apiary_sim::Machine;
 
     #[test]
     fn table_names_agree() {
@@ -191,8 +192,8 @@ mod tests {
                 assert!(
                     !line.contains(".tick()"),
                     "{}:{}: `tick()` steps the dense reference clock whatever the run's \
-                     clock; advance with `scenarios::step` (or `drive`, `System::run`, \
-                     `System::advance_toward`)",
+                     clock; advance with `scenarios::step` (or `drive`, `Machine::run`, \
+                     `Machine::advance_toward`)",
                     path.display(),
                     n + 1
                 );
@@ -214,7 +215,7 @@ mod tests {
             );
             let cluster = run.cluster(ClusterConfig::default());
             assert_eq!(cluster.board(1).config().clock, run.clock);
-            cluster.check_invariants();
+            assert_eq!(cluster.check_invariants(), Ok(()));
             let faas = run.faas(FaasConfig::default());
             assert_eq!(faas.cluster().board(0).config().clock, run.clock);
         }

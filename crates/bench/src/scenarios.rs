@@ -5,7 +5,7 @@ use apiary_cap::CapRef;
 use apiary_core::{AppId, FaultPolicy, System};
 use apiary_monitor::{wire, SendError};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{Cycle, Histogram, Payload};
+use apiary_sim::{Cycle, Histogram, Machine, Payload};
 use std::collections::HashMap;
 
 /// A closed-loop request driver attached directly to a tile's monitor —
@@ -238,7 +238,7 @@ pub fn pump(sys: &mut System, clients: &mut [&mut MonitorClient]) {
 }
 
 /// The one place a harness loop advances time: a single
-/// [`System::advance_toward`] step toward the earliest cycle on which the
+/// [`Machine::advance_toward`] step toward the earliest cycle on which the
 /// driver has something to do, which is the clients' [`next_wakeup`]s or
 /// the caller's own `deadline` (its next kill, its next swap, the end of
 /// its window). The caller then [`pump`]s and looks at the machine.
@@ -256,7 +256,7 @@ pub fn step(sys: &mut System, clients: &[&mut MonitorClient], deadline: Cycle) {
     let due = clients
         .iter()
         .fold(deadline, |due, c| due.min(c.next_wakeup(sys)));
-    sys.advance_toward(due);
+    Machine::advance_toward(sys, due);
 }
 
 /// Populates a fresh system with an idle client tile and one serving

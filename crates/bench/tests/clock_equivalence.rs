@@ -6,7 +6,9 @@
 //! dense per-cycle run byte for byte. These tests generate random
 //! client/server workloads (window sizes, think times, payload sizes,
 //! request timeouts, service costs), run each under both clocks, and
-//! compare the resulting [`ExperimentReport`] digests.
+//! compare the resulting [`ExperimentReport`] digests. Each machine-level
+//! test goes through one [`agree`], generic over [`Machine`], which also
+//! holds the machine's laws at the end of either run.
 //!
 //! The clock is a field of the machine (`SystemConfig::clock`), so the
 //! tests here share nothing: they run in parallel at the default test
@@ -18,10 +20,11 @@ use apiary_accel::apps::idle::idle;
 use apiary_bench::harness::Run;
 use apiary_bench::scenarios::{drive, pump, step, MonitorClient};
 use apiary_bench::{ExperimentReport, Json};
+use apiary_cluster::ClusterSystem;
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary_monitor::{wire, TileState};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{ClockMode, Cycle};
+use apiary_sim::{ClockMode, Cycle, Machine};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -118,9 +121,22 @@ fn client_metrics(sys: &System, c: &MonitorClient) -> Json {
         .set("rtt_p99", c.rtt.p99())
 }
 
-/// Runs the workload under `mode` and returns a deterministic digest of
-/// everything a client can observe.
-fn run_system(mode: ClockMode, p: &Params) -> String {
+/// Runs `scenario` once under each clock, requires the machine it returns
+/// to keep its laws, and demands that the two digests it returns be equal.
+fn agree<M: Machine>(what: &str, scenario: impl Fn(ClockMode) -> (M, String)) {
+    let [event, dense] = [ClockMode::Event, ClockMode::Dense].map(|clock| {
+        let (m, digest) = scenario(clock);
+        if let Err(law) = m.check_invariants() {
+            panic!("{what} under {clock:?} broke a law: {law}");
+        }
+        digest
+    });
+    assert_eq!(event, dense, "{what} diverged between clocks");
+}
+
+/// Runs the workload under `mode` and returns the machine and a
+/// deterministic digest of everything a client can observe.
+fn run_system(mode: ClockMode, p: &Params) -> (System, String) {
     let (mut sys, mut clients) = build_system(mode, p);
     let mut refs: Vec<&mut MonitorClient> = clients.iter_mut().collect();
 
@@ -193,9 +209,9 @@ fn run_system(mode: ClockMode, p: &Params) -> String {
         }
     }
     sys.run(4);
-    assert!(!sys.is_idle(), "the burst is still on its way");
+    assert!(!sys.quiescent(), "the burst is still on its way");
     metrics = metrics.set("run_end", sys.now().as_u64());
-    let drained = sys.run_until(100_000, |s| s.is_idle());
+    let drained = Machine::run_until(&mut sys, 100_000, Machine::quiescent);
     metrics = metrics
         .set("run_until_fired", drained)
         .set("run_until_end", sys.now().as_u64());
@@ -207,14 +223,15 @@ fn run_system(mode: ClockMode, p: &Params) -> String {
     for (i, c) in clients.iter().enumerate() {
         metrics = metrics.set(format!("client{i}"), client_metrics(&sys, c));
     }
-    ExperimentReport::new(
+    let digest = ExperimentReport::new(
         "PROP",
         "dense-vs-event equivalence",
         sys.now().as_u64(),
         metrics,
         String::new(),
     )
-    .to_json()
+    .to_json();
+    (sys, digest)
 }
 
 proptest! {
@@ -222,9 +239,7 @@ proptest! {
 
     #[test]
     fn dense_and_event_clocks_agree(p in arb_params()) {
-        let event = run_system(ClockMode::Event, &p);
-        let dense = run_system(ClockMode::Dense, &p);
-        prop_assert_eq!(event, dense);
+        agree("a driven board and its undriven tail", |mode| run_system(mode, &p));
     }
 }
 
@@ -303,9 +318,9 @@ fn cluster_cell_clocks_agree() {
 fn live_migration_clocks_agree() {
     use apiary_accel::apps::kv::{kv_store, KvStoreAccel};
     use apiary_cap::ServiceId;
-    use apiary_cluster::{ClusterConfig, ClusterSystem};
+    use apiary_cluster::ClusterConfig;
 
-    let run = |clock| {
+    agree("a live migration", |clock| {
         let mut c = ClusterSystem::new(ClusterConfig {
             boards: 2,
             system: SystemConfig {
@@ -333,21 +348,17 @@ fn live_migration_clocks_agree() {
             let key = i.to_le_bytes();
             accel.service_mut().insert(7, &key, &[0xAB; 32]);
         }
-        c.tick_n(2_000);
+        c.run(2_000);
         c.migrate_replica("kv", 0, 1, NodeId(5), Box::new(|| Box::new(kv_store())))
             .expect("migration starts");
-        c.tick_n(30_000);
-        format!(
-            "{:?} kv_len={}",
-            c.migration_outcomes(),
-            c.board(1)
-                .accel_as::<KvStoreAccel>(NodeId(5))
-                .map_or(0, |a| a.service().len())
-        )
-    };
-    let event = run(ClockMode::Event);
-    let dense = run(ClockMode::Dense);
-    assert_eq!(event, dense, "migration diverged between clocks");
+        c.run(30_000);
+        let kv_len = c
+            .board(1)
+            .accel_as::<KvStoreAccel>(NodeId(5))
+            .map_or(0, |a| a.service().len());
+        let digest = format!("{:?} kv_len={kv_len}", c.migration_outcomes());
+        (c, digest)
+    });
 }
 
 /// The serverless plane (bitstream fetch timers, queue deadlines,
@@ -361,7 +372,7 @@ fn serverless_plane_clocks_agree() {
     use apiary_resources::Area;
     use std::rc::Rc;
 
-    let run = |clock| {
+    agree("the serverless plane", |clock| {
         let mut s = FaasSystem::new(FaasConfig {
             cluster: ClusterConfig {
                 boards: 2,
@@ -392,18 +403,16 @@ fn serverless_plane_clocks_agree() {
         s.run(8_000); // idle across reclaim boundaries → scale to zero
         s.invoke(0, 0, 0, vec![0u8; 24]); // cold re-invoke
         s.run_until(200_000, |s| s.quiescent());
-        format!(
+        let digest = format!(
             "{:?}|{:?}|{}|{}|{:?}",
             s.stats(0),
             s.stats(1),
             s.cold_latency.histogram().p99(),
             s.warm_latency.histogram().p99(),
             s.now()
-        )
-    };
-    let event = run(ClockMode::Event);
-    let dense = run(ClockMode::Dense);
-    assert_eq!(event, dense, "serverless plane diverged between clocks");
+        );
+        (s, digest)
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -420,7 +429,7 @@ enum ClusterOp {
         name: usize,
         payload: usize,
     },
-    /// `tick_n`, collecting completions.
+    /// `run`, collecting completions.
     Advance(u64),
     CutLink(u16),
     RestoreLink(u16),
@@ -465,13 +474,13 @@ fn arb_cluster_op() -> impl Strategy<Value = ClusterOp> {
     )
 }
 
-/// Runs `ops` under `mode`; returns everything observable: the result of
-/// every op, completions in order, every counter, every board's clock and
-/// the merged traces.
-fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> String {
+/// Runs `ops` under `mode`, holding the laws after each; returns the
+/// cluster and everything observable: the result of every op, completions
+/// in order, every counter, every board's clock and the merged traces.
+fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String) {
     use apiary_accel::apps::kv::kv_store;
     use apiary_cap::ServiceId;
-    use apiary_cluster::{ClusterConfig, ClusterSystem};
+    use apiary_cluster::ClusterConfig;
     use apiary_monitor::wire::KIND_REQUEST;
     use apiary_noc::TrafficClass;
     use std::fmt::Write;
@@ -535,8 +544,10 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> String {
         Box::new(|| Box::new(kv_store())),
     )
     .expect("kv tile free");
-    c.tick_n(1_500); // gossip spreads the bindings
-    c.check_invariants();
+    c.run(1_500); // gossip spreads the bindings
+    if let Err(law) = c.check_invariants() {
+        panic!("after setup: {law}");
+    }
 
     let mut log = String::new();
     let mut kv_home = 0u16;
@@ -553,7 +564,7 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> String {
                 let _ = write!(log, "submit:{r:?};");
             }
             ClusterOp::Advance(n) => {
-                c.tick_n(n);
+                c.run(n);
                 let _ = write!(log, "done:{:?};", c.take_completions());
             }
             ClusterOp::CutLink(b) => c.cut_link(b, None),
@@ -609,11 +620,12 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> String {
                 let _ = write!(log, "poke:{echoed},{};", sent.is_ok());
             }
         }
-        c.check_invariants();
+        if let Err(law) = c.check_invariants() {
+            panic!("after {op:?}: {law}");
+        }
     }
     // Let in-flight work land so late divergence shows too.
-    c.tick_n(6_000);
-    c.check_invariants();
+    c.run(6_000);
 
     let done = c.take_completions();
     let e2e = c.end_to_end.histogram();
@@ -652,7 +664,7 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> String {
         }
         let _ = write!(log, "\ntrace{b}: {:?}", sys.merged_trace());
     }
-    log
+    (c, log)
 }
 
 proptest! {
@@ -662,8 +674,6 @@ proptest! {
     /// invisible: any op sequence ends in the state dense ticking reaches.
     #[test]
     fn cluster_ops_agree_across_clocks(ops in prop::collection::vec(arb_cluster_op(), 40..160)) {
-        let event = run_cluster_ops(ClockMode::Event, &ops);
-        let dense = run_cluster_ops(ClockMode::Dense, &ops);
-        prop_assert_eq!(event, dense);
+        agree("a cluster op sequence", |mode| run_cluster_ops(mode, &ops));
     }
 }

@@ -12,7 +12,7 @@ use apiary_cap::{CapRef, ServiceId};
 use apiary_core::supervisor::AccelFactory;
 use apiary_core::{AppId, FaultPolicy, System};
 use apiary_noc::NodeId;
-use apiary_sim::Cycle;
+use apiary_sim::{ensure, Cycle, Machine};
 use apiary_trace::{EventKind, RemotePhase};
 use std::collections::BTreeMap;
 
@@ -156,22 +156,20 @@ impl Board {
         self.sys.tracer_mut(gw).record(now, gw.0, event);
     }
 
-    /// Panics unless the board is in lockstep with cluster cycle `now` and
-    /// its cached deadline, if any, is what the system reports, whose own
-    /// memoised kernel deadline is in turn what a fresh scan reports.
-    pub(crate) fn check_invariants(&self, index: usize, now: Cycle) {
-        assert_eq!(
-            self.sys.now(),
-            now,
+    /// `Err` unless the board is in lockstep with cluster cycle `now`, the
+    /// system's own laws hold (its memoised kernel deadline among them),
+    /// and the board's cached deadline, if any, is what the system reports.
+    pub(crate) fn check_invariants(&self, index: usize, now: Cycle) -> Result<(), String> {
+        ensure!(
+            self.sys.now() == now,
             "board {index} is not on the cluster's cycle"
         );
-        self.sys.check_invariants();
-        if let Some(due) = self.due {
-            assert_eq!(
-                due,
-                self.sys.next_event_due(),
-                "board {index} caches a stale deadline"
-            );
-        }
+        self.sys.check_invariants()?;
+        let fresh = self.sys.next_event_due();
+        ensure!(
+            self.due.is_none_or(|d| d == fresh),
+            "board {index} caches a stale deadline"
+        );
+        Ok(())
     }
 }

@@ -54,7 +54,7 @@ use apiary_cap::ServiceId;
 use apiary_core::process::OS_APP;
 use apiary_core::{FaultPolicy, System, SystemConfig, SystemError};
 use apiary_noc::NodeId;
-use apiary_sim::{ClockMode, Cycle};
+use apiary_sim::{ensure, ClockMode, Cycle, Machine};
 use apiary_trace::{EventKind, LatencyTracker, RemotePhase};
 use migration::Migration;
 use requests::Requests;
@@ -243,9 +243,10 @@ impl ClusterSystem {
         }
     }
 
-    /// Current cycle (all live boards tick in lockstep).
+    /// [`Machine::now`], under the name `benchmark/` calls.
+    #[inline]
     pub fn now(&self) -> Cycle {
-        Cycle(self.ticks)
+        Machine::now(self)
     }
 
     /// One board's system.
@@ -297,27 +298,17 @@ impl ClusterSystem {
             })
     }
 
-    /// Request traffic drained: nothing pending at the cluster level, no
-    /// forwarded work awaiting a local reply, no live migration mid-flight
-    /// (its snapshot may be on the wire or restoring while both boards look
-    /// idle), every live board idle. Gossip deliberately does not count —
-    /// it is a periodic background heartbeat and never "drains".
+    /// [`Machine::quiescent`], under the name `benchmark/` calls.
+    #[inline]
     pub fn quiescent(&self) -> bool {
-        self.requests.is_empty()
-            && self.migrations.is_empty()
-            && self
-                .boards
-                .iter()
-                .filter(|b| b.alive)
-                .all(|b| b.ingress.is_empty() && b.sys().is_idle())
+        Machine::quiescent(self)
     }
 
     /// Advances the whole cluster by one cycle, densely: every live board
     /// ticks, every link is pumped, every pending request is checked for
     /// timeout. This is the reference the event clock is held to
     /// (`clock_equivalence.rs`, `--det-check=event-vs-dense`); drivers that
-    /// want speed call [`ClusterSystem::advance_toward`] or
-    /// [`ClusterSystem::tick_n`].
+    /// want speed step with [`Machine::advance_toward`].
     pub fn tick(&mut self) {
         self.ticks += 1;
         self.cycle(true);
@@ -381,38 +372,25 @@ impl ClusterSystem {
         self.cycle(false);
     }
 
-    /// Panics unless the lockstep bookkeeping is consistent: every board
-    /// steps by the cluster's clock, every live board is on the cluster's
-    /// cycle and caches no stale deadline (nor does its system), every
-    /// board's directory is well filed ([`Directory::check_invariants`]),
-    /// the deadline queue's front is no later than the earliest timeout of
-    /// any pending request (a later front would let the event clock sleep
-    /// through an expiry) and is live if marked so, and the fabric's laws
-    /// hold ([`Fabric::check_invariants`]). Boards and links that a cycle
-    /// passes over are checked where they are skipped, in debug builds.
-    pub fn check_invariants(&self) {
-        let now = self.now();
-        for (i, b) in self.boards.iter().enumerate() {
-            assert_eq!(
-                b.sys().config().clock,
-                self.cfg.system.clock,
-                "board {i} is not on the cluster's clock"
-            );
-            b.dir.check_invariants();
-            if b.alive {
-                b.check_invariants(i, now);
-            }
-        }
-        self.requests.check();
-        self.fabric.check_invariants();
+    /// [`Machine::advance_toward`], under the name `benchmark/` calls.
+    #[inline]
+    pub fn advance_toward(&mut self, horizon: Cycle) {
+        Machine::advance_toward(self, horizon);
     }
 
-    /// Advances time by one scheduling step: one cycle under the dense
-    /// clock, or up to the next cluster-wide wakeup (never beyond
-    /// `horizon`) under the event clock. Experiment drivers interleave
-    /// their own client wakeups with the cluster's exactly like the
-    /// single-board `System::advance_toward`.
-    pub fn advance_toward(&mut self, horizon: Cycle) {
+    /// [`Machine::run`], under the name `benchmark/` calls.
+    pub fn tick_n(&mut self, n: u64) {
+        Machine::run(self, n);
+    }
+}
+
+impl Machine for ClusterSystem {
+    /// All live boards tick in lockstep on this cycle.
+    fn now(&self) -> Cycle {
+        Cycle(self.ticks)
+    }
+
+    fn advance_toward(&mut self, horizon: Cycle) {
         if self.now() >= horizon {
             return;
         }
@@ -422,12 +400,40 @@ impl ClusterSystem {
         }
     }
 
-    /// Runs `n` cycles, one [`ClusterSystem::advance_toward`] step at a
-    /// time (both clocks end on the same cycle with bit-identical state).
-    pub fn tick_n(&mut self, n: u64) {
-        let end = Cycle(self.ticks.saturating_add(n));
-        while self.now() < end {
-            self.advance_toward(end);
+    /// Request traffic drained: nothing pending at the cluster level, no
+    /// forwarded work awaiting a local reply, no live migration mid-flight
+    /// (its snapshot may be on the wire or restoring while both boards look
+    /// idle), every live board idle. Gossip deliberately does not count —
+    /// it is a periodic background heartbeat and never "drains".
+    fn quiescent(&self) -> bool {
+        let mut live = self.boards.iter().filter(|b| b.alive);
+        self.requests.is_empty()
+            && self.migrations.is_empty()
+            && live.all(|b| b.ingress.is_empty() && b.sys().quiescent())
+    }
+
+    /// The lockstep bookkeeping is consistent: every board steps by the
+    /// cluster's clock, every live board is on the cluster's cycle and
+    /// caches no stale deadline (nor does its system), every board's
+    /// directory is well filed ([`Directory::check_invariants`]), the
+    /// deadline queue's front is no later than the earliest timeout of any
+    /// pending request (a later front would let the event clock sleep
+    /// through an expiry) and is live if marked so, and the fabric's laws
+    /// hold ([`Fabric::check_invariants`]). Boards and links that a cycle
+    /// passes over are checked where they are skipped, in debug builds.
+    fn check_invariants(&self) -> Result<(), String> {
+        for (i, b) in self.boards.iter().enumerate() {
+            let clock = b.sys().config().clock;
+            ensure!(
+                clock == self.cfg.system.clock,
+                "board {i} is not on the cluster's clock"
+            );
+            b.dir.check_invariants()?;
+            if b.alive {
+                b.check_invariants(i, self.now())?;
+            }
         }
+        self.requests.check()?;
+        self.fabric.check_invariants()
     }
 }

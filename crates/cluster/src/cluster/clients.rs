@@ -2,7 +2,7 @@
 
 use super::{ClusterSystem, SubmitError};
 use apiary_net::{BreakerConfig, BreakerState, RequestGen, RetryPolicy, Workload};
-use apiary_sim::Cycle;
+use apiary_sim::{Cycle, Machine};
 
 /// One external client: a [`RequestGen`] (workload, retry policy, circuit
 /// breaker) attached at a board's network ingress.
@@ -48,8 +48,9 @@ impl ClusterClient {
 }
 
 /// One driver step for a set of clients: deliver completions, then issue
-/// new arrivals and due retries, recording breaker-open transitions.
-/// Call once per [`ClusterSystem::tick`].
+/// new arrivals and due retries, recording breaker-open transitions. Call
+/// it on every cycle where a completion is pending or a client's timed
+/// event is due, as [`run_clients`] does.
 pub fn drive_clients(cluster: &mut ClusterSystem, clients: &mut [ClusterClient]) {
     let now = cluster.now();
     for c in cluster.take_completions() {
@@ -110,7 +111,7 @@ pub fn run_clients(
         }
         let due = cluster.cfg.system.clock.jump_target(cluster.now(), due);
         loop {
-            cluster.advance_toward(due);
+            Machine::advance_toward(cluster, due);
             if cluster.now() >= due || cluster.has_completions() {
                 break;
             }

@@ -6,7 +6,7 @@ use crate::fabric::{Body, ClusterMsg};
 use apiary_cap::{CapKind, Capability, Rights};
 use apiary_monitor::wire::KIND_REQUEST;
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::Cycle;
+use apiary_sim::{ensure, Cycle};
 use apiary_trace::RemotePhase;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -109,19 +109,20 @@ impl Requests {
         self.pending.is_empty()
     }
 
-    /// Panics unless the front is no later than every pending timeout (or
+    /// `Err` unless the front is no later than every pending timeout (or
     /// the event clock would sleep through one) and is live if marked so.
-    pub(super) fn check(&self) {
+    pub(super) fn check(&self) -> Result<(), String> {
         if let Some(earliest) = self.pending.values().map(|p| p.deadline).min() {
             let front = self.next_deadline();
-            assert!(
+            ensure!(
                 front.is_some_and(|d| d <= earliest),
                 "deadline queue front {front:?} is later than pending minimum {earliest:?}"
             );
         }
         let live = |&(d, t): &(Cycle, u64)| self.pending.get(&t).is_some_and(|p| p.deadline == d);
         let marked_right = !self.front_live || self.deadlines.front().is_some_and(live);
-        assert!(marked_right, "deadline queue front wrongly marked live");
+        ensure!(marked_right, "deadline queue front wrongly marked live");
+        Ok(())
     }
 }
 

@@ -19,7 +19,7 @@
 
 use apiary_cap::ServiceId;
 use apiary_noc::NodeId;
-use apiary_sim::Cycle;
+use apiary_sim::{ensure, Cycle};
 use std::collections::BTreeMap;
 
 /// One replica binding in the global directory.
@@ -219,13 +219,13 @@ impl Directory {
         self.entries.is_empty()
     }
 
-    /// Panics unless every entry is filed under its own name and home and
+    /// `Err` unless every entry is filed under its own name and home and
     /// no name is filed with an empty set of homes.
-    pub fn check_invariants(&self) {
+    pub fn check_invariants(&self) -> Result<(), String> {
         for (name, homes) in &self.entries {
-            assert!(!homes.is_empty(), "{name} is filed with no home");
+            ensure!(!homes.is_empty(), "{name} is filed with no home");
             for (&home, e) in homes {
-                assert!(
+                ensure!(
                     e.name == *name && e.home == home,
                     "{}@{} is filed under {name}@{home}",
                     e.name,
@@ -233,6 +233,7 @@ impl Directory {
                 );
             }
         }
+        Ok(())
     }
 }
 

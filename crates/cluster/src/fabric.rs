@@ -27,7 +27,7 @@ use apiary_cap::ServiceId;
 use apiary_net::arq::{Ack, GoBackNReceiver, GoBackNSender, Packet};
 use apiary_net::{Frame, Wire};
 use apiary_noc::NodeId;
-use apiary_sim::{Cycle, Payload, Reader};
+use apiary_sim::{ensure, Cycle, Payload, Reader};
 use std::collections::VecDeque;
 
 /// Endpoint id of the top-of-rack switch (star topology only).
@@ -647,14 +647,15 @@ impl Fabric {
         self.links.iter().all(Link::idle)
     }
 
-    /// Panics unless every posted deadline is what its link reports and
+    /// `Err` unless every posted deadline is what its link reports and
     /// every link's ARQ window holds its laws (acknowledged never exceeds
     /// sent, outstanding never exceeds the window).
-    pub fn check_invariants(&self) {
+    pub fn check_invariants(&self) -> Result<(), String> {
         for (l, &due) in self.links.iter().zip(&self.due) {
-            assert_eq!(due, l.next_activity(), "stale deadline on {:?}", l.key);
-            l.tx.check_invariants();
+            ensure!(due == l.next_activity(), "stale deadline on {:?}", l.key);
+            l.tx.check_invariants()?;
         }
+        Ok(())
     }
 
     /// Aggregate counters.

@@ -132,7 +132,7 @@ fn tor_switches_onto_an_idle_downlink_in_the_arrival_cycle() {
         assert_ne!(now, Cycle::MAX, "the frame got lost");
         assert_eq!(f.due[down], Cycle::MAX);
         f.step(now);
-        f.check_invariants();
+        assert_eq!(f.check_invariants(), Ok(()));
     }
     // The downlink was not due when the cycle began, yet the frame is
     // already past its backlog and on its wire.
@@ -170,7 +170,7 @@ fn tor_routes_on_the_header_and_malformed_frames_die_quietly() {
         "the short one went no further"
     );
     assert!(f.idle(), "the links drained");
-    f.check_invariants();
+    assert_eq!(f.check_invariants(), Ok(()));
 }
 
 #[test]
@@ -206,8 +206,8 @@ fn stepping_only_due_links_matches_pumping_every_link() {
                 "{topology:?} diverged at cycle {c}"
             );
         }
-        sparse.check_invariants();
-        dense.check_invariants();
+        assert_eq!(sparse.check_invariants(), Ok(()));
+        assert_eq!(dense.check_invariants(), Ok(()));
         assert_eq!(sparse.stats(), dense.stats());
         let s = sparse.stats();
         assert!(s.delivered > 100 && s.retransmissions > 0 && s.cut_drops > 0);

@@ -103,7 +103,7 @@ proptest! {
                 Op::Advance { cycles } => now += cycles,
             }
             for (b, dir) in dirs.iter().enumerate() {
-                dir.check_invariants();
+                assert_eq!(dir.check_invariants(), Ok(()));
                 for e in dir.snapshot().into_iter().filter(|e| e.withdrawn) {
                     held[b].insert((e.name, e.home, e.version, e.expires_at));
                 }

@@ -41,7 +41,7 @@ use apiary_accel::Accelerator;
 use apiary_cap::ServiceId;
 use apiary_monitor::TileState;
 use apiary_noc::NodeId;
-use apiary_sim::Cycle;
+use apiary_sim::{ensure, Cycle};
 use apiary_trace::EventKind;
 use std::collections::VecDeque;
 
@@ -221,25 +221,26 @@ impl Supervisor {
         &mut self.checkpoints
     }
 
-    /// Panics unless every service stands on one rung of the ladder: at
+    /// `Err` unless every service stands on one rung of the ladder: at
     /// most one incident open, none once abandoned, an open one naming the
     /// service's node and, while `Reconfiguring`, its target's bitstream
     /// in flight; and no free spare hosts a service.
-    pub(crate) fn check(&self, reconfig: &ReconfigController) {
+    pub(crate) fn check(&self, reconfig: &ReconfigController) -> Result<(), String> {
         for spec in &self.specs {
             let (s, node) = (spec.service, spec.node);
-            assert!(!self.free_spares.contains(&node), "{s:?} on a free spare");
+            ensure!(!self.free_spares.contains(&node), "{s:?} on a free spare");
             let open = |i: &&Incident| i.service == s && !i.closed();
             for (k, i) in self.incidents.iter().filter(open).enumerate() {
-                assert!(k == 0, "{s:?} has two open incidents");
-                assert!(!spec.abandoned, "abandoned {s:?} has an open incident");
-                assert_eq!(i.node, node, "{s:?}'s open incident is elsewhere");
+                ensure!(k == 0, "{s:?} has two open incidents");
+                ensure!(!spec.abandoned, "abandoned {s:?} has an open incident");
+                ensure!(i.node == node, "{s:?}'s open incident is elsewhere");
                 if let RecoveryTarget::InPlace(to) | RecoveryTarget::Migrate(to) = i.target {
                     let idle = i.phase == Phase::Reconfiguring && !reconfig.in_progress(to);
-                    assert!(!idle, "{s:?} reconfigures {to} with nothing in flight");
+                    ensure!(!idle, "{s:?} reconfigures {to} with nothing in flight");
                 }
             }
         }
+        Ok(())
     }
 }
 

@@ -1,8 +1,8 @@
 //! The machine: NoC + tiles + clock, and the kernel management API.
 //!
-//! This file holds the machine's state, its accessors and its laws. The
-//! management API is in `system/plane.rs` and the cycle loop in
-//! `system/cycle.rs`, each another `impl System`.
+//! This file holds the machine's state and its accessors. The management
+//! API is in `system/plane.rs`, and the cycle loop, the [`Machine`] impl
+//! and the laws are in `system/cycle.rs`.
 
 mod cycle;
 mod plane;
@@ -17,7 +17,7 @@ use apiary_cap::{CapError, ServiceId};
 use apiary_mem::{AllocError, AllocPolicy, DramConfig, SegmentAllocator};
 use apiary_monitor::{Monitor, MonitorConfig, TileState};
 use apiary_noc::{Noc, NocConfig, NodeId};
-use apiary_sim::{Clock, ClockMode, Cycle};
+use apiary_sim::{Clock, ClockMode, Cycle, Machine};
 use core::fmt;
 
 /// System-level configuration.
@@ -134,6 +134,7 @@ impl From<AllocError> for SystemError {
 /// use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
 /// use apiary_accel::apps::echo::echo;
 /// use apiary_noc::NodeId;
+/// use apiary_sim::Machine;
 ///
 /// let mut sys = System::new(SystemConfig::default());
 /// sys.install(NodeId(1), Box::new(echo(1)), AppId(1), FaultPolicy::FailStop)
@@ -186,9 +187,10 @@ impl System {
         sys
     }
 
-    /// Current simulated time.
+    /// [`Machine::now`], under the name `benchmark/` calls.
+    #[inline]
     pub fn now(&self) -> Cycle {
-        self.clock.now()
+        Machine::now(self)
     }
 
     /// The system configuration.
@@ -284,15 +286,6 @@ impl System {
             .as_mut()?
             .as_any_mut()
             .downcast_mut::<T>()
-    }
-
-    /// Panics unless the memoised kernel deadline, if held, is a fresh
-    /// scan's, and every supervised service stands on one rung of the
-    /// escalation ladder (`Supervisor::check`).
-    pub fn check_invariants(&self) {
-        let fresh = self.next_phase_due(self.clock.now());
-        assert!(self.phase_due.is_none_or(|d| d == fresh), "stale memo");
-        self.supervisor.check(&self.reconfig);
     }
 
     // ------------------------------------------------------------------

@@ -8,13 +8,14 @@ use crate::tile::KernelOs;
 use apiary_accel::CapEnv;
 use apiary_monitor::TileState;
 use apiary_noc::NodeId;
-use apiary_sim::{ClockMode, Cycle};
+use apiary_sim::{ensure, ClockMode, Cycle, Machine};
 
 impl System {
     /// Advances the machine by one cycle (the dense reference clock: every
-    /// kernel phase runs every cycle). The event clock in [`System::run`]
-    /// reaches the same states by running the private `cycle_phases` only on
-    /// cycles a component scheduled a wakeup for.
+    /// kernel phase runs every cycle). The event clock in
+    /// [`Machine::advance_toward`] reaches the same states by running the
+    /// private `cycle_phases` only on cycles a component scheduled a wakeup
+    /// for.
     pub fn tick(&mut self) {
         let now = self.clock.tick();
         self.noc.step();
@@ -224,44 +225,15 @@ impl System {
         self.clock.advance_to(target);
     }
 
-    /// Runs for `cycles` cycles, one [`System::advance_toward`] step at a
-    /// time, and ends at exactly `now + cycles`.
-    pub fn run(&mut self, cycles: u64) {
-        self.run_until(cycles, |_| false);
-    }
-
-    /// Advances time by one scheduling step: one cycle under the dense
-    /// clock, or up to the next scheduled wakeup (never beyond `horizon`)
-    /// under the event clock. Harness components attached directly to
-    /// monitors — load generators, experiment drivers — use this to
-    /// interleave their own wakeups with the kernel's event loop: compute
-    /// your next deadline, `advance_toward` it in a loop, and check your
-    /// tiles for mail after each step.
+    /// [`Machine::advance_toward`], under the name `benchmark/` calls.
+    #[inline]
     pub fn advance_toward(&mut self, horizon: Cycle) {
-        if self.clock.now() >= horizon {
-            return;
-        }
-        match self.cfg.clock {
-            ClockMode::Dense => self.tick(),
-            ClockMode::Event => self.event_step(horizon),
-        }
+        Machine::advance_toward(self, horizon);
     }
 
-    /// Runs until `pred` returns `true` or `max_cycles` elapse; returns
-    /// whether the predicate fired. The predicate is checked after every
-    /// [`System::advance_toward`] step, so both clocks stop on exactly the
-    /// same cycle provided `pred` is a function of component state (which
-    /// only changes on cycles whose kernel phases ran), not of raw clock
-    /// time.
-    pub fn run_until(&mut self, max_cycles: u64, mut pred: impl FnMut(&System) -> bool) -> bool {
-        let end = self.clock.now().saturating_add(max_cycles);
-        while self.clock.now() < end {
-            self.advance_toward(end);
-            if pred(self) {
-                return true;
-            }
-        }
-        false
+    /// [`Machine::run_until`], under the name `benchmark/` calls.
+    pub fn run_until(&mut self, max_cycles: u64, pred: impl FnMut(&System) -> bool) -> bool {
+        Machine::run_until(self, max_cycles, pred)
     }
 
     /// Runs until no traffic has been in flight for a settle window (long
@@ -275,7 +247,7 @@ impl System {
         const SETTLE: u64 = 4096;
         let end = self.clock.now().saturating_add(max_cycles);
         let mut quiet = 0u64;
-        let mut idle = self.is_idle();
+        let mut idle = self.quiescent();
         while self.clock.now() < end {
             let before = self.clock.now();
             // Idleness only changes on the cycle a step lands on: the
@@ -288,11 +260,11 @@ impl System {
             } else {
                 end
             };
-            self.advance_toward(horizon);
+            Machine::advance_toward(self, horizon);
             if idle {
                 quiet += self.clock.now().saturating_since(before) - 1;
             }
-            idle = self.is_idle();
+            idle = self.quiescent();
             if idle {
                 quiet += 1;
                 if quiet >= SETTLE {
@@ -305,11 +277,9 @@ impl System {
         idle
     }
 
-    /// Returns `true` when no traffic is in flight (see
-    /// [`System::run_until_idle`] for the caveat about compute in
-    /// progress).
+    /// [`Machine::quiescent`], under the name `benchmark/` calls.
     pub fn is_idle(&self) -> bool {
-        self.noc.pending() == 0 && self.tiles.iter().all(|t| t.monitor.outbox_len() == 0)
+        Machine::quiescent(self)
     }
 
     pub(super) fn apply_fault(&mut self, node: NodeId, code: u32, now: Cycle) {
@@ -330,5 +300,41 @@ impl System {
             at: now,
             action,
         });
+    }
+}
+
+impl Machine for System {
+    fn now(&self) -> Cycle {
+        self.clock.now()
+    }
+
+    fn advance_toward(&mut self, horizon: Cycle) {
+        if self.clock.now() >= horizon {
+            return;
+        }
+        match self.cfg.clock {
+            ClockMode::Dense => self.tick(),
+            ClockMode::Event => self.event_step(horizon),
+        }
+    }
+
+    /// The NoC and every outbox are empty. Unread inbox messages and
+    /// compute in progress do not count (see [`System::run_until_idle`]).
+    fn quiescent(&self) -> bool {
+        self.noc.pending() == 0 && self.tiles.iter().all(|t| t.monitor.outbox_len() == 0)
+    }
+
+    /// The memoised kernel deadline, if held, is a fresh scan's; every
+    /// tile's flow cache agrees with its cap table
+    /// ([`Monitor::check_invariants`](apiary_monitor::Monitor::check_invariants));
+    /// and every supervised service stands on one rung of the escalation
+    /// ladder (`Supervisor::check`).
+    fn check_invariants(&self) -> Result<(), String> {
+        let fresh = self.next_phase_due(self.clock.now());
+        ensure!(self.phase_due.is_none_or(|d| d == fresh), "stale memo");
+        for tile in &self.tiles {
+            tile.monitor.check_invariants()?;
+        }
+        self.supervisor.check(&self.reconfig)
     }
 }

@@ -7,6 +7,7 @@ use apiary_core::supervisor::RecoveryTarget;
 use apiary_core::{AppId, FaultPolicy, SupervisorConfig, System, SystemConfig};
 use apiary_monitor::{wire, TileState};
 use apiary_noc::{NodeId, TrafficClass};
+use apiary_sim::Machine;
 
 const SVC: ServiceId = ServiceId(42);
 const CLIENT: NodeId = NodeId(0);
@@ -32,15 +33,6 @@ fn supervised_system(sup: SupervisorConfig) -> (System, apiary_cap::CapRef) {
     .expect("free");
     let cap = sys.attach_client(CLIENT, SVC).expect("wired");
     (sys, cap)
-}
-
-/// Runs `cycles` cycles, holding the system's invariants (the supervisor's
-/// ladder among them) after every step.
-fn run_checked(sys: &mut System, cycles: u64) {
-    sys.run_until(cycles, |s| {
-        s.check_invariants();
-        false
-    });
 }
 
 fn request(sys: &mut System, cap: apiary_cap::CapRef, tag: u64) {
@@ -78,7 +70,7 @@ fn fault_triggers_in_place_restart_with_mttr() {
     sys.inject_fault(HOME, 0xBEEF);
     assert_eq!(sys.tile(HOME).monitor.state(), TileState::FailStopped);
     // Backoff (256) + bitstream (1024) + detection slack.
-    run_checked(&mut sys, 5_000);
+    sys.run_checked(5_000).unwrap();
     assert_eq!(sys.tile(HOME).monitor.state(), TileState::Running);
     assert_eq!(sys.tile(HOME).accel_name(), "echo");
 
@@ -109,7 +101,7 @@ fn requests_during_outage_fail_then_heal() {
     });
     sys.inject_fault(HOME, 1);
     // Mid-outage request: the sealed monitor answers with an error.
-    run_checked(&mut sys, 10);
+    sys.run_checked(10).unwrap();
     request(&mut sys, cap, 1);
     assert!(sys.run_until_idle(50_000));
     let d = response(&mut sys).expect("error reply");
@@ -133,12 +125,12 @@ fn exhausted_restarts_escalate_to_spare_migration() {
     });
     // First fault: in-place restart.
     sys.inject_fault(HOME, 1);
-    run_checked(&mut sys, 5_000);
+    sys.run_checked(5_000).unwrap();
     assert_eq!(sys.service_home(SVC), Some(HOME));
 
     // Second fault: restarts exhausted, migrate to the spare.
     sys.inject_fault(HOME, 2);
-    run_checked(&mut sys, 10_000);
+    sys.run_checked(10_000).unwrap();
     assert_eq!(sys.service_home(SVC), Some(SPARE));
     assert_eq!(sys.tile(SPARE).accel_name(), "echo");
     assert_eq!(sys.tile(SPARE).monitor.state(), TileState::Running);
@@ -169,7 +161,7 @@ fn no_spares_abandons_the_service() {
         ..SupervisorConfig::default()
     });
     sys.inject_fault(HOME, 3);
-    run_checked(&mut sys, 10_000);
+    sys.run_checked(10_000).unwrap();
     assert_eq!(sys.tile(HOME).monitor.state(), TileState::FailStopped);
     let incidents = sys.incidents();
     assert_eq!(incidents.len(), 1);
@@ -188,7 +180,7 @@ fn no_spares_abandons_the_service() {
 fn supervisor_disabled_leaves_failures_alone() {
     let (mut sys, _cap) = supervised_system(SupervisorConfig::default());
     sys.inject_fault(HOME, 1);
-    run_checked(&mut sys, 20_000);
+    sys.run_checked(20_000).unwrap();
     assert_eq!(sys.tile(HOME).monitor.state(), TileState::FailStopped);
     assert!(sys.incidents().is_empty());
 }
@@ -239,12 +231,12 @@ fn periodic_checkpoints_make_restart_warm_with_bounded_staleness() {
     let mut sys = supervised_kv(1_000);
     put(&mut sys, b"early", b"survives");
     // A few intervals elapse; the supervisor snapshots the service.
-    run_checked(&mut sys, 3_500);
+    sys.run_checked(3_500).unwrap();
     assert!(sys.checkpoint_store().taken >= 2, "checkpoints were taken");
     // A write after the last checkpoint is inside the staleness window.
     put(&mut sys, b"late", b"lost");
     sys.inject_fault(HOME, 0xDEAD);
-    run_checked(&mut sys, 6_000);
+    sys.run_checked(6_000).unwrap();
 
     let incidents = sys.incidents();
     assert_eq!(incidents.len(), 1);
@@ -262,10 +254,10 @@ fn periodic_checkpoints_make_restart_warm_with_bounded_staleness() {
 fn without_checkpoints_restart_is_cold() {
     let mut sys = supervised_kv(0);
     put(&mut sys, b"early", b"gone");
-    run_checked(&mut sys, 3_500);
+    sys.run_checked(3_500).unwrap();
     assert_eq!(sys.checkpoint_store().taken, 0);
     sys.inject_fault(HOME, 0xDEAD);
-    run_checked(&mut sys, 6_000);
+    sys.run_checked(6_000).unwrap();
     let incidents = sys.incidents();
     assert!(incidents[0].mttr().is_some(), "recovered");
     assert!(!incidents[0].warm, "factory-fresh restart");
@@ -294,9 +286,9 @@ fn migration_to_spare_restores_the_checkpoint() {
     )
     .expect("free");
     put(&mut sys, b"k", b"v");
-    run_checked(&mut sys, 2_500);
+    sys.run_checked(2_500).unwrap();
     sys.inject_fault(HOME, 7);
-    run_checked(&mut sys, 10_000);
+    sys.run_checked(10_000).unwrap();
     assert_eq!(sys.service_home(SVC), Some(SPARE));
     let incidents = sys.incidents();
     assert_eq!(incidents[0].target, RecoveryTarget::Migrate(SPARE));
@@ -324,7 +316,7 @@ fn non_preemptible_service_is_excused_from_checkpoints() {
         Box::new(|| Box::new(apiary_accel::apps::flood::flooder(64))),
     )
     .expect("free");
-    run_checked(&mut sys, 5_000);
+    sys.run_checked(5_000).unwrap();
     assert_eq!(
         sys.checkpoint_store().taken,
         0,

@@ -8,6 +8,7 @@ use apiary_core::memsvc::MemoryService;
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig, SystemError};
 use apiary_monitor::{wire, TileState};
 use apiary_noc::{NodeId, TrafficClass};
+use apiary_sim::Machine;
 
 fn small_system() -> System {
     System::new(SystemConfig::default()) // 4x4, memory service at n15.
@@ -845,7 +846,7 @@ fn observable(sys: &System) -> String {
         "{:?} {:?} idle={} {tiles:?} {:?}",
         sys.now(),
         sys.noc().stats(),
-        sys.is_idle(),
+        sys.quiescent(),
         sys.merged_trace()
     )
 }
@@ -946,7 +947,7 @@ fn a_board_carrying_one_packet_is_due_when_it_lands() {
             assert_eq!(event.now(), lands);
             assert_eq!(event.phase_cycles(), phases + 1);
         }
-        event.check_invariants();
+        assert_eq!(event.check_invariants(), Ok(()));
         assert_eq!(observable(&event), observable(&dense), "step {steps}");
         steps += 1;
     }
@@ -986,7 +987,13 @@ fn every_mutable_entry_steps_the_clock_or_calls_touched() {
             entries.push((name, &rest[open..close]));
         }
     }
-    let steps = ["self.clock.tick()", "self.clock.advance_to(", "touched()"];
+    let steps = [
+        "self.clock.tick()",
+        "self.clock.advance_to(",
+        "touched()",
+        "Machine::advance_toward(self",
+        "Machine::run_until(self",
+    ];
     let mut safe: Vec<&str> = Vec::new();
     // `tracer_mut` is the one exception: recording an event moves no
     // deadline, and the cluster traces on boards it must not wake.
@@ -1065,7 +1072,7 @@ fn wakes_like_its_dense_twin(entry: impl Fn(&mut System, apiary_cap::CapRef)) {
     assert_eq!(event.phase_cycles(), phases, "the step ran no phase");
     entry(&mut event, cap);
     entry(&mut dense, cap);
-    event.check_invariants();
+    assert_eq!(event.check_invariants(), Ok(()));
     let see = |sys: &System| format!("{} {:?}", observable(sys), sys.incidents());
     for end in (61..=200).chain([1_000, 5_000, 50_000]) {
         while event.now() < Cycle(end) {
@@ -1074,7 +1081,7 @@ fn wakes_like_its_dense_twin(entry: impl Fn(&mut System, apiary_cap::CapRef)) {
         while dense.now() < Cycle(end) {
             dense.advance_toward(Cycle(end));
         }
-        event.check_invariants();
+        assert_eq!(event.check_invariants(), Ok(()));
         assert_eq!(see(&event), see(&dense), "diverged by cycle {end}");
     }
     assert!(

@@ -6,6 +6,7 @@ use apiary_core::fault::{FaultAction, WATCHDOG_FAULT};
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary_monitor::{wire, Monitor, MonitorConfig, TileState};
 use apiary_noc::{NodeId, TrafficClass};
+use apiary_sim::Machine;
 
 fn watchdog_system(policy: FaultPolicy) -> (System, apiary_cap::CapRef, NodeId) {
     let client = NodeId(0);

@@ -49,7 +49,7 @@ use apiary_cluster::{ClusterConfig, ClusterSystem, SubmitError};
 use apiary_core::AppId;
 use apiary_noc::NodeId;
 use apiary_resources::{Area, FloorPlanner, Part};
-use apiary_sim::{ClockMode, Cycle, SimRng};
+use apiary_sim::{ClockMode, Cycle, Machine, SimRng};
 use apiary_trace::LatencyTracker;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -540,51 +540,21 @@ impl FaasSystem {
         }
     }
 
-    /// Advances the fleet by one scheduling step (never beyond `horizon`)
-    /// and runs the control loop. Drivers interleave their own arrival
-    /// schedule by capping `horizon` at it, exactly like
-    /// [`apiary_cluster::run_clients`].
+    /// [`Machine::advance_toward`], under the name `benchmark/` calls.
+    #[inline]
     pub fn step_toward(&mut self, horizon: Cycle) {
-        if self.cluster.now() >= horizon {
-            return;
-        }
-        let due = self.next_wakeup(horizon);
-        self.cluster.advance_toward(due);
-        self.pump();
+        Machine::advance_toward(self, horizon);
     }
 
-    /// Runs `cycles` cycles (through [`FaasSystem::step_toward`], so both
-    /// clocks execute identical work).
-    pub fn run(&mut self, cycles: u64) {
-        self.run_until(cycles, |_| false);
-    }
-
-    /// Runs until `stop` returns true or `limit` cycles elapse; returns
-    /// whether `stop` fired.
-    pub fn run_until(&mut self, limit: u64, mut stop: impl FnMut(&FaasSystem) -> bool) -> bool {
-        let end = Cycle(self.cluster.now().as_u64().saturating_add(limit));
-        while self.cluster.now() < end {
-            self.step_toward(end);
-            if stop(self) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// No queued, in-flight, or half-deployed work anywhere: every replica
-    /// is live and the cluster itself has drained.
-    pub fn quiescent(&self) -> bool {
-        self.assert_posted();
-        self.inflight.is_empty()
-            && self.pools.waiting_from(0).is_none()
-            && self.pools.bringing_from(0).is_none()
-            && self.cluster.quiescent()
-    }
-
-    /// Current cycle.
+    /// [`Machine::now`], under the name `benchmark/` calls.
+    #[inline]
     pub fn now(&self) -> Cycle {
-        self.cluster.now()
+        Machine::now(self)
+    }
+
+    /// [`Machine::check_invariants`], under the name `benchmark/` calls.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        Machine::check_invariants(self)
     }
 
     /// The fleet underneath (latency trackers, fabric stats, directories).
@@ -643,6 +613,41 @@ impl FaasSystem {
     /// Completed invocations since the last call, in completion order.
     pub fn take_finished(&mut self) -> Vec<Finished> {
         std::mem::take(&mut self.finished)
+    }
+}
+
+impl Machine for FaasSystem {
+    fn now(&self) -> Cycle {
+        self.cluster.now()
+    }
+
+    /// Advances the fleet by one scheduling step (never beyond `horizon`)
+    /// and runs the control loop. Drivers interleave their own arrival
+    /// schedule by capping `horizon` at it, exactly like
+    /// [`apiary_cluster::run_clients`].
+    fn advance_toward(&mut self, horizon: Cycle) {
+        if self.cluster.now() >= horizon {
+            return;
+        }
+        let due = self.next_wakeup(horizon);
+        self.cluster.advance_toward(due);
+        self.pump();
+    }
+
+    /// No queued, in-flight, or half-deployed work anywhere: every replica
+    /// is live and the cluster itself has drained.
+    fn quiescent(&self) -> bool {
+        self.assert_posted();
+        self.inflight.is_empty()
+            && self.pools.waiting_from(0).is_none()
+            && self.pools.bringing_from(0).is_none()
+            && self.cluster.quiescent()
+    }
+
+    /// The cluster's laws, then the ledgers' (`orchestrator/invariants.rs`).
+    fn check_invariants(&self) -> Result<(), String> {
+        self.cluster.check_invariants()?;
+        self.check_ledgers()
     }
 }
 

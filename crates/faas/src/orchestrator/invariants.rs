@@ -6,9 +6,8 @@ use std::collections::BTreeSet;
 
 impl FaasSystem {
     /// Cross-checks every ledger against the replica sets and the
-    /// cluster's capability state. Used by tests (including the warm-pool
-    /// proptest) after arbitrary interleavings.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// cluster's capability state.
+    pub(super) fn check_ledgers(&self) -> Result<(), String> {
         self.pools.check()?;
         for (bi, l) in self.boards.iter().enumerate() {
             let b = bi as u16;

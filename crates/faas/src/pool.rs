@@ -368,7 +368,7 @@ mod tests {
     use apiary_cluster::ClusterConfig;
     use apiary_core::AppId;
     use apiary_resources::Area;
-    use apiary_sim::ClockMode;
+    use apiary_sim::{ClockMode, Machine};
     use std::rc::Rc;
 
     const AUTOSCALE: u64 = 2_000;
@@ -428,7 +428,7 @@ mod tests {
             let mut changes = Vec::new();
             while seen != [ReplicaState::Live; 2] {
                 assert!(s.now() < Cycle(60_000), "both go live: {changes:?}");
-                s.step_toward(Cycle(60_000));
+                s.advance_toward(Cycle(60_000));
                 for (f, seen) in seen.iter_mut().enumerate() {
                     if state(&s, f) != *seen {
                         *seen = state(&s, f);
@@ -482,7 +482,7 @@ mod tests {
                     s.invoke(0, 1, 0, vec![0; 16]);
                     next_call = s.now() + 300;
                 }
-                s.step_toward(next_call);
+                s.advance_toward(next_call);
                 let cap = s.cluster.has_local_cap(board, service);
                 assert_eq!(cap, state(&s, 1) == ReplicaState::Live, "at {}", s.now());
                 if state(&s, 1) == ReplicaState::Loading {

@@ -21,7 +21,7 @@ use apiary_cluster::ClusterConfig;
 use apiary_core::AppId;
 use apiary_faas::{AdmissionConfig, FaasConfig, FaasSystem, FunctionSpec};
 use apiary_resources::Area;
-use apiary_sim::ClockMode;
+use apiary_sim::{ClockMode, Machine};
 use proptest::prelude::*;
 use std::rc::Rc;
 

@@ -5,7 +5,7 @@ use crate::wire;
 use apiary_cap::{CapError, CapKind, CapRef, CapTable, Capability, Rights};
 use apiary_mem::{AccessKind, ProtectError, SegmentChecker};
 use apiary_noc::{Delivered, Message, Noc, NodeId, TrafficClass};
-use apiary_sim::{Cycle, FxHashMap, Payload};
+use apiary_sim::{ensure, Cycle, FxHashMap, Payload};
 use apiary_trace::{EventKind, Tracer};
 use core::fmt;
 use std::collections::{HashMap, VecDeque};
@@ -166,8 +166,8 @@ pub struct Monitor {
     /// Batched flow verdicts: `(cap index, cap generation)` -> resolved
     /// destination and badge. Populated on a successful full check, cleared
     /// by every operation that can change a verdict (see
-    /// [`MonitorConfig::flow_cache`]). Never iterated, so hash-map order
-    /// cannot leak into simulation results.
+    /// [`MonitorConfig::flow_cache`]). Iterated only by the law, so hash-map
+    /// order cannot leak into simulation results.
     flows: FxHashMap<(u16, u16), FlowEntry>,
 }
 
@@ -316,6 +316,22 @@ impl Monitor {
         self.names.clear();
         self.flows.clear();
         self.tracer.record(now, self.node.0, EventKind::Reconfig);
+    }
+
+    /// `Err` unless every cached flow verdict is what a full check would
+    /// give now: its `(index, generation)` is a live SEND capability that
+    /// resolves to the cached destination and badge.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for (&(index, generation), flow) in &self.flows {
+            let cap = self.caps.check(CapRef { index, generation }, Rights::SEND);
+            let verdict = cap.ok().map(|c| (self.resolve_dst(c), c.badge));
+            ensure!(
+                verdict == Some((Ok(flow.dst), flow.badge)),
+                "tile {} caches a stale flow {index}.{generation}",
+                self.node
+            );
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -356,6 +356,42 @@ fn rebind_invalidates_flow_cache() {
     assert_eq!(dsts, vec![NodeId(2), NodeId(3)]);
 }
 
+/// Every invalidation point leaves the flow-cache law holding: no cached
+/// verdict survives that a full check would no longer give.
+#[test]
+fn flow_cache_law_holds_across_revoke_rebind_and_reset() {
+    let send = |m: &mut Monitor, cap| {
+        m.send(cap, 1, 0, TrafficClass::Request, vec![], Cycle(0))
+            .expect("primes the flow");
+    };
+    let mut m = monitor(0);
+    let ep = ep_cap(&mut m, 1, Rights::SEND);
+    send(&mut m, ep);
+    assert_eq!(m.check_invariants(), Ok(()));
+    m.revoke_cap(ep).expect("live");
+    assert_eq!(m.check_invariants(), Ok(()), "after revoke");
+
+    let svc = Capability::new(CapKind::Service(ServiceId(9)), Rights::SEND);
+    let svc = m.install_cap(svc).expect("space");
+    m.bind_service(9, NodeId(2));
+    send(&mut m, svc);
+    m.bind_service(9, NodeId(3));
+    assert_eq!(m.check_invariants(), Ok(()), "after rebind");
+
+    send(&mut m, svc);
+    m.reset(Cycle(1));
+    assert_eq!(m.check_invariants(), Ok(()), "after reset");
+
+    // A verdict the table no longer gives breaks the law.
+    let ep = ep_cap(&mut m, 1, Rights::SEND);
+    let wrong = FlowEntry {
+        dst: NodeId(2),
+        badge: 0,
+    };
+    m.flows.insert((ep.index, ep.generation), wrong);
+    assert!(m.check_invariants().is_err());
+}
+
 #[test]
 fn flow_cache_off_restores_per_message_checks() {
     let cfg = MonitorConfig {

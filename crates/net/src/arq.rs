@@ -6,7 +6,7 @@
 //! acks, a single retransmission timer — no per-packet state beyond the
 //! ring of unacknowledged payloads).
 
-use apiary_sim::{Cycle, Payload};
+use apiary_sim::{ensure, Cycle, Payload};
 use std::collections::VecDeque;
 
 /// A data packet.
@@ -173,21 +173,21 @@ impl GoBackNSender {
         self.unacked.is_empty() && self.outbox.is_empty()
     }
 
-    /// Panics unless the window's laws hold: the packets acknowledged plus
+    /// `Err` unless the window's laws hold: the packets acknowledged plus
     /// the packets outstanding are exactly the packets sent (so acks never
     /// exceed sends), and no more than a window is outstanding.
-    pub fn check_invariants(&self) {
-        assert_eq!(
-            self.base + self.unacked.len() as u64,
-            self.next_seq,
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let outstanding = self.unacked.len();
+        ensure!(
+            self.base + outstanding as u64 == self.next_seq,
             "acknowledged + outstanding != sent"
         );
-        assert!(
-            self.unacked.len() <= self.window,
-            "{} packets outstanding in a window of {}",
-            self.unacked.len(),
+        ensure!(
+            outstanding <= self.window,
+            "{outstanding} packets outstanding in a window of {}",
             self.window
         );
+        Ok(())
     }
 }
 
@@ -377,7 +377,7 @@ mod tests {
         tx.on_ack(Ack { next: u64::MAX }, Cycle(5));
         assert!(tx.unacked.is_empty());
         assert_eq!(tx.base, tx.next_seq, "base clamps to next_seq");
-        tx.check_invariants();
+        assert_eq!(tx.check_invariants(), Ok(()));
         // The sender keeps working afterwards.
         assert!(tx.offer(vec![3], Cycle(6)));
         let pkts = tx.poll(Cycle(6));
@@ -455,7 +455,7 @@ mod tests {
                 let (_, ack) = ack_wire.pop_front().expect("peeked");
                 tx.on_ack(ack, now);
             }
-            tx.check_invariants();
+            assert_eq!(tx.check_invariants(), Ok(()));
             if delivered.len() as u64 == total && tx.idle() {
                 break;
             }

@@ -229,6 +229,7 @@ mod tests {
     use apiary_accel::apps::idle::idle;
     use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
     use apiary_noc::NodeId;
+    use apiary_sim::Machine;
 
     /// Builds a system with a MAC at n0 serving an echo service at n5.
     fn net_system(clients: Vec<RequestGen>) -> (System, NodeId) {

@@ -21,7 +21,9 @@
 //! - [`FxHashMap`]/[`FxHashSet`], fast deterministic hashing for
 //!   simulator-internal maps,
 //! - [`stats`], the [`Histogram`] the benchmark harness and the tracing
-//!   layer record latencies in.
+//!   layer record latencies in,
+//! - [`Machine`], the one interface every machine is driven through, and
+//!   [`ensure!`] for its laws.
 //!
 //! The simulator is *event-resolved with cycle-exact semantics*: every
 //! component behaves as if ticked each cycle, but the drivers skip cycles
@@ -32,6 +34,7 @@
 pub mod clock;
 pub mod event;
 pub mod fxmap;
+pub mod machine;
 pub mod payload;
 pub mod reader;
 pub mod rng;
@@ -41,6 +44,7 @@ pub mod stats;
 pub use clock::{Clock, Cycle};
 pub use event::{EventHandle, EventQueue};
 pub use fxmap::{FxHashMap, FxHashSet};
+pub use machine::Machine;
 pub use payload::Payload;
 pub use reader::Reader;
 pub use rng::SimRng;

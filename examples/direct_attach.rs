@@ -9,6 +9,7 @@ use apiary::core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary::host::{EnergyModel, HostConfig, HostSim};
 use apiary::net::{EthernetTile, NetConfig, RequestGen, Workload};
 use apiary::noc::NodeId;
+use apiary::sim::Machine;
 
 const REQUESTS: u64 = 100;
 const COMPUTE: u64 = 512;
@@ -56,7 +57,7 @@ fn main() {
         .expect("installed")
         .bind_flow(80, flow);
 
-    sys.run_until(50_000_000, |s| {
+    Machine::run_until(&mut sys, 50_000_000, |s| {
         s.accel_as::<EthernetTile>(mac_node)
             .expect("installed")
             .all_done()

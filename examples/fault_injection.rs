@@ -13,6 +13,7 @@ use apiary::accel::apps::idle::idle;
 use apiary::core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary::monitor::{wire, TileState};
 use apiary::noc::{NodeId, TrafficClass};
+use apiary::sim::Machine;
 
 fn send(sys: &mut System, from: NodeId, cap: apiary::cap::CapRef, tag: u64) {
     let now = sys.now();

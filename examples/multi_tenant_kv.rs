@@ -13,6 +13,7 @@ use apiary::accel::apps::kv::{self, KvStoreAccel};
 use apiary::core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary::monitor::wire;
 use apiary::noc::{NodeId, TrafficClass};
+use apiary::sim::Machine;
 
 fn request(sys: &mut System, from: NodeId, cap: apiary::cap::CapRef, tag: u64, payload: Vec<u8>) {
     let now = sys.now();

@@ -11,6 +11,7 @@ use apiary::accel::apps::multi::MultiService;
 use apiary::core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary::monitor::wire;
 use apiary::noc::{NodeId, TrafficClass};
+use apiary::sim::Machine;
 
 fn main() {
     let mut sys = System::new(SystemConfig::default());

@@ -22,7 +22,7 @@ use apiary::cap::{CapRef, ServiceId};
 use apiary::core::{AppId, FaultPolicy, SupervisorConfig, System, SystemConfig};
 use apiary::monitor::wire;
 use apiary::noc::{FaultPlane, FaultPlaneConfig, NodeId, TrafficClass};
-use apiary::sim::{ClockMode, Cycle, SimRng};
+use apiary::sim::{ClockMode, Cycle, Machine, SimRng};
 
 const SVC: ServiceId = ServiceId(99);
 const CLIENT: NodeId = NodeId(0);
@@ -145,7 +145,7 @@ fn soak(seed: u64, rate: f64, recovery: bool, duration: u64, clock: ClockMode) -
 
     for _ in 0..duration {
         sys.advance_toward(sys.now() + 1);
-        sys.check_invariants();
+        assert_eq!(sys.check_invariants(), Ok(()));
         client.pump(&mut sys, true);
         let now = sys.now().as_u64();
         if now >= next_kill {

@@ -9,7 +9,7 @@ use apiary::core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary::monitor::wire;
 use apiary::net::{EthernetTile, NetConfig, RequestGen, Workload};
 use apiary::noc::{Delivered, NodeId, TrafficClass};
-use apiary::sim::{Cycle, Wakeup};
+use apiary::sim::{Cycle, Machine, Wakeup};
 
 // ---------------------------------------------------------------------
 // Hash service: verify payload integrity across the whole stack.

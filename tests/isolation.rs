@@ -6,6 +6,7 @@ use apiary::accel::apps::idle::idle;
 use apiary::core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary::monitor::wire;
 use apiary::noc::{NodeId, TrafficClass};
+use apiary::sim::Machine;
 use proptest::prelude::*;
 
 /// A random system layout: which of tiles 0..14 host accelerators and to
