@@ -15,7 +15,7 @@
 
 use crate::harness::Run;
 use crate::report::{table, ExperimentReport, Json, Row};
-use crate::scenarios::{drive, pump, step, MonitorClient};
+use crate::scenarios::{drive, Clients, MonitorClient};
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::faulty::faulty;
 use apiary_accel::apps::idle::idle;
@@ -23,7 +23,7 @@ use apiary_core::fault::FaultAction;
 use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_noc::NodeId;
-use apiary_sim::Machine;
+use apiary_sim::{until, Machine};
 use core::fmt::Write;
 
 struct Outcome {
@@ -73,10 +73,7 @@ fn run_policy(run: Run, policy: FaultPolicy, requests: u64) -> Outcome {
     let mut reconfigured = false;
     let mut rewired = false;
     let mut clients = [&mut vc, &mut bc];
-    let end = sys.now().saturating_add(20_000_000);
-    while sys.now() < end {
-        step(&mut sys, &clients, end);
-        pump(&mut sys, &mut clients);
+    sys.drive(&mut Clients(&mut clients), 20_000_000, |sys, clients| {
         if !reconfigured
             && policy == FaultPolicy::FailStop
             && sys.tile(victim).monitor.state() == TileState::FailStopped
@@ -99,10 +96,8 @@ fn run_policy(run: Run, policy: FaultPolicy, requests: u64) -> Outcome {
                 .expect("re-wire reply path");
             rewired = true;
         }
-        if clients.iter().all(|c| c.done()) {
-            break;
-        }
-    }
+        until(clients.done())
+    });
     // Preemption downtime from the fault record.
     if policy == FaultPolicy::Preempt {
         if let Some(rec) = sys.tile(victim).faults.first() {

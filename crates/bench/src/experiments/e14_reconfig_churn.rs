@@ -15,15 +15,16 @@
 
 use crate::harness::Run;
 use crate::report::{rows_json, table, ExperimentReport, Json, Row};
-use crate::scenarios::{pump, step, MonitorClient};
+use crate::scenarios::{client_server, Clients, MonitorClient};
 use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
 use apiary_core::reconfig::ReconfigController;
 use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_noc::NodeId;
-use apiary_sim::Cycle;
+use apiary_sim::{Cycle, Machine};
 use core::fmt::Write;
+use core::ops::ControlFlow;
 
 /// Runs the experiment; returns the structured report.
 pub fn report(run: Run) -> ExperimentReport {
@@ -107,23 +108,16 @@ pub fn report(run: Run) -> ExperimentReport {
     for period in [200_000u64, 400_000, 800_000] {
         let client = NodeId(0);
         let server = NodeId(5);
-        let mut sys = run.system(SystemConfig::default());
-        sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
-            .expect("free");
-        sys.install(server, Box::new(echo(8)), AppId(1), FaultPolicy::FailStop)
-            .expect("free");
-        let cap = sys.connect(client, server, false).expect("same app");
-        sys.connect(server, client, false).expect("reply path");
+        let system = run.system(SystemConfig::default());
+        let (mut sys, cap) = client_server(system, client, server, Box::new(echo(8)));
 
         let mut c = MonitorClient::new(client, cap, 32).max_requests(requests);
         c.think = 1_000; // Spread the load across the churn window.
         c.timeout = 100_000;
         let mut reconfigs = 0u64;
         let mut next_swap = period;
-        let end = Cycle(200_000_000);
-        while sys.now() < end {
-            step(&mut sys, &[&mut c], end.min(Cycle(next_swap)));
-            pump(&mut sys, &mut [&mut c]);
+        let budget = 200_000_000 - sys.now().as_u64();
+        sys.drive(&mut Clients(&mut [&mut c]), budget, |sys, load| {
             if sys.now().as_u64() >= next_swap {
                 next_swap += period;
                 if sys
@@ -145,10 +139,12 @@ pub fn report(run: Run) -> ExperimentReport {
             {
                 sys.connect(server, client, false).expect("re-wire");
             }
-            if c.done() {
-                break;
+            if load.done() {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(Cycle(next_swap))
             }
-        }
+        });
         assert!(c.done(), "churn run stalled");
         sim_cycles += sys.now().as_u64();
         let ok = c.completed - c.errors;

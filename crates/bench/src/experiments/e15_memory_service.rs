@@ -14,12 +14,13 @@ use crate::table::TextTable;
 use apiary_accel::apps::idle::idle;
 use apiary_cap::CapRef;
 use apiary_core::memsvc::MemoryService;
-use apiary_core::{AppId, FaultPolicy, SystemConfig};
+use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary_mem::AccessKind;
 use apiary_monitor::{wire, SendError};
 use apiary_noc::NodeId;
-use apiary_sim::{Machine, SimRng};
+use apiary_sim::{until, Cycle, Load, Machine, SimRng};
 use core::fmt::Write;
+use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pattern {
@@ -53,80 +54,105 @@ struct Outcome {
     cycles: u64,
 }
 
-/// Issues `count` reads of `read` bytes with `window` outstanding from a
-/// driver tile, returns achieved bandwidth and latency.
-fn measure(run: Run, pattern: Pattern, window: usize, count: u64) -> Outcome {
-    const SPAN: u64 = 4 << 20;
-    const READ: u64 = 1024;
-    let client = NodeId(0);
-    let mut sys = run.system(SystemConfig::default());
-    sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
-        .expect("free");
-    let mem_cap: CapRef = sys.grant_memory(client, SPAN).expect("space");
-    let svc = sys.tile(client).env.get("mem-service").expect("wired");
+const CLIENT: NodeId = NodeId(0);
+const SPAN: u64 = 4 << 20;
+const READ: u64 = 1024;
 
-    let mut rng = SimRng::new(42);
-    let mut issued = 0u64;
-    let mut completed = 0u64;
-    let mut in_flight = 0usize;
-    let mut sent_at = std::collections::HashMap::new();
-    let mut latency_sum = 0u64;
-    let start = sys.now();
-    let end = start.saturating_add(200_000_000);
-    while sys.now() < end {
-        // Refill the window.
-        while in_flight < window && issued < count {
-            let off = pattern.offset(issued, SPAN, READ, &mut rng);
-            let now = sys.now();
-            match sys.tile_mut(client).monitor.send_mem(
-                mem_cap,
-                svc,
+/// The driver tile's reads, the board's [`Load`]: `count` reads of `READ`
+/// bytes, up to `window` of them in flight.
+struct Reads {
+    pattern: Pattern,
+    window: usize,
+    count: u64,
+    mem_cap: CapRef,
+    svc: CapRef,
+    rng: SimRng,
+    issued: u64,
+    sent_at: HashMap<u64, Cycle>,
+    latency_sum: u64,
+}
+
+impl Reads {
+    fn window_open(&self) -> bool {
+        self.sent_at.len() < self.window && self.issued < self.count
+    }
+}
+
+impl Load<System> for Reads {
+    /// A refused read is retried next cycle; a full window waits for a
+    /// reply, which only a step's kernel phases can deliver.
+    fn next_wakeup(&self, sys: &System) -> Cycle {
+        if self.window_open() {
+            sys.now().saturating_add(1)
+        } else {
+            Cycle::MAX
+        }
+    }
+
+    /// Collects the replies, then refills the window.
+    fn pump(&mut self, sys: &mut System) {
+        let now = sys.now();
+        while let Some(d) = sys.tile_mut(CLIENT).monitor.recv() {
+            assert_eq!(d.msg.kind, wire::KIND_MEM_REPLY);
+            assert_eq!(d.msg.payload.len() as u64, READ);
+            let t0 = self.sent_at.remove(&d.msg.tag).expect("tracked");
+            self.latency_sum += now - t0;
+        }
+        while self.window_open() {
+            let off = self.pattern.offset(self.issued, SPAN, READ, &mut self.rng);
+            match sys.tile_mut(CLIENT).monitor.send_mem(
+                self.mem_cap,
+                self.svc,
                 AccessKind::Read,
                 off,
                 READ,
                 &[],
-                issued,
+                self.issued,
                 now,
             ) {
                 Ok(()) => {
-                    sent_at.insert(issued, now);
-                    issued += 1;
-                    in_flight += 1;
+                    self.sent_at.insert(self.issued, now);
+                    self.issued += 1;
                 }
                 Err(SendError::Backpressure) => break,
                 Err(e) => panic!("mem read refused: {e}"),
             }
         }
-        // A refused read is retried next cycle; a full window waits for a
-        // reply, which only a step's kernel phases can deliver.
-        let due = if in_flight < window && issued < count {
-            sys.now().saturating_add(1)
-        } else {
-            end
-        };
-        Machine::advance_toward(&mut sys, due);
-        let now = sys.now();
-        while let Some(d) = sys.tile_mut(client).monitor.recv() {
-            assert_eq!(d.msg.kind, wire::KIND_MEM_REPLY);
-            assert_eq!(d.msg.payload.len() as u64, READ);
-            let t0 = sent_at.remove(&d.msg.tag).expect("tracked");
-            latency_sum += now - t0;
-            completed += 1;
-            in_flight -= 1;
-        }
-        if completed == count {
-            break;
-        }
     }
-    assert_eq!(completed, count, "memory run stalled");
+}
+
+/// Issues `count` reads of `READ` bytes with `window` outstanding from a
+/// driver tile, returns achieved bandwidth and latency.
+fn measure(run: Run, pattern: Pattern, window: usize, count: u64) -> Outcome {
+    let mut sys = run.system(SystemConfig::default());
+    sys.install(CLIENT, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
+        .expect("free");
+    let mut reads = Reads {
+        pattern,
+        window,
+        count,
+        mem_cap: sys.grant_memory(CLIENT, SPAN).expect("space"),
+        svc: sys.tile(CLIENT).env.get("mem-service").expect("wired"),
+        rng: SimRng::new(42),
+        issued: 0,
+        sent_at: HashMap::new(),
+        latency_sum: 0,
+    };
+    let start = sys.now();
+    // The first reads go out before the first step.
+    reads.pump(&mut sys);
+    let done = sys.drive(&mut reads, 200_000_000, |_, r| {
+        until(r.issued == count && r.sent_at.is_empty())
+    });
+    assert!(done, "memory run stalled");
     let cycles = (sys.now() - start).max(1);
     let memsvc = sys
         .accel_as::<MemoryService>(sys.mem_node())
         .expect("boot service");
     let (hits, misses, conflicts) = memsvc.dram_stats();
     Outcome {
-        bytes_per_cycle: (completed * READ) as f64 / cycles as f64,
-        mean_latency: latency_sum as f64 / completed as f64,
+        bytes_per_cycle: (count * READ) as f64 / cycles as f64,
+        mean_latency: reads.latency_sum as f64 / count as f64,
         row_hit_pct: 100.0 * hits as f64 / (hits + misses + conflicts).max(1) as f64,
         cycles,
     }

@@ -17,7 +17,7 @@
 
 use crate::harness::Run;
 use crate::report::{round4, rows_json, table, ExperimentReport, Json, Row};
-use crate::scenarios::{pump, step, MonitorClient};
+use crate::scenarios::{drain, Clients, MonitorClient};
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
 use apiary_cap::ServiceId;
@@ -25,7 +25,8 @@ use apiary_core::supervisor::SupervisorConfig;
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_noc::{FaultPlane, FaultPlaneConfig, NodeId};
-use apiary_sim::{Cycle, SimRng};
+use apiary_sim::{Cycle, Machine, SimRng};
+use core::ops::ControlFlow;
 
 const SVC: ServiceId = ServiceId(16);
 const CLIENT: NodeId = NodeId(0);
@@ -103,10 +104,7 @@ fn drive_cell(
     let mut kills = 0u64;
 
     let mut clients = [&mut vc, &mut bc];
-    let end = sys.now().saturating_add(duration);
-    while sys.now() < end {
-        step(&mut sys, &clients, end.min(Cycle(next_kill)));
-        pump(&mut sys, &mut clients);
+    sys.drive(&mut Clients(&mut clients), duration, |sys, _| {
         let now = sys.now().as_u64();
         if now >= next_kill {
             if let Some(home) = sys.service_home(SVC) {
@@ -117,21 +115,11 @@ fn drive_cell(
             }
             next_kill = now + kill_interval + killer.gen_range(kill_interval / 2);
         }
-    }
+        ControlFlow::Continue(Cycle(next_kill))
+    });
     // Stop issuing and drain: no injected fault may wedge the network.
-    for c in clients.iter_mut() {
-        c.max_requests = c.issued;
-    }
-    let mut drained = false;
-    for _ in 0..3 {
-        drained = sys.run_until_idle(2_000_000);
-        pump(&mut sys, &mut clients);
-        if drained {
-            break;
-        }
-    }
     assert!(
-        drained,
+        drain(&mut sys, &mut clients),
         "chaos run (rate {fault_rate}, recovery {recovery}) failed to drain"
     );
     (sys, vc, kills)

@@ -22,12 +22,13 @@ use crate::harness::Run;
 use crate::report::{round3, round4, rows_json, table, ExperimentReport, Json, Row};
 use apiary_accel::apps::echo::echo;
 use apiary_cap::ServiceId;
-use apiary_cluster::{run_clients, ClusterClient, ClusterConfig};
+use apiary_cluster::{ClusterClient, ClusterConfig};
 use apiary_core::{AppId, FaultPolicy};
 use apiary_net::Workload;
 use apiary_noc::NodeId;
-use apiary_sim::Machine;
+use apiary_sim::{until, Cycle, Machine};
 use core::fmt::Write;
+use core::ops::ControlFlow;
 use std::collections::BTreeMap;
 
 const SVC: ServiceId = ServiceId(17);
@@ -109,34 +110,27 @@ pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> (Row, u64)
         })
         .collect();
 
-    // The load phase runs in segments bounded by the chaos boundaries so
-    // the event clock treats them as wakeup deadlines: chaos lands on the
-    // same cycle it would under a dense per-cycle check of `now >= at`.
+    // The chaos cycles are the load's deadlines, so chaos lands on the
+    // cycle a dense per-cycle check of `now == at` would see.
     let victim = boards - 1;
-    let end_load = c.now().as_u64() + duration;
-    run_clients(&mut c, &mut clients, duration / 2, |_, _| false);
-    let mut restore_at = u64::MAX;
-    match chaos {
-        Chaos::None => {}
-        Chaos::KillBoard => c.kill_board(victim),
-        Chaos::CutLink => {
-            c.cut_link(victim, None);
-            restore_at = c.now().as_u64() + CUT_WINDOW;
+    let chaos_at = c.now() + duration / 2;
+    let restore_at = chaos_at + CUT_WINDOW;
+    c.drive(&mut clients[..], duration, |c, _| {
+        match chaos {
+            Chaos::KillBoard if c.now() == chaos_at => c.kill_board(victim),
+            Chaos::CutLink if c.now() == chaos_at => c.cut_link(victim, None),
+            Chaos::CutLink if c.now() == restore_at => c.restore_link(victim, None),
+            _ => {}
         }
-    }
-    if restore_at <= end_load {
-        let win = restore_at - c.now().as_u64();
-        run_clients(&mut c, &mut clients, win, |_, _| false);
-        c.restore_link(victim, None);
-    }
-    let rest = end_load - c.now().as_u64();
-    run_clients(&mut c, &mut clients, rest, |_, _| false);
+        let next = [chaos_at, restore_at].into_iter().find(|&t| t > c.now());
+        ControlFlow::Continue(next.unwrap_or(Cycle::MAX))
+    });
 
     // Stop issuing and drain: chaos may cost requests, never the cluster.
     for cl in &mut clients {
         cl.gen.max_requests = cl.gen.stats.issued;
     }
-    let drained = run_clients(&mut c, &mut clients, DRAIN_LIMIT, |c, _| c.quiescent());
+    let drained = c.drive(&mut clients[..], DRAIN_LIMIT, |c, _| until(c.quiescent()));
 
     assert!(
         drained,

@@ -23,18 +23,19 @@
 
 use crate::harness::Run;
 use crate::report::{round3, rows_json, table, ExperimentReport, Json, Row};
-use crate::scenarios::{drive, pump, step, MonitorClient};
+use crate::scenarios::{drain, drive, Clients, MonitorClient};
 use apiary_accel::apps::idle::idle;
 use apiary_accel::apps::kv::{self, kv_store, KvStoreAccel};
 use apiary_cap::ServiceId;
-use apiary_cluster::{run_clients, ClusterClient, ClusterConfig};
+use apiary_cluster::{ClusterClient, ClusterConfig};
 use apiary_core::fault::preemption_downtime;
 use apiary_core::supervisor::SupervisorConfig;
 use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_monitor::TileState;
 use apiary_net::Workload;
 use apiary_noc::NodeId;
-use apiary_sim::{Cycle, Machine};
+use apiary_sim::{until, Cycle, Load, Machine};
+use core::ops::ControlFlow;
 
 const SVC: ServiceId = ServiceId(19);
 const REPLICA_NODE: NodeId = NodeId(5);
@@ -91,7 +92,7 @@ pub fn run_migration(run: Run, entries: u64, duration: u64) -> Row {
         },
         0xE19_0001,
     )];
-    run_clients(&mut c, &mut clients, duration / 5, |_, _| false);
+    c.drive(&mut clients[..], duration / 5, |_, _| until(false));
     let ok_before = clients[0].gen.stats.completed - clients[0].gen.stats.errors;
 
     c.migrate_replica(
@@ -102,17 +103,16 @@ pub fn run_migration(run: Run, entries: u64, duration: u64) -> Row {
         Box::new(|| Box::new(kv_store())),
     )
     .expect("migration starts");
-    run_clients(&mut c, &mut clients, duration - duration / 5, |_, _| false);
+    c.drive(&mut clients[..], duration - duration / 5, |_, _| {
+        until(false)
+    });
 
     for cl in &mut clients {
         cl.gen.max_requests = cl.gen.stats.issued;
     }
-    // Stamp simulated work at load end: the drain below may start on an
-    // already-quiescent cluster, where the dense clock notices after one
-    // cycle but the event clock only at the next background wakeup — the
-    // post-drain `now` is the one quantity that is not clock-stable.
+    // Stamp simulated work at load end: the drain's length is not work.
     let sim_cycles = c.now().as_u64();
-    let drained = run_clients(&mut c, &mut clients, 120_000, |c, _| c.quiescent());
+    let drained = c.drive(&mut clients[..], 120_000, |c, _| until(c.quiescent()));
 
     let outcome = c.migration_outcomes().first().cloned();
     let retained = c
@@ -208,35 +208,23 @@ pub fn run_recovery(run: Run, interval: u64, preloaded: u64, kill: bool, duratio
     } else {
         Vec::new()
     };
-    let mut kills = 0u64;
-    let mut next = 0usize;
-    let end = sys.now().saturating_add(duration);
-    while sys.now() < end {
-        // A kill whose time has passed waits for its tile to be running,
-        // which is polled after every step and needs no deadline.
-        let kill_at = kills_at.get(next).map_or(Cycle::MAX, |&k| Cycle(2_000 + k));
-        let deadline = if kill_at > sys.now() { kill_at } else { end };
-        step(&mut sys, &[&mut vc], deadline.min(end));
-        pump(&mut sys, &mut [&mut vc]);
-        if sys.now() >= kill_at {
+    let mut kills = 0;
+    let kill_at = |n: usize| kills_at.get(n).map_or(Cycle::MAX, |&k| Cycle(2_000 + k));
+    sys.drive(&mut Clients(&mut [&mut vc]), duration, |sys, _| {
+        if sys.now() >= kill_at(kills) {
             if let Some(home) = sys.service_home(SVC) {
                 if sys.tile(home).monitor.state() == TileState::Running {
                     sys.inject_fault(home, KILL_CODE);
                     kills += 1;
-                    next += 1;
                 }
             }
         }
-    }
-    vc.max_requests = vc.issued;
-    let mut drained = false;
-    for _ in 0..3 {
-        drained = sys.run_until_idle(2_000_000);
-        pump(&mut sys, &mut [&mut vc]);
-        if drained {
-            break;
-        }
-    }
+        // A kill whose time has passed waits for its tile to be running,
+        // which is polled after every step and needs no deadline.
+        let at = kill_at(kills);
+        ControlFlow::Continue(if at > sys.now() { at } else { Cycle::MAX })
+    });
+    let drained = drain(&mut sys, &mut [&mut vc]);
 
     let retained = sys
         .service_home(SVC)
@@ -362,12 +350,15 @@ pub fn run_sharing(run: Run, shared: bool, duration: u64) -> Row {
         let end = sys.now().saturating_add(duration);
         let mut active = 0;
         let mut next_swap = sys.now() + SLICE;
+        // The active client is gated between the step and the pump, so
+        // this loop is not `Machine::drive`.
         while sys.now() < end {
-            step(&mut sys, &clients, end.min(next_swap));
+            let due = Clients(&mut clients).next_wakeup(&sys);
+            Machine::advance_toward(&mut sys, due.min(end).min(next_swap));
             if sys.now() + GUARD >= next_swap {
                 clients[active].max_requests = clients[active].issued;
             }
-            pump(&mut sys, &mut clients);
+            Clients(&mut clients).pump(&mut sys);
             if sys.now() >= next_swap {
                 if let Ok((out, inn)) = sys.swap_context(SHARED) {
                     swaps += 1;
@@ -381,16 +372,7 @@ pub fn run_sharing(run: Run, shared: bool, duration: u64) -> Row {
     } else {
         drive(&mut sys, &mut clients, duration);
     }
-    for c in clients.iter_mut() {
-        c.max_requests = c.issued;
-    }
-    for _ in 0..3 {
-        let drained = sys.run_until_idle(2_000_000);
-        pump(&mut sys, &mut clients);
-        if drained {
-            break;
-        }
-    }
+    drain(&mut sys, &mut clients);
 
     let (a_p50, a_p99, b_p50, b_p99) = (ca.rtt.p50(), ca.rtt.p99(), cb.rtt.p50(), cb.rtt.p99());
     Row::new()

@@ -192,7 +192,7 @@ mod tests {
                 assert!(
                     !line.contains(".tick()"),
                     "{}:{}: `tick()` steps the dense reference clock whatever the run's \
-                     clock; advance with `scenarios::step` (or `drive`, `Machine::run`, \
+                     clock; advance with `Machine::drive` (or `Machine::run`, \
                      `Machine::advance_toward`)",
                     path.display(),
                     n + 1

@@ -5,7 +5,7 @@ use apiary_cap::CapRef;
 use apiary_core::{AppId, FaultPolicy, System};
 use apiary_monitor::{wire, SendError};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{Cycle, Histogram, Machine, Payload};
+use apiary_sim::{until, Cycle, Histogram, Load, Machine, Payload};
 use std::collections::HashMap;
 
 /// A closed-loop request driver attached directly to a tile's monitor —
@@ -21,14 +21,11 @@ pub struct MonitorClient {
     pub outstanding: u32,
     /// Think time after each completion.
     pub think: u64,
-    /// Traffic class for requests.
-    pub class: TrafficClass,
     /// Stop after this many requests.
     pub max_requests: u64,
     /// Payload generator, called with the request tag.
     pub payload: Box<dyn FnMut(u64) -> Vec<u8>>,
     next_tag: u64,
-    in_flight: u32,
     next_fire: Cycle,
     sent_at: HashMap<u64, Cycle>,
     /// Requests issued.
@@ -73,11 +70,9 @@ impl MonitorClient {
             cap,
             outstanding: 1,
             think: 0,
-            class: TrafficClass::Request,
             max_requests: u64::MAX,
             payload,
             next_tag: 0,
-            in_flight: 0,
             next_fire: Cycle::ZERO,
             sent_at: HashMap::new(),
             issued: 0,
@@ -115,13 +110,16 @@ impl MonitorClient {
     /// Expires timed-out requests (lost to a faulted service).
     fn expire(&mut self, now: Cycle) {
         if self.timeout > 0 {
-            let deadline = self.timeout;
             let before = self.sent_at.len();
-            self.sent_at.retain(|_, sent| now - *sent < deadline);
-            let expired = before - self.sent_at.len();
-            self.lost += expired as u64;
-            self.in_flight = self.in_flight.saturating_sub(expired as u32);
+            self.sent_at.retain(|_, sent| now - *sent < self.timeout);
+            self.lost += (before - self.sent_at.len()) as u64;
         }
+    }
+
+    /// Room in the window and budget left (`sent_at` holds the requests
+    /// neither answered nor expired).
+    fn window_open(&self) -> bool {
+        self.sent_at.len() < self.outstanding as usize && self.issued < self.max_requests
     }
 
     /// Accounts one delivered message addressed to this client.
@@ -129,7 +127,6 @@ impl MonitorClient {
         let Some(sent) = self.sent_at.remove(&d.msg.tag) else {
             return;
         };
-        self.in_flight = self.in_flight.saturating_sub(1);
         self.completed += 1;
         if d.msg.kind == wire::KIND_ERROR {
             self.errors += 1;
@@ -147,17 +144,14 @@ impl MonitorClient {
     /// Refills the request window.
     fn refill(&mut self, sys: &mut System) {
         let now = sys.now();
-        while self.in_flight < self.outstanding
-            && self.issued < self.max_requests
-            && self.next_fire <= now
-        {
+        while self.window_open() && self.next_fire <= now {
             let tag = self.tag_base + self.next_tag;
             let body = (self.payload)(tag);
             let res = sys.tile_mut(self.node).monitor.send(
                 self.cap,
                 wire::KIND_REQUEST,
                 tag,
-                self.class,
+                TrafficClass::Request,
                 body,
                 now,
             );
@@ -165,7 +159,6 @@ impl MonitorClient {
                 Ok(()) => {
                     self.next_tag += 1;
                     self.issued += 1;
-                    self.in_flight += 1;
                     self.sent_at.insert(tag, now);
                 }
                 Err(SendError::Backpressure | SendError::RateLimited) => {
@@ -179,10 +172,10 @@ impl MonitorClient {
 
     /// All requests issued and completed.
     pub fn done(&self) -> bool {
-        self.issued >= self.max_requests && self.in_flight == 0
+        self.issued >= self.max_requests && self.sent_at.is_empty()
     }
 
-    /// When this client next needs a [`pump`]: immediately
+    /// When this client next needs a [`Load::pump`]: immediately
     /// if a response is already waiting at its monitor, at the earliest
     /// request-timeout expiry, or whenever it could attempt a send (which
     /// must be retried every cycle while the window is open — dense ticking
@@ -193,70 +186,58 @@ impl MonitorClient {
         if sys.tile(self.node).monitor.inbox_len() > 0 {
             return next;
         }
-        let mut due = Cycle::MAX;
-        if self.timeout > 0 {
-            if let Some(expiry) = self
-                .sent_at
-                .values()
-                .map(|s| s.saturating_add(self.timeout))
-                .min()
-            {
-                due = due.min(expiry.max(next));
-            }
-        }
-        if self.in_flight < self.outstanding && self.issued < self.max_requests {
+        let oldest = self.sent_at.values().min().filter(|_| self.timeout > 0);
+        let mut due = oldest.map_or(Cycle::MAX, |s| s.saturating_add(self.timeout).max(next));
+        if self.window_open() {
             due = due.min(self.next_fire.max(next));
         }
         due
     }
 }
 
-/// Lets every client act on the current cycle: expire timed-out requests,
-/// collect the responses waiting at its tile, refill its window. Call it
-/// after each [`step`]. Clients may share a tile: a response goes to the
-/// client that sent its tag, so co-resident clients need distinct
-/// [`MonitorClient::tag_base`]s.
-pub fn pump(sys: &mut System, clients: &mut [&mut MonitorClient]) {
-    let now = sys.now();
-    for c in clients.iter_mut() {
-        c.expire(now);
-    }
-    for i in 0..clients.len() {
-        let node = clients[i].node;
-        while let Some(d) = sys.tile_mut(node).monitor.recv() {
-            let sender = clients
-                .iter_mut()
-                .find(|c| c.node == node && c.sent_at.contains_key(&d.msg.tag));
-            if let Some(c) = sender {
-                c.absorb(d, now);
-            }
-        }
-    }
-    for c in clients.iter_mut() {
-        c.refill(sys);
+/// A set of [`MonitorClient`]s is a board's [`Load`]. Clients may share a
+/// tile: a response goes to the client that sent its tag, so co-resident
+/// clients need distinct [`MonitorClient::tag_base`]s.
+pub struct Clients<'a, 'c>(pub &'a mut [&'c mut MonitorClient]);
+
+impl Clients<'_, '_> {
+    /// Every client has issued and completed its budget.
+    pub fn done(&self) -> bool {
+        self.0.iter().all(|c| c.done())
     }
 }
 
-/// The one place a harness loop advances time: a single
-/// [`Machine::advance_toward`] step toward the earliest cycle on which the
-/// driver has something to do, which is the clients' [`next_wakeup`]s or
-/// the caller's own `deadline` (its next kill, its next swap, the end of
-/// its window). The caller then [`pump`]s and looks at the machine.
-///
-/// A step executes at most one cycle's kernel phases and component state
-/// changes nowhere else, so a condition polled after every step (a tile
-/// came back `Running`, a client is done) is seen on the cycle per-cycle
-/// ticking would see it. A condition on raw clock time is not: it must be
-/// the `deadline`. Under the dense clock a step is one cycle whatever the
-/// target, so a target computed too late shows as a divergence between
-/// the two clocks.
-///
-/// [`next_wakeup`]: MonitorClient::next_wakeup
-pub fn step(sys: &mut System, clients: &[&mut MonitorClient], deadline: Cycle) {
-    let due = clients
-        .iter()
-        .fold(deadline, |due, c| due.min(c.next_wakeup(sys)));
-    Machine::advance_toward(sys, due);
+impl Load<System> for Clients<'_, '_> {
+    fn next_wakeup(&self, sys: &System) -> Cycle {
+        self.0
+            .iter()
+            .fold(Cycle::MAX, |due, c| due.min(c.next_wakeup(sys)))
+    }
+
+    /// Lets every client act on the current cycle: expire timed-out
+    /// requests, collect the responses waiting at its tile, refill its
+    /// window.
+    fn pump(&mut self, sys: &mut System) {
+        let clients = &mut *self.0;
+        let now = sys.now();
+        for c in clients.iter_mut() {
+            c.expire(now);
+        }
+        for i in 0..clients.len() {
+            let node = clients[i].node;
+            while let Some(d) = sys.tile_mut(node).monitor.recv() {
+                let sender = clients
+                    .iter_mut()
+                    .find(|c| c.node == node && c.sent_at.contains_key(&d.msg.tag));
+                if let Some(c) = sender {
+                    c.absorb(d, now);
+                }
+            }
+        }
+        for c in clients.iter_mut() {
+            c.refill(sys);
+        }
+    }
 }
 
 /// Populates a fresh system with an idle client tile and one serving
@@ -276,27 +257,26 @@ pub fn client_server(
     (sys, cap)
 }
 
-/// Runs the system, one [`step`] and one [`pump`] at a time, until all
-/// clients are done or `max_cycles` pass. Returns the cycles consumed.
+/// Drives the system until all clients are done or `max_cycles` pass
+/// (one cycle if they are done on entry). Returns the cycles consumed.
 pub fn drive(sys: &mut System, clients: &mut [&mut MonitorClient], max_cycles: u64) -> u64 {
-    let all_done = |clients: &[&mut MonitorClient]| clients.iter().all(|c| c.done());
     let start = sys.now();
-    let end = start.saturating_add(max_cycles);
-    while sys.now() < end {
-        // `done` is checked after every executed cycle, so clients that
-        // are already done still consume exactly one cycle.
-        let deadline = if all_done(clients) {
-            sys.now().saturating_add(1)
-        } else {
-            end
-        };
-        step(sys, clients, deadline);
-        pump(sys, clients);
-        if all_done(clients) {
-            break;
-        }
-    }
+    sys.drive(&mut Clients(clients), max_cycles, |_, c| until(c.done()));
     sys.now() - start
+}
+
+/// Stops every client issuing and lets the board drain: up to three
+/// [`System::run_until_idle`] windows of 2M cycles, the clients collecting
+/// their responses after each. Returns whether the board went idle.
+pub fn drain(sys: &mut System, clients: &mut [&mut MonitorClient]) -> bool {
+    for c in clients.iter_mut() {
+        c.max_requests = c.issued;
+    }
+    (0..3).any(|_| {
+        let drained = sys.run_until_idle(2_000_000);
+        Clients(clients).pump(sys);
+        drained
+    })
 }
 
 #[cfg(test)]

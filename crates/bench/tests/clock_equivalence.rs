@@ -18,7 +18,7 @@
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
 use apiary_bench::harness::Run;
-use apiary_bench::scenarios::{drive, pump, step, MonitorClient};
+use apiary_bench::scenarios::{drive, Clients, MonitorClient};
 use apiary_bench::{ExperimentReport, Json};
 use apiary_cluster::ClusterSystem;
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
@@ -26,6 +26,7 @@ use apiary_monitor::{wire, TileState};
 use apiary_noc::{NodeId, TrafficClass};
 use apiary_sim::{ClockMode, Cycle, Machine};
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 
 #[derive(Debug, Clone)]
 struct ClientParams {
@@ -140,24 +141,19 @@ fn run_system(mode: ClockMode, p: &Params) -> (System, String) {
     let (mut sys, mut clients) = build_system(mode, p);
     let mut refs: Vec<&mut MonitorClient> = clients.iter_mut().collect();
 
-    // An operator action through `step`: the first client's server is
-    // killed on a scheduled cycle (a deadline no client knows about),
-    // reconfigured the moment the tile reads fail-stopped, and its reply
-    // path re-wired the moment the fresh accelerator comes up (conditions
-    // polled after every step). Requests the kill swallowed time out or
-    // hang until `drive` gives up, whichever the client is set to do.
+    // An operator action in `Machine::drive`'s `look`: the first client's
+    // server is killed on a scheduled cycle (a deadline no client knows
+    // about), reconfigured the moment the tile reads fail-stopped, and its
+    // reply path re-wired the moment the fresh accelerator comes up
+    // (conditions polled after every step). Requests the kill swallowed
+    // time out or hang until `drive` gives up, whichever the client is set
+    // to do.
     let (cn, sn) = (NodeId(0), NodeId(5));
     let kill_at = Cycle(p.kill_at);
     let mut reconfigured_at = None;
-    let rewired_at = loop {
-        assert!(sys.now() < Cycle(100_000), "the tile never came back");
-        let deadline = if sys.now() < kill_at {
-            kill_at
-        } else {
-            Cycle::MAX
-        };
-        step(&mut sys, &refs, deadline);
-        pump(&mut sys, &mut refs);
+    let mut rewired_at = None;
+    let budget = 100_000 - sys.now().as_u64();
+    sys.drive(&mut Clients(&mut refs), budget, |sys, _| {
         if reconfigured_at.is_none() && sys.now() >= kill_at {
             sys.inject_fault(sn, 0xDEAD);
         }
@@ -174,9 +170,16 @@ fn run_system(mode: ClockMode, p: &Params) -> (System, String) {
             reconfigured_at = Some(sys.now().as_u64());
         } else if reconfigured_at.is_some() && state == TileState::Running {
             sys.connect(sn, cn, false).expect("re-wire reply path");
-            break sys.now().as_u64();
+            rewired_at = Some(sys.now().as_u64());
+            return ControlFlow::Break(());
         }
-    };
+        ControlFlow::Continue(if sys.now() < kill_at {
+            kill_at
+        } else {
+            Cycle::MAX
+        })
+    });
+    let rewired_at = rewired_at.expect("the tile never came back");
     let consumed = drive(&mut sys, &mut refs, 400_000);
     let mut metrics = Json::obj()
         .set(

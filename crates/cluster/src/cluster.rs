@@ -41,7 +41,7 @@ mod migration;
 mod replicas;
 mod requests;
 
-pub use clients::{drive_clients, run_clients, ClusterClient};
+pub use clients::ClusterClient;
 pub use migration::MigrationOutcome;
 pub use requests::{Completion, SubmitError};
 

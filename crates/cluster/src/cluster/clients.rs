@@ -1,14 +1,15 @@
-//! External load on the cluster: its clients, one step of them, a whole run.
+//! External load on the cluster: its clients, and the [`Load`] a set of
+//! them puts on it.
 
 use super::{ClusterSystem, SubmitError};
 use apiary_net::{BreakerConfig, BreakerState, RequestGen, RetryPolicy, Workload};
-use apiary_sim::{Cycle, Machine};
+use apiary_sim::{Cycle, Load};
 
 /// One external client: a [`RequestGen`] (workload, retry policy, circuit
 /// breaker) attached at a board's network ingress.
 pub struct ClusterClient {
     /// The load generator (owns stats: issued, completed, errors, retries,
-    /// shed, RTT histogram).
+    /// shed, RTT histogram). Between pumps, only lower its `max_requests`.
     pub gen: RequestGen,
     /// Board this client's traffic enters at.
     pub origin: u16,
@@ -17,6 +18,8 @@ pub struct ClusterClient {
     /// Submits refused because no live replica was visible.
     pub no_replica: u64,
     last_breaker: Option<BreakerState>,
+    /// `gen.next_timed_event()` as of the last pump.
+    wake: Cycle,
 }
 
 impl ClusterClient {
@@ -38,6 +41,7 @@ impl ClusterClient {
             service_name: service_name.to_string(),
             no_replica: 0,
             last_breaker: None,
+            wake: Cycle::ZERO,
         }
     }
 
@@ -47,85 +51,42 @@ impl ClusterClient {
     }
 }
 
-/// One driver step for a set of clients: deliver completions, then issue
-/// new arrivals and due retries, recording breaker-open transitions. Call
-/// it on every cycle where a completion is pending or a client's timed
-/// event is due, as [`run_clients`] does.
-pub fn drive_clients(cluster: &mut ClusterSystem, clients: &mut [ClusterClient]) {
-    let now = cluster.now();
-    for c in cluster.take_completions() {
-        if let Some(cl) = clients.iter_mut().find(|cl| cl.owns(c.tag)) {
-            cl.gen.complete(c.tag, now, c.is_error);
-        }
+/// A set of clients is the fleet's [`Load`]: [`Machine::drive`] pumps it
+/// after every step, and steps no further than its next arrival, retry or
+/// breaker cooldown. A completion goes to the client whose tag it carries.
+///
+/// [`Machine::drive`]: apiary_sim::Machine::drive
+impl Load<ClusterSystem> for [ClusterClient] {
+    fn next_wakeup(&self, _: &ClusterSystem) -> Cycle {
+        self.iter().fold(Cycle::MAX, |due, cl| due.min(cl.wake))
     }
-    for cl in clients.iter_mut() {
-        for tag in cl.gen.poll(now) {
-            let payload = vec![0u8; cl.gen.payload_bytes];
-            match cluster.submit(cl.origin, &cl.service_name, tag, payload) {
-                Ok(_) => {}
-                Err(e) => {
-                    if e == SubmitError::NoReplica {
-                        cl.no_replica += 1;
-                    }
+
+    /// Delivers completions, then issues new arrivals and due retries,
+    /// recording breaker-open transitions.
+    fn pump(&mut self, cluster: &mut ClusterSystem) {
+        let now = cluster.now();
+        if !cluster.has_completions() && self.iter().all(|cl| cl.wake > now) {
+            return;
+        }
+        for c in cluster.take_completions() {
+            if let Some(cl) = self.iter_mut().find(|cl| cl.owns(c.tag)) {
+                cl.gen.complete(c.tag, now, c.is_error);
+            }
+        }
+        for cl in self.iter_mut() {
+            for tag in cl.gen.poll(now) {
+                let payload = vec![0u8; cl.gen.payload_bytes];
+                if let Err(e) = cluster.submit(cl.origin, &cl.service_name, tag, payload) {
+                    cl.no_replica += u64::from(e == SubmitError::NoReplica);
                     cl.gen.complete(tag, now, true);
                 }
             }
-        }
-        let state = cl.gen.breaker_state();
-        if state == Some(BreakerState::Open) && cl.last_breaker != Some(BreakerState::Open) {
-            cluster.note_breaker_open(cl.origin);
-        }
-        cl.last_breaker = state;
-    }
-}
-
-/// Runs the cluster for up to `cycles` cycles with `clients` attached,
-/// stopping early when `stop` returns true. The cluster jumps between
-/// wakeups and the clients are driven at every cycle where they can act —
-/// a completion is pending, or a client timed event (arrival, retry,
-/// breaker cooldown) is due. Skipped cycles are cycles where
-/// `drive_clients` would have been a pure no-op, and `stop` is re-checked
-/// after every executed cycle. [`ClockMode::jump_target`] makes the dense reference
-/// clock drive the clients on every cycle instead, so both clocks stop on
-/// the same cycle with bit-identical client stats.
-///
-/// Returns `true` if `stop` fired before the cycle budget ran out.
-///
-/// [`ClockMode::jump_target`]: apiary_sim::ClockMode::jump_target
-pub fn run_clients(
-    cluster: &mut ClusterSystem,
-    clients: &mut [ClusterClient],
-    cycles: u64,
-    mut stop: impl FnMut(&ClusterSystem, &[ClusterClient]) -> bool,
-) -> bool {
-    let end = Cycle(cluster.now().as_u64().saturating_add(cycles));
-    while cluster.now() < end {
-        // Next cycle any client does timed work. Client state only changes
-        // inside drive_clients, so this stays valid until the next drive.
-        let next = Cycle(cluster.now().as_u64().saturating_add(1));
-        let mut due = end;
-        for cl in clients.iter() {
-            if let Some(t) = cl.gen.next_timed_event() {
-                due = due.min(t.max(next));
+            let state = cl.gen.breaker_state();
+            if state == Some(BreakerState::Open) && cl.last_breaker != Some(BreakerState::Open) {
+                cluster.note_breaker_open(cl.origin);
             }
-        }
-        let due = cluster.cfg.system.clock.jump_target(cluster.now(), due);
-        loop {
-            Machine::advance_toward(cluster, due);
-            if cluster.now() >= due || cluster.has_completions() {
-                break;
-            }
-            // `stop` may flip on any executed cycle (e.g. the last board
-            // draining), not only on client-drive cycles. Client timed
-            // events are not due yet, so driving here would be a no-op.
-            if stop(cluster, clients) {
-                return true;
-            }
-        }
-        drive_clients(cluster, clients);
-        if stop(cluster, clients) {
-            return true;
+            cl.last_breaker = state;
+            cl.wake = cl.gen.next_timed_event().unwrap_or(Cycle::MAX);
         }
     }
-    false
 }

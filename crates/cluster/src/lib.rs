@@ -41,8 +41,7 @@ pub mod fabric;
 
 pub use balancer::Balancer;
 pub use cluster::{
-    drive_clients, run_clients, ClusterClient, ClusterConfig, ClusterSystem, Completion,
-    MigrationOutcome, SubmitError,
+    ClusterClient, ClusterConfig, ClusterSystem, Completion, MigrationOutcome, SubmitError,
 };
 pub use directory::{DirEntry, Directory};
 pub use fabric::{Body, ClusterMsg, Fabric, FabricConfig, LinkConfig, Topology};

@@ -4,13 +4,11 @@
 
 use apiary_accel::apps::echo::echo;
 use apiary_cap::ServiceId;
-use apiary_cluster::{
-    drive_clients, run_clients, ClusterClient, ClusterConfig, ClusterSystem, FabricConfig, Topology,
-};
+use apiary_cluster::{ClusterClient, ClusterConfig, ClusterSystem, FabricConfig, Topology};
 use apiary_core::{AppId, FaultPolicy};
 use apiary_net::Workload;
 use apiary_noc::NodeId;
-use apiary_sim::Machine;
+use apiary_sim::{until, Load, Machine};
 
 const KV: ServiceId = ServiceId(40);
 const REPLICA_NODE: NodeId = NodeId(5);
@@ -53,7 +51,7 @@ fn client(id: u32, origin: u16, mean_interarrival: f64) -> ClusterClient {
 fn run(c: &mut ClusterSystem, clients: &mut [ClusterClient], cycles: u64) {
     for _ in 0..cycles {
         c.tick();
-        drive_clients(c, clients);
+        clients.pump(c);
         assert_eq!(c.check_invariants(), Ok(()));
     }
 }
@@ -107,9 +105,9 @@ fn gateway_on_the_memory_node_rejected() {
 
 /// The event clock under load and chaos: every executed cycle leaves all
 /// live boards on the cluster's cycle with exact cached deadlines, and the
-/// deadline queue never lets a timeout slip. (`run_clients` calls `stop`
-/// after each executed cycle; debug builds also check every board and link
-/// a cycle passes over.)
+/// deadline queue never lets a timeout slip. (`Machine::drive` calls its
+/// `look`, which holds the laws here, after every step; debug builds also
+/// check every board and link a cycle passes over.)
 #[test]
 fn event_clock_keeps_the_lockstep_invariants() {
     for topology in [Topology::Star, Topology::FullMesh] {
@@ -128,10 +126,10 @@ fn event_clock_keeps_the_lockstep_invariants() {
             (0..4).map(|b| client(b as u32 + 1, b, 180.0)).collect();
         let mut executed = 0u64;
         let mut go = |c: &mut ClusterSystem, clients: &mut [ClusterClient], cycles: u64| {
-            run_clients(c, clients, cycles, |c, _| {
+            c.drive(clients, cycles, |c, _| {
                 assert_eq!(c.check_invariants(), Ok(()));
                 executed += 1;
-                false
+                until(false)
             });
         };
         go(&mut c, &mut clients, 8_000);
@@ -357,7 +355,7 @@ fn churn_during_remote_invocation_recovers() {
     clients[0].gen.max_requests = 0;
     for _ in 0..30_000 {
         c.tick();
-        drive_clients(&mut c, &mut clients);
+        clients.pump(&mut c);
         if c.quiescent() {
             break;
         }

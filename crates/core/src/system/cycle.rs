@@ -9,6 +9,7 @@ use apiary_accel::CapEnv;
 use apiary_monitor::TileState;
 use apiary_noc::NodeId;
 use apiary_sim::{ensure, ClockMode, Cycle, Machine};
+use core::ops::ControlFlow;
 
 impl System {
     /// Advances the machine by one cycle (the dense reference clock: every
@@ -245,36 +246,24 @@ impl System {
     /// a test client) may leave responses unread indefinitely.
     pub fn run_until_idle(&mut self, max_cycles: u64) -> bool {
         const SETTLE: u64 = 4096;
-        let end = self.clock.now().saturating_add(max_cycles);
-        let mut quiet = 0u64;
-        let mut idle = self.quiescent();
-        while self.clock.now() < end {
-            let before = self.clock.now();
-            // Idleness only changes on the cycle a step lands on: the
-            // cycles it crosses on the way keep the state it started in.
-            // An idle system is therefore stepped no further than the end
-            // of its settle window, which is the cycle per-cycle ticking
-            // would stop on.
-            let horizon = if idle {
-                end.min(before.saturating_add(SETTLE - quiet))
-            } else {
-                end
-            };
-            Machine::advance_toward(self, horizon);
-            if idle {
-                quiet += self.clock.now().saturating_since(before) - 1;
+        // Idleness only changes on the cycle a step lands on: the cycles it
+        // crosses keep the state it started in, so they are quiet if it
+        // was. An idle system is stepped no further than the end of its
+        // settle window, which is the cycle per-cycle ticking would stop on.
+        let mut at = self.now();
+        // Consecutive idle cycles, while the system is idle.
+        let mut quiet = self.quiescent().then_some(0);
+        let settled = Machine::drive(self, &mut (), max_cycles, |sys, _| {
+            let crossed = quiet.map_or(0, |q| q + sys.now().saturating_since(at) - 1);
+            at = sys.now();
+            quiet = sys.quiescent().then_some(crossed + 1);
+            match quiet {
+                Some(q) if q >= SETTLE => ControlFlow::Break(()),
+                Some(q) => ControlFlow::Continue(at.saturating_add(SETTLE - q)),
+                None => ControlFlow::Continue(Cycle::MAX),
             }
-            idle = self.quiescent();
-            if idle {
-                quiet += 1;
-                if quiet >= SETTLE {
-                    return true;
-                }
-            } else {
-                quiet = 0;
-            }
-        }
-        idle
+        });
+        settled || quiet.is_some()
     }
 
     /// [`Machine::quiescent`], under the name `benchmark/` calls.
@@ -335,6 +324,7 @@ impl Machine for System {
         for tile in &self.tiles {
             tile.monitor.check_invariants()?;
         }
+        self.allocator.check_invariants()?;
         self.supervisor.check(&self.reconfig)
     }
 }

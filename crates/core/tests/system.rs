@@ -993,6 +993,7 @@ fn every_mutable_entry_steps_the_clock_or_calls_touched() {
         "touched()",
         "Machine::advance_toward(self",
         "Machine::run_until(self",
+        "Machine::drive(self",
     ];
     let mut safe: Vec<&str> = Vec::new();
     // `tracer_mut` is the one exception: recording an event moves no

@@ -624,7 +624,7 @@ impl Machine for FaasSystem {
     /// Advances the fleet by one scheduling step (never beyond `horizon`)
     /// and runs the control loop. Drivers interleave their own arrival
     /// schedule by capping `horizon` at it, exactly like
-    /// [`apiary_cluster::run_clients`].
+    /// [`Machine::drive`] does with a load's next wakeup.
     fn advance_toward(&mut self, horizon: Cycle) {
         if self.cluster.now() >= horizon {
             return;

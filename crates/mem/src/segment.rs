@@ -7,6 +7,7 @@
 //! waste none — the trade-off the paper highlights in §4.6.
 
 use apiary_cap::MemRange;
+use apiary_sim::ensure;
 use core::fmt;
 
 /// Allocation placement policy.
@@ -266,6 +267,41 @@ impl SegmentAllocator {
     pub fn total(&self) -> u64 {
         self.total
     }
+
+    /// `Ok`, or the first broken law: the free list is sorted, disjoint and
+    /// fully coalesced (no two blocks touch), the live list is sorted and
+    /// disjoint, and together they cover `[0, total)` with no byte in both.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for w in self.free.windows(2) {
+            let ((a, len), b) = (w[0], w[1].0);
+            ensure!(
+                a + len < b,
+                "free blocks at {a} (+{len}) and {b} not coalesced"
+            );
+        }
+        for w in self.live.windows(2) {
+            let ((a, len), b) = (w[0], w[1].0);
+            ensure!(
+                a + len <= b,
+                "live segments at {a} (+{len}) and {b} overlap"
+            );
+        }
+        let mut blocks: Vec<(u64, u64)> = self.free.iter().chain(&self.live).copied().collect();
+        blocks.sort_unstable();
+        let mut at = 0;
+        for (base, len) in blocks {
+            ensure!(len > 0, "empty block at {base}");
+            ensure!(base >= at, "bytes {base}..{at} both free and live");
+            ensure!(base <= at, "bytes {at}..{base} neither free nor live");
+            at = base + len;
+        }
+        ensure!(
+            at == self.total,
+            "{at} of {} bytes accounted for",
+            self.total
+        );
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -285,6 +321,35 @@ mod tests {
         let s = a.stats();
         assert_eq!(s.free, 1024);
         assert_eq!(s.free_blocks, 1, "blocks must coalesce");
+    }
+
+    #[test]
+    fn law_names_the_first_broken_rule() {
+        let mut a = SegmentAllocator::new(1024, AllocPolicy::FirstFit);
+        let s1 = a.alloc(100).expect("space");
+        a.alloc(200).expect("space");
+        assert_eq!(a.check_invariants(), Ok(()));
+        let mut b = a.clone();
+        b.free = vec![(0, 100), (300, 724)];
+        b.live.retain(|&(base, _)| base != 0);
+        assert_eq!(b.check_invariants(), Ok(()));
+        b.free = vec![(0, 50), (50, 50), (300, 724)];
+        assert_eq!(
+            b.check_invariants(),
+            Err("free blocks at 0 (+50) and 50 not coalesced".into())
+        );
+        let mut b = a.clone();
+        b.free.push((0, 10));
+        b.free.sort_unstable();
+        assert_eq!(
+            b.check_invariants(),
+            Err("bytes 0..10 both free and live".into())
+        );
+        a.live.retain(|&(base, _)| base != s1.base);
+        assert_eq!(
+            a.check_invariants(),
+            Err("bytes 0..100 neither free nor live".into())
+        );
     }
 
     #[test]

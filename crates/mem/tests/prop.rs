@@ -6,6 +6,8 @@
 //! 2. Free/used byte accounting is exact under any alloc/free interleaving.
 //! 3. Freeing everything returns the allocator to one fully coalesced block.
 //! 4. The buddy allocator's blocks are aligned to their size.
+//! 5. The segment allocator keeps its own law
+//!    (`SegmentAllocator::check_invariants`) after every op.
 
 use apiary_cap::MemRange;
 use apiary_mem::{AllocPolicy, BuddyAllocator, PagedMmu, SegmentAllocator};
@@ -64,6 +66,7 @@ proptest! {
                 }
             }
             check_no_overlap(&live, total);
+            prop_assert_eq!(a.check_invariants(), Ok(()));
             let st = a.stats();
             prop_assert_eq!(st.used, used);
             prop_assert_eq!(st.free, total - used);

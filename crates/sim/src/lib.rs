@@ -12,8 +12,7 @@
 //!   returns it, and the drivers jump the clock between wakeups,
 //! - [`ClockMode`], the dense/event choice a machine carries in its
 //!   configuration (`SystemConfig::clock`; there is no process-wide
-//!   switch), and [`ClockMode::jump_target`], the one place a driver with
-//!   its own schedule meets it,
+//!   switch),
 //! - [`Reader`], the bounds-checked little-endian cursor every decoder of
 //!   untrusted bytes (fabric frames, snapshots) reads through,
 //! - [`SimRng`], a small, seedable PRNG so every run is reproducible from a
@@ -22,7 +21,8 @@
 //!   simulator-internal maps,
 //! - [`stats`], the [`Histogram`] the benchmark harness and the tracing
 //!   layer record latencies in,
-//! - [`Machine`], the one interface every machine is driven through, and
+//! - [`Machine`], the one interface every machine is driven through, with
+//!   [`Machine::drive`], the one loop that feeds it a [`Load`], and
 //!   [`ensure!`] for its laws.
 //!
 //! The simulator is *event-resolved with cycle-exact semantics*: every
@@ -44,7 +44,7 @@ pub mod stats;
 pub use clock::{Clock, Cycle};
 pub use event::{EventHandle, EventQueue};
 pub use fxmap::{FxHashMap, FxHashSet};
-pub use machine::Machine;
+pub use machine::{until, Load, Machine};
 pub use payload::Payload;
 pub use reader::Reader;
 pub use rng::SimRng;

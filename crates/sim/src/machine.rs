@@ -1,7 +1,9 @@
 //! [`Machine`], the one interface a board, a cluster and the serverless
-//! plane are driven through, so that their run loops are written once.
+//! plane are driven through, so that their run loops are written once, and
+//! [`Load`], what a driver feeds one of them from outside.
 
 use crate::clock::Cycle;
+use core::ops::ControlFlow;
 
 /// `return Err(format!(..))` unless `cond` holds: the one-line `assert!`
 /// of a law that returns `Result<(), String>`.
@@ -17,10 +19,11 @@ macro_rules! ensure {
 /// A machine that advances in scheduling steps.
 ///
 /// The loops check their predicate (or the laws) after every step, never
-/// on entry. One already true on entry stops them after one step, which is
-/// one cycle under the dense clock but a jump to the next event under the
-/// event clock. Otherwise both clocks stop on the same cycle, provided the
-/// predicate reads component state, not raw time.
+/// on entry. In `run_until` and `run_checked` one already true on entry
+/// stops them after one step, which is one cycle under the dense clock but
+/// a jump to the next event under the event clock ([`Machine::drive`]'s
+/// first step is one cycle under both). Otherwise both clocks stop on the
+/// same cycle, provided the predicate reads component state, not raw time.
 pub trait Machine {
     /// Current simulated time.
     fn now(&self) -> Cycle;
@@ -64,6 +67,71 @@ pub trait Machine {
         });
         laws.map_err(|e| format!("cycle {}: {e}", self.now()))
     }
+
+    /// Runs for up to `cycles` cycles with `load` attached: each step goes
+    /// toward the earliest of the end, the load's [`Load::next_wakeup`] and
+    /// the deadline `look` last named, but at least one cycle; then the
+    /// load [`pump`](Load::pump)s and `look` runs, under either clock.
+    /// `look` holds the caller's own logic (a kill, a swap, a "done?"): it
+    /// breaks, or names its next timed action as the deadline (`Cycle::MAX`
+    /// for none). A condition on raw time must be that deadline, or the
+    /// event clock steps over it. Returns whether `look` broke.
+    ///
+    /// The entry rule: `look` has named no deadline before the first step,
+    /// so that step is one cycle under both clocks, and a load already done
+    /// on entry costs exactly one cycle.
+    fn drive<L: Load<Self> + ?Sized>(
+        &mut self,
+        load: &mut L,
+        cycles: u64,
+        mut look: impl FnMut(&mut Self, &mut L) -> ControlFlow<(), Cycle>,
+    ) -> bool {
+        let end = self.now().saturating_add(cycles);
+        let mut deadline = self.now().saturating_add(1);
+        while self.now() < end {
+            let due = end.min(deadline).min(load.next_wakeup(self));
+            self.advance_toward(due.max(self.now().saturating_add(1)));
+            load.pump(self);
+            match look(self, load) {
+                ControlFlow::Break(()) => return true,
+                ControlFlow::Continue(next) => deadline = next,
+            }
+        }
+        false
+    }
+}
+
+/// A [`Machine::drive`] `look` with no deadline: break once `done`.
+pub fn until(done: bool) -> ControlFlow<(), Cycle> {
+    if done {
+        ControlFlow::Break(())
+    } else {
+        ControlFlow::Continue(Cycle::MAX)
+    }
+}
+
+/// Load a driver feeds a machine from outside: clients at a board's tile
+/// monitors, or at a fleet's network ingress. [`Machine::drive`] steps the
+/// machine no further than the load's next wakeup and pumps it after every
+/// step.
+pub trait Load<M: ?Sized> {
+    /// The next cycle on which [`Load::pump`] has work of its own (an
+    /// arrival, a retry, a timeout), `Cycle::MAX` if only the machine can
+    /// wake it.
+    fn next_wakeup(&self, m: &M) -> Cycle;
+
+    /// Acts on the current cycle: takes what the machine has for the load,
+    /// then issues what is due.
+    fn pump(&mut self, m: &mut M);
+}
+
+/// No load: the machine runs on its own.
+impl<M: ?Sized> Load<M> for () {
+    fn next_wakeup(&self, _: &M) -> Cycle {
+        Cycle::MAX
+    }
+
+    fn pump(&mut self, _: &mut M) {}
 }
 
 #[cfg(test)]
@@ -144,6 +212,84 @@ mod tests {
         let mut m = toy(false);
         assert!(!m.run_until(5, Machine::quiescent), "budget ran out");
         assert_eq!(m.now(), Cycle(8));
+    }
+
+    /// A load with work every `every` cycles; it records each pump.
+    struct Ticks {
+        every: u64,
+        pumped: Vec<u64>,
+    }
+
+    fn ticks(every: u64) -> Ticks {
+        Ticks {
+            every,
+            pumped: Vec::new(),
+        }
+    }
+
+    impl Load<Toy> for Ticks {
+        fn next_wakeup(&self, m: &Toy) -> Cycle {
+            Cycle((m.now.0 / self.every + 1) * self.every)
+        }
+
+        fn pump(&mut self, m: &mut Toy) {
+            self.pumped.push(m.now.0);
+        }
+    }
+
+    #[test]
+    fn drive_spends_one_cycle_on_a_load_done_on_entry() {
+        for dense in [false, true] {
+            let mut m = toy(dense);
+            let mut load = ticks(1_000);
+            assert!(m.drive(&mut load, 100, |_, _| ControlFlow::Break(())));
+            assert_eq!((m.now(), load.pumped), (Cycle(4), vec![4]));
+            assert!(!m.drive(&mut ticks(1), 0, |_, _| ControlFlow::Break(())));
+            assert_eq!(m.now(), Cycle(4), "a zero budget takes no step");
+        }
+    }
+
+    #[test]
+    fn drive_lands_on_every_wakeup_and_deadline() {
+        for dense in [false, true] {
+            let mut m = toy(dense);
+            let mut load = ticks(7);
+            let mut looked = Vec::new();
+            let broke = m.drive(&mut load, 60, |m, _| {
+                looked.push(m.now.0);
+                ControlFlow::Continue(Cycle((m.now.0 / 25 + 1) * 25))
+            });
+            assert!(!broke);
+            assert_eq!(m.now(), Cycle(63));
+            assert_eq!(looked, load.pumped, "`look` runs after every pump");
+            let due = (4..=63).filter(|t| t % 7 == 0 || t % 25 == 0 || t % 10 == 0);
+            assert!(due.clone().all(|t| looked.contains(&t)), "stepped past one");
+            if dense {
+                assert_eq!(looked, (4..=63).collect::<Vec<_>>());
+            } else {
+                let stops: Vec<u64> = [4].into_iter().chain(due).collect();
+                assert_eq!(looked, stops, "and nowhere else");
+            }
+        }
+    }
+
+    #[test]
+    fn drive_stops_at_the_step_look_breaks_on() {
+        for (dense, stop) in [(false, 20), (true, 8)] {
+            let mut m = toy(dense);
+            let mut load = ticks(7);
+            let mut looks = 0;
+            let broke = m.drive(&mut load, 100, |_, _| {
+                looks += 1;
+                if looks == 5 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(Cycle::MAX)
+                }
+            });
+            assert!(broke);
+            assert_eq!((m.now(), load.pumped.len()), (Cycle(stop), 5));
+        }
     }
 
     #[test]

@@ -93,22 +93,6 @@ pub enum ClockMode {
     Event,
 }
 
-impl ClockMode {
-    /// How far a driver that keeps its own schedule (a load generator, a
-    /// client pump) may let its machine run before it must look at its
-    /// clients again: `due`, the driver's own next deadline, under the
-    /// event clock, and at most `now + 1` under the dense reference clock.
-    /// The reference run thus visits every client on every cycle, so a
-    /// `due` computed too late shows up as a divergence between the two
-    /// clocks.
-    pub fn jump_target(self, now: Cycle, due: Cycle) -> Cycle {
-        match self {
-            ClockMode::Event => due,
-            ClockMode::Dense => due.min(now.saturating_add(1)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,23 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_clock_clamps_a_drivers_jump_to_one_cycle() {
+    fn event_is_the_default_clock() {
         assert_eq!(ClockMode::default(), ClockMode::Event);
-        assert_eq!(
-            ClockMode::Event.jump_target(Cycle(10), Cycle(50)),
-            Cycle(50)
-        );
-        assert_eq!(
-            ClockMode::Dense.jump_target(Cycle(10), Cycle(50)),
-            Cycle(11)
-        );
-        assert_eq!(
-            ClockMode::Dense.jump_target(Cycle(10), Cycle(11)),
-            Cycle(11)
-        );
-        assert_eq!(
-            ClockMode::Dense.jump_target(Cycle::MAX, Cycle::MAX),
-            Cycle::MAX
-        );
     }
 }
