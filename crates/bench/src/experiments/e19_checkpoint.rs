@@ -95,14 +95,8 @@ pub fn run_migration(run: Run, entries: u64, duration: u64) -> Row {
     c.drive(&mut clients[..], duration / 5, |_, _| until(false));
     let ok_before = clients[0].gen.stats.completed - clients[0].gen.stats.errors;
 
-    c.migrate_replica(
-        "ckpt-kv",
-        0,
-        1,
-        REPLICA_NODE,
-        Box::new(|| Box::new(kv_store())),
-    )
-    .expect("migration starts");
+    c.migrate_replica("ckpt-kv", 0, 1, REPLICA_NODE)
+        .expect("migration starts");
     c.drive(&mut clients[..], duration - duration / 5, |_, _| {
         until(false)
     });

@@ -352,7 +352,7 @@ fn live_migration_clocks_agree() {
             accel.service_mut().insert(7, &key, &[0xAB; 32]);
         }
         c.run(2_000);
-        c.migrate_replica("kv", 0, 1, NodeId(5), Box::new(|| Box::new(kv_store())))
+        c.migrate_replica("kv", 0, 1, NodeId(5))
             .expect("migration starts");
         c.run(30_000);
         let kv_len = c
@@ -574,13 +574,7 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String
             ClusterOp::RestoreLink(b) => c.restore_link(b, None),
             ClusterOp::KillBoard => c.kill_board(3),
             ClusterOp::Migrate { dst } => {
-                let r = c.migrate_replica(
-                    "kv",
-                    kv_home,
-                    dst,
-                    KV_NODE,
-                    Box::new(|| Box::new(kv_store())),
-                );
+                let r = c.migrate_replica("kv", kv_home, dst, KV_NODE);
                 if r.is_ok() {
                     kv_home = dst;
                 }

@@ -9,25 +9,16 @@
 
 use crate::directory::Directory;
 use apiary_cap::{CapRef, ServiceId};
-use apiary_core::supervisor::AccelFactory;
-use apiary_core::{AppId, FaultPolicy, System};
+use apiary_core::supervisor::ServiceSpec;
+use apiary_core::{ServiceImage, System, SystemError};
 use apiary_noc::NodeId;
 use apiary_sim::{ensure, Cycle, Machine};
 use apiary_trace::{EventKind, RemotePhase};
 use std::collections::BTreeMap;
 
-#[derive(Clone)]
-pub(crate) struct ReplicaMeta {
-    pub(crate) service: ServiceId,
-    pub(crate) node: NodeId,
-    pub(crate) app: AppId,
-    pub(crate) policy: FaultPolicy,
-    pub(crate) bitstream_bytes: u64,
-}
-
 pub(crate) struct Republish {
     pub(crate) name: String,
-    pub(crate) meta: ReplicaMeta,
+    pub(crate) service: ServiceId,
 }
 
 pub(crate) struct Ingress {
@@ -52,8 +43,9 @@ pub(crate) struct Board {
     pub(crate) remote_caps: BTreeMap<(u16, u32), CapRef>,
     /// Forwarded remote work in flight on this board, by local ingress tag.
     pub(crate) ingress: BTreeMap<u64, Ingress>,
-    /// Locally deployed replicas, by name.
-    pub(crate) replicas: BTreeMap<String, ReplicaMeta>,
+    /// Locally deployed replicas, by name. Everything else about one —
+    /// its node, app, policy and image — is its supervisor spec.
+    pub(crate) replicas: BTreeMap<String, ServiceId>,
     /// Reconfigurations whose directory entry awaits republish.
     pub(crate) republish: Vec<Republish>,
 }
@@ -123,23 +115,33 @@ impl Board {
         debug_assert_eq!(self.sys.now(), now, "board left lockstep");
     }
 
-    /// Takes on a replica whose tile is loading its bitstream: supervised
+    /// The supervisor spec of the replica published here as `name`.
+    pub(crate) fn replica(&self, name: &str) -> Option<&ServiceSpec> {
+        self.sys.service_spec(*self.replicas.get(name)?)
+    }
+
+    /// Takes on a replica by loading `image` onto `node`, warm from
+    /// `snapshot` if it restores ([`System::adopt_service`]): supervised
     /// from now, published (with the gateway wired as its client) by the
-    /// republish pass once the tile is back online.
-    pub(crate) fn adopt_replica(&mut self, name: &str, meta: ReplicaMeta, factory: AccelFactory) {
-        self.sys_mut().adopt_service(
-            meta.service,
-            meta.node,
-            meta.app,
-            meta.policy,
-            meta.bitstream_bytes,
-            factory,
-        );
-        self.replicas.insert(name.to_string(), meta.clone());
+    /// republish pass once the tile is back online. Returns the load's
+    /// completion cycle and whether the start was warm.
+    pub(crate) fn adopt_replica(
+        &mut self,
+        name: &str,
+        service: ServiceId,
+        node: NodeId,
+        image: ServiceImage,
+        snapshot: Option<&[u8]>,
+    ) -> Result<(Cycle, bool), SystemError> {
+        let started = self
+            .sys_mut()
+            .adopt_service(service, node, image, snapshot)?;
+        self.replicas.insert(name.to_string(), service);
         self.republish.push(Republish {
             name: name.to_string(),
-            meta,
+            service,
         });
+        Ok(started)
     }
 
     /// Records a `Remote` span at the gateway tile. Tracing never moves a
@@ -158,7 +160,10 @@ impl Board {
 
     /// `Err` unless the board is in lockstep with cluster cycle `now`, the
     /// system's own laws hold (its memoised kernel deadline among them),
-    /// and the board's cached deadline, if any, is what the system reports.
+    /// the board's cached deadline, if any, is what the system reports, and
+    /// a replica has one record: every listed replica names a service its
+    /// supervisor holds a spec for, and every pending republish names a
+    /// listed replica.
     pub(crate) fn check_invariants(&self, index: usize, now: Cycle) -> Result<(), String> {
         ensure!(
             self.sys.now() == now,
@@ -170,6 +175,19 @@ impl Board {
             self.due.is_none_or(|d| d == fresh),
             "board {index} caches a stale deadline"
         );
+        for (name, &service) in &self.replicas {
+            ensure!(
+                self.sys.service_spec(service).is_some(),
+                "board {index} lists replica {name} with no supervisor spec"
+            );
+        }
+        for r in &self.republish {
+            ensure!(
+                self.replicas.get(&r.name) == Some(&r.service),
+                "board {index} republishes {}, which it does not list",
+                r.name
+            );
+        }
         Ok(())
     }
 }

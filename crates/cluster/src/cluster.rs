@@ -91,10 +91,6 @@ pub struct ClusterConfig {
     /// away as the tombstone gossips; the window lets in-flight
     /// invocations drain while the replica is still serving.
     pub migration_quiesce: u64,
-    /// Push each service's newest checkpoint to a peer board every gossip
-    /// round, so a board kill can recover warm elsewhere
-    /// ([`ClusterSystem::recover_replica`]).
-    pub replicate_checkpoints: bool,
 }
 
 impl Default for ClusterConfig {
@@ -109,7 +105,6 @@ impl Default for ClusterConfig {
             request_timeout: 4_000,
             seed: 0xC105_7E12,
             migration_quiesce: 600,
-            replicate_checkpoints: false,
         }
     }
 }
@@ -186,14 +181,10 @@ pub struct ClusterSystem {
     /// Live migrations aborted (board died, service could not snapshot,
     /// or the destination refused the restore).
     pub migrations_failed: u64,
-    /// Checkpoints adopted from a peer via fabric replication.
-    pub checkpoints_replicated: u64,
     /// In-flight migrations, by service id.
     migrations: BTreeMap<u32, Migration>,
     /// Completed migrations, in completion order.
     migrations_done: Vec<MigrationOutcome>,
-    /// Highest checkpoint sequence replicated, per (home board, service).
-    replicated_seq: BTreeMap<(u16, u32), u64>,
 }
 
 impl ClusterSystem {
@@ -236,10 +227,8 @@ impl ClusterSystem {
             refused: 0,
             caps_revoked: 0,
             migrations_failed: 0,
-            checkpoints_replicated: 0,
             migrations: BTreeMap::new(),
             migrations_done: Vec::new(),
-            replicated_seq: BTreeMap::new(),
         }
     }
 

@@ -5,9 +5,8 @@ use super::ClusterSystem;
 use crate::board::Ingress;
 use crate::fabric::{Body, ClusterMsg};
 use apiary_cap::ServiceId;
-use apiary_core::Snapshot;
 use apiary_monitor::wire::{KIND_ERROR, KIND_REQUEST};
-use apiary_noc::TrafficClass;
+use apiary_noc::{NodeId, TrafficClass};
 use apiary_sim::Cycle;
 use apiary_trace::RemotePhase;
 
@@ -34,23 +33,24 @@ impl ClusterSystem {
             if !self.boards[bi].alive || self.boards[bi].republish.is_empty() {
                 continue;
             }
-            let done: Vec<usize> = self.boards[bi]
+            let sys = self.boards[bi].sys();
+            let done: Vec<(usize, NodeId)> = self.boards[bi]
                 .republish
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| self.boards[bi].sys().tile(r.meta.node).accel.is_some())
-                .map(|(i, _)| i)
+                .filter_map(|(i, r)| Some((i, sys.service_home(r.service)?)))
+                .filter(|&(_, node)| sys.tile(node).accel.is_some())
                 .collect();
-            for i in done.into_iter().rev() {
+            for (i, node) in done.into_iter().rev() {
                 let r = self.boards[bi].republish.remove(i);
                 let b = &mut self.boards[bi];
                 // Re-wire: the reset wiped the replica tile's reply caps;
                 // attach_client reinstalls them and refreshes the
                 // gateway's service cap.
-                if let Ok(cap) = b.sys_mut().attach_client(gw, r.meta.service) {
-                    b.local_caps.insert(r.meta.service.0, cap);
+                if let Ok(cap) = b.sys_mut().attach_client(gw, r.service) {
+                    b.local_caps.insert(r.service.0, cap);
                 }
-                let _ = b.dir.publish(now, &r.name, r.meta.service, r.meta.node);
+                let _ = b.dir.publish(now, &r.name, r.service, node);
             }
         }
     }
@@ -102,61 +102,6 @@ impl ClusterSystem {
                     src: bi,
                     dst: partner,
                     body: Body::Gossip { entries: snapshot },
-                });
-            }
-        }
-        if self.cfg.replicate_checkpoints && n > 1 {
-            self.replicate_checkpoints();
-        }
-    }
-
-    /// Checkpoint replication piggybacks on the gossip cadence: each board
-    /// pushes any snapshot whose sequence advanced since the last round to
-    /// its ring successor, so a board kill can recover warm from the peer's
-    /// adopted copy ([`ClusterSystem::recover_replica`]).
-    fn replicate_checkpoints(&mut self) {
-        let n = self.cfg.boards;
-        for bi in 0..n {
-            if !self.boards[bi as usize].alive {
-                continue;
-            }
-            let Some(peer) = (1..n)
-                .map(|d| (bi + d) % n)
-                .find(|&p| self.boards[p as usize].alive)
-            else {
-                continue;
-            };
-            let replicas: Vec<(String, u32)> = self.boards[bi as usize]
-                .replicas
-                .iter()
-                .map(|(name, meta)| (name.clone(), meta.service.0))
-                .collect();
-            for (name, sid) in replicas {
-                let Some(snap) = self.boards[bi as usize]
-                    .sys_mut()
-                    .checkpoint_store_mut()
-                    .latest(sid)
-                else {
-                    continue;
-                };
-                let seq = snap.seq;
-                if self
-                    .replicated_seq
-                    .get(&(bi, sid))
-                    .is_some_and(|&sent| sent >= seq)
-                {
-                    continue;
-                }
-                let snapshot = snap.encode();
-                self.replicated_seq.insert((bi, sid), seq);
-                self.fabric.send(&ClusterMsg {
-                    src: bi,
-                    dst: peer,
-                    body: Body::Checkpoint {
-                        service: sid,
-                        name,
-                        snapshot,
-                    },
                 });
             }
         }
@@ -213,21 +158,6 @@ impl ClusterSystem {
                     name: _,
                     snapshot,
                 } => self.restore_migration(msg.src, msg.dst, service, &snapshot, now),
-                Body::Checkpoint {
-                    service,
-                    name: _,
-                    snapshot,
-                } => {
-                    if let Ok(snap) = Snapshot::decode(&snapshot) {
-                        if self.boards[msg.dst as usize]
-                            .sys_mut()
-                            .checkpoint_store_mut()
-                            .adopt(service, snap)
-                        {
-                            self.checkpoints_replicated += 1;
-                        }
-                    }
-                }
             }
         }
     }

@@ -8,23 +8,21 @@
 //! advanced, `restore_migration` when the snapshot comes off the fabric,
 //! `finish_migrations` after the republish pass).
 
-use crate::board::ReplicaMeta;
 use crate::cluster::{ClusterSystem, NO_REPLICA};
 use crate::fabric::{Body, ClusterMsg};
 use apiary_cap::ServiceId;
-use apiary_core::supervisor::AccelFactory;
-use apiary_core::{AppId, FaultPolicy, SystemError};
+use apiary_core::{ServiceImage, SystemError};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
 use apiary_trace::RemotePhase;
 
 /// Phase of an in-flight live migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MigPhase {
     /// Source entry withdrawn; draining until the snapshot cycle.
     Quiesce { until: Cycle },
-    /// Snapshot serialized onto the fabric; source already decommissioned.
-    Transfer,
+    /// Snapshot serialized onto the fabric; source already decommissioned,
+    /// its spec's image held here for the destination to load.
+    Transfer(ServiceImage),
     /// Destination loading bitstream + state through the ICAP, awaiting
     /// republish.
     Restore,
@@ -37,12 +35,6 @@ pub(crate) struct Migration {
     src: u16,
     dst: u16,
     dst_node: NodeId,
-    app: AppId,
-    policy: FaultPolicy,
-    bitstream_bytes: u64,
-    /// Consumed at restore; the same factory then seeds the destination
-    /// supervisor's spec for future cold restarts.
-    factory: Option<AccelFactory>,
     started_at: Cycle,
     snapshot_at: Cycle,
     state_bytes: u64,
@@ -95,18 +87,16 @@ impl ClusterSystem {
         src: u16,
         dst: u16,
         dst_node: NodeId,
-        factory: AccelFactory,
     ) -> Result<(), SystemError> {
         let now = self.now();
         if src == dst || !self.boards[src as usize].alive || !self.boards[dst as usize].alive {
             return Err(NO_REPLICA);
         }
-        let meta = self.boards[src as usize]
+        let service = *self.boards[src as usize]
             .replicas
             .get(name)
-            .cloned()
             .ok_or(NO_REPLICA)?;
-        if self.migrations.contains_key(&meta.service.0) {
+        if self.migrations.contains_key(&service.0) {
             return Err(NO_REPLICA);
         }
         self.boards[src as usize].dir.withdraw(now, name);
@@ -116,20 +106,16 @@ impl ClusterSystem {
             now,
             RemotePhase::MigrateQuiesce,
             dst,
-            meta.service.0 as u64,
+            service.0 as u64,
         );
         self.migrations.insert(
-            meta.service.0,
+            service.0,
             Migration {
                 name: name.to_string(),
-                service: meta.service,
+                service,
                 src,
                 dst,
                 dst_node,
-                app: meta.app,
-                policy: meta.policy,
-                bitstream_bytes: meta.bitstream_bytes,
-                factory: Some(factory),
                 started_at: now,
                 snapshot_at: now,
                 state_bytes: 0,
@@ -226,10 +212,14 @@ impl ClusterSystem {
         b.trace_remote(gw, now, RemotePhase::MigrateXfer, m.dst, sid as u64);
         m.snapshot_at = now;
         m.state_bytes = state.len() as u64;
-        m.phase = MigPhase::Transfer;
-        b.sys_mut().undeploy_service(m.service);
+        let spec = b
+            .sys_mut()
+            .undeploy_service(m.service)
+            .expect("homed above");
+        m.phase = MigPhase::Transfer(spec.image);
         b.local_caps.remove(&sid);
         b.replicas.remove(&m.name);
+        b.republish.retain(|r| r.name != m.name);
         let msg = ClusterMsg {
             src: m.src,
             dst: m.dst,
@@ -243,10 +233,10 @@ impl ClusterSystem {
     }
 
     /// A [`Body::Migrate`] snapshot came off the fabric at live board
-    /// `dst`: restore it into a fresh instance (cold if the snapshot does
-    /// not verify) and load that through the ICAP, priced as bitstream plus
-    /// restored state. The republish pass publishes the new home once the
-    /// tile is back online.
+    /// `dst`: the destination adopts the source spec's image at
+    /// `dst_node`, warm if the snapshot restores (cold otherwise), loaded
+    /// through the ICAP. The republish pass publishes the new home once
+    /// the tile is back online.
     pub(crate) fn restore_migration(
         &mut self,
         src: u16,
@@ -256,38 +246,21 @@ impl ClusterSystem {
         now: Cycle,
     ) {
         let gw = self.cfg.gateway;
-        let Some(m) = self.migrations.get_mut(&service) else {
+        let m = match self.migrations.get_mut(&service) {
+            Some(m) if m.src == src && matches!(m.phase, MigPhase::Transfer(_)) => m,
             // Migration aborted while the snapshot was in flight; the
-            // state is lost with it.
-            return;
+            // state is lost with it (a later migration of the service
+            // waits for its own snapshot).
+            _ => return,
         };
-        let factory = m.factory.take().expect("consumed exactly once");
-        let mut accel = factory();
-        m.warm = accel.restore_state(snapshot).is_ok();
-        if !m.warm {
-            // Never install a half-restored instance.
-            accel = factory();
-        }
-        let warm_bytes = if m.warm { snapshot.len() as u64 } else { 0 };
+        let MigPhase::Transfer(image) = std::mem::replace(&mut m.phase, MigPhase::Restore) else {
+            unreachable!("matched above");
+        };
         let b = &mut self.boards[dst as usize];
-        match b.sys_mut().reconfigure(
-            m.dst_node,
-            accel,
-            m.app,
-            m.policy,
-            m.bitstream_bytes + warm_bytes,
-        ) {
-            Ok(_) => {
+        match b.adopt_replica(&m.name, m.service, m.dst_node, image, Some(snapshot)) {
+            Ok((_, warm)) => {
+                m.warm = warm;
                 b.trace_remote(gw, now, RemotePhase::MigrateRestore, src, service as u64);
-                let meta = ReplicaMeta {
-                    service: m.service,
-                    node: m.dst_node,
-                    app: m.app,
-                    policy: m.policy,
-                    bitstream_bytes: m.bitstream_bytes,
-                };
-                b.adopt_replica(&m.name, meta, factory);
-                m.phase = MigPhase::Restore;
             }
             Err(_) => {
                 self.migrations.remove(&service);
@@ -306,7 +279,7 @@ impl ClusterSystem {
             .migrations
             .iter()
             .filter(|(_, m)| {
-                m.phase == MigPhase::Restore
+                matches!(m.phase, MigPhase::Restore)
                     && self.boards[m.dst as usize]
                         .dir
                         .lookup_local(now, &m.name)

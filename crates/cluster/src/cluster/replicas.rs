@@ -1,11 +1,13 @@
-//! The replica and chaos plane: deploying, reconfiguring, recovering and
-//! tearing down replicas, and killing boards and cutting links.
+//! The replica and chaos plane: deploying, reconfiguring and tearing down
+//! replicas, and killing boards and cutting links. A replica is a name
+//! bound to a service id; everything else about it is read from its
+//! board's supervisor spec.
 
 use super::{ClusterSystem, NO_REPLICA};
-use crate::board::{ReplicaMeta, Republish};
+use crate::board::Republish;
 use apiary_cap::ServiceId;
 use apiary_core::supervisor::AccelFactory;
-use apiary_core::{AppId, FaultPolicy, SystemError};
+use apiary_core::{AppId, FaultPolicy, ServiceImage, SystemError};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
 
@@ -33,16 +35,7 @@ impl ClusterSystem {
             .deploy_service(service, node, app, policy, bitstream_bytes, factory)?;
         let cap = b.sys_mut().attach_client(self.cfg.gateway, service)?;
         b.local_caps.insert(service.0, cap);
-        b.replicas.insert(
-            name.to_string(),
-            ReplicaMeta {
-                service,
-                node,
-                app,
-                policy,
-                bitstream_bytes,
-            },
-        );
+        b.replicas.insert(name.to_string(), service);
         Ok(b.dir.publish(now, name, service, node))
     }
 
@@ -62,70 +55,17 @@ impl ClusterSystem {
     ) -> Result<(), SystemError> {
         let now = self.now();
         let b = &mut self.boards[board as usize];
-        let meta = b.replicas.get(name).cloned().ok_or(NO_REPLICA)?;
+        let spec = b.replica(name).ok_or(NO_REPLICA)?;
+        let (service, node, app, policy) =
+            (spec.service, spec.node, spec.image.app, spec.image.policy);
         b.dir.withdraw(now, name);
         b.sys_mut()
-            .reconfigure(meta.node, factory(), meta.app, meta.policy, bitstream_bytes)?;
+            .reconfigure(node, factory(), app, policy, bitstream_bytes)?;
         b.republish.push(Republish {
             name: name.to_string(),
-            meta,
+            service,
         });
         Ok(())
-    }
-
-    /// Redeploys a replica on `board` from a checkpoint previously adopted
-    /// over the fabric ([`ClusterConfig::replicate_checkpoints`]): warm if
-    /// a verified snapshot of `service` is held, cold (factory-fresh)
-    /// otherwise. The restore is priced through the ICAP like any
-    /// reconfiguration — bitstream plus restored state. Returns whether
-    /// the recovery was warm.
-    ///
-    /// [`ClusterConfig::replicate_checkpoints`]: super::ClusterConfig::replicate_checkpoints
-    #[allow(clippy::too_many_arguments)]
-    pub fn recover_replica(
-        &mut self,
-        board: u16,
-        name: &str,
-        service: ServiceId,
-        node: NodeId,
-        app: AppId,
-        policy: FaultPolicy,
-        bitstream_bytes: u64,
-        factory: AccelFactory,
-    ) -> Result<bool, SystemError> {
-        let b = &mut self.boards[board as usize];
-        let state = b
-            .sys_mut()
-            .checkpoint_store_mut()
-            .latest(service.0)
-            .map(|s| s.state.clone());
-        let mut accel = factory();
-        let mut warm_bytes = 0u64;
-        let warm = match state {
-            Some(s) if accel.restore_state(&s).is_ok() => {
-                warm_bytes = s.len() as u64;
-                true
-            }
-            _ => false,
-        };
-        if !warm {
-            // Never deploy a half-restored instance: rebuild fresh.
-            accel = factory();
-        }
-        b.sys_mut()
-            .reconfigure(node, accel, app, policy, bitstream_bytes + warm_bytes)?;
-        if warm {
-            b.sys_mut().checkpoint_store_mut().warm_restores += 1;
-        }
-        let meta = ReplicaMeta {
-            service,
-            node,
-            app,
-            policy,
-            bitstream_bytes,
-        };
-        b.adopt_replica(name, meta, factory);
-        Ok(warm)
     }
 
     /// Deploys a function replica into a warm-pool slot. Unlike
@@ -151,17 +91,13 @@ impl ClusterSystem {
         if !b.alive {
             return Err(SystemError::BadNode(node));
         }
-        let done = b
-            .sys_mut()
-            .reconfigure(node, factory(), app, policy, bitstream_bytes)?;
-        let meta = ReplicaMeta {
-            service,
-            node,
+        let image = ServiceImage {
             app,
             policy,
             bitstream_bytes,
+            factory,
         };
-        b.adopt_replica(name, meta, factory);
+        let (done, _) = b.adopt_replica(name, service, node, image, None)?;
         Ok(done)
     }
 
@@ -175,25 +111,20 @@ impl ClusterSystem {
     /// a decommissioned tile. Returns the freed node.
     pub fn pool_teardown(&mut self, board: u16, name: &str) -> Result<NodeId, SystemError> {
         let now = self.now();
-        let service;
-        let node;
-        {
-            let b = &mut self.boards[board as usize];
-            if !b.alive {
-                return Err(NO_REPLICA);
-            }
-            let meta = b.replicas.get(name).cloned().ok_or(NO_REPLICA)?;
-            if b.sys().reconfiguring(meta.node) {
-                return Err(SystemError::ReconfigInProgress(meta.node));
-            }
-            service = meta.service;
-            node = meta.node;
-            b.dir.withdraw(now, name);
-            b.sys_mut().undeploy_service(meta.service);
-            b.local_caps.remove(&meta.service.0);
-            b.replicas.remove(name);
-            b.republish.retain(|r| r.name != name);
+        let b = &mut self.boards[board as usize];
+        if !b.alive {
+            return Err(NO_REPLICA);
         }
+        let spec = b.replica(name).ok_or(NO_REPLICA)?;
+        let (service, node) = (spec.service, spec.node);
+        if b.sys().reconfiguring(node) {
+            return Err(SystemError::ReconfigInProgress(node));
+        }
+        b.dir.withdraw(now, name);
+        b.sys_mut().undeploy_service(service);
+        b.local_caps.remove(&service.0);
+        b.replicas.remove(name);
+        b.republish.retain(|r| r.name != name);
         self.revoke_remote_caps(board, service.0);
         Ok(node)
     }

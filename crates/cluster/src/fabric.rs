@@ -138,17 +138,8 @@ pub enum Body {
         service: u32,
         /// Directory name of the replica being moved.
         name: String,
-        /// Encoded [`apiary_core::Snapshot`] of the service's state.
-        snapshot: Vec<u8>,
-    },
-    /// Checkpoint replication: a board pushes its latest snapshot of a
-    /// replica to a peer so a board kill can recover warm elsewhere.
-    Checkpoint {
-        /// Service id on the owning board.
-        service: u32,
-        /// Directory name of the replica the snapshot belongs to.
-        name: String,
-        /// Encoded [`apiary_core::Snapshot`] (carries its own seq).
+        /// The service's raw architectural state, as
+        /// [`apiary_accel::Accelerator::save_state`] returned it.
         snapshot: Vec<u8>,
     },
 }
@@ -161,9 +152,7 @@ impl ClusterMsg {
         let bulk = match &self.body {
             Body::Invoke { payload, .. } | Body::Reply { payload, .. } => payload.len(),
             Body::Gossip { entries } => entries.iter().map(|e| 27 + e.name.len()).sum(),
-            Body::Migrate { name, snapshot, .. } | Body::Checkpoint { name, snapshot, .. } => {
-                name.len() + snapshot.len()
-            }
+            Body::Migrate { name, snapshot, .. } => name.len() + snapshot.len(),
         };
         let mut out = Vec::with_capacity(21 + bulk);
         out.extend_from_slice(&self.src.to_le_bytes());
@@ -210,17 +199,8 @@ impl ClusterMsg {
                 service,
                 name,
                 snapshot,
-            }
-            | Body::Checkpoint {
-                service,
-                name,
-                snapshot,
             } => {
-                out.push(if matches!(self.body, Body::Migrate { .. }) {
-                    3
-                } else {
-                    4
-                });
+                out.push(3);
                 out.extend_from_slice(&service.to_le_bytes());
                 let nb = name.as_bytes();
                 out.extend_from_slice(&(nb.len() as u16).to_le_bytes());
@@ -282,24 +262,15 @@ impl ClusterMsg {
                 }
                 Body::Gossip { entries }
             }
-            tag @ (3 | 4) => {
+            3 => {
                 let service = r.u32()?;
                 let name_len = r.u16()? as usize;
                 let name = String::from_utf8(r.bytes(name_len)?.to_vec()).ok()?;
                 let len = r.u32()? as usize;
-                let snapshot = r.bytes(len)?.to_vec();
-                if tag == 3 {
-                    Body::Migrate {
-                        service,
-                        name,
-                        snapshot,
-                    }
-                } else {
-                    Body::Checkpoint {
-                        service,
-                        name,
-                        snapshot,
-                    }
+                Body::Migrate {
+                    service,
+                    name,
+                    snapshot: r.bytes(len)?.to_vec(),
                 }
             }
             _ => return None,

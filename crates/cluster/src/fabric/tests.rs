@@ -58,15 +58,6 @@ fn codec_round_trips() {
                 snapshot: vec![0xAB; 100],
             },
         },
-        ClusterMsg {
-            src: 1,
-            dst: 0,
-            body: Body::Checkpoint {
-                service: 12,
-                name: "kv-a".into(),
-                snapshot: vec![0xCD; 40],
-            },
-        },
     ] {
         assert_eq!(ClusterMsg::decode(&m.encode()), Some(m));
     }
@@ -82,6 +73,7 @@ fn codec_round_trips() {
         },
     }
     .encode();
+    assert_eq!(enc[4], 3, "a migration keeps wire tag 3");
     assert_eq!(ClusterMsg::decode(&enc[..enc.len() - 1]), None);
     let mut trailing = enc.clone();
     trailing.push(0);
@@ -142,9 +134,10 @@ fn tor_switches_onto_an_idle_downlink_in_the_arrival_cycle() {
 
 /// The switch reads four bytes. [`Fabric::send`] only ever enqueues
 /// `encode()` output, so these frames are put on the uplink by hand:
-/// one whose header is valid but whose body does not decode crosses the
-/// switch and dies at the destination's decode; one shorter than the
-/// header dies at the switch. Neither is delivered or counted.
+/// those whose header is valid but whose body does not decode (a
+/// truncated invoke, and a well-formed body under the retired body tag 4)
+/// cross the switch and die at the destination's decode; one shorter than
+/// the header dies at the switch. None is delivered or counted.
 #[test]
 fn tor_routes_on_the_header_and_malformed_frames_die_quietly() {
     let mut f = Fabric::new(2, FabricConfig::default());
@@ -153,7 +146,20 @@ fn tor_routes_on_the_header_and_malformed_frames_die_quietly() {
     let mut garbled = msg(0, 1, 1).encode();
     garbled.truncate(9);
     assert_eq!(ClusterMsg::decode(&garbled), None);
+    let mut retired = ClusterMsg {
+        src: 0,
+        dst: 1,
+        body: Body::Migrate {
+            service: 1,
+            name: "kv".into(),
+            snapshot: vec![7; 16],
+        },
+    }
+    .encode();
+    retired[4] = 4;
+    assert_eq!(ClusterMsg::decode(&retired), None);
     f.enqueue(up, garbled.into());
+    f.enqueue(up, retired.into());
     f.enqueue(up, vec![0u8, 0, 1].into());
     f.send(&msg(0, 1, 2));
     let got = run(&mut f, Cycle(0), 2_000);
@@ -163,10 +169,10 @@ fn tor_routes_on_the_header_and_malformed_frames_die_quietly() {
         "only the well-formed frame arrives"
     );
     assert_eq!(f.stats().delivered, 1);
-    assert_eq!(f.links[up].rx.expected(), 3, "all three reached the switch");
+    assert_eq!(f.links[up].rx.expected(), 4, "all four reached the switch");
     assert_eq!(
         f.links[down].rx.expected(),
-        2,
+        3,
         "the short one went no further"
     );
     assert!(f.idle(), "the links drained");

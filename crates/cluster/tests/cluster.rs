@@ -363,8 +363,63 @@ fn churn_during_remote_invocation_recovers() {
     assert!(c.quiescent(), "cluster drains after churn");
 }
 
+#[test]
+fn a_rehomed_replica_is_reconfigured_and_torn_down_where_it_lives() {
+    // Regression: the cluster kept its own copy of a replica's node beside
+    // the supervisor's spec, and after the supervisor re-homed the replica
+    // the copy still named the vacated tile. A reconfiguration then loaded
+    // the new bitstream there, orphaned and unsupervised, while the
+    // gateway stayed bound to the old instance; a teardown returned the
+    // vacated tile and left the live one in use.
+    const SPARE: NodeId = NodeId(6);
+    let mut cfg = ClusterConfig {
+        boards: 2,
+        ..ClusterConfig::default()
+    };
+    cfg.system.supervisor.enabled = true;
+    cfg.system.supervisor.max_restarts = 0;
+    cfg.system.supervisor.spare_nodes = vec![SPARE];
+    let mut c = ClusterSystem::new(cfg);
+    deploy_echo(&mut c, 1, 20);
+    run(&mut c, &mut [], 2_000);
+
+    c.board_mut(1).fail_stop(REPLICA_NODE);
+    run(&mut c, &mut [], 3_000);
+    assert_eq!(c.board(1).service_home(KV), Some(SPARE), "re-homed");
+    assert!(c.board(1).tile(REPLICA_NODE).accel.is_none());
+
+    c.reconfigure_replica(1, "kv", Box::new(|| Box::new(echo(10))), BITSTREAM)
+        .expect("replica is known");
+    assert!(
+        c.board(1).reconfiguring(SPARE),
+        "the live tile reconfigures"
+    );
+    assert!(!c.board(1).reconfiguring(REPLICA_NODE));
+    run(&mut c, &mut [], 4_000);
+    let entry = c.directory(0).lookup_all(c.now(), "kv");
+    assert_eq!(entry.len(), 1);
+    assert_eq!(entry[0].node, SPARE, "republished where it lives");
+    assert!(c.board(1).tile(REPLICA_NODE).accel.is_none(), "no orphan");
+
+    // The new accelerator is the one that serves.
+    let served = |c: &ClusterSystem| c.board(1).tile(SPARE).monitor.stats().sent;
+    let before = served(&c);
+    let mut clients = [client(1, 0, 300.0)];
+    run(&mut c, &mut clients, 6_000);
+    assert!(clients[0].gen.stats.completed > clients[0].gen.stats.errors);
+    assert!(served(&c) > before, "replies came from the new instance");
+
+    clients[0].gen.max_requests = 0;
+    run(&mut c, &mut clients, 8_000);
+    let freed = c.pool_teardown(1, "kv").expect("the replica is known");
+    assert_eq!(freed, SPARE, "the live tile is freed");
+    assert!(c.board(1).tile(SPARE).accel.is_none());
+    assert_eq!(c.board(1).service_home(KV), None);
+    run(&mut c, &mut [], 100);
+}
+
 // ---------------------------------------------------------------------
-// Checkpoint/restore plane: live migration and warm board-kill recovery.
+// Checkpoint/restore plane: live migration.
 // ---------------------------------------------------------------------
 
 use apiary_accel::apps::kv::{kv_store, KvStoreAccel};
@@ -428,7 +483,7 @@ fn live_migration_moves_state_without_cap_churn() {
     assert!(before > 0, "traffic flowed pre-migration");
     assert_eq!(c.remote_cap_count(1), 1);
 
-    c.migrate_replica("kv", 0, 1, REPLICA_NODE, Box::new(|| Box::new(kv_store())))
+    c.migrate_replica("kv", 0, 1, REPLICA_NODE)
         .expect("replica known and both boards alive");
     run(&mut c, &mut clients, 20_000);
 
@@ -464,7 +519,7 @@ fn migration_blackout_scales_with_state_size() {
         deploy_kv(&mut c, 0);
         preload_kv(&mut c, 0, entries);
         c.run(2_000);
-        c.migrate_replica("kv", 0, 1, REPLICA_NODE, Box::new(|| Box::new(kv_store())))
+        c.migrate_replica("kv", 0, 1, REPLICA_NODE)
             .expect("migration starts");
         c.run(30_000);
         let outcomes = c.migration_outcomes();
@@ -478,67 +533,4 @@ fn migration_blackout_scales_with_state_size() {
         large > small,
         "blackout grows with state: {small} vs {large}"
     );
-}
-
-#[test]
-fn replicated_checkpoint_recovers_warm_after_board_kill() {
-    let mut cfg = ClusterConfig {
-        boards: 2,
-        replicate_checkpoints: true,
-        ..ClusterConfig::default()
-    };
-    cfg.system.supervisor.enabled = true;
-    cfg.system.supervisor.checkpoint_interval = 1_000;
-    let mut c = ClusterSystem::new(cfg);
-    deploy_kv(&mut c, 0);
-    preload_kv(&mut c, 0, 40);
-    // Several checkpoint intervals and gossip rounds: the newest snapshot
-    // replicates to board 1.
-    c.run(6_000);
-    assert!(c.checkpoints_replicated > 0, "snapshot reached the peer");
-    assert!(!c.board(1).checkpoint_store().is_empty());
-
-    c.kill_board(0);
-    let warm = c
-        .recover_replica(
-            1,
-            "kv",
-            KV,
-            REPLICA_NODE,
-            AppId(1),
-            FaultPolicy::FailStop,
-            BITSTREAM,
-            Box::new(|| Box::new(kv_store())),
-        )
-        .expect("spare tile on the peer");
-    assert!(warm, "recovery restored the replicated checkpoint");
-    c.run(10_000); // bitstream + state through the ICAP, republish
-
-    assert_eq!(
-        kv_retention(&c, 1, 40),
-        40,
-        "board kill recovered warm elsewhere with full retention"
-    );
-    assert_eq!(c.directory(1).lookup_all(c.now(), "kv").len(), 1);
-    // Without replication the peer holds nothing and recovery is cold.
-    let mut cold = cluster(2);
-    deploy_kv(&mut cold, 0);
-    preload_kv(&mut cold, 0, 40);
-    cold.run(6_000);
-    cold.kill_board(0);
-    let warm = cold
-        .recover_replica(
-            1,
-            "kv",
-            KV,
-            REPLICA_NODE,
-            AppId(1),
-            FaultPolicy::FailStop,
-            BITSTREAM,
-            Box::new(|| Box::new(kv_store())),
-        )
-        .expect("spare tile on the peer");
-    assert!(!warm, "no replicated checkpoint: cold restart");
-    cold.run(10_000);
-    assert_eq!(kv_retention(&cold, 1, 40), 0, "cold restart lost the data");
 }

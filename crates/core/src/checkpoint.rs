@@ -12,11 +12,10 @@
 //! that fails verification is *rejected* and recovery falls back to the
 //! cold (factory-fresh) path rather than half-restoring corrupt state.
 
-use apiary_accel::StateError;
-use apiary_sim::{Cycle, Reader};
+use apiary_sim::Cycle;
 use std::collections::BTreeMap;
 
-/// Current snapshot wire-format version.
+/// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u16 = 1;
 
 /// FNV-1a 64-bit, the integrity check on stored state. Not cryptographic —
@@ -36,7 +35,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct Snapshot {
     /// Format version ([`SNAPSHOT_VERSION`] when taken by this kernel).
     pub version: u16,
-    /// Monotonic sequence number per service (replication ordering).
+    /// Monotonic sequence number per service.
     pub seq: u64,
     /// Cycle at which the state was captured.
     pub taken_at: Cycle,
@@ -61,48 +60,6 @@ impl Snapshot {
     /// Integrity check: version understood and checksum intact.
     pub fn verify(&self) -> bool {
         self.version == SNAPSHOT_VERSION && self.checksum == fnv1a(&self.state)
-    }
-
-    /// Serializes the snapshot for transfer over the fabric:
-    /// `[version: u16][seq: u64][taken_at: u64][checksum: u64]
-    /// [len: u32][state]`, all little-endian.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(30 + self.state.len());
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.taken_at.0.to_le_bytes());
-        out.extend_from_slice(&self.checksum.to_le_bytes());
-        out.extend_from_slice(&(self.state.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.state);
-        out
-    }
-
-    /// Parses and verifies an encoded snapshot.
-    ///
-    /// # Errors
-    ///
-    /// [`StateError::Corrupt`] on truncation, trailing bytes, an unknown
-    /// version, or a checksum mismatch — never a partial snapshot.
-    pub fn decode(bytes: &[u8]) -> Result<Snapshot, StateError> {
-        fn parse(bytes: &[u8]) -> Option<Snapshot> {
-            let mut r = Reader::new(bytes);
-            let version = r.u16()?;
-            let seq = r.u64()?;
-            let taken_at = Cycle(r.u64()?);
-            let checksum = r.u64()?;
-            let len = r.u32()? as usize;
-            let state = r.bytes(len)?.to_vec();
-            r.is_empty().then_some(Snapshot {
-                version,
-                seq,
-                taken_at,
-                checksum,
-                state,
-            })
-        }
-        parse(bytes)
-            .filter(Snapshot::verify)
-            .ok_or(StateError::Corrupt)
     }
 }
 
@@ -136,20 +93,6 @@ impl CheckpointStore {
             .insert(service, Snapshot::capture(seq, now, state));
         self.taken += 1;
         seq
-    }
-
-    /// Adopts an already-built snapshot (fabric replication) if it is newer
-    /// than what is held and verifies. Returns `true` if adopted.
-    pub fn adopt(&mut self, service: u32, snap: Snapshot) -> bool {
-        if !snap.verify() {
-            self.rejected += 1;
-            return false;
-        }
-        if self.snaps.get(&service).is_some_and(|s| s.seq >= snap.seq) {
-            return false;
-        }
-        self.snaps.insert(service, snap);
-        true
     }
 
     /// The latest verified snapshot for `service`, if any. A stored
@@ -191,19 +134,17 @@ mod tests {
     fn capture_verifies_and_roundtrips() {
         let snap = Snapshot::capture(3, Cycle(1000), vec![1, 2, 3, 4]);
         assert!(snap.verify());
-        let decoded = Snapshot::decode(&snap.encode()).expect("well formed");
-        assert_eq!(decoded, snap);
+        let mut store = CheckpointStore::new();
+        store.put(9, Cycle(1000), vec![1, 2, 3, 4]);
+        assert_eq!(store.latest(9), Some(&Snapshot { seq: 1, ..snap }));
     }
 
-    #[test]
-    fn truncated_and_trailing_bytes_rejected() {
-        let enc = Snapshot::capture(1, Cycle(5), vec![9; 32]).encode();
-        for cut in [0, 1, 2, 10, enc.len() - 1] {
-            assert_eq!(Snapshot::decode(&enc[..cut]), Err(StateError::Corrupt));
-        }
-        let mut trailing = enc.clone();
-        trailing.push(0);
-        assert_eq!(Snapshot::decode(&trailing), Err(StateError::Corrupt));
+    /// A store holding `snap` for service 1, as if it had been tampered
+    /// with where it lies.
+    fn holding(snap: Snapshot) -> CheckpointStore {
+        let mut store = CheckpointStore::new();
+        store.snaps.insert(1, snap);
+        store
     }
 
     #[test]
@@ -211,17 +152,19 @@ mod tests {
         let mut snap = Snapshot::capture(1, Cycle(5), vec![7; 8]);
         snap.version = SNAPSHOT_VERSION + 1;
         assert!(!snap.verify());
-        assert_eq!(Snapshot::decode(&snap.encode()), Err(StateError::Corrupt));
+        let mut store = holding(snap);
+        assert!(store.latest(1).is_none());
+        assert_eq!(store.rejected, 1);
     }
 
     #[test]
     fn bitflip_rejected() {
-        let snap = Snapshot::capture(1, Cycle(5), vec![0xAB; 64]);
-        let mut enc = snap.encode();
+        let mut snap = Snapshot::capture(1, Cycle(5), vec![0xAB; 64]);
         // Flip a bit inside the state payload: checksum must catch it.
-        let n = enc.len();
-        enc[n - 1] ^= 0x40;
-        assert_eq!(Snapshot::decode(&enc), Err(StateError::Corrupt));
+        snap.state[63] ^= 0x40;
+        let mut store = holding(snap);
+        assert!(store.latest(1).is_none());
+        assert_eq!(store.rejected, 1);
     }
 
     #[test]
@@ -240,32 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn adopt_keeps_newest_and_rejects_corrupt() {
-        let mut store = CheckpointStore::new();
-        let newer = Snapshot::capture(5, Cycle(50), vec![5]);
-        let older = Snapshot::capture(4, Cycle(40), vec![4]);
-        assert!(store.adopt(1, newer.clone()));
-        assert!(!store.adopt(1, older), "stale replica ignored");
-        assert_eq!(store.latest(1).expect("held").seq, 5);
-        let mut bad = Snapshot::capture(9, Cycle(60), vec![6]);
-        bad.checksum ^= 1;
-        assert!(!store.adopt(1, bad));
-        assert_eq!(store.rejected, 1);
-        assert_eq!(store.latest(1).expect("held").seq, 5);
-    }
-
-    #[test]
     fn latest_drops_in_place_corruption() {
-        let mut store = CheckpointStore::new();
-        store.put(3, Cycle(1), vec![1, 2, 3]);
-        // Simulate in-storage corruption by adopting-then-mutating via the
-        // public clone (the store itself has no mutable state access, so
-        // rebuild it with a tampered snapshot).
-        let mut tampered = store.latest(3).expect("held").clone();
+        let mut tampered = Snapshot::capture(1, Cycle(1), vec![1, 2, 3]);
         tampered.state[0] ^= 0xFF;
-        let mut store2 = CheckpointStore::new();
-        store2.snaps.insert(3, tampered);
-        assert!(store2.latest(3).is_none());
-        assert_eq!(store2.rejected, 1);
+        let mut store = holding(tampered);
+        assert!(store.latest(1).is_none());
+        assert!(store.is_empty(), "dropped, not kept");
+        assert!(store.latest(1).is_none());
+        assert_eq!(store.rejected, 1, "counted once");
     }
 }

@@ -38,6 +38,8 @@ pub mod tile;
 pub use checkpoint::{CheckpointStore, Snapshot};
 pub use fault::FaultPolicy;
 pub use process::AppId;
-pub use supervisor::{AccelFactory, Incident, RecoveryTarget, Supervisor, SupervisorConfig};
+pub use supervisor::{
+    AccelFactory, Incident, RecoveryTarget, ServiceImage, Supervisor, SupervisorConfig,
+};
 pub use system::{System, SystemConfig, SystemError};
 pub use tile::Tile;

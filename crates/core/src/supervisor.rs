@@ -81,20 +81,27 @@ impl Default for SupervisorConfig {
     }
 }
 
+/// What a fresh instance of a service is built from: the kernel loads one
+/// through the ICAP at every restart, re-home and cross-board migration.
+pub struct ServiceImage {
+    /// Owning application.
+    pub app: AppId,
+    /// Fault policy for (re)installed instances.
+    pub policy: FaultPolicy,
+    /// Bitstream size, which prices every load via the ICAP.
+    pub bitstream_bytes: u64,
+    /// Fresh-instance factory.
+    pub factory: AccelFactory,
+}
+
 /// A service under supervision.
 pub struct ServiceSpec {
     /// Logical name clients bind to.
     pub service: ServiceId,
     /// Current home node (updated on migration).
     pub node: NodeId,
-    /// Owning application.
-    pub app: AppId,
-    /// Fault policy for (re)installed instances.
-    pub policy: FaultPolicy,
-    /// Bitstream size, which prices every restart via the ICAP.
-    pub bitstream_bytes: u64,
-    /// Fresh-instance factory.
-    pub factory: AccelFactory,
+    /// What a restart loads.
+    pub image: ServiceImage,
     /// Clients whose name tables must be rebound after a move.
     pub clients: Vec<NodeId>,
     /// In-place restarts consumed so far.
@@ -196,12 +203,14 @@ impl Supervisor {
         self.incidents.iter().filter_map(|i| i.mttr()).collect()
     }
 
+    /// The spec of a supervised service.
+    pub fn spec(&self, service: ServiceId) -> Option<&ServiceSpec> {
+        self.specs.iter().find(|s| s.service == service)
+    }
+
     /// The current home node of a supervised service.
     pub fn service_home(&self, service: ServiceId) -> Option<NodeId> {
-        self.specs
-            .iter()
-            .find(|s| s.service == service)
-            .map(|s| s.node)
+        self.spec(service).map(|s| s.node)
     }
 
     /// Open (unresolved) incident index for a service, if any.
@@ -211,14 +220,9 @@ impl Supervisor {
             .position(|i| i.service == service && !i.closed())
     }
 
-    /// The checkpoint store (inspection and replication).
+    /// The checkpoint store.
     pub fn checkpoints(&self) -> &CheckpointStore {
         &self.checkpoints
-    }
-
-    /// Mutable checkpoint store (fabric replication adopts snapshots).
-    pub fn checkpoints_mut(&mut self) -> &mut CheckpointStore {
-        &mut self.checkpoints
     }
 
     /// `Err` unless every service stands on one rung of the ladder: at
@@ -308,34 +312,13 @@ impl System {
                     };
                     match phase {
                         Phase::Backoff { restart_at } if now >= restart_at => {
-                            // Warm path: restore the latest verified
-                            // checkpoint into the fresh instance before
-                            // loading it. The snapshot crosses the ICAP
-                            // with the bitstream, so recovery time scales
-                            // with state size; a missing or corrupt
-                            // snapshot falls back to the cold
-                            // factory-fresh path.
-                            let warm_state =
-                                sup.checkpoints.latest(service.0).map(|s| s.state.clone());
+                            // Warm path: the latest verified checkpoint, if
+                            // any, restores into the fresh instance.
+                            let snapshot = sup.checkpoints.latest(service.0).map(|s| &s.state[..]);
                             let spec = &mut sup.specs[si];
-                            let mut accel = (spec.factory)();
-                            let mut warm_bytes = 0u64;
-                            let warm = match warm_state {
-                                Some(state) if accel.restore_state(&state).is_ok() => {
-                                    warm_bytes = state.len() as u64;
-                                    true
-                                }
-                                _ => false,
-                            };
                             // A busy ICAP just pushes the restart out.
-                            match self.reconfigure(
-                                dst,
-                                accel,
-                                spec.app,
-                                spec.policy,
-                                spec.bitstream_bytes + warm_bytes,
-                            ) {
-                                Ok(_) => {
+                            match self.warm_start(dst, &spec.image, snapshot) {
+                                Ok((_, warm)) => {
                                     spec.restarts_used += 1;
                                     sup.incidents[ii].phase = Phase::Reconfiguring;
                                     sup.incidents[ii].warm = warm;

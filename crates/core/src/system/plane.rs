@@ -5,7 +5,7 @@ use super::{System, SystemError};
 use crate::checkpoint::CheckpointStore;
 use crate::fault::{preemption_downtime, FaultAction, FaultPolicy, FaultRecord};
 use crate::process::{AppId, OS_APP};
-use crate::supervisor::{AccelFactory, Incident, Phase, ServiceSpec};
+use crate::supervisor::{AccelFactory, Incident, Phase, ServiceImage, ServiceSpec};
 use crate::tile::ParkedTenant;
 use apiary_accel::{Accelerator, CapEnv};
 use apiary_cap::{CapError, CapKind, CapRef, Capability, EndpointId, Rights, ServiceId};
@@ -293,32 +293,45 @@ impl System {
         factory: AccelFactory,
     ) -> Result<(), SystemError> {
         self.install(node, factory(), app, policy)?;
-        self.adopt_service(service, node, app, policy, bitstream_bytes, factory);
-        Ok(())
-    }
-
-    /// Registers an already-arriving service with the supervisor *without*
-    /// installing anything: the caller is responsible for bringing the
-    /// accelerator up at `node` (the destination half of a cross-board
-    /// migration, where the instance is restored from a transferred
-    /// snapshot and loaded via [`System::reconfigure`]).
-    pub fn adopt_service(
-        &mut self,
-        service: ServiceId,
-        node: NodeId,
-        app: AppId,
-        policy: FaultPolicy,
-        bitstream_bytes: u64,
-        factory: AccelFactory,
-    ) {
-        let next_checkpoint_at = self.touched().first_checkpoint_due();
-        self.supervisor.specs.push(ServiceSpec {
-            service,
-            node,
+        let image = ServiceImage {
             app,
             policy,
             bitstream_bytes,
             factory,
+        };
+        self.supervise(service, node, image);
+        Ok(())
+    }
+
+    /// Loads a fresh instance of `image` onto `node` through the ICAP,
+    /// warm from `snapshot` if it restores into it, and supervises the
+    /// service from now: a pooled deploy, or the destination half of a
+    /// cross-board migration. Returns the load's completion cycle and
+    /// whether the start was warm.
+    ///
+    /// # Errors
+    ///
+    /// As [`System::reconfigure`]; nothing is supervised then.
+    pub fn adopt_service(
+        &mut self,
+        service: ServiceId,
+        node: NodeId,
+        image: ServiceImage,
+        snapshot: Option<&[u8]>,
+    ) -> Result<(Cycle, bool), SystemError> {
+        let started = self.touched().warm_start(node, &image, snapshot)?;
+        self.supervise(service, node, image);
+        Ok(started)
+    }
+
+    /// Registers the spec of a service whose instance is up (or loading)
+    /// at `node`.
+    fn supervise(&mut self, service: ServiceId, node: NodeId, image: ServiceImage) {
+        let next_checkpoint_at = self.first_checkpoint_due();
+        self.supervisor.specs.push(ServiceSpec {
+            service,
+            node,
+            image,
             clients: Vec::new(),
             restarts_used: 0,
             abandoned: false,
@@ -326,11 +339,34 @@ impl System {
         });
     }
 
+    /// Loads a fresh instance of `image` onto `node` through the ICAP,
+    /// warm if `snapshot` restores into it. The snapshot crosses the ICAP
+    /// with the bitstream, so the load is priced at both. A snapshot the
+    /// instance rejects leaves nothing half-restored: the instance is
+    /// rebuilt fresh and the start is cold. Returns the completion cycle
+    /// and whether the start was warm.
+    pub(crate) fn warm_start(
+        &mut self,
+        node: NodeId,
+        image: &ServiceImage,
+        snapshot: Option<&[u8]>,
+    ) -> Result<(Cycle, bool), SystemError> {
+        let mut accel = (image.factory)();
+        let restored = snapshot.filter(|s| accel.restore_state(s).is_ok());
+        if restored.is_none() && snapshot.is_some() {
+            accel = (image.factory)();
+        }
+        let bytes = image.bitstream_bytes + restored.map_or(0, |s| s.len() as u64);
+        let done = self.reconfigure(node, accel, image.app, image.policy, bytes)?;
+        Ok((done, restored.is_some()))
+    }
+
     /// Removes a supervised service from this board: drops its spec and
     /// stored checkpoint, closes any open incident, and decommissions its
-    /// tile so no stale authority survives. The source half of a
-    /// cross-board migration. Returns the node it was removed from.
-    pub fn undeploy_service(&mut self, service: ServiceId) -> Option<NodeId> {
+    /// tile so no stale authority survives. Returns the removed spec: its
+    /// node is the freed tile, and the source half of a cross-board
+    /// migration hands its image to the destination.
+    pub fn undeploy_service(&mut self, service: ServiceId) -> Option<ServiceSpec> {
         let idx = self
             .touched()
             .supervisor
@@ -344,17 +380,12 @@ impl System {
         self.supervisor.checkpoints.remove(service.0);
         let now = self.clock.now();
         self.tiles[spec.node.index()].vacate(now);
-        Some(spec.node)
+        Some(spec)
     }
 
-    /// The board's checkpoint store (inspection and replication).
+    /// The board's checkpoint store.
     pub fn checkpoint_store(&self) -> &CheckpointStore {
         self.supervisor.checkpoints()
-    }
-
-    /// Mutable checkpoint store (the cluster adopts replicated snapshots).
-    pub fn checkpoint_store_mut(&mut self) -> &mut CheckpointStore {
-        self.touched().supervisor.checkpoints_mut()
     }
 
     /// Wires `client` to a supervised service: binds the logical name to
@@ -404,6 +435,12 @@ impl System {
     /// Current home node of a supervised service.
     pub fn service_home(&self, service: ServiceId) -> Option<NodeId> {
         self.supervisor.service_home(service)
+    }
+
+    /// The spec of a supervised service: its home and what a restart
+    /// loads there.
+    pub fn service_spec(&self, service: ServiceId) -> Option<&ServiceSpec> {
+        self.supervisor.spec(service)
     }
 
     /// Manually preempts a tile: saves and immediately restores the

@@ -43,13 +43,6 @@ impl SimRng {
         SimRng { s }
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// component its own stream so adding a component does not perturb the
-    /// draws of the others.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
-
     /// Returns the next 64 random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -128,14 +121,6 @@ impl SimRng {
     /// [`ZipfTable`] once instead.
     pub fn gen_zipf(&mut self, n: usize, theta: f64) -> usize {
         ZipfTable::new(n, theta).sample(self)
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 
     /// Picks a uniform random element of a non-empty slice.
@@ -295,24 +280,6 @@ mod tests {
             counts[uni.sample(&mut rng)] += 1;
         }
         assert!(counts[0] < counts[99] * 3);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::new(9);
-        let mut xs: Vec<u32> = (0..64).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut root = SimRng::new(10);
-        let mut a = root.fork();
-        let mut b = root.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

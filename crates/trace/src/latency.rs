@@ -78,14 +78,6 @@ impl LatencyTracker {
     pub fn unmatched(&self) -> u64 {
         self.unmatched
     }
-
-    /// Abandons all open spans (e.g. when a tile fail-stops) and returns how
-    /// many were dropped.
-    pub fn abandon_open(&mut self) -> usize {
-        let n = self.open.len();
-        self.open.clear();
-        n
-    }
 }
 
 #[cfg(test)]
@@ -131,15 +123,5 @@ mod tests {
         assert_eq!(lt.unmatched(), 1);
         assert_eq!(lt.histogram().count(), 0);
         assert_eq!(lt.open_count(), 0, "the bogus span is still closed");
-    }
-
-    #[test]
-    fn abandon_open_drops_spans() {
-        let mut lt = LatencyTracker::new();
-        lt.start(1, Cycle(1));
-        lt.start(2, Cycle(2));
-        assert_eq!(lt.abandon_open(), 2);
-        assert_eq!(lt.open_count(), 0);
-        assert_eq!(lt.finish(1, Cycle(10)), None);
     }
 }

@@ -221,7 +221,6 @@ pub struct Tracer {
     ring: VecDeque<Event>,
     capacity: usize,
     counts: [u64; 11],
-    enabled: bool,
     dropped: u64,
 }
 
@@ -232,26 +231,12 @@ impl Tracer {
             ring: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             counts: [0; 11],
-            enabled: true,
             dropped: 0,
         }
     }
 
-    /// A tracer that counts but stores no events (production mode).
-    pub fn counters_only() -> Tracer {
-        Tracer::new(0)
-    }
-
-    /// Enables or disables recording entirely (counting included).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
     /// Records an event.
     pub fn record(&mut self, at: Cycle, tile: u16, kind: EventKind) {
-        if !self.enabled {
-            return;
-        }
         self.counts[kind.counter_slot()] += 1;
         if self.capacity == 0 {
             return;
@@ -272,11 +257,6 @@ impl Tracer {
     /// Events currently buffered, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
         self.ring.iter()
-    }
-
-    /// Buffered events observed at one tile.
-    pub fn events_for_tile(&self, tile: u16) -> impl Iterator<Item = &Event> {
-        self.ring.iter().filter(move |e| e.tile == tile)
     }
 
     /// Events evicted from the ring so far.
@@ -346,30 +326,10 @@ mod tests {
 
     #[test]
     fn counters_only_mode() {
-        let mut t = Tracer::counters_only();
+        let mut t = Tracer::new(0);
         t.record(Cycle(1), 0, EventKind::FailStop);
         assert_eq!(t.count(&EventKind::FailStop), 1);
         assert_eq!(t.events().count(), 0);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::new(8);
-        t.set_enabled(false);
-        t.record(Cycle(1), 0, EventKind::Reconfig);
-        assert_eq!(t.count(&EventKind::Reconfig), 0);
-        assert_eq!(t.events().count(), 0);
-    }
-
-    #[test]
-    fn tile_filter() {
-        let mut t = Tracer::new(16);
-        t.record(Cycle(1), 0, send(1));
-        t.record(Cycle(2), 7, send(1));
-        t.record(Cycle(3), 7, EventKind::Fault { code: 3 });
-        assert_eq!(t.events_for_tile(7).count(), 2);
-        assert_eq!(t.events_for_tile(0).count(), 1);
-        assert_eq!(t.events_for_tile(5).count(), 0);
     }
 
     #[test]
