@@ -14,8 +14,9 @@
 
 use crate::harness::Run;
 use crate::report::{ExperimentReport, Json};
+use crate::scenarios::drive_mesh;
 use crate::table::TextTable;
-use apiary_noc::{Message, Noc, NocConfig, NodeId, TrafficClass};
+use apiary_noc::{NocConfig, NocStats};
 use apiary_sim::SimRng;
 use core::fmt::Write;
 
@@ -50,54 +51,19 @@ impl Pattern {
     }
 }
 
-struct Point {
-    delivered_per_node_cycle: f64,
-    p50: u64,
-    p99: u64,
-    cycles: u64,
-}
-
 /// Drives the raw NoC at a Bernoulli injection rate (messages per node per
-/// cycle) for `cycles`, then drains.
-fn measure(size: u8, pattern: Pattern, rate: f64, cycles: u64, seed: u64) -> Point {
-    let mut noc = Noc::new(NocConfig::soft(size, size));
-    let nodes = noc.mesh().nodes() as u16;
-    let mut rng = SimRng::new(seed);
-    // One-flit payloads isolate routing behaviour from serialisation.
-    let payload = 8usize;
-    for _ in 0..cycles {
-        for src in 0..nodes {
-            if rng.gen_bool(rate) {
-                let dst = pattern.dest(src, nodes, &mut rng);
-                if src == dst {
-                    continue;
-                }
-                let msg = Message::new(
-                    NodeId(src),
-                    NodeId(dst),
-                    TrafficClass::Request,
-                    vec![0; payload],
-                );
-                let _ = noc.try_inject(NodeId(src), msg);
-            }
-        }
-        noc.step();
-        for n in 0..nodes {
-            noc.drain_eject(NodeId(n));
-        }
-    }
-    let measured_cycles = noc.stats().cycles;
-    noc.run_until_quiescent(5_000_000);
-    for n in 0..nodes {
-        noc.drain_eject(NodeId(n));
-    }
-    let st = noc.stats();
-    Point {
-        delivered_per_node_cycle: st.delivered as f64 / (measured_cycles as f64 * nodes as f64),
-        p50: st.latency.p50(),
-        p99: st.latency.p99(),
-        cycles: st.cycles,
-    }
+/// cycle) for `cycles`, then drains. Returns the mesh's statistics and the
+/// messages delivered per node per cycle driven.
+fn measure(size: u8, pattern: Pattern, rate: f64, cycles: u64, seed: u64) -> (NocStats, f64) {
+    let draw = |src, nodes, rng: &mut SimRng| {
+        let dst = rng.gen_bool(rate).then(|| pattern.dest(src, nodes, rng))?;
+        // One-flit payloads isolate routing behaviour from serialisation.
+        (dst != src).then_some((dst, 8))
+    };
+    let (st, measured) = drive_mesh(NocConfig::soft(size, size), cycles, seed, draw);
+    let nodes = size as usize * size as usize;
+    let per_node = st.delivered as f64 / (measured as f64 * nodes as f64);
+    (st, per_node)
 }
 
 /// Runs the experiment; returns the structured report.
@@ -131,15 +97,15 @@ pub fn report(run: Run) -> ExperimentReport {
         let mut peak = 0.0f64;
         for &size in sizes {
             for &rate in rates {
-                let p = measure(size, pattern, rate, cycles, 99);
-                sim_cycles += p.cycles;
-                peak = peak.max(p.delivered_per_node_cycle);
+                let (st, per_node) = measure(size, pattern, rate, cycles, 99);
+                sim_cycles += st.cycles;
+                peak = peak.max(per_node);
                 t.row(&[
                     format!("{size}x{size}"),
                     format!("{rate:.2}"),
-                    format!("{:.3}", p.delivered_per_node_cycle),
-                    p.p50.to_string(),
-                    p.p99.to_string(),
+                    format!("{per_node:.3}"),
+                    st.latency.p50().to_string(),
+                    st.latency.p99().to_string(),
                 ]);
             }
         }
@@ -174,15 +140,15 @@ mod tests {
         let n = measure(4, Pattern::Neighbor, 0.3, 3_000, 7);
         let u = measure(4, Pattern::Uniform, 0.3, 3_000, 7);
         let h = measure(4, Pattern::Hotspot, 0.3, 3_000, 7);
-        assert!(n.delivered_per_node_cycle > u.delivered_per_node_cycle);
-        assert!(u.delivered_per_node_cycle > h.delivered_per_node_cycle);
+        assert!(n.1 > u.1 && u.1 > h.1);
     }
 
     #[test]
     fn latency_rises_with_load() {
         let low = measure(4, Pattern::Uniform, 0.01, 3_000, 8);
         let high = measure(4, Pattern::Uniform, 0.5, 3_000, 8);
-        assert!(high.p99 > low.p99 * 2, "{} vs {}", high.p99, low.p99);
+        let (high, low) = (high.0.latency.p99(), low.0.latency.p99());
+        assert!(high > low * 2, "{high} vs {low}");
     }
 
     #[test]
@@ -190,7 +156,7 @@ mod tests {
         // Total hotspot delivery can never exceed ~1 message per cycle
         // (single ejection port at the hot node).
         let h = measure(4, Pattern::Hotspot, 0.5, 3_000, 9);
-        let total_per_cycle = h.delivered_per_node_cycle * 16.0;
+        let total_per_cycle = h.1 * 16.0;
         assert!(total_per_cycle <= 1.05, "{total_per_cycle}");
     }
 

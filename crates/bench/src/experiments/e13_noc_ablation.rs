@@ -13,56 +13,23 @@
 
 use crate::harness::Run;
 use crate::report::{rows_json, table, ExperimentReport, Json, Row};
-use apiary_noc::{Message, Noc, NocConfig, NodeId, TrafficClass};
-use apiary_sim::SimRng;
+use crate::scenarios::drive_mesh;
+use apiary_noc::{NocConfig, NocStats};
 use core::fmt::Write;
 
-struct Point {
-    p50: u64,
-    p99: u64,
-    delivered_per_cycle: f64,
-    cycles: u64,
-}
-
 /// Uniform random traffic, mixed message sizes, fixed offered load.
-fn measure(cfg: NocConfig, cycles: u64, seed: u64) -> Point {
-    let mut noc = Noc::new(cfg);
-    let nodes = noc.mesh().nodes() as u16;
-    let mut rng = SimRng::new(seed);
-    for _ in 0..cycles {
-        for src in 0..nodes {
-            if rng.gen_bool(0.04) {
-                let mut dst = rng.gen_range(nodes as u64) as u16;
-                if dst == src {
-                    dst = (dst + 1) % nodes;
-                }
-                // Mixed sizes: mostly small control-ish, some bulk.
-                let bytes = if rng.gen_bool(0.2) { 512 } else { 32 };
-                let _ = noc.try_inject(
-                    NodeId(src),
-                    Message::new(
-                        NodeId(src),
-                        NodeId(dst),
-                        TrafficClass::Request,
-                        vec![0; bytes],
-                    ),
-                );
-            }
+fn measure(cfg: NocConfig, cycles: u64, seed: u64) -> (NocStats, u64) {
+    drive_mesh(cfg, cycles, seed, |src, nodes, rng| {
+        if !rng.gen_bool(0.04) {
+            return None;
         }
-        noc.step();
-        for n in 0..nodes {
-            noc.drain_eject(NodeId(n));
+        let mut dst = rng.gen_range(nodes as u64) as u16;
+        if dst == src {
+            dst = (dst + 1) % nodes;
         }
-    }
-    let measured = noc.stats().cycles;
-    noc.run_until_quiescent(5_000_000);
-    let st = noc.stats();
-    Point {
-        p50: st.latency.p50(),
-        p99: st.latency.p99(),
-        delivered_per_cycle: st.delivered as f64 / measured as f64,
-        cycles: st.cycles,
-    }
+        // Mixed sizes: mostly small control-ish, some bulk.
+        Some((dst, if rng.gen_bool(0.2) { 512 } else { 32 }))
+    })
 }
 
 /// Runs the experiment; returns the structured report.
@@ -78,14 +45,17 @@ pub fn report(run: Run) -> ExperimentReport {
     let mut sim_cycles = 0u64;
     let mut rows = Vec::new();
     let mut add = |name: String, cfg: NocConfig| {
-        let p = measure(cfg, cycles, 1234);
-        sim_cycles += p.cycles;
+        let (st, measured) = measure(cfg, cycles, 1234);
+        sim_cycles += st.cycles;
         rows.push(
             Row::new()
                 .both("variant", "variant", name)
-                .both("p50", "p50", p.p50)
-                .both("p99", "p99", p.p99)
-                .text("delivered msg/cyc", format!("{:.3}", p.delivered_per_cycle)),
+                .both("p50", "p50", st.latency.p50())
+                .both("p99", "p99", st.latency.p99())
+                .text(
+                    "delivered msg/cyc",
+                    format!("{:.3}", st.delivered as f64 / measured as f64),
+                ),
         );
     };
 
@@ -169,10 +139,10 @@ mod tests {
             7,
         );
         assert!(
-            wide.p50 < narrow.p50,
+            wide.0.latency.p50() < narrow.0.latency.p50(),
             "wide {} narrow {}",
-            wide.p50,
-            narrow.p50
+            wide.0.latency.p50(),
+            narrow.0.latency.p50()
         );
     }
 
@@ -194,15 +164,16 @@ mod tests {
             4_000,
             8,
         );
-        assert!(slow.p50 > fast.p50);
+        assert!(slow.0.latency.p50() > fast.0.latency.p50());
     }
 
     #[test]
     fn hardened_beats_soft() {
         let soft = measure(NocConfig::soft(4, 4), 4_000, 9);
         let hard = measure(NocConfig::hardened(4, 4), 4_000, 9);
-        assert!(hard.p50 < soft.p50);
-        assert!(hard.p99 <= soft.p99);
+        let (hard, soft) = (&hard.0.latency, &soft.0.latency);
+        assert!(hard.p50() < soft.p50());
+        assert!(hard.p99() <= soft.p99());
     }
 
     #[test]

@@ -20,7 +20,6 @@ use apiary_monitor::{wire, SendError};
 use apiary_noc::NodeId;
 use apiary_sim::{until, Cycle, Load, Machine, SimRng};
 use core::fmt::Write;
-use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pattern {
@@ -68,13 +67,15 @@ struct Reads {
     svc: CapRef,
     rng: SimRng,
     issued: u64,
-    sent_at: HashMap<u64, Cycle>,
+    replied: u64,
+    /// Reply cycles less send cycles, summed: the total latency once every
+    /// read is back (wrapping while some are out).
     latency_sum: u64,
 }
 
 impl Reads {
     fn window_open(&self) -> bool {
-        self.sent_at.len() < self.window && self.issued < self.count
+        self.issued - self.replied < self.window as u64 && self.issued < self.count
     }
 }
 
@@ -95,8 +96,9 @@ impl Load<System> for Reads {
         while let Some(d) = sys.tile_mut(CLIENT).monitor.recv() {
             assert_eq!(d.msg.kind, wire::KIND_MEM_REPLY);
             assert_eq!(d.msg.payload.len() as u64, READ);
-            let t0 = self.sent_at.remove(&d.msg.tag).expect("tracked");
-            self.latency_sum += now - t0;
+            assert!(d.msg.tag < self.issued, "a reply to a read never sent");
+            self.replied += 1;
+            self.latency_sum = self.latency_sum.wrapping_add(now.as_u64());
         }
         while self.window_open() {
             let off = self.pattern.offset(self.issued, SPAN, READ, &mut self.rng);
@@ -111,7 +113,7 @@ impl Load<System> for Reads {
                 now,
             ) {
                 Ok(()) => {
-                    self.sent_at.insert(self.issued, now);
+                    self.latency_sum = self.latency_sum.wrapping_sub(now.as_u64());
                     self.issued += 1;
                 }
                 Err(SendError::Backpressure) => break,
@@ -135,15 +137,13 @@ fn measure(run: Run, pattern: Pattern, window: usize, count: u64) -> Outcome {
         svc: sys.tile(CLIENT).env.get("mem-service").expect("wired"),
         rng: SimRng::new(42),
         issued: 0,
-        sent_at: HashMap::new(),
+        replied: 0,
         latency_sum: 0,
     };
     let start = sys.now();
     // The first reads go out before the first step.
     reads.pump(&mut sys);
-    let done = sys.drive(&mut reads, 200_000_000, |_, r| {
-        until(r.issued == count && r.sent_at.is_empty())
-    });
+    let done = sys.drive(&mut reads, 200_000_000, |_, r| until(r.replied == count));
     assert!(done, "memory run stalled");
     let cycles = (sys.now() - start).max(1);
     let memsvc = sys

@@ -4,8 +4,8 @@ use apiary_accel::apps::idle::idle;
 use apiary_cap::CapRef;
 use apiary_core::{AppId, FaultPolicy, System};
 use apiary_monitor::{wire, SendError};
-use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{until, Cycle, Histogram, Load, Machine, Payload};
+use apiary_noc::{Message, Noc, NocConfig, NocStats, NodeId, TrafficClass};
+use apiary_sim::{until, Cycle, Histogram, Load, Machine, Payload, SimRng};
 use std::collections::HashMap;
 
 /// A closed-loop request driver attached directly to a tile's monitor —
@@ -277,6 +277,38 @@ pub fn drain(sys: &mut System, clients: &mut [&mut MonitorClient]) -> bool {
         Clients(clients).pump(sys);
         drained
     })
+}
+
+/// Drives a raw mesh built from `cfg` for `cycles` cycles, then to
+/// quiescence. Every cycle each source in turn may offer one message —
+/// `draw(src, nodes, rng)` gives its destination and payload bytes — then
+/// the mesh steps and every ejection queue is emptied. Returns the mesh's
+/// statistics and the cycles driven before the drain.
+pub fn drive_mesh(
+    cfg: NocConfig,
+    cycles: u64,
+    seed: u64,
+    mut draw: impl FnMut(u16, u16, &mut SimRng) -> Option<(u16, usize)>,
+) -> (NocStats, u64) {
+    let mut noc = Noc::new(cfg);
+    let nodes = noc.mesh().nodes() as u16;
+    let mut rng = SimRng::new(seed);
+    for _ in 0..cycles {
+        for src in 0..nodes {
+            if let Some((dst, bytes)) = draw(src, nodes, &mut rng) {
+                let (from, to) = (NodeId(src), NodeId(dst));
+                let msg = Message::new(from, to, TrafficClass::Request, vec![0; bytes]);
+                let _ = noc.try_inject(from, msg);
+            }
+        }
+        noc.step();
+        for n in 0..nodes {
+            noc.drain_eject(NodeId(n));
+        }
+    }
+    let measured = noc.stats().cycles;
+    noc.run_until_quiescent(5_000_000);
+    (noc.stats().clone(), measured)
 }
 
 #[cfg(test)]

@@ -24,6 +24,8 @@ pub(crate) struct Republish {
 pub(crate) struct Ingress {
     pub(crate) src: u16,
     pub(crate) tag: u64,
+    /// When the gateway forwarded the invocation to the local replica.
+    pub(crate) forwarded: Cycle,
 }
 
 pub(crate) struct Board {
@@ -118,6 +120,16 @@ impl Board {
     /// The supervisor spec of the replica published here as `name`.
     pub(crate) fn replica(&self, name: &str) -> Option<&ServiceSpec> {
         self.sys.service_spec(*self.replicas.get(name)?)
+    }
+
+    /// Points each replica's live directory entry at the node its
+    /// supervisor homes it on, should a re-home have moved it.
+    pub(crate) fn rehome_entries(&mut self, now: Cycle) {
+        for (name, &service) in &self.replicas {
+            if let Some(node) = self.sys.service_home(service) {
+                self.dir.rehome(now, name, node);
+            }
+        }
     }
 
     /// Takes on a replica by loading `image` onto `node`, warm from

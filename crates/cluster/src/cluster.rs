@@ -156,11 +156,13 @@ pub struct ClusterSystem {
     requests: Requests,
     completions: Vec<Completion>,
     next_ingress: u64,
-    /// Origin gateway → target-board ingress (outbound fabric hop).
+    /// Submit → the invocation reaching its target board while pending
+    /// (outbound fabric hop).
     pub fabric_out: LatencyTracker,
     /// Target-board ingress → local replica reply (on-board time).
     pub on_board: LatencyTracker,
-    /// Target-board reply → origin gateway (return fabric hop).
+    /// Target gateway's reply → its arrival at the origin while pending
+    /// (return fabric hop).
     pub fabric_back: LatencyTracker,
     /// Submit → successful completion, local and remote alike.
     pub end_to_end: LatencyTracker,
@@ -215,10 +217,10 @@ impl ClusterSystem {
             requests: Requests::default(),
             completions: Vec::new(),
             next_ingress: 0,
-            fabric_out: LatencyTracker::new(),
-            on_board: LatencyTracker::new(),
-            fabric_back: LatencyTracker::new(),
-            end_to_end: LatencyTracker::new(),
+            fabric_out: LatencyTracker::default(),
+            on_board: LatencyTracker::default(),
+            fabric_back: LatencyTracker::default(),
+            end_to_end: LatencyTracker::default(),
             timeouts: 0,
             dead_board_drops: 0,
             stale_replies: 0,
@@ -407,9 +409,11 @@ impl Machine for ClusterSystem {
     /// directory is well filed ([`Directory::check_invariants`]), the
     /// deadline queue's front is no later than the earliest timeout of any
     /// pending request (a later front would let the event clock sleep
-    /// through an expiry) and is live if marked so, and the fabric's laws
-    /// hold ([`Fabric::check_invariants`]). Boards and links that a cycle
-    /// passes over are checked where they are skipped, in debug builds.
+    /// through an expiry) and is live if marked so, the balancer counts
+    /// exactly the pending requests as in flight (requests are conserved),
+    /// and the fabric's laws hold ([`Fabric::check_invariants`]). Boards and
+    /// links that a cycle passes over are checked where they are skipped,
+    /// in debug builds.
     fn check_invariants(&self) -> Result<(), String> {
         for (i, b) in self.boards.iter().enumerate() {
             let clock = b.sys().config().clock;
@@ -422,7 +426,7 @@ impl Machine for ClusterSystem {
                 b.check_invariants(i, self.now())?;
             }
         }
-        self.requests.check()?;
+        self.requests.check(self.balancer.total_in_flight())?;
         self.fabric.check_invariants()
     }
 }

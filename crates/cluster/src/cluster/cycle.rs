@@ -78,8 +78,9 @@ impl ClusterSystem {
         }
     }
 
-    /// 3. Gossip round: renew leases, sweep expiries (revoking remote caps
-    ///    for entries that lapsed), push one snapshot round-robin.
+    /// 3. Gossip round: point entries at re-homed replicas, renew leases,
+    ///    sweep expiries (revoking remote caps for entries that lapsed),
+    ///    push one snapshot round-robin.
     pub(super) fn gossip_round(&mut self, now: Cycle) {
         let round = self.ticks / self.cfg.gossip_interval;
         let n = self.cfg.boards;
@@ -88,6 +89,7 @@ impl ClusterSystem {
                 continue;
             }
             let b = &mut self.boards[bi as usize];
+            b.rehome_entries(now);
             b.dir.renew_local(now);
             for dead in b.dir.sweep(now) {
                 if dead.home != bi {
@@ -140,7 +142,9 @@ impl ClusterSystem {
                     is_error,
                     payload: _,
                 } => {
-                    self.fabric_back.finish(tag, now);
+                    if let Some(replied) = self.requests.get(tag).and_then(|p| p.replied) {
+                        self.fabric_back.record(replied, now);
+                    }
                     self.boards[msg.dst as usize].trace_remote(
                         gw,
                         now,
@@ -175,7 +179,9 @@ impl ClusterSystem {
         now: Cycle,
     ) {
         let gw = self.cfg.gateway;
-        self.fabric_out.finish(tag, now);
+        if let Some(p) = self.requests.get(tag) {
+            self.fabric_out.record(p.submitted, now);
+        }
         let b = &mut self.boards[dst as usize];
         let cap = b.local_caps.get(&service).copied();
         let home = b.sys().service_home(ServiceId(service));
@@ -192,8 +198,12 @@ impl ClusterSystem {
                     now,
                 ) {
                     Ok(()) => {
-                        b.ingress.insert(ltag, Ingress { src, tag });
-                        self.on_board.start(tag, now);
+                        let ing = Ingress {
+                            src,
+                            tag,
+                            forwarded: now,
+                        };
+                        b.ingress.insert(ltag, ing);
                         true
                     }
                     Err(_) => false,
@@ -228,8 +238,8 @@ impl ClusterSystem {
                 let is_error = d.msg.kind == KIND_ERROR;
                 if d.msg.tag & INGRESS_BIT != 0 {
                     if let Some(ing) = self.boards[bi].ingress.remove(&d.msg.tag) {
-                        self.on_board.finish(ing.tag, now);
-                        self.fabric_back.start(ing.tag, now);
+                        self.on_board.record(ing.forwarded, now);
+                        self.requests.note_reply(ing.tag, bi as u16, now);
                         self.fabric.send(&ClusterMsg {
                             src: bi as u16,
                             dst: ing.src,

@@ -4,7 +4,6 @@
 //! board's supervisor spec.
 
 use super::{ClusterSystem, NO_REPLICA};
-use crate::board::Republish;
 use apiary_cap::ServiceId;
 use apiary_core::supervisor::AccelFactory;
 use apiary_core::{AppId, FaultPolicy, ServiceImage, SystemError};
@@ -45,7 +44,9 @@ impl ClusterSystem {
     /// gossip spreads), and republished — with the gateway re-wired — only
     /// once the new accelerator is online. In-flight invocations against
     /// the tile get monitor error replies and re-balance through the
-    /// client retry path.
+    /// client retry path. The replica is undeployed and adopted afresh
+    /// where it lives, so its spec holds the new image and a later restart
+    /// or migration loads the new accelerator.
     pub fn reconfigure_replica(
         &mut self,
         board: u16,
@@ -56,15 +57,18 @@ impl ClusterSystem {
         let now = self.now();
         let b = &mut self.boards[board as usize];
         let spec = b.replica(name).ok_or(NO_REPLICA)?;
-        let (service, node, app, policy) =
-            (spec.service, spec.node, spec.image.app, spec.image.policy);
+        let (service, node) = (spec.service, spec.node);
+        if b.sys().reconfiguring(node) {
+            return Err(SystemError::ReconfigInProgress(node));
+        }
         b.dir.withdraw(now, name);
-        b.sys_mut()
-            .reconfigure(node, factory(), app, policy, bitstream_bytes)?;
-        b.republish.push(Republish {
-            name: name.to_string(),
-            service,
-        });
+        let spec = b.sys_mut().undeploy_service(service).expect("listed");
+        let image = ServiceImage {
+            bitstream_bytes,
+            factory,
+            ..spec.image
+        };
+        b.adopt_replica(name, service, node, image, None)?;
         Ok(())
     }
 

@@ -33,9 +33,14 @@ pub struct Completion {
     pub is_error: bool,
 }
 
-struct Pending {
+/// One request awaiting its reply. Its end-to-end and fabric hop latencies
+/// are measured from here, and only while it is pending.
+pub(super) struct Pending {
     origin: u16,
     target: (u16, NodeId),
+    pub(super) submitted: Cycle,
+    /// When the target's gateway sent the reply back over the fabric.
+    pub(super) replied: Option<Cycle>,
     deadline: Cycle,
 }
 
@@ -65,6 +70,18 @@ impl Requests {
         let p = self.pending.remove(&tag)?;
         self.front_live = false;
         Some(p)
+    }
+
+    pub(super) fn get(&self, tag: u64) -> Option<&Pending> {
+        self.pending.get(&tag)
+    }
+
+    /// `board`'s gateway sent pending `tag`'s reply at `now`, if `board`
+    /// is where the request went.
+    pub(super) fn note_reply(&mut self, tag: u64, board: u16, now: Cycle) {
+        if let Some(p) = self.pending.get_mut(&tag).filter(|p| p.target.0 == board) {
+            p.replied = Some(now);
+        }
     }
 
     /// Tags of the pending requests whose deadline has passed, ascending.
@@ -110,8 +127,15 @@ impl Requests {
     }
 
     /// `Err` unless the front is no later than every pending timeout (or
-    /// the event clock would sleep through one) and is live if marked so.
-    pub(super) fn check(&self) -> Result<(), String> {
+    /// the event clock would sleep through one) and is live if marked so,
+    /// and the balancer's `in_flight` total counts exactly the pending
+    /// requests (requests are conserved).
+    pub(super) fn check(&self, in_flight: u64) -> Result<(), String> {
+        let pending = self.pending.len() as u64;
+        ensure!(
+            in_flight == pending,
+            "balancer counts {in_flight} requests in flight, {pending} are pending"
+        );
         if let Some(earliest) = self.pending.values().map(|p| p.deadline).min() {
             let front = self.next_deadline();
             ensure!(
@@ -149,7 +173,6 @@ impl ClusterSystem {
         };
         let (tboard, tnode, service) = (replicas[k].home, replicas[k].node, replicas[k].service);
         let gw = self.cfg.gateway;
-        self.end_to_end.start(tag, now);
         if tboard == origin {
             let b = &mut self.boards[origin as usize];
             let cap = b
@@ -200,7 +223,6 @@ impl ClusterSystem {
                 return Err(SubmitError::Refused);
             }
             b.trace_remote(gw, now, RemotePhase::Send, tboard, tag);
-            self.fabric_out.start(tag, now);
             self.fabric.send(&ClusterMsg {
                 src: origin,
                 dst: tboard,
@@ -220,6 +242,8 @@ impl ClusterSystem {
             Pending {
                 origin,
                 target,
+                submitted: now,
+                replied: None,
                 deadline,
             },
         );
@@ -250,7 +274,7 @@ impl ClusterSystem {
             Some(p) => {
                 self.balancer.finished(p.target);
                 if !is_error {
-                    self.end_to_end.finish(tag, now);
+                    self.end_to_end.record(p.submitted, now);
                 }
                 self.completions.push(Completion {
                     origin: p.origin,

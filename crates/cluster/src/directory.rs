@@ -147,6 +147,18 @@ impl Directory {
         }
     }
 
+    /// Points the live local binding for `name` at `node`, where its
+    /// service now lives; the next renewal carries the move to peers.
+    pub fn rehome(&mut self, now: Cycle, name: &str, node: NodeId) {
+        let ours = self
+            .entries
+            .get_mut(name)
+            .and_then(|h| h.get_mut(&self.board));
+        if let Some(e) = ours.filter(|e| e.live(now)) {
+            e.node = node;
+        }
+    }
+
     /// Merges a gossiped snapshot: for entries about *other* boards, the
     /// higher version wins; entries claiming our own board are ignored (we
     /// are authoritative for ourselves — accepting them would let a stale

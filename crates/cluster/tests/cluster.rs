@@ -3,6 +3,7 @@
 //! The lockstep invariants are checked after every cycle these tests drive.
 
 use apiary_accel::apps::echo::echo;
+use apiary_accel::apps::kv::{kv_store, KvStoreAccel};
 use apiary_cap::ServiceId;
 use apiary_cluster::{ClusterClient, ClusterConfig, ClusterSystem, FabricConfig, Topology};
 use apiary_core::{AppId, FaultPolicy};
@@ -371,18 +372,7 @@ fn a_rehomed_replica_is_reconfigured_and_torn_down_where_it_lives() {
     // the new bitstream there, orphaned and unsupervised, while the
     // gateway stayed bound to the old instance; a teardown returned the
     // vacated tile and left the live one in use.
-    const SPARE: NodeId = NodeId(6);
-    let mut cfg = ClusterConfig {
-        boards: 2,
-        ..ClusterConfig::default()
-    };
-    cfg.system.supervisor.enabled = true;
-    cfg.system.supervisor.max_restarts = 0;
-    cfg.system.supervisor.spare_nodes = vec![SPARE];
-    let mut c = ClusterSystem::new(cfg);
-    deploy_echo(&mut c, 1, 20);
-    run(&mut c, &mut [], 2_000);
-
+    let mut c = supervised(0);
     c.board_mut(1).fail_stop(REPLICA_NODE);
     run(&mut c, &mut [], 3_000);
     assert_eq!(c.board(1).service_home(KV), Some(SPARE), "re-homed");
@@ -418,11 +408,127 @@ fn a_rehomed_replica_is_reconfigured_and_torn_down_where_it_lives() {
     run(&mut c, &mut [], 100);
 }
 
+/// A supervised two-board cluster whose board 1 serves "kv" at
+/// `REPLICA_NODE`, with `SPARE` as the supervisor's one spare tile.
+fn supervised(max_restarts: u32) -> ClusterSystem {
+    let mut cfg = ClusterConfig {
+        boards: 2,
+        ..ClusterConfig::default()
+    };
+    cfg.system.supervisor.enabled = true;
+    cfg.system.supervisor.max_restarts = max_restarts;
+    cfg.system.supervisor.spare_nodes = vec![SPARE];
+    let mut c = ClusterSystem::new(cfg);
+    deploy_echo(&mut c, 1, 20);
+    run(&mut c, &mut [], 2_000);
+    c
+}
+
+const SPARE: NodeId = NodeId(6);
+
+#[test]
+fn a_rehomed_replica_is_republished_where_it_lives() {
+    // Regression: after the supervisor re-homed a published replica
+    // without a reconfigure, its directory entry kept the vacated node, and
+    // the balancer kept counting in-flight work against it.
+    let mut c = supervised(0);
+    c.board_mut(1).fail_stop(REPLICA_NODE);
+    run(&mut c, &mut [], 3_000);
+    assert_eq!(c.board(1).service_home(KV), Some(SPARE), "re-homed");
+    let gossip = ClusterConfig::default().gossip_interval;
+    run(&mut c, &mut [], gossip);
+    let local = c
+        .directory(1)
+        .lookup_local(c.now(), "kv")
+        .expect("still published");
+    assert_eq!(local.node, SPARE, "the home board's entry moved");
+    run(&mut c, &mut [], 2 * gossip);
+    let seen = c.directory(0).lookup_all(c.now(), "kv");
+    assert_eq!(seen.len(), 1);
+    assert_eq!(seen[0].node, SPARE, "gossip carried the move");
+}
+
+#[test]
+fn a_reconfigured_replica_restarts_as_its_new_accelerator() {
+    // Regression: `reconfigure_replica` loaded the new factory but left the
+    // supervisor's spec on the deployed image, so the first restart brought
+    // the old accelerator back.
+    let mut c = supervised(1);
+    c.reconfigure_replica(1, "kv", Box::new(|| Box::new(kv_store())), 2 * BITSTREAM)
+        .expect("replica is known");
+    run(&mut c, &mut [], 4_000);
+    let is_kv = |c: &ClusterSystem| c.board(1).accel_as::<KvStoreAccel>(REPLICA_NODE).is_some();
+    assert!(is_kv(&c), "the new accelerator is online");
+    let image = &c.board(1).service_spec(KV).expect("supervised").image;
+    assert_eq!(
+        image.bitstream_bytes,
+        2 * BITSTREAM,
+        "the spec took the new image"
+    );
+
+    c.board_mut(1).fail_stop(REPLICA_NODE);
+    run(&mut c, &mut [], 4_000);
+    assert_eq!(
+        c.board(1).service_home(KV),
+        Some(REPLICA_NODE),
+        "restarted in place"
+    );
+    assert!(is_kv(&c), "the restart loaded the new accelerator");
+}
+
+/// E17's cut-link cell, with the cut held long past `request_timeout` so
+/// requests to the cut board time out and retry, and their invocations
+/// arrive after the retry went elsewhere. Every hop measured from a pending
+/// request's record ends while it is pending, so none can outlast the
+/// timeout; the on-board hop is measured from its ingress record instead.
+#[test]
+fn hops_are_measured_only_while_their_request_is_pending() {
+    let request_timeout = 8_000;
+    let mut c = ClusterSystem::new(ClusterConfig {
+        boards: 8,
+        request_timeout,
+        ..ClusterConfig::default()
+    });
+    for b in 0..8 {
+        deploy_echo(&mut c, b, 60);
+    }
+    c.run(2_000);
+    let mut clients: Vec<ClusterClient> = (0..8).map(|i| client(i + 1, i as u16, 80.0)).collect();
+    let go = |c: &mut ClusterSystem, clients: &mut [ClusterClient], cycles: u64| {
+        c.drive(clients, cycles, |c, _| {
+            assert_eq!(c.check_invariants(), Ok(()));
+            until(false)
+        });
+    };
+    go(&mut c, &mut clients, 6_000);
+    c.cut_link(7, None);
+    go(&mut c, &mut clients, 3 * request_timeout);
+    c.restore_link(7, None);
+    go(&mut c, &mut clients, 6_000);
+    for cl in &mut clients {
+        cl.gen.max_requests = cl.gen.stats.issued;
+    }
+    go(&mut c, &mut clients, 3 * request_timeout);
+    assert!(c.quiescent(), "the cluster drained");
+    assert!(c.timeouts > 0, "requests to the cut board timed out");
+
+    for (hop, lt) in [
+        ("fabric out", &c.fabric_out),
+        ("fabric back", &c.fabric_back),
+        ("end to end", &c.end_to_end),
+    ] {
+        let max = lt.histogram().max();
+        assert!(
+            max < request_timeout,
+            "{hop} max {max} outlasts the timeout"
+        );
+    }
+    assert!(c.fabric_out.histogram().count() <= c.remote_submitted);
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint/restore plane: live migration.
 // ---------------------------------------------------------------------
-
-use apiary_accel::apps::kv::{kv_store, KvStoreAccel};
 
 const TENANT: u64 = 7;
 

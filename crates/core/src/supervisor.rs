@@ -461,7 +461,7 @@ impl System {
     pub(crate) fn first_checkpoint_due(&self) -> Cycle {
         let interval = self.cfg.supervisor.checkpoint_interval;
         if interval > 0 {
-            self.clock.now() + interval
+            self.now() + interval
         } else {
             Cycle::MAX
         }

@@ -1,4 +1,5 @@
-//! The machine: NoC + tiles + clock, and the kernel management API.
+//! The machine: NoC (whose cycle is the machine's clock) + tiles, and the
+//! kernel management API.
 //!
 //! This file holds the machine's state and its accessors. The management
 //! API is in `system/plane.rs`, and the cycle loop, the [`Machine`] impl
@@ -17,7 +18,7 @@ use apiary_cap::{CapError, ServiceId};
 use apiary_mem::{AllocError, AllocPolicy, DramConfig, SegmentAllocator};
 use apiary_monitor::{Monitor, MonitorConfig, TileState};
 use apiary_noc::{Noc, NocConfig, NodeId};
-use apiary_sim::{Clock, ClockMode, Cycle, Machine};
+use apiary_sim::{ClockMode, Cycle, Machine};
 use core::fmt;
 
 /// System-level configuration.
@@ -144,7 +145,6 @@ impl From<AllocError> for SystemError {
 /// ```
 pub struct System {
     pub(crate) cfg: SystemConfig,
-    pub(crate) clock: Clock,
     noc: Noc,
     pub(crate) tiles: Vec<Tile>,
     allocator: SegmentAllocator,
@@ -172,7 +172,6 @@ impl System {
             ..Supervisor::default()
         };
         let mut sys = System {
-            clock: Clock::new(),
             noc,
             tiles,
             allocator: SegmentAllocator::new(cfg.mem_capacity, AllocPolicy::FirstFit),

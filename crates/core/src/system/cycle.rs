@@ -18,9 +18,8 @@ impl System {
     /// private `cycle_phases` only on cycles a component scheduled a wakeup
     /// for.
     pub fn tick(&mut self) {
-        let now = self.clock.tick();
         self.noc.step();
-        self.cycle_phases(now);
+        self.cycle_phases(self.noc.now());
     }
 
     /// Everything a cycle does after the NoC moves its flits, one named
@@ -168,12 +167,11 @@ impl System {
         let now = loop {
             if let Some(quiet) = self.noc.quiet_until() {
                 let to = stop.min(quiet);
-                self.noc.skip_to(to);
-                self.clock.advance_to(to);
+                self.jump_to(to);
                 break to;
             }
-            let now = self.clock.tick();
             self.noc.step();
+            let now = self.noc.now();
             if now >= stop || self.noc.rx_pending_total() > 0 {
                 break now;
             }
@@ -189,7 +187,7 @@ impl System {
 
     /// `next_phase_due(now)`, from the memo when one is held.
     fn phase_due(&self) -> Cycle {
-        let fresh = || self.next_phase_due(self.clock.now());
+        let fresh = || self.next_phase_due(self.noc.now());
         debug_assert!(self.phase_due.is_none_or(|d| d == fresh()), "stale memo");
         self.phase_due.unwrap_or_else(fresh)
     }
@@ -207,7 +205,7 @@ impl System {
     pub fn next_event_due(&self) -> Cycle {
         match self.noc.quiet_until() {
             Some(quiet) => quiet.min(self.phase_due()),
-            None => self.clock.now().saturating_add(1),
+            None => self.noc.now().saturating_add(1),
         }
     }
 
@@ -222,8 +220,17 @@ impl System {
             self.noc.quiet_until().is_some_and(|quiet| quiet > target),
             "cannot skip over traffic that must be stepped or lands by then"
         );
-        self.noc.skip_to(target);
-        self.clock.advance_to(target);
+        self.jump_to(target);
+    }
+
+    /// Carries the NoC, whose cycle is this machine's clock, to `target`
+    /// in closed form. Time never moves backwards, and a skip reaches its
+    /// target: the kernel phases would otherwise run on the wrong cycle.
+    fn jump_to(&mut self, target: Cycle) {
+        let from = self.noc.now();
+        assert!(from <= target, "clock moved backwards: {from} -> {target}");
+        let reached = self.noc.skip_to(target);
+        assert_eq!(reached, target, "a skip from {from} fell short");
     }
 
     /// [`Machine::advance_toward`], under the name `benchmark/` calls.
@@ -294,11 +301,11 @@ impl System {
 
 impl Machine for System {
     fn now(&self) -> Cycle {
-        self.clock.now()
+        self.noc.now()
     }
 
     fn advance_toward(&mut self, horizon: Cycle) {
-        if self.clock.now() >= horizon {
+        if self.noc.now() >= horizon {
             return;
         }
         match self.cfg.clock {
@@ -319,7 +326,7 @@ impl Machine for System {
     /// and every supervised service stands on one rung of the escalation
     /// ladder (`Supervisor::check`).
     fn check_invariants(&self) -> Result<(), String> {
-        let fresh = self.next_phase_due(self.clock.now());
+        let fresh = self.next_phase_due(self.noc.now());
         ensure!(self.phase_due.is_none_or(|d| d == fresh), "stale memo");
         for tile in &self.tiles {
             tile.monitor.check_invariants()?;

@@ -91,7 +91,7 @@ impl System {
         let cap = self.tiles[from.index()]
             .monitor
             .install_cap(send_to(to, badge))?;
-        let now = self.clock.now();
+        let now = self.now();
         self.tiles[from.index()].monitor.tracer_mut().record(
             now,
             from.0,
@@ -252,7 +252,7 @@ impl System {
 
     /// Manually fail-stops a tile (operator action or watchdog).
     pub fn fail_stop(&mut self, node: NodeId) {
-        let now = self.touched().clock.now();
+        let now = self.touched().now();
         let tile = &mut self.tiles[node.index()];
         tile.monitor.fail_stop(now);
         tile.faults.push(FaultRecord {
@@ -267,7 +267,7 @@ impl System {
     /// [`FaultRecord`] lands in its history. This is the chaos plane's
     /// tile-kill primitive and an operator's big red button.
     pub fn inject_fault(&mut self, node: NodeId, code: u32) {
-        let now = self.touched().clock.now();
+        let now = self.touched().now();
         self.apply_fault(node, code, now);
     }
 
@@ -378,7 +378,7 @@ impl System {
         }
         let spec = self.supervisor.specs.remove(idx);
         self.supervisor.checkpoints.remove(service.0);
-        let now = self.clock.now();
+        let now = self.now();
         self.tiles[spec.node.index()].vacate(now);
         Some(spec)
     }
@@ -453,7 +453,7 @@ impl System {
     /// externalize state.
     pub fn preempt(&mut self, node: NodeId) -> Result<usize, SystemError> {
         self.touched().check_node(node)?;
-        let now = self.clock.now();
+        let now = self.now();
         self.tiles[node.index()].preempt_in_place(now)
     }
 
@@ -509,7 +509,7 @@ impl System {
         if self.reconfig.in_progress(node) {
             return Err(SystemError::ReconfigInProgress(node));
         }
-        let now = self.clock.now();
+        let now = self.now();
         let tile = &mut self.tiles[node.index()];
         if tile.parked.is_none() {
             return Err(SystemError::NoParkedTenant(node));
@@ -577,7 +577,7 @@ impl System {
         if self.reconfig.in_progress(node) {
             return Err(SystemError::ReconfigInProgress(node));
         }
-        let now = self.clock.now();
+        let now = self.now();
         let tile = &mut self.tiles[node.index()];
         tile.accel = None;
         tile.app = None;

@@ -8,7 +8,7 @@ use apiary_core::memsvc::MemoryService;
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig, SystemError};
 use apiary_monitor::{wire, TileState};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::Machine;
+use apiary_sim::{Cycle, Machine};
 
 fn small_system() -> System {
     System::new(SystemConfig::default()) // 4x4, memory service at n15.
@@ -958,6 +958,26 @@ fn a_board_carrying_one_packet_is_due_when_it_lands() {
     );
 }
 
+/// The machine's time is its NoC's: a tick moves both one cycle, and a
+/// skip carries both to its target.
+#[test]
+fn the_noc_keeps_the_machine_clock() {
+    let mut sys = small_system();
+    sys.tick();
+    assert_eq!((sys.now(), sys.noc().now()), (Cycle(1), Cycle(1)));
+    sys.skip_to(Cycle(100));
+    assert_eq!((sys.now(), sys.noc().now()), (Cycle(100), Cycle(100)));
+}
+
+/// Simulated time is monotonic, in release builds too.
+#[test]
+#[should_panic(expected = "clock moved backwards")]
+fn a_skip_never_moves_the_clock_backwards() {
+    let mut sys = small_system();
+    sys.skip_to(Cycle(10));
+    sys.skip_to(Cycle(5));
+}
+
 /// Every public `&mut self` entry of `System` either steps the clock or
 /// drops the memoised kernel deadline through `touched()`, itself or by
 /// calling an entry that does. A method added without it would let the
@@ -988,8 +1008,8 @@ fn every_mutable_entry_steps_the_clock_or_calls_touched() {
         }
     }
     let steps = [
-        "self.clock.tick()",
-        "self.clock.advance_to(",
+        "self.noc.step()",
+        "self.jump_to(",
         "touched()",
         "Machine::advance_toward(self",
         "Machine::run_until(self",

@@ -301,8 +301,8 @@ impl FaasSystem {
             next_tag: 1,
             next_autoscale,
             finished: Vec::new(),
-            cold_latency: LatencyTracker::new(),
-            warm_latency: LatencyTracker::new(),
+            cold_latency: LatencyTracker::default(),
+            warm_latency: LatencyTracker::default(),
             scale_up_denied: 0,
             refusals: 0,
         }
@@ -366,11 +366,6 @@ impl FaasSystem {
                 f.cold_invocations += 1;
             }
         }
-        if cold {
-            self.cold_latency.start(tag, now);
-        } else {
-            self.warm_latency.start(tag, now);
-        }
         self.inflight.insert(
             tag,
             Inflight {
@@ -418,7 +413,7 @@ impl FaasSystem {
             } else {
                 &mut self.warm_latency
             };
-            tracker.finish(tag, now);
+            tracker.record(inf.arrival, now);
             self.functions[inf.fn_idx].completed_ok += 1;
         } else {
             self.functions[inf.fn_idx].completed_err += 1;

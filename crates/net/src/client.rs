@@ -175,15 +175,13 @@ pub struct RequestGen {
     pub max_requests: u64,
     rng: SimRng,
     next_fire: Cycle,
-    in_flight: u32,
     next_tag: u64,
     /// Statistics.
     pub stats: ClientStats,
-    /// Request send times by tag.
-    sent_at: std::collections::HashMap<u64, Cycle>,
+    /// Requests awaiting a final response, by tag: the first send's cycle
+    /// and the retries used.
+    sent: std::collections::HashMap<u64, (Cycle, u32)>,
     retry: Option<RetryPolicy>,
-    /// Retry attempts consumed, by tag.
-    attempts: std::collections::HashMap<u64, u32>,
     /// Scheduled retries `(due, tag)`, kept sorted by insertion (backoffs
     /// are monotonic per tag, and poll scans the whole queue).
     pending_retries: Vec<(Cycle, u64)>,
@@ -207,12 +205,10 @@ impl RequestGen {
             max_requests: u64::MAX,
             rng: SimRng::new(seed),
             next_fire: Cycle::ZERO,
-            in_flight: 0,
             next_tag: 0,
             stats: ClientStats::default(),
-            sent_at: std::collections::HashMap::new(),
+            sent: std::collections::HashMap::new(),
             retry: None,
-            attempts: std::collections::HashMap::new(),
             pending_retries: Vec::new(),
             breaker: None,
         }
@@ -277,7 +273,7 @@ impl RequestGen {
                 }
             }
             Workload::Closed { outstanding, .. } => {
-                while self.in_flight < outstanding
+                while self.in_flight() < outstanding
                     && self.next_fire <= now
                     && self.stats.issued < self.max_requests
                     && self.admits(now)
@@ -296,9 +292,8 @@ impl RequestGen {
     fn issue(&mut self, now: Cycle) -> u64 {
         let tag = (self.client_id as u64) << 32 | self.next_tag;
         self.next_tag += 1;
-        self.in_flight += 1;
         self.stats.issued += 1;
-        self.sent_at.insert(tag, now);
+        self.sent.insert(tag, (now, 0));
         if let Some(b) = &mut self.breaker {
             b.on_issue();
         }
@@ -310,21 +305,20 @@ impl RequestGen {
     /// (after jittered exponential backoff) instead of completing it, until
     /// the retries run out.
     pub fn complete(&mut self, tag: u64, now: Cycle, is_error: bool) {
-        if !self.sent_at.contains_key(&tag) {
+        let Some((_, used)) = self.sent.get_mut(&tag) else {
             return;
-        }
+        };
         if let Some(b) = &mut self.breaker {
             b.on_outcome(is_error, now);
         }
         if is_error {
             if let Some(policy) = self.retry {
-                let used = *self.attempts.get(&tag).unwrap_or(&0);
-                if used < policy.max_retries {
-                    self.attempts.insert(tag, used + 1);
+                if *used < policy.max_retries {
                     let backoff = policy
                         .base_backoff
-                        .saturating_mul(1u64 << used.min(16))
+                        .saturating_mul(1u64 << (*used).min(16))
                         .min(policy.max_backoff);
+                    *used += 1;
                     let jitter = if policy.jitter > 0 {
                         self.rng.gen_range(policy.jitter + 1)
                     } else {
@@ -332,14 +326,12 @@ impl RequestGen {
                     };
                     self.pending_retries.push((now + backoff + jitter, tag));
                     self.stats.retries += 1;
-                    return; // still in flight; sent_at keeps the first send.
+                    return; // still in flight; the first send's cycle stays.
                 }
                 self.stats.gave_up += 1;
             }
         }
-        let sent = self.sent_at.remove(&tag).expect("checked above");
-        self.attempts.remove(&tag);
-        self.in_flight = self.in_flight.saturating_sub(1);
+        let (sent, _) = self.sent.remove(&tag).expect("checked above");
         self.stats.completed += 1;
         if is_error {
             self.stats.errors += 1;
@@ -380,7 +372,7 @@ impl RequestGen {
                 }
             }
             Workload::Closed { outstanding, .. } => {
-                if self.in_flight < outstanding && self.stats.issued < self.max_requests {
+                if self.in_flight() < outstanding && self.stats.issued < self.max_requests {
                     upd(
                         &mut due,
                         gate.map_or(self.next_fire, |g| self.next_fire.max(g)),
@@ -393,13 +385,13 @@ impl RequestGen {
 
     /// Requests awaiting responses.
     pub fn in_flight(&self) -> u32 {
-        self.in_flight
+        self.sent.len() as u32
     }
 
     /// Returns `true` when the generator is done: its request budget is
     /// exhausted and everything came back.
     pub fn done(&self) -> bool {
-        self.stats.issued >= self.max_requests && self.in_flight == 0
+        self.stats.issued >= self.max_requests && self.sent.is_empty()
     }
 }
 

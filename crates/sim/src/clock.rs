@@ -1,4 +1,4 @@
-//! Simulated time: cycles and the global clock.
+//! Simulated time: cycles.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
@@ -99,52 +99,6 @@ impl Sub<Cycle> for Cycle {
     }
 }
 
-/// The global simulation clock.
-///
-/// A `Clock` only ever moves forward. Components read the current time via
-/// [`Clock::now`]; the top-level simulation driver advances it with
-/// [`Clock::tick`].
-#[derive(Debug, Clone, Default)]
-pub struct Clock {
-    now: Cycle,
-}
-
-impl Clock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Clock {
-        Clock { now: Cycle::ZERO }
-    }
-
-    /// Returns the current simulated time.
-    #[inline]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Advances the clock by one cycle and returns the new time.
-    #[inline]
-    pub fn tick(&mut self) -> Cycle {
-        self.now += 1;
-        self.now
-    }
-
-    /// Advances the clock directly to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is earlier than the current time; simulated time is
-    /// monotonic.
-    pub fn advance_to(&mut self, t: Cycle) {
-        assert!(
-            t >= self.now,
-            "clock moved backwards: {} -> {}",
-            self.now,
-            t
-        );
-        self.now = t;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,22 +135,5 @@ mod tests {
         assert_eq!(Cycle(u64::MAX).as_nanos(250), u64::MAX);
         // Boundary just below the old saturation point still exact.
         assert_eq!(Cycle(u64::MAX / 1000).as_nanos(1000), u64::MAX / 1000);
-    }
-
-    #[test]
-    fn clock_ticks_forward() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), Cycle::ZERO);
-        assert_eq!(c.tick(), Cycle(1));
-        c.advance_to(Cycle(100));
-        assert_eq!(c.now(), Cycle(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "clock moved backwards")]
-    fn clock_rejects_time_travel() {
-        let mut c = Clock::new();
-        c.advance_to(Cycle(10));
-        c.advance_to(Cycle(5));
     }
 }

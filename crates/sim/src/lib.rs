@@ -41,7 +41,7 @@ pub mod rng;
 pub mod sched;
 pub mod stats;
 
-pub use clock::{Clock, Cycle};
+pub use clock::Cycle;
 pub use event::{EventHandle, EventQueue};
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use machine::{until, Load, Machine};

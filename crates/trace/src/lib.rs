@@ -8,8 +8,8 @@
 //!
 //! - [`Tracer`]: a bounded ring buffer of timestamped [`Event`]s with
 //!   per-kind counters and simple filtering/rendering,
-//! - [`LatencyTracker`]: tag-correlated request/response latency
-//!   measurement, the building block for per-service latency breakdowns.
+//! - [`LatencyTracker`]: the latency histogram of one hop of a request,
+//!   recorded from the request's own record at each layer.
 
 pub mod latency;
 pub mod tracer;
