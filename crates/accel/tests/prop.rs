@@ -119,10 +119,30 @@ proptest! {
         prop_assert_eq!(lz::decompress(&c).expect("own output"), data);
     }
 
-    /// LZ decompression never panics on arbitrary (mostly corrupt) input.
+    /// LZ decompression never panics on arbitrary (mostly corrupt) input,
+    /// and never expands it more than 64-fold: a 4-byte match token emits
+    /// at most 255 bytes.
     #[test]
     fn lz_decompress_total(data in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = lz::decompress(&data);
+        if let Ok(out) = lz::decompress(&data) {
+            prop_assert!(out.len() <= 64 * data.len());
+        }
+    }
+
+    /// A valid LZ stream cut short or with one bit flipped decompresses to
+    /// `Ok` or `Err`, never a panic, and within the 64-fold bound. The
+    /// input's small alphabet makes most of the stream match tokens.
+    #[test]
+    fn lz_decompress_damaged_streams(
+        data in prop::collection::vec(0u8..4, 0..2048),
+        (cut, flip) in (any::<u64>(), any::<u64>()),
+    ) {
+        let stream = lz::compress(&data);
+        for damaged in damage(&stream, cut, flip) {
+            if let Ok(out) = lz::decompress(&damaged) {
+                prop_assert!(out.len() <= 64 * damaged.len());
+            }
+        }
     }
 
     /// The video codec round-trips any frame at quant 0 and bounds the
@@ -149,6 +169,33 @@ proptest! {
     fn video_decode_total(data in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = video::decode(&data);
     }
+
+    /// A valid video stream cut short or with one bit flipped (header,
+    /// token or run length) decodes to `Ok` or `Err`, never a panic.
+    #[test]
+    fn video_decode_damaged_streams(
+        (w, h, seed, quant) in (1u32..40, 1u32..40, any::<u64>(), 0u32..4),
+        (cut, flip) in (any::<u64>(), any::<u64>()),
+    ) {
+        let stream = video::encode(&video::Frame::test_pattern(w, h, seed), quant);
+        for damaged in damage(&stream, cut, flip) {
+            if let Ok(frame) = video::decode(&damaged) {
+                prop_assert_eq!(frame.pixels.len(), (frame.width * frame.height) as usize);
+            }
+        }
+    }
+}
+
+/// `stream` cut at `cut` (modulo its length plus one), and `stream` with bit
+/// `flip` (modulo its bit count) inverted.
+fn damage(stream: &[u8], cut: u64, flip: u64) -> [Vec<u8>; 2] {
+    let cut = (cut % (stream.len() as u64 + 1)) as usize;
+    let mut flipped = stream.to_vec();
+    if !flipped.is_empty() {
+        let bit = flip % (flipped.len() as u64 * 8);
+        flipped[(bit / 8) as usize] ^= 1 << (bit % 8);
+    }
+    [stream[..cut].to_vec(), flipped]
 }
 
 // ---------------------------------------------------------------------------

@@ -154,8 +154,9 @@ impl System {
 
     /// One event-clock step: advance to the next cycle where the kernel
     /// phases can matter, or to `horizon` if that comes first — jumping
-    /// the clock while the NoC is quiet (empty, or carrying one packet
-    /// alone, which the jump delivers on its cycle), stepping it cycle by
+    /// the clock while the NoC is quiet (empty, or carrying only packets on
+    /// disjoint routes, the first of which the jump delivers on its
+    /// cycle), stepping it cycle by
     /// cycle otherwise (a delivery re-arms every `OnMessage` sleeper, so
     /// phases run the cycle it lands) — then run the phases if that cycle
     /// is one they are due on. Stopping at the caller's `horizon` alone
@@ -195,13 +196,13 @@ impl System {
     /// The next cycle at which this system can do anything on its own: the
     /// earlier of the NoC's next event and the earliest kernel-phase
     /// deadline ([`Cycle::MAX`] when nothing is scheduled). The NoC's is
-    /// `now + 1` while traffic it must step is in flight, the delivery
-    /// cycle of a packet flying alone, and none when it is empty; undrained
-    /// deliveries make the kernel due at `now + 1`. Lockstep drivers that
-    /// advance several systems against one shared clock (the cluster) use
-    /// this to find the global next event; every cycle strictly before the
-    /// returned one is provably a no-op for this system and may be crossed
-    /// with [`System::skip_to`].
+    /// `now + 1` while traffic it must step is in flight, the first landing
+    /// while its packets fly on disjoint routes, and none when it is empty;
+    /// undrained deliveries make the kernel due at `now + 1`. Lockstep
+    /// drivers that advance several systems against one shared clock (the
+    /// cluster) use this to find the global next event; every cycle
+    /// strictly before the returned one is provably a no-op for this system
+    /// and may be crossed with [`System::skip_to`].
     pub fn next_event_due(&self) -> Cycle {
         match self.noc.quiet_until() {
             Some(quiet) => quiet.min(self.phase_due()),
@@ -212,9 +213,10 @@ impl System {
     /// Jumps the clock to `target` without running any kernel phases. Only
     /// sound when every cycle in `(now, target]` is a no-op — i.e. `target`
     /// is strictly before what [`System::next_event_due`] reported, so the
-    /// NoC is quiet until past it: empty, or carrying one packet alone that
-    /// lands later. The NoC still accounts the skipped cycles (and the lone
-    /// packet's progress) and steps its chaos plane through them.
+    /// NoC is quiet until past it: empty, or carrying packets on disjoint
+    /// routes that land later. The NoC still accounts the skipped cycles
+    /// (and the flying packets' progress) and steps its chaos plane through
+    /// them.
     pub fn skip_to(&mut self, target: Cycle) {
         debug_assert!(
             self.noc.quiet_until().is_some_and(|quiet| quiet > target),
@@ -320,7 +322,9 @@ impl Machine for System {
         self.noc.pending() == 0 && self.tiles.iter().all(|t| t.monitor.outbox_len() == 0)
     }
 
-    /// The memoised kernel deadline, if held, is a fresh scan's; every
+    /// The memoised kernel deadline, if held, is a fresh scan's; the NoC
+    /// keeps its layout's and its flights' laws
+    /// ([`Noc::check_invariants`](apiary_noc::Noc::check_invariants)); every
     /// tile's flow cache agrees with its cap table
     /// ([`Monitor::check_invariants`](apiary_monitor::Monitor::check_invariants));
     /// and every supervised service stands on one rung of the escalation
@@ -328,6 +332,7 @@ impl Machine for System {
     fn check_invariants(&self) -> Result<(), String> {
         let fresh = self.next_phase_due(self.noc.now());
         ensure!(self.phase_due.is_none_or(|d| d == fresh), "stale memo");
+        self.noc.check_invariants()?;
         for tile in &self.tiles {
             tile.monitor.check_invariants()?;
         }

@@ -958,6 +958,103 @@ fn a_board_carrying_one_packet_is_due_when_it_lands() {
     );
 }
 
+/// Drives an event-clock board and a dense twin side by side to `until`,
+/// holding them to each other after every event step; returns what each
+/// tile's inbox received as `(node, tag, delivered_at)`.
+fn lockstep(event: &mut System, dense: &mut System, until: Cycle) -> Vec<(u16, u64, u64)> {
+    while event.now() < until {
+        event.advance_toward(until);
+        while dense.now() < event.now() {
+            dense.advance_toward(event.now());
+        }
+        assert_eq!(event.check_invariants(), Ok(()));
+        assert_eq!(observable(event), observable(dense), "at {:?}", event.now());
+    }
+    let mut got = [event, dense].map(|sys| {
+        let mut got = Vec::new();
+        for n in 0..sys.noc().mesh().nodes() as u16 {
+            while let Some(d) = sys.tile_mut(NodeId(n)).monitor.recv() {
+                got.push((n, d.msg.tag, d.delivered_at.as_u64()));
+            }
+        }
+        got
+    });
+    assert_eq!(got[0], got[1], "the clocks delivered differently");
+    std::mem::take(&mut got[0])
+}
+
+/// `board_tenants`' flows in flight together cross no output port twice,
+/// so the board is not stepped while they fly: the NoC is quiet until the
+/// first landing and the machine is due then. A second source aimed at a
+/// node already receiving makes the mesh be stepped.
+#[test]
+fn tenants_on_disjoint_routes_are_not_stepped() {
+    use apiary_sim::ClockMode;
+    use TrafficClass::{Bulk, Request};
+    let build = |clock| {
+        System::new(SystemConfig {
+            clock,
+            ..SystemConfig::default()
+        })
+    };
+    let send = |sys: &mut System, flows: &[(u16, u16, TrafficClass, usize, u64)]| {
+        for &(src, dst, class, bytes, tag) in flows {
+            let mut msg =
+                apiary_noc::Message::new(NodeId(src), NodeId(dst), class, vec![7u8; bytes]);
+            msg.tag = tag;
+            sys.noc_mut().try_inject(NodeId(src), msg).expect("room");
+        }
+    };
+    let mut event = build(ClockMode::Event);
+    let mut dense = build(ClockMode::Dense);
+    event.run(50);
+    dense.run(50);
+    // The MAC to echo, the KV client to its store, the video client to the
+    // encoder, the memory client to the service, which answers on two VCs.
+    // With 16-byte flits behind a 16-byte header and two cycles a hop, the
+    // tails land at 50 + F + 1 + 2H; node 15's Request reply streams first.
+    let flows = [
+        (0, 5, Request, 64, 1),
+        (1, 6, Request, 48, 2),
+        (3, 7, Bulk, 1000, 3),
+        (12, 15, Request, 32, 4),
+        (15, 12, Bulk, 1000, 5),
+        (15, 12, Request, 40, 6),
+    ];
+    send(&mut event, &flows);
+    send(&mut dense, &flows);
+    assert_eq!(
+        event.noc().quiet_until(),
+        Some(Cycle(59)),
+        "1 -> 6 lands first"
+    );
+    assert_eq!(event.next_event_due(), Cycle(59));
+    // Node 15's memory service takes its request from its own inbox.
+    let got = lockstep(&mut event, &mut dense, Cycle(1_000));
+    let landed = [
+        (5, 1, 60),
+        (6, 2, 59),
+        (7, 3, 117),
+        (12, 6, 61),
+        (12, 5, 125),
+    ];
+    assert_eq!(got, landed);
+
+    // 13 -> 15 wants the East link out of 13 and the ejection port at 15,
+    // which 12 -> 15 holds: the mesh is stepped until it is empty.
+    let flows = [(12, 15, Request, 32, 7), (13, 15, Request, 32, 8)];
+    let delivered = event.noc().stats().delivered;
+    send(&mut event, &flows[..1]);
+    send(&mut dense, &flows[..1]);
+    assert!(event.noc().quiet_until().is_some(), "one packet flies");
+    send(&mut event, &flows[1..]);
+    send(&mut dense, &flows[1..]);
+    assert_eq!(event.noc().quiet_until(), None, "a shared port is stepped");
+    assert_eq!(event.next_event_due(), event.now() + 1);
+    lockstep(&mut event, &mut dense, Cycle(2_000));
+    assert_eq!(event.noc().stats().delivered, delivered + 2);
+}
+
 /// The machine's time is its NoC's: a tick moves both one cycle, and a
 /// skip carries both to its target.
 #[test]

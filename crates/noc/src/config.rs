@@ -16,9 +16,9 @@ pub struct NocConfig {
     /// onto VCs, and at most 8.
     pub vcs: usize,
     /// Input-buffer depth per VC, in flits. At `hop_latency + 2` or more,
-    /// credits never throttle a single stream, and a packet that finds the
-    /// network empty flies alone in closed form
-    /// ([`crate::Noc::quiet_until`]); shallower buffers are always stepped.
+    /// credits never throttle a single stream, and packets on disjoint
+    /// routes fly in closed form ([`crate::Noc::quiet_until`]); shallower
+    /// buffers are always stepped.
     pub vc_buffer: usize,
     /// Data bytes carried per flit (link width).
     pub flit_bytes: usize,

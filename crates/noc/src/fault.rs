@@ -169,8 +169,8 @@ impl FaultPlane {
 
     /// Produces this cycle's events: due scheduled events plus random
     /// draws. Called exactly once per cycle, by `Noc::step` or, across an
-    /// empty network, by `Noc::skip_to` (a packet never flies alone under an
-    /// installed plane, so no cycle is carried in closed form past it).
+    /// empty network, by `Noc::skip_to` (no flight opens under an installed
+    /// plane, so no cycle is carried in closed form past it).
     pub(crate) fn step(&mut self, now: Cycle, mesh: &Mesh) -> Vec<FaultEvent> {
         let mut events = Vec::new();
         while let Some((at, ev)) = self.scheduled.get(self.next_scheduled) {

@@ -1,13 +1,13 @@
 //! The NoC engine. This module holds the state, its constructor and the
 //! caller-facing queue API; the cycle itself is in `network/cycle.rs`, the
-//! closed form of a packet alone on the mesh in `network/lone.rs`, fault
+//! closed form of packets on disjoint routes in `network/flight.rs`, fault
 //! handling in `network/faults.rs` and the laws of the layout in
 //! `network/invariants.rs`.
 
 mod cycle;
 mod faults;
+mod flight;
 mod invariants;
-mod lone;
 
 use crate::config::NocConfig;
 use crate::fault::FaultPlane;
@@ -16,7 +16,7 @@ use crate::packet::{
 };
 use crate::topology::{Direction, Mesh, NodeId, PORTS};
 use apiary_sim::{Cycle, Histogram};
-use lone::LoneFlight;
+use flight::Flights;
 use std::collections::VecDeque;
 
 /// Why an injection was refused.
@@ -144,8 +144,9 @@ pub struct Noc {
     /// `vc_buffer - fifo_len[f] - fifo_fly[f]` between cycles. Within one, a
     /// grant takes a credit at once and a pop returns it late ([`Noc::step`]).
     credit: Vec<u8>,
-    /// Output port FIFO `f`'s front flit routes to (or [`UNREACHABLE`]),
-    /// looked up when the front changes; meaningful while `fifo_len[f] > 0`.
+    /// Output port FIFO `f`'s front flit routes to, looked up when the front
+    /// changes; [`UNREACHABLE`] while `fifo_len[f] == 0` (or the front has no
+    /// live route).
     fifo_out: Vec<u8>,
     /// Standing requests: the input ports whose front flit wants output
     /// `(node, out, vc)`, one bit each.
@@ -155,8 +156,8 @@ pub struct Noc {
     /// Wormhole lock on output `(port, vc)`: the input port whose packet
     /// holds it from head to tail, or `NO_LOCK`.
     lock_in: Vec<u8>,
-    /// The table slot of the packet holding each lock (meaningful only
-    /// while `lock_in` is set): fault handling releases a purged packet's locks.
+    /// The table slot of the packet holding each lock, 0 while it is free:
+    /// fault handling releases a purged packet's locks.
     lock_owner: Vec<u32>,
     /// Round-robin pointer (last input port granted), `[node * 5 + out_port]`.
     rr: Vec<u8>,
@@ -187,7 +188,8 @@ pub struct Noc {
     next_packet: u64,
     stats: NocStats,
     /// Flits sent per outgoing link, indexed `[node][dir]` — the raw data
-    /// behind [`Noc::link_utilization`].
+    /// behind [`Noc::link_utilization`], but for the flying packets' share
+    /// (`Noc::link_counts` adds it).
     link_flits: Vec<[u64; 4]>,
     /// Routing table, flat with stride `nodes`: `routes[node * nodes + dst]`
     /// is the output port index, or [`UNREACHABLE`]. Starts as pure XY and
@@ -215,9 +217,9 @@ pub struct Noc {
     /// ring of the neighbour's facing input port (node `u16::MAX`, and a ring
     /// past the slab, at mesh edges). Mesh geometry is static: never changes.
     feeds: Vec<Landing>,
-    /// The packet alone on the mesh, carried in closed form while rings,
-    /// locks and NIC stay as they were at its injection (`network/lone.rs`).
-    lone: Option<LoneFlight>,
+    /// The packets carried in closed form while rings, locks and NIC stay
+    /// as they were when the mesh was last empty (`network/flight.rs`).
+    flights: Flights,
 }
 
 /// A packet queued at its source NIC. Flit `next` is formed when it enters
@@ -304,7 +306,7 @@ impl Noc {
             last_progress: 0,
             nic_occ: vec![0; n],
             feeds,
-            lone: None,
+            flights: Flights::new(n),
             cfg,
         }
     }
@@ -337,8 +339,8 @@ impl Noc {
     /// Free message slots in `node`'s injection queue for `class`.
     pub fn inject_space(&self, node: NodeId, class: TrafficClass) -> usize {
         let (node, vc) = (node.index(), class.vc());
-        let streamed = self.lone.is_some_and(|l| l.streamed(node, vc, self.now));
-        self.cfg.inject_queue - self.nic[node * self.cfg.vcs + vc].len() + usize::from(streamed)
+        // Flying, the queue still holds what stepping has streamed out.
+        self.cfg.inject_queue + self.streamed(node, vc) - self.nic[node * self.cfg.vcs + vc].len()
     }
 
     /// Offers a message for injection at `from`.
@@ -346,8 +348,9 @@ impl Noc {
     /// On success the message is queued at the local network interface and
     /// will be streamed into the mesh one flit per cycle; the returned
     /// [`PacketId`] can be used to correlate trace events. A message that
-    /// finds the network empty may fly alone ([`Noc::quiet_until`]); one
-    /// that finds a lone flight settles it first.
+    /// finds the network empty, or every live packet flying on routes its
+    /// own does not cross, may fly in closed form ([`Noc::quiet_until`]);
+    /// any other settles the flights first.
     ///
     /// # Errors
     ///
@@ -368,18 +371,24 @@ impl Noc {
             self.stats.dropped_unreachable += 1;
             return Err(InjectError::Unreachable);
         }
-        self.settle();
-        let vc = msg.class.vc();
-        let queue = from.index() * self.cfg.vcs + vc;
-        if self.nic[queue].len() >= self.cfg.inject_queue {
+        let (src, dst, vc) = (from.index(), msg.dst.index(), msg.class.vc());
+        let queue = src * self.cfg.vcs + vc;
+        if self.nic[queue].len() - self.streamed(src, vc) >= self.cfg.inject_queue {
             self.stats.rejected += 1;
             return Err(InjectError::QueueFull);
+        }
+        let flies = if self.flying() || self.pending() == 0 {
+            self.admit(src, dst)
+        } else {
+            None
+        };
+        if flies.is_none() {
+            self.settle();
         }
         let nflits = u32::try_from(flits_for(&msg, self.cfg.flit_bytes, self.cfg.header_bytes))
             .expect("a packet holds at most u32::MAX flits");
         let pid = PacketId(self.next_packet);
         self.next_packet += 1;
-        let dst = msg.dst;
         let slot = self.packets.insert(PacketEntry {
             id: pid,
             injected_at: self.now,
@@ -389,14 +398,14 @@ impl Noc {
         });
         self.nic[queue].push_back(NicEntry {
             slot,
-            dst,
+            dst: NodeId(dst as u16),
             next: 0,
             nflits,
         });
-        self.nic_occ[from.index()] += 1;
+        self.nic_occ[src] += 1;
         self.stats.injected += 1;
-        if self.pending() == 1 {
-            self.lone = self.lone_flight(from.index(), vc, dst.index(), nflits);
+        if let Some(hops) = flies {
+            self.join(src, vc, slot, dst, nflits, hops);
         }
         Ok(pid)
     }
@@ -436,7 +445,7 @@ impl Noc {
     pub fn link_utilization(&self) -> Vec<(NodeId, Direction, f64)> {
         let cycles = self.stats.cycles.max(1) as f64;
         let mut out = Vec::new();
-        for (node, dirs) in self.link_flits.iter().enumerate() {
+        for (node, dirs) in self.link_counts().iter().enumerate() {
             for (di, &flits) in dirs.iter().enumerate() {
                 if self.mesh.neighbor(NodeId(node as u16), DIRS[di]).is_some() {
                     out.push((NodeId(node as u16), DIRS[di], flits as f64 / cycles));
@@ -452,16 +461,12 @@ impl Noc {
     pub fn render_congestion(&self) -> String {
         use core::fmt::Write;
         let cycles = self.stats.cycles.max(1) as f64;
+        let links = self.link_counts();
         let mut out = String::new();
         for y in (0..self.mesh.height).rev() {
             for x in 0..self.mesh.width {
                 let n = self.mesh.node(crate::topology::Coord::new(x, y));
-                let hottest = self.link_flits[n.index()]
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(0) as f64
-                    / cycles;
+                let hottest = links[n.index()].iter().copied().max().unwrap_or(0) as f64 / cycles;
                 let _ = write!(out, "{:>5.1}% ", hottest * 100.0);
             }
             let _ = writeln!(out);
@@ -487,7 +492,7 @@ impl Noc {
     /// gone.
     #[inline]
     fn withdraw_front(&mut self, f: usize, node: usize, port: usize, vc: usize) {
-        let out = self.fifo_out[f];
+        let out = std::mem::replace(&mut self.fifo_out[f], UNREACHABLE);
         if out != UNREACHABLE {
             let out = out as usize;
             let req = &mut self.req[(node * PORTS + out) * self.cfg.vcs + vc];
@@ -531,8 +536,8 @@ impl Noc {
 #[cfg(test)]
 mod fault_tests;
 #[cfg(test)]
-mod link_stats_tests;
+mod flight_tests;
 #[cfg(test)]
-mod lone_tests;
+mod link_stats_tests;
 #[cfg(test)]
 mod tests;

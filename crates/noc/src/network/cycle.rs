@@ -20,14 +20,14 @@ impl Noc {
     ///   an output its router has yet to arbitrate; the ring is masked out
     ///   of the rest of that router's cycle.
     ///
-    /// A lone flight open on the network is settled first (stepped for real
-    /// from its injection cycle), so stepping never uses its closed form.
+    /// Open flights are settled first (the state stepping leaves at `now` is
+    /// written from their schedule), so stepping never uses the closed form.
     pub fn step(&mut self) {
         self.settle();
         self.cycle();
     }
 
-    /// One cycle of the mesh, on state no lone flight is holding frozen.
+    /// One cycle of the mesh, on state no flight is holding frozen.
     pub(super) fn cycle(&mut self) {
         self.now += 1;
         self.stats.cycles += 1;
@@ -49,16 +49,16 @@ impl Noc {
     /// ([`Noc::quiet_until`] is `Some`); returns the cycle reached: `target`,
     /// or `now` unchanged when the network must be stepped.
     ///
-    /// A lone flight is carried in closed form: cycles before its delivery
-    /// move only its counters, and reaching the delivery cycle writes the
-    /// state stepping would have left and ejects the message. Past that, or
-    /// with no packet in flight at all, every phase of [`Noc::step`] is a
+    /// Flights are carried in closed form: cycles before a landing move only
+    /// their counters, and reaching a landing cycle writes what the packet
+    /// leaves behind and ejects the message. Past the last, or with no
+    /// packet in flight at all, every phase of [`Noc::step`] is a
     /// no-op and the clock and cycle counter jump in one go; an installed
     /// chaos plane is still stepped cycle by cycle (its RNG draws are part
     /// of the deterministic timeline) and its fault events land exactly
     /// when they would under dense ticking.
     pub fn skip_to(&mut self, target: Cycle) -> Cycle {
-        self.fly_lone_to(target);
+        self.fly_to(target);
         if self.pending() > 0 {
             return self.now;
         }
@@ -208,6 +208,7 @@ impl Noc {
                 // Wormhole lock maintenance.
                 if flit.is_tail {
                     self.lock_in[o] = NO_LOCK;
+                    self.lock_owner[o] = 0;
                 } else if flit.is_head {
                     self.lock_in[o] = in_port as u8;
                     self.lock_owner[o] = flit.slot;
@@ -396,7 +397,7 @@ mod tests {
         while noc.pending() > 0 {
             let before = noc.fifo_head[local] as usize;
             noc.step();
-            noc.check_invariants();
+            assert_eq!(noc.check_invariants(), Ok(()));
             let cap = noc.cfg.vc_buffer;
             let pops = (noc.fifo_head[local] as usize + cap - before) % cap;
             assert!(pops <= 1, "local ring popped {pops} times in one cycle");

@@ -91,7 +91,7 @@ fn kill_mid_flight_never_hangs() {
             break;
         }
         noc.step();
-        noc.check_invariants();
+        assert_eq!(noc.check_invariants(), Ok(()));
     }
     assert_eq!(noc.pending(), 0, "network must always drain");
     let st = noc.stats();
@@ -123,7 +123,7 @@ fn offer_uniform(noc: &mut Noc, rng: &mut apiary_sim::SimRng, rate: f64) {
 /// Steps once, checks every law, and returns the tags delivered.
 fn step_checked(noc: &mut Noc) -> Vec<u64> {
     noc.step();
-    noc.check_invariants();
+    assert_eq!(noc.check_invariants(), Ok(()));
     (0..noc.mesh().nodes() as u16)
         .flat_map(|n| noc.drain_eject(NodeId(n)))
         .map(|d| d.msg.tag)
@@ -160,7 +160,7 @@ fn link_kill_on_wrapped_rings_keeps_every_law() {
     }
     let before = noc.stats().dropped();
     assert!(noc.kill_link(NodeId(5), Direction::East));
-    noc.check_invariants();
+    assert_eq!(noc.check_invariants(), Ok(()));
     assert!(noc.stats().dropped() > before, "the kill flushes packets");
     // Traffic keeps flowing while the rest drains; then one message
     // whose XY route was the dead link must arrive over the detour.

@@ -67,8 +67,7 @@ impl Noc {
         self.recompute_routes();
         self.rebuild_requests();
         self.flush_rerouted(&old);
-        #[cfg(debug_assertions)]
-        self.check_invariants();
+        debug_assert_eq!(self.check_invariants(), Ok(()));
         true
     }
 
@@ -257,6 +256,7 @@ impl Noc {
         for f in 0..self.fifo_len.len() {
             if self.lock_in[f] != NO_LOCK && self.lock_owner[f] == slot {
                 self.lock_in[f] = NO_LOCK;
+                self.lock_owner[f] = 0;
             }
             // Compact the ring in place, front first: the landed region,
             // then the in-flight one (whose flits keep their landing slots).
@@ -301,8 +301,7 @@ impl Noc {
         let freed = self.packets.remove(slot);
         debug_assert!(freed.is_some(), "purged packets are live");
         self.dropped_in_flight += 1;
-        #[cfg(debug_assertions)]
-        self.check_invariants();
+        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
     /// The no-progress valve: if packets are in flight but nothing has

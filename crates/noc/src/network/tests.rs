@@ -107,11 +107,11 @@ fn many_messages_all_deliver_exactly_once() {
         }
         for _ in 0..50 {
             noc.step();
-            noc.check_invariants();
+            assert_eq!(noc.check_invariants(), Ok(()));
         }
     }
     assert!(noc.run_until_quiescent(100_000));
-    noc.check_invariants();
+    assert_eq!(noc.check_invariants(), Ok(()));
     let total: u64 = (0..n)
         .map(|i| noc.drain_eject(NodeId(i)).len() as u64)
         .sum();

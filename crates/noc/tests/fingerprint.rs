@@ -37,7 +37,7 @@ fn fingerprint(mut noc: Noc, seed: u64, rate: f64, cycles: u64) -> u64 {
     let mut tag = 0u64;
     let step = |noc: &mut Noc, h: &mut Fnv| {
         noc.step();
-        noc.check_invariants();
+        assert_eq!(noc.check_invariants(), Ok(()));
         for n in 0..nodes {
             for d in noc.drain_eject(NodeId(n as u16)) {
                 assert_eq!(d.msg.dst, NodeId(n as u16), "misrouted");

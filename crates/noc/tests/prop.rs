@@ -78,7 +78,7 @@ proptest! {
             }
             for _ in 0..s.gap {
                 noc.step();
-                noc.check_invariants();
+                assert_eq!(noc.check_invariants(), Ok(()));
             }
         }
 
@@ -88,7 +88,7 @@ proptest! {
                 break;
             }
             noc.step();
-            noc.check_invariants();
+            assert_eq!(noc.check_invariants(), Ok(()));
         }
         prop_assert_eq!(noc.pending(), 0, "network failed to drain");
 
