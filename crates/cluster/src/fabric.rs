@@ -240,7 +240,9 @@ impl ClusterMsg {
             }
             2 => {
                 let count = r.u16()? as usize;
-                let mut entries = Vec::with_capacity(count);
+                // An entry takes at least 27 bytes: a damaged count
+                // reserves no more than the frame could hold.
+                let mut entries = Vec::with_capacity(count.min(buf.len() / 27));
                 for _ in 0..count {
                     let home = r.u16()?;
                     let node = NodeId(r.u16()?);

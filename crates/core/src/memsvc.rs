@@ -119,22 +119,21 @@ impl Accelerator for MemoryService {
     }
 
     fn wake(&mut self, now: Cycle, os: &mut dyn TileOs) -> Wakeup {
-        // Flush due replies (keep order; the queue is roughly time-sorted
-        // because DRAM completion times are near-monotonic per bank).
-        let mut remaining = VecDeque::with_capacity(self.pending.len());
-        while let Some(p) = self.pending.pop_front() {
-            if p.done <= now {
-                let class = if p.payload.len() > 256 {
-                    TrafficClass::Bulk
-                } else {
-                    TrafficClass::Request
-                };
-                let _ = os.reply(&p.to, p.kind, class, p.payload);
-            } else {
-                remaining.push_back(p);
+        // Flush due replies in queue order, in place (the queue is roughly
+        // time-sorted because DRAM completion times are near-monotonic per
+        // bank).
+        self.pending.retain(|p| {
+            if p.done > now {
+                return true;
             }
-        }
-        self.pending = remaining;
+            let class = if p.payload.len() > 256 {
+                TrafficClass::Bulk
+            } else {
+                TrafficClass::Request
+            };
+            let _ = os.reply(&p.to, p.kind, class, p.payload.clone());
+            false
+        });
         // Accept all new requests this cycle (the DRAM model serialises
         // per-bank internally).
         while let Some(req) = os.recv() {

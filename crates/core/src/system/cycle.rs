@@ -19,18 +19,19 @@ impl System {
     /// for.
     pub fn tick(&mut self) {
         self.noc.step();
-        self.cycle_phases(self.noc.now());
+        self.cycle_phases(self.noc.now(), true);
     }
 
     /// Everything a cycle does after the NoC moves its flits, one named
     /// phase after another. Both clocks funnel through this, so a cycle that
     /// runs is identical under either; the clocks differ only in *which*
-    /// cycles run.
-    fn cycle_phases(&mut self, now: Cycle) {
+    /// cycles run, and in which tiles the wake phase visits: `all` of them
+    /// under the dense clock, only the due ones under the event clock.
+    fn cycle_phases(&mut self, now: Cycle, all: bool) {
         self.touched().phase_cycles += 1;
         self.finish_reconfigs(now);
         self.pump_inbound(now);
-        self.wake_accelerators(now);
+        self.wake_accelerators(now, all);
         self.check_watchdogs(now);
         self.pump_outbound(now);
         if self.cfg.supervisor.enabled {
@@ -60,21 +61,22 @@ impl System {
     }
 
     /// Accelerator execution: every installed, running, non-busy tile is
-    /// woken, and the first fault it raises gets the tile's fault policy.
-    fn wake_accelerators(&mut self, now: Cycle) {
+    /// woken — with `all` unset, only those `Tile::due` by `now`, since a
+    /// wake before that is a no-op by the wakeup contract — and the first
+    /// fault it raises gets the tile's fault policy.
+    fn wake_accelerators(&mut self, now: Cycle, all: bool) {
         for i in 0..self.tiles.len() {
+            let tile = &self.tiles[i];
+            if tile.accel.is_none()
+                || (!all && tile.due() > now)
+                || tile.busy_until > now
+                || tile.monitor.state() == TileState::FailStopped
+            {
+                continue;
+            }
             let node = NodeId(i as u16);
             if self.reconfig.in_progress(node) {
                 continue;
-            }
-            {
-                let tile = &self.tiles[i];
-                if tile.accel.is_none()
-                    || tile.monitor.state() == TileState::FailStopped
-                    || tile.busy_until > now
-                {
-                    continue;
-                }
             }
             let tile = &mut self.tiles[i];
             let mut accel = tile.accel.take().expect("checked above");
@@ -135,15 +137,7 @@ impl System {
                 due = due.min(t.max(next));
             }
             if tile.accel.is_some() && tile.monitor.state() != TileState::FailStopped {
-                let deadline = if tile.wake.wakes_on_message() && tile.monitor.inbox_len() > 0 {
-                    // The message it was sleeping on is already here.
-                    next
-                } else {
-                    tile.wake.deadline()
-                };
-                if deadline != Cycle::MAX {
-                    due = due.min(deadline.max(tile.busy_until).max(next));
-                }
+                due = due.min(tile.due().max(next));
             }
         }
         if self.cfg.supervisor.enabled {
@@ -178,7 +172,7 @@ impl System {
             }
         };
         if now >= due || self.noc.rx_pending_total() > 0 {
-            self.cycle_phases(now);
+            self.cycle_phases(now, false);
         } else {
             // No phase ran and nothing waits to be ejected: the scan would
             // read what it read, and `due` still lies ahead of the clock.

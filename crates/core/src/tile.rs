@@ -45,9 +45,10 @@ pub struct Tile {
     /// cycle.
     pub busy_until: Cycle,
     /// The accelerator's last reported wakeup — when the event clock next
-    /// owes this tile a run. Dense ticking stores but ignores it. Kernel
-    /// lifecycle changes (install, reconfiguration completion) reset it to
-    /// "due now", which is always safe: a spurious wake is a no-op.
+    /// owes this tile a run (`Tile::due`). Dense ticking stores but
+    /// ignores it. Kernel lifecycle changes (install, context swap,
+    /// reconfiguration completion, preemption in place) reset it to "due
+    /// now", which is always safe: a spurious wake is a no-op.
     pub wake: Wakeup,
     /// Fault history.
     pub faults: Vec<FaultRecord>,
@@ -77,6 +78,18 @@ impl Tile {
         self.accel.as_ref().map_or("-", |a| a.name())
     }
 
+    /// The first cycle the event clock owes this tile a wake: at once if it
+    /// sleeps on messages and has mail, else its reported deadline
+    /// ([`Cycle::MAX`] for none); never before the tile's stall ends.
+    pub(crate) fn due(&self) -> Cycle {
+        let due = if self.wake.wakes_on_message() && self.monitor.inbox_len() > 0 {
+            Cycle::ZERO
+        } else {
+            self.wake.deadline()
+        };
+        due.max(self.busy_until)
+    }
+
     /// Seats a tenant, due at once: its first wake reports its schedule.
     pub(crate) fn seat(
         &mut self,
@@ -98,8 +111,9 @@ impl Tile {
     }
 
     /// Saves and at once restores the accelerator's state, stalling the
-    /// tile for the downtime. Returns the snapshot's size; an error changes
-    /// nothing.
+    /// tile for the downtime, and re-arms it: the restored accelerator is
+    /// due once the stall ends, whatever it reported when it faulted.
+    /// Returns the snapshot's size; an error changes nothing.
     pub(crate) fn preempt_in_place(&mut self, now: Cycle) -> Result<usize, SystemError> {
         let node = self.monitor.node();
         let accel = self.accel.as_mut().ok_or(SystemError::SlotEmpty(node))?;
@@ -110,6 +124,7 @@ impl Tile {
             .restore_state(&snap)
             .expect("an accelerator restores its own snapshot");
         self.busy_until = now + preemption_downtime(snap.len());
+        self.wake = Wakeup::AtOrMessage(Cycle::ZERO);
         let event = EventKind::Preempt { context: 0 };
         self.monitor.tracer_mut().record(now, node.0, event);
         Ok(snap.len())

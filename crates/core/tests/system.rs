@@ -326,6 +326,35 @@ fn preempt_policy_survives_fault_with_downtime() {
 }
 
 #[test]
+fn preempted_tile_wakes_alike_under_both_clocks() {
+    // A fault halts the accelerator, whose last wakeup is `Idle`; the
+    // preemption restores it, and the second request, already waiting in
+    // its inbox, must be served on the same cycle under either clock.
+    let run = |clock| {
+        let mut sys = System::new(SystemConfig {
+            clock,
+            ..SystemConfig::default()
+        });
+        let (client, server) = (NodeId(0), NodeId(5));
+        sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
+            .expect("free");
+        sys.install(server, Box::new(faulty(1)), AppId(1), FaultPolicy::Preempt)
+            .expect("free");
+        let cap = sys.connect(client, server, false).expect("same app");
+        sys.connect(server, client, false).expect("reply path");
+        client_send(&mut sys, client, cap, 1, vec![1]);
+        client_send(&mut sys, client, cap, 2, vec![2]);
+        let replied = sys.run_until(200_000, |s| s.tile(client).monitor.inbox_len() > 0);
+        assert!(replied, "{clock:?}: no reply by cycle {}", sys.now());
+        let reply = client_recv(&mut sys, client).expect("a reply");
+        (reply.delivered_at, sys.tile(server).faults.len())
+    };
+    let dense = run(apiary_sim::ClockMode::Dense);
+    assert_eq!(dense.1, 1, "the first request faults the server once");
+    assert_eq!(run(apiary_sim::ClockMode::Event), dense);
+}
+
+#[test]
 fn kv_store_multi_tenant_over_the_noc() {
     let mut sys = small_system();
     let tenant_a = NodeId(0);
@@ -905,6 +934,65 @@ fn advance_toward_a_horizon_before_every_deadline_runs_no_phases() {
     event.advance_toward(Cycle(2_000_000));
     assert_eq!(event.now(), Cycle(1_000_000));
     assert_eq!(wakes(&event), settled + 1);
+}
+
+/// Counts its wakes and asks for the next one `period` cycles on.
+struct PeriodicCounter {
+    wakes: u64,
+    period: u64,
+}
+
+impl apiary_accel::Accelerator for PeriodicCounter {
+    fn name(&self) -> &'static str {
+        "periodic-counter"
+    }
+    fn wake(
+        &mut self,
+        now: apiary_sim::Cycle,
+        _os: &mut dyn apiary_accel::TileOs,
+    ) -> apiary_sim::Wakeup {
+        self.wakes += 1;
+        apiary_sim::Wakeup::after(now, self.period)
+    }
+    fn as_any(&self) -> &dyn core::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn core::any::Any {
+        self
+    }
+}
+
+#[test]
+fn event_clock_wakes_only_due_tiles() {
+    use apiary_sim::ClockMode;
+    const CYCLES: u64 = 1_000;
+    let tiles = [(NodeId(3), 7), (NodeId(9), 50)];
+    let run = |clock| {
+        let mut sys = System::new(SystemConfig {
+            clock,
+            ..SystemConfig::default()
+        });
+        for (node, period) in tiles {
+            let counter = PeriodicCounter { wakes: 0, period };
+            sys.install(node, Box::new(counter), AppId(1), FaultPolicy::FailStop)
+                .expect("free");
+        }
+        sys.run(CYCLES);
+        let wakes = tiles.map(|(node, _)| {
+            let counter = sys.accel_as::<PeriodicCounter>(node).expect("installed");
+            counter.wakes
+        });
+        (wakes, observable(&sys))
+    };
+    let (event, seen) = run(ClockMode::Event);
+    let (dense, dense_seen) = run(ClockMode::Dense);
+    for (i, (_, period)) in tiles.into_iter().enumerate() {
+        // Installed due at once, first woken on cycle 1, then due every
+        // `period` cycles: the other tile's deadlines wake it no more.
+        assert_eq!(event[i], 1 + (CYCLES - 1) / period, "tile {i}, event clock");
+        assert_eq!(dense[i], CYCLES, "tile {i}, dense clock");
+    }
+    assert_eq!(seen, dense_seen);
 }
 
 #[test]

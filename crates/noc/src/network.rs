@@ -186,6 +186,8 @@ pub struct Noc {
     /// "does any tile have mail?" without scanning every node.
     rx_pending: usize,
     next_packet: u64,
+    /// The counters but the open fliers' share of `flit_hops` and
+    /// `flits_ejected`, which [`Noc::stats`] adds when read.
     stats: NocStats,
     /// Flits sent per outgoing link, indexed `[node][dir]` — the raw data
     /// behind [`Noc::link_utilization`], but for the flying packets' share
@@ -331,9 +333,14 @@ impl Noc {
         self.packets.live()
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> &NocStats {
-        &self.stats
+    /// Statistics so far: the stored counters, plus the flit hops and
+    /// ejections of the packets flying in closed form, counted on read.
+    pub fn stats(&self) -> NocStats {
+        let (hops, ejected) = self.flown();
+        let mut stats = self.stats.clone();
+        stats.flit_hops += hops;
+        stats.flits_ejected += ejected;
+        stats
     }
 
     /// Free message slots in `node`'s injection queue for `class`.

@@ -49,8 +49,9 @@ impl Noc {
     /// ([`Noc::quiet_until`] is `Some`); returns the cycle reached: `target`,
     /// or `now` unchanged when the network must be stepped.
     ///
-    /// Flights are carried in closed form: cycles before a landing move only
-    /// their counters, and reaching a landing cycle writes what the packet
+    /// Flights are carried in closed form: cycles before a landing move
+    /// only the clock and cycle counter (the fliers' flit counts are added
+    /// when read), and reaching a landing cycle writes what the packet
     /// leaves behind and ejects the message. Past the last, or with no
     /// packet in flight at all, every phase of [`Noc::step`] is a
     /// no-op and the clock and cycle counter jump in one go; an installed

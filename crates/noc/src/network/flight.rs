@@ -22,11 +22,11 @@
 //! While flights are open the rings, locks, requests, landing schedule and
 //! NIC entries stay as they were when the mesh was last empty, and:
 //!
-//! - [`Noc::skip_to`] moves only what `&self` observers read (`now`,
-//!   `stats.cycles`, `flit_hops`, `flits_ejected`) and, on each landing
-//!   cycle, writes what the packet leaves behind and delivers it; the
-//!   readers of per-link counts and [`Noc::inject_space`] add what the
-//!   flights have done so far;
+//! - [`Noc::skip_to`] moves only `now` and `stats.cycles` and, on each
+//!   landing cycle, writes what the packet leaves behind, adds its whole
+//!   share to the stored counters and delivers it; the readers of the
+//!   counters ([`Noc::stats`]), of per-link counts and of
+//!   [`Noc::inject_space`] add what the flights have done so far;
 //! - an injection into an empty mesh, or into a flying one without
 //!   conflict, joins its source's flight;
 //! - any other injection, [`Noc::step`] and every fault lever first
@@ -50,8 +50,7 @@ pub(super) struct Flights {
     pub(super) claims: Vec<Claim>,
     /// The earliest landing, [`Cycle::MAX`] with no flier.
     pub(super) next: Cycle,
-    /// The counters when the mesh last opened a flight, plus every landed
-    /// packet's whole share: what the closed form adds to.
+    /// The clock and cycle counter when the mesh last opened a flight.
     pub(super) base: Base,
 }
 
@@ -65,8 +64,6 @@ pub(super) struct Flier {
     pub(super) flits: u32,
     /// Links crossed: H.
     pub(super) hops: u32,
-    /// Flit hops and ejections already added to the counters.
-    counted: (u64, u64),
     /// When the NIC forms the flits, in flit order: runs of consecutive
     /// cycles (one, unless a lower VC pre-empted the packet).
     runs: Vec<Run>,
@@ -92,13 +89,12 @@ pub(super) struct Claim {
     pub(super) in_port: u8,
 }
 
-/// Counter values the closed form adds to.
+/// `now` and `stats.cycles` when a flight opened: the law checks that a
+/// skip counts every cycle it crosses.
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct Base {
     pub(super) at: Cycle,
     pub(super) cycles: u64,
-    pub(super) flit_hops: u64,
-    pub(super) ejected: u64,
 }
 
 /// One router of a route: its node, the input port the packet arrives on
@@ -185,7 +181,7 @@ impl Flier {
     /// Flit hops and ejections of this packet by the end of cycle `t`, on
     /// links `lap` cycles long: router j has granted `min(n, t - at - j lap)`
     /// flits of a run of `n` formed from `at` on.
-    fn crossed(&self, t: u64, lap: u64) -> (u64, u64) {
+    pub(super) fn crossed(&self, t: u64, lap: u64) -> (u64, u64) {
         let (mut hops, mut ejected) = (0, 0);
         for r in self.runs.iter().take_while(|r| r.at < t) {
             let (u, n) = (t - r.at, r.n as u64);
@@ -284,8 +280,6 @@ impl Noc {
             self.flights.base = Base {
                 at: self.now,
                 cycles: self.stats.cycles,
-                flit_hops: self.stats.flit_hops,
-                ejected: self.stats.flits_ejected,
             };
         }
         for (node, in_port, out) in path(&self.routes, &self.feeds, src, dst) {
@@ -299,7 +293,6 @@ impl Noc {
             vc: vc as u8,
             flits,
             hops,
-            counted: (0, 0),
             runs: Vec::new(),
             lands: Cycle::MAX,
         });
@@ -387,17 +380,19 @@ impl Noc {
         }
     }
 
-    /// Moves the clock to `to`, and the counters by every grant in between.
+    /// Moves the clock to `to`. The grants in between are counted when
+    /// read ([`Noc::flown`]), so no flier is touched.
     fn carry(&mut self, to: Cycle) {
-        let (t, lap) = (to.as_u64(), self.cfg.hop_latency + 1);
-        for p in &mut self.flights.fliers {
-            let (hops, ejected) = p.crossed(t, lap);
-            self.stats.flit_hops += hops - p.counted.0;
-            self.stats.flits_ejected += ejected - p.counted.1;
-            p.counted = (hops, ejected);
-        }
-        self.stats.cycles += t - self.now.as_u64();
+        self.stats.cycles += to - self.now;
         self.now = to;
+    }
+
+    /// Flit hops and ejections of every open flier by the end of this
+    /// cycle: the share [`Noc::stats`] adds to the stored counters.
+    pub(super) fn flown(&self) -> (u64, u64) {
+        let (now, lap) = (self.now.as_u64(), self.cfg.hop_latency + 1);
+        let shares = self.flights.fliers.iter().map(|p| p.crossed(now, lap));
+        shares.fold((0, 0), |(h, e), (hops, ejected)| (h + hops, e + ejected))
     }
 
     /// Flits sent per outgoing link, indexed `[node][dir]`, the flights'
@@ -444,9 +439,8 @@ impl Noc {
                 *c = Claim::default();
             }
         }
-        let base = &mut self.flights.base;
-        base.flit_hops += p.flits as u64 * p.hops as u64;
-        base.ejected += p.flits as u64;
+        self.stats.flit_hops += p.flits as u64 * p.hops as u64;
+        self.stats.flits_ejected += p.flits as u64;
         self.flights.next = self.flights.earliest();
         let packet = self.packets.remove(p.slot).expect("a flier is live");
         self.deliver(p.dst as usize, packet);
@@ -454,12 +448,12 @@ impl Noc {
     }
 
     /// Closes every flight, if any is open, by writing the state stepping
-    /// leaves at `now`: NIC entries started or popped, ring heads on by the
-    /// flits each router has granted and `link_flits` by those it sent, the
-    /// flit formed this cycle in its local ring with its request posted,
-    /// flits in flight in their rings and landing slots in grant order,
-    /// locks held from head to tail, round-robin pointers, `head_ejected`
-    /// and `last_progress`.
+    /// leaves at `now`: the fliers' share of the counters, NIC entries
+    /// started or popped, ring heads on by the flits each router has
+    /// granted and `link_flits` by those it sent, the flit formed this
+    /// cycle in its local ring with its request posted, flits in flight in
+    /// their rings and landing slots in grant order, locks held from head
+    /// to tail, round-robin pointers, `head_ejected` and `last_progress`.
     #[inline]
     pub(super) fn settle(&mut self) {
         if self.flying() {
@@ -468,6 +462,9 @@ impl Noc {
     }
 
     fn write_stepped(&mut self) {
+        let (hops, ejected) = self.flown();
+        self.stats.flit_hops += hops;
+        self.stats.flits_ejected += ejected;
         let fliers = std::mem::take(&mut self.flights.fliers);
         let (now, lap, vcs) = (self.now.as_u64(), self.cfg.hop_latency + 1, self.cfg.vcs);
         let local = Port::Local.index();

@@ -250,6 +250,93 @@ proptest! {
     }
 }
 
+/// Brings `[read, unread, stepped]` to `to`: the first two by `skip_to`
+/// where they are quiet and by `step()` elsewhere, the third by `step()`
+/// only, reading nothing on the way.
+fn reach(nocs: &mut [Noc; 3], to: Cycle) {
+    let [read, unread, stepped] = nocs;
+    for noc in [read, unread] {
+        while noc.now() < to {
+            let before = noc.now();
+            if noc.skip_to(to) == before {
+                noc.step();
+            }
+        }
+    }
+    while stepped.now() < to {
+        stepped.step();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flights' share of the counters is added when they are read, so
+    /// a read is pure: one read at a random cycle while flights are open
+    /// sees what the stepped twin counts, and leaves the skipped NoC where
+    /// an unread one ends.
+    #[test]
+    fn reading_the_counters_mid_flight_changes_nothing(
+        (width, height, hop_latency) in (1u8..=5, 1u8..=5, 0usize..3),
+        sends in prop::collection::vec(
+            (0u16..25, 0u16..25, 0usize..3, 200usize..900, 0u64..4),
+            1..=4,
+        ),
+        read_at in 0u64..48,
+    ) {
+        let cfg = NocConfig {
+            vc_buffer: 6,
+            hop_latency: [0, 1, 3][hop_latency],
+            ..NocConfig::soft(width, height)
+        };
+        let nodes = cfg.nodes() as u16;
+        let mut sends: Vec<_> = sends
+            .into_iter()
+            .map(|(src, dst, class, bytes, at)| (8 * at, src % nodes, dst % nodes, class, bytes))
+            .collect();
+        sends.sort_by_key(|s| s.0);
+        let mut nocs = [(); 3].map(|_| Noc::new(cfg));
+        // The read happens before the first send after `read_at`, or after
+        // the last send.
+        let read_before = sends.iter().position(|s| s.0 > read_at).unwrap_or(sends.len());
+        for (i, &(at, from, to, class, bytes)) in sends.iter().enumerate() {
+            if i == read_before {
+                read_mid_flight(&mut nocs, Cycle(read_at));
+            }
+            reach(&mut nocs, Cycle(at));
+            for noc in &mut nocs {
+                let _ = noc.try_inject(NodeId(from), message(from, to, class, bytes));
+            }
+        }
+        if read_before == sends.len() {
+            read_mid_flight(&mut nocs, Cycle(read_at));
+        }
+        let mut end = nocs[0].now();
+        while nocs.iter().any(|noc| noc.pending() > 0) {
+            prop_assert!(end < Cycle(100_000), "traffic outlived 100k cycles");
+            end += 300;
+            reach(&mut nocs, end);
+        }
+        let [read, unread, stepped] = &nocs;
+        prop_assert_eq!(state(read), state(unread));
+        prop_assert_eq!(seen(read), seen(unread));
+        prop_assert_eq!(seen(read), seen(stepped));
+    }
+}
+
+/// Brings the three NoCs to `at` and, if flights are open there, reads
+/// the first one's counters and holds them to the stepped twin's.
+fn read_mid_flight(nocs: &mut [Noc; 3], at: Cycle) {
+    reach(nocs, at);
+    let [read, _, stepped] = &*nocs;
+    if read.flying() {
+        assert_eq!(
+            format!("{:?}", read.stats()),
+            format!("{:?}", stepped.stats())
+        );
+    }
+}
+
 #[test]
 fn a_lone_flight_is_due_when_its_tail_lands() {
     // 4x4 soft NoC: 0 -> 5 is two hops of hop_latency 1; 40 payload bytes

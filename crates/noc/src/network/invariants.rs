@@ -2,7 +2,7 @@
 //! and the laws of open flights.
 
 use super::flight::{path, Claim, Flier, Hop};
-use super::{Noc, NO_LOCK, UNREACHABLE};
+use super::{Noc, NocStats, NO_LOCK, UNREACHABLE};
 use crate::topology::{Port, PORTS};
 use apiary_sim::{ensure, Cycle};
 use std::collections::VecDeque;
@@ -114,12 +114,13 @@ impl Noc {
                 == self.stats.delivered + self.dropped_in_flight + self.pending() as u64,
             "message conservation"
         );
+        let stats = self.stats();
         let sent: u64 = self.link_counts().iter().flatten().sum();
         ensure!(
-            sent == self.stats.flit_hops,
+            sent == stats.flit_hops,
             "per-link counts do not sum to flit hops"
         );
-        self.check_flights()
+        self.check_flights(&stats)
     }
 
     /// The laws of open flights: every live packet flies and the mesh holds
@@ -127,8 +128,9 @@ impl Noc {
     /// order, and still eligible; claims are a fresh count and no output is
     /// claimed by two sources; two routes of one source share outputs only
     /// along a common prefix; every posted landing cycle is a fresh
-    /// evaluation's; and the counters carry exactly the closed form's share.
-    fn check_flights(&self) -> Result<(), String> {
+    /// evaluation's; and the counters as read (`stats`) are the stored ones
+    /// plus exactly the fliers' granted share.
+    fn check_flights(&self, stats: &NocStats) -> Result<(), String> {
         let fl = &self.flights;
         if fl.fliers.is_empty() {
             let free = fl.claims.iter().all(|c| *c == Claim::default());
@@ -165,7 +167,7 @@ impl Noc {
             );
         }
         let mut claims = vec![Claim::default(); fl.claims.len()];
-        let (mut flit_hops, mut ejected) = (fl.base.flit_hops, fl.base.ejected);
+        let (mut flit_hops, mut ejected) = (self.stats.flit_hops, self.stats.flits_ejected);
         for p in &fl.fliers {
             ensure!(p.lands > Cycle(now), "a flight open on or past its landing");
             ensure!(
@@ -203,8 +205,8 @@ impl Noc {
             ensure!(hops == p.hops, "slot {}'s route changed length", p.slot);
         }
         ensure!(fl.claims == claims, "claims are not a fresh count");
-        ensure!(self.stats.flit_hops == flit_hops, "flit hops");
-        ensure!(self.stats.flits_ejected == ejected, "flits ejected");
+        ensure!(stats.flit_hops == flit_hops, "flit hops");
+        ensure!(stats.flits_ejected == ejected, "flits ejected");
         let cycles = self.stats.cycles - fl.base.cycles;
         ensure!(
             cycles == self.now - fl.base.at,
