@@ -6,12 +6,10 @@
 //! with a table of each experiment's host time and simulated cycles. The
 //! artifacts hold only deterministic bytes: a full run on an untouched
 //! checkout leaves `git status results/` clean, and tier-1 and CI check
-//! that it does. Runs are full sweeps unless `--quick` asks for the
-//! scaled-down configuration the tests use; a quick run prints its reports
-//! and writes nothing, because the committed `results/` are the full-mode
-//! behavioural contract. An unknown flag, an unknown experiment or a suite
-//! flag given to a single experiment is an error (exit 2), never a
-//! silently different run.
+//! that it does. Each experiment has one size, the one `results/`
+//! records. An unknown flag, an unknown experiment or a suite flag given
+//! to a single experiment is an error (exit 2), never a silently
+//! different run.
 //!
 //! Suite flags (`all` only):
 //!
@@ -21,7 +19,7 @@
 //!   a different worker count and fails (exit 1) unless every artifact is
 //!   byte-identical — the contract CI enforces.
 //! - `--det-check=event-vs-dense` replays the suite with every machine on
-//!   the dense per-cycle reference clock (`Run { clock: Dense, .. }`) and
+//!   the dense per-cycle reference clock ([`Run::DENSE`]) and
 //!   fails (exit 1) unless every artifact is byte-identical to the
 //!   event-clock run. The wall-time ratio between the two runs is the
 //!   event-core speedup, printed with the verdict.
@@ -32,14 +30,9 @@
 use apiary_bench::harness::{self, Run};
 use apiary_bench::report::{first_difference, ExperimentReport};
 use apiary_bench::TextTable;
-use apiary_sim::ClockMode;
 use std::time::Instant;
 
-/// What a `--quick` run says in place of `wrote results/...`.
-const QUICK_NOTE: &str = "quick run: scaled-down numbers, nothing written under results/ \
-                          (the committed artifacts are full runs)";
-
-const USAGE: &str = "usage: apiary-exp <all|e01..e19> [--quick] [--jobs N] \
+const USAGE: &str = "usage: apiary-exp <all|e01..e19> [--jobs N] \
                      [--det-check[=jobs]] [--det-check=event-vs-dense]";
 
 /// A parsed command line.
@@ -47,7 +40,6 @@ const USAGE: &str = "usage: apiary-exp <all|e01..e19> [--quick] [--jobs N] \
 struct Args {
     /// Row of [`harness::SUITE`] to run; `None` runs them all.
     only: Option<usize>,
-    quick: bool,
     jobs: Option<usize>,
     det_check_jobs: bool,
     det_check_clock: bool,
@@ -60,7 +52,6 @@ fn parse(argv: &[&str]) -> Result<Args, String> {
     let mut it = argv.iter();
     while let Some(&arg) = it.next() {
         match arg {
-            "--quick" => args.quick = true,
             "--jobs" => {
                 let n = it.next().and_then(|v| v.parse().ok()).filter(|&n| n >= 1);
                 args.jobs = Some(n.ok_or("`--jobs` takes a worker count of at least 1")?);
@@ -141,22 +132,17 @@ fn main() {
         eprintln!("apiary-exp: {e}\n{USAGE}");
         std::process::exit(2);
     });
-    let run = if args.quick { Run::QUICK } else { Run::FULL };
     if let Some(i) = args.only {
         let (_, slug, experiment) = harness::SUITE[i];
-        let r = experiment(run);
+        let r = experiment(Run::EVENT);
         print!("{}", r.rendered);
-        if run.quick {
-            println!("{QUICK_NOTE}");
-        } else {
-            write_artifacts(slug, &r);
-        }
+        write_artifacts(slug, &r);
         return;
     }
     let jobs = args.jobs.unwrap_or_else(harness::default_jobs);
 
     let suite_t0 = Instant::now();
-    let suite = harness::run_suite(run, jobs);
+    let suite = harness::run_suite(Run::EVENT, jobs);
     let suite_wall_ms = suite_t0.elapsed().as_secs_f64() * 1000.0;
     let reports = &suite.reports;
 
@@ -165,12 +151,8 @@ fn main() {
         // clock: the event core must be an invisible optimisation, so every
         // artifact must match byte for byte. The wall-time ratio is the
         // measured event-core speedup on this workload.
-        let dense_run = Run {
-            clock: ClockMode::Dense,
-            ..run
-        };
         let dense_t0 = Instant::now();
-        let dense = harness::run_suite(dense_run, jobs).reports;
+        let dense = harness::run_suite(Run::DENSE, jobs).reports;
         let dense_wall_ms = dense_t0.elapsed().as_secs_f64() * 1000.0;
         require_identical(reports, &dense, "event and dense clocks");
         let speedup = dense_wall_ms / suite_wall_ms.max(1e-9);
@@ -186,7 +168,7 @@ fn main() {
         // replay still uses two workers, so the check always crosses job
         // counts.
         let alt_jobs = if jobs == 1 { 2 } else { 1 };
-        let replay = harness::run_suite(run, alt_jobs).reports;
+        let replay = harness::run_suite(Run::EVENT, alt_jobs).reports;
         let across = format!("--jobs {jobs} and --jobs {alt_jobs}");
         require_identical(reports, &replay, &across);
         println!(
@@ -200,12 +182,8 @@ fn main() {
         print!("{}", r.rendered);
         println!();
     }
-    if run.quick {
-        println!("{QUICK_NOTE}");
-    } else {
-        for (r, &(_, slug, _)) in reports.iter().zip(harness::SUITE) {
-            write_artifacts(slug, r);
-        }
+    for (r, &(_, slug, _)) in reports.iter().zip(harness::SUITE) {
+        write_artifacts(slug, r);
     }
 
     // Host time stays on stdout: it is the one thing here that differs run
@@ -246,15 +224,13 @@ mod tests {
             all,
             Args {
                 only: None,
-                quick: false,
                 jobs: Some(3),
                 det_check_jobs: true,
                 det_check_clock: true,
             }
         );
         assert!(parse(&["all", "--det-check=jobs"]).unwrap().det_check_jobs);
-        let one = parse(&["--quick", "e16"]).unwrap();
-        assert_eq!((one.only, one.quick), (Some(15), true));
+        assert_eq!(parse(&["e16"]).unwrap().only, Some(15));
         assert_eq!(parse(&["e01"]).unwrap().only, Some(0));
         assert_eq!(parse(&["e19"]).unwrap().only, Some(18));
     }
@@ -271,7 +247,10 @@ mod tests {
             // The host-clock guard is gone, not ignored (spelt in halves so
             // a grep for the retired name finds nothing).
             &["all", concat!("--bench", "-guard")],
-            &["all", "--quick", concat!("--bench", "-guard")],
+            // So is the scaled-down run: an old script fails loudly
+            // instead of silently running the full sweep.
+            &["e01", "--quick"],
+            &["--quick", "all"],
         ] {
             let err = parse(argv).unwrap_err();
             assert!(err.starts_with("unknown flag"), "{argv:?}: {err}");
@@ -285,7 +264,7 @@ mod tests {
             assert!(err.starts_with("unknown experiment"), "{id}: {err}");
         }
         assert!(parse(&[]).is_err());
-        assert!(parse(&["--quick"]).is_err());
+        assert!(parse(&["--det-check"]).is_err());
         assert!(parse(&["e01", "e02"]).is_err());
         assert!(parse(&["all", "all"]).is_err());
     }
@@ -297,7 +276,7 @@ mod tests {
             &["all", "--jobs", "0"],
             &["all", "--jobs", "-1"],
             &["all", "--jobs", "two"],
-            &["all", "--jobs", "--quick"],
+            &["all", "--jobs", "--det-check"],
         ] {
             let err = parse(argv).unwrap_err();
             assert!(err.contains("--jobs"), "{argv:?}: {err}");

@@ -59,32 +59,3 @@ fn format_cells(n: u64) -> String {
     }
     out
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reproduces_paper_values() {
-        let out = report(Run::QUICK).rendered;
-        for needle in [
-            "582,720",
-            "876,160",
-            "862,000",
-            "3,780,000",
-            "XC7V585T",
-            "VU29P",
-            "Virtex 7",
-            "Virtex Ultrascale+",
-        ] {
-            assert!(out.contains(needle), "missing {needle} in:\n{out}");
-        }
-    }
-
-    #[test]
-    fn growth_factors_reported() {
-        let out = report(Run::QUICK).rendered;
-        assert!(out.contains("1.48x"));
-        assert!(out.contains("4.31x"));
-    }
-}

@@ -98,12 +98,8 @@ fn run_host(compute: u64, requests: u64, mode: HostMode) -> (apiary_sim::Histogr
 
 /// Runs the experiment; returns the structured report.
 pub fn report(run: Run) -> ExperimentReport {
-    let requests: u64 = if run.quick { 30 } else { 300 };
-    let computes: &[u64] = if run.quick {
-        &[256, 4096]
-    } else {
-        &[64, 256, 1024, 4096, 16384]
-    };
+    let requests: u64 = 300;
+    let computes: &[u64] = &[64, 256, 1024, 4096, 16384];
     let energy = EnergyModel::new();
     let amorphos = HostMode::AmorphOs {
         slice_period: 50_000,
@@ -187,7 +183,7 @@ mod tests {
     #[test]
     fn direct_beats_coyote_at_small_compute() {
         let requests = 20;
-        let (d, _, _, _) = run_direct(Run::QUICK, 256, requests);
+        let (d, _, _, _) = run_direct(Run::EVENT, 256, requests);
         let (c, _, _) = run_host(256, requests, HostMode::Coyote);
         assert!(
             c.p50() > d.p50(),
@@ -211,12 +207,5 @@ mod tests {
             },
         );
         assert!(a.mean() > c.mean());
-    }
-
-    #[test]
-    fn report_renders() {
-        let out = report(Run::QUICK).rendered;
-        assert!(out.contains("speedup"));
-        assert!(out.contains("energy ratio"));
     }
 }

@@ -73,7 +73,7 @@ pub fn report(run: Run) -> ExperimentReport {
     assert!(matches!(err, SendError::Cap(CapError::StaleRef)));
 
     // Part B: the cost of checking.
-    let requests: u64 = if run.quick { 40 } else { 400 };
+    let requests: u64 = 400;
     let mut t = TextTable::new(&[
         "config",
         "RTT p50 (cyc)",
@@ -162,33 +162,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn enforcement_section_present() {
-        let out = report(Run::QUICK).rendered;
-        assert!(out.contains("invalid capability reference"));
-        assert!(out.contains("stale capability reference"));
-        assert!(out.contains("Monitor denial counter       -> 2"));
-    }
-
-    #[test]
-    fn one_cycle_check_is_cheap() {
-        let out = report(Run::QUICK).rendered;
-        // The realistic row's overhead column should be small; just check
-        // the row exists and the table rendered.
-        assert!(out.contains("checked (1-cycle, realistic)"));
-        assert!(out.contains("throughput (msg/kcyc)"));
-        assert!(out.contains("Checked-vs-unchecked gap:"));
-    }
-
-    #[test]
     fn flow_cache_closes_the_gap() {
         // The acceptance bar for the batched-verdict path: checked
         // throughput within 2% of unchecked.
-        let gap = report(Run::QUICK)
-            .metrics
-            .f64("checked_vs_unchecked_gap_pct");
-        assert!(
-            gap.abs() < 2.0,
-            "checked-vs-unchecked gap {gap:.2}% exceeds 2%"
-        );
+        crate::conclusion_tests::assert_hold(&report(Run::EVENT));
     }
 }

@@ -125,7 +125,7 @@ fn run_policy(run: Run, policy: FaultPolicy, requests: u64) -> Outcome {
 
 /// Runs the experiment; returns the structured report.
 pub fn report(run: Run) -> ExperimentReport {
-    let requests = if run.quick { 40 } else { 200 };
+    let requests = 200;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -185,8 +185,8 @@ mod tests {
 
     #[test]
     fn preemption_recovers_much_faster_than_reconfig() {
-        let fs = run_policy(Run::QUICK, FaultPolicy::FailStop, 30);
-        let pr = run_policy(Run::QUICK, FaultPolicy::Preempt, 30);
+        let fs = run_policy(Run::EVENT, FaultPolicy::FailStop, 30);
+        let pr = run_policy(Run::EVENT, FaultPolicy::Preempt, 30);
         assert!(
             fs.recovery_cycles > pr.recovery_cycles * 100,
             "fail-stop {} vs preempt {}",
@@ -200,14 +200,7 @@ mod tests {
 
     #[test]
     fn bystander_is_never_affected() {
-        let fs = run_policy(Run::QUICK, FaultPolicy::FailStop, 30);
+        let fs = run_policy(Run::EVENT, FaultPolicy::FailStop, 30);
         assert_eq!(fs.bystander_ok, 30);
-    }
-
-    #[test]
-    fn report_renders() {
-        let out = report(Run::QUICK).rendered;
-        assert!(out.contains("fail-stop + reconfigure"));
-        assert!(out.contains("preempt (context swap)"));
     }
 }

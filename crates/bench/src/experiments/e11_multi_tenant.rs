@@ -194,7 +194,7 @@ fn run_scenario(run: Run, s: Scenario, requests: u64) -> Outcome {
 
 /// Runs the experiment; returns the structured report.
 pub fn report(run: Run) -> ExperimentReport {
-    let requests = if run.quick { 30 } else { 200 };
+    let requests = 200;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -253,8 +253,8 @@ mod tests {
 
     #[test]
     fn honest_colocation_is_cheap() {
-        let alone = run_scenario(Run::QUICK, Scenario::KvAlone, 20);
-        let shared = run_scenario(Run::QUICK, Scenario::WithVideo, 20);
+        let alone = run_scenario(Run::EVENT, Scenario::KvAlone, 20);
+        let shared = run_scenario(Run::EVENT, Scenario::WithVideo, 20);
         assert!(
             shared.kv_p50 < alone.kv_p50 * 3,
             "video neighbour tripled KV latency: {} vs {}",
@@ -267,8 +267,8 @@ mod tests {
 
     #[test]
     fn flood_hurts_then_rate_limit_heals() {
-        let flooded = run_scenario(Run::QUICK, Scenario::WithFlood, 20);
-        let defended = run_scenario(Run::QUICK, Scenario::WithFloodDefended, 20);
+        let flooded = run_scenario(Run::EVENT, Scenario::WithFlood, 20);
+        let defended = run_scenario(Run::EVENT, Scenario::WithFloodDefended, 20);
         assert!(
             defended.kv_p99 < flooded.kv_p99,
             "defended {} vs flooded {}",
@@ -279,12 +279,5 @@ mod tests {
             flooded.tenant_isolation_held,
             "badges must hold under attack"
         );
-    }
-
-    #[test]
-    fn report_renders() {
-        let out = report(Run::QUICK).rendered;
-        assert!(out.contains("KV alone"));
-        assert!(out.contains("flooder rate-limited"));
     }
 }

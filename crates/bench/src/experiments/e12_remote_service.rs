@@ -83,19 +83,15 @@ fn measure(run: Run, remote: bool, think: u64, window: u32, requests: u64) -> Po
 
 /// Runs the experiment; returns the structured report.
 pub fn report(run: Run) -> ExperimentReport {
-    let requests = if run.quick { 15 } else { 100 };
+    let requests = 100;
     // (think, window, label): rare callers are serial; hot callers pipeline.
-    let patterns: &[(u64, u32, &str)] = if run.quick {
-        &[(5_000, 1, "rare (serial)"), (0, 4, "hot (pipelined x4)")]
-    } else {
-        &[
-            (20_000, 1, "very rare (serial)"),
-            (10_000, 1, "rare (serial)"),
-            (3_000, 1, "occasional (serial)"),
-            (0, 2, "busy (pipelined x2)"),
-            (0, 4, "hot (pipelined x4)"),
-        ]
-    };
+    let patterns: &[(u64, u32, &str)] = &[
+        (20_000, 1, "very rare (serial)"),
+        (10_000, 1, "rare (serial)"),
+        (3_000, 1, "occasional (serial)"),
+        (0, 2, "busy (pipelined x2)"),
+        (0, 4, "hot (pipelined x4)"),
+    ];
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -163,8 +159,8 @@ mod tests {
 
     #[test]
     fn remote_costs_wire_when_rare() {
-        let fab = measure(Run::QUICK, false, 5_000, 1, 12);
-        let rem = measure(Run::QUICK, true, 5_000, 1, 12);
+        let fab = measure(Run::EVENT, false, 5_000, 1, 12);
+        let rem = measure(Run::EVENT, true, 5_000, 1, 12);
         // Two 500-cycle crossings, minus fabric's NoC hops.
         assert!(
             rem.p50 > fab.p50 + 800,
@@ -177,14 +173,8 @@ mod tests {
 
     #[test]
     fn remote_tail_blows_up_when_frequent() {
-        let rare = measure(Run::QUICK, true, 5_000, 1, 12);
-        let hot = measure(Run::QUICK, true, 0, 4, 12);
+        let rare = measure(Run::EVENT, true, 5_000, 1, 12);
+        let hot = measure(Run::EVENT, true, 0, 4, 12);
         assert!(hot.p99 > rare.p99 * 2, "hot {} rare {}", hot.p99, rare.p99);
-    }
-
-    #[test]
-    fn report_renders() {
-        let out = report(Run::QUICK).rendered;
-        assert!(out.contains("remote penalty"));
     }
 }

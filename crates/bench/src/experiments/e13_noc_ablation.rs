@@ -33,8 +33,8 @@ fn measure(cfg: NocConfig, cycles: u64, seed: u64) -> (NocStats, u64) {
 }
 
 /// Runs the experiment; returns the structured report.
-pub fn report(run: Run) -> ExperimentReport {
-    let cycles = if run.quick { 4_000 } else { 30_000 };
+pub fn report(_run: Run) -> ExperimentReport {
+    let cycles = 30_000;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -174,12 +174,5 @@ mod tests {
         let (hard, soft) = (&hard.0.latency, &soft.0.latency);
         assert!(hard.p50() < soft.p50());
         assert!(hard.p99() <= soft.p99());
-    }
-
-    #[test]
-    fn report_renders() {
-        let out = report(Run::QUICK).rendered;
-        assert!(out.contains("vc_buffer = 1"));
-        assert!(out.contains("preset: hardened"));
     }
 }

@@ -160,7 +160,7 @@ fn measure(run: Run, pattern: Pattern, window: usize, count: u64) -> Outcome {
 
 /// Runs the experiment; returns the structured report.
 pub fn report(run: Run) -> ExperimentReport {
-    let count = if run.quick { 40 } else { 300 };
+    let count = 300;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -173,7 +173,7 @@ pub fn report(run: Run) -> ExperimentReport {
         "mean latency (cyc)",
         "DRAM row hits",
     ]);
-    let windows: &[usize] = if run.quick { &[1, 8] } else { &[1, 2, 4, 8] };
+    let windows: &[usize] = &[1, 2, 4, 8];
     let mut sim_cycles = 0u64;
     let mut peak_bw = 0.0f64;
     let mut seq_row_hits = 0.0;
@@ -223,8 +223,8 @@ mod tests {
 
     #[test]
     fn window_pipelines_bandwidth() {
-        let one = measure(Run::QUICK, Pattern::Sequential, 1, 30);
-        let eight = measure(Run::QUICK, Pattern::Sequential, 8, 30);
+        let one = measure(Run::EVENT, Pattern::Sequential, 1, 30);
+        let eight = measure(Run::EVENT, Pattern::Sequential, 8, 30);
         // The ceiling is the NoC's reply serialisation (~16 B/cycle for
         // 16 B flits on one ejection port); window 8 should reach it.
         assert!(
@@ -238,20 +238,13 @@ mod tests {
 
     #[test]
     fn sequential_beats_random_on_row_hits() {
-        let seq = measure(Run::QUICK, Pattern::Sequential, 4, 30);
-        let rand = measure(Run::QUICK, Pattern::Random, 4, 30);
+        let seq = measure(Run::EVENT, Pattern::Sequential, 4, 30);
+        let rand = measure(Run::EVENT, Pattern::Random, 4, 30);
         assert!(
             seq.row_hit_pct > rand.row_hit_pct,
             "seq {:.0}% vs random {:.0}%",
             seq.row_hit_pct,
             rand.row_hit_pct
         );
-    }
-
-    #[test]
-    fn report_renders() {
-        let out = report(Run::QUICK).rendered;
-        assert!(out.contains("sequential"));
-        assert!(out.contains("row hits"));
     }
 }

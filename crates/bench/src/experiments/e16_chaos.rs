@@ -177,7 +177,7 @@ pub fn run_one(
 /// report.
 pub fn report(run: Run) -> ExperimentReport {
     let seed = 0xE16;
-    let duration: u64 = if run.quick { 120_000 } else { 400_000 };
+    let duration: u64 = 400_000;
     let (_, baseline, _) = drive_cell(run, seed, 0.0, false, duration);
     let baseline_ok = baseline.completed - baseline.errors;
     let mut sim_cycles = duration;
@@ -220,37 +220,9 @@ mod tests {
 
     #[test]
     fn supervisor_retains_goodput_no_recovery_does_not() {
-        let r = report(Run::QUICK);
         // The lowest sweep rate is the "moderate" cell (~10% link-outage
         // duty cycle plus periodic tile kills); the others are harsher.
-        let moderate = |policy: &str| {
-            r.metrics
-                .arr("runs")
-                .iter()
-                .find(|o| {
-                    (o.f64("fault_rate") - 0.0005).abs() < 1e-9
-                        && o.get("policy") == Some(&Json::from(policy))
-                })
-                .expect("cell")
-        };
-        let no_rec = moderate("no-recovery");
-        let sup = moderate("supervisor");
-        assert!(
-            sup.f64("goodput_retention") >= 0.90,
-            "supervised retention {:.3} below 90%",
-            sup.f64("goodput_retention")
-        );
-        assert!(
-            no_rec.f64("goodput_retention") < 0.90,
-            "no-recovery retention {:.3} unexpectedly high",
-            no_rec.f64("goodput_retention")
-        );
-        assert!(sup.u64("incidents") > 0 && sup.u64("mttr_mean") > 0);
-        assert_eq!(
-            no_rec.u64("incidents"),
-            0,
-            "supervisor off records no incidents"
-        );
+        crate::conclusion_tests::assert_hold(&report(Run::EVENT));
     }
 
     #[test]
@@ -258,7 +230,7 @@ mod tests {
         // A baseline of one response makes the retention column the ok
         // count itself; the row also carries kills and NoC drops.
         let cell = || {
-            let (row, sys) = run_one(Run::QUICK, 7, 0.002, true, 60_000, 1);
+            let (row, sys) = run_one(Run::EVENT, 7, 0.002, true, 60_000, 1);
             (row, sys.mttr_samples(), sys.noc().stats().corrupted_flits)
         };
         let (a, b) = (cell(), cell());

@@ -397,9 +397,9 @@ pub fn run_sharing(run: Run, shared: bool, duration: u64) -> Row {
 
 /// Runs every cell; returns the structured report.
 pub fn report(run: Run) -> ExperimentReport {
-    let mig_duration: u64 = if run.quick { 50_000 } else { 80_000 };
-    let rec_duration: u64 = if run.quick { 36_000 } else { 90_000 };
-    let share_duration: u64 = if run.quick { 30_000 } else { 80_000 };
+    let mig_duration: u64 = 80_000;
+    let rec_duration: u64 = 90_000;
+    let share_duration: u64 = 80_000;
     let interval: u64 = 4_000;
     let preloaded: u64 = 200;
 
@@ -457,8 +457,8 @@ mod tests {
     #[test]
     fn blackout_scales_and_migration_is_warm() {
         let d = 50_000;
-        let small = run_migration(Run::QUICK, 64, d);
-        let large = run_migration(Run::QUICK, 2048, d);
+        let small = run_migration(Run::EVENT, 64, d);
+        let large = run_migration(Run::EVENT, 2048, d);
         let (small, large) = (small.record(), large.record());
         assert!(
             small.bool("warm") && large.bool("warm"),
@@ -482,8 +482,8 @@ mod tests {
     #[test]
     fn warm_recovery_retains_kv_cold_does_not() {
         let d = 36_000;
-        let cold = run_recovery(Run::QUICK, 0, 200, true, d);
-        let warm = run_recovery(Run::QUICK, 4_000, 200, true, d);
+        let cold = run_recovery(Run::EVENT, 0, 200, true, d);
+        let warm = run_recovery(Run::EVENT, 4_000, 200, true, d);
         let (cold, warm) = (cold.record(), warm.record());
         assert_eq!(cold.u64("kills"), 2);
         assert_eq!(warm.u64("kills"), 2);
@@ -505,8 +505,8 @@ mod tests {
     #[test]
     fn sharing_trades_tiles_for_latency() {
         let d = 30_000;
-        let fixed = run_sharing(Run::QUICK, false, d);
-        let shared = run_sharing(Run::QUICK, true, d);
+        let fixed = run_sharing(Run::EVENT, false, d);
+        let shared = run_sharing(Run::EVENT, true, d);
         let (fixed, shared) = (fixed.record(), shared.record());
         assert_eq!(fixed.u64("tiles"), 2);
         assert_eq!(shared.u64("tiles"), 1);
@@ -531,16 +531,16 @@ mod tests {
     #[test]
     fn cells_are_deterministic() {
         assert_eq!(
-            run_migration(Run::QUICK, 256, 40_000),
-            run_migration(Run::QUICK, 256, 40_000)
+            run_migration(Run::EVENT, 256, 40_000),
+            run_migration(Run::EVENT, 256, 40_000)
         );
         assert_eq!(
-            run_recovery(Run::QUICK, 4_000, 100, true, 30_000),
-            run_recovery(Run::QUICK, 4_000, 100, true, 30_000)
+            run_recovery(Run::EVENT, 4_000, 100, true, 30_000),
+            run_recovery(Run::EVENT, 4_000, 100, true, 30_000)
         );
         assert_eq!(
-            run_sharing(Run::QUICK, true, 20_000),
-            run_sharing(Run::QUICK, true, 20_000)
+            run_sharing(Run::EVENT, true, 20_000),
+            run_sharing(Run::EVENT, true, 20_000)
         );
     }
 }

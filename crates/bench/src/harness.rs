@@ -17,31 +17,28 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// What one run of an experiment is handed: how big a sweep to make and
-/// which clock its machines step by. The three constructors are the only
-/// place an experiment builds a machine, so the run's clock reaches every
-/// one of them: a replay under [`ClockMode::Dense`] really is dense
-/// throughout (a source check in this module's tests holds experiment
-/// modules to that, and to advancing those machines only through the
-/// clock-aware primitives, never `tick()`).
+/// What one run of an experiment is handed: which clock its machines step
+/// by. Every experiment has one size, the one `results/` records. The three
+/// constructors are the only place an experiment builds a machine, so the
+/// run's clock reaches every one of them: a replay under
+/// [`ClockMode::Dense`] really is dense throughout (a source check in this
+/// module's tests holds experiment modules to that, and to advancing those
+/// machines only through the clock-aware primitives, never `tick()`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Run {
-    /// The scaled-down configuration the tests use, not the full sweep.
-    pub quick: bool,
     /// The clock every machine of this run carries.
     pub clock: ClockMode,
 }
 
 impl Run {
-    /// The full sweep under the event clock: what `results/` records.
-    pub const FULL: Run = Run {
-        quick: false,
+    /// Under the event clock: what `results/` records.
+    pub const EVENT: Run = Run {
         clock: ClockMode::Event,
     };
-    /// The scaled-down sweep under the event clock.
-    pub const QUICK: Run = Run {
-        quick: true,
-        clock: ClockMode::Event,
+    /// Under the dense per-cycle reference clock, which must reproduce
+    /// [`Run::EVENT`] byte for byte.
+    pub const DENSE: Run = Run {
+        clock: ClockMode::Dense,
     };
 
     /// A board on this run's clock.
@@ -157,7 +154,7 @@ mod tests {
     fn table_names_agree() {
         // `E9` <-> `e09_...`: one number, two spellings. Whether `run`
         // reports under the same id is checked where the whole suite runs
-        // anyway (tests/suite_determinism.rs).
+        // anyway (tests/results_contract.rs).
         for (i, &(id, slug, _)) in SUITE.iter().enumerate() {
             assert_eq!(id, format!("E{}", i + 1));
             assert!(slug.starts_with(&format!("e{:02}_", i + 1)), "{slug}");
@@ -204,11 +201,7 @@ mod tests {
 
     #[test]
     fn a_run_stamps_its_clock_into_every_machine() {
-        let dense = Run {
-            clock: ClockMode::Dense,
-            ..Run::QUICK
-        };
-        for run in [Run::QUICK, dense] {
+        for run in [Run::EVENT, Run::DENSE] {
             assert_eq!(
                 run.system(SystemConfig::default()).config().clock,
                 run.clock

@@ -7,11 +7,10 @@
 //! recorded results.
 //!
 //! Each experiment exposes one entry point, `report(run)`: a
-//! [`harness::Run`] says how big a sweep to make (`quick` is the
-//! scaled-down configuration CI and the tests use) and which clock the
-//! run's machines step by, and `report` returns a structured
-//! [`ExperimentReport`] (rendered prose + machine-readable metrics +
-//! simulated-cycle count). Each line of a result table is one
+//! [`harness::Run`] says which clock the run's machines step by (each
+//! experiment has one size, the one `results/` records), and `report`
+//! returns a structured [`ExperimentReport`] (rendered prose +
+//! machine-readable metrics + simulated-cycle count). Each line of a result table is one
 //! [`report::Row`], written once where its values are measured; the JSON
 //! array and the text table both come from the rows, and tests read the
 //! rows' JSON records back. Experiments build their machines through
@@ -29,3 +28,6 @@ pub mod table;
 
 pub use report::{ExperimentReport, Json};
 pub use table::TextTable;
+
+#[cfg(test)]
+mod conclusion_tests;

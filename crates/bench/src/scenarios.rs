@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn monitor_client_completes_closed_loop() {
         let (mut sys, cap) = client_server(
-            Run::QUICK.system(SystemConfig::default()),
+            Run::EVENT.system(SystemConfig::default()),
             NodeId(0),
             NodeId(5),
             Box::new(echo(4)),
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn think_time_slows_issue_rate() {
         let (mut sys, cap) = client_server(
-            Run::QUICK.system(SystemConfig::default()),
+            Run::EVENT.system(SystemConfig::default()),
             NodeId(0),
             NodeId(5),
             Box::new(echo(1)),
@@ -352,7 +352,7 @@ mod tests {
         let fast_cycles = drive(&mut sys, &mut [&mut fast], 100_000);
 
         let (mut sys2, cap2) = client_server(
-            Run::QUICK.system(SystemConfig::default()),
+            Run::EVENT.system(SystemConfig::default()),
             NodeId(0),
             NodeId(5),
             Box::new(echo(1)),

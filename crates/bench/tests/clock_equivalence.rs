@@ -303,13 +303,7 @@ fn both_clocks_in_one_process() {
 #[test]
 fn cluster_cell_clocks_agree() {
     use apiary_bench::experiments::e17_cluster_scaleout::{run_one, Chaos};
-    let run = |clock| {
-        let run = Run {
-            clock,
-            ..Run::QUICK
-        };
-        format!("{:?}", run_one(run, 2, Chaos::CutLink, 6_000))
-    };
+    let run = |clock| format!("{:?}", run_one(Run { clock }, 2, Chaos::CutLink, 6_000));
     let event = run(ClockMode::Event);
     let dense = run(ClockMode::Dense);
     assert_eq!(event, dense, "cluster cell diverged between clocks");

@@ -1,45 +1,39 @@
-//! `results/` is the behavioural contract, and this is where it is checked:
-//! one full run of the suite must reproduce every committed
-//! `results/<slug>.{json,txt}` byte for byte, no artifact may be empty, and
-//! `results/` holds nothing else. A change that moves a number on purpose
-//! regenerates the files (`apiary-exp all`) and commits them with the
-//! change; one that moves a number by accident fails here.
+//! `results/` is the behavioural contract, and this is where it is checked.
+//! A full run of the suite, under the event clock on eight workers, must
+//! reproduce every committed `results/<slug>.{json,txt}` byte for byte. No
+//! artifact may be empty, and `results/` holds nothing else.
+//! tests/suite_determinism.rs holds the same bytes against the event clock
+//! on one worker and the dense clock on all cores, so the artifacts are the
+//! same for any worker count and under either clock, in the one
+//! configuration `results/` records.
+//!
+//! The bytes say what the numbers are; the conclusion table in
+//! `src/conclusion_tests.rs` says which of them the paper's argument rests
+//! on. A change that moves a number on purpose regenerates the files
+//! (`apiary-exp all`) and commits them with the change; one that moves a
+//! number by accident fails the byte check, and one that overturns a
+//! conclusion fails its row even with regenerated files.
+
+mod common;
 
 use apiary_bench::harness::{self, Run};
-use apiary_bench::report::first_difference;
-use std::path::{Path, PathBuf};
-
-fn results_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
+use common::{assert_reproduces_results, results_dir};
 
 #[test]
 fn a_full_run_reproduces_the_committed_results() {
-    let results = results_dir();
-    let suite = harness::run_suite(Run::FULL, harness::default_jobs());
-    let mut stale = Vec::new();
-    for (report, &(_, slug, _)) in suite.reports.iter().zip(harness::SUITE) {
-        for (ext, fresh) in report.artifacts() {
-            let file = format!("results/{slug}.{ext}");
-            let Ok(committed) = std::fs::read_to_string(results.join(format!("{slug}.{ext}")))
-            else {
-                stale.push(format!("{file} is missing or unreadable"));
-                continue;
-            };
-            if committed.is_empty() {
-                stale.push(format!("{file} is empty"));
-            } else if let Some(at) = first_difference(&committed, &fresh) {
-                stale.push(format!("{file} {at}"));
-            }
-        }
+    let reports = &harness::run_suite(Run::EVENT, 8).reports;
+    for (report, &(id, _, _)) in reports.iter().zip(harness::SUITE) {
+        // Suite order, and every report carries the id its table row names
+        // (the unit test in harness.rs pins those to E1..E19).
+        assert_eq!(report.id, id);
+        let json = report.to_json();
+        assert!(
+            !json.contains("wall_ms") && !json.contains("per_sec"),
+            "{} reports host time:\n{json}",
+            report.id
+        );
     }
-    assert!(
-        stale.is_empty(),
-        "{} artifact(s) differ from the committed results/ (- committed, + this \
-         run; if the change is meant, rerun `apiary-exp all` and commit them):\n{}",
-        stale.len(),
-        stale.join("\n")
-    );
+    assert_reproduces_results(reports, "the event clock at --jobs 8");
 }
 
 #[test]

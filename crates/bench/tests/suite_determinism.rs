@@ -1,51 +1,29 @@
-//! The harness determinism contract: for any `--jobs` value the suite
-//! produces byte-identical artifacts (the JSON report and the rendered
-//! text) in E1..E19 order, and nothing in them comes from the host clock.
-//! Nor from the simulator's: the dense reference clock produces the same
-//! artifacts as the event clock (`--det-check=event-vs-dense` at quick
-//! size, so tier-1 sees a late wakeup without waiting for CI).
+//! The harness determinism contract, on the one configuration `results/`
+//! records. tests/results_contract.rs runs the full suite under the event
+//! clock on eight workers against the committed bytes; here the same bytes
+//! must come from one worker, and from the dense reference clock. Equal to
+//! the same files, the runs are byte-identical: the artifacts do not
+//! depend on `--jobs`, nor on which clock steps the machines (the
+//! `--det-check=event-vs-dense` of `apiary-exp`, which reaches every
+//! deadline of the full runs, E14's swaps included). The two tests run at
+//! once and share the cores.
+
+mod common;
 
 use apiary_bench::harness::{self, Run};
-use apiary_sim::ClockMode;
+use common::assert_reproduces_results;
 
 #[test]
 fn jobs_1_and_jobs_8_are_byte_identical() {
-    let serial = harness::run_suite(Run::QUICK, 1).reports;
-    let parallel = harness::run_suite(Run::QUICK, 8).reports;
-    assert_eq!(serial.len(), parallel.len());
-    for ((a, b), &(id, _, _)) in serial.iter().zip(&parallel).zip(harness::SUITE) {
-        // Suite order, and every report carries the id its table row
-        // names (the unit test in harness.rs pins those to E1..E19).
-        assert_eq!(a.id, id);
-        assert_eq!(
-            a.artifacts(),
-            b.artifacts(),
-            "{} differs between --jobs 1 and --jobs 8",
-            a.id
-        );
-        let json = a.to_json();
-        assert!(
-            !json.contains("wall_ms") && !json.contains("per_sec"),
-            "{} reports host time:\n{json}",
-            a.id
-        );
-    }
+    let reports = harness::run_suite(Run::EVENT, 1).reports;
+    assert_reproduces_results(&reports, "the event clock at --jobs 1");
 }
 
 #[test]
 fn event_and_dense_clocks_are_byte_identical() {
-    let dense = Run {
-        clock: ClockMode::Dense,
-        ..Run::QUICK
-    };
-    let event = harness::run_suite(Run::QUICK, 2).reports;
-    let dense = harness::run_suite(dense, 2).reports;
-    for (a, b) in event.iter().zip(&dense) {
-        assert_eq!(
-            a.artifacts(),
-            b.artifacts(),
-            "{} differs between the event and the dense clock",
-            a.id
-        );
-    }
+    // As many workers as cores: more would only slow the event run beside
+    // it.
+    let jobs = harness::default_jobs().max(2);
+    let reports = harness::run_suite(Run::DENSE, jobs).reports;
+    assert_reproduces_results(&reports, &format!("the dense clock at --jobs {jobs}"));
 }

@@ -620,13 +620,21 @@ impl Fabric {
         self.links.iter().all(Link::idle)
     }
 
-    /// `Err` unless every posted deadline is what its link reports and
-    /// every link's ARQ window holds its laws (acknowledged never exceeds
-    /// sent, outstanding never exceeds the window).
+    /// `Err` unless every posted deadline is what its link reports, every
+    /// link's ARQ window holds its laws (acknowledged never exceeds sent,
+    /// outstanding never exceeds the window), and its receiver stands
+    /// inside that window: it has accepted everything the sender saw
+    /// acknowledged and nothing the sender never sent.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (l, &due) in self.links.iter().zip(&self.due) {
             ensure!(due == l.next_activity(), "stale deadline on {:?}", l.key);
             l.tx.check_invariants()?;
+            let (unacked, expected) = (l.tx.unacked(), l.rx.expected());
+            ensure!(
+                unacked.start <= expected && expected <= unacked.end,
+                "receiver on {:?} expects {expected}, outside the sender's unacked {unacked:?}",
+                l.key
+            );
         }
         Ok(())
     }

@@ -8,6 +8,7 @@
 
 use apiary_sim::{ensure, Cycle, Payload};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A data packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,6 +145,14 @@ impl GoBackNSender {
             }
         }
         self.outbox.drain(..)
+    }
+
+    /// The sequence numbers sent and not yet acknowledged: from the
+    /// oldest unacknowledged packet to the next one [`GoBackNSender::offer`]
+    /// numbers. A receiver fed only by this sender expects a number in
+    /// `start..=end`.
+    pub fn unacked(&self) -> Range<u64> {
+        self.base..self.next_seq
     }
 
     /// Payloads not yet acknowledged.
@@ -456,6 +465,11 @@ mod tests {
                 tx.on_ack(ack, now);
             }
             assert_eq!(tx.check_invariants(), Ok(()));
+            let (sent, expected) = (tx.unacked(), rx.expected());
+            assert!(
+                sent.start <= expected && expected <= sent.end,
+                "{expected} vs {sent:?}"
+            );
             if delivered.len() as u64 == total && tx.idle() {
                 break;
             }
