@@ -68,7 +68,7 @@ pub fn del_req(key: &[u8]) -> Vec<u8> {
 pub fn parse_resp(payload: &[u8]) -> Option<(u8, Option<&[u8]>)> {
     let status = *payload.first()?;
     if payload.len() > 1 {
-        let vlen = u16::from_le_bytes(payload[1..3].try_into().ok()?) as usize;
+        let vlen = u16::from_le_bytes(payload.get(1..3)?.try_into().ok()?) as usize;
         if payload.len() != 3 + vlen {
             return None;
         }
@@ -293,6 +293,20 @@ mod tests {
             a.wake(os.now(), os);
             os.advance(1);
         }
+    }
+
+    #[test]
+    fn a_response_cut_inside_its_length_parses_to_none() {
+        // Two bytes pass the "has a length" test but hold only half of it.
+        assert_eq!(parse_resp(&[status::OK, 5]), None);
+        assert_eq!(
+            parse_resp(&[status::OK, 0, 0]),
+            Some((status::OK, Some(&[][..])))
+        );
+        assert_eq!(
+            parse_resp(&[status::NOT_FOUND]),
+            Some((status::NOT_FOUND, None))
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use apiary_accel::apps::hash::HashService;
 use apiary_accel::apps::kv::{self, KvStoreService};
 use apiary_accel::apps::multi::MultiService;
 use apiary_accel::apps::vector::VectorService;
-use apiary_accel::apps::video::VideoEncoderService;
+use apiary_accel::apps::video::{self as video_app, VideoEncoderService};
 use apiary_accel::codec::{lz, video};
 use apiary_accel::os::test_os::MockOs;
 use apiary_accel::{Accelerator, Service, ServiceAction, StateError, TileOs};
@@ -183,6 +183,33 @@ proptest! {
                 prop_assert_eq!(frame.pixels.len(), (frame.width * frame.height) as usize);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// No decoder a message payload reaches panics on arbitrary bytes: a
+    /// parser returns a value or `None`, and a service answers a malformed
+    /// request (an error reply, say) instead of panicking. Half the inputs
+    /// are under 8 bytes, where a length field can be cut in two.
+    #[test]
+    fn payload_decoders_never_panic(
+        data in prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..8),
+            prop::collection::vec(any::<u8>(), 0..512),
+        ],
+        badge in any::<u64>(),
+    ) {
+        let _ = kv::parse_resp(&data);
+        let _ = video_app::decode_request(&data);
+        let mut os = MockOs::new();
+        let request = deliver(badge, data);
+        let _ = KvStoreService::new().serve(&request, &mut os);
+        let _ = CompressorService::new(Mode::Compress).serve(&request, &mut os);
+        let _ = CompressorService::new(Mode::Decompress).serve(&request, &mut os);
+        let _ = VideoEncoderService::new(1).serve(&request, &mut os);
+        let _ = EchoService { cost_cycles: 1 }.serve(&request, &mut os);
     }
 }
 

@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn no_cross_app_authority() {
-        crate::conclusion_tests::assert_hold(&report(Run::EVENT));
+        crate::claims::assert_hold([&report(Run::EVENT)]);
     }
 
     #[test]

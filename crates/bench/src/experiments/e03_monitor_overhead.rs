@@ -158,6 +158,6 @@ mod tests {
 
     #[test]
     fn deeper_checks_cost_more_latency() {
-        crate::conclusion_tests::assert_hold(&report(Run::EVENT));
+        crate::claims::assert_hold([&report(Run::EVENT)]);
     }
 }

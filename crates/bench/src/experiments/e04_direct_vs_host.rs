@@ -15,8 +15,7 @@
 //! energy; the gap narrows as compute dominates.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
-use crate::table::TextTable;
+use crate::report::{round2, rows_json, table, ExperimentReport, Json, Row};
 use apiary_accel::apps::echo::echo;
 use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_host::{EnergyModel, HostConfig, HostMode, HostSim};
@@ -107,16 +106,6 @@ pub fn report(run: Run) -> ExperimentReport {
         apps: 4,
     };
 
-    let mut t = TextTable::new(&[
-        "compute (cyc)",
-        "direct p50",
-        "direct p99",
-        "coyote p50",
-        "coyote p99",
-        "amorphos p50",
-        "speedup v coyote",
-        "energy ratio (host/direct)",
-    ]);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -125,8 +114,7 @@ pub fn report(run: Run) -> ExperimentReport {
         requests
     );
     let mut sim_cycles = 0u64;
-    let mut first_speedup = 0.0;
-    let mut first_energy_ratio = 0.0;
+    let mut points = Vec::new();
     for &compute in computes {
         let (d_rtt, d_fpga, d_noc, cyc) = run_direct(run, compute, requests);
         sim_cycles += cyc;
@@ -134,22 +122,23 @@ pub fn report(run: Run) -> ExperimentReport {
         let (a_rtt, _, _) = run_host(compute, requests, amorphos);
         let direct_energy = energy.direct_energy(d_fpga, d_noc) / requests as f64;
         let host_energy = energy.host_energy(c_cpu, c_fpga, requests * 128) / requests as f64;
-        if compute == computes[0] {
-            first_speedup = c_rtt.p50() as f64 / d_rtt.p50() as f64;
-            first_energy_ratio = host_energy / direct_energy;
-        }
-        t.row(&[
-            compute.to_string(),
-            d_rtt.p50().to_string(),
-            d_rtt.p99().to_string(),
-            c_rtt.p50().to_string(),
-            c_rtt.p99().to_string(),
-            a_rtt.p50().to_string(),
-            format!("{:.2}x", c_rtt.p50() as f64 / d_rtt.p50() as f64),
-            format!("{:.2}x", host_energy / direct_energy),
-        ]);
+        let speedup = c_rtt.p50() as f64 / d_rtt.p50() as f64;
+        let energy_ratio = host_energy / direct_energy;
+        points.push(
+            Row::new()
+                .both("compute", "compute (cyc)", compute)
+                .both("direct_p50", "direct p50", d_rtt.p50())
+                .both("direct_p99", "direct p99", d_rtt.p99())
+                .both("coyote_p50", "coyote p50", c_rtt.p50())
+                .both("coyote_p99", "coyote p99", c_rtt.p99())
+                .both("amorphos_p50", "amorphos p50", a_rtt.p50())
+                .json("speedup_vs_coyote", round2(speedup))
+                .text("speedup v coyote", format!("{speedup:.2}x"))
+                .json("energy_ratio", round2(energy_ratio))
+                .text("energy ratio (host/direct)", format!("{energy_ratio:.2}x")),
+        );
     }
-    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(out, "{}", table(&points));
     let _ = writeln!(
         out,
         "All latencies in 250 MHz cycles (4 ns each). The direct path saves the CPU\n\
@@ -159,14 +148,7 @@ pub fn report(run: Run) -> ExperimentReport {
     let metrics = Json::obj()
         .set("requests_per_point", requests)
         .set("compute_points", computes.len())
-        .set(
-            "speedup_vs_coyote_smallest_compute",
-            (first_speedup * 100.0).round() / 100.0,
-        )
-        .set(
-            "energy_ratio_smallest_compute",
-            (first_energy_ratio * 100.0).round() / 100.0,
-        );
+        .set("points", rows_json(&points));
     ExperimentReport::new(
         "E4",
         "Direct-attached vs host-mediated request serving",

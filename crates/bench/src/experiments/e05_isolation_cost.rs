@@ -165,6 +165,6 @@ mod tests {
     fn flow_cache_closes_the_gap() {
         // The acceptance bar for the batched-verdict path: checked
         // throughput within 2% of unchecked.
-        crate::conclusion_tests::assert_hold(&report(Run::EVENT));
+        crate::claims::assert_hold([&report(Run::EVENT)]);
     }
 }

@@ -154,13 +154,6 @@ pub fn report(run: Run) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "Reading: the unmetered flood saturates the service queue — NoC QoS alone\n\
-         cannot fix that (it protects transit, not the endpoint), while the\n\
-         monitor's egress rate limit restores the victim to baseline. Endpoint\n\
-         admission control belongs in the monitor, exactly where §4.5 puts it."
-    );
     let sim_cycles = rows.iter().map(|(_, o)| o.cycles).sum();
     let baseline = &rows[0].1;
     let flooded = &rows[1].1;

@@ -211,13 +211,6 @@ pub fn report(_run: Run) -> ExperimentReport {
         );
     }
     let _ = writeln!(out, "{}", table(&rows));
-    let _ = writeln!(
-        out,
-        "Reading: segments serve exact sizes (zero rounding waste) and check in one\n\
-         cycle. Buddy pays power-of-two rounding; 4 KiB paging pays TLB misses on a\n\
-         large working set; 2 MiB paging trades misses for massive internal\n\
-         fragmentation — the §4.6 design point in one table."
-    );
     let metrics = Json::obj()
         .set("ops", ops)
         .set("arena_mib", CAPACITY >> 20)

@@ -30,7 +30,6 @@ struct Outcome {
     ok_before_recovery: u64,
     errors: u64,
     recovery_cycles: u64,
-    served_total: u64,
     bystander_ok: u64,
     victim_alive_after: bool,
     cycles: u64,
@@ -116,7 +115,6 @@ fn run_policy(run: Run, policy: FaultPolicy, requests: u64) -> Outcome {
         ok_before_recovery: vc.completed - vc.errors,
         errors: vc.errors,
         recovery_cycles,
-        served_total: vc.completed,
         bystander_ok: bc.completed - bc.errors,
         victim_alive_after: sys.tile(victim).monitor.state() == TileState::Running,
         cycles: sys.now().as_u64(),
@@ -154,22 +152,8 @@ pub fn report(run: Run) -> ExperimentReport {
             .both("tile_alive_after", "tile alive after", o.victim_alive_after);
         metrics.put(key, row.record().clone());
         rows.push(row);
-        assert_eq!(
-            o.bystander_ok, requests,
-            "containment violated: bystander lost requests"
-        );
-        let _ = o.served_total;
     }
     let _ = writeln!(out, "{}", table(&rows));
-    let _ = writeln!(
-        out,
-        "Reading: fail-stop answers every request during the outage with an error and\n\
-         pays a bitstream-load recovery (~{} cycles at 4 B/cycle for a 512 KiB partial\n\
-         bitstream); preemption recovers in tens of cycles and keeps the tile's state.\n\
-         In both cases the bystander application never loses a request — faults do not\n\
-         propagate past the monitor (§4.4's fail-stop guarantee).",
-        BITSTREAM_BYTES / 4
-    );
     ExperimentReport::new(
         "E8",
         "Fault containment: fail-stop vs preemption under load",

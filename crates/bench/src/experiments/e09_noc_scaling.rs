@@ -111,13 +111,6 @@ pub fn report(_run: Run) -> ExperimentReport {
         );
         let _ = writeln!(out, "pattern: {}\n{}", pattern.name(), t.render());
     }
-    let _ = writeln!(
-        out,
-        "Reading: neighbour traffic scales linearly with mesh size; uniform traffic\n\
-         saturates at the bisection; hotspot throughput is capped by the single\n\
-         ejection port regardless of mesh size — shared services need replication\n\
-         (E10) or admission control (E6), not a bigger network."
-    );
     ExperimentReport::new(
         "E9",
         "NoC scaling: throughput and latency vs offered load",

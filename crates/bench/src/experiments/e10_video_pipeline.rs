@@ -170,13 +170,6 @@ pub fn report(run: Run) -> ExperimentReport {
         let _ = (r.bytes_in, r.bytes_out);
     }
     let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "Reading: lanes scale near-linearly until the shared ingress tile's single\n\
-         injection port becomes the bottleneck — the §3 scalability story, including\n\
-         its limit. Composition needed no changes to either accelerator: the kernel\n\
-         re-pointed 'next' capabilities."
-    );
     let metrics = Json::obj()
         .set("frames_per_lane_run", frames)
         .set("frames_per_mcycle_1lane", (base * 10.0).round() / 10.0)

@@ -231,13 +231,6 @@ pub fn report(run: Run) -> ExperimentReport {
         rows.push(row);
     }
     let _ = writeln!(out, "{}", table(&rows));
-    let _ = writeln!(
-        out,
-        "Reading: honest co-location is nearly free (distinct tiles, mostly disjoint\n\
-         paths). A flooding co-tenant of the *same store* is the §2 threat — and the\n\
-         monitor's rate limit restores the victim while badge-namespacing keeps the\n\
-         attacker's reads away from the victim's keys throughout."
-    );
     ExperimentReport::new(
         "E11",
         "Mutually distrusting tenants: co-location, attack, defense",

@@ -127,16 +127,6 @@ pub fn report(run: Run) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "Reading: serial (rare) callers pay the remote path a fixed ~1000-cycle wire\n\
-         penalty (1.5x here) — a fine trade for freeing a tile and its logic area.\n\
-         Under pipelined load both implementations saturate at the function's\n\
-         service rate and the wire hides under queueing — but scaling past that\n\
-         point means renting remote cores versus adding fabric replicas the kernel\n\
-         wires in for free (E10). Either way the FPGA never needed a host of its\n\
-         own (§6 Q3)."
-    );
     let metrics = Json::obj()
         .set("func_cycles", FUNC_CYCLES)
         .set("patterns", patterns.len())

@@ -89,14 +89,6 @@ pub fn report(_run: Run) -> ExperimentReport {
     add("preset: soft".to_string(), base);
     add("preset: hardened".to_string(), NocConfig::hardened(4, 4));
     let _ = writeln!(out, "{}", table(&rows));
-    let _ = writeln!(
-        out,
-        "Reading: buffer depth mainly trims the tail (credit stalls); flit width cuts\n\
-         serialisation of bulk messages (the dominant term for 512 B payloads); hop\n\
-         pipeline latency is a flat per-hop tax. The hardened preset combines wide\n\
-         flits and zero-bubble hops — the quantitative case for §4.3's preference\n\
-         for hardened NoCs."
-    );
     let p50 = |variant: &str| {
         rows.iter()
             .map(Row::record)

@@ -166,13 +166,6 @@ pub fn report(run: Run) -> ExperimentReport {
          (64 KiB bitstream = 16384-cycle outage per swap; client sends every ~1000 cyc):\n{}",
         table(&rows)
     );
-    let _ = writeln!(
-        out,
-        "Reading: a swap costs bitstream/4 cycles of tile downtime, during which every\n\
-         request is answered with a clean error (fail-stop, never a hang); availability\n\
-         is simply uptime/(uptime+outage). Schedulers in the AmorphOS/Coyote tradition\n\
-         can multiplex Apiary tiles with exactly these constants."
-    );
     metrics.put("availability_under_churn", rows_json(&rows));
     ExperimentReport::new(
         "E14",
@@ -189,6 +182,6 @@ mod tests {
 
     #[test]
     fn longer_periods_mean_higher_availability() {
-        crate::conclusion_tests::assert_hold(&report(Run::EVENT));
+        crate::claims::assert_hold([&report(Run::EVENT)]);
     }
 }

@@ -195,15 +195,6 @@ pub fn report(run: Run) -> ExperimentReport {
         }
     }
     let _ = writeln!(out, "{}", t.render());
-    let _ = writeln!(
-        out,
-        "Reading: one outstanding read leaves the path idle most of the time; a small\n\
-         window pipelines monitor checks, NoC transit and DRAM access until the NoC's\n\
-         bulk-transfer serialisation becomes the ceiling. Sequential streams keep the\n\
-         row buffer hot; random access pays misses but bank interleave still overlaps\n\
-         them. The §2 accelerators get near-wire memory bandwidth with a handful of\n\
-         outstanding requests — no shared-virtual-memory machinery required (§4.6)."
-    );
     let metrics = Json::obj()
         .set("reads_per_point", count)
         .set("peak_bytes_per_cycle", (peak_bw * 100.0).round() / 100.0)

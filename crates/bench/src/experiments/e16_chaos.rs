@@ -39,15 +39,16 @@ const KILL_CODE: u32 = 0xC4A0_0016;
 
 /// Drives one cell: `duration` cycles of closed-loop load against a
 /// supervised echo service while the chaos plane and the tile-killer run,
-/// then the drain every cell must reach. Returns the drained machine, the
-/// driven client and the tile kills injected.
+/// then the drain every cell must reach. Returns the machine, the driven
+/// client, the tile kills injected and whether the drain came (no injected
+/// fault may wedge the network; the `E16.drains` claim reads it).
 fn drive_cell(
     run: Run,
     seed: u64,
     fault_rate: f64,
     recovery: bool,
     duration: u64,
-) -> (System, MonitorClient, u64) {
+) -> (System, MonitorClient, u64, bool) {
     let mut sys = run.system(SystemConfig {
         supervisor: SupervisorConfig {
             enabled: recovery,
@@ -117,12 +118,9 @@ fn drive_cell(
         }
         ControlFlow::Continue(Cycle(next_kill))
     });
-    // Stop issuing and drain: no injected fault may wedge the network.
-    assert!(
-        drain(&mut sys, &mut clients),
-        "chaos run (rate {fault_rate}, recovery {recovery}) failed to drain"
-    );
-    (sys, vc, kills)
+    // Stop issuing and drain.
+    let drained = drain(&mut sys, &mut clients);
+    (sys, vc, kills, drained)
 }
 
 /// Drives one cell and writes its row, goodput retention taken against the
@@ -136,7 +134,7 @@ pub fn run_one(
     duration: u64,
     baseline_ok: u64,
 ) -> (Row, System) {
-    let (sys, vc, kills) = drive_cell(run, seed, fault_rate, recovery, duration);
+    let (sys, vc, kills, drained) = drive_cell(run, seed, fault_rate, recovery, duration);
     let retention = (vc.completed - vc.errors) as f64 / baseline_ok.max(1) as f64;
     let incidents = sys.incidents();
     let abandoned = incidents.iter().filter(|i| i.abandoned()).count();
@@ -169,7 +167,7 @@ pub fn run_one(
         )
         .text("blast tiles", blast_tiles)
         .text("noc dropped", sys.noc().stats().dropped())
-        .json("drained", true); // `drive_cell` asserts it
+        .json("drained", drained);
     (row, sys)
 }
 
@@ -178,7 +176,8 @@ pub fn run_one(
 pub fn report(run: Run) -> ExperimentReport {
     let seed = 0xE16;
     let duration: u64 = 400_000;
-    let (_, baseline, _) = drive_cell(run, seed, 0.0, false, duration);
+    let (_, baseline, _, drained) = drive_cell(run, seed, 0.0, false, duration);
+    assert!(drained, "the fault-free baseline failed to drain");
     let baseline_ok = baseline.completed - baseline.errors;
     let mut sim_cycles = duration;
     let mut rows = Vec::new();
@@ -192,13 +191,7 @@ pub fn report(run: Run) -> ExperimentReport {
     let rendered = format!(
         "E16: Chaos — goodput retention and MTTR under injected faults\n\
          ({duration} cycles of closed-loop load per cell; fault-free baseline \
-         {baseline_ok} ok responses)\n\n{}\n\
-         Reading: without recovery the first tile kill is fatal — goodput is capped\n\
-         by whenever it lands. The supervisor holds goodput near baseline by paying a\n\
-         bounded MTTR (backoff + bitstream) per kill; NoC-level faults cost only the\n\
-         packets they touch (checksummed drops + timeouts), never the network: every\n\
-         run drains to quiescence. Blast radius stays at the killed tile — monitors\n\
-         contain faults (§4.4).\n",
+         {baseline_ok} ok responses)\n\n{}",
         table(&rows)
     );
     let metrics = Json::obj()
@@ -222,7 +215,7 @@ mod tests {
     fn supervisor_retains_goodput_no_recovery_does_not() {
         // The lowest sweep rate is the "moderate" cell (~10% link-outage
         // duty cycle plus periodic tile kills); the others are harsher.
-        crate::conclusion_tests::assert_hold(&report(Run::EVENT));
+        crate::claims::assert_hold([&report(Run::EVENT)]);
     }
 
     #[test]

@@ -255,7 +255,7 @@ mod tests {
     fn goodput_scales_and_chaos_retains_80_percent() {
         // Also that the kill cell exercised failover and the cut cell the
         // ARQ.
-        crate::conclusion_tests::assert_hold(&report(Run::EVENT));
+        crate::claims::assert_hold([&report(Run::EVENT)]);
     }
 
     #[test]

@@ -426,13 +426,7 @@ pub fn report(run: Run) -> ExperimentReport {
         "E19: Checkpoint/restore plane — warm recovery, live migration, tile sharing\n\n\
          Live migration (board 0 -> 1):\n{}\n\
          Warm vs cold recovery (supervised KV, 2 kills):\n{}\n\
-         Preemptive sharing vs static partitioning:\n{}\n\
-         Reading: blackout grows with state size (fixed quiesce + per-byte fabric\n\
-         serialization + per-byte ICAP restore) while the client keeps resolving the\n\
-         service by name — zero re-attach. Checkpointed restarts restore the latest\n\
-         snapshot, so the preload survives every kill; cold restarts retain nothing.\n\
-         Sharing one tile halves the tile budget at the cost of per-swap\n\
-         partial-reconfig downtime and slice-boundary waits in tenant p99.\n",
+         Preemptive sharing vs static partitioning:\n{}",
         table(&migrations),
         table(&recovery),
         table(&sharing)

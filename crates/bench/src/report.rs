@@ -1,18 +1,20 @@
 //! Structured experiment reports.
 //!
 //! Every experiment produces an [`ExperimentReport`]: the rendered prose, a
-//! machine-readable `metrics` value, and the simulated-cycle count behind
-//! it. A report is exactly what gets committed under `results/`, so it
-//! holds nothing read from the host clock: every byte of
-//! [`ExperimentReport::artifacts`] is identical run to run, for any
-//! `--jobs` and under either simulated clock. Host time is the harness's
-//! business ([`crate::harness::SuiteRun::wall_ms`]) and `benchmark/`'s.
+//! machine-readable `metrics` value, the simulated-cycle count behind it,
+//! and the verdicts of its claims ([`crate::claims`]). A report is exactly
+//! what gets committed under `results/`, so it holds nothing read from the
+//! host clock: every byte of [`ExperimentReport::artifacts`] is identical
+//! run to run, for any `--jobs` and under either simulated clock. Host time
+//! is the harness's business ([`crate::harness::SuiteRun::wall_ms`]) and
+//! `benchmark/`'s.
 //!
 //! The workspace builds offline (no serde), so [`Json`] is a minimal
 //! order-preserving JSON value with a deterministic renderer. A result
 //! table is a list of [`Row`]s: each line is written once, and both its
 //! JSON object and its text cells come from that one write.
 
+use crate::claims::{self, Verdict};
 use crate::table::TextTable;
 use core::fmt::{Display, Write};
 
@@ -66,7 +68,7 @@ impl Json {
     }
 
     /// The value at `key`; panics naming the key when it is missing.
-    fn field(&self, key: &str) -> &Json {
+    pub fn field(&self, key: &str) -> &Json {
         self.get(key)
             .unwrap_or_else(|| panic!("no key \"{key}\" in {}", self.render()))
     }
@@ -86,6 +88,19 @@ impl Json {
         match self.field(key) {
             Json::F64(x) => *x,
             v => panic!("\"{key}\" is {}, not an f64", v.render()),
+        }
+    }
+
+    /// The number at `key` as an `f64`, whatever its JSON type; a boolean
+    /// reads 1 or 0. Panics, naming the key, when it is missing or not a
+    /// number.
+    pub fn num(&self, key: &str) -> f64 {
+        match self.field(key) {
+            Json::U64(n) => *n as f64,
+            Json::I64(n) => *n as f64,
+            Json::F64(x) => *x,
+            Json::Bool(b) => f64::from(u8::from(*b)),
+            v => panic!("\"{key}\" is {}, not a number", v.render()),
         }
     }
 
@@ -272,24 +287,33 @@ pub struct ExperimentReport {
     pub sim_cycles: u64,
     /// Headline metrics, machine-readable.
     pub metrics: Json,
-    /// The human-readable report.
+    /// Every claim of this experiment, evaluated on `metrics`.
+    pub claims: Vec<Verdict>,
+    /// The human-readable report, ending with its `Claims:` block.
     pub rendered: String,
 }
 
 impl ExperimentReport {
-    /// A report from its five parts.
+    /// A report from its five parts. Evaluates the experiment's claims on
+    /// `metrics` and appends their `Claims:` block to the text (none when
+    /// the experiment has no claim).
     pub fn new(
         id: &'static str,
         title: &'static str,
         sim_cycles: u64,
         metrics: Json,
-        rendered: String,
+        mut rendered: String,
     ) -> ExperimentReport {
+        let claims = claims::evaluate_all(id, &metrics);
+        if !claims.is_empty() {
+            rendered = format!("{}\n\n{}", rendered.trim_end(), claims::block(&claims));
+        }
         ExperimentReport {
             id,
             title,
             sim_cycles,
             metrics,
+            claims,
             rendered,
         }
     }
@@ -301,6 +325,10 @@ impl ExperimentReport {
             .set("title", self.title)
             .set("sim_cycles", self.sim_cycles)
             .set("metrics", self.metrics.clone())
+            .set(
+                "claims",
+                Json::Arr(self.claims.iter().map(Verdict::to_json).collect()),
+            )
             .render_pretty()
     }
 
@@ -431,6 +459,11 @@ pub fn first_difference(a: &str, b: &str) -> Option<String> {
     })?
 }
 
+/// Rounds to 2 decimals, as a table prints a ratio.
+pub fn round2(x: f64) -> f64 {
+    (x * 100.0).round() / 100.0
+}
+
 /// Rounds to 3 decimals so a derived ratio doesn't print 17 digits.
 pub fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
@@ -477,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_the_four_deterministic_fields() {
+    fn report_json_is_the_five_deterministic_fields() {
         let r = ExperimentReport::new(
             "E0",
             "test",
@@ -489,7 +522,8 @@ mod tests {
         assert_eq!(
             j,
             "{\n  \"experiment\": \"E0\",\n  \"title\": \"test\",\n  \
-             \"sim_cycles\": 1000,\n  \"metrics\": {\n    \"k\": 1\n  }\n}\n"
+             \"sim_cycles\": 1000,\n  \"metrics\": {\n    \"k\": 1\n  },\n  \
+             \"claims\": []\n}\n"
         );
         assert_eq!(r.artifacts(), [("json", j), ("txt", "body".to_string())]);
     }

@@ -7,15 +7,17 @@
 //! same for any worker count and under either clock, in the one
 //! configuration `results/` records.
 //!
-//! The bytes say what the numbers are; the conclusion table in
-//! `src/conclusion_tests.rs` says which of them the paper's argument rests
-//! on. A change that moves a number on purpose regenerates the files
+//! The bytes say what the numbers are; the claim table in `src/claims/`
+//! says which of them the paper's argument rests on, and each report ends
+//! with its claims' verdicts (the `Claims:` block, the `claims` array). A
+//! change that moves a number on purpose regenerates the files
 //! (`apiary-exp all`) and commits them with the change; one that moves a
 //! number by accident fails the byte check, and one that overturns a
-//! conclusion fails its row even with regenerated files.
+//! claim fails here even with regenerated files.
 
 mod common;
 
+use apiary_bench::claims;
 use apiary_bench::harness::{self, Run};
 use common::{assert_reproduces_results, results_dir};
 
@@ -33,6 +35,7 @@ fn a_full_run_reproduces_the_committed_results() {
             report.id
         );
     }
+    claims::assert_hold(reports);
     assert_reproduces_results(reports, "the event clock at --jobs 8");
 }
 

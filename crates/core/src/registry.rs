@@ -203,6 +203,17 @@ mod tests {
         assert!(os.sent.is_empty());
     }
 
+    proptest::proptest! {
+        /// Any reply payload decodes to a binding, a miss or `None`; none
+        /// panics.
+        #[test]
+        fn lookup_reply_decoder_never_panics(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            let _ = decode_lookup_reply(&data);
+        }
+    }
+
     #[test]
     fn malformed_replies_rejected_by_decoder() {
         assert_eq!(decode_lookup_reply(&[]), None);

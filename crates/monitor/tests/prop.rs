@@ -1,5 +1,6 @@
 //! Property-based tests for the monitor's policy mechanisms.
 
+use apiary_monitor::monitor::wire_mem;
 use apiary_monitor::TokenBucket;
 use apiary_sim::Cycle;
 use proptest::prelude::*;
@@ -70,5 +71,17 @@ proptest! {
             }
         }
         prop_assert_eq!(tb.denials(), total - grants);
+    }
+
+    /// A memory request payload of any bytes decodes to its fields or
+    /// `None` (under 16 bytes), never a panic.
+    #[test]
+    fn memory_request_decoder_never_panics(
+        data in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        match wire_mem::decode(&data) {
+            Some((_, _, rest)) => prop_assert_eq!(rest.len() + 16, data.len()),
+            None => prop_assert!(data.len() < 16),
+        }
     }
 }
