@@ -70,8 +70,8 @@ impl Chaos {
 /// `boards`-wide cluster with one echo replica per board, then the drain
 /// every cell must reach. Returns its row (the goodput retention and drain
 /// keys are the report's to append) and, beside it, the cycle the cell
-/// ended on (warm-up + load + drain).
-pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> (Row, u64) {
+/// ended on (warm-up + load + drain) and whether it drained.
+pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> (Row, u64, bool) {
     let mut c = run.cluster(ClusterConfig {
         boards,
         // At 3x overload a full queue (replica inbox + NoC + gateway
@@ -132,12 +132,6 @@ pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> (Row, u64)
     }
     let drained = c.drive(&mut clients[..], DRAIN_LIMIT, |c, _| until(c.quiescent()));
 
-    assert!(
-        drained,
-        "cell ({boards} boards, {}) failed to drain",
-        chaos.label()
-    );
-
     let total = |f: fn(&ClusterClient) -> u64| clients.iter().map(f).sum::<u64>();
     let errors = total(|cl| cl.gen.stats.errors);
     let ok = total(|cl| cl.gen.stats.completed) - errors;
@@ -170,7 +164,7 @@ pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> (Row, u64)
         .json("cut_drops", fs.cut_drops)
         .json("caps_revoked", c.caps_revoked)
         .text("timeouts", c.timeouts);
-    (row, c.now().as_u64())
+    (row, c.now().as_u64(), drained)
 }
 
 /// Successful responses per thousand cycles of driven load.
@@ -195,7 +189,7 @@ pub fn report(run: Run) -> ExperimentReport {
     let mut fault_free_ok = BTreeMap::new();
     let mut chaos_lines = String::new();
     for (boards, chaos) in cells {
-        let (row, cycles) = run_one(run, boards, chaos, duration);
+        let (row, cycles, drained) = run_one(run, boards, chaos, duration);
         sim_cycles += cycles;
         let r = row.record();
         let ok = r.u64("completed_ok");
@@ -216,10 +210,10 @@ pub fn report(run: Run) -> ExperimentReport {
                 r.u64("retransmissions")
             );
         }
-        // The last two keys; `run_one` asserted the drain.
+        // The last two keys.
         rows.push(
             row.json("goodput_retention", round4(retention))
-                .json("drained", true),
+                .json("drained", drained),
         );
     }
     let (ok1, ok8) = (fault_free_ok[&1], fault_free_ok[&8]);

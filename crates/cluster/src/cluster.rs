@@ -28,10 +28,11 @@
 //!
 //! **Event-sparse lockstep.** All live boards share one cycle counter, but
 //! a cluster cycle only touches what is due on it: boards whose cached
-//! next-event deadline has come (the private `board` module), fabric links
-//! with work, and the front of the timeout queue. [`ClusterSystem::tick`]
-//! is the dense reference that visits everything; the two must be
-//! indistinguishable.
+//! next-event deadline has come (the private `board` module), the fabric,
+//! and the front of the timeout queue. The fabric runs its own acks,
+//! switch hops, sends and timers, so it wakes the cluster only to deliver
+//! a frame. [`ClusterSystem::tick`] is the dense reference that visits
+//! everything; the two must be indistinguishable.
 //!
 //! [`CapKind::Remote`]: apiary_cap::CapKind::Remote
 
@@ -205,7 +206,10 @@ impl ClusterSystem {
                 .expect("gateway tile is free on a fresh board");
             boards.push(Board::new(sys, Directory::new(b, cfg.lease)));
         }
-        let fabric = Fabric::new(cfg.boards, cfg.fabric);
+        let mut fabric = Fabric::new(cfg.boards, cfg.fabric);
+        // The cluster starts on cycle 0, which has run: what is sent before
+        // the first step leaves on cycle 1.
+        fabric.catch_up(Cycle::ZERO);
         let balancer = Balancer::new(cfg.seed);
         ClusterSystem {
             next_gossip: Cycle(cfg.gossip_interval),
@@ -312,6 +316,7 @@ impl ClusterSystem {
     /// what they visit, never in what happens.
     fn cycle(&mut self, dense: bool) {
         let now = Cycle(self.ticks);
+        self.catch_up_fabric(now);
         self.advance_boards(now, dense);
         self.drive_migrations(now);
         self.republish_ready(now);
@@ -329,7 +334,7 @@ impl ClusterSystem {
 
     /// The next cycle at which anything in the cluster can happen: a
     /// board's kernel phases come due (including all in-flight NoC
-    /// traffic), a fabric link has work, a gossip round fires, a
+    /// traffic), a frame may reach a board, a gossip round fires, a
     /// cluster-level request timeout expires or a migration's quiesce
     /// window ends. Every cycle strictly before the returned one is
     /// provably a no-op for the whole machine, so the event clock may skip

@@ -3,7 +3,7 @@
 
 use super::ClusterSystem;
 use crate::board::Ingress;
-use crate::fabric::{Body, ClusterMsg};
+use crate::fabric::{Body, ClusterMsg, Retransmits};
 use apiary_cap::ServiceId;
 use apiary_monitor::wire::{KIND_ERROR, KIND_REQUEST};
 use apiary_noc::{NodeId, TrafficClass};
@@ -109,6 +109,29 @@ impl ClusterSystem {
         }
     }
 
+    /// 0. The fabric's internal events of the cycles skipped since the last
+    ///    one, so that whatever this cycle sends leaves on it.
+    pub(super) fn catch_up_fabric(&mut self, now: Cycle) {
+        let retx = self.fabric.catch_up(Cycle(now.0 - 1));
+        self.trace_retransmits(retx);
+    }
+
+    /// Each ARQ retransmission goes into its sending board's trace at the
+    /// cycle it happened on. Inlined: the list is nearly always empty.
+    #[inline]
+    fn trace_retransmits(&mut self, retx: Vec<Retransmits>) {
+        let gw = self.cfg.gateway;
+        for r in retx {
+            let b = &mut self.boards[r.board as usize];
+            if !b.alive {
+                continue;
+            }
+            for _ in 0..r.count {
+                b.trace_remote(gw, r.at, RemotePhase::Retransmit, r.board, 0);
+            }
+        }
+    }
+
     /// 4. Fabric: deliveries and ARQ retransmission attribution.
     pub(super) fn deliver_fabric(&mut self, now: Cycle, dense: bool) {
         let gw = self.cfg.gateway;
@@ -117,15 +140,7 @@ impl ClusterSystem {
         } else {
             self.fabric.step(now)
         };
-        for (src_board, n) in retx {
-            let b = &mut self.boards[src_board as usize];
-            if !b.alive {
-                continue;
-            }
-            for _ in 0..n {
-                b.trace_remote(gw, now, RemotePhase::Retransmit, src_board, 0);
-            }
-        }
+        self.trace_retransmits(retx);
         for msg in deliveries {
             if !self.boards[msg.dst as usize].alive {
                 self.dead_board_drops += 1;

@@ -1,11 +1,11 @@
 //! The inter-board fabric.
 //!
 //! Boards are joined by the same primitives the single-board network
-//! service already trusts: [`Wire`] models each link's serialisation
-//! bandwidth and propagation delay (plus optional seeded loss), and the
-//! go-back-N ARQ from [`apiary_net::arq`] makes every link reliable — the
-//! fabric may delay or reorder *across* links but never loses or reorders
-//! *within* one. Two topologies:
+//! service already trusts: [`Wire`](apiary_net::Wire) models each link's
+//! serialisation bandwidth and propagation delay (plus optional seeded
+//! loss), and the go-back-N ARQ from [`apiary_net::arq`] makes every link
+//! reliable — the fabric may delay or reorder *across* links but never
+//! loses or reorders *within* one. Two topologies:
 //!
 //! - **star**: every board has one uplink/downlink pair to a top-of-rack
 //!   switch that store-and-forwards on the destination header — one hop up,
@@ -18,17 +18,29 @@
 //! so a *transient* cut costs latency while a *permanent* one strands
 //! traffic until lease expiry fails the directory over.
 //!
-//! Links are visited in `(from, to)` key order and only when they have work
-//! ([`Fabric::step`]), so a fabric built from the same config and seed
-//! replays byte-identically and a quiet link costs one comparison.
+//! **External and internal events.** The only event a board can see is a
+//! frame reaching it. Everything else — an ack arriving, a frame reaching
+//! the switch and its forward onto a downlink, a backlog transmission, a
+//! retransmission timer — is internal, and the fabric runs it itself: each
+//! link posts the next cycle a pump can change it, and [`Fabric::step`]
+//! first replays every internal cycle its caller skipped, by cycle, then
+//! link key, then the pump's admit → transmit → receive → ack order,
+//! before it runs the cycle asked for. An ack is not even an event of the
+//! fabric's own unless backlog waits on it or the retransmission timer
+//! could fire before it: it is applied, on the cycle it arrived, when its
+//! link is next pumped or changed. [`Fabric::next_activity`] is therefore
+//! only a lower bound on the next delivery, and the driver need not wake
+//! for anything else. A fabric built from the same config and seed
+//! replays byte-identically however sparsely it is stepped.
 
-use crate::directory::DirEntry;
-use apiary_cap::ServiceId;
-use apiary_net::arq::{Ack, GoBackNReceiver, GoBackNSender, Packet};
-use apiary_net::{Frame, Wire};
-use apiary_noc::NodeId;
-use apiary_sim::{ensure, Cycle, Payload, Reader};
-use std::collections::VecDeque;
+mod clock;
+mod link;
+mod msg;
+
+pub use msg::{Body, ClusterMsg};
+
+use apiary_sim::{ensure, Cycle};
+use link::Link;
 
 /// Endpoint id of the top-of-rack switch (star topology only).
 const TOR: u16 = u16::MAX;
@@ -91,329 +103,17 @@ impl Default for FabricConfig {
     }
 }
 
-/// A message between boards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterMsg {
-    /// Originating board.
-    pub src: u16,
-    /// Destination board.
-    pub dst: u16,
-    /// What it carries.
-    pub body: Body,
-}
-
-/// Fabric message bodies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Body {
-    /// Remote capability invocation: run `service` on the destination
-    /// board, reply with the end-to-end `tag`.
-    Invoke {
-        /// Target service id on the destination board.
-        service: u32,
-        /// End-to-end correlation tag.
-        tag: u64,
-        /// Request payload.
-        payload: Vec<u8>,
-    },
-    /// Response to an [`Body::Invoke`].
-    Reply {
-        /// End-to-end correlation tag.
-        tag: u64,
-        /// The invocation failed (service missing, tile fail-stopped, …).
-        is_error: bool,
-        /// Response payload.
-        payload: Vec<u8>,
-    },
-    /// Anti-entropy directory exchange.
-    Gossip {
-        /// Full snapshot of the sender's directory.
-        entries: Vec<DirEntry>,
-    },
-    /// Live-migration state transfer: the source board ships `name`'s
-    /// quiesced snapshot to the destination. Transfer time is whatever the
-    /// link's bandwidth/latency model charges these bytes — blackout
-    /// scales with state size by construction.
-    Migrate {
-        /// Service id the destination should adopt.
-        service: u32,
-        /// Directory name of the replica being moved.
-        name: String,
-        /// The service's raw architectural state, as
-        /// [`apiary_accel::Accelerator::save_state`] returned it.
-        snapshot: Vec<u8>,
-    },
-}
-
-impl ClusterMsg {
-    /// Serialises for the wire. The switch routes on the 4-byte
-    /// `src`/`dst` header, which rides in-band like any real switch expects.
-    pub fn encode(&self) -> Vec<u8> {
-        // Sized once: the bulk plus the largest fixed part (4 + an invoke's 17).
-        let bulk = match &self.body {
-            Body::Invoke { payload, .. } | Body::Reply { payload, .. } => payload.len(),
-            Body::Gossip { entries } => entries.iter().map(|e| 27 + e.name.len()).sum(),
-            Body::Migrate { name, snapshot, .. } => name.len() + snapshot.len(),
-        };
-        let mut out = Vec::with_capacity(21 + bulk);
-        out.extend_from_slice(&self.src.to_le_bytes());
-        out.extend_from_slice(&self.dst.to_le_bytes());
-        match &self.body {
-            Body::Invoke {
-                service,
-                tag,
-                payload,
-            } => {
-                out.push(0);
-                out.extend_from_slice(&service.to_le_bytes());
-                out.extend_from_slice(&tag.to_le_bytes());
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                out.extend_from_slice(payload);
-            }
-            Body::Reply {
-                tag,
-                is_error,
-                payload,
-            } => {
-                out.push(1);
-                out.push(u8::from(*is_error));
-                out.extend_from_slice(&tag.to_le_bytes());
-                out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                out.extend_from_slice(payload);
-            }
-            Body::Gossip { entries } => {
-                out.push(2);
-                out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
-                for e in entries {
-                    out.extend_from_slice(&e.home.to_le_bytes());
-                    out.extend_from_slice(&e.node.0.to_le_bytes());
-                    out.extend_from_slice(&e.service.0.to_le_bytes());
-                    out.extend_from_slice(&e.version.to_le_bytes());
-                    out.extend_from_slice(&e.expires_at.0.to_le_bytes());
-                    out.push(u8::from(e.withdrawn));
-                    let name = e.name.as_bytes();
-                    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-                    out.extend_from_slice(name);
-                }
-            }
-            Body::Migrate {
-                service,
-                name,
-                snapshot,
-            } => {
-                out.push(3);
-                out.extend_from_slice(&service.to_le_bytes());
-                let nb = name.as_bytes();
-                out.extend_from_slice(&(nb.len() as u16).to_le_bytes());
-                out.extend_from_slice(nb);
-                out.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
-                out.extend_from_slice(snapshot);
-            }
-        }
-        out
-    }
-
-    /// Parses a wire payload; `None` for malformed bytes.
-    pub fn decode(buf: &[u8]) -> Option<ClusterMsg> {
-        let mut r = Reader::new(buf);
-        let src = r.u16()?;
-        let dst = r.u16()?;
-        let body = match r.u8()? {
-            0 => {
-                let service = r.u32()?;
-                let tag = r.u64()?;
-                let len = r.u32()? as usize;
-                Body::Invoke {
-                    service,
-                    tag,
-                    payload: r.bytes(len)?.to_vec(),
-                }
-            }
-            1 => {
-                let is_error = r.u8()? != 0;
-                let tag = r.u64()?;
-                let len = r.u32()? as usize;
-                Body::Reply {
-                    tag,
-                    is_error,
-                    payload: r.bytes(len)?.to_vec(),
-                }
-            }
-            2 => {
-                let count = r.u16()? as usize;
-                // An entry takes at least 27 bytes: a damaged count
-                // reserves no more than the frame could hold.
-                let mut entries = Vec::with_capacity(count.min(buf.len() / 27));
-                for _ in 0..count {
-                    let home = r.u16()?;
-                    let node = NodeId(r.u16()?);
-                    let service = ServiceId(r.u32()?);
-                    let version = r.u64()?;
-                    let expires_at = Cycle(r.u64()?);
-                    let withdrawn = r.u8()? != 0;
-                    let name_len = r.u16()? as usize;
-                    let name = String::from_utf8(r.bytes(name_len)?.to_vec()).ok()?;
-                    entries.push(DirEntry {
-                        name,
-                        home,
-                        node,
-                        service,
-                        version,
-                        expires_at,
-                        withdrawn,
-                    });
-                }
-                Body::Gossip { entries }
-            }
-            3 => {
-                let service = r.u32()?;
-                let name_len = r.u16()? as usize;
-                let name = String::from_utf8(r.bytes(name_len)?.to_vec()).ok()?;
-                let len = r.u32()? as usize;
-                Body::Migrate {
-                    service,
-                    name,
-                    snapshot: r.bytes(len)?.to_vec(),
-                }
-            }
-            _ => return None,
-        };
-        r.is_empty().then_some(ClusterMsg { src, dst, body })
-    }
-}
-
-/// One reliable directed link: wire + ARQ + an unbounded egress backlog
-/// (the egress proxy's queue — the ARQ window is the real admission gate).
-#[derive(Debug)]
-struct Link {
-    /// `(from, to)` endpoints; [`TOR`] is the switch.
-    key: (u16, u16),
-    data: Wire,
-    acks: Wire,
-    tx: GoBackNSender,
-    rx: GoBackNReceiver,
-    backlog: VecDeque<Payload>,
-    up: bool,
-    cut_drops: u64,
-    acks_coalesced: u64,
-}
-
-impl Link {
-    fn new(key: (u16, u16), cfg: &LinkConfig, seed: u64) -> Link {
-        let data = if cfg.loss > 0.0 {
-            Wire::with_loss(cfg.latency, cfg.bytes_per_cycle, cfg.loss, seed)
-        } else {
-            Wire::new(cfg.latency, cfg.bytes_per_cycle)
-        };
-        Link {
-            key,
-            data,
-            // Acks are tiny and travel the reverse direction; loss on them
-            // only delays (cumulative acks), so they share the loss model
-            // through the data wire's retransmissions instead.
-            acks: Wire::new(cfg.latency, cfg.bytes_per_cycle),
-            // Size-aware ARQ timeouts: a bulk frame (e.g. a migration
-            // snapshot) can take longer to serialize than the flat timeout;
-            // scaling the deadline with the outstanding bytes prevents a
-            // retransmission storm while the first copy is still on the wire.
-            tx: GoBackNSender::new(cfg.arq_window, cfg.arq_timeout)
-                .with_serialization_rate(cfg.bytes_per_cycle),
-            rx: GoBackNReceiver::new(),
-            backlog: VecDeque::new(),
-            up: true,
-            cut_drops: 0,
-            acks_coalesced: 0,
-        }
-    }
-
-    /// One cycle: admit backlog into the ARQ window, transmit, receive,
-    /// ack. Appends delivered payloads to `out` and returns how many
-    /// packets were retransmitted this cycle.
-    fn pump(&mut self, now: Cycle, out: &mut Vec<Payload>) -> u64 {
-        let retx_before = self.tx.retransmissions;
-        while let Some(m) = self.backlog.front() {
-            // Admission is a refcount bump: the ARQ window and the backlog
-            // share the same buffer.
-            if self.tx.offer(m.clone(), now) {
-                self.backlog.pop_front();
-            } else {
-                break;
-            }
-        }
-        for pkt in self.tx.transmit(now) {
-            if self.up {
-                self.data.push(
-                    now,
-                    Frame {
-                        client: 0,
-                        port: 0,
-                        tag: pkt.seq,
-                        payload: pkt.payload,
-                    },
-                );
-            } else {
-                self.cut_drops += 1;
-            }
-        }
-        // Acks are cumulative and the receiver's expected-seq only grows,
-        // so a burst of in-order arrivals needs exactly one ack frame: the
-        // last one of the burst dominates every earlier one. Coalescing
-        // frees the reverse wire of (burst - 1) minimum-size frames.
-        let mut burst_ack: Option<Ack> = None;
-        let mut burst_len = 0u64;
-        while let Some(f) = self.data.pop_due(now) {
-            if !self.up {
-                self.cut_drops += 1;
-                continue;
-            }
-            let (delivered, ack) = self.rx.on_packet(Packet {
-                seq: f.tag,
-                payload: f.payload,
-            });
-            if let Some(d) = delivered {
-                out.push(d);
-            }
-            burst_ack = Some(ack);
-            burst_len += 1;
-        }
-        if let Some(ack) = burst_ack {
-            self.acks_coalesced += burst_len - 1;
-            self.acks.push(
-                now,
-                Frame {
-                    client: 0,
-                    port: 0,
-                    tag: ack.next,
-                    payload: Payload::empty(),
-                },
-            );
-        }
-        while let Some(a) = self.acks.pop_due(now) {
-            if self.up {
-                self.tx.on_ack(Ack { next: a.tag }, now);
-            } else {
-                self.cut_drops += 1;
-            }
-        }
-        self.tx.retransmissions - retx_before
-    }
-
-    fn idle(&self) -> bool {
-        self.backlog.is_empty() && self.tx.idle() && self.data.in_flight() == 0
-    }
-
-    /// The earliest cycle at which a pump can do anything: transmit queued
-    /// or backlogged packets ([`Cycle::ZERO`], ready now), hit the ARQ
-    /// retransmission timer, or receive a frame on either wire.
-    /// [`Cycle::MAX`] when the link is completely quiet. Pumping earlier is
-    /// a harmless no-op; pumping later than this would change ARQ timing.
-    fn next_activity(&self) -> Cycle {
-        if self.tx.queued() > 0 || (!self.backlog.is_empty() && self.tx.window_free()) {
-            return Cycle::ZERO;
-        }
-        let arrival = |w: &Wire| w.next_due().unwrap_or(Cycle::MAX);
-        let timeout = self.tx.next_timeout().unwrap_or(Cycle::MAX);
-        timeout.min(arrival(&self.data)).min(arrival(&self.acks))
-    }
+/// ARQ retransmissions one board's link sent on one cycle, for the board's
+/// tracer: in a star a board's uplink, in a mesh any of its links (the
+/// switch's own retransmissions are no board's).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retransmits {
+    /// The sending board.
+    pub board: u16,
+    /// The cycle the packets went out again.
+    pub at: Cycle,
+    /// How many packets.
+    pub count: u64,
 }
 
 /// Aggregate fabric counters.
@@ -440,12 +140,31 @@ pub struct Fabric {
     /// sort before the ToR downlinks `(TOR, b)`. [`Fabric::link_index`]
     /// finds a link by arithmetic on that order.
     links: Vec<Link>,
-    /// `due[i] == links[i].next_activity()` between calls: whoever changes
-    /// a link's queues posts its new deadline, and a cycle reads the array.
+    /// `due[i] == links[i].next_activity(next)` between calls: whoever
+    /// changes a link's queues posts its new deadline.
     due: Vec<Cycle>,
+    /// Per link, a lower bound on the first cycle anything it holds
+    /// reaches a board (the clock module's `reach`), posted with `due`.
+    reach: Vec<Cycle>,
+    /// Cycles a minimum-size frame takes over one link.
+    hop: u64,
+    /// No later than the earliest posted deadline, so that a call with
+    /// nothing due touches no link. Posting only ever lowers it; a pass
+    /// over the deadlines makes it exact again.
+    earliest: Cycle,
+    /// The first cycle not yet run: a frame sent now is admitted then.
+    next: Cycle,
+    /// The cycle the current step delivers on ([`Cycle::MAX`] while
+    /// catching up): a frame that reaches a board on any other breaks the
+    /// delivery-bound law.
+    delivering: Cycle,
     delivered: u64,
-    /// Per-pump delivery buffer, kept to reuse its allocation.
-    pumped: Vec<Payload>,
+    /// The current step's deliveries and retransmissions.
+    arrived: Vec<ClusterMsg>,
+    retransmits: Vec<Retransmits>,
+    /// The first frame that reached a board on a cycle no step ran:
+    /// `(board, cycle)`.
+    early: Option<(u16, Cycle)>,
 }
 
 impl Fabric {
@@ -478,13 +197,22 @@ impl Fabric {
         }
         // Loss seeds follow creation order; stepping follows key order.
         links.sort_by_key(|l| l.key);
+        let n = links.len();
+        let least = links.first().map_or(0, |l| l.data.serialisation(0));
         Fabric {
             cfg,
             boards,
-            due: vec![Cycle::MAX; links.len()],
             links,
+            due: vec![Cycle::MAX; n],
+            reach: vec![Cycle::MAX; n],
+            hop: least + cfg.link.latency,
+            earliest: Cycle::MAX,
+            next: Cycle::ZERO,
+            delivering: Cycle::MAX,
             delivered: 0,
-            pumped: Vec::new(),
+            arrived: Vec::new(),
+            retransmits: Vec::new(),
+            early: None,
         }
     }
 
@@ -507,13 +235,9 @@ impl Fabric {
         }
     }
 
-    /// Queues a frame on link `i`'s egress and posts the link's new deadline.
-    fn enqueue(&mut self, i: usize, frame: Payload) {
-        self.links[i].backlog.push_back(frame);
-        self.due[i] = self.links[i].next_activity();
-    }
-
-    /// Queues a message at its source board's egress.
+    /// Queues a message at its source board's egress. It is admitted on
+    /// the first cycle not yet run: sent between [`Fabric::step`]`(t)` and
+    /// the next step, it leaves on cycle `t + 1`.
     pub fn send(&mut self, msg: &ClusterMsg) {
         let first_hop = match self.cfg.topology {
             Topology::Star => self.link_index(msg.src, TOR),
@@ -522,112 +246,161 @@ impl Fabric {
         if let Some(i) = first_hop {
             // Encode once; every later hop and retransmission shares the
             // buffer.
-            self.enqueue(i, msg.encode().into());
+            let link = &mut self.links[i];
+            link.settle(self.next);
+            link.backlog.push_back(msg.encode().into());
+            self.post(i, self.next);
         }
     }
 
     /// Cuts (`up = false`) or restores a link. `b = None` cuts the board's
     /// uplink/downlink pair in a star, or *all* of its links in a mesh;
     /// `b = Some(peer)` cuts the pair to one peer (mesh) or degrades to the
-    /// board's uplink (star — there is no per-peer link to cut).
+    /// board's uplink (star — there is no per-peer link to cut). It takes
+    /// effect from the first cycle not yet run.
     pub fn set_link(&mut self, a: u16, b: Option<u16>, up: bool) {
         let topology = self.cfg.topology;
-        for l in &mut self.links {
-            let (x, y) = l.key;
+        for i in 0..self.links.len() {
+            let (x, y) = self.links[i].key;
             let hit = match (topology, b) {
                 (Topology::Star, _) | (Topology::FullMesh, None) => x == a || y == a,
                 (Topology::FullMesh, Some(p)) => (x, y) == (a, p) || (x, y) == (p, a),
             };
             if hit {
-                l.up = up;
+                // Acks that arrived while the link was as it was are
+                // taken (or dropped) as it was.
+                self.links[i].settle(self.next);
+                self.links[i].up = up;
+                self.post(i, self.next);
             }
         }
     }
 
-    /// One cycle for every link that has work at `now`, in deterministic
-    /// key order. A link whose posted deadline lies in the future is not
-    /// pumped: pumping it would be a no-op, so a quiet link costs one
-    /// comparison. The switch posts a downlink's deadline as it forwards
-    /// onto it, and star uplinks sort before ToR downlinks, so a frame
-    /// forwarded onto an otherwise idle downlink still leaves on the same
-    /// cycle it reached the ToR. Returns decoded deliveries plus
-    /// per-source-board retransmission counts for the tracer.
-    pub fn step(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
-        self.step_links(now, false)
+    /// Runs every cycle up to and including `now`: first the internal
+    /// events of the cycles skipped since the last call, in the order a
+    /// per-cycle pump would have run them, then the links with work at
+    /// `now`, in key order. A link whose deadline lies ahead is not
+    /// touched. Returns the messages that reach a board at `now` and every
+    /// retransmission since the last call, with the cycle it went out on.
+    ///
+    /// The caller steps at or before [`Fabric::next_activity`], so no
+    /// frame reaches a board on a skipped cycle (`check_invariants` holds
+    /// it to that). Afterwards no internal deadline at or before `now` is
+    /// left, and a frame sent before the next call leaves on `now + 1`.
+    pub fn step(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<Retransmits>) {
+        self.advance(now, false)
     }
 
-    /// The dense reference for [`Fabric::step`]: pumps every link whether
-    /// it is due or not. Same deliveries, same counters, more work.
-    pub fn step_dense(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
-        self.step_links(now, true)
+    /// The dense reference for [`Fabric::step`]: pumps every link at `now`
+    /// whether it is due or not. Same deliveries, same counters, more work.
+    pub fn step_dense(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<Retransmits>) {
+        self.advance(now, true)
     }
 
-    fn step_links(&mut self, now: Cycle, all: bool) -> (Vec<ClusterMsg>, Vec<(u16, u64)>) {
-        let mut out = Vec::new();
-        let mut retx = Vec::new();
-        let mut pumped = std::mem::take(&mut self.pumped);
-        let mut skipped = Vec::new();
-        for i in 0..self.links.len() {
-            let link = &mut self.links[i];
-            debug_assert_eq!(self.due[i], link.next_activity(), "stale {:?}", link.key);
-            if !all && self.due[i] > now {
-                if cfg!(debug_assertions) {
-                    skipped.push(i);
-                }
-                continue;
-            }
-            let key = link.key;
-            let r = link.pump(now, &mut pumped);
-            self.due[i] = link.next_activity();
-            if r > 0 && key.0 != TOR {
-                retx.push((key.0, r));
-            }
-            for p in pumped.drain(..) {
-                if key.1 == TOR {
-                    // Store-and-forward at the switch on the `dst` header
-                    // alone; a frame with none, or for no board, dies here.
-                    let dst = p.get(2..4).map(|d| u16::from_le_bytes([d[0], d[1]]));
-                    if let Some(down) = dst.and_then(|d| self.link_index(TOR, d)) {
-                        debug_assert!(down > i, "downlinks are pumped after uplinks");
-                        self.enqueue(down, p);
-                    }
-                } else if let Some(msg) = ClusterMsg::decode(&p) {
-                    self.delivered += 1;
-                    out.push(msg);
-                }
+    /// Runs the internal events of every cycle up to and including
+    /// `through` and returns their retransmissions, so that a frame sent
+    /// next leaves on `through + 1`. A driver calls it before a phase that
+    /// sends on a cycle it has not stepped yet. Nothing can reach a board
+    /// on these cycles while `through` lies before
+    /// [`Fabric::next_activity`].
+    pub fn catch_up(&mut self, through: Cycle) -> Vec<Retransmits> {
+        if through >= self.next {
+            self.run_through(through);
+            self.next = through + 1;
+        }
+        std::mem::take(&mut self.retransmits)
+    }
+
+    fn advance(&mut self, now: Cycle, dense: bool) -> (Vec<ClusterMsg>, Vec<Retransmits>) {
+        debug_assert!(
+            now >= self.next,
+            "step at {now:?} after {:?} ran",
+            self.next
+        );
+        if now > self.next {
+            self.run_through(Cycle(now.0 - 1));
+        }
+        self.delivering = now;
+        if dense {
+            for i in 0..self.links.len() {
+                self.pump(i, now);
+                self.post(i, now + 1);
             }
         }
-        self.pumped = pumped;
-        // Nothing later in the cycle may make a link that was passed over
-        // due: skipping it must have been a no-op.
-        let late = skipped.into_iter().find(|&i| self.due[i] <= now);
-        debug_assert_eq!(late, None, "a skipped link became due at {now:?}");
-        (out, retx)
+        // After a dense pass this pumps nothing and only finds the earliest
+        // deadline again.
+        self.run_through(now);
+        self.delivering = Cycle::MAX;
+        self.next = now + 1;
+        (
+            std::mem::take(&mut self.arrived),
+            std::mem::take(&mut self.retransmits),
+        )
     }
 
-    /// The earliest cycle at or after `from` at which any link has work:
-    /// a queued transmission, an ARQ retransmission deadline, or a frame
-    /// arriving. [`Cycle::MAX`] when the whole fabric is quiet. Event-clock
-    /// drivers may skip every cycle strictly before this without changing
-    /// a single delivery or retransmission.
+    /// A lower bound on the first cycle at or after `from` at which a
+    /// frame reaches a board, given everything sent so far; [`Cycle::MAX`]
+    /// when nothing the fabric holds can. Exact for a frame on a board's
+    /// incoming wire, and for a frame on an uplink while its downlink stays
+    /// free. A driver may skip every cycle before it and step on it; a step
+    /// that finds nothing to deliver (the bound was early) is harmless.
     pub fn next_activity(&self, from: Cycle) -> Cycle {
-        let due = self.due.iter().min().copied().unwrap_or(Cycle::MAX);
-        due.max(from)
+        debug_assert!(
+            (0..self.links.len()).all(|i| self.reach[i] <= self.reach(i)),
+            "a posted delivery bound is later than a fresh one"
+        );
+        let reach = self.reach.iter().fold(u64::MAX, |m, r| m.min(r.0));
+        Cycle(reach).max(from)
     }
 
     /// Nothing queued, unacked, or in flight anywhere.
     pub fn idle(&self) -> bool {
-        self.links.iter().all(Link::idle)
+        self.links.iter().all(|l| l.idle(self.next))
     }
 
-    /// `Err` unless every posted deadline is what its link reports, every
-    /// link's ARQ window holds its laws (acknowledged never exceeds sent,
-    /// outstanding never exceeds the window), and its receiver stands
-    /// inside that window: it has accepted everything the sender saw
-    /// acknowledged and nothing the sender never sent.
+    /// `Err` unless the fabric's laws hold:
+    ///
+    /// - every posted deadline is what its link reports, no deadline at or
+    ///   before the last cycle run is left, and none is earlier than the
+    ///   posted earliest;
+    /// - every posted delivery bound is no later than a fresh evaluation,
+    ///   and no frame has reached a board on a cycle no step ran;
+    /// - every link's ARQ window holds its laws (acknowledged never exceeds
+    ///   sent, outstanding never exceeds the window), and its receiver
+    ///   stands inside that window: it has accepted everything the sender
+    ///   saw acknowledged and nothing the sender never sent.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (l, &due) in self.links.iter().zip(&self.due) {
-            ensure!(due == l.next_activity(), "stale deadline on {:?}", l.key);
+        let earliest = self.due.iter().min().copied().unwrap_or(Cycle::MAX);
+        ensure!(
+            self.earliest <= earliest,
+            "earliest deadline posted as {:?}, is {earliest:?}",
+            self.earliest
+        );
+        ensure!(
+            self.early.is_none(),
+            "a frame reached a board before the step that delivers it: (board, cycle) {:?}",
+            self.early
+        );
+        for (i, l) in self.links.iter().enumerate() {
+            let due = self.due[i];
+            ensure!(
+                due == l.next_activity(self.next),
+                "stale deadline on {:?}",
+                l.key
+            );
+            ensure!(
+                due >= self.next,
+                "{:?} is due at {due:?}, but every cycle before {:?} has run",
+                l.key,
+                self.next
+            );
+            ensure!(
+                self.reach[i] <= self.reach(i),
+                "posted delivery bound {:?} on {:?} is later than a fresh {:?}",
+                self.reach[i],
+                l.key,
+                self.reach(i)
+            );
             l.tx.check_invariants()?;
             let (unacked, expected) = (l.tx.unacked(), l.rx.expected());
             ensure!(
@@ -647,7 +420,7 @@ impl Fabric {
         };
         for l in &self.links {
             s.retransmissions += l.tx.retransmissions;
-            s.cut_drops += l.cut_drops;
+            s.cut_drops += l.cut_drops + l.pending_cut_drops(self.next);
             s.loss_drops += l.data.dropped;
             s.acks_coalesced += l.acks_coalesced;
         }

@@ -1,5 +1,8 @@
 use super::*;
-use apiary_sim::SimRng;
+use crate::directory::DirEntry;
+use apiary_cap::ServiceId;
+use apiary_noc::NodeId;
+use apiary_sim::{Payload, SimRng};
 
 fn msg(src: u16, dst: u16, tag: u64) -> ClusterMsg {
     ClusterMsg {
@@ -116,20 +119,50 @@ fn tor_switches_onto_an_idle_downlink_in_the_arrival_cycle() {
     f.send(&msg(0, 1, 1));
     let up = f.link_index(0, TOR).expect("uplink");
     let down = f.link_index(TOR, 1).expect("downlink");
-    // Walk the fabric's own wakeups until the uplink hands the frame to
-    // the switch. On every one of them only the uplink is due.
-    let mut now = Cycle::ZERO;
-    while f.links[up].rx.expected() == 0 {
-        now = f.next_activity(now + 1);
-        assert_ne!(now, Cycle::MAX, "the frame got lost");
-        assert_eq!(f.due[down], Cycle::MAX);
-        f.step(now);
-        assert_eq!(f.check_invariants(), Ok(()));
-    }
-    // The downlink was not due when the cycle began, yet the frame is
-    // already past its backlog and on its wire.
+    // The invoke leaves on cycle 0; nothing has reached the switch before
+    // its arrival cycle.
+    f.catch_up(Cycle::ZERO);
+    let at_switch = f.links[up].data.next_due().expect("on the uplink");
+    f.catch_up(Cycle(at_switch.0 - 1));
+    assert_eq!(f.links[up].rx.expected(), 0);
+    assert_eq!(f.due[down], Cycle::MAX);
+    // On that cycle the downlink was not due when the cycle began, yet the
+    // frame is already past its backlog and on its wire.
+    f.catch_up(at_switch);
+    assert_eq!(f.links[up].rx.expected(), 1);
     assert!(f.links[down].backlog.is_empty());
     assert_eq!(f.links[down].data.in_flight(), 1);
+    assert_eq!(f.check_invariants(), Ok(()));
+}
+
+/// On an otherwise idle star the delivery bound is exact from the moment
+/// of the send: the frame's own serialisation on both hops plus two
+/// propagation delays, and the fabric is stepped only to deliver.
+#[test]
+fn an_idle_star_posts_the_exact_delivery_cycle() {
+    let mut f = Fabric::new(2, FabricConfig::default());
+    f.catch_up(Cycle(9));
+    f.send(&msg(0, 1, 1));
+    let link = LinkConfig::default();
+    let ser = (msg(0, 1, 1).encode().len() as u64 + 42).div_ceil(link.bytes_per_cycle);
+    let bound = f.next_activity(Cycle(10));
+    assert_eq!(bound, Cycle(10 + 2 * (ser + link.latency)));
+    assert_eq!(f.step(bound).0, vec![msg(0, 1, 1)]);
+    assert_eq!(f.check_invariants(), Ok(()));
+    // Only the acks are left, and they are internal: they disarm both
+    // timers on arrival, so nothing more is bound to reach a board and the
+    // fabric drains without another step.
+    assert!(!f.idle());
+    assert_eq!(f.next_activity(bound + 1), Cycle::MAX);
+    f.catch_up(bound + 2 * link.latency);
+    assert!(f.idle());
+    assert_eq!(f.check_invariants(), Ok(()));
+}
+
+/// Puts a raw frame on link `i`'s egress, as [`Fabric::send`] would.
+fn enqueue(f: &mut Fabric, i: usize, frame: Payload) {
+    f.links[i].backlog.push_back(frame);
+    f.post(i, f.next);
 }
 
 /// The switch reads four bytes. [`Fabric::send`] only ever enqueues
@@ -158,9 +191,9 @@ fn tor_routes_on_the_header_and_malformed_frames_die_quietly() {
     .encode();
     retired[4] = 4;
     assert_eq!(ClusterMsg::decode(&retired), None);
-    f.enqueue(up, garbled.into());
-    f.enqueue(up, retired.into());
-    f.enqueue(up, vec![0u8, 0, 1].into());
+    enqueue(&mut f, up, garbled.into());
+    enqueue(&mut f, up, retired.into());
+    enqueue(&mut f, up, vec![0u8, 0, 1].into());
     f.send(&msg(0, 1, 2));
     let got = run(&mut f, Cycle(0), 2_000);
     assert_eq!(

@@ -44,4 +44,4 @@ pub use cluster::{
     ClusterClient, ClusterConfig, ClusterSystem, Completion, MigrationOutcome, SubmitError,
 };
 pub use directory::{DirEntry, Directory};
-pub use fabric::{Body, ClusterMsg, Fabric, FabricConfig, LinkConfig, Topology};
+pub use fabric::{Body, ClusterMsg, Fabric, FabricConfig, LinkConfig, Retransmits, Topology};

@@ -9,7 +9,7 @@ use apiary_cluster::{ClusterClient, ClusterConfig, ClusterSystem, FabricConfig, 
 use apiary_core::{AppId, FaultPolicy};
 use apiary_net::Workload;
 use apiary_noc::NodeId;
-use apiary_sim::{until, Load, Machine};
+use apiary_sim::{until, Cycle, Load, Machine};
 
 const KV: ServiceId = ServiceId(40);
 const REPLICA_NODE: NodeId = NodeId(5);
@@ -639,4 +639,40 @@ fn migration_blackout_scales_with_state_size() {
         large > small,
         "blackout grows with state: {small} vs {large}"
     );
+}
+
+/// One 64 B invoke across a 2-board star wakes the cluster only where
+/// something happens at a board: the invoke reaching board 1, that board's
+/// own events, and the reply reaching board 0. The fabric's sends, switch
+/// hops and acks are caught up inside it and wake nothing (they took seven
+/// more wakes when every fabric event was a cluster step: both sends, both
+/// switch arrivals and three acks).
+#[test]
+fn one_remote_invoke_wakes_the_cluster_only_to_deliver() {
+    // Gossip rarely enough that no round falls inside the measurement.
+    let mut c = ClusterSystem::new(ClusterConfig {
+        boards: 2,
+        gossip_interval: 50_000,
+        lease: 200_000,
+        ..ClusterConfig::default()
+    });
+    deploy_echo(&mut c, 1, 20);
+    // The replica's bitstream loads, the first round tells board 0 about
+    // it, and the round's own frames and acks settle.
+    assert_eq!(c.run_checked(60_000), Ok(()));
+    assert_eq!(c.fabric().next_activity(c.now()), Cycle::MAX);
+    c.submit(0, "kv", 1 << 32, vec![0; 64])
+        .expect("a remote replica");
+    let start = c.now();
+    let mut wakes = Vec::new();
+    while !c.has_completions() {
+        c.advance_toward(Cycle::MAX);
+        assert_eq!(c.check_invariants(), Ok(()));
+        wakes.push(c.now() - start);
+    }
+    // The invoke leaves on the next cycle and crosses two hops of 8 cycles'
+    // serialisation (85 bytes in a 127-byte frame at 16 B/cycle) plus 200
+    // of propagation each: 1 + 2 × 208 = 417. Board 1's gateway, NoC and
+    // echo take 418..=459; the reply leaves at 460 and lands at 876.
+    assert_eq!(wakes, [417, 418, 428, 448, 449, 459, 876]);
 }

@@ -35,6 +35,8 @@ pub struct GoBackNSender {
     base: u64,
     next_seq: u64,
     unacked: VecDeque<Payload>,
+    /// Total bytes in `unacked`, kept as packets enter and leave it.
+    unacked_bytes: u64,
     /// Deadline for the oldest unacked packet.
     timer: Option<Cycle>,
     /// Packets to (re)transmit.
@@ -55,6 +57,7 @@ impl GoBackNSender {
             base: 0,
             next_seq: 0,
             unacked: VecDeque::new(),
+            unacked_bytes: 0,
             timer: None,
             outbox: VecDeque::new(),
             bytes_per_cycle: 0,
@@ -82,8 +85,7 @@ impl GoBackNSender {
         let extra = if self.bytes_per_cycle == 0 {
             0
         } else {
-            let bytes: u64 = self.unacked.iter().map(|p| p.len() as u64).sum();
-            bytes.div_ceil(self.bytes_per_cycle)
+            self.unacked_bytes.div_ceil(self.bytes_per_cycle)
         };
         now + self.timeout + extra
     }
@@ -99,6 +101,7 @@ impl GoBackNSender {
             seq: self.next_seq,
             payload: payload.clone(),
         });
+        self.unacked_bytes += payload.len() as u64;
         self.unacked.push_back(payload);
         self.next_seq += 1;
         if self.timer.is_none() {
@@ -110,7 +113,9 @@ impl GoBackNSender {
     /// Processes a cumulative ack.
     pub fn on_ack(&mut self, ack: Ack, now: Cycle) {
         while self.base < ack.next.min(self.next_seq) {
-            self.unacked.pop_front();
+            if let Some(p) = self.unacked.pop_front() {
+                self.unacked_bytes -= p.len() as u64;
+            }
             self.base += 1;
         }
         self.timer = if self.unacked.is_empty() {
@@ -182,10 +187,17 @@ impl GoBackNSender {
         self.unacked.is_empty() && self.outbox.is_empty()
     }
 
-    /// `Err` unless the window's laws hold: the packets acknowledged plus
-    /// the packets outstanding are exactly the packets sent (so acks never
-    /// exceed sends), and no more than a window is outstanding.
+    /// `Err` unless the window's laws hold: the outstanding bytes are
+    /// counted right, the packets acknowledged plus the packets
+    /// outstanding are exactly the packets sent (so acks never exceed
+    /// sends), and no more than a window is outstanding.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let bytes: u64 = self.unacked.iter().map(|p| p.len() as u64).sum();
+        ensure!(
+            self.unacked_bytes == bytes,
+            "{} unacked bytes counted, {bytes} outstanding",
+            self.unacked_bytes
+        );
         let outstanding = self.unacked.len();
         ensure!(
             self.base + outstanding as u64 == self.next_seq,

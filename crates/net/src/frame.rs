@@ -21,8 +21,14 @@ impl Frame {
     /// Wire size: payload plus Ethernet+IP+UDP header overhead (42 bytes,
     /// rounded to the 64-byte Ethernet minimum).
     pub fn wire_bytes(&self) -> u64 {
-        (self.payload.len() as u64 + 42).max(64)
+        wire_bytes(self.payload.len())
     }
+}
+
+/// Wire size of a frame carrying `payload_len` bytes (see
+/// [`Frame::wire_bytes`]).
+fn wire_bytes(payload_len: usize) -> u64 {
+    (payload_len as u64 + 42).max(64)
 }
 
 /// A unidirectional wire: serialisation at a fixed bandwidth plus constant
@@ -46,7 +52,8 @@ pub struct Wire {
     bytes_per_cycle: u64,
     /// The transmitter is busy serialising until this cycle.
     tx_free_at: Cycle,
-    queue: VecDeque<(Cycle, Frame)>,
+    /// `(arrival, serialisation, frame)`, in arrival order.
+    queue: VecDeque<(Cycle, u64, Frame)>,
     /// Frames carried.
     pub carried: u64,
     /// Frames dropped by the loss model.
@@ -83,7 +90,7 @@ impl Wire {
     /// unless the loss model eats it.
     pub fn push(&mut self, now: Cycle, frame: Frame) {
         let start = now.max(self.tx_free_at);
-        let ser = frame.wire_bytes().div_ceil(self.bytes_per_cycle);
+        let ser = self.serialisation(frame.payload.len());
         let tx_done = start + ser;
         self.tx_free_at = tx_done;
         if let Some((p, rng)) = &mut self.loss {
@@ -92,14 +99,14 @@ impl Wire {
                 return;
             }
         }
-        self.queue.push_back((tx_done + self.latency, frame));
+        self.queue.push_back((tx_done + self.latency, ser, frame));
         self.carried += 1;
     }
 
     /// Takes the next frame if it has fully arrived by `now`.
     pub fn pop_due(&mut self, now: Cycle) -> Option<Frame> {
-        if self.queue.front().is_some_and(|(at, _)| *at <= now) {
-            self.queue.pop_front().map(|(_, f)| f)
+        if self.queue.front().is_some_and(|(at, _, _)| *at <= now) {
+            self.queue.pop_front().map(|(_, _, f)| f)
         } else {
             None
         }
@@ -113,7 +120,25 @@ impl Wire {
     /// When the next in-flight frame arrives (`None` if the wire is empty).
     /// Frames are queued in arrival order, so the head is the earliest.
     pub fn next_due(&self) -> Option<Cycle> {
-        self.queue.front().map(|(at, _)| *at)
+        self.queue.front().map(|(at, _, _)| *at)
+    }
+
+    /// The frames in flight, earliest first, each with its arrival cycle
+    /// and the cycles it took to serialise.
+    pub fn frames(&self) -> impl Iterator<Item = (Cycle, u64, &Frame)> {
+        self.queue.iter().map(|(at, ser, f)| (*at, *ser, f))
+    }
+
+    /// Cycles the transmitter spends serialising a frame that carries
+    /// `payload_len` bytes.
+    pub fn serialisation(&self, payload_len: usize) -> u64 {
+        wire_bytes(payload_len).div_ceil(self.bytes_per_cycle)
+    }
+
+    /// The cycle the transmitter finishes what it has been given: a frame
+    /// pushed at `now` starts serialising at `now.max(free_at())`.
+    pub fn free_at(&self) -> Cycle {
+        self.tx_free_at
     }
 }
 

@@ -19,6 +19,8 @@
 //! - Cost-model invariance: a `Payload` has the same `len()` as the
 //!   `Vec<u8>` it came from, so wire-byte accounting (NoC flit counts,
 //!   frame serialisation, ARQ deadlines) is unchanged by construction.
+//! - An empty payload holds no buffer: [`Payload::empty`] (and every empty
+//!   `Vec<u8>` converted) allocates nothing.
 
 use std::borrow::Borrow;
 use std::ops::Deref;
@@ -38,82 +40,90 @@ use std::sync::Arc;
 /// assert_eq!(p.len(), 3);
 /// ```
 #[derive(Clone, Default)]
-pub struct Payload(Arc<Vec<u8>>);
+pub struct Payload(
+    /// `None` for the empty payload, so making or cloning one allocates
+    /// nothing.
+    Option<Arc<Vec<u8>>>,
+);
 
 impl Payload {
-    /// An empty payload.
-    pub fn empty() -> Payload {
-        Payload::default()
+    /// An empty payload; allocation-free.
+    pub const fn empty() -> Payload {
+        Payload(None)
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// `true` when there are no bytes.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// The bytes as a slice (also available through `Deref`).
     pub fn as_slice(&self) -> &[u8] {
-        self.0.as_slice()
+        self.0.as_deref().map_or(&[], Vec::as_slice)
     }
 
     /// Copies the bytes back into an owned `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.0.as_ref().clone()
+        self.as_slice().to_vec()
     }
 
     /// Mutable access with copy-on-write semantics: sole owners mutate in
     /// place, shared handles get a private copy first.
     pub fn make_mut(&mut self) -> &mut Vec<u8> {
-        Arc::make_mut(&mut self.0)
+        Arc::make_mut(self.0.get_or_insert_with(Arc::default))
     }
 }
 
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Payload {
-        Payload(Arc::new(v))
+        Payload((!v.is_empty()).then(|| Arc::new(v)))
     }
 }
 
 impl From<&[u8]> for Payload {
     fn from(v: &[u8]) -> Payload {
-        Payload(Arc::new(v.to_vec()))
+        v.to_vec().into()
     }
 }
 
 impl<const N: usize> From<[u8; N]> for Payload {
     fn from(v: [u8; N]) -> Payload {
-        Payload(Arc::new(v.to_vec()))
+        v.to_vec().into()
     }
 }
 
 impl Deref for Payload {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.0.as_slice()
+        self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Payload {
     fn as_ref(&self) -> &[u8] {
-        self.0.as_slice()
+        self.as_slice()
     }
 }
 
 impl Borrow<[u8]> for Payload {
     fn borrow(&self) -> &[u8] {
-        self.0.as_slice()
+        self.as_slice()
     }
 }
 
 impl PartialEq for Payload {
     fn eq(&self, other: &Payload) -> bool {
         // Pointer equality first: clones of the same buffer are common.
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        let shared = match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        shared || self.as_slice() == other.as_slice()
     }
 }
 
@@ -121,61 +131,61 @@ impl Eq for Payload {}
 
 impl std::hash::Hash for Payload {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.as_slice().hash(state);
+        self.as_slice().hash(state);
     }
 }
 
 impl PartialEq<[u8]> for Payload {
     fn eq(&self, other: &[u8]) -> bool {
-        self.0.as_slice() == other
+        self.as_slice() == other
     }
 }
 
 impl PartialEq<&[u8]> for Payload {
     fn eq(&self, other: &&[u8]) -> bool {
-        self.0.as_slice() == *other
+        self.as_slice() == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for Payload {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        self.0.as_ref() == other
+        self.as_slice() == other.as_slice()
     }
 }
 
 impl PartialEq<Payload> for Vec<u8> {
     fn eq(&self, other: &Payload) -> bool {
-        self == other.0.as_ref()
+        self.as_slice() == other.as_slice()
     }
 }
 
 impl<const N: usize> PartialEq<[u8; N]> for Payload {
     fn eq(&self, other: &[u8; N]) -> bool {
-        self.0.as_slice() == other
+        self.as_slice() == other
     }
 }
 
 impl<const N: usize> PartialEq<Payload> for [u8; N] {
     fn eq(&self, other: &Payload) -> bool {
-        self == other.0.as_slice()
+        self == other.as_slice()
     }
 }
 
 impl<const N: usize> PartialEq<&[u8; N]> for Payload {
     fn eq(&self, other: &&[u8; N]) -> bool {
-        self.0.as_slice() == *other
+        self.as_slice() == *other
     }
 }
 
 impl<const N: usize> PartialEq<Payload> for &[u8; N] {
     fn eq(&self, other: &Payload) -> bool {
-        *self == other.0.as_slice()
+        *self == other.as_slice()
     }
 }
 
 impl core::fmt::Debug for Payload {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        core::fmt::Debug::fmt(self.0.as_slice(), f)
+        core::fmt::Debug::fmt(self.as_slice(), f)
     }
 }
 
@@ -187,8 +197,24 @@ mod tests {
     fn clone_shares_the_buffer() {
         let p: Payload = vec![1, 2, 3].into();
         let q = p.clone();
-        assert!(Arc::ptr_eq(&p.0, &q.0));
+        let (Some(a), Some(b)) = (&p.0, &q.0) else {
+            panic!("a non-empty payload holds a buffer")
+        };
+        assert!(Arc::ptr_eq(a, b));
         assert_eq!(p, q);
+    }
+
+    #[test]
+    fn empty_payloads_hold_no_buffer() {
+        for p in [Payload::empty(), Vec::new().into(), (&[][..]).into()] {
+            assert!(p.0.is_none());
+            assert!(p.is_empty());
+            assert_eq!(p, Payload::empty());
+            assert_eq!(p, Vec::<u8>::new());
+        }
+        let mut p = Payload::empty();
+        p.make_mut().push(4);
+        assert_eq!(p, [4u8]);
     }
 
     #[test]
