@@ -311,10 +311,7 @@ impl<S: Service + 'static> Accelerator for ServerAccel<S> {
             // services would echo each other's replies forever.
             if matches!(
                 req.msg.kind,
-                wire::KIND_ERROR
-                    | wire::KIND_RESPONSE
-                    | wire::KIND_MEM_REPLY
-                    | wire::KIND_LOOKUP_REPLY
+                wire::KIND_ERROR | wire::KIND_RESPONSE | wire::KIND_MEM_REPLY
             ) {
                 return self.backlog_wakeup(now, os);
             }

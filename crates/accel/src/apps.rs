@@ -1,13 +1,9 @@
 //! The accelerator library: services the paper's scenarios are built from.
 
-pub mod balance;
 pub mod compress;
 pub mod echo;
 pub mod faulty;
 pub mod flood;
-pub mod hash;
 pub mod idle;
 pub mod kv;
-pub mod multi;
-pub mod vector;
 pub mod video;

@@ -17,7 +17,7 @@
 //! - [`apps::video::VideoEncoderAccel`] — video encoding service,
 //! - [`apps::compress::CompressorAccel`] — a third-party compression stage,
 //! - [`apps::kv::KvStoreAccel`] — an independent, multi-tenant KV store,
-//! - [`apps::hash::HashAccel`], [`apps::echo::EchoAccel`] — utility engines,
+//! - [`apps::echo::EchoAccel`], [`apps::idle::IdleAccel`] — utility engines,
 //! - [`apps::flood::FlooderAccel`], [`apps::faulty::FaultyAccel`] —
 //!   adversarial accelerators for the isolation and fault experiments.
 //!

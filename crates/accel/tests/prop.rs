@@ -3,14 +3,12 @@
 use apiary_accel::apps::compress::{CompressorService, Mode};
 use apiary_accel::apps::echo::EchoService;
 use apiary_accel::apps::faulty::FaultyService;
-use apiary_accel::apps::hash::HashService;
+use apiary_accel::apps::idle::idle;
 use apiary_accel::apps::kv::{self, KvStoreService};
-use apiary_accel::apps::multi::MultiService;
-use apiary_accel::apps::vector::VectorService;
 use apiary_accel::apps::video::{self as video_app, VideoEncoderService};
 use apiary_accel::codec::{lz, video};
 use apiary_accel::os::test_os::MockOs;
-use apiary_accel::{Accelerator, Service, ServiceAction, StateError, TileOs};
+use apiary_accel::{Accelerator, ServerAccel, Service, ServiceAction, StateError};
 use apiary_monitor::wire;
 use apiary_noc::{Delivered, Message, NodeId, TrafficClass};
 use apiary_sim::Cycle;
@@ -226,31 +224,48 @@ fn damage(stream: &[u8], cut: u64, flip: u64) -> [Vec<u8>; 2] {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint-plane audit: every preemptible service must (a) serialize
+// Checkpoint-plane audit: every preemptible accelerator must (a) serialize
 // deterministically — save → restore → save is byte-identical, (b) reject
 // structurally corrupt snapshots with `StateError::Corrupt`, (c) never
-// panic on arbitrary corruption, and (d) never half-restore: a rejected
-// snapshot leaves the victim's state exactly as it was.
+// panic on arbitrary corruption or on arbitrary bytes offered as a
+// snapshot, and (d) never half-restore: a rejected snapshot leaves the
+// victim's state exactly as it was.
 
-/// Runs the four checkpoint-plane properties against one service type.
+/// Runs the checkpoint-plane properties against one accelerator type.
 /// `prime` drives the instance into an arbitrary state; it is applied
-/// identically to every instance so their snapshots must agree.
-fn check_state_plane<S: Service>(
-    fresh: impl Fn() -> S,
-    prime: impl Fn(&mut S),
+/// identically to every instance so their snapshots must agree. `noise`
+/// is offered as a snapshot as it is.
+fn check_state_plane<A: Accelerator>(
+    fresh: impl Fn() -> A,
+    prime: impl Fn(&mut A),
     cut: usize,
     flip: (usize, u8),
+    noise: &[u8],
 ) -> Result<(), TestCaseError> {
     let mut svc = fresh();
     prime(&mut svc);
-    let snap = svc.save().expect("service advertises preemption");
+    let snap = svc.save_state().expect("accelerator advertises preemption");
+    // Restores `bytes` into a primed instance: an `Err` must leave it
+    // untouched (d).
+    let offer = |bytes: &[u8]| -> Result<Result<(), StateError>, TestCaseError> {
+        let mut victim = fresh();
+        prime(&mut victim);
+        let restored = victim.restore_state(bytes);
+        if restored.is_err() {
+            prop_assert_eq!(
+                victim.save_state().expect("still preemptible"),
+                snap.clone()
+            );
+        }
+        Ok(restored)
+    };
 
     // (a) Deterministic round-trip.
     let mut twin = fresh();
-    if let Err(e) = twin.restore(&snap) {
+    if let Err(e) = twin.restore_state(&snap) {
         return Err(TestCaseError::fail(format!("own snapshot rejected: {e:?}")));
     }
-    prop_assert_eq!(twin.save().expect("still preemptible"), snap.clone());
+    prop_assert_eq!(twin.save_state().expect("still preemptible"), snap.clone());
 
     // (b) Truncation and trailing garbage are always structural errors.
     let mut rejected: Vec<Vec<u8>> = Vec::new();
@@ -261,26 +276,31 @@ fn check_state_plane<S: Service>(
     trailing.push(0xA5);
     rejected.push(trailing);
     for bad in rejected {
-        let mut victim = fresh();
-        prime(&mut victim);
-        prop_assert_eq!(victim.restore(&bad), Err(StateError::Corrupt));
-        // (d) The rejected restore changed nothing.
-        prop_assert_eq!(victim.save().expect("still preemptible"), snap.clone());
+        prop_assert_eq!(offer(&bad)?, Err(StateError::Corrupt));
     }
 
     // (c) A flipped byte must never panic. It may restore Ok (plain
     // counters have no redundancy — integrity is the checkpoint layer's
-    // checksum), but on Err the victim must again be untouched.
+    // checksum), but on Err the victim must again be untouched. The same
+    // holds for bytes that never were a snapshot.
     if !snap.is_empty() {
         let mut flipped = snap.clone();
         flipped[flip.0 % snap.len()] ^= flip.1 | 1; // never a no-op flip
-        let mut victim = fresh();
-        prime(&mut victim);
-        if victim.restore(&flipped).is_err() {
-            prop_assert_eq!(victim.save().expect("still preemptible"), snap);
-        }
+        let _ = offer(&flipped)?;
     }
+    let _ = offer(noise)?;
     Ok(())
+}
+
+/// A service as the accelerator the kernel installs, primed by serving
+/// `inputs` (badge, payload) directly.
+fn serve_all<S: Service + 'static>(a: &mut ServerAccel<S>, inputs: &[(u64, Vec<u8>)]) {
+    let mut os = MockOs::new();
+    for (badge, payload) in inputs {
+        let _ = a
+            .service_mut()
+            .serve(&deliver(*badge, payload.clone()), &mut os);
+    }
 }
 
 proptest! {
@@ -297,22 +317,21 @@ proptest! {
         ),
         cut in any::<usize>(),
         flip in (any::<usize>(), any::<u8>()),
+        noise in prop::collection::vec(any::<u8>(), 0..513),
     ) {
+        let puts: Vec<(u64, Vec<u8>)> =
+            entries.iter().map(|(badge, k, v)| (*badge, kv::put_req(k, v))).collect();
         check_state_plane(
-            KvStoreService::new,
-            |svc| {
-                let mut os = MockOs::new();
-                for (badge, k, v) in &entries {
-                    let _ = svc.serve(&deliver(*badge, kv::put_req(k, v)), &mut os);
-                }
-            },
+            || ServerAccel::new(KvStoreService::new()),
+            |a| serve_all(a, &puts),
             cut,
             flip,
+            &noise,
         )?;
     }
 
-    /// Checkpoint-plane properties for every fixed-size-state service:
-    /// echo, hash, vector, faulty, compressor (both modes), video.
+    /// Checkpoint-plane properties for every fixed-size-state accelerator:
+    /// echo, faulty, compressor (both modes), video, and idle.
     #[test]
     fn counter_services_state_plane(
         inputs in prop::collection::vec(
@@ -324,87 +343,24 @@ proptest! {
         quant in 0u32..4,
         cut in any::<usize>(),
         flip in (any::<usize>(), any::<u8>()),
+        noise in prop::collection::vec(any::<u8>(), 0..513),
     ) {
         macro_rules! plane {
-            ($fresh:expr) => {
+            ($service:expr) => {
                 check_state_plane(
-                    $fresh,
-                    |svc| {
-                        let mut os = MockOs::new();
-                        for (badge, payload) in &inputs {
-                            let _ = svc.serve(&deliver(*badge, payload.clone()), &mut os);
-                        }
-                    },
+                    || ServerAccel::new($service),
+                    |a| serve_all(a, &inputs),
                     cut,
                     flip,
+                    &noise,
                 )?
             };
         }
-        plane!(|| EchoService { cost_cycles: cost });
-        plane!(HashService::default);
-        plane!(VectorService::default);
-        plane!(|| FaultyService::new(fault_after));
-        plane!(|| CompressorService::new(Mode::Compress));
-        plane!(|| CompressorService::new(Mode::Decompress));
-        plane!(|| VideoEncoderService::new(quant));
-    }
-
-    /// The multi-context wrapper externalizes *every* context; the same
-    /// four properties hold at the whole-tile (`Accelerator`) level.
-    #[test]
-    fn multi_context_state_plane(
-        entries in prop::collection::vec(
-            (0u64..6, prop::collection::vec(any::<u8>(), 1..8),
-             prop::collection::vec(any::<u8>(), 0..16)),
-            0..16,
-        ),
-        cut in any::<usize>(),
-        flip in (any::<usize>(), any::<u8>()),
-    ) {
-        let fresh = || MultiService::new(KvStoreService::new);
-        let prime = |m: &mut MultiService<KvStoreService>| {
-            let mut os = MockOs::new();
-            for (badge, k, v) in &entries {
-                os.deliver(deliver(*badge, kv::put_req(k, v)));
-            }
-            // Drain the inbox and every in-flight job so the snapshot is
-            // a function of `entries` alone.
-            for _ in 0..2048 {
-                m.wake(os.now(), &mut os);
-                os.advance(1);
-            }
-        };
-
-        let mut a = fresh();
-        prime(&mut a);
-        let snap = a.save_state().expect("multi-context is preemptible");
-
-        let mut twin = fresh();
-        twin.restore_state(&snap).expect("own snapshot restores");
-        prop_assert_eq!(twin.save_state().expect("still preemptible"), snap.clone());
-
-        let mut rejected: Vec<Vec<u8>> = Vec::new();
-        if !snap.is_empty() {
-            rejected.push(snap[..cut % snap.len()].to_vec());
-        }
-        let mut trailing = snap.clone();
-        trailing.push(0xA5);
-        rejected.push(trailing);
-        for bad in rejected {
-            let mut victim = fresh();
-            prime(&mut victim);
-            prop_assert_eq!(victim.restore_state(&bad), Err(StateError::Corrupt));
-            prop_assert_eq!(victim.save_state().expect("still preemptible"), snap.clone());
-        }
-
-        if !snap.is_empty() {
-            let mut flipped = snap.clone();
-            flipped[flip.0 % snap.len()] ^= 0x01;
-            let mut victim = fresh();
-            prime(&mut victim);
-            if victim.restore_state(&flipped).is_err() {
-                prop_assert_eq!(victim.save_state().expect("still preemptible"), snap);
-            }
-        }
+        plane!(EchoService { cost_cycles: cost });
+        plane!(FaultyService::new(fault_after));
+        plane!(CompressorService::new(Mode::Compress));
+        plane!(CompressorService::new(Mode::Decompress));
+        plane!(VideoEncoderService::new(quant));
+        check_state_plane(idle, |_| {}, cut, flip, &noise)?;
     }
 }

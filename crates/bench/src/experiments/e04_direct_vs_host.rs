@@ -85,7 +85,7 @@ fn run_host(compute: u64, requests: u64, mode: HostMode) -> (apiary_sim::Histogr
         mode,
         ..HostConfig::default()
     };
-    let mut sim = HostSim::new(cfg, 7);
+    let mut sim = HostSim::new(cfg);
     let apps = match mode {
         HostMode::AmorphOs { apps, .. } => apps,
         HostMode::Coyote => 1,

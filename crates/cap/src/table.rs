@@ -2,6 +2,7 @@
 
 use crate::capability::{CapKind, Capability};
 use crate::rights::Rights;
+use apiary_sim::ensure;
 use core::fmt;
 
 /// An opaque, generation-checked handle to a slot in a [`CapTable`].
@@ -58,6 +59,8 @@ struct Slot {
     generation: u16,
     children: Vec<(u16, u16)>,
     live: bool,
+    /// Inserted by [`CapTable::insert_root`], not derived.
+    root: bool,
 }
 
 /// A per-tile capability table, owned by the trusted monitor.
@@ -117,7 +120,7 @@ impl CapTable {
         self.slots.len()
     }
 
-    fn alloc_slot(&mut self, cap: Capability) -> Result<CapRef, CapError> {
+    fn alloc_slot(&mut self, cap: Capability, root: bool) -> Result<CapRef, CapError> {
         let index = self.free.pop().ok_or(CapError::TableFull)?;
         let generation = match &self.slots[index as usize] {
             // Reused slot: bump the generation so old handles go stale.
@@ -129,6 +132,7 @@ impl CapTable {
             generation,
             children: Vec::new(),
             live: true,
+            root,
         });
         self.live_count += 1;
         Ok(CapRef { index, generation })
@@ -141,7 +145,7 @@ impl CapTable {
     ///
     /// Returns [`CapError::TableFull`] when no slot is free.
     pub fn insert_root(&mut self, cap: Capability) -> Result<CapRef, CapError> {
-        self.alloc_slot(cap)
+        self.alloc_slot(cap, true)
     }
 
     fn slot(&self, r: CapRef) -> Result<&Slot, CapError> {
@@ -213,7 +217,7 @@ impl CapTable {
         if !parent_cap.can_derive(&child) {
             return Err(CapError::IllegalDerivation);
         }
-        let child_ref = self.alloc_slot(child)?;
+        let child_ref = self.alloc_slot(child, false)?;
         self.slots[parent.index as usize]
             .as_mut()
             .expect("parent slot verified live above")
@@ -263,6 +267,74 @@ impl CapTable {
                 stack.append(&mut slot.children);
                 self.live_count -= 1;
                 self.free.push(i);
+            }
+        }
+        Ok(())
+    }
+
+    /// `Err` unless the table is one derivation forest: `live_count` and
+    /// the free list agree with the slots, every live parent → child edge
+    /// narrows ([`Capability::can_derive`]), a revoked slot holds no
+    /// children, and every live derived capability is reachable from a live
+    /// root. An edge whose child was revoked on its own (and perhaps reused
+    /// under a new generation) is stale and names nothing.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let live = |i: usize| self.slots[i].as_ref().filter(|s| s.live);
+        let n = self.slots.len();
+        let live_slots = (0..n).filter(|&i| live(i).is_some()).count();
+        ensure!(
+            live_slots == self.live_count,
+            "cap table counts {} live caps but holds {live_slots}",
+            self.live_count
+        );
+        let mut free = vec![false; n];
+        for &i in &self.free {
+            let i = i as usize;
+            ensure!(
+                i < n && !free[i] && live(i).is_none(),
+                "free list names slot {i}, which is live, repeated or out of range"
+            );
+            free[i] = true;
+        }
+        ensure!(
+            self.free.len() + live_slots == n,
+            "cap table has {} free and {live_slots} live of {n} slots",
+            self.free.len()
+        );
+        let mut reached = vec![false; n];
+        let mut stack: Vec<usize> = (0..n)
+            .filter(|&i| live(i).is_some_and(|s| s.root))
+            .collect();
+        for &i in &stack {
+            reached[i] = true;
+        }
+        while let Some(i) = stack.pop() {
+            let parent = live(i).expect("only live slots are stacked");
+            for &(c, generation) in &parent.children {
+                let c = c as usize;
+                let Some(child) = live(c).filter(|s| s.generation == generation) else {
+                    continue;
+                };
+                ensure!(
+                    parent.cap.can_derive(&child.cap),
+                    "cap {i} -> {c} amplifies: {:?} from {:?}",
+                    child.cap,
+                    parent.cap
+                );
+                ensure!(!child.root && !reached[c], "cap {c} has a second parent");
+                reached[c] = true;
+                stack.push(c);
+            }
+        }
+        for (i, slot) in self.slots.iter().enumerate() {
+            let Some(slot) = slot else { continue };
+            if slot.live {
+                ensure!(reached[i], "live cap {i} is unreachable from a live root");
+            } else {
+                ensure!(
+                    slot.children.is_empty(),
+                    "revoked cap {i} still holds children"
+                );
             }
         }
         Ok(())
@@ -425,6 +497,52 @@ mod tests {
         let _b = t.insert_root(ep_cap(Rights::RECV)).expect("space");
         t.revoke(a).expect("live");
         assert_eq!(t.iter_live().count(), 1);
+    }
+
+    #[test]
+    fn law_names_a_broken_forest() {
+        let mut t = CapTable::new(8);
+        let root = t
+            .insert_root(ep_cap(Rights::SEND | Rights::GRANT))
+            .expect("space");
+        let child = t
+            .derive(root, Rights::SEND | Rights::GRANT, None)
+            .expect("legal");
+        let grandchild = t.derive(child, Rights::SEND, None).expect("legal");
+        assert_eq!(t.check_invariants(), Ok(()));
+
+        let mut amplified = t.clone();
+        amplified.slots[grandchild.index as usize]
+            .as_mut()
+            .expect("live")
+            .cap
+            .rights = Rights::SEND | Rights::MANAGE;
+        assert!(amplified
+            .check_invariants()
+            .unwrap_err()
+            .contains("amplifies"));
+
+        let mut miscounted = t.clone();
+        miscounted.live_count += 1;
+        assert!(miscounted.check_invariants().is_err());
+
+        // A revoke that stops at the children leaves the grandchild an
+        // orphan that still works.
+        let mut orphaned = t.clone();
+        for r in [root, child] {
+            let slot = orphaned.slots[r.index as usize].as_mut().expect("live");
+            slot.live = false;
+            slot.children.clear();
+            orphaned.free.push(r.index);
+            orphaned.live_count -= 1;
+        }
+        assert!(orphaned
+            .check_invariants()
+            .unwrap_err()
+            .contains("unreachable"));
+
+        t.revoke(root).expect("live");
+        assert_eq!(t.check_invariants(), Ok(()));
     }
 
     #[test]

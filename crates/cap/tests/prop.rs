@@ -7,6 +7,8 @@
 //! 2. Memory derivations never widen the covered range.
 //! 3. After revoking any capability, its entire derivation subtree is dead.
 //! 4. Stale handles never validate after slot reuse.
+//! 5. The table's own law ([`CapTable::check_invariants`]) holds after
+//!    every operation.
 
 use apiary_cap::{CapKind, CapRef, CapTable, Capability, EndpointId, MemRange, Rights};
 use proptest::prelude::*;
@@ -37,15 +39,30 @@ fn arb_rights() -> impl Strategy<Value = Rights> {
 #[derive(Debug, Clone)]
 enum Op {
     InsertRoot(Rights),
-    Derive { parent: usize, rights: Rights },
+    /// `narrow` masks `rights` with the parent's, so half the derives are
+    /// legal and the trees grow deep enough to have grandchildren.
+    Derive {
+        parent: usize,
+        rights: Rights,
+        narrow: bool,
+    },
     Revoke(usize),
-    Check { target: usize, rights: Rights },
+    Check {
+        target: usize,
+        rights: Rights,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         arb_rights().prop_map(Op::InsertRoot),
-        (any::<usize>(), arb_rights()).prop_map(|(parent, rights)| Op::Derive { parent, rights }),
+        (any::<usize>(), arb_rights(), any::<bool>()).prop_map(|(parent, rights, narrow)| {
+            Op::Derive {
+                parent,
+                rights,
+                narrow,
+            }
+        }),
         any::<usize>().prop_map(Op::Revoke),
         (any::<usize>(), arb_rights()).prop_map(|(target, rights)| Op::Check { target, rights }),
     ]
@@ -72,10 +89,11 @@ proptest! {
                         shadow.push((r, rights, None, true));
                     }
                 }
-                Op::Derive { parent, rights } => {
+                Op::Derive { parent, rights, narrow } => {
                     if shadow.is_empty() { continue; }
                     let pi = parent % shadow.len();
                     let (pref, prights, _, palive) = shadow[pi];
+                    let rights = if narrow { rights & prights } else { rights };
                     let res = table.derive(pref, rights, None);
                     let legal = palive
                         && prights.contains(Rights::GRANT)
@@ -117,6 +135,7 @@ proptest! {
                     prop_assert_eq!(ok, expect, "check mismatch for handle {}", ti);
                 }
             }
+            prop_assert_eq!(table.check_invariants(), Ok(()));
         }
 
         // Global invariant: every live handle in the shadow still validates
@@ -160,6 +179,7 @@ proptest! {
                 }
                 _ => prop_assert!(false, "kind changed"),
             }
+            prop_assert_eq!(table.check_invariants(), Ok(()));
             parent = r;
         }
     }

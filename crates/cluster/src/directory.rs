@@ -1,10 +1,11 @@
 //! The global service directory.
 //!
-//! `core/registry.rs` answers "which node serves `kv-store`?" for one
-//! board. Across boards the same question needs a *home* scope (which
-//! board published the binding), a liveness story (a board that dies must
-//! stop being an answer), and a distribution story (no central registry —
-//! the whole point of scale-out is surviving any single board).
+//! On one board the kernel's supervisor knows which node serves each
+//! service it deployed. Across boards the question "which node serves
+//! `kv-store`?" needs a *home* scope (which board published the binding),
+//! a liveness story (a board that dies must stop being an answer), and a
+//! distribution story (no central registry — the whole point of scale-out
+//! is surviving any single board).
 //!
 //! Each board runs one [`Directory`]. Entries are keyed `(name, home
 //! board)` so replicas of one service on different boards coexist; each
@@ -84,10 +85,9 @@ impl Directory {
         self.board
     }
 
-    /// Publishes a local binding. Like
-    /// [`apiary_core::registry::RegistryService::publish`], the displaced
-    /// live binding (if any) is returned so the kernel can notice a squat
-    /// instead of silently replacing it.
+    /// Publishes a local binding. The displaced live binding (if any) is
+    /// returned so the kernel can notice a squat instead of silently
+    /// replacing it.
     pub fn publish(
         &mut self,
         now: Cycle,

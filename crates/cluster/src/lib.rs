@@ -9,8 +9,8 @@
 //!   [`apiary_net::Wire`] for serialisation + propagation and go-back-N ARQ
 //!   for reliability, arranged as a star through a top-of-rack switch or as
 //!   a direct full mesh, with cut/restore hooks for the chaos plane,
-//! - [`directory`] — the global service directory: each board's registry
-//!   grows node scoping, versioned lease-based entries, and anti-entropy
+//! - [`directory`] — the global service directory: each board's published
+//!   names, with node scoping, versioned lease-based entries, and anti-entropy
 //!   gossip, so every board eventually knows every replica of every named
 //!   service without any central coordinator,
 //! - [`balancer`] — replica selection by power-of-two-choices over

@@ -30,7 +30,6 @@ pub mod fault;
 pub mod memsvc;
 pub mod process;
 pub mod reconfig;
-pub mod registry;
 pub mod supervisor;
 pub mod system;
 pub mod tile;

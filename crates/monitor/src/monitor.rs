@@ -274,7 +274,7 @@ impl Monitor {
     ///
     /// Rebinding changes where service capabilities resolve, so this is a
     /// flow-cache invalidation point: the supervisor's reconfiguration
-    /// rewiring and the registry's publish/withdraw path both land here.
+    /// rewiring and `System::bind_service` both land here.
     pub fn bind_service(&mut self, service: u32, node: NodeId) {
         self.flows.clear();
         self.names.insert(service, node);
@@ -318,10 +318,15 @@ impl Monitor {
         self.tracer.record(now, self.node.0, EventKind::Reconfig);
     }
 
-    /// `Err` unless every cached flow verdict is what a full check would
-    /// give now: its `(index, generation)` is a live SEND capability that
-    /// resolves to the cached destination and badge.
+    /// `Err` unless the capability table's law holds
+    /// ([`CapTable::check_invariants`]) and every cached flow verdict is
+    /// what a full check would give now: its `(index, generation)` is a
+    /// live SEND capability that resolves to the cached destination and
+    /// badge.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.caps
+            .check_invariants()
+            .map_err(|e| format!("tile {}: {e}", self.node))?;
         for (&(index, generation), flow) in &self.flows {
             let cap = self.caps.check(CapRef { index, generation }, Rights::SEND);
             let verdict = cap.ok().map(|c| (self.resolve_dst(c), c.badge));

@@ -70,11 +70,6 @@ impl TokenBucket {
         }
     }
 
-    /// Tokens currently available, in whole bytes.
-    pub fn available_bytes(&self) -> u64 {
-        self.tokens_millibytes / 1000
-    }
-
     /// Consumptions denied so far.
     pub fn denials(&self) -> u64 {
         self.denials
@@ -98,8 +93,9 @@ mod tests {
     #[test]
     fn bucket_never_exceeds_burst() {
         let mut tb = TokenBucket::new(1_000, 10);
-        tb.try_consume(0, Cycle(1_000_000));
-        assert_eq!(tb.available_bytes(), 10);
+        // A long idle spell still buys only the 10-byte burst.
+        assert!(tb.try_consume(10, Cycle(1_000_000)));
+        assert!(!tb.try_consume(1, Cycle(1_000_000)));
     }
 
     #[test]

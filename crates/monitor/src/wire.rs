@@ -20,10 +20,6 @@ pub const KIND_MEM_REPLY: u16 = 0x0012;
 pub const KIND_MEM_ALLOC: u16 = 0x0013;
 /// Memory release request.
 pub const KIND_MEM_FREE: u16 = 0x0014;
-/// Service-registry lookup request.
-pub const KIND_LOOKUP: u16 = 0x0020;
-/// Service-registry lookup response.
-pub const KIND_LOOKUP_REPLY: u16 = 0x0021;
 /// Network service: transmit a frame to the external network.
 pub const KIND_NET_TX: u16 = 0x0030;
 /// Network service: a frame arrived from the external network.
@@ -55,8 +51,6 @@ pub fn kind_name(kind: u16) -> &'static str {
         KIND_MEM_REPLY => "mem-reply",
         KIND_MEM_ALLOC => "mem-alloc",
         KIND_MEM_FREE => "mem-free",
-        KIND_LOOKUP => "lookup",
-        KIND_LOOKUP_REPLY => "lookup-reply",
         KIND_NET_TX => "net-tx",
         KIND_NET_RX => "net-rx",
         KIND_ERROR => "error",
@@ -78,8 +72,6 @@ mod tests {
             KIND_MEM_REPLY,
             KIND_MEM_ALLOC,
             KIND_MEM_FREE,
-            KIND_LOOKUP,
-            KIND_LOOKUP_REPLY,
             KIND_NET_TX,
             KIND_NET_RX,
             KIND_ERROR,

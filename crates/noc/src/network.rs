@@ -463,24 +463,6 @@ impl Noc {
         out
     }
 
-    /// Renders a per-node congestion heat map: each cell shows the busiest
-    /// outgoing link's utilisation in percent.
-    pub fn render_congestion(&self) -> String {
-        use core::fmt::Write;
-        let cycles = self.stats.cycles.max(1) as f64;
-        let links = self.link_counts();
-        let mut out = String::new();
-        for y in (0..self.mesh.height).rev() {
-            for x in 0..self.mesh.width {
-                let n = self.mesh.node(crate::topology::Coord::new(x, y));
-                let hottest = links[n.index()].iter().copied().max().unwrap_or(0) as f64 / cycles;
-                let _ = write!(out, "{:>5.1}% ", hottest * 100.0);
-            }
-            let _ = writeln!(out);
-        }
-        out
-    }
-
     /// Ring `f = (node, port, vc)` has a new front flit bound for `dst`:
     /// looks its output port up and posts the request.
     #[inline]

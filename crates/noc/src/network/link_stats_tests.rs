@@ -46,16 +46,3 @@ fn hot_path_shows_up_in_utilization() {
         .iter()
         .all(|(n, d, _)| noc.mesh().neighbor(*n, *d).is_some()));
 }
-
-#[test]
-fn congestion_render_has_grid_shape() {
-    let mut noc = Noc::new(NocConfig::soft(3, 2));
-    let _ = noc.try_inject(
-        NodeId(0),
-        Message::new(NodeId(0), NodeId(5), TrafficClass::Request, vec![0; 64]),
-    );
-    noc.run_until_quiescent(10_000);
-    let s = noc.render_congestion();
-    assert_eq!(s.lines().count(), 2);
-    assert!(s.contains('%'));
-}

@@ -136,11 +136,6 @@ impl FloorPlan {
     pub fn framework_fraction(&self) -> f64 {
         self.framework.utilisation_of(&self.part.resources)
     }
-
-    /// Fraction of the device's LUTs left for user accelerators.
-    pub fn user_lut_fraction(&self) -> f64 {
-        (self.tile_slot.luts * self.tiles) as f64 / self.part.resources.luts as f64
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +167,8 @@ mod tests {
             "{}",
             plan.framework_fraction()
         );
-        assert!(plan.user_lut_fraction() > 0.75);
+        let user_luts = plan.tile_slot.luts * plan.tiles;
+        assert!(user_luts as f64 / part.resources.luts as f64 > 0.75);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn main() {
         fpga_compute_cycles: COMPUTE,
         ..HostConfig::default()
     };
-    let mut host = HostSim::new(cfg, 7);
+    let mut host = HostSim::new(cfg);
     host.run_closed_loop(REQUESTS, 2, 1);
     let hs = host.stats();
     println!("\nCoyote-like host-mediated baseline (same load):");

@@ -1,9 +1,10 @@
 //! Cross-crate integration tests: full systems exercising several
 //! subsystems at once (network + kernel + accelerators + memory).
 
-use apiary::accel::apps::echo::echo;
-use apiary::accel::apps::hash::{fnv1a, hasher};
+use apiary::accel::apps::compress::compressor;
+use apiary::accel::apps::echo::{echo, EchoAccel};
 use apiary::accel::apps::idle::idle;
+use apiary::accel::codec::lz;
 use apiary::accel::{Accelerator, TileOs};
 use apiary::core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary::monitor::wire;
@@ -12,22 +13,27 @@ use apiary::noc::{Delivered, NodeId, TrafficClass};
 use apiary::sim::{Cycle, Machine, Wakeup};
 
 // ---------------------------------------------------------------------
-// Hash service: verify payload integrity across the whole stack.
+// Compressor: payload bytes arrive intact across the whole stack.
 // ---------------------------------------------------------------------
 
 #[test]
-fn hash_service_digest_is_correct_end_to_end() {
+fn compressed_reply_decompresses_to_the_payload_end_to_end() {
     let mut sys = System::new(SystemConfig::default());
     let client = NodeId(0);
     let server = NodeId(10);
     sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
         .expect("free");
-    sys.install(server, Box::new(hasher()), AppId(1), FaultPolicy::FailStop)
-        .expect("free");
+    sys.install(
+        server,
+        Box::new(compressor()),
+        AppId(1),
+        FaultPolicy::FailStop,
+    )
+    .expect("free");
     let cap = sys.connect(client, server, false).expect("same app");
     sys.connect(server, client, false).expect("reply path");
 
-    let payload = b"the bytes to be hashed, crossing the NoC".to_vec();
+    let payload = b"the bytes to be compressed, crossing the NoC, crossing the NoC".to_vec();
     let now = sys.now();
     sys.tile_mut(client)
         .monitor
@@ -41,9 +47,17 @@ fn hash_service_digest_is_correct_end_to_end() {
         )
         .expect("send accepted");
     assert!(sys.run_until_idle(100_000));
-    let d = sys.tile_mut(client).monitor.recv().expect("digest");
-    let digest = u64::from_le_bytes(d.msg.payload.as_slice().try_into().expect("8 bytes"));
-    assert_eq!(digest, fnv1a(&payload));
+    let d = sys
+        .tile_mut(client)
+        .monitor
+        .recv()
+        .expect("compressed reply");
+    assert_eq!(d.msg.kind, wire::KIND_RESPONSE);
+    assert_eq!(d.msg.tag, 9);
+    assert_eq!(
+        lz::decompress(&d.msg.payload).expect("a valid stream"),
+        payload
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -106,7 +120,7 @@ fn mac_clients_survive_unrelated_reconfiguration() {
         if i == 500 && !reconfigured {
             sys.reconfigure(
                 churn_node,
-                Box::new(hasher()),
+                Box::new(echo(3)),
                 AppId(2),
                 FaultPolicy::FailStop,
                 64 << 10,
@@ -127,7 +141,8 @@ fn mac_clients_survive_unrelated_reconfiguration() {
     assert_eq!(mac.client(0).stats.errors, 0);
     // The clients may finish before the bitstream does; let it land.
     sys.run(20_000);
-    assert_eq!(sys.tile(churn_node).accel_name(), "hash");
+    let churn = sys.accel_as::<EchoAccel>(churn_node).expect("echo");
+    assert_eq!(churn.service().cost_cycles, 3, "the new bitstream landed");
 }
 
 // ---------------------------------------------------------------------
@@ -323,80 +338,6 @@ fn monitor_traces_capture_message_flow() {
     assert!(rendered.contains("send"), "{rendered}");
     assert!(rendered.contains("recv"), "{rendered}");
     assert!(rendered.contains("tag=3"), "{rendered}");
-}
-
-// ---------------------------------------------------------------------
-// Service discovery: the registry tile resolves names over the NoC.
-// ---------------------------------------------------------------------
-
-#[test]
-fn registry_resolves_service_names_over_the_noc() {
-    use apiary::cap::ServiceId;
-    use apiary::core::registry::{decode_lookup_reply, RegistryService};
-
-    let mut sys = System::new(SystemConfig::default());
-    let client = NodeId(0);
-    let registry = NodeId(3);
-    let kv_node = NodeId(9);
-    sys.install(client, Box::new(idle()), AppId(1), FaultPolicy::FailStop)
-        .expect("free");
-    let mut reg = RegistryService::new();
-    assert_eq!(reg.publish("kv-store", ServiceId(40), kv_node), None);
-    assert_eq!(reg.publish("video", ServiceId(41), NodeId(1)), None);
-    sys.install(
-        registry,
-        Box::new(reg),
-        apiary::core::process::OS_APP,
-        FaultPolicy::FailStop,
-    )
-    .expect("free");
-    let cap = sys.connect(client, registry, false).expect("OS service");
-    sys.connect(registry, client, false).expect("reply path");
-
-    let now = sys.now();
-    sys.tile_mut(client)
-        .monitor
-        .send(
-            cap,
-            wire::KIND_LOOKUP,
-            1,
-            TrafficClass::Control,
-            b"kv-store".to_vec(),
-            now,
-        )
-        .expect("send accepted");
-    assert!(sys.run_until_idle(100_000));
-    let d = sys.tile_mut(client).monitor.recv().expect("reply");
-    assert_eq!(d.msg.kind, wire::KIND_LOOKUP_REPLY);
-    assert_eq!(
-        decode_lookup_reply(&d.msg.payload),
-        Some(Some((ServiceId(40), kv_node)))
-    );
-
-    // With the discovered id in hand, the kernel can bind the name and the
-    // client reaches the service through a *service* capability (§4.3).
-    sys.install(kv_node, Box::new(echo(2)), AppId(1), FaultPolicy::FailStop)
-        .expect("free");
-    let svc_cap = sys
-        .bind_service(client, ServiceId(40), kv_node)
-        .expect("bindable");
-    sys.connect(kv_node, client, false).expect("reply path");
-    let now = sys.now();
-    sys.tile_mut(client)
-        .monitor
-        .send(
-            svc_cap,
-            wire::KIND_REQUEST,
-            2,
-            TrafficClass::Request,
-            vec![7],
-            now,
-        )
-        .expect("service cap resolves");
-    assert!(sys.run_until_idle(100_000));
-    let d = sys.tile_mut(client).monitor.recv().expect("served");
-    assert_eq!(d.msg.payload, vec![7]);
-    assert_eq!(d.msg.src, kv_node);
 }
 
 #[test]
