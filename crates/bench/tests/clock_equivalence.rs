@@ -648,7 +648,7 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String
             sys.now(),
             c.alive(b),
             sys.noc().stats(),
-            c.directory(b).snapshot(),
+            c.directory(b).gossip_frame(b),
         );
         for n in 0..sys.noc().mesh().nodes() as u16 {
             let _ = write!(log, " {:?}", sys.tile(NodeId(n)).monitor.stats());

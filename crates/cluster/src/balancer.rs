@@ -44,8 +44,9 @@ impl Balancer {
     /// Picks one of `candidates` by power-of-two-choices; ties go to the
     /// first sample — itself uniformly random, so an idle cluster load
     /// balances evenly — keeping picks deterministic given the RNG
-    /// stream. Returns an index into `candidates`.
-    pub fn pick(&mut self, candidates: &[Replica]) -> Option<usize> {
+    /// stream. Returns an index into `candidates`, each of which names its
+    /// replica through `key`.
+    pub fn pick<T>(&mut self, candidates: &[T], key: impl Fn(&T) -> Replica) -> Option<usize> {
         match candidates.len() {
             0 => None,
             1 => {
@@ -59,7 +60,10 @@ impl Balancer {
                 if j >= i {
                     j += 1;
                 }
-                let (li, lj) = (self.load(candidates[i]), self.load(candidates[j]));
+                let (li, lj) = (
+                    self.load(key(&candidates[i])),
+                    self.load(key(&candidates[j])),
+                );
                 if li != lj {
                     self.informed_picks += 1;
                 }
@@ -102,8 +106,8 @@ mod tests {
     #[test]
     fn empty_and_singleton() {
         let mut b = Balancer::new(1);
-        assert_eq!(b.pick(&[]), None);
-        assert_eq!(b.pick(&replicas(1)), Some(0));
+        assert_eq!(b.pick(&[], |&r: &Replica| r), None);
+        assert_eq!(b.pick(&replicas(1), |&r| r), Some(0));
     }
 
     #[test]
@@ -115,7 +119,7 @@ mod tests {
             b.started(rs[0]);
         }
         for _ in 0..50 {
-            let k = b.pick(&rs).expect("non-empty");
+            let k = b.pick(&rs, |&r| r).expect("non-empty");
             assert_eq!(k, 1, "two choices always include the idle replica");
         }
         assert_eq!(b.informed_picks, 50);
@@ -127,7 +131,7 @@ mod tests {
         let rs = replicas(4);
         let mut counts = [0u64; 4];
         for _ in 0..400 {
-            let k = b.pick(&rs).expect("non-empty");
+            let k = b.pick(&rs, |&r| r).expect("non-empty");
             counts[k] += 1;
             b.started(rs[k]);
             // Completions keep pace, so loads stay comparable.
@@ -159,7 +163,7 @@ mod tests {
             let mut b = Balancer::new(seed);
             (0..100)
                 .map(|_| {
-                    let k = b.pick(&rs).expect("non-empty");
+                    let k = b.pick(&rs, |&r| r).expect("non-empty");
                     b.started(rs[k]);
                     k
                 })

@@ -79,7 +79,8 @@ impl Board {
     }
 
     /// The next cycle this board can do anything on its own
-    /// ([`System::next_event_due`]), computed at most once per change.
+    /// ([`System::next_event_due`]), computed at most once per change; the
+    /// system keeps the kernel scan behind it for the step that follows.
     pub(crate) fn next_event_due(&mut self) -> Cycle {
         *self.due.get_or_insert_with(|| self.sys.next_event_due())
     }

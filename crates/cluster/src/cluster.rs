@@ -46,7 +46,7 @@ pub use clients::ClusterClient;
 pub use migration::MigrationOutcome;
 pub use requests::{Completion, SubmitError};
 
-use crate::balancer::Balancer;
+use crate::balancer::{Balancer, Replica};
 use crate::board::Board;
 use crate::directory::Directory;
 use crate::fabric::{Fabric, FabricConfig};
@@ -154,6 +154,9 @@ pub struct ClusterSystem {
     boards: Vec<Board>,
     fabric: Fabric,
     balancer: Balancer,
+    /// `submit`'s list of the live replicas of the name asked for, with
+    /// their service ids: refilled by every submit, allocated once.
+    candidates: Vec<(Replica, ServiceId)>,
     requests: Requests,
     completions: Vec<Completion>,
     next_ingress: u64,
@@ -219,6 +222,7 @@ impl ClusterSystem {
             fabric,
             balancer,
             requests: Requests::default(),
+            candidates: Vec::new(),
             completions: Vec::new(),
             next_ingress: 0,
             fabric_out: LatencyTracker::default(),

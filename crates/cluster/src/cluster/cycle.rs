@@ -3,11 +3,11 @@
 
 use super::ClusterSystem;
 use crate::board::Ingress;
-use crate::fabric::{Body, ClusterMsg, Retransmits};
+use crate::fabric::{msg, BodyView, Retransmits};
 use apiary_cap::ServiceId;
 use apiary_monitor::wire::{KIND_ERROR, KIND_REQUEST};
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::Cycle;
+use apiary_sim::{Cycle, Payload};
 use apiary_trace::RemotePhase;
 
 /// High bit marks gateway-local ingress tags, so a board can tell replies
@@ -80,7 +80,7 @@ impl ClusterSystem {
 
     /// 3. Gossip round: point entries at re-homed replicas, renew leases,
     ///    sweep expiries (revoking remote caps for entries that lapsed),
-    ///    push one snapshot round-robin.
+    ///    push one snapshot round-robin, written straight into its frame.
     pub(super) fn gossip_round(&mut self, now: Cycle) {
         let round = self.ticks / self.cfg.gossip_interval;
         let n = self.cfg.boards;
@@ -97,14 +97,12 @@ impl ClusterSystem {
                 }
             }
             if n > 1 {
-                let peers: Vec<u16> = (0..n).filter(|&p| p != bi).collect();
-                let partner = peers[(round as usize) % peers.len()];
-                let snapshot = self.boards[bi as usize].dir.snapshot();
-                self.fabric.send(&ClusterMsg {
-                    src: bi,
-                    dst: partner,
-                    body: Body::Gossip { entries: snapshot },
-                });
+                // The round's partner among the other boards, in index
+                // order.
+                let k = (round % u64::from(n - 1)) as u16;
+                let partner = if k < bi { k } else { k + 1 };
+                let frame = self.boards[bi as usize].dir.gossip_frame(partner);
+                self.fabric.send_frame(frame);
             }
         }
     }
@@ -132,7 +130,8 @@ impl ClusterSystem {
         }
     }
 
-    /// 4. Fabric: deliveries and ARQ retransmission attribution.
+    /// 4. Fabric: deliveries, read where they landed, and ARQ
+    ///    retransmission attribution.
     pub(super) fn deliver_fabric(&mut self, now: Cycle, dense: bool) {
         let gw = self.cfg.gateway;
         let (deliveries, retx) = if dense {
@@ -147,12 +146,12 @@ impl ClusterSystem {
                 continue;
             }
             match msg.body {
-                Body::Invoke {
+                BodyView::Invoke {
                     service,
                     tag,
                     payload,
                 } => self.forward_invoke(msg.src, msg.dst, service, tag, payload, now),
-                Body::Reply {
+                BodyView::Reply {
                     tag,
                     is_error,
                     payload: _,
@@ -169,10 +168,10 @@ impl ClusterSystem {
                     );
                     self.finish_request(tag, is_error, now);
                 }
-                Body::Gossip { entries } => {
-                    self.boards[msg.dst as usize].dir.merge(&entries);
+                BodyView::Gossip(gossip) => {
+                    self.boards[msg.dst as usize].dir.merge(&gossip);
                 }
-                Body::Migrate {
+                BodyView::Migrate {
                     service,
                     name: _,
                     snapshot,
@@ -183,14 +182,15 @@ impl ClusterSystem {
 
     /// A remote invocation arrived at live board `dst`: forward it to the
     /// local replica through the gateway's capability, or answer `src` with
-    /// an error reply if there is none to forward to.
+    /// an error reply if there is none to forward to. The payload goes on
+    /// as it arrived, a view of its frame.
     fn forward_invoke(
         &mut self,
         src: u16,
         dst: u16,
         service: u32,
         tag: u64,
-        payload: Vec<u8>,
+        payload: Payload,
         now: Cycle,
     ) {
         let gw = self.cfg.gateway;
@@ -227,20 +227,15 @@ impl ClusterSystem {
             _ => false,
         };
         if !forwarded {
-            self.fabric.send(&ClusterMsg {
-                src: dst,
-                dst: src,
-                body: Body::Reply {
-                    tag,
-                    is_error: true,
-                    payload: vec![apiary_monitor::wire::err::NO_SUCH_SERVICE],
-                },
-            });
+            let err = [apiary_monitor::wire::err::NO_SUCH_SERVICE];
+            self.fabric
+                .send_frame(msg::reply(dst, src, tag, true, &err));
         }
     }
 
     /// 5. Drain gateway inboxes: replies to local submits complete
-    ///    directly; replies to forwarded ingress go back over the fabric.
+    ///    directly; replies to forwarded ingress go back over the fabric,
+    ///    their frames written from the delivered payload.
     pub(super) fn drain_gateways(&mut self, now: Cycle) {
         let gw = self.cfg.gateway;
         for bi in 0..self.boards.len() {
@@ -255,15 +250,9 @@ impl ClusterSystem {
                     if let Some(ing) = self.boards[bi].ingress.remove(&d.msg.tag) {
                         self.on_board.record(ing.forwarded, now);
                         self.requests.note_reply(ing.tag, bi as u16, now);
-                        self.fabric.send(&ClusterMsg {
-                            src: bi as u16,
-                            dst: ing.src,
-                            body: Body::Reply {
-                                tag: ing.tag,
-                                is_error,
-                                payload: d.msg.payload.to_vec(),
-                            },
-                        });
+                        let payload = &d.msg.payload;
+                        let frame = msg::reply(bi as u16, ing.src, ing.tag, is_error, payload);
+                        self.fabric.send_frame(frame);
                     }
                 } else {
                     self.finish_request(d.msg.tag, is_error, now);

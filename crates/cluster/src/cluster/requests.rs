@@ -2,11 +2,11 @@
 //! pending requests and their timeout queue, whose law is kept here only.
 
 use super::ClusterSystem;
-use crate::fabric::{Body, ClusterMsg};
+use crate::fabric::msg;
 use apiary_cap::{CapKind, Capability, Rights};
 use apiary_monitor::wire::KIND_REQUEST;
 use apiary_noc::{NodeId, TrafficClass};
-use apiary_sim::{ensure, Cycle};
+use apiary_sim::{ensure, Cycle, Payload};
 use apiary_trace::RemotePhase;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -153,25 +153,27 @@ impl Requests {
 impl ClusterSystem {
     /// Submits a request from a client attached at `origin` for the named
     /// service. The directory supplies live replicas, the balancer picks
-    /// one, and the invocation goes out locally or over the fabric.
-    /// Returns the chosen replica.
+    /// one, and the invocation goes out locally or over the fabric (its
+    /// frame written from the payload's bytes). Returns the chosen replica.
     pub fn submit(
         &mut self,
         origin: u16,
         name: &str,
         tag: u64,
-        payload: Vec<u8>,
+        payload: impl Into<Payload> + AsRef<[u8]>,
     ) -> Result<(u16, NodeId), SubmitError> {
         let now = self.now();
         if !self.boards[origin as usize].alive {
             return Err(SubmitError::OriginDead);
         }
         let replicas = self.boards[origin as usize].dir.lookup_all(now, name);
-        let keys: Vec<(u16, NodeId)> = replicas.iter().map(|e| (e.home, e.node)).collect();
-        let Some(k) = self.balancer.pick(&keys) else {
+        self.candidates.clear();
+        self.candidates
+            .extend(replicas.map(|e| ((e.home, e.node), e.service)));
+        let Some(k) = self.balancer.pick(&self.candidates, |c| c.0) else {
             return Err(SubmitError::NoReplica);
         };
-        let (tboard, tnode, service) = (replicas[k].home, replicas[k].node, replicas[k].service);
+        let ((tboard, tnode), service) = self.candidates[k];
         let gw = self.cfg.gateway;
         if tboard == origin {
             let b = &mut self.boards[origin as usize];
@@ -223,15 +225,8 @@ impl ClusterSystem {
                 return Err(SubmitError::Refused);
             }
             b.trace_remote(gw, now, RemotePhase::Send, tboard, tag);
-            self.fabric.send(&ClusterMsg {
-                src: origin,
-                dst: tboard,
-                body: Body::Invoke {
-                    service: service.0,
-                    tag,
-                    payload,
-                },
-            });
+            let frame = msg::invoke(origin, tboard, service.0, tag, payload.as_ref());
+            self.fabric.send_frame(frame);
             self.remote_submitted += 1;
         }
         self.balancer.started((tboard, tnode));

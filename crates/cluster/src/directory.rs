@@ -13,11 +13,15 @@
 //! the only writer for its own entries: publish, withdraw (a tombstone, so
 //! the removal propagates rather than resurrects) and periodic renewal all
 //! bump the version. Anti-entropy gossip pushes full snapshots between
-//! boards; [`Directory::merge`] keeps whichever version is newer. Liveness
+//! boards, each written straight into its fabric frame
+//! ([`Directory::gossip_frame`]); [`Directory::merge`] reads the entries
+//! where the frame landed and keeps whichever version is newer, updating
+//! the copy it holds in place, so a steady round allocates nothing. Liveness
 //! falls out of the lease: a dead board stops renewing, its versions stop
 //! advancing, and every other board expires its entries within one lease —
 //! that expiry is what fails the load balancer over.
 
+use crate::fabric::{msg, EntryRef, Gossip};
 use apiary_cap::ServiceId;
 use apiary_noc::NodeId;
 use apiary_sim::{ensure, Cycle};
@@ -159,24 +163,22 @@ impl Directory {
         }
     }
 
-    /// Merges a gossiped snapshot: for entries about *other* boards, the
-    /// higher version wins; entries claiming our own board are ignored (we
-    /// are authoritative for ourselves — accepting them would let a stale
-    /// peer resurrect our withdrawn services).
-    pub fn merge(&mut self, entries: &[DirEntry]) {
-        for e in entries {
+    /// Merges a gossiped snapshot where it landed: for entries about
+    /// *other* boards, the higher version wins; entries claiming our own
+    /// board are ignored (we are authoritative for ourselves — accepting
+    /// them would let a stale peer resurrect our withdrawn services). A
+    /// newer copy of an entry we hold overwrites it in place; a name is
+    /// allocated only for an entry we have never held.
+    pub fn merge(&mut self, gossip: &Gossip) {
+        for e in gossip.entries() {
             if e.home == self.board {
                 continue;
             }
-            let ours = self.entries.get(&e.name).and_then(|h| h.get(&e.home));
-            match ours {
-                Some(ours) if ours.version >= e.version => {}
-                _ => {
-                    let homes = self.entries.entry(e.name.clone()).or_default();
-                    homes.insert(e.home, e.clone());
-                    self.merged_in += 1;
-                }
-            }
+            let taken = match self.entries.get_mut(e.name) {
+                Some(homes) => take(homes, e),
+                None => take(self.entries.entry(e.name.to_string()).or_default(), e),
+            };
+            self.merged_in += u64::from(taken);
         }
     }
 
@@ -195,13 +197,16 @@ impl Directory {
 
     /// Every live replica of `name`, in home-board order (deterministic:
     /// a name's entries are keyed by home).
-    pub fn lookup_all(&self, now: Cycle, name: &str) -> Vec<&DirEntry> {
+    pub fn lookup_all<'a>(
+        &'a self,
+        now: Cycle,
+        name: &str,
+    ) -> impl Iterator<Item = &'a DirEntry> + 'a {
         self.entries
             .get(name)
             .into_iter()
-            .flat_map(|homes| homes.values())
-            .filter(|e| e.live(now))
-            .collect()
+            .flat_map(BTreeMap::values)
+            .filter(move |e| e.live(now))
     }
 
     /// The live local binding for `name`, if any.
@@ -212,13 +217,14 @@ impl Directory {
             .filter(|e| e.live(now))
     }
 
-    /// Full-state snapshot for anti-entropy gossip (tombstones included).
-    pub fn snapshot(&self) -> Vec<DirEntry> {
-        self.entries
-            .values()
-            .flat_map(|homes| homes.values())
-            .cloned()
-            .collect()
+    /// The anti-entropy snapshot for board `to` (tombstones included),
+    /// written straight into its fabric frame: byte for byte what
+    /// [`ClusterMsg::encode`](crate::ClusterMsg::encode) makes of a
+    /// [`Body::Gossip`](crate::Body::Gossip) carrying every entry in
+    /// `(name, home)` order.
+    pub fn gossip_frame(&self, to: u16) -> Vec<u8> {
+        let entries = self.entries.values().flat_map(BTreeMap::values);
+        msg::gossip(self.board, to, entries)
     }
 
     /// Total entries held, tombstones included.
@@ -249,9 +255,44 @@ impl Directory {
     }
 }
 
+/// Takes gossiped `e` into the homes of its name if it is newer than the
+/// copy held there, overwriting that copy in place; whether it did.
+fn take(homes: &mut BTreeMap<u16, DirEntry>, e: EntryRef<'_>) -> bool {
+    match homes.get_mut(&e.home) {
+        Some(ours) if ours.version >= e.version => false,
+        Some(ours) => {
+            // A literal, so that a field this forgets does not compile.
+            let EntryRef {
+                name: _,
+                home,
+                node,
+                service,
+                version,
+                expires_at,
+                withdrawn,
+            } = e;
+            *ours = DirEntry {
+                name: std::mem::take(&mut ours.name),
+                home,
+                node,
+                service,
+                version,
+                expires_at,
+                withdrawn,
+            };
+            true
+        }
+        None => {
+            homes.insert(e.home, DirEntry::from(e));
+            true
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::{Body, BodyView, ClusterMsg, MsgView};
 
     const LEASE: u64 = 100;
 
@@ -259,18 +300,36 @@ mod tests {
         Directory::new(board, LEASE)
     }
 
+    /// A gossip frame as the fabric delivers it.
+    fn landed(frame: Vec<u8>) -> Gossip {
+        match MsgView::parse(&frame.into()).map(|m| m.body) {
+            Some(BodyView::Gossip(g)) => g,
+            other => panic!("not a gossip frame: {other:?}"),
+        }
+    }
+
+    /// `from`'s snapshot, as `to` would receive it.
+    fn snapshot(from: &Directory, to: &Directory) -> Gossip {
+        landed(from.gossip_frame(to.board()))
+    }
+
+    /// The live replicas of `name`, collected.
+    fn live<'a>(d: &'a Directory, now: u64, name: &str) -> Vec<&'a DirEntry> {
+        d.lookup_all(Cycle(now), name).collect()
+    }
+
     #[test]
     fn publish_lookup_and_displacement() {
         let mut d = dir(0);
         assert_eq!(d.publish(Cycle(0), "kv", ServiceId(7), NodeId(3)), None);
-        assert_eq!(d.lookup_all(Cycle(1), "kv").len(), 1);
+        assert_eq!(live(&d, 1, "kv").len(), 1);
         // Republishing the same name displaces the live binding.
         assert_eq!(
             d.publish(Cycle(1), "kv", ServiceId(8), NodeId(4)),
             Some((ServiceId(7), NodeId(3)))
         );
         assert_eq!(d.displaced, 1);
-        let live = d.lookup_all(Cycle(2), "kv");
+        let live = live(&d, 2, "kv");
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].service, ServiceId(8));
     }
@@ -281,8 +340,8 @@ mod tests {
         let mut b = dir(1);
         assert_eq!(a.publish(Cycle(0), "kv", ServiceId(7), NodeId(3)), None);
         assert_eq!(b.publish(Cycle(0), "kv", ServiceId(7), NodeId(5)), None);
-        a.merge(&b.snapshot());
-        let live = a.lookup_all(Cycle(1), "kv");
+        a.merge(&snapshot(&b, &a));
+        let live = live(&a, 1, "kv");
         assert_eq!(live.len(), 2);
         assert_eq!((live[0].home, live[1].home), (0, 1));
     }
@@ -292,16 +351,16 @@ mod tests {
         let mut home = dir(0);
         let mut peer = dir(1);
         assert_eq!(home.publish(Cycle(0), "kv", ServiceId(7), NodeId(3)), None);
-        peer.merge(&home.snapshot());
-        assert_eq!(peer.lookup_all(Cycle(1), "kv").len(), 1);
+        peer.merge(&snapshot(&home, &peer));
+        assert_eq!(live(&peer, 1, "kv").len(), 1);
         // Home withdraws; the tombstone's higher version beats the peer's
         // live copy, and the peer's stale snapshot cannot resurrect it.
         assert!(home.withdraw(Cycle(2), "kv"));
-        let stale = peer.snapshot();
-        peer.merge(&home.snapshot());
-        assert!(peer.lookup_all(Cycle(3), "kv").is_empty());
+        let stale = snapshot(&peer, &home);
+        peer.merge(&snapshot(&home, &peer));
+        assert!(live(&peer, 3, "kv").is_empty());
         home.merge(&stale);
-        assert!(home.lookup_all(Cycle(3), "kv").is_empty());
+        assert!(live(&home, 3, "kv").is_empty());
     }
 
     #[test]
@@ -315,27 +374,27 @@ mod tests {
         let mut stale_peer = dir(1);
         let mut third = dir(2);
         assert_eq!(home.publish(Cycle(0), "fn", ServiceId(7), NodeId(3)), None);
-        stale_peer.merge(&home.snapshot());
-        third.merge(&home.snapshot());
-        assert_eq!(third.lookup_all(Cycle(1), "fn").len(), 1);
+        stale_peer.merge(&snapshot(&home, &stale_peer));
+        third.merge(&snapshot(&home, &third));
+        assert_eq!(live(&third, 1, "fn").len(), 1);
 
         // Scale-to-zero: home withdraws. The tombstone reaches the third
         // board, but the stale peer has not heard yet.
         assert!(home.withdraw(Cycle(2), "fn"));
-        third.merge(&home.snapshot());
-        assert!(third.lookup_all(Cycle(3), "fn").is_empty());
+        third.merge(&snapshot(&home, &third));
+        assert!(live(&third, 3, "fn").is_empty());
 
         // The stale peer's snapshot still carries the live (lower-version)
         // copy. It must NOT resurrect the binding at the third board.
-        third.merge(&stale_peer.snapshot());
+        third.merge(&snapshot(&stale_peer, &third));
         assert!(
-            third.lookup_all(Cycle(4), "fn").is_empty(),
+            live(&third, 4, "fn").is_empty(),
             "stale peer re-advertised a torn-down function"
         );
 
         // And once the tombstone reaches the stale peer, it converges too.
-        stale_peer.merge(&home.snapshot());
-        assert!(stale_peer.lookup_all(Cycle(5), "fn").is_empty());
+        stale_peer.merge(&snapshot(&home, &stale_peer));
+        assert!(live(&stale_peer, 5, "fn").is_empty());
     }
 
     #[test]
@@ -343,13 +402,13 @@ mod tests {
         let mut home = dir(0);
         let mut peer = dir(1);
         assert_eq!(home.publish(Cycle(0), "kv", ServiceId(7), NodeId(3)), None);
-        peer.merge(&home.snapshot());
+        peer.merge(&snapshot(&home, &peer));
         // Renewed entries survive the original deadline.
         home.renew_local(Cycle(90));
-        peer.merge(&home.snapshot());
-        assert_eq!(peer.lookup_all(Cycle(150), "kv").len(), 1);
+        peer.merge(&snapshot(&home, &peer));
+        assert_eq!(live(&peer, 150, "kv").len(), 1);
         // Without further renewal (home board "dies"), the lease lapses.
-        assert!(peer.lookup_all(Cycle(190 + 1), "kv").is_empty());
+        assert!(live(&peer, 190 + 1, "kv").is_empty());
         let swept = peer.sweep(Cycle(191));
         assert_eq!(swept.len(), 1);
         assert_eq!(swept[0].home, 0);
@@ -360,17 +419,23 @@ mod tests {
     fn merge_ignores_claims_about_our_own_board() {
         let mut home = dir(0);
         assert_eq!(home.publish(Cycle(0), "kv", ServiceId(7), NodeId(3)), None);
-        let forged = vec![DirEntry {
-            name: "kv".into(),
-            home: 0,
-            node: NodeId(9),
-            service: ServiceId(99),
-            version: 1_000,
-            expires_at: Cycle(1_000_000),
-            withdrawn: false,
-        }];
-        home.merge(&forged);
-        let live = home.lookup_all(Cycle(1), "kv");
+        let forged = ClusterMsg {
+            src: 1,
+            dst: 0,
+            body: Body::Gossip {
+                entries: vec![DirEntry {
+                    name: "kv".into(),
+                    home: 0,
+                    node: NodeId(9),
+                    service: ServiceId(99),
+                    version: 1_000,
+                    expires_at: Cycle(1_000_000),
+                    withdrawn: false,
+                }],
+            },
+        };
+        home.merge(&landed(forged.encode()));
+        let live = live(&home, 1, "kv");
         assert_eq!(live[0].service, ServiceId(7), "authority stays local");
         assert_eq!(home.merged_in, 0);
     }
@@ -379,10 +444,10 @@ mod tests {
     fn renewal_bumps_version_so_it_propagates() {
         let mut home = dir(0);
         assert_eq!(home.publish(Cycle(0), "kv", ServiceId(7), NodeId(3)), None);
-        let v0 = home.snapshot()[0].version;
+        let v0 = live(&home, 1, "kv")[0].version;
         home.renew_local(Cycle(10));
-        let snap = home.snapshot();
-        assert!(snap[0].version > v0);
-        assert_eq!(snap[0].expires_at, Cycle(10 + LEASE));
+        let renewed = live(&home, 11, "kv")[0].clone();
+        assert!(renewed.version > v0);
+        assert_eq!(renewed.expires_at, Cycle(10 + LEASE));
     }
 }

@@ -35,9 +35,9 @@
 
 mod clock;
 mod link;
-mod msg;
+pub(crate) mod msg;
 
-pub use msg::{Body, ClusterMsg};
+pub use msg::{Body, BodyView, ClusterMsg, EntryRef, Gossip, MsgView};
 
 use apiary_sim::{ensure, Cycle};
 use link::Link;
@@ -160,7 +160,7 @@ pub struct Fabric {
     delivering: Cycle,
     delivered: u64,
     /// The current step's deliveries and retransmissions.
-    arrived: Vec<ClusterMsg>,
+    arrived: Vec<MsgView>,
     retransmits: Vec<Retransmits>,
     /// The first frame that reached a board on a cycle no step ran:
     /// `(board, cycle)`.
@@ -239,16 +239,24 @@ impl Fabric {
     /// the first cycle not yet run: sent between [`Fabric::step`]`(t)` and
     /// the next step, it leaves on cycle `t + 1`.
     pub fn send(&mut self, msg: &ClusterMsg) {
+        self.send_frame(msg.encode());
+    }
+
+    /// [`Fabric::send`] for a message already written as a frame, routed
+    /// on its header. Every later hop and retransmission shares the
+    /// buffer, and the board it reaches reads it there.
+    pub(crate) fn send_frame(&mut self, frame: Vec<u8>) {
+        let Some((src, dst)) = msg::route(&frame) else {
+            return;
+        };
         let first_hop = match self.cfg.topology {
-            Topology::Star => self.link_index(msg.src, TOR),
-            Topology::FullMesh => self.link_index(msg.src, msg.dst),
+            Topology::Star => self.link_index(src, TOR),
+            Topology::FullMesh => self.link_index(src, dst),
         };
         if let Some(i) = first_hop {
-            // Encode once; every later hop and retransmission shares the
-            // buffer.
             let link = &mut self.links[i];
             link.settle(self.next);
-            link.backlog.push_back(msg.encode().into());
+            link.backlog.push_back(frame.into());
             self.post(i, self.next);
         }
     }
@@ -280,20 +288,21 @@ impl Fabric {
     /// events of the cycles skipped since the last call, in the order a
     /// per-cycle pump would have run them, then the links with work at
     /// `now`, in key order. A link whose deadline lies ahead is not
-    /// touched. Returns the messages that reach a board at `now` and every
-    /// retransmission since the last call, with the cycle it went out on.
+    /// touched. Returns the messages that reach a board at `now`, each a
+    /// view of the frame it arrived in, and every retransmission since the
+    /// last call, with the cycle it went out on.
     ///
     /// The caller steps at or before [`Fabric::next_activity`], so no
     /// frame reaches a board on a skipped cycle (`check_invariants` holds
     /// it to that). Afterwards no internal deadline at or before `now` is
     /// left, and a frame sent before the next call leaves on `now + 1`.
-    pub fn step(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<Retransmits>) {
+    pub fn step(&mut self, now: Cycle) -> (Vec<MsgView>, Vec<Retransmits>) {
         self.advance(now, false)
     }
 
     /// The dense reference for [`Fabric::step`]: pumps every link at `now`
     /// whether it is due or not. Same deliveries, same counters, more work.
-    pub fn step_dense(&mut self, now: Cycle) -> (Vec<ClusterMsg>, Vec<Retransmits>) {
+    pub fn step_dense(&mut self, now: Cycle) -> (Vec<MsgView>, Vec<Retransmits>) {
         self.advance(now, true)
     }
 
@@ -311,7 +320,7 @@ impl Fabric {
         std::mem::take(&mut self.retransmits)
     }
 
-    fn advance(&mut self, now: Cycle, dense: bool) -> (Vec<ClusterMsg>, Vec<Retransmits>) {
+    fn advance(&mut self, now: Cycle, dense: bool) -> (Vec<MsgView>, Vec<Retransmits>) {
         debug_assert!(
             now >= self.next,
             "step at {now:?} after {:?} ran",

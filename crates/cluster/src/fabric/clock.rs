@@ -2,7 +2,7 @@
 //! per-cycle order, one link's pump, the switch, and the delivery bound each
 //! link posts.
 
-use super::msg::{dst, ClusterMsg};
+use super::msg::{route, MsgView};
 use super::{Fabric, Retransmits, TOR};
 use apiary_sim::{Cycle, Payload};
 
@@ -58,13 +58,14 @@ impl Fabric {
 
     /// An in-order frame came off link `i` at `now`. The switch
     /// store-and-forwards on the `dst` header alone (a frame with none, or
-    /// for no board, dies there); a board takes the message if it decodes.
+    /// for no board, dies there); a board takes the message if it parses,
+    /// as a view of the frame it arrived in.
     /// A downlink with nothing before the frame sends it at once: the
     /// downlink's own pump later in the cycle would have sent exactly it.
     fn arrive(&mut self, i: usize, p: Payload, now: Cycle) {
         let to = self.links[i].key.1;
         if to == TOR {
-            if let Some(down) = dst(&p).and_then(|d| self.link_index(TOR, d)) {
+            if let Some(down) = route(&p).and_then(|(_, d)| self.link_index(TOR, d)) {
                 debug_assert!(down > i, "downlinks are pumped after uplinks");
                 let link = &mut self.links[down];
                 link.settle(now);
@@ -75,7 +76,7 @@ impl Fabric {
                 }
                 self.post(down, now);
             }
-        } else if let Some(msg) = ClusterMsg::decode(&p) {
+        } else if let Some(msg) = MsgView::parse(&p) {
             if now != self.delivering {
                 debug_assert!(false, "a frame reached board {to} at {now:?}, unstepped");
                 self.early.get_or_insert((to, now));
@@ -124,7 +125,7 @@ impl Fabric {
             if !uplink {
                 return at;
             }
-            match dst(p).and_then(|d| self.link_index(TOR, d)) {
+            match route(p).and_then(|(_, d)| self.link_index(TOR, d)) {
                 Some(d) => at.max(self.links[d].data.free_at()) + ser + latency,
                 None => Cycle::MAX,
             }

@@ -16,7 +16,12 @@ fn msg(src: u16, dst: u16, tag: u64) -> ClusterMsg {
     }
 }
 
-fn run(f: &mut Fabric, from: Cycle, cycles: u64) -> Vec<ClusterMsg> {
+/// `m` as the fabric delivers it.
+fn landed(m: &ClusterMsg) -> MsgView {
+    MsgView::parse(&m.encode().into()).expect("a well-formed frame")
+}
+
+fn run(f: &mut Fabric, from: Cycle, cycles: u64) -> Vec<MsgView> {
     let mut out = Vec::new();
     for c in 0..cycles {
         out.extend(f.step(Cycle(from.0 + c)).0);
@@ -147,7 +152,7 @@ fn an_idle_star_posts_the_exact_delivery_cycle() {
     let ser = (msg(0, 1, 1).encode().len() as u64 + 42).div_ceil(link.bytes_per_cycle);
     let bound = f.next_activity(Cycle(10));
     assert_eq!(bound, Cycle(10 + 2 * (ser + link.latency)));
-    assert_eq!(f.step(bound).0, vec![msg(0, 1, 1)]);
+    assert_eq!(f.step(bound).0, vec![landed(&msg(0, 1, 1))]);
     assert_eq!(f.check_invariants(), Ok(()));
     // Only the acks are left, and they are internal: they disarm both
     // timers on arrival, so nothing more is bound to reach a board and the
@@ -198,7 +203,7 @@ fn tor_routes_on_the_header_and_malformed_frames_die_quietly() {
     let got = run(&mut f, Cycle(0), 2_000);
     assert_eq!(
         got,
-        vec![msg(0, 1, 2)],
+        vec![landed(&msg(0, 1, 2))],
         "only the well-formed frame arrives"
     );
     assert_eq!(f.stats().delivered, 1);
@@ -297,7 +302,7 @@ fn links_preserve_order() {
     let tags: Vec<u64> = got
         .iter()
         .map(|m| match m.body {
-            Body::Invoke { tag, .. } => tag,
+            BodyView::Invoke { tag, .. } => tag,
             _ => unreachable!(),
         })
         .collect();

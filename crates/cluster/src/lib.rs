@@ -44,4 +44,7 @@ pub use cluster::{
     ClusterClient, ClusterConfig, ClusterSystem, Completion, MigrationOutcome, SubmitError,
 };
 pub use directory::{DirEntry, Directory};
-pub use fabric::{Body, ClusterMsg, Fabric, FabricConfig, LinkConfig, Retransmits, Topology};
+pub use fabric::{
+    Body, BodyView, ClusterMsg, EntryRef, Fabric, FabricConfig, Gossip, LinkConfig, MsgView,
+    Retransmits, Topology,
+};

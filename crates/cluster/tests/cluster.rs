@@ -188,7 +188,7 @@ fn gossip_converges_to_every_replica() {
     // No traffic, just gossip rounds.
     c.run(8_000);
     for b in 0..4 {
-        let live = c.directory(b).lookup_all(c.now(), "kv");
+        let live: Vec<_> = c.directory(b).lookup_all(c.now(), "kv").collect();
         assert_eq!(live.len(), 4, "board {b} sees all replicas");
     }
 }
@@ -260,7 +260,7 @@ fn board_kill_fails_over_via_directory() {
     // Lease expiry removed the dead board everywhere and revoked any
     // remote caps minted against it.
     for b in 0..3 {
-        let live = c.directory(b).lookup_all(c.now(), "kv");
+        let live: Vec<_> = c.directory(b).lookup_all(c.now(), "kv").collect();
         assert_eq!(live.len(), 3, "board {b} dropped the dead replica");
         assert!(live.iter().all(|e| e.home != 3));
     }
@@ -307,7 +307,7 @@ fn reconfigure_withdraws_then_republishes() {
     let mut c = cluster(2);
     deploy_echo(&mut c, 1, 20);
     c.run(2_000); // let gossip spread the binding
-    assert_eq!(c.directory(0).lookup_all(c.now(), "kv").len(), 1);
+    assert_eq!(c.directory(0).lookup_all(c.now(), "kv").count(), 1);
 
     c.reconfigure_replica(1, "kv", Box::new(|| Box::new(echo(10))), BITSTREAM)
         .expect("replica is known");
@@ -316,13 +316,13 @@ fn reconfigure_withdraws_then_republishes() {
     // …and at peers once gossip carries the tombstone.
     c.run(1_000);
     assert!(
-        c.directory(0).lookup_all(c.now(), "kv").is_empty(),
+        c.directory(0).lookup_all(c.now(), "kv").next().is_none(),
         "tombstone propagated"
     );
     // Republished (new version, fresh lease) once the bitstream lands.
     c.run(4_000);
-    assert_eq!(c.directory(1).lookup_all(c.now(), "kv").len(), 1);
-    assert_eq!(c.directory(0).lookup_all(c.now(), "kv").len(), 1);
+    assert_eq!(c.directory(1).lookup_all(c.now(), "kv").count(), 1);
+    assert_eq!(c.directory(0).lookup_all(c.now(), "kv").count(), 1);
 }
 
 #[test]
@@ -386,7 +386,7 @@ fn a_rehomed_replica_is_reconfigured_and_torn_down_where_it_lives() {
     );
     assert!(!c.board(1).reconfiguring(REPLICA_NODE));
     run(&mut c, &mut [], 4_000);
-    let entry = c.directory(0).lookup_all(c.now(), "kv");
+    let entry: Vec<_> = c.directory(0).lookup_all(c.now(), "kv").collect();
     assert_eq!(entry.len(), 1);
     assert_eq!(entry[0].node, SPARE, "republished where it lives");
     assert!(c.board(1).tile(REPLICA_NODE).accel.is_none(), "no orphan");
@@ -443,7 +443,7 @@ fn a_rehomed_replica_is_republished_where_it_lives() {
         .expect("still published");
     assert_eq!(local.node, SPARE, "the home board's entry moved");
     run(&mut c, &mut [], 2 * gossip);
-    let seen = c.directory(0).lookup_all(c.now(), "kv");
+    let seen: Vec<_> = c.directory(0).lookup_all(c.now(), "kv").collect();
     assert_eq!(seen.len(), 1);
     assert_eq!(seen[0].node, SPARE, "gossip carried the move");
 }

@@ -2,8 +2,9 @@
 //!
 //! Three boards' directories go through random operations: each board
 //! publishes, withdraws and renews its own bindings, merges any snapshot
-//! any board took earlier (gossip delivered late, out of order or twice),
-//! and sweeps as the clock advances. After every operation:
+//! any board took earlier (gossip delivered late, out of order or twice,
+//! read from its frame as the fabric delivers it), and sweeps as the clock
+//! advances. After every operation:
 //!
 //! - **no resurrection:** once a board has held a tombstone, its
 //!   `lookup_all` never again returns a copy that tombstone buried — a
@@ -18,7 +19,7 @@
 //! carries the tombstone.
 
 use apiary_cap::ServiceId;
-use apiary_cluster::{DirEntry, Directory};
+use apiary_cluster::{Body, BodyView, ClusterMsg, DirEntry, Directory, Gossip, MsgView};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
 use proptest::prelude::*;
@@ -63,6 +64,22 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// A tombstone as a board held it: `(name, home, version, expires_at)`.
 type Tomb = (String, u16, u64, Cycle);
 
+/// Board `board`'s snapshot as a gossip frame delivers it.
+fn snapshot(dir: &Directory) -> Gossip {
+    match MsgView::parse(&dir.gossip_frame(dir.board()).into()).map(|m| m.body) {
+        Some(BodyView::Gossip(g)) => g,
+        other => panic!("not a gossip frame: {other:?}"),
+    }
+}
+
+/// Every entry `dir` holds, tombstones included.
+fn held_entries(dir: &Directory) -> Vec<DirEntry> {
+    match ClusterMsg::decode(&dir.gossip_frame(dir.board())).map(|m| m.body) {
+        Some(Body::Gossip { entries }) => entries,
+        other => panic!("not a gossip frame: {other:?}"),
+    }
+}
+
 /// Whether `tomb` buried `e`: same binding, no newer, leased no longer.
 fn buried(tomb: &Tomb, e: &DirEntry) -> bool {
     let (name, home, version, expires_at) = tomb;
@@ -75,7 +92,7 @@ proptest! {
     #[test]
     fn a_tombstone_is_never_resurrected(ops in prop::collection::vec(arb_op(), 1..200)) {
         let mut dirs: Vec<Directory> = (0..BOARDS).map(|b| Directory::new(b, LEASE)).collect();
-        let mut snapshots: Vec<Vec<DirEntry>> = Vec::new();
+        let mut snapshots: Vec<Gossip> = Vec::new();
         let mut held: Vec<BTreeSet<Tomb>> = vec![BTreeSet::new(); BOARDS as usize];
         let mut now = Cycle(0);
         for op in &ops {
@@ -88,7 +105,7 @@ proptest! {
                     dirs[home as usize].withdraw(now, NAMES[name]);
                 }
                 Op::Renew { home } => dirs[home as usize].renew_local(now),
-                Op::Snapshot { board } => snapshots.push(dirs[board as usize].snapshot()),
+                Op::Snapshot { board } => snapshots.push(snapshot(&dirs[board as usize])),
                 Op::Merge { into, pick } => {
                     if !snapshots.is_empty() {
                         let snap = &snapshots[pick % snapshots.len()];
@@ -104,7 +121,7 @@ proptest! {
             }
             for (b, dir) in dirs.iter().enumerate() {
                 assert_eq!(dir.check_invariants(), Ok(()));
-                for e in dir.snapshot().into_iter().filter(|e| e.withdrawn) {
+                for e in held_entries(dir).into_iter().filter(|e| e.withdrawn) {
                     held[b].insert((e.name, e.home, e.version, e.expires_at));
                 }
                 for name in NAMES {

@@ -20,6 +20,7 @@ use apiary_monitor::{Monitor, MonitorConfig, TileState};
 use apiary_noc::{Noc, NocConfig, NodeId};
 use apiary_sim::{ClockMode, Cycle, Machine};
 use core::fmt;
+use std::cell::Cell;
 
 /// System-level configuration.
 #[derive(Debug, Clone)]
@@ -151,8 +152,11 @@ pub struct System {
     pub(crate) reconfig: ReconfigController,
     pub(crate) supervisor: Supervisor,
     /// `next_phase_due(now)`, kept while nothing that scan reads can have
-    /// changed: `cycle_phases` and every public `&mut self` entry drop it.
-    phase_due: Option<Cycle>,
+    /// changed: `cycle_phases` and every public `&mut self` entry drop it,
+    /// and an event step or [`System::next_event_due`] keeps the scan it
+    /// made. A `Cell`, so that asking when the system is due (`&self`)
+    /// keeps its answer for the step that follows.
+    phase_due: Cell<Option<Cycle>>,
     phase_cycles: u64,
 }
 
@@ -177,7 +181,7 @@ impl System {
             allocator: SegmentAllocator::new(cfg.mem_capacity, AllocPolicy::FirstFit),
             reconfig: ReconfigController::new(cfg.icap_bytes_per_cycle),
             supervisor,
-            phase_due: None,
+            phase_due: Cell::new(None),
             phase_cycles: 0,
             cfg,
         };
@@ -217,7 +221,7 @@ impl System {
     /// The funnel of every public `&mut self` entry that does not step the
     /// clock: the caller may move the kernel deadline, so the memo is dropped.
     fn touched(&mut self) -> &mut System {
-        self.phase_due = None;
+        self.phase_due.set(None);
         self
     }
 

@@ -176,15 +176,18 @@ impl System {
         } else {
             // No phase ran and nothing waits to be ejected: the scan would
             // read what it read, and `due` still lies ahead of the clock.
-            self.phase_due = Some(due);
+            self.phase_due.set(Some(due));
         }
     }
 
     /// `next_phase_due(now)`, from the memo when one is held.
     fn phase_due(&self) -> Cycle {
         let fresh = || self.next_phase_due(self.noc.now());
-        debug_assert!(self.phase_due.is_none_or(|d| d == fresh()), "stale memo");
-        self.phase_due.unwrap_or_else(fresh)
+        debug_assert!(
+            self.phase_due.get().is_none_or(|d| d == fresh()),
+            "stale memo"
+        );
+        self.phase_due.get().unwrap_or_else(fresh)
     }
 
     /// The next cycle at which this system can do anything on its own: the
@@ -196,10 +199,16 @@ impl System {
     /// drivers that advance several systems against one shared clock (the
     /// cluster) use this to find the global next event; every cycle
     /// strictly before the returned one is provably a no-op for this system
-    /// and may be crossed with [`System::skip_to`].
+    /// and may be crossed with [`System::skip_to`]. The kernel scan it
+    /// makes is kept as the memo the next step reads, so a lockstep driver's
+    /// question costs no second scan.
     pub fn next_event_due(&self) -> Cycle {
         match self.noc.quiet_until() {
-            Some(quiet) => quiet.min(self.phase_due()),
+            Some(quiet) => {
+                let due = self.phase_due();
+                self.phase_due.set(Some(due));
+                quiet.min(due)
+            }
             None => self.noc.now().saturating_add(1),
         }
     }
@@ -325,7 +334,10 @@ impl Machine for System {
     /// ladder (`Supervisor::check`).
     fn check_invariants(&self) -> Result<(), String> {
         let fresh = self.next_phase_due(self.noc.now());
-        ensure!(self.phase_due.is_none_or(|d| d == fresh), "stale memo");
+        ensure!(
+            self.phase_due.get().is_none_or(|d| d == fresh),
+            "stale memo"
+        );
         self.noc.check_invariants()?;
         for tile in &self.tiles {
             tile.monitor.check_invariants()?;

@@ -49,7 +49,7 @@ use apiary_cluster::{ClusterConfig, ClusterSystem, SubmitError};
 use apiary_core::AppId;
 use apiary_noc::NodeId;
 use apiary_resources::{Area, FloorPlanner, Part};
-use apiary_sim::{ClockMode, Cycle, Machine, SimRng};
+use apiary_sim::{ClockMode, Cycle, Machine, Payload, SimRng};
 use apiary_trace::LatencyTracker;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -342,18 +342,20 @@ impl FaasSystem {
     /// Invokes a function on behalf of `tenant`, entering at `origin`'s
     /// gateway. Warm path: straight through the directory to a live
     /// replica. Cold path: queued, with a deploy started if none is in
-    /// flight.
+    /// flight. The payload is made a [`Payload`] once: the submit and the
+    /// queue share its buffer.
     pub fn invoke(
         &mut self,
         fn_idx: usize,
         tenant: u32,
         origin: u16,
-        payload: Vec<u8>,
+        payload: impl Into<Payload>,
     ) -> InvokeOutcome {
         let now = self.cluster.now();
         if !self.admission.admit(tenant, now) {
             return InvokeOutcome::Throttled;
         }
+        let payload: Payload = payload.into();
         let tag = self.next_tag;
         self.next_tag += 1;
         let cold = self.pools.live(fn_idx) == 0;

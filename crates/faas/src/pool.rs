@@ -18,7 +18,7 @@
 use crate::orchestrator::FaasSystem;
 use apiary_core::FaultPolicy;
 use apiary_noc::NodeId;
-use apiary_sim::Cycle;
+use apiary_sim::{Cycle, Payload};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Lifecycle of one replica slot.
@@ -47,7 +47,7 @@ pub(crate) struct Replica {
 pub(crate) struct Queued {
     pub(crate) tag: u64,
     pub(crate) origin: u16,
-    pub(crate) payload: Vec<u8>,
+    pub(crate) payload: Payload,
     pub(crate) deadline: Cycle,
 }
 
