@@ -139,9 +139,6 @@ pub trait TileOs {
     /// The capability environment the kernel granted this process.
     fn cap_env(&self) -> &CapEnv;
 
-    /// Emits a free-form trace annotation.
-    fn note(&mut self, text: &str);
-
     /// Raises a fault: the accelerator detected an unrecoverable internal
     /// error. The kernel applies the tile's fault policy (§4.4) — fail-stop,
     /// or context swap if the accelerator is preemptible.
@@ -172,8 +169,6 @@ pub mod test_os {
         pub mem_ops: Vec<(CapRef, u64, u64, bool)>,
         /// Faults raised.
         pub faults: Vec<u32>,
-        /// Notes emitted.
-        pub notes: Vec<String>,
         env: CapEnv,
     }
 
@@ -265,10 +260,6 @@ pub mod test_os {
 
         fn cap_env(&self) -> &CapEnv {
             &self.env
-        }
-
-        fn note(&mut self, text: &str) {
-            self.notes.push(text.to_string());
         }
 
         fn raise_fault(&mut self, code: u32) {

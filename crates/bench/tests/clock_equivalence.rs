@@ -473,7 +473,8 @@ fn arb_cluster_op() -> impl Strategy<Value = ClusterOp> {
 
 /// Runs `ops` under `mode`, holding the laws after each; returns the
 /// cluster and everything observable: the result of every op, completions
-/// in order, every counter, every board's clock and the merged traces.
+/// in order, the cycles each poke reply was injected and delivered at, every
+/// counter, every latency histogram and every board's clock.
 fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String) {
     use apiary_accel::apps::kv::kv_store;
     use apiary_cap::ServiceId;
@@ -493,7 +494,6 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String
         ..ClusterConfig::default()
     };
     cfg.system.clock = mode;
-    cfg.system.monitor.trace_depth = 512;
     let mut c = ClusterSystem::new(cfg);
     let mut poke_caps = Vec::new();
     for b in 0..4 {
@@ -596,9 +596,12 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String
                 let sys = c.board_mut(board);
                 let now = sys.now();
                 let monitor = &mut sys.tile_mut(POKE_CLIENT).monitor;
-                let mut echoed = 0;
-                while monitor.recv().is_some() {
-                    echoed += 1;
+                while let Some(d) = monitor.recv() {
+                    let _ = write!(
+                        log,
+                        "echo:{},{:?},{:?};",
+                        d.msg.tag, d.injected_at, d.delivered_at
+                    );
                 }
                 let sent = monitor.send(
                     poke_caps[board as usize],
@@ -608,7 +611,7 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String
                     vec![0xA5; payload],
                     now,
                 );
-                let _ = write!(log, "poke:{echoed},{};", sent.is_ok());
+                let _ = write!(log, "poke:{};", sent.is_ok());
             }
         }
         if let Err(law) = c.check_invariants() {
@@ -619,11 +622,10 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String
     c.run(6_000);
 
     let done = c.take_completions();
-    let e2e = c.end_to_end.histogram();
     let _ = write!(
         log,
         "\nend:{:?} done:{done:?} local={} remote={} timeouts={} refused={} stale={} dead_drops={} \
-         revoked={} mig_failed={} mig={:?} fabric={:?} picks={} e2e=({},{},{})",
+         revoked={} mig_failed={} mig={:?} fabric={:?} picks={}\ne2e={:?}\nout={:?}\non_board={:?}\nback={:?}",
         c.now(),
         c.local_submitted,
         c.remote_submitted,
@@ -636,9 +638,10 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String
         c.migration_outcomes(),
         c.fabric().stats(),
         c.balancer().picks,
-        e2e.count(),
-        e2e.p50(),
-        e2e.p99(),
+        c.end_to_end,
+        c.fabric_out,
+        c.on_board,
+        c.fabric_back,
     );
     for b in 0..4 {
         let sys = c.board(b);
@@ -653,7 +656,6 @@ fn run_cluster_ops(mode: ClockMode, ops: &[ClusterOp]) -> (ClusterSystem, String
         for n in 0..sys.noc().mesh().nodes() as u16 {
             let _ = write!(log, " {:?}", sys.tile(NodeId(n)).monitor.stats());
         }
-        let _ = write!(log, "\ntrace{b}: {:?}", sys.merged_trace());
     }
     (c, log)
 }

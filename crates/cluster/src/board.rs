@@ -13,7 +13,6 @@ use apiary_core::supervisor::ServiceSpec;
 use apiary_core::{ServiceImage, System, SystemError};
 use apiary_noc::NodeId;
 use apiary_sim::{ensure, Cycle, Machine};
-use apiary_trace::{EventKind, RemotePhase};
 use std::collections::BTreeMap;
 
 pub(crate) struct Republish {
@@ -155,20 +154,6 @@ impl Board {
             service,
         });
         Ok(started)
-    }
-
-    /// Records a `Remote` span at the gateway tile. Tracing never moves a
-    /// deadline, so the cached one is kept.
-    pub(crate) fn trace_remote(
-        &mut self,
-        gw: NodeId,
-        now: Cycle,
-        phase: RemotePhase,
-        board: u16,
-        tag: u64,
-    ) {
-        let event = EventKind::Remote { phase, board, tag };
-        self.sys.tracer_mut(gw).record(now, gw.0, event);
     }
 
     /// `Err` unless the board is in lockstep with cluster cycle `now`, the

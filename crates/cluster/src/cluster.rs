@@ -56,7 +56,7 @@ use apiary_core::process::OS_APP;
 use apiary_core::{FaultPolicy, System, SystemConfig, SystemError};
 use apiary_noc::NodeId;
 use apiary_sim::{ensure, ClockMode, Cycle, Machine};
-use apiary_trace::{EventKind, LatencyTracker, RemotePhase};
+use apiary_trace::LatencyTracker;
 use migration::Migration;
 use requests::Requests;
 use std::collections::BTreeMap;
@@ -281,20 +281,6 @@ impl ClusterSystem {
     /// Remote capabilities currently held at a board's gateway.
     pub fn remote_cap_count(&self, b: u16) -> usize {
         self.boards[b as usize].remote_caps.len()
-    }
-
-    /// Count of `Remote` trace events recorded at a board's gateway.
-    pub fn remote_trace_count(&self, b: u16) -> u64 {
-        self.boards[b as usize]
-            .sys()
-            .tile(self.cfg.gateway)
-            .monitor
-            .tracer()
-            .count(&EventKind::Remote {
-                phase: RemotePhase::Send,
-                board: 0,
-                tag: 0,
-            })
     }
 
     /// [`Machine::quiescent`], under the name `benchmark/` calls.

@@ -2,7 +2,7 @@
 //! them puts on it.
 
 use super::{ClusterSystem, SubmitError};
-use apiary_net::{BreakerConfig, BreakerState, RequestGen, RetryPolicy, Workload};
+use apiary_net::{BreakerConfig, RequestGen, RetryPolicy, Workload};
 use apiary_sim::{Cycle, Load};
 
 /// One external client: a [`RequestGen`] (workload, retry policy, circuit
@@ -17,7 +17,6 @@ pub struct ClusterClient {
     pub service_name: String,
     /// Submits refused because no live replica was visible.
     pub no_replica: u64,
-    last_breaker: Option<BreakerState>,
     /// `gen.next_timed_event()` as of the last pump.
     wake: Cycle,
 }
@@ -40,7 +39,6 @@ impl ClusterClient {
             origin,
             service_name: service_name.to_string(),
             no_replica: 0,
-            last_breaker: None,
             wake: Cycle::ZERO,
         }
     }
@@ -61,8 +59,7 @@ impl Load<ClusterSystem> for [ClusterClient] {
         self.iter().fold(Cycle::MAX, |due, cl| due.min(cl.wake))
     }
 
-    /// Delivers completions, then issues new arrivals and due retries,
-    /// recording breaker-open transitions.
+    /// Delivers completions, then issues new arrivals and due retries.
     fn pump(&mut self, cluster: &mut ClusterSystem) {
         let now = cluster.now();
         if !cluster.has_completions() && self.iter().all(|cl| cl.wake > now) {
@@ -81,11 +78,6 @@ impl Load<ClusterSystem> for [ClusterClient] {
                     cl.gen.complete(tag, now, true);
                 }
             }
-            let state = cl.gen.breaker_state();
-            if state == Some(BreakerState::Open) && cl.last_breaker != Some(BreakerState::Open) {
-                cluster.note_breaker_open(cl.origin);
-            }
-            cl.last_breaker = state;
             cl.wake = cl.gen.next_timed_event().unwrap_or(Cycle::MAX);
         }
     }

@@ -3,12 +3,11 @@
 
 use super::ClusterSystem;
 use crate::board::Ingress;
-use crate::fabric::{msg, BodyView, Retransmits};
+use crate::fabric::{msg, BodyView};
 use apiary_cap::ServiceId;
 use apiary_monitor::wire::{KIND_ERROR, KIND_REQUEST};
 use apiary_noc::{NodeId, TrafficClass};
 use apiary_sim::{Cycle, Payload};
-use apiary_trace::RemotePhase;
 
 /// High bit marks gateway-local ingress tags, so a board can tell replies
 /// to forwarded remote work from replies to its own clients' local work.
@@ -110,36 +109,16 @@ impl ClusterSystem {
     /// 0. The fabric's internal events of the cycles skipped since the last
     ///    one, so that whatever this cycle sends leaves on it.
     pub(super) fn catch_up_fabric(&mut self, now: Cycle) {
-        let retx = self.fabric.catch_up(Cycle(now.0 - 1));
-        self.trace_retransmits(retx);
+        self.fabric.catch_up(Cycle(now.0 - 1));
     }
 
-    /// Each ARQ retransmission goes into its sending board's trace at the
-    /// cycle it happened on. Inlined: the list is nearly always empty.
-    #[inline]
-    fn trace_retransmits(&mut self, retx: Vec<Retransmits>) {
-        let gw = self.cfg.gateway;
-        for r in retx {
-            let b = &mut self.boards[r.board as usize];
-            if !b.alive {
-                continue;
-            }
-            for _ in 0..r.count {
-                b.trace_remote(gw, r.at, RemotePhase::Retransmit, r.board, 0);
-            }
-        }
-    }
-
-    /// 4. Fabric: deliveries, read where they landed, and ARQ
-    ///    retransmission attribution.
+    /// 4. Fabric: deliveries, read where they landed.
     pub(super) fn deliver_fabric(&mut self, now: Cycle, dense: bool) {
-        let gw = self.cfg.gateway;
-        let (deliveries, retx) = if dense {
+        let deliveries = if dense {
             self.fabric.step_dense(now)
         } else {
-            self.fabric.step(now)
+            self.fabric.step(now).0
         };
-        self.trace_retransmits(retx);
         for msg in deliveries {
             if !self.boards[msg.dst as usize].alive {
                 self.dead_board_drops += 1;
@@ -159,13 +138,6 @@ impl ClusterSystem {
                     if let Some(replied) = self.requests.get(tag).and_then(|p| p.replied) {
                         self.fabric_back.record(replied, now);
                     }
-                    self.boards[msg.dst as usize].trace_remote(
-                        gw,
-                        now,
-                        RemotePhase::Reply,
-                        msg.src,
-                        tag,
-                    );
                     self.finish_request(tag, is_error, now);
                 }
                 BodyView::Gossip(gossip) => {
@@ -175,7 +147,7 @@ impl ClusterSystem {
                     service,
                     name: _,
                     snapshot,
-                } => self.restore_migration(msg.src, msg.dst, service, &snapshot, now),
+                } => self.restore_migration(msg.src, msg.dst, service, &snapshot),
             }
         }
     }

@@ -14,7 +14,6 @@ use apiary_cap::ServiceId;
 use apiary_core::{ServiceImage, SystemError};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
-use apiary_trace::RemotePhase;
 
 /// Phase of an in-flight live migration.
 enum MigPhase {
@@ -100,14 +99,6 @@ impl ClusterSystem {
             return Err(NO_REPLICA);
         }
         self.boards[src as usize].dir.withdraw(now, name);
-        let gw = self.cfg.gateway;
-        self.boards[src as usize].trace_remote(
-            gw,
-            now,
-            RemotePhase::MigrateQuiesce,
-            dst,
-            service.0 as u64,
-        );
         self.migrations.insert(
             service.0,
             Migration {
@@ -194,7 +185,6 @@ impl ClusterSystem {
     /// the service cannot snapshot right now (mid-reconfiguration or not
     /// preemptible).
     fn drive_migration_snapshot(&mut self, sid: u32, now: Cycle) {
-        let gw = self.cfg.gateway;
         let m = self.migrations.get_mut(&sid).expect("listed by caller");
         let b = &mut self.boards[m.src as usize];
         let home = b.sys().service_home(m.service);
@@ -209,7 +199,6 @@ impl ClusterSystem {
             self.migrations_failed += 1;
             return;
         };
-        b.trace_remote(gw, now, RemotePhase::MigrateXfer, m.dst, sid as u64);
         m.snapshot_at = now;
         m.state_bytes = state.len() as u64;
         let spec = b
@@ -237,15 +226,7 @@ impl ClusterSystem {
     /// `dst_node`, warm if the snapshot restores (cold otherwise), loaded
     /// through the ICAP. The republish pass publishes the new home once
     /// the tile is back online.
-    pub(crate) fn restore_migration(
-        &mut self,
-        src: u16,
-        dst: u16,
-        service: u32,
-        snapshot: &[u8],
-        now: Cycle,
-    ) {
-        let gw = self.cfg.gateway;
+    pub(crate) fn restore_migration(&mut self, src: u16, dst: u16, service: u32, snapshot: &[u8]) {
         let m = match self.migrations.get_mut(&service) {
             Some(m) if m.src == src && matches!(m.phase, MigPhase::Transfer(_)) => m,
             // Migration aborted while the snapshot was in flight; the
@@ -260,7 +241,6 @@ impl ClusterSystem {
         match b.adopt_replica(&m.name, m.service, m.dst_node, image, Some(snapshot)) {
             Ok((_, warm)) => {
                 m.warm = warm;
-                b.trace_remote(gw, now, RemotePhase::MigrateRestore, src, service as u64);
             }
             Err(_) => {
                 self.migrations.remove(&service);
@@ -287,16 +267,8 @@ impl ClusterSystem {
             })
             .map(|(&s, _)| s)
             .collect();
-        let gw = self.cfg.gateway;
         for sid in finished {
             let m = self.migrations.remove(&sid).expect("listed above");
-            self.boards[m.dst as usize].trace_remote(
-                gw,
-                now,
-                RemotePhase::MigrateDone,
-                m.src,
-                sid as u64,
-            );
             self.revoke_remote_caps(m.src, sid);
             self.migrations_done.push(MigrationOutcome {
                 name: m.name,

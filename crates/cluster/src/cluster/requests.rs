@@ -7,7 +7,6 @@ use apiary_cap::{CapKind, Capability, Rights};
 use apiary_monitor::wire::KIND_REQUEST;
 use apiary_noc::{NodeId, TrafficClass};
 use apiary_sim::{ensure, Cycle, Payload};
-use apiary_trace::RemotePhase;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Why a submit was refused.
@@ -224,7 +223,6 @@ impl ClusterSystem {
                 self.refused += 1;
                 return Err(SubmitError::Refused);
             }
-            b.trace_remote(gw, now, RemotePhase::Send, tboard, tag);
             let frame = msg::invoke(origin, tboard, service.0, tag, payload.as_ref());
             self.fabric.send_frame(frame);
             self.remote_submitted += 1;
@@ -243,15 +241,6 @@ impl ClusterSystem {
             },
         );
         Ok((tboard, tnode))
-    }
-
-    /// Records a breaker-open transition observed at a board's client (the
-    /// board id in the event is the origin itself: the breaker guards the
-    /// whole fan-out, not one peer).
-    pub fn note_breaker_open(&mut self, origin: u16) {
-        let now = self.now();
-        let gw = self.cfg.gateway;
-        self.boards[origin as usize].trace_remote(gw, now, RemotePhase::BreakerOpen, origin, 0);
     }
 
     /// Finished requests since the last call, in completion order.

@@ -103,19 +103,6 @@ impl Default for FabricConfig {
     }
 }
 
-/// ARQ retransmissions one board's link sent on one cycle, for the board's
-/// tracer: in a star a board's uplink, in a mesh any of its links (the
-/// switch's own retransmissions are no board's).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Retransmits {
-    /// The sending board.
-    pub board: u16,
-    /// The cycle the packets went out again.
-    pub at: Cycle,
-    /// How many packets.
-    pub count: u64,
-}
-
 /// Aggregate fabric counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricStats {
@@ -159,9 +146,8 @@ pub struct Fabric {
     /// delivery-bound law.
     delivering: Cycle,
     delivered: u64,
-    /// The current step's deliveries and retransmissions.
+    /// The current step's deliveries.
     arrived: Vec<MsgView>,
-    retransmits: Vec<Retransmits>,
     /// The first frame that reached a board on a cycle no step ran:
     /// `(board, cycle)`.
     early: Option<(u16, Cycle)>,
@@ -211,7 +197,6 @@ impl Fabric {
             delivering: Cycle::MAX,
             delivered: 0,
             arrived: Vec::new(),
-            retransmits: Vec::new(),
             early: None,
         }
     }
@@ -289,38 +274,39 @@ impl Fabric {
     /// per-cycle pump would have run them, then the links with work at
     /// `now`, in key order. A link whose deadline lies ahead is not
     /// touched. Returns the messages that reach a board at `now`, each a
-    /// view of the frame it arrived in, and every retransmission since the
-    /// last call, with the cycle it went out on.
+    /// view of the frame it arrived in.
     ///
     /// The caller steps at or before [`Fabric::next_activity`], so no
     /// frame reaches a board on a skipped cycle (`check_invariants` holds
     /// it to that). Afterwards no internal deadline at or before `now` is
     /// left, and a frame sent before the next call leaves on `now + 1`.
-    pub fn step(&mut self, now: Cycle) -> (Vec<MsgView>, Vec<Retransmits>) {
-        self.advance(now, false)
+    ///
+    /// The empty second slot carries nothing: `benchmark/` reads the
+    /// deliveries as `fabric.step(now).0`, so the pair shape stays until it
+    /// may change.
+    pub fn step(&mut self, now: Cycle) -> (Vec<MsgView>, ()) {
+        (self.advance(now, false), ())
     }
 
     /// The dense reference for [`Fabric::step`]: pumps every link at `now`
     /// whether it is due or not. Same deliveries, same counters, more work.
-    pub fn step_dense(&mut self, now: Cycle) -> (Vec<MsgView>, Vec<Retransmits>) {
+    pub fn step_dense(&mut self, now: Cycle) -> Vec<MsgView> {
         self.advance(now, true)
     }
 
     /// Runs the internal events of every cycle up to and including
-    /// `through` and returns their retransmissions, so that a frame sent
-    /// next leaves on `through + 1`. A driver calls it before a phase that
-    /// sends on a cycle it has not stepped yet. Nothing can reach a board
-    /// on these cycles while `through` lies before
-    /// [`Fabric::next_activity`].
-    pub fn catch_up(&mut self, through: Cycle) -> Vec<Retransmits> {
+    /// `through`, so that a frame sent next leaves on `through + 1`. A
+    /// driver calls it before a phase that sends on a cycle it has not
+    /// stepped yet. Nothing can reach a board on these cycles while
+    /// `through` lies before [`Fabric::next_activity`].
+    pub fn catch_up(&mut self, through: Cycle) {
         if through >= self.next {
             self.run_through(through);
             self.next = through + 1;
         }
-        std::mem::take(&mut self.retransmits)
     }
 
-    fn advance(&mut self, now: Cycle, dense: bool) -> (Vec<MsgView>, Vec<Retransmits>) {
+    fn advance(&mut self, now: Cycle, dense: bool) -> Vec<MsgView> {
         debug_assert!(
             now >= self.next,
             "step at {now:?} after {:?} ran",
@@ -341,10 +327,7 @@ impl Fabric {
         self.run_through(now);
         self.delivering = Cycle::MAX;
         self.next = now + 1;
-        (
-            std::mem::take(&mut self.arrived),
-            std::mem::take(&mut self.retransmits),
-        )
+        std::mem::take(&mut self.arrived)
     }
 
     /// A lower bound on the first cycle at or after `from` at which a

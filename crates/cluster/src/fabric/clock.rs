@@ -3,7 +3,7 @@
 //! link posts.
 
 use super::msg::{route, MsgView};
-use super::{Fabric, Retransmits, TOR};
+use super::{Fabric, TOR};
 use apiary_sim::{Cycle, Payload};
 
 impl Fabric {
@@ -37,15 +37,7 @@ impl Fabric {
     /// ack. A pump at a cycle the link has no work on changes nothing.
     pub(super) fn pump(&mut self, i: usize, now: Cycle) {
         self.links[i].settle(now);
-        let count = self.links[i].transmit(now);
-        let from = self.links[i].key.0;
-        if count > 0 && from != TOR {
-            self.retransmits.push(Retransmits {
-                board: from,
-                at: now,
-                count,
-            });
-        }
+        self.links[i].transmit(now);
         let mut received = 0;
         while let Some(frame) = self.links[i].receive(now) {
             received += 1;

@@ -109,13 +109,11 @@ impl Link {
     }
 
     /// The first half of a pump: admit backlog into the ARQ window and put
-    /// whatever the sender releases on the data wire. Returns how many
-    /// packets were retransmissions.
-    pub(super) fn transmit(&mut self, now: Cycle) -> u64 {
+    /// whatever the sender releases on the data wire.
+    pub(super) fn transmit(&mut self, now: Cycle) {
         if self.backlog.is_empty() && self.tx.queued() == 0 && !self.times_out(now) {
-            return 0;
+            return;
         }
-        let retx_before = self.tx.retransmissions;
         while let Some(m) = self.backlog.front() {
             // Admission is a refcount bump: the ARQ window and the backlog
             // share the same buffer.
@@ -140,7 +138,6 @@ impl Link {
                 self.cut_drops += 1;
             }
         }
-        self.tx.retransmissions - retx_before
     }
 
     /// The next data frame that has arrived by `now` and passed the

@@ -245,7 +245,7 @@ fn stepping_only_due_links_matches_pumping_every_link() {
                 dense.set_link(1, None, up);
             }
             assert_eq!(
-                sparse.step(Cycle(c)),
+                sparse.step(Cycle(c)).0,
                 dense.step_dense(Cycle(c)),
                 "{topology:?} diverged at cycle {c}"
             );

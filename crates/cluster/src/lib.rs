@@ -46,5 +46,5 @@ pub use cluster::{
 pub use directory::{DirEntry, Directory};
 pub use fabric::{
     Body, BodyView, ClusterMsg, EntryRef, Fabric, FabricConfig, Gossip, LinkConfig, MsgView,
-    Retransmits, Topology,
+    Topology,
 };

@@ -161,8 +161,8 @@ fn remote_invocation_round_trip() {
     assert!(stats.completed > 20, "completions: {stats:?}");
     assert!(c.remote_submitted > 20);
     assert_eq!(c.local_submitted, 0, "no local replica exists");
-    // Span events at the origin gateway: a send and a reply per request.
-    assert!(c.remote_trace_count(0) >= 2 * (stats.completed - stats.errors));
+    // Every request that succeeded came back over the fabric.
+    assert!(c.fabric_back.histogram().count() >= stats.completed - stats.errors);
     // Per-hop breakdown: both fabric hops cost at least the link
     // propagation delay; on-board time is measured separately.
     assert!(c.fabric_out.histogram().count() > 0);
@@ -218,8 +218,9 @@ fn fingerprint(boards: u16, cycles: u64) -> String {
         c.end_to_end.histogram().p50(),
         c.end_to_end.histogram().p99(),
     );
+    let gw = ClusterConfig::default().gateway;
     for b in 0..boards {
-        let _ = write!(s, " t{}={}", b, c.remote_trace_count(b));
+        let _ = write!(s, " t{}={:?}", b, c.board(b).tile(gw).monitor.stats());
     }
     for cl in &clients {
         let _ = write!(

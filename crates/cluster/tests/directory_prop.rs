@@ -6,12 +6,13 @@
 //! read from its frame as the fabric delivers it), and sweeps as the clock
 //! advances. After every operation:
 //!
-//! - **no resurrection:** once a board has held a tombstone, its
-//!   `lookup_all` never again returns a copy that tombstone buried — a
-//!   version at or below the tombstone's, leased no longer than it (every
-//!   home mutation leases to `now + LEASE`, so a copy issued before the
-//!   withdrawal expires no later than the tombstone does; a binding the
-//!   home publishes afresh after the tombstone lapsed is leased later);
+//! - **no resurrection:** once a board has held a tombstone, or merged a
+//!   snapshot that held one, its `lookup_all` never again returns a copy
+//!   that tombstone buried — a version at or below the tombstone's, leased
+//!   no longer than it (every home mutation leases to `now + LEASE`, so a
+//!   copy issued before the withdrawal expires no later than the tombstone
+//!   does; a binding the home publishes afresh after the tombstone lapsed
+//!   is leased later);
 //! - [`Directory::check_invariants`] holds on every board.
 //!
 //! A board that has not yet heard of a withdrawal may still return the
@@ -64,6 +65,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// A tombstone as a board held it: `(name, home, version, expires_at)`.
 type Tomb = (String, u16, u64, Cycle);
 
+/// The tombstones `dir` holds.
+fn tombs(dir: &Directory) -> impl Iterator<Item = Tomb> {
+    held_entries(dir)
+        .into_iter()
+        .filter(|e| e.withdrawn)
+        .map(|e| (e.name, e.home, e.version, e.expires_at))
+}
+
 /// Board `board`'s snapshot as a gossip frame delivers it.
 fn snapshot(dir: &Directory) -> Gossip {
     match MsgView::parse(&dir.gossip_frame(dir.board()).into()).map(|m| m.body) {
@@ -92,7 +101,8 @@ proptest! {
     #[test]
     fn a_tombstone_is_never_resurrected(ops in prop::collection::vec(arb_op(), 1..200)) {
         let mut dirs: Vec<Directory> = (0..BOARDS).map(|b| Directory::new(b, LEASE)).collect();
-        let mut snapshots: Vec<Gossip> = Vec::new();
+        // Each snapshot with the tombstones it carries.
+        let mut snapshots: Vec<(Gossip, Vec<Tomb>)> = Vec::new();
         let mut held: Vec<BTreeSet<Tomb>> = vec![BTreeSet::new(); BOARDS as usize];
         let mut now = Cycle(0);
         for op in &ops {
@@ -105,11 +115,15 @@ proptest! {
                     dirs[home as usize].withdraw(now, NAMES[name]);
                 }
                 Op::Renew { home } => dirs[home as usize].renew_local(now),
-                Op::Snapshot { board } => snapshots.push(snapshot(&dirs[board as usize])),
+                Op::Snapshot { board } => {
+                    let dir = &dirs[board as usize];
+                    snapshots.push((snapshot(dir), tombs(dir).collect()));
+                }
                 Op::Merge { into, pick } => {
                     if !snapshots.is_empty() {
-                        let snap = &snapshots[pick % snapshots.len()];
+                        let (snap, carried) = &snapshots[pick % snapshots.len()];
                         dirs[into as usize].merge(snap);
+                        held[into as usize].extend(carried.iter().cloned());
                     }
                 }
                 Op::Sweep { board } => {
@@ -121,9 +135,7 @@ proptest! {
             }
             for (b, dir) in dirs.iter().enumerate() {
                 assert_eq!(dir.check_invariants(), Ok(()));
-                for e in held_entries(dir).into_iter().filter(|e| e.withdrawn) {
-                    held[b].insert((e.name, e.home, e.version, e.expires_at));
-                }
+                held[b].extend(tombs(dir));
                 for name in NAMES {
                     for e in dir.lookup_all(now, name) {
                         let tomb = held[b].iter().find(|t| buried(t, e));

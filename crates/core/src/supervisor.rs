@@ -42,7 +42,6 @@ use apiary_cap::ServiceId;
 use apiary_monitor::TileState;
 use apiary_noc::NodeId;
 use apiary_sim::{ensure, Cycle};
-use apiary_trace::EventKind;
 use std::collections::VecDeque;
 
 /// Builds a fresh instance of a supervised service's accelerator.
@@ -328,24 +327,16 @@ impl System {
                                 }
                                 Err(_) => {
                                     // The ICAP is mid-flight on this very
-                                    // tile. Rather than silently polling
-                                    // every cycle, park the incident until
-                                    // the blocking job lands — the exact
-                                    // cycle the old retry loop would have
-                                    // first succeeded — and leave a span in
-                                    // the trace so the stall is visible.
+                                    // tile. Rather than polling every
+                                    // cycle, park the incident until the
+                                    // blocking job lands — the exact cycle
+                                    // the old retry loop would have first
+                                    // succeeded.
                                     let resume = self
                                         .reconfig
                                         .completion_of(dst)
                                         .unwrap_or_else(|| now.saturating_add(1));
                                     sup.incidents[ii].phase = Phase::Backoff { restart_at: resume };
-                                    self.tiles[dst.index()].monitor.tracer_mut().record(
-                                        now,
-                                        dst.0,
-                                        EventKind::Note(format!(
-                                            "supervisor restart blocked by reconfig; retry at {resume}"
-                                        )),
-                                    );
                                 }
                             }
                         }
@@ -400,14 +391,8 @@ impl System {
             };
             match accel.save_state() {
                 Some(state) => {
-                    let len = state.len();
-                    tile.busy_until = now + checkpoint_downtime(len);
-                    let seq = sup.checkpoints.put(spec.service.0, now, state);
-                    tile.monitor.tracer_mut().record(
-                        now,
-                        node.0,
-                        EventKind::Note(format!("checkpoint seq {seq} ({len} B)")),
-                    );
+                    tile.busy_until = now + checkpoint_downtime(state.len());
+                    sup.checkpoints.put(spec.service.0, now, state);
                     spec.next_checkpoint_at = now + interval;
                 }
                 None => {

@@ -268,11 +268,6 @@ impl System {
         &mut self.touched().tiles[n.index()]
     }
 
-    /// A tile's tracer: recording moves no deadline, so the memo is kept.
-    pub fn tracer_mut(&mut self, n: NodeId) -> &mut apiary_trace::Tracer {
-        self.tiles[n.index()].monitor.tracer_mut()
-    }
-
     /// Downcasts a tile's accelerator to a concrete type.
     pub fn accel_as<T: 'static>(&self, n: NodeId) -> Option<&T> {
         self.tiles[n.index()]
@@ -294,20 +289,6 @@ impl System {
     // ------------------------------------------------------------------
     // Introspection (Figure 1 rendering and debugging).
     // ------------------------------------------------------------------
-
-    /// Collects every tile's trace events into one time-sorted stream —
-    /// system-wide `strace` for the message layer (§3's debugging goal).
-    /// Tiles must have been configured with a nonzero `trace_depth` to
-    /// contribute ring events; counter-only monitors contribute nothing.
-    pub fn merged_trace(&self) -> Vec<apiary_trace::Event> {
-        let mut events: Vec<apiary_trace::Event> = self
-            .tiles
-            .iter()
-            .flat_map(|t| t.monitor.tracer().events().cloned())
-            .collect();
-        events.sort_by_key(|e| (e.at, e.tile));
-        events
-    }
 
     /// Renders the tile map as ASCII art — the textual reproduction of the
     /// paper's Figure 1 for an arbitrary configuration.

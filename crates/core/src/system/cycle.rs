@@ -292,7 +292,7 @@ impl System {
                 downtime: preemption_downtime(len),
             },
             _ => {
-                tile.monitor.fail_stop(now);
+                tile.monitor.fail_stop();
                 FaultAction::FailStopped
             }
         };

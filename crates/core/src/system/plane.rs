@@ -11,7 +11,6 @@ use apiary_accel::{Accelerator, CapEnv};
 use apiary_cap::{CapError, CapKind, CapRef, Capability, EndpointId, Rights, ServiceId};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
-use apiary_trace::EventKind;
 
 /// A SEND capability to `node`'s endpoint, stamped with `badge`.
 fn send_to(node: NodeId, badge: u64) -> Capability {
@@ -91,12 +90,6 @@ impl System {
         let cap = self.tiles[from.index()]
             .monitor
             .install_cap(send_to(to, badge))?;
-        let now = self.now();
-        self.tiles[from.index()].monitor.tracer_mut().record(
-            now,
-            from.0,
-            EventKind::CapOp { op: "connect" },
-        );
         Ok(cap)
     }
 
@@ -254,7 +247,7 @@ impl System {
     pub fn fail_stop(&mut self, node: NodeId) {
         let now = self.touched().now();
         let tile = &mut self.tiles[node.index()];
-        tile.monitor.fail_stop(now);
+        tile.monitor.fail_stop();
         tile.faults.push(FaultRecord {
             code: 0,
             at: now,
@@ -540,9 +533,6 @@ impl System {
         tile.seat(incoming.accel, incoming.app, incoming.policy, incoming.env);
         tile.parked = Some(outgoing);
         tile.busy_until = now + preemption_downtime(out_len + in_len);
-        tile.monitor
-            .tracer_mut()
-            .record(now, node.0, EventKind::Preempt { context: 1 });
         Ok((out_len, in_len))
     }
 
@@ -581,7 +571,7 @@ impl System {
         let tile = &mut self.tiles[node.index()];
         tile.accel = None;
         tile.app = None;
-        tile.monitor.fail_stop(now);
+        tile.monitor.fail_stop();
         Ok(self
             .reconfig
             .start(now, node, accel, app, policy, bitstream_bytes))

@@ -10,7 +10,6 @@ use apiary_mem::AccessKind;
 use apiary_monitor::{Monitor, SendError};
 use apiary_noc::{Delivered, TrafficClass};
 use apiary_sim::{Cycle, Payload, Wakeup};
-use apiary_trace::EventKind;
 
 /// A swapped-out tenant on a time-multiplexed tile (§4.4 preemptive
 /// sharing): its accelerator instance, identity, capability environment,
@@ -106,7 +105,7 @@ impl Tile {
     /// the monitor sealed and the slot emptied, so no authority survives.
     pub(crate) fn vacate(&mut self, now: Cycle) {
         self.monitor.reset(now);
-        self.monitor.fail_stop(now);
+        self.monitor.fail_stop();
         (self.accel, self.app, self.env) = (None, None, CapEnv::new());
     }
 
@@ -125,8 +124,6 @@ impl Tile {
             .expect("an accelerator restores its own snapshot");
         self.busy_until = now + preemption_downtime(snap.len());
         self.wake = Wakeup::AtOrMessage(Cycle::ZERO);
-        let event = EventKind::Preempt { context: 0 };
-        self.monitor.tracer_mut().record(now, node.0, event);
         Ok(snap.len())
     }
 }
@@ -242,18 +239,7 @@ impl TileOs for KernelOs<'_> {
         self.env
     }
 
-    fn note(&mut self, text: &str) {
-        let node = self.monitor.node().0;
-        self.monitor
-            .tracer_mut()
-            .record(self.now, node, EventKind::Note(text.to_string()));
-    }
-
     fn raise_fault(&mut self, code: u32) {
-        let node = self.monitor.node().0;
-        self.monitor
-            .tracer_mut()
-            .record(self.now, node, EventKind::Fault { code });
         self.raised.push(code);
     }
 }
@@ -338,6 +324,5 @@ mod tests {
         let mut os = KernelOs::new(&mut t.monitor, &env, Cycle(9));
         os.raise_fault(77);
         assert_eq!(os.raised, vec![77]);
-        assert_eq!(t.monitor.tracer().count(&EventKind::Fault { code: 0 }), 1);
     }
 }

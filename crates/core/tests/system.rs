@@ -783,15 +783,6 @@ fn shared_tile_time_multiplexes_two_tenants() {
         parked_b.service().get(2, b"b"),
         Some(&b"beta-with-more-bytes"[..])
     );
-    // Two swaps traced on the tile.
-    use apiary_trace::EventKind;
-    assert_eq!(
-        sys.tile(n)
-            .monitor
-            .tracer()
-            .count(&EventKind::Preempt { context: 0 }),
-        2
-    );
 }
 
 #[test]
@@ -872,11 +863,10 @@ fn observable(sys: &System) -> String {
         })
         .collect();
     format!(
-        "{:?} {:?} idle={} {tiles:?} {:?}",
+        "{:?} {:?} idle={} {tiles:?}",
         sys.now(),
         sys.noc().stats(),
         sys.quiescent(),
-        sys.merged_trace()
     )
 }
 
@@ -1201,9 +1191,6 @@ fn every_mutable_entry_steps_the_clock_or_calls_touched() {
         "Machine::drive(self",
     ];
     let mut safe: Vec<&str> = Vec::new();
-    // `tracer_mut` is the one exception: recording an event moves no
-    // deadline, and the cluster traces on boards it must not wake.
-    safe.push("tracer_mut");
     loop {
         let before = safe.len();
         for &(name, body) in &entries {

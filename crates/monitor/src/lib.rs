@@ -18,7 +18,7 @@
 //!   misbehaving accelerator (§4.5),
 //! - **fault handling**: on a fault the monitor fail-stops the tile —
 //!   drains traffic and answers subsequent requests with errors (§4.4),
-//! - **tracing**: every decision is observable through [`apiary_trace`].
+//! - **accounting**: every verdict is counted in [`MonitorStats`].
 //!
 //! [`area`] models the hardware cost of all of this, which is the paper's
 //! first open question (§6).

@@ -6,7 +6,6 @@ use apiary_cap::{CapError, CapKind, CapRef, CapTable, Capability, Rights};
 use apiary_mem::{AccessKind, ProtectError, SegmentChecker};
 use apiary_noc::{Delivered, Message, Noc, NodeId, TrafficClass};
 use apiary_sim::{ensure, Cycle, FxHashMap, Payload};
-use apiary_trace::{EventKind, Tracer};
 use core::fmt;
 use std::collections::{HashMap, VecDeque};
 
@@ -27,8 +26,6 @@ pub struct MonitorConfig {
     pub rate: Option<(u64, u64)>,
     /// Largest accepted payload, in bytes.
     pub max_payload: usize,
-    /// Trace ring size (0 = counters only).
-    pub trace_depth: usize,
     /// Watchdog: if the oldest delivered message sits unconsumed in the
     /// inbox for this many cycles, the monitor reports the accelerator as
     /// hung (§4.4's "the process may never yield"). `None` disables it.
@@ -52,7 +49,6 @@ impl Default for MonitorConfig {
             check_cycles: 1,
             rate: None,
             max_payload: 4096,
-            trace_depth: 0,
             watchdog_cycles: None,
             flow_cache: true,
         }
@@ -162,7 +158,6 @@ pub struct Monitor {
     outbox: VecDeque<(Cycle, Message)>,
     inbox: VecDeque<Delivered>,
     stats: MonitorStats,
-    tracer: Tracer,
     /// Batched flow verdicts: `(cap index, cap generation)` -> resolved
     /// destination and badge. Populated on a successful full check, cleared
     /// by every operation that can change a verdict (see
@@ -194,7 +189,6 @@ impl Monitor {
             outbox: VecDeque::new(),
             inbox: VecDeque::new(),
             stats: MonitorStats::default(),
-            tracer: Tracer::new(cfg.trace_depth),
             flows: FxHashMap::default(),
             cfg,
         }
@@ -213,16 +207,6 @@ impl Monitor {
     /// Counters.
     pub fn stats(&self) -> &MonitorStats {
         &self.stats
-    }
-
-    /// The per-tile trace (ring + counters).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Mutable trace access (for enabling/clearing).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
     }
 
     // ------------------------------------------------------------------
@@ -298,24 +282,25 @@ impl Monitor {
     /// Fail-stops the tile: drains all queued traffic and seals it (§4.4).
     /// In-flight NoC traffic addressed here will be answered with errors as
     /// it arrives.
-    pub fn fail_stop(&mut self, now: Cycle) {
+    pub fn fail_stop(&mut self) {
         self.state = TileState::FailStopped;
         self.outbox.clear();
         self.inbox.clear();
         self.flows.clear();
-        self.tracer.record(now, self.node.0, EventKind::FailStop);
     }
 
     /// Resets the tile after reconfiguration: clears queues, capabilities,
     /// names, and returns to [`TileState::Running`].
-    pub fn reset(&mut self, now: Cycle) {
+    ///
+    /// `now` is unused. It stays only because `benchmark/` calls
+    /// `monitor.reset(now)` by this signature.
+    pub fn reset(&mut self, _now: Cycle) {
         self.state = TileState::Running;
         self.outbox.clear();
         self.inbox.clear();
         self.caps = CapTable::new(self.cfg.cap_slots);
         self.names.clear();
         self.flows.clear();
-        self.tracer.record(now, self.node.0, EventKind::Reconfig);
     }
 
     /// `Err` unless the capability table's law holds
@@ -380,7 +365,7 @@ impl Monitor {
     /// # Errors
     ///
     /// [`SendError`] describing the refusal; refusals have no side effects
-    /// beyond counters and trace events.
+    /// beyond counters.
     pub fn send(
         &mut self,
         cap: CapRef,
@@ -416,11 +401,6 @@ impl Monitor {
                     Ok(c) => *c,
                     Err(e) => {
                         self.stats.denied += 1;
-                        self.tracer.record(
-                            now,
-                            self.node.0,
-                            EventKind::SendDenied { dst: u16::MAX },
-                        );
                         return Err(e.into());
                     }
                 };
@@ -428,11 +408,6 @@ impl Monitor {
                     Ok(d) => d,
                     Err(e) => {
                         self.stats.denied += 1;
-                        self.tracer.record(
-                            now,
-                            self.node.0,
-                            EventKind::SendDenied { dst: u16::MAX },
-                        );
                         return Err(e);
                     }
                 };
@@ -456,24 +431,12 @@ impl Monitor {
         let bytes = payload.len() as u64 + 16;
         if !self.bucket.try_consume(bytes, now) {
             self.stats.rate_limited += 1;
-            self.tracer
-                .record(now, self.node.0, EventKind::RateLimited { dst: dst.0 });
             return Err(SendError::RateLimited);
         }
         let mut msg = Message::new(self.node, dst, class, payload);
         msg.kind = kind;
         msg.tag = tag;
         msg.badge = badge;
-        self.tracer.record(
-            now,
-            self.node.0,
-            EventKind::MsgSend {
-                dst: dst.0,
-                kind,
-                tag,
-                bytes: msg.payload.len() as u64,
-            },
-        );
         self.stats.sent += 1;
         self.outbox.push_back((ready, msg));
         Ok(())
@@ -510,8 +473,6 @@ impl Monitor {
             Ok(p) => p,
             Err(e) => {
                 self.stats.denied += 1;
-                self.tracer
-                    .record(now, self.node.0, EventKind::SendDenied { dst: u16::MAX });
                 return Err(e.into());
             }
         };
@@ -626,16 +587,6 @@ impl Monitor {
                     self.nack(&d.msg, wire::err::OVERLOAD, now);
                     return;
                 }
-                self.tracer.record(
-                    now,
-                    self.node.0,
-                    EventKind::MsgRecv {
-                        src: d.msg.src.0,
-                        kind: d.msg.kind,
-                        tag: d.msg.tag,
-                        bytes: d.msg.payload.len() as u64,
-                    },
-                );
                 self.stats.received += 1;
                 self.inbox.push_back(d);
             }

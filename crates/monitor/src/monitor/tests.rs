@@ -137,7 +137,7 @@ fn fail_stop_seals_the_tile() {
     let mut m1 = monitor(1);
     let cap = ep_cap(&mut m0, 1, Rights::SEND);
 
-    m1.fail_stop(Cycle(0));
+    m1.fail_stop();
     assert_eq!(m1.state(), TileState::FailStopped);
 
     // Tile 0 sends to the dead tile 1.
@@ -176,7 +176,7 @@ fn fail_stop_seals_the_tile() {
 #[test]
 fn errors_are_not_nacked() {
     let mut m = monitor(1);
-    m.fail_stop(Cycle(0));
+    m.fail_stop();
     let mut err_msg = Message::new(NodeId(0), NodeId(1), TrafficClass::Control, vec![1]);
     err_msg.kind = wire::KIND_ERROR;
     m.accept(
@@ -271,7 +271,7 @@ fn reset_clears_everything() {
     let cap = ep_cap(&mut m, 1, Rights::SEND);
     m.send(cap, 1, 0, TrafficClass::Request, vec![], Cycle(0))
         .expect("queued");
-    m.fail_stop(Cycle(1));
+    m.fail_stop();
     m.reset(Cycle(2));
     assert_eq!(m.state(), TileState::Running);
     assert_eq!(m.caps().live(), 0, "reconfig revokes all authority");

@@ -149,7 +149,7 @@ impl Rig {
                 None
             }
             Op::FailStop => {
-                self.monitor.fail_stop(now);
+                self.monitor.fail_stop();
                 None
             }
             Op::Reset => {

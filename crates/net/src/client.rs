@@ -90,7 +90,7 @@ impl Default for BreakerConfig {
 
 /// Circuit-breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+enum BreakerState {
     /// Traffic flows normally.
     Closed,
     /// Tripped: no traffic until the cooldown elapses.
@@ -230,11 +230,6 @@ impl RequestGen {
     pub fn with_breaker(mut self, cfg: BreakerConfig) -> RequestGen {
         self.breaker = Some(Breaker::new(cfg));
         self
-    }
-
-    /// Current breaker state (`None` if no breaker is armed).
-    pub fn breaker_state(&self) -> Option<BreakerState> {
-        self.breaker.as_ref().map(|b| b.state)
     }
 
     /// Returns the tags of requests to issue at `now` (new arrivals plus

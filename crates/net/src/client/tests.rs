@@ -1,5 +1,10 @@
 use super::*;
 
+/// The generator's breaker state (`None` if no breaker is armed).
+fn breaker(g: &RequestGen) -> Option<BreakerState> {
+    g.breaker.as_ref().map(|b| b.state)
+}
+
 #[test]
 fn closed_loop_respects_window() {
     let mut g = RequestGen::new(
@@ -193,17 +198,17 @@ fn breaker_opens_after_threshold_and_probes_half_open() {
         g.complete(t[0], Cycle(now + 5), true);
         now += 10;
     }
-    assert_eq!(g.breaker_state(), Some(BreakerState::Open));
+    assert_eq!(breaker(&g), Some(BreakerState::Open));
     assert!(g.poll(Cycle(now)).is_empty(), "open breaker blocks");
     // Cooldown elapses: exactly one probe allowed.
     now += 1_000;
     let probe = g.poll(Cycle(now));
     assert_eq!(probe.len(), 1);
-    assert_eq!(g.breaker_state(), Some(BreakerState::HalfOpen));
+    assert_eq!(breaker(&g), Some(BreakerState::HalfOpen));
     assert!(g.poll(Cycle(now)).is_empty(), "one probe at a time");
     // Probe succeeds: closed again, traffic resumes.
     g.complete(probe[0], Cycle(now + 5), false);
-    assert_eq!(g.breaker_state(), Some(BreakerState::Closed));
+    assert_eq!(breaker(&g), Some(BreakerState::Closed));
     assert_eq!(g.poll(Cycle(now + 10)).len(), 1);
 }
 
@@ -225,11 +230,11 @@ fn failed_probe_reopens_breaker() {
     });
     let t = g.poll(Cycle(0));
     g.complete(t[0], Cycle(1), true);
-    assert_eq!(g.breaker_state(), Some(BreakerState::Open));
+    assert_eq!(breaker(&g), Some(BreakerState::Open));
     let probe = g.poll(Cycle(101));
     assert_eq!(probe.len(), 1);
     g.complete(probe[0], Cycle(105), true);
-    assert_eq!(g.breaker_state(), Some(BreakerState::Open));
+    assert_eq!(breaker(&g), Some(BreakerState::Open));
     assert!(g.poll(Cycle(150)).is_empty());
 }
 

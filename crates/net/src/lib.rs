@@ -25,7 +25,7 @@ pub mod frame;
 pub mod mac;
 pub mod proxy;
 
-pub use client::{BreakerConfig, BreakerState, ClientStats, RequestGen, RetryPolicy, Workload};
+pub use client::{BreakerConfig, ClientStats, RequestGen, RetryPolicy, Workload};
 pub use frame::{Frame, Wire};
 pub use mac::{EthernetTile, NetConfig};
 pub use proxy::RemoteCpuProxy;

@@ -30,7 +30,7 @@
 //! | [`net`] | Network service: MAC tile, wire, clients, go-back-N ARQ |
 //! | [`host`] | Host-mediated baselines (Coyote/AmorphOS-like) + energy |
 //! | [`resources`] | FPGA part catalog (Table 1) and tile floor-planning |
-//! | [`trace`] | Message-layer tracing and latency tracking |
+//! | [`trace`] | Per-hop request latency histograms |
 //!
 //! ## Quickstart
 //!

@@ -48,11 +48,6 @@ const TEST_ONLY: &[(&str, &str)] = &[
          `release_memory_returns_segment` assert the allocator's accounting through it",
     ),
     (
-        "merged_trace",
-        "`clock_equivalence`'s divergence dump, and \
-         `merged_trace_interleaves_tiles_in_time_order`",
-    ),
-    (
         "migrations_in_flight",
         "`live_migration_moves_state_without_cap_churn` asserts a migration drains through it",
     ),
@@ -73,11 +68,6 @@ const TEST_ONLY: &[(&str, &str)] = &[
         "remote_cap_count",
         "`remote_invocation_round_trip` and `live_migration_moves_state_without_cap_churn` \
          assert cap conservation through it",
-    ),
-    (
-        "remote_trace_count",
-        "`remote_invocation_round_trip` and the cluster fingerprint assert remote tracing \
-         through it",
     ),
     ("share_memory", "ROADMAP item 11's spec: a segment's share"),
 ];
