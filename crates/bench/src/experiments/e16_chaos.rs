@@ -24,7 +24,7 @@ use apiary_cap::ServiceId;
 use apiary_core::supervisor::SupervisorConfig;
 use apiary_core::{AppId, FaultPolicy, System, SystemConfig};
 use apiary_monitor::TileState;
-use apiary_noc::{FaultPlane, FaultPlaneConfig, NodeId};
+use apiary_noc::{FaultPlane, NodeId};
 use apiary_sim::{Cycle, Machine, SimRng};
 use core::ops::ControlFlow;
 
@@ -81,9 +81,7 @@ fn drive_cell(
 
     if fault_rate > 0.0 {
         sys.noc_mut()
-            .install_fault_plane(FaultPlane::new(FaultPlaneConfig::with_rate(
-                seed, fault_rate,
-            )));
+            .install_fault_plane(FaultPlane::new(seed, fault_rate));
     }
 
     // The fault-free RTT is ~20 cycles; 250 clears any stall/detour pile-up

@@ -7,6 +7,7 @@
 //! [`Board::sys_mut`], which drops the cached deadline, so no caller can
 //! change the board behind the cache's back.
 
+use crate::cluster::GATEWAY;
 use crate::directory::Directory;
 use apiary_cap::{CapRef, ServiceId};
 use apiary_core::supervisor::ServiceSpec;
@@ -86,10 +87,10 @@ impl Board {
 
     /// Whether mail waits in the gateway inbox, which fills in the kernel
     /// phases and nowhere else: looked at only if they ran since last time.
-    pub(crate) fn has_gateway_mail(&mut self, gw: NodeId) -> bool {
+    pub(crate) fn has_gateway_mail(&mut self) -> bool {
         let ran = self.sys.phase_cycles();
         let looked = std::mem::replace(&mut self.mail_seen, ran) != ran;
-        let waiting = || self.sys.tile(gw).monitor.inbox_len() > 0;
+        let waiting = || self.sys.tile(GATEWAY).monitor.inbox_len() > 0;
         debug_assert!(looked || !waiting(), "mail arrived outside the phases");
         looked && waiting()
     }

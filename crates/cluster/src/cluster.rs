@@ -65,7 +65,10 @@ use std::collections::BTreeMap;
 /// that name, or cannot act on it: a name has no service id to report.
 const NO_REPLICA: SystemError = SystemError::UnknownService(ServiceId(u32::MAX));
 
-/// Cluster configuration.
+/// The gateway tile: the same node on every board.
+pub const GATEWAY: NodeId = NodeId(0);
+
+/// Cluster configuration. Every board runs its gateway on [`GATEWAY`].
 #[derive(Clone)]
 pub struct ClusterConfig {
     /// Number of boards.
@@ -74,8 +77,6 @@ pub struct ClusterConfig {
     pub system: SystemConfig,
     /// Inter-board network.
     pub fabric: FabricConfig,
-    /// Which node on each board is the gateway tile.
-    pub gateway: NodeId,
     /// Cycles between gossip rounds.
     pub gossip_interval: u64,
     /// Directory lease, cycles. Must comfortably exceed
@@ -87,11 +88,6 @@ pub struct ClusterConfig {
     pub request_timeout: u64,
     /// Seed for the balancer's RNG.
     pub seed: u64,
-    /// Cycles a live migration quiesces at the source before the state
-    /// snapshot is taken. The withdrawn directory entry steers new work
-    /// away as the tombstone gossips; the window lets in-flight
-    /// invocations drain while the replica is still serving.
-    pub migration_quiesce: u64,
 }
 
 impl Default for ClusterConfig {
@@ -100,12 +96,10 @@ impl Default for ClusterConfig {
             boards: 2,
             system: SystemConfig::default(),
             fabric: FabricConfig::default(),
-            gateway: NodeId(0),
             gossip_interval: 500,
             lease: 6_000,
             request_timeout: 4_000,
             seed: 0xC105_7E12,
-            migration_quiesce: 600,
         }
     }
 }
@@ -116,8 +110,8 @@ impl ClusterConfig {
     /// # Panics
     ///
     /// Panics on zero boards, a zero gossip interval, a lease no longer
-    /// than `gossip_interval × boards`, or a gateway tile that lies outside
-    /// the board's mesh or on its memory-service node.
+    /// than `gossip_interval × boards`, or a one-node board, whose only
+    /// node would be both the [`GATEWAY`] and the memory service.
     pub fn validate(&self) {
         assert!(self.boards > 0, "a cluster needs at least one board");
         assert!(
@@ -130,16 +124,9 @@ impl ClusterConfig {
             "lease {} must exceed gossip_interval × boards = {round_trip}",
             self.lease
         );
-        let nodes = self.system.noc.nodes();
         assert!(
-            self.gateway.index() < nodes,
-            "gateway {} lies outside the {nodes}-node mesh",
-            self.gateway
-        );
-        assert!(
-            self.gateway != self.system.memory_node(),
-            "gateway {} is the memory-service node",
-            self.gateway
+            GATEWAY != self.system.memory_node(),
+            "gateway {GATEWAY} is the memory-service node"
         );
     }
 }
@@ -205,7 +192,7 @@ impl ClusterSystem {
         let mut boards = Vec::with_capacity(cfg.boards as usize);
         for b in 0..cfg.boards {
             let mut sys = System::new(cfg.system.clone());
-            sys.install(cfg.gateway, Box::new(idle()), OS_APP, FaultPolicy::FailStop)
+            sys.install(GATEWAY, Box::new(idle()), OS_APP, FaultPolicy::FailStop)
                 .expect("gateway tile is free on a fresh board");
             boards.push(Board::new(sys, Directory::new(b, cfg.lease)));
         }

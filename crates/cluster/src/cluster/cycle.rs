@@ -1,7 +1,7 @@
 //! The phases of one cluster cycle that are not migration's, in the order
 //! `ClusterSystem::cycle` runs them, with the helpers only they call.
 
-use super::ClusterSystem;
+use super::{ClusterSystem, GATEWAY};
 use crate::board::Ingress;
 use crate::fabric::{msg, BodyView};
 use apiary_cap::ServiceId;
@@ -27,7 +27,6 @@ impl ClusterSystem {
 
     /// 2. Completed reconfigurations republish their directory entry.
     pub(super) fn republish_ready(&mut self, now: Cycle) {
-        let gw = self.cfg.gateway;
         for bi in 0..self.boards.len() {
             if !self.boards[bi].alive || self.boards[bi].republish.is_empty() {
                 continue;
@@ -46,7 +45,7 @@ impl ClusterSystem {
                 // Re-wire: the reset wiped the replica tile's reply caps;
                 // attach_client reinstalls them and refreshes the
                 // gateway's service cap.
-                if let Ok(cap) = b.sys_mut().attach_client(gw, r.service) {
+                if let Ok(cap) = b.sys_mut().attach_client(GATEWAY, r.service) {
                     b.local_caps.insert(r.service.0, cap);
                 }
                 let _ = b.dir.publish(now, &r.name, r.service, node);
@@ -57,10 +56,10 @@ impl ClusterSystem {
     /// Drops board `at`'s remote capability against `service` on board
     /// `home`, if it holds one: revoked at the gateway and counted.
     fn revoke_remote_cap(&mut self, at: u16, home: u16, service: u32) {
-        let gw = self.cfg.gateway;
         let b = &mut self.boards[at as usize];
         if let Some(cap) = b.remote_caps.remove(&(home, service)) {
-            if b.sys_mut().tile_mut(gw).monitor.revoke_cap(cap).is_ok() {
+            let gateway = b.sys_mut().tile_mut(GATEWAY);
+            if gateway.monitor.revoke_cap(cap).is_ok() {
                 self.caps_revoked += 1;
             }
         }
@@ -165,7 +164,6 @@ impl ClusterSystem {
         payload: Payload,
         now: Cycle,
     ) {
-        let gw = self.cfg.gateway;
         if let Some(p) = self.requests.get(tag) {
             self.fabric_out.record(p.submitted, now);
         }
@@ -176,7 +174,7 @@ impl ClusterSystem {
             (Some(cap), Some(_)) => {
                 let ltag = INGRESS_BIT | self.next_ingress;
                 self.next_ingress += 1;
-                match b.sys_mut().tile_mut(gw).monitor.send(
+                match b.sys_mut().tile_mut(GATEWAY).monitor.send(
                     cap,
                     KIND_REQUEST,
                     ltag,
@@ -209,14 +207,13 @@ impl ClusterSystem {
     ///    directly; replies to forwarded ingress go back over the fabric,
     ///    their frames written from the delivered payload.
     pub(super) fn drain_gateways(&mut self, now: Cycle) {
-        let gw = self.cfg.gateway;
         for bi in 0..self.boards.len() {
             // Look before taking the board mutably: an empty inbox is the
             // common case and must not cost the board its cached deadline.
-            if !self.boards[bi].alive || !self.boards[bi].has_gateway_mail(gw) {
+            if !self.boards[bi].alive || !self.boards[bi].has_gateway_mail() {
                 continue;
             }
-            while let Some(d) = self.boards[bi].sys_mut().tile_mut(gw).monitor.recv() {
+            while let Some(d) = self.boards[bi].sys_mut().tile_mut(GATEWAY).monitor.recv() {
                 let is_error = d.msg.kind == KIND_ERROR;
                 if d.msg.tag & INGRESS_BIT != 0 {
                     if let Some(ing) = self.boards[bi].ingress.remove(&d.msg.tag) {

@@ -15,6 +15,12 @@ use apiary_core::{ServiceImage, SystemError};
 use apiary_noc::NodeId;
 use apiary_sim::Cycle;
 
+/// Cycles a live migration quiesces at the source before the state
+/// snapshot is taken. The withdrawn directory entry steers new work away as
+/// the tombstone gossips; the window lets in-flight invocations drain while
+/// the replica is still serving.
+const MIGRATION_QUIESCE: u64 = 600;
+
 /// Phase of an in-flight live migration.
 enum MigPhase {
     /// Source entry withdrawn; draining until the snapshot cycle.
@@ -112,7 +118,7 @@ impl ClusterSystem {
                 state_bytes: 0,
                 warm: false,
                 phase: MigPhase::Quiesce {
-                    until: now + self.cfg.migration_quiesce,
+                    until: now + MIGRATION_QUIESCE,
                 },
             },
         );

@@ -3,7 +3,7 @@
 //! bound to a service id; everything else about it is read from its
 //! board's supervisor spec.
 
-use super::{ClusterSystem, NO_REPLICA};
+use super::{ClusterSystem, GATEWAY, NO_REPLICA};
 use apiary_cap::ServiceId;
 use apiary_core::supervisor::AccelFactory;
 use apiary_core::{AppId, FaultPolicy, ServiceImage, SystemError};
@@ -32,7 +32,7 @@ impl ClusterSystem {
         let b = &mut self.boards[board as usize];
         b.sys_mut()
             .deploy_service(service, node, app, policy, bitstream_bytes, factory)?;
-        let cap = b.sys_mut().attach_client(self.cfg.gateway, service)?;
+        let cap = b.sys_mut().attach_client(GATEWAY, service)?;
         b.local_caps.insert(service.0, cap);
         b.replicas.insert(name.to_string(), service);
         Ok(b.dir.publish(now, name, service, node))

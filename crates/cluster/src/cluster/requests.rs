@@ -1,7 +1,7 @@
 //! The request path, from `submit` to a completion, and [`Requests`]: the
 //! pending requests and their timeout queue, whose law is kept here only.
 
-use super::ClusterSystem;
+use super::{ClusterSystem, GATEWAY};
 use crate::fabric::msg;
 use apiary_cap::{CapKind, Capability, Rights};
 use apiary_monitor::wire::KIND_REQUEST;
@@ -173,7 +173,6 @@ impl ClusterSystem {
             return Err(SubmitError::NoReplica);
         };
         let ((tboard, tnode), service) = self.candidates[k];
-        let gw = self.cfg.gateway;
         if tboard == origin {
             let b = &mut self.boards[origin as usize];
             let cap = b
@@ -182,7 +181,7 @@ impl ClusterSystem {
                 .copied()
                 .ok_or(SubmitError::NoReplica)?;
             b.sys_mut()
-                .tile_mut(gw)
+                .tile_mut(GATEWAY)
                 .monitor
                 .send(cap, KIND_REQUEST, tag, TrafficClass::Request, payload, now)
                 .map_err(|_| {
@@ -199,7 +198,7 @@ impl ClusterSystem {
                 None => {
                     let c = b
                         .sys_mut()
-                        .tile_mut(gw)
+                        .tile_mut(GATEWAY)
                         .monitor
                         .install_cap(Capability::new(
                             CapKind::Remote {
@@ -214,7 +213,7 @@ impl ClusterSystem {
                 }
             };
             if b.sys()
-                .tile(gw)
+                .tile(GATEWAY)
                 .monitor
                 .caps()
                 .check(cap, Rights::SEND)

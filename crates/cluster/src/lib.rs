@@ -41,7 +41,7 @@ pub mod fabric;
 
 pub use balancer::Balancer;
 pub use cluster::{
-    ClusterClient, ClusterConfig, ClusterSystem, Completion, MigrationOutcome, SubmitError,
+    ClusterClient, ClusterConfig, ClusterSystem, Completion, MigrationOutcome, SubmitError, GATEWAY,
 };
 pub use directory::{DirEntry, Directory};
 pub use fabric::{

@@ -5,10 +5,12 @@
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::kv::{kv_store, KvStoreAccel};
 use apiary_cap::ServiceId;
-use apiary_cluster::{ClusterClient, ClusterConfig, ClusterSystem, FabricConfig, Topology};
-use apiary_core::{AppId, FaultPolicy};
+use apiary_cluster::{
+    ClusterClient, ClusterConfig, ClusterSystem, FabricConfig, Topology, GATEWAY,
+};
+use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_net::Workload;
-use apiary_noc::NodeId;
+use apiary_noc::{NocConfig, NodeId};
 use apiary_sim::{until, Cycle, Load, Machine};
 
 const KV: ServiceId = ServiceId(40);
@@ -87,19 +89,13 @@ fn lease_within_one_gossip_cycle_rejected() {
 }
 
 #[test]
-#[should_panic(expected = "outside the 16-node mesh")]
-fn gateway_outside_the_mesh_rejected() {
-    ClusterSystem::new(ClusterConfig {
-        gateway: NodeId(16),
-        ..ClusterConfig::default()
-    });
-}
-
-#[test]
 #[should_panic(expected = "memory-service node")]
 fn gateway_on_the_memory_node_rejected() {
     ClusterSystem::new(ClusterConfig {
-        gateway: NodeId(15),
+        system: SystemConfig {
+            noc: NocConfig::soft(1, 1),
+            ..SystemConfig::default()
+        },
         ..ClusterConfig::default()
     });
 }
@@ -218,9 +214,8 @@ fn fingerprint(boards: u16, cycles: u64) -> String {
         c.end_to_end.histogram().p50(),
         c.end_to_end.histogram().p99(),
     );
-    let gw = ClusterConfig::default().gateway;
     for b in 0..boards {
-        let _ = write!(s, " t{}={:?}", b, c.board(b).tile(gw).monitor.stats());
+        let _ = write!(s, " t{}={:?}", b, c.board(b).tile(GATEWAY).monitor.stats());
     }
     for cl in &clients {
         let _ = write!(

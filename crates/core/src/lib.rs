@@ -40,5 +40,5 @@ pub use process::AppId;
 pub use supervisor::{
     AccelFactory, Incident, RecoveryTarget, ServiceImage, Supervisor, SupervisorConfig,
 };
-pub use system::{System, SystemConfig, SystemError};
+pub use system::{System, SystemConfig, SystemError, MEM_CAPACITY};
 pub use tile::Tile;

@@ -22,6 +22,9 @@ use apiary_sim::{ClockMode, Cycle, Machine};
 use core::fmt;
 use std::cell::Cell;
 
+/// On-card DRAM capacity behind the memory service, in bytes.
+pub const MEM_CAPACITY: u64 = 16 << 20;
+
 /// System-level configuration.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -29,8 +32,6 @@ pub struct SystemConfig {
     pub noc: NocConfig,
     /// Per-tile monitor configuration.
     pub monitor: MonitorConfig,
-    /// On-card DRAM capacity behind the memory service, in bytes.
-    pub mem_capacity: u64,
     /// DRAM timing.
     pub dram: DramConfig,
     /// ICAP bandwidth for partial reconfiguration, bytes/cycle.
@@ -55,7 +56,6 @@ impl Default for SystemConfig {
         SystemConfig {
             noc: NocConfig::default(),
             monitor: MonitorConfig::default(),
-            mem_capacity: 16 << 20,
             dram: DramConfig::default(),
             icap_bytes_per_cycle: 4,
             supervisor: SupervisorConfig::default(),
@@ -170,7 +170,7 @@ impl System {
             .map(|i| Tile::new(Monitor::new(NodeId(i as u16), cfg.monitor)))
             .collect();
         let mem_node = cfg.memory_node();
-        let memsvc = Box::new(MemoryService::new(cfg.mem_capacity, cfg.dram));
+        let memsvc = Box::new(MemoryService::new(MEM_CAPACITY, cfg.dram));
         let supervisor = Supervisor {
             free_spares: cfg.supervisor.spare_nodes.iter().copied().collect(),
             ..Supervisor::default()
@@ -178,7 +178,7 @@ impl System {
         let mut sys = System {
             noc,
             tiles,
-            allocator: SegmentAllocator::new(cfg.mem_capacity, AllocPolicy::FirstFit),
+            allocator: SegmentAllocator::new(MEM_CAPACITY, AllocPolicy::FirstFit),
             reconfig: ReconfigController::new(cfg.icap_bytes_per_cycle),
             supervisor,
             phase_due: Cell::new(None),

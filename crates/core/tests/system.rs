@@ -5,7 +5,7 @@ use apiary_accel::apps::faulty::faulty;
 use apiary_accel::apps::idle::idle;
 use apiary_accel::apps::kv::{self, KvStoreAccel};
 use apiary_core::memsvc::MemoryService;
-use apiary_core::{AppId, FaultPolicy, System, SystemConfig, SystemError};
+use apiary_core::{AppId, FaultPolicy, System, SystemConfig, SystemError, MEM_CAPACITY};
 use apiary_monitor::{wire, TileState};
 use apiary_noc::{NodeId, TrafficClass};
 use apiary_sim::{Cycle, Machine};
@@ -514,7 +514,7 @@ fn memory_service_stats_reachable_via_downcast() {
     let svc = sys
         .accel_as::<MemoryService>(sys.mem_node())
         .expect("memory service installed at boot");
-    assert_eq!(svc.capacity(), SystemConfig::default().mem_capacity);
+    assert_eq!(svc.capacity(), MEM_CAPACITY);
 }
 
 #[test]

@@ -20,7 +20,7 @@
 //! live replica.
 //!
 //! **Autoscaler.** At fixed interval boundaries each function's queue
-//! depth is compared against `target_queue_per_replica x (live + pending)`
+//! depth is compared against `TARGET_QUEUE_PER_REPLICA x (live + pending)`
 //! replicas; excess demand grows the pool by one replica, placed by
 //! power-of-two-choices over the boards' area utilisation. A function idle
 //! for `idle_intervals_to_zero` consecutive intervals shrinks by one
@@ -45,7 +45,7 @@ pub use crate::pool::ReplicaState;
 use crate::pool::{Pools, Queued};
 use apiary_accel::Accelerator;
 use apiary_cap::ServiceId;
-use apiary_cluster::{ClusterConfig, ClusterSystem, SubmitError};
+use apiary_cluster::{ClusterConfig, ClusterSystem, SubmitError, GATEWAY};
 use apiary_core::AppId;
 use apiary_noc::NodeId;
 use apiary_resources::{Area, FloorPlanner, Part};
@@ -58,14 +58,18 @@ use std::rc::Rc;
 /// experiments use for statically deployed services.
 const FN_SERVICE_BASE: u32 = 0x4600; // "F"
 
-/// Serverless-plane configuration.
+/// Part number every board is built from (resolved in the catalog).
+const PART: &str = "VU9P";
+
+/// Queue depth one replica is expected to absorb; deeper queues grow the
+/// pool.
+const TARGET_QUEUE_PER_REPLICA: u64 = 4;
+
+/// Serverless-plane configuration. Every board is a VU9P floor-planned
+/// with [`FaasConfig::DEFAULT_MONITOR`] per tile.
 pub struct FaasConfig {
     /// The board fleet underneath.
     pub cluster: ClusterConfig,
-    /// Part number every board is built from (resolved in the catalog).
-    pub part: &'static str,
-    /// Per-tile monitor area used to floor-plan the boards.
-    pub monitor_area: Area,
     /// Per-board bitstream cache capacity, bytes.
     pub cache_bytes: u64,
     /// Bitstream-store fetch bandwidth on a cache miss, bytes/cycle
@@ -73,9 +77,6 @@ pub struct FaasConfig {
     pub fetch_bytes_per_cycle: u64,
     /// Cycles between autoscaler boundaries.
     pub autoscale_interval: u64,
-    /// Queue depth one replica is expected to absorb; deeper queues grow
-    /// the pool.
-    pub target_queue_per_replica: u64,
     /// Consecutive idle autoscale intervals before a function starts
     /// shrinking toward zero.
     pub idle_intervals_to_zero: u64,
@@ -90,9 +91,9 @@ pub struct FaasConfig {
 }
 
 impl FaasConfig {
-    /// The per-tile monitor area assumed by default — the representative
-    /// implementation the resource experiments use (CAM-assisted cap table
-    /// in BRAM, wire checks in LUTs).
+    /// The per-tile monitor area every board is floor-planned with — the
+    /// representative implementation the resource experiments use
+    /// (CAM-assisted cap table in BRAM, wire checks in LUTs).
     pub const DEFAULT_MONITOR: Area = Area {
         luts: 2_000,
         ffs: 2_500,
@@ -105,12 +106,9 @@ impl Default for FaasConfig {
     fn default() -> Self {
         FaasConfig {
             cluster: ClusterConfig::default(),
-            part: "VU9P",
-            monitor_area: FaasConfig::DEFAULT_MONITOR,
             cache_bytes: 24 << 10,
             fetch_bytes_per_cycle: 2,
             autoscale_interval: 2_000,
-            target_queue_per_replica: 4,
             idle_intervals_to_zero: 3,
             queue_timeout: 10_000,
             admission: AdmissionConfig::default(),
@@ -258,19 +256,19 @@ impl FaasSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the part is not in the catalog or the Apiary framework
-    /// does not fit it — both configuration errors.
+    /// Panics if the Apiary framework does not fit the part — a
+    /// configuration error.
     pub fn new(cfg: FaasConfig) -> FaasSystem {
-        let part = Part::by_number(cfg.part).expect("part in catalog");
-        let nodes = (cfg.cluster.system.noc.width * cfg.cluster.system.noc.height) as u16;
+        let part = Part::by_number(PART).expect("part in catalog");
+        let nodes = cfg.cluster.system.noc.nodes() as u16;
         let mem_node = cfg.cluster.system.memory_node();
         let usable: BTreeSet<NodeId> = (0..nodes)
             .map(NodeId)
-            .filter(|&n| n != cfg.cluster.gateway && n != mem_node)
+            .filter(|&n| n != GATEWAY && n != mem_node)
             .collect();
         let plan = FloorPlanner {
             tiles: nodes as u64,
-            monitor: cfg.monitor_area,
+            monitor: FaasConfig::DEFAULT_MONITOR,
             router: FloorPlanner::SOFT_ROUTER,
             io_shell: FloorPlanner::IO_SHELL,
         }
@@ -501,9 +499,7 @@ impl FaasSystem {
                 || depth > 0
                 || self.inflight.values().any(|i| i.fn_idx == fn_idx);
             self.functions[fn_idx].invoked_this_interval = false;
-            if depth > replicas as u64 * self.cfg.target_queue_per_replica
-                && replicas < self.boards.len()
-            {
+            if depth > replicas as u64 * TARGET_QUEUE_PER_REPLICA && replicas < self.boards.len() {
                 self.start_deploy(fn_idx);
             }
             if busy {

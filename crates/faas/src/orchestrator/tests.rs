@@ -1,5 +1,7 @@
 use super::*;
 use apiary_accel::apps::echo::echo;
+use apiary_core::SystemConfig;
+use apiary_noc::NocConfig;
 
 fn spec(name: &str, luts: u64, bytes: u64) -> FunctionSpec {
     FunctionSpec {
@@ -21,6 +23,24 @@ fn small_system() -> FaasSystem {
         idle_intervals_to_zero: 2,
         ..FaasConfig::default()
     })
+}
+
+/// A 16x16 board has 256 nodes, more than a byte counts: every node but
+/// the gateway and the memory service is usable.
+#[test]
+fn a_16x16_board_floor_plans_254_usable_nodes() {
+    let s = FaasSystem::new(FaasConfig {
+        cluster: ClusterConfig {
+            boards: 1,
+            system: SystemConfig {
+                noc: NocConfig::soft(16, 16),
+                ..SystemConfig::default()
+            },
+            ..ClusterConfig::default()
+        },
+        ..FaasConfig::default()
+    });
+    assert_eq!(s.boards[0].free_nodes.len(), 254);
 }
 
 #[test]

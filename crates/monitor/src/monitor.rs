@@ -9,11 +9,15 @@ use apiary_sim::{ensure, Cycle, FxHashMap, Payload};
 use core::fmt;
 use std::collections::{HashMap, VecDeque};
 
+/// Capability-table slots per monitor.
+pub(crate) const CAP_SLOTS: usize = 32;
+
+/// Largest payload a monitor accepts, in bytes.
+pub(crate) const MAX_PAYLOAD: usize = 4096;
+
 /// Monitor sizing and policy.
 #[derive(Debug, Clone, Copy)]
 pub struct MonitorConfig {
-    /// Capability-table slots.
-    pub cap_slots: usize,
     /// Outbound queue depth, in messages.
     pub outbox_depth: usize,
     /// Inbound queue depth, in messages.
@@ -24,8 +28,6 @@ pub struct MonitorConfig {
     /// Egress rate limit as (milli-bytes per cycle, burst bytes), or `None`
     /// for unlimited.
     pub rate: Option<(u64, u64)>,
-    /// Largest accepted payload, in bytes.
-    pub max_payload: usize,
     /// Watchdog: if the oldest delivered message sits unconsumed in the
     /// inbox for this many cycles, the monitor reports the accelerator as
     /// hung (§4.4's "the process may never yield"). `None` disables it.
@@ -43,12 +45,10 @@ pub struct MonitorConfig {
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
-            cap_slots: 32,
             outbox_depth: 16,
             inbox_depth: 64,
             check_cycles: 1,
             rate: None,
-            max_payload: 4096,
             watchdog_cycles: None,
             flow_cache: true,
         }
@@ -81,7 +81,7 @@ pub enum SendError {
     FailStopped,
     /// A service capability names a service with no registered node.
     UnknownService,
-    /// Payload exceeds the configured maximum.
+    /// Payload exceeds the monitor's 4,096-byte limit.
     PayloadTooLarge,
     /// An endpoint capability names an id outside the NoC's node-id space.
     /// Surfaced as an explicit error instead of silently truncating the id
@@ -178,7 +178,7 @@ impl Monitor {
     pub fn new(node: NodeId, cfg: MonitorConfig) -> Monitor {
         Monitor {
             node,
-            caps: CapTable::new(cfg.cap_slots),
+            caps: CapTable::new(CAP_SLOTS),
             names: HashMap::new(),
             bucket: match cfg.rate {
                 Some((rate, burst)) => TokenBucket::new(rate, burst),
@@ -298,7 +298,7 @@ impl Monitor {
         self.state = TileState::Running;
         self.outbox.clear();
         self.inbox.clear();
-        self.caps = CapTable::new(self.cfg.cap_slots);
+        self.caps = CapTable::new(CAP_SLOTS);
         self.names.clear();
         self.flows.clear();
     }
@@ -379,7 +379,7 @@ impl Monitor {
         if self.state == TileState::FailStopped {
             return Err(SendError::FailStopped);
         }
-        if payload.len() > self.cfg.max_payload {
+        if payload.len() > MAX_PAYLOAD {
             return Err(SendError::PayloadTooLarge);
         }
         let flow_key = (cap.index, cap.generation);

@@ -1,20 +1,22 @@
 //! NoC configuration.
 
-/// Most VCs a NoC supports: the switch's per-router `demand` bitset holds
-/// `5 ports * 8` bits.
-pub(crate) const MAX_VCS: usize = 8;
+use crate::packet::TrafficClass;
 
-/// Parameters of the mesh NoC.
+/// Virtual channels per link: one per traffic class, since
+/// [`TrafficClass::vc`] is the only source of a VC index.
+pub const VCS: usize = TrafficClass::ALL.len();
+
+// The switch's per-router `demand` bitset holds `5 ports * 8` bits.
+const _: () = assert!(VCS <= 8);
+
+/// Parameters of the mesh NoC. Every link carries [`VCS`] virtual
+/// channels, one per traffic class.
 #[derive(Debug, Clone, Copy)]
 pub struct NocConfig {
     /// Mesh columns.
     pub width: u8,
     /// Mesh rows.
     pub height: u8,
-    /// Virtual channels per link. Must be at least
-    /// [`crate::TrafficClass::ALL`]`.len()` (3) because traffic classes map
-    /// onto VCs, and at most 8.
-    pub vcs: usize,
     /// Input-buffer depth per VC, in flits. At `hop_latency + 2` or more,
     /// credits never throttle a single stream, and packets on disjoint
     /// routes fly in closed form ([`crate::Noc::quiet_until`]); shallower
@@ -37,7 +39,6 @@ impl Default for NocConfig {
         NocConfig {
             width: 4,
             height: 4,
-            vcs: 3,
             vc_buffer: 4,
             flit_bytes: 16,
             header_bytes: 16,
@@ -63,7 +64,6 @@ impl NocConfig {
         NocConfig {
             width,
             height,
-            vcs: 3,
             vc_buffer: 8,
             flit_bytes: 32,
             header_bytes: 16,
@@ -76,21 +76,12 @@ impl NocConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero dimensions, fewer VCs than traffic classes or more
-    /// than 8, zero buffers, zero-size flits, a `vc_buffer` above 255 (FIFO
-    /// depths and credits are byte-wide counters) or a `hop_latency` above
-    /// 255 (a flit in flight carries its slot of the `hop_latency + 1`
-    /// landing slots in a byte).
+    /// Panics on zero dimensions, zero buffers, zero-size flits, a
+    /// `vc_buffer` above 255 (FIFO depths and credits are byte-wide
+    /// counters) or a `hop_latency` above 255 (a flit in flight carries its
+    /// slot of the `hop_latency + 1` landing slots in a byte).
     pub fn validate(&self) {
         assert!(self.width > 0 && self.height > 0, "empty mesh");
-        assert!(
-            self.vcs >= crate::packet::TrafficClass::ALL.len(),
-            "need one VC per traffic class"
-        );
-        assert!(
-            self.vcs <= MAX_VCS,
-            "the demand bitset supports at most {MAX_VCS} virtual channels"
-        );
         assert!(self.vc_buffer > 0, "VC buffers must hold at least one flit");
         assert!(
             self.vc_buffer <= u8::MAX as usize,
@@ -154,35 +145,6 @@ mod tests {
         let c = NocConfig {
             vc_buffer: 255,
             hop_latency: 255,
-            ..NocConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 8 virtual channels")]
-    fn more_vcs_than_the_demand_bitset_rejected() {
-        let c = NocConfig {
-            vcs: 9,
-            ..NocConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    fn eight_vcs_validate() {
-        let c = NocConfig {
-            vcs: 8,
-            ..NocConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "one VC per traffic class")]
-    fn too_few_vcs_rejected() {
-        let c = NocConfig {
-            vcs: 2,
             ..NocConfig::default()
         };
         c.validate();

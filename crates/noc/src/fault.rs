@@ -5,7 +5,7 @@
 //!
 //! - an explicit **schedule** (`schedule()`), replayed at exact cycles, and
 //! - **rate-based random draws** from a [`apiary_sim::SimRng`] seeded at
-//!   construction, so a given `(seed, config)` pair always injects the same
+//!   construction, so a given `(seed, rate)` pair always injects the same
 //!   fault sequence — chaos runs are exactly reproducible.
 //!
 //! Three fault classes model what fails underneath an FPGA OS:
@@ -39,50 +39,31 @@ pub enum FaultEvent {
     RouterStall { node: NodeId, cycles: u64 },
 }
 
-/// Rates and magnitudes for random fault generation. All rates are
-/// per-cycle probabilities of one event being drawn somewhere in the mesh.
+/// Rates and magnitudes for random fault generation, scaled from one
+/// `rate`. All rates are per-cycle probabilities of one event being drawn
+/// somewhere in the mesh.
 #[derive(Debug, Clone, Copy)]
-pub struct FaultPlaneConfig {
-    /// RNG seed; same seed, same fault sequence.
-    pub seed: u64,
+struct Rates {
     /// Probability that any given flit is corrupted while crossing a link.
-    pub corrupt_per_hop: f64,
+    corrupt_per_hop: f64,
     /// Per-cycle probability that some link starts a transient outage.
-    pub transient_link_rate: f64,
+    transient_link_rate: f64,
     /// Length of a transient outage, cycles.
-    pub transient_cycles: u64,
+    transient_cycles: u64,
     /// Per-cycle probability that some router stalls.
-    pub stall_rate: f64,
+    stall_rate: f64,
     /// Length of a router stall, cycles.
-    pub stall_cycles: u64,
+    stall_cycles: u64,
     /// Per-cycle probability that some link dies permanently.
-    pub permanent_link_rate: f64,
+    permanent_link_rate: f64,
     /// Upper bound on permanently killed links (so a long run cannot
     /// partition the whole mesh).
-    pub max_permanent_links: usize,
+    max_permanent_links: usize,
 }
 
-impl FaultPlaneConfig {
-    /// A plane that only replays its explicit schedule.
-    pub fn scripted(seed: u64) -> FaultPlaneConfig {
-        FaultPlaneConfig {
-            seed,
-            corrupt_per_hop: 0.0,
-            transient_link_rate: 0.0,
-            transient_cycles: 0,
-            stall_rate: 0.0,
-            stall_cycles: 0,
-            permanent_link_rate: 0.0,
-            max_permanent_links: 0,
-        }
-    }
-
-    /// A preset whose aggression scales with a single knob `rate`
-    /// (used by the E16 sweep). `rate` is roughly the per-cycle
-    /// probability of *some* disruptive event.
-    pub fn with_rate(seed: u64, rate: f64) -> FaultPlaneConfig {
-        FaultPlaneConfig {
-            seed,
+impl Rates {
+    fn scaled(rate: f64) -> Rates {
+        Rates {
             corrupt_per_hop: rate / 50.0,
             transient_link_rate: rate,
             transient_cycles: 200,
@@ -113,7 +94,7 @@ pub struct FaultPlaneStats {
 /// Deterministic fault injector. See the module docs.
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
-    cfg: FaultPlaneConfig,
+    rates: Rates,
     rng: SimRng,
     /// Explicit schedule, kept sorted by cycle (stable for equal cycles).
     scheduled: Vec<(Cycle, FaultEvent)>,
@@ -124,11 +105,14 @@ pub struct FaultPlane {
 }
 
 impl FaultPlane {
-    /// Builds a plane; random draws come from `cfg.seed`.
-    pub fn new(cfg: FaultPlaneConfig) -> FaultPlane {
+    /// Builds a plane whose aggression scales with `rate`, roughly the
+    /// per-cycle probability of *some* disruptive event (the E16 sweep);
+    /// random draws come from `seed`. At rate 0 the plane only replays its
+    /// explicit schedule.
+    pub fn new(seed: u64, rate: f64) -> FaultPlane {
         FaultPlane {
-            rng: SimRng::new(cfg.seed),
-            cfg,
+            rates: Rates::scaled(rate),
+            rng: SimRng::new(seed),
             scheduled: Vec::new(),
             next_scheduled: 0,
             permanent_killed: 0,
@@ -150,11 +134,6 @@ impl FaultPlane {
     /// Injection counters.
     pub fn stats(&self) -> &FaultPlaneStats {
         &self.stats
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FaultPlaneConfig {
-        &self.cfg
     }
 
     /// Draws a random existing link `(node, dir)` of `mesh`, if the draw
@@ -182,25 +161,26 @@ impl FaultPlane {
             self.stats.scheduled_replayed += 1;
         }
         // Random draws, in a fixed order so the stream is reproducible.
-        if self.cfg.transient_link_rate > 0.0 && self.rng.gen_bool(self.cfg.transient_link_rate) {
+        if self.rates.transient_link_rate > 0.0 && self.rng.gen_bool(self.rates.transient_link_rate)
+        {
             if let Some((node, dir)) = self.draw_link(mesh) {
                 events.push(FaultEvent::LinkDown {
                     node,
                     dir,
-                    heal_after: Some(self.cfg.transient_cycles),
+                    heal_after: Some(self.rates.transient_cycles),
                 });
             }
         }
-        if self.cfg.stall_rate > 0.0 && self.rng.gen_bool(self.cfg.stall_rate) {
+        if self.rates.stall_rate > 0.0 && self.rng.gen_bool(self.rates.stall_rate) {
             let node = NodeId(self.rng.gen_range(mesh.nodes() as u64) as u16);
             events.push(FaultEvent::RouterStall {
                 node,
-                cycles: self.cfg.stall_cycles,
+                cycles: self.rates.stall_cycles,
             });
         }
-        if self.cfg.permanent_link_rate > 0.0
-            && self.permanent_killed < self.cfg.max_permanent_links
-            && self.rng.gen_bool(self.cfg.permanent_link_rate)
+        if self.rates.permanent_link_rate > 0.0
+            && self.permanent_killed < self.rates.max_permanent_links
+            && self.rng.gen_bool(self.rates.permanent_link_rate)
         {
             if let Some((node, dir)) = self.draw_link(mesh) {
                 events.push(FaultEvent::LinkDown {
@@ -230,10 +210,10 @@ impl FaultPlane {
 
     /// One corruption roll for a flit entering a link.
     pub(crate) fn corrupt_roll(&mut self) -> bool {
-        if self.cfg.corrupt_per_hop <= 0.0 {
+        if self.rates.corrupt_per_hop <= 0.0 {
             return false;
         }
-        let hit = self.rng.gen_bool(self.cfg.corrupt_per_hop);
+        let hit = self.rng.gen_bool(self.rates.corrupt_per_hop);
         if hit {
             self.stats.corrupted_flits += 1;
         }
@@ -251,7 +231,7 @@ mod tests {
 
     #[test]
     fn scripted_plane_replays_in_order() {
-        let mut p = FaultPlane::new(FaultPlaneConfig::scripted(1));
+        let mut p = FaultPlane::new(1, 0.0);
         let stall = FaultEvent::RouterStall {
             node: NodeId(3),
             cycles: 10,
@@ -273,7 +253,7 @@ mod tests {
     #[test]
     fn same_seed_same_fault_sequence() {
         let run = || {
-            let mut p = FaultPlane::new(FaultPlaneConfig::with_rate(42, 0.05));
+            let mut p = FaultPlane::new(42, 0.05);
             let mut all = Vec::new();
             for c in 0..5_000u64 {
                 all.extend(p.step(Cycle(c), &mesh()));
@@ -289,9 +269,8 @@ mod tests {
 
     #[test]
     fn permanent_kills_respect_the_cap() {
-        let mut cfg = FaultPlaneConfig::with_rate(7, 0.5);
-        cfg.max_permanent_links = 2;
-        let mut p = FaultPlane::new(cfg);
+        let mut p = FaultPlane::new(7, 0.5);
+        p.rates.max_permanent_links = 2;
         for c in 0..20_000u64 {
             p.step(Cycle(c), &mesh());
         }
@@ -300,10 +279,8 @@ mod tests {
 
     #[test]
     fn corruption_rolls_follow_the_configured_rate() {
-        let mut p = FaultPlane::new(FaultPlaneConfig {
-            corrupt_per_hop: 0.25,
-            ..FaultPlaneConfig::scripted(3)
-        });
+        let mut p = FaultPlane::new(3, 0.0);
+        p.rates.corrupt_per_hop = 0.25;
         let hits = (0..10_000).filter(|_| p.corrupt_roll()).count();
         assert!((1_500..3_500).contains(&hits), "hits={hits}");
     }

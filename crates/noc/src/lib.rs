@@ -35,8 +35,8 @@ pub mod packet;
 pub mod topology;
 
 pub use apiary_sim::Payload;
-pub use config::NocConfig;
-pub use fault::{FaultEvent, FaultPlane, FaultPlaneConfig, FaultPlaneStats};
+pub use config::{NocConfig, VCS};
+pub use fault::{FaultEvent, FaultPlane, FaultPlaneStats};
 pub use network::{InjectError, Noc, NocStats};
 pub use packet::{Delivered, Message, PacketId, TrafficClass};
 pub use topology::{Coord, Direction, NodeId, Port};

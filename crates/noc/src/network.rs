@@ -9,7 +9,7 @@ mod faults;
 mod flight;
 mod invariants;
 
-use crate::config::NocConfig;
+use crate::config::{NocConfig, VCS};
 use crate::fault::FaultPlane;
 use crate::packet::{
     flits_for, Delivered, Flit, Message, PacketEntry, PacketId, PacketTable, TrafficClass,
@@ -123,7 +123,7 @@ pub struct Noc {
     mesh: Mesh,
     now: Cycle,
     // ------------------------------------------------------------------
-    // Router state, flat. Input FIFO `f = (node * 5 + port) * vcs + vc`;
+    // Router state, flat. Input FIFO `f = (node * 5 + port) * VCS + vc`;
     // the same index over *output* ports addresses the wormhole locks and
     // the request sets.
     // ------------------------------------------------------------------
@@ -170,7 +170,7 @@ pub struct Noc {
     /// Non-local FIFOs popped during this cycle's switching, whose credits
     /// go back when it ends. Empty between cycles.
     credit_returns: Vec<u32>,
-    /// Injection queues, `nic[node * vcs + vc]`.
+    /// Injection queues, `nic[node * VCS + vc]`.
     nic: Vec<VecDeque<NicEntry>>,
     /// Every packet between `try_inject` and delivery, drop or purge; its
     /// live count is the number of messages in flight.
@@ -270,12 +270,12 @@ impl Noc {
             .map(|l| {
                 let node = mesh.neighbor(NodeId((l / 4) as u16), DIRS[l % 4]);
                 let (node, port) = (node.map_or(u16::MAX, |nb| nb.0), OPP_PORT[l % 4]);
-                let f = ((node as usize * PORTS + port) * cfg.vcs) as u32;
+                let f = ((node as usize * PORTS + port) * VCS) as u32;
                 let (port, vc) = (port as u8, 0);
                 Landing { f, node, port, vc }
             })
             .collect();
-        let fifos = n * PORTS * cfg.vcs;
+        let fifos = n * PORTS * VCS;
         Noc {
             mesh,
             now: Cycle::ZERO,
@@ -292,7 +292,7 @@ impl Noc {
             rr: vec![0; n * PORTS],
             due: vec![Vec::new(); cfg.hop_latency as usize + 1],
             credit_returns: Vec::new(),
-            nic: (0..n * cfg.vcs).map(|_| VecDeque::new()).collect(),
+            nic: (0..n * VCS).map(|_| VecDeque::new()).collect(),
             packets: PacketTable::default(),
             dropped_in_flight: 0,
             eject_q: (0..n).map(|_| VecDeque::new()).collect(),
@@ -347,7 +347,7 @@ impl Noc {
     pub fn inject_space(&self, node: NodeId, class: TrafficClass) -> usize {
         let (node, vc) = (node.index(), class.vc());
         // Flying, the queue still holds what stepping has streamed out.
-        self.cfg.inject_queue + self.streamed(node, vc) - self.nic[node * self.cfg.vcs + vc].len()
+        self.cfg.inject_queue + self.streamed(node, vc) - self.nic[node * VCS + vc].len()
     }
 
     /// Offers a message for injection at `from`.
@@ -379,7 +379,7 @@ impl Noc {
             return Err(InjectError::Unreachable);
         }
         let (src, dst, vc) = (from.index(), msg.dst.index(), msg.class.vc());
-        let queue = src * self.cfg.vcs + vc;
+        let queue = src * VCS + vc;
         if self.nic[queue].len() - self.streamed(src, vc) >= self.cfg.inject_queue {
             self.stats.rejected += 1;
             return Err(InjectError::QueueFull);
@@ -472,7 +472,7 @@ impl Noc {
         // An `UNREACHABLE` front asks for nothing and waits for the valve.
         if out != UNREACHABLE {
             let out = out as usize;
-            self.req[(node * PORTS + out) * self.cfg.vcs + vc] |= 1 << port;
+            self.req[(node * PORTS + out) * VCS + vc] |= 1 << port;
             self.demand[node] |= 1 << (out << 3 | vc);
         }
     }
@@ -484,7 +484,7 @@ impl Noc {
         let out = std::mem::replace(&mut self.fifo_out[f], UNREACHABLE);
         if out != UNREACHABLE {
             let out = out as usize;
-            let req = &mut self.req[(node * PORTS + out) * self.cfg.vcs + vc];
+            let req = &mut self.req[(node * PORTS + out) * VCS + vc];
             *req &= !(1 << port);
             if *req == 0 {
                 self.demand[node] &= !(1 << (out << 3 | vc));
@@ -494,8 +494,7 @@ impl Noc {
 
     /// The `(node, port, vc)` of ring `f`. Divides: not for the cycle.
     fn ring_coords(&self, f: usize) -> (usize, usize, usize) {
-        let vcs = self.cfg.vcs;
-        (f / (PORTS * vcs), f / vcs % PORTS, f % vcs)
+        (f / (PORTS * VCS), f / VCS % PORTS, f % VCS)
     }
 
     /// Where in the slab ring `f` keeps its `i`-th flit, counted from the

@@ -1,6 +1,7 @@
 //! One cycle of the mesh: landings, the switch, injection and ejection.
 
 use super::{Landing, Noc, NO_LOCK};
+use crate::config::VCS;
 use crate::fault::FaultPlane;
 use crate::packet::{Delivered, Flit, PacketEntry};
 use crate::topology::{Port, PORTS};
@@ -128,7 +129,6 @@ impl Noc {
     /// corruption rolls are drawn, in node, output port order.
     fn phase_switch(&mut self, mut plane: Option<&mut FaultPlane>) {
         let n = self.mesh.nodes();
-        let vcs = self.cfg.vcs;
         let cap = self.cfg.vc_buffer;
         let now = self.now.as_u64();
         // A flit granted now lands `due.len()` cycles on: the slot this
@@ -144,7 +144,7 @@ impl Noc {
             if self.stall_until[node] > now {
                 continue;
             }
-            let base = node * PORTS * vcs;
+            let base = node * PORTS * VCS;
             // Rings popped at this router this cycle, bit `vc << 3 | port`.
             let mut popped = 0u64;
             let mut demand = self.demand[node];
@@ -152,7 +152,7 @@ impl Noc {
                 let bit = demand.trailing_zeros() as usize;
                 demand &= demand - 1;
                 let (out, vc) = (bit >> 3, bit & 7);
-                let o = base + out * vcs + vc;
+                let o = base + out * VCS + vc;
                 // Credit check once per (out, vc), none for ejection. Routes
                 // only ever point at existing links, so the ring exists.
                 let link = out.checked_sub(1).map(|di| self.feeds[node * 4 + di]);
@@ -171,7 +171,7 @@ impl Noc {
                     // Free output: the first head flit in round-robin order.
                     let rr = self.rr[node * PORTS + out] as usize;
                     let in_rr_order = (1..=PORTS).map(|k| (rr + k) % PORTS);
-                    let head = |p: &usize| self.fifo[self.at(base + p * vcs + vc, 0)].is_head;
+                    let head = |p: &usize| self.fifo[self.at(base + p * VCS + vc, 0)].is_head;
                     match in_rr_order.filter(|p| asking & (1 << p) != 0).find(head) {
                         Some(p) => p,
                         None => continue,
@@ -182,7 +182,7 @@ impl Noc {
                 self.last_progress = self.stats.cycles;
 
                 // Pop the input ring.
-                let f = base + in_port * vcs + vc;
+                let f = base + in_port * VCS + vc;
                 debug_assert!(
                     popped & 1 << (vc << 3 | in_port) == 0,
                     "an input FIFO is popped at most once per cycle"
@@ -305,18 +305,17 @@ impl Noc {
     /// cycle can be refilled in the same cycle.
     fn phase_inject(&mut self) {
         let local = Port::Local.index();
-        let vcs = self.cfg.vcs;
         let cap = self.cfg.vc_buffer;
         let mut next = 0;
         while let Some(node) = next_busy(&self.nic_occ, next) {
             next = node + 1;
-            for vc in 0..vcs {
-                let f = (node * PORTS + local) * vcs + vc;
+            for vc in 0..VCS {
+                let f = (node * PORTS + local) * VCS + vc;
                 let len = self.fifo_len[f] as usize;
                 if len >= cap {
                     continue;
                 }
-                let queue = &mut self.nic[node * vcs + vc];
+                let queue = &mut self.nic[node * VCS + vc];
                 let Some(e) = queue.front_mut() else {
                     continue;
                 };
@@ -384,7 +383,7 @@ mod tests {
         send(&mut noc, 1, 2, 20);
         send(&mut noc, 1, 0, 21);
         let vc = TrafficClass::Request.vc();
-        let ring = |port: Port| (PORTS + port.index()) * noc.cfg.vcs + vc;
+        let ring = |port: Port| (PORTS + port.index()) * VCS + vc;
         let (local, east_in) = (ring(Port::Local), ring(Port::Dir(Direction::East)));
         for _ in 0..7 {
             noc.step();

@@ -1,6 +1,6 @@
 use super::faults::DEADLOCK_WINDOW;
 use super::*;
-use crate::fault::{FaultPlane, FaultPlaneConfig};
+use crate::fault::FaultPlane;
 use crate::packet::TrafficClass;
 use crate::topology::Port;
 
@@ -146,11 +146,9 @@ fn link_kill_on_wrapped_rings_keeps_every_law() {
     // Stop on a cycle with a flit on the doomed link, a buffered flit
     // that will reroute, and a partially streamed packet in a NIC.
     // (In flight on 5 -> East means in flight in node 6's West input rings.)
-    let doomed = (6 * PORTS + Port::Dir(Direction::West).index()) * noc.cfg.vcs;
+    let doomed = (6 * PORTS + Port::Dir(Direction::West).index()) * VCS;
     let ready = |noc: &Noc| {
-        noc.fifo_fly[doomed..][..noc.cfg.vcs]
-            .iter()
-            .any(|&fly| fly > 0)
+        noc.fifo_fly[doomed..][..VCS].iter().any(|&fly| fly > 0)
             && noc.nic.iter().flatten().any(|e| e.next > 0)
     };
     while !ready(&noc) {
@@ -236,7 +234,7 @@ fn golden_chaos_run_matches_the_parent_commit() {
     // slip in ring, delay-line or packet-table indexing fails here.
     use crate::fault::FaultEvent;
     let got = {
-        let mut plane = FaultPlane::new(FaultPlaneConfig::with_rate(2024, 0.01));
+        let mut plane = FaultPlane::new(2024, 0.01);
         plane.schedule(
             Cycle(5_000),
             FaultEvent::LinkDown {
@@ -315,7 +313,7 @@ fn router_stall_delays_but_delivers() {
 fn chaos_plane_runs_are_deterministic() {
     let run = |seed: u64| {
         let mut noc = Noc::new(NocConfig::soft(4, 4));
-        noc.install_fault_plane(FaultPlane::new(FaultPlaneConfig::with_rate(seed, 0.02)));
+        noc.install_fault_plane(FaultPlane::new(seed, 0.02));
         let mut delivered_tags = Vec::new();
         for round in 0..400u64 {
             for s in 0..16u16 {

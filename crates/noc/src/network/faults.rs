@@ -2,6 +2,7 @@
 //! purging packets a fault tore apart, and the no-progress valve.
 
 use super::{dir_index, Noc, DIRS, NO_LOCK, UNREACHABLE};
+use crate::config::VCS;
 use crate::fault::{FaultEvent, FaultPlane};
 use crate::topology::{Direction, NodeId, Port, PORTS};
 use std::collections::VecDeque;
@@ -18,7 +19,7 @@ impl Noc {
     /// the in-flight region of the rings it feeds.
     fn corrupt_in_link(&mut self, l: usize) {
         let down = self.feeds[l].f as usize;
-        for f in down..down + self.cfg.vcs {
+        for f in down..down + VCS {
             let landed = self.fifo_len[f] as usize;
             for i in landed..landed + self.fifo_fly[f] as usize {
                 let at = self.at(f, i);
@@ -201,7 +202,6 @@ impl Noc {
     /// NIC packets at sources whose route changed.
     fn flush_rerouted(&mut self, old_routes: &[u8]) {
         let n = self.mesh.nodes();
-        let vcs = self.cfg.vcs;
         // (table slot, destination now unreachable?) per affected flit.
         let mut doomed: Vec<(u32, bool)> = Vec::new();
         // `Some(now unreachable?)` if the next hop at `at` toward `dst` changed.
@@ -212,7 +212,7 @@ impl Noc {
         for f in 0..self.fifo_len.len() {
             // A flit in flight will route next where it lands: same node.
             for flit in self.ring_flits(f) {
-                let lost = rerouted(f / (PORTS * vcs), flit.dst);
+                let lost = rerouted(f / (PORTS * VCS), flit.dst);
                 doomed.extend(lost.map(|lost| (flit.slot, lost)));
             }
         }
@@ -221,7 +221,7 @@ impl Noc {
                 // A packet that has started streaming is split by a route
                 // change. Unstarted packets survive any reroute except
                 // losing their destination entirely.
-                let lost = rerouted(q / vcs, e.dst).filter(|&lost| lost || e.next > 0);
+                let lost = rerouted(q / VCS, e.dst).filter(|&lost| lost || e.next > 0);
                 doomed.extend(lost.map(|lost| (e.slot, lost)));
             }
         }
@@ -251,7 +251,6 @@ impl Noc {
     /// wormhole locks it owns, its NIC entry and the table entry. Which
     /// `NocStats` drop counter it lands in is the caller's responsibility.
     fn purge_packet(&mut self, slot: u32) {
-        let vcs = self.cfg.vcs;
         let cap = self.cfg.vc_buffer;
         for f in 0..self.fifo_len.len() {
             if self.lock_in[f] != NO_LOCK && self.lock_owner[f] == slot {
@@ -296,7 +295,7 @@ impl Noc {
         for (q, queue) in self.nic.iter_mut().enumerate() {
             let before = queue.len();
             queue.retain(|e| e.slot != slot);
-            self.nic_occ[q / vcs] -= before - queue.len();
+            self.nic_occ[q / VCS] -= before - queue.len();
         }
         let freed = self.packets.remove(slot);
         debug_assert!(freed.is_some(), "purged packets are live");

@@ -35,6 +35,7 @@
 //!   never uses the closed form.
 
 use super::{Landing, Noc};
+use crate::config::VCS;
 use crate::packet::Flit;
 use crate::topology::{NodeId, Port, PORTS};
 use apiary_sim::Cycle;
@@ -306,7 +307,7 @@ impl Noc {
         let now = self.now.as_u64();
         let lap = self.cfg.hop_latency + 1;
         let mut cursor = now + 1;
-        for vc in 0..self.cfg.vcs as u8 {
+        for vc in 0..VCS as u8 {
             let mine = |p: &&mut Flier| p.src == src && p.vc == vc;
             for p in self.flights.fliers.iter_mut().filter(mine) {
                 let left = p.flits - p.formed(now);
@@ -339,10 +340,10 @@ impl Noc {
     /// walk of its route: what the NIC still has to form streams from the
     /// next cycle on, lowest VC first, each queue in order.
     pub(super) fn fresh_lands(&self, p: &Flier) -> Cycle {
-        let (now, vcs) = (self.now.as_u64(), self.cfg.vcs);
+        let now = self.now.as_u64();
         let mut cursor = now;
         let mut tail = None;
-        for e in (0..vcs).flat_map(|vc| &self.nic[p.src as usize * vcs + vc]) {
+        for e in (0..VCS).flat_map(|vc| &self.nic[p.src as usize * VCS + vc]) {
             let Some(q) = self.flights.fliers.iter().find(|q| q.slot == e.slot) else {
                 continue;
             };
@@ -419,15 +420,15 @@ impl Noc {
     /// has no owner, so nothing else is left to write.
     fn land(&mut self, i: usize) {
         let p = self.flights.fliers.remove(i);
-        let (vcs, cap) = (self.cfg.vcs, self.cfg.vc_buffer);
+        let cap = self.cfg.vc_buffer;
         let (src, vc) = (p.src as usize, p.vc as usize);
-        let queue = &mut self.nic[src * vcs + vc];
+        let queue = &mut self.nic[src * VCS + vc];
         let at = queue.iter().position(|e| e.slot == p.slot);
         queue.remove(at.expect("a flier's NIC entry"));
         self.nic_occ[src] -= 1;
         let turn = p.flits as usize % cap;
         for (node, in_port, out) in path(&self.routes, &self.feeds, src, p.dst as usize) {
-            let f = (node * PORTS + in_port) * vcs + vc;
+            let f = (node * PORTS + in_port) * VCS + vc;
             self.fifo_head[f] = ((self.fifo_head[f] as usize + turn) % cap) as u8;
             self.rr[node * PORTS + out] = in_port as u8;
             if let Some(di) = out.checked_sub(1) {
@@ -466,7 +467,7 @@ impl Noc {
         self.stats.flit_hops += hops;
         self.stats.flits_ejected += ejected;
         let fliers = std::mem::take(&mut self.flights.fliers);
-        let (now, lap, vcs) = (self.now.as_u64(), self.cfg.hop_latency + 1, self.cfg.vcs);
+        let (now, lap) = (self.now.as_u64(), self.cfg.hop_latency + 1);
         let local = Port::Local.index();
         // The last cycle a flit moved, the flits formed this cycle, and the
         // flits in flight as (grant cycle, granting output, link, flit).
@@ -476,7 +477,7 @@ impl Noc {
         for p in &fliers {
             let (src, dst, vc, slot) = (p.src as usize, p.dst as usize, p.vc as usize, p.slot);
             let formed = p.formed(now);
-            let queue = &mut self.nic[src * vcs + vc];
+            let queue = &mut self.nic[src * VCS + vc];
             let at = queue.iter().position(|e| e.slot == slot);
             let at = at.expect("a flier's NIC entry");
             if formed == p.flits {
@@ -497,12 +498,12 @@ impl Noc {
                         .and_then(|x| p.last_formed(x))
                         .map(|c| c + shift),
                 );
-                let f = (node * PORTS + in_port) * vcs + vc;
+                let f = (node * PORTS + in_port) * VCS + vc;
                 let head = self.fifo_head[f] as usize + granted as usize;
                 self.fifo_head[f] = (head % self.cfg.vc_buffer) as u8;
                 self.rr[node * PORTS + out] = in_port as u8;
                 if granted < p.flits {
-                    let o = (node * PORTS + out) * vcs + vc;
+                    let o = (node * PORTS + out) * VCS + vc;
                     self.lock_in[o] = in_port as u8;
                     self.lock_owner[o] = slot;
                 }
@@ -527,7 +528,7 @@ impl Noc {
         // formed this cycle waits in its source's local ring.
         for (src, flit) in forming {
             let vc = flit.vc as usize;
-            let f = (src * PORTS + local) * vcs + vc;
+            let f = (src * PORTS + local) * VCS + vc;
             let at = self.at(f, 0);
             self.fifo[at] = flit;
             self.fifo_len[f] = 1;

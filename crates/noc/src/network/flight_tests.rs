@@ -4,7 +4,6 @@
 //! of the state right after each settle and whenever no flight is open.
 
 use super::*;
-use crate::fault::FaultPlaneConfig;
 use proptest::prelude::*;
 
 /// Everything a `&self` caller can read while a flight is open.
@@ -100,7 +99,7 @@ fn pull(noc: &mut Noc, lever: u8, src: u16, dst: u16) {
             noc.fail_link_for(NodeId(src), dir, 30);
         }
         3 => noc.stall_router(NodeId(dst), 20),
-        _ => noc.install_fault_plane(FaultPlane::new(FaultPlaneConfig::with_rate(7, 0.05))),
+        _ => noc.install_fault_plane(FaultPlane::new(7, 0.05)),
     }
 }
 
@@ -157,8 +156,8 @@ proptest! {
 
     #[test]
     fn flights_are_where_stepping_puts_them(
-        (width, height, hop_latency, vc_buffer, vcs) in
-            (1u8..=6, 1u8..=6, 0usize..3, 1usize..=6, 3usize..=4),
+        (width, height, hop_latency, vc_buffer) in
+            (1u8..=6, 1u8..=6, 0usize..3, 1usize..=6),
         sources in prop::collection::vec(
             (0u16..36, prop::collection::vec((0u16..48, 0usize..3, 0usize..1100, 0u64..12), 1..=4)),
             1..=6,
@@ -167,7 +166,6 @@ proptest! {
         (warm, at, lever, inject_queue) in (0u16..3, 0u64..200, 0u8..6, 1usize..=4),
     ) {
         let cfg = NocConfig {
-            vcs,
             vc_buffer,
             inject_queue,
             hop_latency: [0, 1, 3][hop_latency],

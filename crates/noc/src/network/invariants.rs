@@ -3,6 +3,7 @@
 
 use super::flight::{path, Claim, Flier, Hop};
 use super::{Noc, NocStats, NO_LOCK, UNREACHABLE};
+use crate::config::VCS;
 use crate::topology::{Port, PORTS};
 use apiary_sim::{ensure, Cycle};
 use std::collections::VecDeque;
@@ -19,7 +20,6 @@ impl Noc {
     ///
     /// The first violated law.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let vcs = self.cfg.vcs;
         let cap = self.cfg.vc_buffer;
         let slots = self.due.len();
         let live = |slot: u32| self.packets.get(slot).is_some();
@@ -35,7 +35,7 @@ impl Noc {
             for l in landings {
                 let (f, link) = (l.f as usize, l.node as usize * PORTS + l.port as usize);
                 ensure!(
-                    f == link * vcs + l.vc as usize,
+                    f == link * VCS + l.vc as usize,
                     "landing names a foreign ring"
                 );
                 ensure!(seen[link] != slot, "two flits on one link in slot {slot}");
@@ -53,7 +53,7 @@ impl Noc {
         let mut demand = vec![0u64; self.demand.len()];
         // Rings in index order with their coordinates, dividing nothing.
         let ports = (0..self.mesh.nodes() * PORTS).map(|np| (np / PORTS, np % PORTS));
-        let rings = ports.flat_map(|(node, port)| (0..vcs).map(move |vc| (node, port, vc)));
+        let rings = ports.flat_map(|(node, port)| (0..VCS).map(move |vc| (node, port, vc)));
         for (f, (node, port, vc)) in rings.enumerate() {
             let (len, fly) = (self.fifo_len[f] as usize, self.fifo_fly[f] as usize);
             if port == Port::Local.index() {
@@ -86,7 +86,7 @@ impl Noc {
                 "FIFO {f} requests the wrong output"
             );
             if out != UNREACHABLE {
-                req[(node * PORTS + out as usize) * vcs + vc] |= 1 << port;
+                req[(node * PORTS + out as usize) * VCS + vc] |= 1 << port;
                 demand[node] |= 1 << ((out as usize) << 3 | vc);
             }
             if self.lock_in[f] != NO_LOCK {
@@ -101,7 +101,7 @@ impl Noc {
         ensure!(self.req == req, "request sets disagree with the fronts");
         ensure!(self.demand == demand, "demand disagrees with the fronts");
         for node in 0..self.mesh.nodes() {
-            let queues = &self.nic[node * vcs..][..vcs];
+            let queues = &self.nic[node * VCS..][..VCS];
             let queued: usize = queues.iter().map(VecDeque::len).sum();
             ensure!(queued == self.nic_occ[node], "nic_occ[{node}]");
             for e in queues.iter().flatten() {
@@ -137,7 +137,7 @@ impl Noc {
             ensure!(free, "a claim outlived its flights");
             return Ok(());
         }
-        let (now, lap, vcs) = (self.now.as_u64(), self.cfg.hop_latency + 1, self.cfg.vcs);
+        let (now, lap) = (self.now.as_u64(), self.cfg.hop_latency + 1);
         ensure!(
             self.fault_plane.is_none() && self.cfg.vc_buffer as u64 > lap,
             "flights under a chaos plane or on shallow buffers"
@@ -158,7 +158,7 @@ impl Noc {
             let mine = fl
                 .fliers
                 .iter()
-                .filter(|p| p.src as usize * vcs + p.vc as usize == q);
+                .filter(|p| p.src as usize * VCS + p.vc as usize == q);
             let mine: Vec<_> = mine.map(|p| (p.slot, p.dst, 0, p.flits)).collect();
             let queued = queue.iter().map(|e| (e.slot, e.dst.0, e.next, e.nflits));
             ensure!(

@@ -10,8 +10,7 @@
 //! can get wrong while the soft and hardened presets still pass.
 
 use apiary_noc::{
-    Direction, FaultEvent, FaultPlane, FaultPlaneConfig, Message, Noc, NocConfig, NodeId,
-    TrafficClass,
+    Direction, FaultEvent, FaultPlane, Message, Noc, NocConfig, NodeId, TrafficClass,
 };
 use apiary_sim::{Cycle, SimRng};
 
@@ -109,7 +108,7 @@ fn fingerprint(mut noc: Noc, seed: u64, rate: f64, cycles: u64) -> u64 {
 /// The chaos plane of the table: random faults at rate 0.01 plus one
 /// permanent kill, one healing outage and one stall at fixed cycles.
 fn chaos(seed: u64) -> FaultPlane {
-    let mut plane = FaultPlane::new(FaultPlaneConfig::with_rate(seed, 0.01));
+    let mut plane = FaultPlane::new(seed, 0.01);
     plane.schedule(
         Cycle(400),
         FaultEvent::LinkDown {
@@ -138,36 +137,33 @@ fn chaos(seed: u64) -> FaultPlane {
 
 const HOP_LATENCIES: [u64; 4] = [0, 1, 3, 7];
 const VC_BUFFERS: [usize; 4] = [1, 2, 4, 6];
-const VCS: [usize; 2] = [3, 4];
 
-/// `GRID[hop latency][vc_buffer][vcs][chaos off, on]` on a 4x3. Only three
-/// classes exist, so a fourth VC carries nothing and the two `vcs` columns
-/// agree; it still changes every index stride.
+/// `GRID[hop latency][vc_buffer][chaos off, on]` on a 4x3.
 #[rustfmt::skip]
-const GRID: [[[[u64; 2]; 2]; 4]; 4] = [
+const GRID: [[[u64; 2]; 4]; 4] = [
     [
-        [[0xc0901700f7820ef4, 0xabb7f52782ae68ed], [0xc0901700f7820ef4, 0xabb7f52782ae68ed]],
-        [[0xe7f2d9900bf81869, 0x4539f0a39044c88d], [0xe7f2d9900bf81869, 0x4539f0a39044c88d]],
-        [[0x74619880802da603, 0x524eda3544fbfe3f], [0x74619880802da603, 0x524eda3544fbfe3f]],
-        [[0xece5336d3b9514e2, 0xf4c6b2f06006ce85], [0xece5336d3b9514e2, 0xf4c6b2f06006ce85]],
+        [0xc0901700f7820ef4, 0xabb7f52782ae68ed],
+        [0xe7f2d9900bf81869, 0x4539f0a39044c88d],
+        [0x74619880802da603, 0x524eda3544fbfe3f],
+        [0xece5336d3b9514e2, 0xf4c6b2f06006ce85],
     ],
     [
-        [[0xfb46639fe16b003f, 0xe5cdd8d2f7239047], [0xfb46639fe16b003f, 0xe5cdd8d2f7239047]],
-        [[0x1f3dbf50a10edeac, 0x3a27f4b0f08018f6], [0x1f3dbf50a10edeac, 0x3a27f4b0f08018f6]],
-        [[0x9a32d3263dd9e488, 0x874d33c4f740238b], [0x9a32d3263dd9e488, 0x874d33c4f740238b]],
-        [[0x06ed08a70b1af998, 0x95d6da9bd0b90839], [0x06ed08a70b1af998, 0x95d6da9bd0b90839]],
+        [0xfb46639fe16b003f, 0xe5cdd8d2f7239047],
+        [0x1f3dbf50a10edeac, 0x3a27f4b0f08018f6],
+        [0x9a32d3263dd9e488, 0x874d33c4f740238b],
+        [0x06ed08a70b1af998, 0x95d6da9bd0b90839],
     ],
     [
-        [[0x5ff2e35475361adf, 0xb4864a8f1987aa1e], [0x5ff2e35475361adf, 0xb4864a8f1987aa1e]],
-        [[0xe7f3bee3239d3b63, 0xbddd7d93c1984aee], [0xe7f3bee3239d3b63, 0xbddd7d93c1984aee]],
-        [[0xe2884a3eef0aed80, 0x6bc3ec48aa7972e6], [0xe2884a3eef0aed80, 0x6bc3ec48aa7972e6]],
-        [[0x0a1244d4d57c59f0, 0x93b6ec7900aa5c04], [0x0a1244d4d57c59f0, 0x93b6ec7900aa5c04]],
+        [0x5ff2e35475361adf, 0xb4864a8f1987aa1e],
+        [0xe7f3bee3239d3b63, 0xbddd7d93c1984aee],
+        [0xe2884a3eef0aed80, 0x6bc3ec48aa7972e6],
+        [0x0a1244d4d57c59f0, 0x93b6ec7900aa5c04],
     ],
     [
-        [[0x6dffac13048ea1c4, 0xf56becf0b5d8a825], [0x6dffac13048ea1c4, 0xf56becf0b5d8a825]],
-        [[0x7505b8cc664af23c, 0xe227164fb78e0501], [0x7505b8cc664af23c, 0xe227164fb78e0501]],
-        [[0x7476705ee17c904e, 0x47caaf01657ec4e7], [0x7476705ee17c904e, 0x47caaf01657ec4e7]],
-        [[0x45ba0a515ef7ae15, 0xcf8e9af2cf3a685d], [0x45ba0a515ef7ae15, 0xcf8e9af2cf3a685d]],
+        [0x6dffac13048ea1c4, 0xf56becf0b5d8a825],
+        [0x7505b8cc664af23c, 0xe227164fb78e0501],
+        [0x7476705ee17c904e, 0x47caaf01657ec4e7],
+        [0x45ba0a515ef7ae15, 0xcf8e9af2cf3a685d],
     ],
 ];
 
@@ -175,15 +171,12 @@ const HARDENED_6X5: u64 = 0x563c_58b8_0a9e_a171;
 const SOFT_8X8_WITH_KILLS: u64 = 0xeebb_56cb_8826_4da6;
 
 /// The grid as it is written in `GRID`, for the failure message.
-fn render(grid: &[[[[u64; 2]; 2]; 4]; 4]) -> String {
+fn render(grid: &[[[u64; 2]; 4]; 4]) -> String {
     let mut out = String::new();
     for per_latency in grid {
         out += "    [\n";
-        for [a, b] in per_latency {
-            out += &format!(
-                "        [[{:#018x}, {:#018x}], [{:#018x}, {:#018x}]],\n",
-                a[0], a[1], b[0], b[1]
-            );
+        for [off, on] in per_latency {
+            out += &format!("        [{off:#018x}, {on:#018x}],\n");
         }
         out += "    ],\n";
     }
@@ -192,22 +185,19 @@ fn render(grid: &[[[[u64; 2]; 2]; 4]; 4]) -> String {
 
 #[test]
 fn grid_of_link_and_ring_shapes_matches_the_parent_commit() {
-    let mut got = [[[[0u64; 2]; 2]; 4]; 4];
+    let mut got = [[[0u64; 2]; 4]; 4];
     for (hi, &hop_latency) in HOP_LATENCIES.iter().enumerate() {
         for (bi, &vc_buffer) in VC_BUFFERS.iter().enumerate() {
-            for (vi, &vcs) in VCS.iter().enumerate() {
-                for chaotic in [false, true] {
-                    let mut noc = Noc::new(NocConfig {
-                        hop_latency,
-                        vc_buffer,
-                        vcs,
-                        ..NocConfig::soft(4, 3)
-                    });
-                    if chaotic {
-                        noc.install_fault_plane(chaos(31));
-                    }
-                    got[hi][bi][vi][chaotic as usize] = fingerprint(noc, 17, 0.06, 2_000);
+            for chaotic in [false, true] {
+                let mut noc = Noc::new(NocConfig {
+                    hop_latency,
+                    vc_buffer,
+                    ..NocConfig::soft(4, 3)
+                });
+                if chaotic {
+                    noc.install_fault_plane(chaos(31));
                 }
+                got[hi][bi][chaotic as usize] = fingerprint(noc, 17, 0.06, 2_000);
             }
         }
     }
@@ -226,7 +216,7 @@ fn hardened_6x5_matches_the_parent_commit() {
 
 #[test]
 fn soft_8x8_with_link_kills_matches_the_parent_commit() {
-    let mut plane = FaultPlane::new(FaultPlaneConfig::scripted(0));
+    let mut plane = FaultPlane::new(0, 0.0);
     for (at, node, dir) in [
         (700, 27, Direction::East),
         (1_500, 36, Direction::South),

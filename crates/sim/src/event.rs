@@ -1,9 +1,9 @@
-//! A deterministic, time-ordered event queue — the public scheduling API of
-//! the event-driven core.
+//! A deterministic, time-ordered event queue: the future-event list of the
+//! host baseline model (`apiary-host`).
 
 use crate::clock::Cycle;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// An entry in the queue: events sort by time, then by insertion order so
 /// that two events scheduled for the same cycle pop in FIFO order. This makes
@@ -38,19 +38,11 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A ticket for a scheduled event, returned by [`EventQueue::schedule`] and
-/// redeemable with [`EventQueue::cancel`]. Handles are unique per queue and
-/// never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
-
 /// A deterministic future-event list.
 ///
 /// Events are popped in nondecreasing time order; ties break in insertion
 /// order (FIFO). The queue never invents times: popping hands back the
-/// scheduled [`Cycle`] together with the event. Cancellation is O(1) via
-/// tombstones: cancelled entries stay in the heap but are skipped (and
-/// discarded) when they surface.
+/// scheduled [`Cycle`] together with the event.
 ///
 /// # Examples
 ///
@@ -61,32 +53,16 @@ pub struct EventHandle(u64);
 /// q.schedule(Cycle(20), "later");
 /// q.schedule(Cycle(10), "sooner");
 /// assert_eq!(q.pop(), Some((Cycle(10), "sooner")));
+/// q.schedule_in(5, "relative"); // 5 cycles after the last pop
+/// assert_eq!(q.pop(), Some((Cycle(15), "relative")));
 /// assert_eq!(q.pop(), Some((Cycle(20), "later")));
 /// assert_eq!(q.pop(), None);
-/// ```
-///
-/// Relative scheduling and cancellation:
-///
-/// ```
-/// use apiary_sim::{Cycle, EventQueue};
-///
-/// let mut q = EventQueue::new();
-/// let retry = q.schedule_in(100, "retry");
-/// q.schedule_in(30, "timer");
-/// assert!(q.cancel(retry), "pending events cancel");
-/// assert_eq!(q.pop(), Some((Cycle(30), "timer")));
-/// assert_eq!(q.pop(), None, "cancelled event never fires");
-/// assert!(!q.cancel(retry), "second cancel is a no-op");
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// Sequence numbers of entries still in the heap and not cancelled.
-    live: HashSet<u64>,
-    /// Sequence numbers of cancelled-but-not-yet-popped entries.
-    tombstones: HashSet<u64>,
     /// Time cursor for [`EventQueue::schedule_in`]: the latest time ever
-    /// popped (or set via [`EventQueue::set_now`]).
+    /// popped.
     now: Cycle,
 }
 
@@ -102,128 +78,29 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            live: HashSet::new(),
-            tombstones: HashSet::new(),
             now: Cycle::ZERO,
         }
     }
 
-    /// Schedules `event` to fire at absolute time `at`; returns a handle
-    /// for [`EventQueue::cancel`].
-    pub fn schedule(&mut self, at: Cycle, event: E) -> EventHandle {
+    /// Schedules `event` to fire at absolute time `at`.
+    pub fn schedule(&mut self, at: Cycle, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { at, seq, event });
-        self.live.insert(seq);
-        EventHandle(seq)
     }
 
     /// Schedules `event` to fire `delay` cycles after the queue's current
-    /// time (the time of the last popped event, or [`EventQueue::set_now`]).
-    pub fn schedule_in(&mut self, delay: u64, event: E) -> EventHandle {
+    /// time (the time of the last popped event).
+    pub fn schedule_in(&mut self, delay: u64, event: E) {
         self.schedule(self.now.saturating_add(delay), event)
-    }
-
-    /// Cancels a pending event. Returns `true` if the event was still
-    /// pending (it will never fire), `false` if it already fired or was
-    /// already cancelled. O(1); the slot is reclaimed lazily.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        // Only tombstone handles that still sit in the heap: an entry that
-        // already popped (or one issued by another queue) must not leave a
-        // stale tombstone behind to poison an unrelated future event.
-        if self.live.remove(&handle.0) {
-            self.tombstones.insert(handle.0);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The queue's current time cursor (drives [`EventQueue::schedule_in`]).
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Advances the time cursor. Popping an event later than the cursor
-    /// also advances it; the cursor never moves backwards.
-    pub fn set_now(&mut self, now: Cycle) {
-        self.now = self.now.max(now);
-    }
-
-    /// Returns the time of the earliest pending (non-cancelled) event.
-    pub fn peek_time(&mut self) -> Option<Cycle> {
-        self.skim();
-        self.heap.peek().map(|e| e.at)
     }
 
     /// Removes and returns the earliest event together with its time.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.skim();
         self.heap.pop().map(|e| {
-            self.live.remove(&e.seq);
             self.now = self.now.max(e.at);
             (e.at, e.event)
         })
-    }
-
-    /// Removes and returns the earliest event only if it is due at or before
-    /// `now`.
-    pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, E)> {
-        if self.peek_time().is_some_and(|t| t <= now) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    /// Removes and returns every event due at or before `now`, in firing
-    /// order (time, then FIFO within a cycle) — the same-cycle batch drain
-    /// the drivers use to run all of a cycle's events under one clock value.
-    ///
-    /// ```
-    /// use apiary_sim::{Cycle, EventQueue};
-    ///
-    /// let mut q = EventQueue::new();
-    /// q.schedule(Cycle(5), "a");
-    /// q.schedule(Cycle(5), "b");
-    /// q.schedule(Cycle(9), "c");
-    /// assert_eq!(q.pop_batch(Cycle(5)), vec![(Cycle(5), "a"), (Cycle(5), "b")]);
-    /// assert_eq!(q.len(), 1);
-    /// ```
-    pub fn pop_batch(&mut self, now: Cycle) -> Vec<(Cycle, E)> {
-        let mut batch = Vec::new();
-        while let Some(ev) = self.pop_due(now) {
-            batch.push(ev);
-        }
-        batch
-    }
-
-    /// Discards cancelled entries sitting at the top of the heap.
-    fn skim(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.tombstones.remove(&top.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Returns the number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.live.clear();
-        self.tombstones.clear();
     }
 }
 
@@ -252,28 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_due_respects_now() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle(10), "a");
-        q.schedule(Cycle(20), "b");
-        assert_eq!(q.pop_due(Cycle(5)), None);
-        assert_eq!(q.pop_due(Cycle(10)), Some((Cycle(10), "a")));
-        assert_eq!(q.pop_due(Cycle(15)), None);
-        assert_eq!(q.pop_due(Cycle(25)), Some((Cycle(20), "b")));
-    }
-
-    #[test]
-    fn len_and_clear() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(Cycle(1), ());
-        q.schedule(Cycle(2), ());
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn interleaved_schedule_and_pop_stays_ordered() {
         let mut q = EventQueue::new();
         q.schedule(Cycle(10), "x");
@@ -285,99 +140,11 @@ mod tests {
     }
 
     #[test]
-    fn cancel_skips_the_event_and_updates_len() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(Cycle(10), "a");
-        let b = q.schedule(Cycle(20), "b");
-        q.schedule(Cycle(30), "c");
-        assert!(q.cancel(b));
-        assert_eq!(q.len(), 2);
-        assert!(!q.cancel(b), "double cancel reports not-pending");
-        assert_eq!(q.pop(), Some((Cycle(10), "a")));
-        assert!(!q.cancel(a), "popped events cannot be cancelled");
-        assert_eq!(q.pop(), Some((Cycle(30), "c")));
-        assert!(q.is_empty());
-        assert_eq!(q.tombstones.len(), 0, "tombstones are reclaimed");
-    }
-
-    #[test]
-    fn cancel_earliest_updates_peek() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(Cycle(10), "a");
-        q.schedule(Cycle(20), "b");
-        assert!(q.cancel(a));
-        assert_eq!(q.peek_time(), Some(Cycle(20)));
-        assert_eq!(q.pop(), Some((Cycle(20), "b")));
-    }
-
-    #[test]
-    fn foreign_handle_rejected() {
-        let mut q1: EventQueue<&str> = EventQueue::new();
-        let mut q2 = EventQueue::new();
-        q2.schedule(Cycle(1), "x");
-        q2.schedule(Cycle(2), "y");
-        let h2 = q2.schedule(Cycle(3), "z");
-        // q1 never issued seq 2: reject instead of poisoning future events.
-        assert!(!q1.cancel(h2));
-        q1.schedule(Cycle(9), "later");
-        assert_eq!(q1.pop(), Some((Cycle(9), "later")));
-    }
-
-    #[test]
     fn schedule_in_tracks_popped_time() {
         let mut q = EventQueue::new();
         q.schedule(Cycle(50), "base");
         assert_eq!(q.pop(), Some((Cycle(50), "base")));
-        assert_eq!(q.now(), Cycle(50));
         q.schedule_in(25, "rel");
         assert_eq!(q.pop(), Some((Cycle(75), "rel")));
-        q.set_now(Cycle(100));
-        q.set_now(Cycle(90)); // Never backwards.
-        assert_eq!(q.now(), Cycle(100));
-        q.schedule_in(5, "after-set");
-        assert_eq!(q.pop(), Some((Cycle(105), "after-set")));
-    }
-
-    #[test]
-    fn pop_batch_drains_same_cycle_fifo() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle(7), 1);
-        q.schedule(Cycle(5), 2);
-        let cancelled = q.schedule(Cycle(5), 3);
-        q.schedule(Cycle(5), 4);
-        q.schedule(Cycle(12), 5);
-        q.cancel(cancelled);
-        assert_eq!(
-            q.pop_batch(Cycle(7)),
-            vec![(Cycle(5), 2), (Cycle(5), 4), (Cycle(7), 1)]
-        );
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_batch(Cycle(11)), vec![]);
-        assert_eq!(q.pop_batch(Cycle(12)), vec![(Cycle(12), 5)]);
-    }
-
-    #[test]
-    fn cancellation_under_interleaving_stays_ordered() {
-        // Schedule a lattice of events, cancel every third, and check the
-        // survivors pop in exact (time, insertion) order.
-        let mut q = EventQueue::new();
-        let mut handles = Vec::new();
-        for i in 0..60u64 {
-            handles.push((i, q.schedule(Cycle(i % 10), i)));
-        }
-        for (i, h) in &handles {
-            if i % 3 == 0 {
-                assert!(q.cancel(*h));
-            }
-        }
-        assert_eq!(q.len(), 40);
-        let mut expect: Vec<(u64, u64)> = (0..60)
-            .filter(|i| i % 3 != 0)
-            .map(|i| (i % 10, i))
-            .collect();
-        expect.sort(); // (time, insertion order) — insertion == value here.
-        let got: Vec<(u64, u64)> =
-            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_u64(), e))).collect();
-        assert_eq!(got, expect);
     }
 }

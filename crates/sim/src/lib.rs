@@ -5,8 +5,8 @@
 //!
 //! - [`Cycle`], a newtype for simulated clock cycles, with saturating
 //!   arithmetic helpers,
-//! - [`EventQueue`], a deterministic time-ordered event queue with
-//!   cancellation handles — the public scheduling API of the event core,
+//! - [`EventQueue`], a deterministic time-ordered event queue (FIFO within
+//!   a cycle), the future-event list of the host baseline model,
 //! - [`Wakeup`], the answer a component gives when it is run: when it next
 //!   needs to run. `apiary_accel::Accelerator::wake` is the contract that
 //!   returns it, and the drivers jump the clock between wakeups,
@@ -42,7 +42,7 @@ pub mod sched;
 pub mod stats;
 
 pub use clock::Cycle;
-pub use event::{EventHandle, EventQueue};
+pub use event::EventQueue;
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use machine::{until, Load, Machine};
 pub use payload::Payload;

@@ -21,7 +21,7 @@ use apiary::accel::apps::idle::idle;
 use apiary::cap::{CapRef, ServiceId};
 use apiary::core::{AppId, FaultPolicy, SupervisorConfig, System, SystemConfig};
 use apiary::monitor::wire;
-use apiary::noc::{FaultPlane, FaultPlaneConfig, NodeId, TrafficClass};
+use apiary::noc::{FaultPlane, NodeId, TrafficClass};
 use apiary::sim::{ClockMode, Cycle, Machine, SimRng};
 
 const SVC: ServiceId = ServiceId(99);
@@ -130,7 +130,7 @@ fn soak(seed: u64, rate: f64, recovery: bool, duration: u64, clock: ClockMode) -
     let cap = sys.attach_client(CLIENT, SVC).unwrap();
     if rate > 0.0 {
         sys.noc_mut()
-            .install_fault_plane(FaultPlane::new(FaultPlaneConfig::with_rate(seed, rate)));
+            .install_fault_plane(FaultPlane::new(seed, rate));
     }
 
     let mut client = Loop::new(cap);

@@ -7,6 +7,10 @@
 //! Every public function earns its place: a `pub fn` in `crates/*/src`
 //! that no non-test code calls is listed in [`TEST_ONLY`] with the law,
 //! test or ROADMAP item it serves, and that list only shrinks.
+//!
+//! Every knob earns its place too: the public fields of `pub struct
+//! *Config` blocks number exactly [`KNOBS`], so a new knob, or one taken
+//! out without lowering the count, shows in review.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -14,6 +18,12 @@ use std::path::{Path, PathBuf};
 
 /// Longest a source file may be, in lines.
 const LIMIT: usize = 700;
+
+/// Public `*Config` fields in the non-test code of `crates/*/src`, counted
+/// as CI's summary counts them (see [`knobs`]). A value that no experiment,
+/// workload, preset or test sets otherwise is a constant beside the code
+/// that reads it, not a field; this number only falls.
+const KNOBS: usize = 74;
 
 /// Every `pub fn` in `crates/*/src` whose name no non-test code of
 /// `crates/*/src`, `src/` or `benchmark/src` mentions apart from its own
@@ -131,6 +141,39 @@ fn pub_fns(code: &str) -> Vec<&str> {
     names
 }
 
+/// The knobs in `code`, by CI's rule: each `    pub <field>:` line (field
+/// name in `[a-z0-9_]`) between a `pub struct <Name>Config` line (followed
+/// by ` `, `<` or `{`) and the next line that starts with `}`.
+fn knobs(code: &str) -> usize {
+    let mut in_config = false;
+    let mut n = 0;
+    for line in code.lines() {
+        if let Some(rest) = line.strip_prefix("pub struct ") {
+            let name = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+            if name.ends_with("Config") && rest[name.len()..].starts_with([' ', '<', '{']) {
+                in_config = true;
+                continue;
+            }
+        }
+        if line.starts_with('}') {
+            in_config = false;
+        }
+        let field = line
+            .strip_prefix("    pub ")
+            .and_then(|f| f.split_once(':'));
+        let is_field = field.is_some_and(|(name, _)| {
+            !name.is_empty()
+                && name
+                    .chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+        });
+        if in_config && is_field {
+            n += 1;
+        }
+    }
+    n
+}
+
 #[test]
 fn no_source_file_outgrows_the_limit() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -215,5 +258,32 @@ fn every_test_only_pub_fn_is_listed_with_its_reason() {
         problems.is_empty(),
         "test-only pub fns:\n{}",
         problems.join("\n")
+    );
+}
+
+#[test]
+fn the_knob_count_only_falls() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut total = 0;
+    let mut per_file = Vec::new();
+    for path in crate_sources(root) {
+        let n = knobs(&non_test_code(&path));
+        if n > 0 {
+            total += n;
+            let rel = path.strip_prefix(root).expect("under the root");
+            per_file.push(format!("{}: {n}", rel.display()));
+        }
+    }
+    per_file.sort();
+    let fix = if total > KNOBS {
+        "a value nothing sets otherwise is a constant beside the code that reads it"
+    } else {
+        "lower KNOBS to match"
+    };
+    assert_eq!(
+        total,
+        KNOBS,
+        "{total} public `*Config` fields, KNOBS is {KNOBS}: {fix}\n{}",
+        per_file.join("\n")
     );
 }
