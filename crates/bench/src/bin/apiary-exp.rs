@@ -28,8 +28,7 @@
 //! differs and both versions of it.
 
 use apiary_bench::harness::{self, Run};
-use apiary_bench::report::{first_difference, ExperimentReport};
-use apiary_bench::TextTable;
+use apiary_bench::report::{first_difference, table, ExperimentReport, Row};
 use std::time::Instant;
 
 const USAGE: &str = "usage: apiary-exp <all|e01..e19> [--jobs N] \
@@ -188,21 +187,22 @@ fn main() {
 
     // Host time stays on stdout: it is the one thing here that differs run
     // to run, so it is in no artifact.
-    let mut table = TextTable::new(&["id", "wall ms", "sim cycles"]);
-    for (r, ms) in reports.iter().zip(&suite.wall_ms) {
-        table.row(&[
-            r.id.to_string(),
-            format!("{ms:.0}"),
-            r.sim_cycles.to_string(),
-        ]);
-    }
-    let total_sim_cycles: u64 = reports.iter().map(|r| r.sim_cycles).sum();
-    table.row(&[
+    let row = |id: String, ms: f64, sim_cycles: u64| {
+        Row::new()
+            .both("id", "id", id)
+            .fixed("wall_ms", "wall ms", ms, 0)
+            .both("sim_cycles", "sim cycles", sim_cycles)
+    };
+    let mut rows: Vec<Row> = (reports.iter().zip(&suite.wall_ms))
+        .map(|(r, &ms)| row(r.id.to_string(), ms, r.sim_cycles))
+        .collect();
+    let total_sim_cycles = reports.iter().map(|r| r.sim_cycles).sum();
+    rows.push(row(
         format!("all (--jobs {jobs})"),
-        format!("{suite_wall_ms:.0}"),
-        total_sim_cycles.to_string(),
-    ]);
-    print!("{}", table.render());
+        suite_wall_ms,
+        total_sim_cycles,
+    ));
+    print!("{}", table(&rows));
 }
 
 #[cfg(test)]

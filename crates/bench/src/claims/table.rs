@@ -142,6 +142,22 @@ pub const CLAIMS: &[Claim] = &[
         },
     },
     Claim {
+        id: "E6.qos-only",
+        answers: "§4.5: the monitor rate-limits a misbehaving accelerator",
+        statement: "demoting the flood to the bulk class leaves the victim's p99 above twice \
+                    the baseline: NoC priority protects transit, not the shared endpoint's queue",
+        checks: |m| {
+            let qos = named(
+                m,
+                "policies",
+                "policy",
+                "NoC QoS only (flood demoted to bulk)",
+            );
+            let base = m.num("baseline_p99");
+            vec![above("QoS-only p99", qos.num("victim_p99"), 2.0 * base)]
+        },
+    },
+    Claim {
         id: "E7.segments-exact",
         answers: SEGMENTS,
         statement: "segments waste no byte to rounding and check every access in one cycle",

@@ -10,9 +10,8 @@
 //!    measure the end-to-end request latency it adds.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
+use crate::report::{rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::{client_server, drive, MonitorClient};
-use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_core::SystemConfig;
 use apiary_monitor::{MonitorAreaModel, MonitorConfig, MonitorFeatures};
@@ -30,32 +29,27 @@ pub fn report(run: Run) -> ExperimentReport {
 
     // Part A: monitor area by feature set.
     let model = MonitorAreaModel::default();
-    let mut t = TextTable::new(&["feature set", "LUTs", "FFs", "BRAM36"]);
-    for (name, f) in [
+    let area: Vec<Row> = [
         ("minimal (caps only)", MonitorFeatures::minimal()),
         ("default", MonitorFeatures::default()),
         ("full (+trace ring)", MonitorFeatures::full()),
-    ] {
+    ]
+    .into_iter()
+    .map(|(name, f)| {
         let a = model.area(&f);
-        t.row(&[
-            name.to_string(),
-            a.luts.to_string(),
-            a.ffs.to_string(),
-            a.bram36.to_string(),
-        ]);
-    }
-    let _ = writeln!(out, "Monitor area by feature set:\n{}", t.render());
+        Row::new()
+            .both("feature_set", "feature set", name)
+            .both("luts", "LUTs", a.luts)
+            .both("ffs", "FFs", a.ffs)
+            .both("bram36", "BRAM36", a.bram36)
+    })
+    .collect();
+    let _ = writeln!(out, "Monitor area by feature set:\n{}", table(&area));
 
     // Part B: framework fraction vs tile count, per part.
     let monitor = model.area(&MonitorFeatures::default());
     let tile_counts: &[u64] = &[4, 9, 16, 36, 64, 100];
-    let mut t = TextTable::new(&[
-        "part",
-        "tiles",
-        "framework LUTs",
-        "framework %",
-        "per-tile slot LUTs",
-    ]);
+    let mut framework = Vec::new();
     for part in PARTS {
         for &tiles in tile_counts {
             let planner = FloorPlanner {
@@ -68,33 +62,30 @@ pub fn report(run: Run) -> ExperimentReport {
                 },
                 io_shell: FloorPlanner::IO_SHELL,
             };
-            match planner.plan(part) {
-                Ok(plan) => t.row(&[
-                    part.number.to_string(),
-                    tiles.to_string(),
-                    plan.framework.luts.to_string(),
-                    format!("{:.1}%", plan.framework_fraction() * 100.0),
-                    plan.tile_slot.luts.to_string(),
-                ]),
-                Err(_) => t.row(&[
-                    part.number.to_string(),
-                    tiles.to_string(),
-                    "-".to_string(),
-                    "does not fit".to_string(),
-                    "-".to_string(),
-                ]),
-            }
+            let row = Row::new()
+                .both("part", "part", part.number)
+                .both("tiles", "tiles", tiles);
+            framework.push(match planner.plan(part) {
+                Ok(plan) => row
+                    .both("framework_luts", "framework LUTs", plan.framework.luts)
+                    .pct("framework_share", "framework %", plan.framework_fraction())
+                    .both("slot_luts", "per-tile slot LUTs", plan.tile_slot.luts),
+                Err(_) => row
+                    .cell("framework_luts", "framework LUTs", Json::Null, "-")
+                    .cell("framework_share", "framework %", Json::Null, "does not fit")
+                    .cell("slot_luts", "per-tile slot LUTs", Json::Null, "-"),
+            });
         }
     }
     let _ = writeln!(
         out,
         "Framework share of device vs tile count:\n{}",
-        t.render()
+        table(&framework)
     );
 
     // Part C: cycle overhead of the monitor's message-path checks.
     let requests = 200;
-    let mut t = TextTable::new(&["check cycles", "RTT p50", "RTT p99", "added vs 0"]);
+    let mut checks = Vec::new();
     let mut base_p50 = 0;
     let mut one_p50 = 0;
     let mut deep_p50 = 0;
@@ -124,17 +115,19 @@ pub fn report(run: Run) -> ExperimentReport {
             one_p50 = p50;
         }
         deep_p50 = p50;
-        t.row(&[
-            check.to_string(),
-            p50.to_string(),
-            client.rtt.p99().to_string(),
-            format!("+{}", p50.saturating_sub(base_p50)),
-        ]);
+        let added = p50.saturating_sub(base_p50);
+        checks.push(
+            Row::new()
+                .both("check_cycles", "check cycles", check)
+                .both("rtt_p50", "RTT p50", p50)
+                .both("rtt_p99", "RTT p99", client.rtt.p99())
+                .cell("added_p50", "added vs 0", added, format!("+{added}")),
+        );
     }
     let _ = writeln!(
         out,
         "Message-path latency vs monitor pipeline depth (request+response each cross 2 monitors):\n{}",
-        t.render()
+        table(&checks)
     );
     let _ = writeln!(
         out,
@@ -147,7 +140,10 @@ pub fn report(run: Run) -> ExperimentReport {
         .set("monitor_luts_default", monitor.luts)
         .set("rtt_p50_check0", base_p50)
         .set("rtt_p50_check8", deep_p50)
-        .set("added_p50_check8", deep_p50.saturating_sub(base_p50));
+        .set("added_p50_check8", deep_p50.saturating_sub(base_p50))
+        .set("area", rows_json(&area))
+        .set("framework", rows_json(&framework))
+        .set("check_sweep", rows_json(&checks));
     ExperimentReport::new(
         "E3",
         "Per-tile monitor overhead: area and message-path cycles",

@@ -15,7 +15,7 @@
 //! energy; the gap narrows as compute dominates.
 
 use crate::harness::Run;
-use crate::report::{round2, rows_json, table, ExperimentReport, Json, Row};
+use crate::report::{rows_json, table, ExperimentReport, Json, Row};
 use apiary_accel::apps::echo::echo;
 use apiary_core::{AppId, FaultPolicy, SystemConfig};
 use apiary_host::{EnergyModel, HostConfig, HostMode, HostSim};
@@ -132,10 +132,8 @@ pub fn report(run: Run) -> ExperimentReport {
                 .both("coyote_p50", "coyote p50", c_rtt.p50())
                 .both("coyote_p99", "coyote p99", c_rtt.p99())
                 .both("amorphos_p50", "amorphos p50", a_rtt.p50())
-                .json("speedup_vs_coyote", round2(speedup))
-                .text("speedup v coyote", format!("{speedup:.2}x"))
-                .json("energy_ratio", round2(energy_ratio))
-                .text("energy ratio (host/direct)", format!("{energy_ratio:.2}x")),
+                .times("speedup_vs_coyote", "speedup v coyote", speedup)
+                .times("energy_ratio", "energy ratio (host/direct)", energy_ratio),
         );
     }
     let _ = writeln!(out, "{}", table(&points));

@@ -9,9 +9,8 @@
 //!    rate limiter off) configuration.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
+use crate::report::{round, rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::{client_server, drive, MonitorClient};
-use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_cap::{CapError, Rights};
 use apiary_core::SystemConfig;
@@ -74,12 +73,7 @@ pub fn report(run: Run) -> ExperimentReport {
 
     // Part B: the cost of checking.
     let requests: u64 = 400;
-    let mut t = TextTable::new(&[
-        "config",
-        "RTT p50 (cyc)",
-        "throughput (msg/kcyc)",
-        "overhead vs unchecked",
-    ]);
+    let mut rows = Vec::new();
     let mut base_thr = 0.0;
     let mut realistic_thr = 0.0;
     let mut sim_cycles = 0u64;
@@ -111,17 +105,18 @@ pub fn report(run: Run) -> ExperimentReport {
         if check == 1 {
             realistic_thr = thr;
         }
-        t.row(&[
-            name.to_string(),
-            client.rtt.p50().to_string(),
-            format!("{thr:.2}"),
-            format!("{:.1}%", (1.0 - thr / base_thr) * 100.0),
-        ]);
+        rows.push(
+            Row::new()
+                .both("config", "config", name)
+                .both("rtt_p50", "RTT p50 (cyc)", client.rtt.p50())
+                .fixed("throughput_msg_per_kcyc", "throughput (msg/kcyc)", thr, 2)
+                .pct("overhead", "overhead vs unchecked", 1.0 - thr / base_thr),
+        );
     }
     let _ = writeln!(
         out,
         "Throughput cost of the capability check:\n{}",
-        t.render()
+        table(&rows)
     );
     let gap_pct = (1.0 - realistic_thr / base_thr) * 100.0;
     let _ = writeln!(
@@ -132,22 +127,14 @@ pub fn report(run: Run) -> ExperimentReport {
     );
     let metrics = Json::obj()
         .set("denials", denied)
-        .set(
-            "throughput_unchecked_msg_per_kcyc",
-            (base_thr * 100.0).round() / 100.0,
-        )
-        .set(
-            "throughput_1cycle_msg_per_kcyc",
-            (realistic_thr * 100.0).round() / 100.0,
-        )
+        .set("throughput_unchecked_msg_per_kcyc", round(base_thr, 2))
+        .set("throughput_1cycle_msg_per_kcyc", round(realistic_thr, 2))
         .set(
             "overhead_1cycle_pct",
             ((1.0 - realistic_thr / base_thr) * 1000.0).round() / 10.0,
         )
-        .set(
-            "checked_vs_unchecked_gap_pct",
-            (gap_pct * 100.0).round() / 100.0,
-        );
+        .set("checked_vs_unchecked_gap_pct", round(gap_pct, 2))
+        .set("configs", rows_json(&rows));
     ExperimentReport::new(
         "E5",
         "Capability enforcement: absolute denial, near-zero cost",

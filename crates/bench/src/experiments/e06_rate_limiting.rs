@@ -13,9 +13,8 @@
 //!   to a trickle, and the victim returns to baseline.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
+use crate::report::{rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::{drive, MonitorClient};
-use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::flood::{flooder, FlooderAccel};
 use apiary_accel::apps::idle::idle;
@@ -117,15 +116,7 @@ pub fn report(run: Run) -> ExperimentReport {
         "E6: Protecting a shared service from a flooding accelerator\n\
          (victim: closed-loop echo client; attacker floods the same service)\n"
     );
-    let mut t = TextTable::new(&[
-        "policy",
-        "victim p50 (ok)",
-        "victim p99 (ok)",
-        "victim errors",
-        "flood msgs",
-        "flood denials",
-    ]);
-    let rows: Vec<(&str, Outcome)> = vec![
+    let outcomes = [
         (
             "no attacker (baseline)",
             run_policy(run, false, TrafficClass::Request, None, requests),
@@ -143,26 +134,29 @@ pub fn report(run: Run) -> ExperimentReport {
             run_policy(run, true, TrafficClass::Request, Some((50, 512)), requests),
         ),
     ];
-    for (name, o) in &rows {
-        t.row(&[
-            name.to_string(),
-            o.victim_p50.to_string(),
-            o.victim_p99.to_string(),
-            o.victim_errors.to_string(),
-            o.flood_sent.to_string(),
-            o.flood_denied.to_string(),
-        ]);
-    }
-    let _ = writeln!(out, "{}", t.render());
-    let sim_cycles = rows.iter().map(|(_, o)| o.cycles).sum();
-    let baseline = &rows[0].1;
-    let flooded = &rows[1].1;
-    let limited = &rows[3].1;
+    let rows: Vec<Row> = outcomes
+        .iter()
+        .map(|(name, o)| {
+            Row::new()
+                .both("policy", "policy", *name)
+                .both("victim_p50", "victim p50 (ok)", o.victim_p50)
+                .both("victim_p99", "victim p99 (ok)", o.victim_p99)
+                .both("victim_errors", "victim errors", o.victim_errors)
+                .both("flood_msgs", "flood msgs", o.flood_sent)
+                .both("flood_denials", "flood denials", o.flood_denied)
+        })
+        .collect();
+    let _ = writeln!(out, "{}", table(&rows));
+    let sim_cycles = outcomes.iter().map(|(_, o)| o.cycles).sum();
+    let baseline = &outcomes[0].1;
+    let flooded = &outcomes[1].1;
+    let limited = &outcomes[3].1;
     let metrics = Json::obj()
         .set("baseline_p99", baseline.victim_p99)
         .set("flooded_p99", flooded.victim_p99)
         .set("rate_limited_p99", limited.victim_p99)
-        .set("flood_denials_under_limit", limited.flood_denied);
+        .set("flood_denials_under_limit", limited.flood_denied)
+        .set("policies", rows_json(&rows));
     ExperimentReport::new(
         "E6",
         "Rate-limiting a flooding accelerator at its monitor",

@@ -194,20 +194,30 @@ pub fn report(_run: Run) -> ExperimentReport {
     for (name, mut arena) in designs {
         let o = run_trace(arena.as_mut(), ops, 1234);
         let waste = o.physical_live.saturating_sub(o.requested_live);
-        let waste_pct = 100.0 * waste as f64 / o.physical_live.max(1) as f64;
+        let physical = o.physical_live.max(1) as f64;
         rows.push(
             Row::new()
                 .both("design", "design", name)
                 .json("alloc_failures", o.failures)
-                .text("alloc failures", format!("{} / {}", o.failures, o.attempts))
-                .json("waste_bytes", waste)
-                .text("waste (phys-req)", format!("{} KiB", waste >> 10))
-                .text("waste %", format!("{waste_pct:.1}%"))
-                .json(
-                    "access_cycles_mean",
-                    (o.access_cycles * 100.0).round() / 100.0,
+                .cell(
+                    "attempts",
+                    "alloc failures",
+                    o.attempts,
+                    format!("{} / {}", o.failures, o.attempts),
                 )
-                .text("access cyc (mean)", format!("{:.2}", o.access_cycles)),
+                .cell(
+                    "waste_bytes",
+                    "waste (phys-req)",
+                    waste,
+                    format!("{} KiB", waste >> 10),
+                )
+                .pct("waste_share", "waste %", waste as f64 / physical)
+                .fixed(
+                    "access_cycles_mean",
+                    "access cyc (mean)",
+                    o.access_cycles,
+                    2,
+                ),
         );
     }
     let _ = writeln!(out, "{}", table(&rows));

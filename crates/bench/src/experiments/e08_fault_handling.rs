@@ -144,7 +144,7 @@ pub fn report(run: Run) -> ExperimentReport {
             "preempt"
         };
         let row = Row::new()
-            .text("policy", name)
+            .both("policy", "policy", name)
             .both("ok", "ok responses", o.ok_before_recovery)
             .both("errors", "error responses", o.errors)
             .both("recovery_cycles", "recovery (cycles)", o.recovery_cycles)

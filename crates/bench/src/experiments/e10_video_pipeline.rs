@@ -11,9 +11,8 @@
 //! original (lossless settings), so throughput numbers are for real work.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
+use crate::report::{round, rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::{drive, MonitorClient};
-use crate::table::TextTable;
 use apiary_accel::apps::compress::compressor;
 use apiary_accel::apps::video::{encode_request, video_encoder};
 use apiary_accel::codec::{lz, video};
@@ -27,7 +26,6 @@ const FRAME_H: u32 = 32;
 struct PipelineRun {
     frames: u64,
     cycles: u64,
-    bytes_in: u64,
     bytes_out: u64,
     verified: bool,
 }
@@ -120,7 +118,6 @@ fn run_pipeline(run: Run, replicas: usize, frames: u64) -> PipelineRun {
     PipelineRun {
         frames: done_frames,
         cycles,
-        bytes_in: done_frames * (FRAME_W as u64 * FRAME_H as u64),
         bytes_out,
         verified,
     }
@@ -136,14 +133,7 @@ pub fn report(run: Run) -> ExperimentReport {
          ({}x{} frames, lossless settings, every kept frame verified end-to-end)\n",
         FRAME_W, FRAME_H
     );
-    let mut t = TextTable::new(&[
-        "lanes",
-        "frames",
-        "cycles",
-        "frames / Mcycle",
-        "speedup",
-        "verified",
-    ]);
+    let mut rows = Vec::new();
     let mut base = 0.0;
     let mut sim_cycles = 0u64;
     let mut all_verified = true;
@@ -159,22 +149,24 @@ pub fn report(run: Run) -> ExperimentReport {
         if replicas == 4 {
             speedup4 = fpm / base;
         }
-        t.row(&[
-            replicas.to_string(),
-            r.frames.to_string(),
-            r.cycles.to_string(),
-            format!("{fpm:.1}"),
-            format!("{:.2}x", fpm / base),
-            r.verified.to_string(),
-        ]);
-        let _ = (r.bytes_in, r.bytes_out);
+        rows.push(
+            Row::new()
+                .both("lanes", "lanes", replicas)
+                .both("frames", "frames", r.frames)
+                .both("cycles", "cycles", r.cycles)
+                .fixed("frames_per_mcycle", "frames / Mcycle", fpm, 1)
+                .times("speedup", "speedup", fpm / base)
+                .both("verified", "verified", r.verified),
+        );
+        let _ = r.bytes_out;
     }
-    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(out, "{}", table(&rows));
     let metrics = Json::obj()
         .set("frames_per_lane_run", frames)
-        .set("frames_per_mcycle_1lane", (base * 10.0).round() / 10.0)
-        .set("speedup_4lane", (speedup4 * 100.0).round() / 100.0)
-        .set("all_verified", all_verified);
+        .set("frames_per_mcycle_1lane", round(base, 1))
+        .set("speedup_4lane", round(speedup4, 2))
+        .set("all_verified", all_verified)
+        .set("lanes", rows_json(&rows));
     ExperimentReport::new(
         "E10",
         "Video pipeline composition and scale-out, verified losslessly",

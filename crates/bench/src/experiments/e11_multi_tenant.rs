@@ -221,11 +221,11 @@ pub fn report(run: Run) -> ExperimentReport {
             Scenario::WithFloodDefended => "flood_defended",
         };
         let row = Row::new()
-            .text("scenario", name)
+            .both("scenario", "scenario", name)
             .both("kv_p50", "KV p50", o.kv_p50)
             .both("kv_p99", "KV p99", o.kv_p99)
-            .text("KV errors/lost", o.kv_errors)
-            .text("video frames", o.video_frames)
+            .both("kv_errors_lost", "KV errors/lost", o.kv_errors)
+            .both("video_frames", "video frames", o.video_frames)
             .both("isolation_held", "data isolation", o.tenant_isolation_held);
         metrics.put(key, row.record().clone());
         rows.push(row);

@@ -15,9 +15,8 @@
 //! (queueing blows up the tail).
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
+use crate::report::{round, rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::MonitorClient;
-use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
 use apiary_core::{AppId, FaultPolicy, SystemConfig};
@@ -98,42 +97,34 @@ pub fn report(run: Run) -> ExperimentReport {
         "E12: In-fabric service vs remote-CPU service (function cost {FUNC_CYCLES} cycles)\n\
          (closed loop, window 4; 'think' is the client's idle gap between calls)\n"
     );
-    let mut t = TextTable::new(&[
-        "invocation pattern",
-        "think/window",
-        "fabric p50",
-        "fabric p99",
-        "remote p50",
-        "remote p99",
-        "remote penalty p50",
-    ]);
+    let mut rows = Vec::new();
     let mut sim_cycles = 0u64;
     let mut serial_penalty = 0.0;
     for &(think, window, label) in patterns {
         let fab = measure(run, false, think, window, requests);
         let rem = measure(run, true, think, window, requests);
         sim_cycles += fab.cycles + rem.cycles;
+        let penalty = rem.p50 as f64 / fab.p50 as f64;
         if window == 1 && serial_penalty == 0.0 {
-            serial_penalty = rem.p50 as f64 / fab.p50 as f64;
+            serial_penalty = penalty;
         }
-        t.row(&[
-            label.to_string(),
-            format!("{think}/{window}"),
-            fab.p50.to_string(),
-            fab.p99.to_string(),
-            rem.p50.to_string(),
-            rem.p99.to_string(),
-            format!("{:.2}x", rem.p50 as f64 / fab.p50 as f64),
-        ]);
+        rows.push(
+            Row::new()
+                .both("pattern", "invocation pattern", label)
+                .pair(["think", "window"], "think/window", [think, window.into()])
+                .both("fabric_p50", "fabric p50", fab.p50)
+                .both("fabric_p99", "fabric p99", fab.p99)
+                .both("remote_p50", "remote p50", rem.p50)
+                .both("remote_p99", "remote p99", rem.p99)
+                .times("remote_penalty_p50", "remote penalty p50", penalty),
+        );
     }
-    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(out, "{}", table(&rows));
     let metrics = Json::obj()
         .set("func_cycles", FUNC_CYCLES)
         .set("patterns", patterns.len())
-        .set(
-            "remote_penalty_p50_serial",
-            (serial_penalty * 100.0).round() / 100.0,
-        );
+        .set("remote_penalty_p50_serial", round(serial_penalty, 2))
+        .set("points", rows_json(&rows));
     ExperimentReport::new(
         "E12",
         "In-fabric vs remote-CPU service hosting",

@@ -47,15 +47,13 @@ pub fn report(_run: Run) -> ExperimentReport {
     let mut add = |name: String, cfg: NocConfig| {
         let (st, measured) = measure(cfg, cycles, 1234);
         sim_cycles += st.cycles;
+        let delivered = st.delivered as f64 / measured as f64;
         rows.push(
             Row::new()
                 .both("variant", "variant", name)
                 .both("p50", "p50", st.latency.p50())
                 .both("p99", "p99", st.latency.p99())
-                .text(
-                    "delivered msg/cyc",
-                    format!("{:.3}", st.delivered as f64 / measured as f64),
-                ),
+                .fixed("delivered_per_cycle", "delivered msg/cyc", delivered, 3),
         );
     };
 

@@ -14,9 +14,8 @@
 //!    semantics — never a hang).
 
 use crate::harness::Run;
-use crate::report::{rows_json, table, ExperimentReport, Json, Row};
+use crate::report::{round, rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::{client_server, Clients, MonitorClient};
-use crate::table::TextTable;
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
 use apiary_core::reconfig::ReconfigController;
@@ -36,12 +35,7 @@ pub fn report(run: Run) -> ExperimentReport {
     let mut metrics = Json::obj();
 
     // Part 1: swap latency vs bitstream size.
-    let mut t = TextTable::new(&[
-        "bitstream",
-        "swap cycles",
-        "swap time @250 MHz",
-        "max swaps/s",
-    ]);
+    let mut swaps = Vec::new();
     for (label, bytes) in [
         ("64 KiB", 64u64 << 10),
         ("256 KiB", 256 << 10),
@@ -62,17 +56,24 @@ pub fn report(run: Run) -> ExperimentReport {
             metrics.put("swap_cycles_256kib", cycles);
         }
         let us = cycles as f64 * 0.004;
-        t.row(&[
-            label.to_string(),
-            cycles.to_string(),
-            format!("{us:.0} us"),
-            format!("{:.0}", 1e6 / us),
-        ]);
+        swaps.push(
+            Row::new()
+                .cell("bitstream_bytes", "bitstream", bytes, label)
+                .both("swap_cycles", "swap cycles", cycles)
+                .cell(
+                    "swap_us",
+                    "swap time @250 MHz",
+                    round(us, 0),
+                    format!("{us:.0} us"),
+                )
+                .fixed("max_swaps_per_s", "max swaps/s", 1e6 / us, 0),
+        );
     }
-    let _ = writeln!(out, "Swap latency vs bitstream size:\n{}", t.render());
+    let _ = writeln!(out, "Swap latency vs bitstream size:\n{}", table(&swaps));
+    metrics.put("swap_latency", rows_json(&swaps));
 
     // Part 2: ICAP serialisation.
-    let mut t = TextTable::new(&["simultaneous swaps", "first done", "last done"]);
+    let mut icap = Vec::new();
     for k in [1u64, 2, 4, 8] {
         let mut rc = ReconfigController::new(4);
         let mut last = Cycle::ZERO;
@@ -89,17 +90,19 @@ pub fn report(run: Run) -> ExperimentReport {
             first = first.min(done);
             last = last.max(done);
         }
-        t.row(&[
-            k.to_string(),
-            first.as_u64().to_string(),
-            last.as_u64().to_string(),
-        ]);
+        icap.push(
+            Row::new()
+                .both("swaps", "simultaneous swaps", k)
+                .both("first_done", "first done", first.as_u64())
+                .both("last_done", "last done", last.as_u64()),
+        );
     }
     let _ = writeln!(
         out,
         "One configuration port serialises concurrent swaps (256 KiB each):\n{}",
-        t.render()
+        table(&icap)
     );
+    metrics.put("icap_serialisation", rows_json(&icap));
 
     // Part 3: availability under churn.
     let requests: u64 = 400;
@@ -153,11 +156,15 @@ pub fn report(run: Run) -> ExperimentReport {
         rows.push(
             Row::new()
                 .both("period", "reconfig period (cyc)", period)
-                .text("reconfigs", reconfigs)
-                .text("ok", ok)
-                .text("errors+lost", bad)
-                .json("availability_pct", (avail * 10.0).round() / 10.0)
-                .text("availability", format!("{avail:.1}%")),
+                .both("reconfigs", "reconfigs", reconfigs)
+                .both("ok", "ok", ok)
+                .both("errors_lost", "errors+lost", bad)
+                .cell(
+                    "availability_pct",
+                    "availability",
+                    round(avail, 1),
+                    format!("{avail:.1}%"),
+                ),
         );
     }
     let _ = writeln!(

@@ -9,8 +9,7 @@
 //! accelerator that keeps requests in flight hides most of the round trip.
 
 use crate::harness::Run;
-use crate::report::{ExperimentReport, Json};
-use crate::table::TextTable;
+use crate::report::{round, rows_json, table, ExperimentReport, Json, Row};
 use apiary_accel::apps::idle::idle;
 use apiary_cap::CapRef;
 use apiary_core::memsvc::MemoryService;
@@ -166,13 +165,7 @@ pub fn report(run: Run) -> ExperimentReport {
         out,
         "E15: Memory service characterization (1 KiB reads over a 4 MiB segment)\n"
     );
-    let mut t = TextTable::new(&[
-        "pattern",
-        "outstanding",
-        "bandwidth (B/cyc)",
-        "mean latency (cyc)",
-        "DRAM row hits",
-    ]);
+    let mut rows = Vec::new();
     let windows: &[usize] = &[1, 2, 4, 8];
     let mut sim_cycles = 0u64;
     let mut peak_bw = 0.0f64;
@@ -185,20 +178,27 @@ pub fn report(run: Run) -> ExperimentReport {
             if pattern == Pattern::Sequential && w == *windows.last().unwrap() {
                 seq_row_hits = o.row_hit_pct;
             }
-            t.row(&[
-                pattern.name().to_string(),
-                w.to_string(),
-                format!("{:.2}", o.bytes_per_cycle),
-                format!("{:.0}", o.mean_latency),
-                format!("{:.0}%", o.row_hit_pct),
-            ]);
+            rows.push(
+                Row::new()
+                    .both("pattern", "pattern", pattern.name())
+                    .both("outstanding", "outstanding", w)
+                    .fixed("bytes_per_cycle", "bandwidth (B/cyc)", o.bytes_per_cycle, 2)
+                    .fixed("mean_latency", "mean latency (cyc)", o.mean_latency, 0)
+                    .cell(
+                        "row_hit_pct",
+                        "DRAM row hits",
+                        round(o.row_hit_pct, 0),
+                        format!("{:.0}%", o.row_hit_pct),
+                    ),
+            );
         }
     }
-    let _ = writeln!(out, "{}", t.render());
+    let _ = writeln!(out, "{}", table(&rows));
     let metrics = Json::obj()
         .set("reads_per_point", count)
-        .set("peak_bytes_per_cycle", (peak_bw * 100.0).round() / 100.0)
-        .set("seq_row_hit_pct", (seq_row_hits * 10.0).round() / 10.0);
+        .set("peak_bytes_per_cycle", round(peak_bw, 2))
+        .set("seq_row_hit_pct", round(seq_row_hits, 1))
+        .set("points", rows_json(&rows));
     ExperimentReport::new(
         "E15",
         "Memory-service bandwidth, latency, and DRAM row behaviour",

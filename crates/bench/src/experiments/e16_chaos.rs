@@ -16,7 +16,7 @@
 //! drain — an injected fault may cost packets, never the network.
 
 use crate::harness::Run;
-use crate::report::{round4, rows_json, table, ExperimentReport, Json, Row};
+use crate::report::{rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::{drain, Clients, MonitorClient};
 use apiary_accel::apps::echo::echo;
 use apiary_accel::apps::idle::idle;
@@ -148,14 +148,15 @@ pub fn run_one(
     let row = Row::new()
         .both("fault_rate", "fault rate", fault_rate)
         .both("policy", "policy", policy)
-        .json("goodput_retention", round4(retention))
-        .text("goodput retention", format!("{:.1}%", retention * 100.0))
-        .text("errors", vc.errors)
-        .text("lost", vc.lost)
-        .text("kills", kills)
+        .pct("goodput_retention", "goodput retention", retention)
+        .both("errors", "errors", vc.errors)
+        .both("lost", "lost", vc.lost)
+        .both("kills", "kills", kills)
         .json("incidents", incidents.len())
-        .text(
+        .cell(
+            "abandoned",
             "incidents",
+            abandoned,
             format!("{} ({abandoned} abandoned)", incidents.len()),
         )
         .both(
@@ -163,8 +164,8 @@ pub fn run_one(
             "mean MTTR (cyc)",
             mttr.iter().sum::<u64>() / (mttr.len() as u64).max(1),
         )
-        .text("blast tiles", blast_tiles)
-        .text("noc dropped", sys.noc().stats().dropped())
+        .both("blast_tiles", "blast tiles", blast_tiles)
+        .both("noc_dropped", "noc dropped", sys.noc().stats().dropped())
         .json("drained", drained);
     (row, sys)
 }

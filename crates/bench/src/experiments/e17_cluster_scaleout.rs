@@ -19,7 +19,7 @@
 //! drain — chaos may cost requests, never wedge the cluster.
 
 use crate::harness::Run;
-use crate::report::{round3, round4, rows_json, table, ExperimentReport, Json, Row};
+use crate::report::{round, round4, rows_json, table, ExperimentReport, Json, Row};
 use apiary_accel::apps::echo::echo;
 use apiary_cap::ServiceId;
 use apiary_cluster::{ClusterClient, ClusterConfig};
@@ -148,22 +148,26 @@ pub fn run_one(run: Run, boards: u16, chaos: Chaos, duration: u64) -> (Row, u64,
         .both("completed_ok", "ok", ok)
         .both("errors", "errors", errors)
         .json("retries", total(|cl| cl.gen.stats.retries))
-        .json("timeouts", c.timeouts)
-        .json("goodput_per_kcycle", round3(goodput))
-        .text("goodput/kcyc", format!("{goodput:.1}"))
+        .cell(
+            "goodput_per_kcycle",
+            "goodput/kcyc",
+            round(goodput, 3),
+            format!("{goodput:.1}"),
+        )
         .both("e2e_p50", "e2e p50", e2e.p50())
         .both("e2e_p99", "e2e p99", e2e.p99())
-        .json("fabric_out_p50", out)
-        .json("on_board_p50", on_board)
-        .json("fabric_back_p50", back)
-        .text("fabric p50 (out/back)", format!("{out}/{back}"))
-        .text("on-board p50", on_board)
+        .pair(
+            ["fabric_out_p50", "fabric_back_p50"],
+            "fabric p50 (out/back)",
+            [out, back],
+        )
+        .both("on_board_p50", "on-board p50", on_board)
         .json("local_submitted", c.local_submitted)
         .json("remote_submitted", c.remote_submitted)
         .both("retransmissions", "retx", fs.retransmissions)
         .json("cut_drops", fs.cut_drops)
         .json("caps_revoked", c.caps_revoked)
-        .text("timeouts", c.timeouts);
+        .both("timeouts", "timeouts", c.timeouts);
     (row, c.now().as_u64(), drained)
 }
 
@@ -230,7 +234,7 @@ pub fn report(run: Run) -> ExperimentReport {
         .set("duration_cycles", duration)
         .set("clients", CLIENTS)
         .set("mean_interarrival", INTERARRIVAL)
-        .set("scaleout_1_to_8", round3(ok8 as f64 / ok1.max(1) as f64))
+        .set("scaleout_1_to_8", round(ok8 as f64 / ok1.max(1) as f64, 3))
         .set("runs", rows_json(&rows));
     ExperimentReport::new(
         "E17",

@@ -25,7 +25,7 @@
 //! counters, bitstream-cache hits/misses/evictions, and admission sheds.
 
 use crate::harness::Run;
-use crate::report::{round3, round4, rows_json, table, ExperimentReport, Json, Row};
+use crate::report::{round4, rows_json, table, ExperimentReport, Json, Row};
 use apiary_accel::apps::echo::echo;
 use apiary_cluster::ClusterConfig;
 use apiary_core::AppId;
@@ -146,8 +146,7 @@ pub fn report(run: Run) -> ExperimentReport {
                     .both("hot_live", "hot", hot_live)
                     .both("idle_live", "idle-fn", s.live_replicas(idle_fn))
                     .both("queued", "queued", queued)
-                    .json("mean_util", round3(util))
-                    .text("mean util", format!("{util:.3}")),
+                    .fixed("mean_util", "mean util", util, 3),
             );
             next_sample += AUTOSCALE_INTERVAL;
         }

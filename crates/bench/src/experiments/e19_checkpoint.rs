@@ -22,7 +22,7 @@
 //!   waits that show up in tenant p99.
 
 use crate::harness::Run;
-use crate::report::{round3, rows_json, table, ExperimentReport, Json, Row};
+use crate::report::{round, rows_json, table, ExperimentReport, Json, Row};
 use crate::scenarios::{drain, drive, Clients, MonitorClient};
 use apiary_accel::apps::idle::idle;
 use apiary_accel::apps::kv::{self, kv_store, KvStoreAccel};
@@ -134,9 +134,11 @@ pub fn run_migration(run: Run, entries: u64, duration: u64) -> Row {
             outcome.as_ref().map_or(0, |o| o.blackout()),
         )
         .both("warm", "warm", outcome.as_ref().is_some_and(|o| o.warm))
-        .json("retained", retained)
-        .text("retained", format!("{retained}/{entries}"))
-        .json("retention", round3(retained as f64 / entries.max(1) as f64))
+        .pair(["retained", "entries"], "retained", [retained, entries])
+        .json(
+            "retention",
+            round(retained as f64 / entries.max(1) as f64, 3),
+        )
         .both("ok_before", "ok before", ok_before)
         .both("ok_after", "ok after", ok_total - ok_before)
         .both("caps_revoked", "caps revoked", c.caps_revoked)
@@ -239,12 +241,11 @@ pub fn run_recovery(run: Run, interval: u64, preloaded: u64, kill: bool, duratio
     };
     Row::new()
         .json("checkpoint_interval", interval)
-        .text("policy", policy)
+        .both("policy", "policy", policy)
         .both("kills", "kills", kills)
         .json("preloaded", preloaded)
         .json("retained", retained)
-        .json("kv_retention", round3(retention))
-        .text("kv retention", format!("{:.1}%", retention * 100.0))
+        .pct("kv_retention", "kv retention", retention)
         .both("completed_ok", "ok responses", vc.completed - vc.errors)
         .both(
             "checkpoints_taken",
@@ -370,9 +371,10 @@ pub fn run_sharing(run: Run, shared: bool, duration: u64) -> Row {
 
     let (a_p50, a_p99, b_p50, b_p99) = (ca.rtt.p50(), ca.rtt.p99(), cb.rtt.p50(), cb.rtt.p99());
     Row::new()
-        .json("layout", if shared { "shared" } else { "static" })
-        .text(
+        .cell(
             "layout",
+            "layout",
+            if shared { "shared" } else { "static" },
             if shared {
                 "shared (preemptive)"
             } else {
@@ -382,12 +384,8 @@ pub fn run_sharing(run: Run, shared: bool, duration: u64) -> Row {
         .both("tiles", "tiles", tiles)
         .both("a_ok", "A ok", ca.completed - ca.errors)
         .both("b_ok", "B ok", cb.completed - cb.errors)
-        .json("a_p50", a_p50)
-        .json("a_p99", a_p99)
-        .json("b_p50", b_p50)
-        .json("b_p99", b_p99)
-        .text("A p50/p99", format!("{a_p50}/{a_p99}"))
-        .text("B p50/p99", format!("{b_p50}/{b_p99}"))
+        .pair(["a_p50", "a_p99"], "A p50/p99", [a_p50, a_p99])
+        .pair(["b_p50", "b_p99"], "B p50/p99", [b_p50, b_p99])
         .both("swaps", "swaps", swaps)
         .both("swap_downtime_cycles", "swap downtime (cyc)", swap_downtime)
         .json("sim_cycles", sys.now().as_u64())

@@ -15,7 +15,6 @@
 //! JSON object and its text cells come from that one write.
 
 use crate::claims::{self, Verdict};
-use crate::table::TextTable;
 use core::fmt::{Display, Write};
 
 /// A JSON value. Object keys keep insertion order so rendered output is
@@ -344,11 +343,15 @@ impl ExperimentReport {
 /// measured: the JSON object `results/<slug>.json` commits for it and the
 /// cells of its line in the `.txt` table.
 ///
-/// [`Row::both`] writes a value both files show the same way,
-/// [`Row::json`] one only the JSON holds and [`Row::text`] a cell only the
-/// table shows, or shows formatted differently (a `{:.1}%` cell beside a
-/// rounded ratio, say). JSON keys and table columns each keep call order, so
-/// a value whose two renderings differ in format or place is written twice.
+/// Every cell is a value of the record: each writer that adds a cell puts
+/// its value under a key in the same call, and a formatted cell is printed
+/// from the measured value, not from the rounded one the JSON keeps.
+/// [`Row::both`] writes a value both files show the same way, [`Row::fixed`]
+/// a number to a fixed count of decimals, [`Row::times`] a factor,
+/// [`Row::pct`] a ratio as a percent, [`Row::pair`] two values in one cell,
+/// [`Row::cell`] a value with a cell of its own form, and [`Row::json`] a
+/// value only the JSON holds.
+/// JSON keys and table columns each keep call order.
 ///
 /// # Examples
 ///
@@ -357,8 +360,7 @@ impl ExperimentReport {
 ///
 /// let rows = [Row::new()
 ///     .both("boards", "boards", 8u64)
-///     .json("retention", 0.9731)
-///     .text("retention", "97.3%")];
+///     .pct("retention", "retention", 0.97314)];
 /// assert_eq!(rows_json(&rows).render(), r#"[{"boards":8,"retention":0.9731}]"#);
 /// assert!(table(&rows).contains("| 8      | 97.3%     |"));
 /// ```
@@ -386,22 +388,53 @@ impl Row {
     }
 
     /// Writes `v` under `key` in the JSON and, displayed, under `header`
-    /// in the table.
+    /// in the table: a label, a count, a flag.
     pub fn both(self, key: &str, header: &'static str, v: impl Into<Json> + Display) -> Row {
         let cell = v.to_string();
-        self.json(key, v).text(header, cell)
+        self.cell(key, header, v, cell)
+    }
+
+    /// Writes `v` rounded to `places` decimals under `key`, and printed
+    /// with as many under `header`.
+    pub fn fixed(self, key: &str, header: &'static str, v: f64, places: usize) -> Row {
+        self.cell(key, header, round(v, places), format!("{v:.places$}"))
+    }
+
+    /// Writes a factor rounded to 2 decimals under `key`, and as `1.23x`
+    /// under `header`.
+    pub fn times(self, key: &str, header: &'static str, v: f64) -> Row {
+        self.cell(key, header, round(v, 2), format!("{v:.2}x"))
+    }
+
+    /// Writes a ratio rounded to 4 decimals under `key` (how retentions are
+    /// recorded), and as a percent with one decimal under `header`.
+    pub fn pct(self, key: &str, header: &'static str, ratio: f64) -> Row {
+        let cell = format!("{:.1}%", ratio * 100.0);
+        self.cell(key, header, round4(ratio), cell)
+    }
+
+    /// Writes `a` and `b` under their keys, and `a/b` under `header`.
+    pub fn pair(self, [ka, kb]: [&str; 2], header: &'static str, [a, b]: [u64; 2]) -> Row {
+        self.json(ka, a).cell(kb, header, b, format!("{a}/{b}"))
+    }
+
+    /// Writes `v` under `key` in the JSON and `cell`, a form of it no other
+    /// writer prints (`3,780,000`, `+2`, `16 KiB`), under `header`.
+    pub fn cell(
+        mut self,
+        key: &str,
+        header: &'static str,
+        v: impl Into<Json>,
+        cell: impl Display,
+    ) -> Row {
+        self.headers.push(header);
+        self.cells.push(cell.to_string());
+        self.json(key, v)
     }
 
     /// Writes `v` under `key` in the JSON only.
     pub fn json(mut self, key: &str, v: impl Into<Json>) -> Row {
         self.record.put(key, v);
-        self
-    }
-
-    /// Writes `cell` under `header` in the table only.
-    pub fn text(mut self, header: &'static str, cell: impl Display) -> Row {
-        self.headers.push(header);
-        self.cells.push(cell.to_string());
         self
     }
 
@@ -411,32 +444,54 @@ impl Row {
     }
 }
 
-/// Renders rows as a [`TextTable`] headed by the first row's headers.
+/// Renders rows as an aligned text table headed by the first row's
+/// headers, each column as wide as its widest cell.
 ///
 /// # Panics
 ///
 /// Panics on no rows, and on a row whose headers differ from the first
 /// row's, naming the first header that differs.
 pub fn table<'a>(rows: impl IntoIterator<Item = &'a Row>) -> String {
-    let mut rows = rows.into_iter();
-    let first = rows.next().expect("a table has at least one row");
-    let mut t = TextTable::new(&first.headers);
-    t.row(&first.cells);
-    for row in rows {
-        if row.headers != first.headers {
+    let rows: Vec<&Row> = rows.into_iter().collect();
+    let headers = &rows.first().expect("a table has at least one row").headers;
+    for row in &rows {
+        if row.headers != *headers {
             let i = (0..)
-                .find(|&i| row.headers.get(i) != first.headers.get(i))
+                .find(|&i| row.headers.get(i) != headers.get(i))
                 .expect("the headers differ somewhere");
             let column = |h: &[&'static str]| h.get(i).copied().unwrap_or("<none>");
             panic!(
                 "column {i} of a row is headed \"{}\", the table's \"{}\"",
                 column(&row.headers),
-                column(&first.headers)
+                column(headers)
             );
         }
-        t.row(&row.cells);
     }
-    t.render()
+    let width: Vec<usize> = (0..headers.len())
+        .map(|i| {
+            rows.iter()
+                .map(|r| r.cells[i].len())
+                .fold(headers[i].len(), usize::max)
+        })
+        .collect();
+    let mut out = line(headers, &width);
+    for w in &width {
+        let _ = write!(out, "|{:-<1$}", "", w + 2);
+    }
+    out.push_str("|\n");
+    for row in &rows {
+        out.push_str(&line(&row.cells, &width));
+    }
+    out
+}
+
+/// One line of a table: each cell padded to its column's width.
+fn line(cells: &[impl AsRef<str>], width: &[usize]) -> String {
+    let mut s = String::new();
+    for (c, w) in cells.iter().zip(width) {
+        let _ = write!(s, "| {:<w$} ", c.as_ref());
+    }
+    s + "|\n"
 }
 
 /// The rows' JSON objects as one array, in order.
@@ -459,19 +514,15 @@ pub fn first_difference(a: &str, b: &str) -> Option<String> {
     })?
 }
 
-/// Rounds to 2 decimals, as a table prints a ratio.
-pub fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
-}
-
-/// Rounds to 3 decimals so a derived ratio doesn't print 17 digits.
-pub fn round3(x: f64) -> f64 {
-    (x * 1000.0).round() / 1000.0
+/// Rounds to `places` decimals, as a cell printed with that many shows it.
+pub fn round(x: f64, places: usize) -> f64 {
+    let scale = 10f64.powi(places as i32);
+    (x * scale).round() / scale
 }
 
 /// Rounds to 4 decimals: how goodput retentions are recorded.
 pub fn round4(x: f64) -> f64 {
-    (x * 10_000.0).round() / 10_000.0
+    round(x, 4)
 }
 
 #[cfg(test)]
@@ -529,15 +580,36 @@ mod tests {
     }
 
     #[test]
-    fn table_renders_what_text_table_renders() {
+    fn table_pads_each_column_to_its_widest_cell() {
         let rows = [
-            Row::new().both("n", "nodes", 4u64).text("util", "0.500"),
-            Row::new().both("n", "nodes", 64u64).text("util", "0.125"),
+            Row::new()
+                .both("n", "nodes", 4u64)
+                .fixed("util", "util", 0.5, 3),
+            Row::new()
+                .both("n", "nodes", 64u64)
+                .fixed("util", "util", 0.125, 3),
         ];
-        let mut t = TextTable::new(&["nodes", "util"]);
-        t.row(&["4", "0.500"]);
-        t.row(&["64", "0.125"]);
-        assert_eq!(table(&rows), t.render());
+        assert_eq!(
+            table(&rows),
+            "| nodes | util  |\n\
+             |-------|-------|\n\
+             | 4     | 0.500 |\n\
+             | 64    | 0.125 |\n"
+        );
+    }
+
+    #[test]
+    fn a_formatted_cell_is_printed_from_the_measured_value() {
+        // E16's no-recovery retention: the JSON keeps 0.2655, which would
+        // print as 26.6%; the cell prints the measurement, 26.5%.
+        let row = Row::new().pct("retention", "retention", 0.26549);
+        assert_eq!(row.record().render(), r#"{"retention":0.2655}"#);
+        assert_eq!(row.cells, ["26.5%"]);
+        let row = Row::new()
+            .fixed("goodput", "goodput", 2.25049, 3)
+            .times("speedup", "speedup", 1.99501);
+        assert_eq!(row.record().render(), r#"{"goodput":2.25,"speedup":2.0}"#);
+        assert_eq!(row.cells, ["2.250", "2.00x"]);
     }
 
     #[test]
@@ -545,15 +617,15 @@ mod tests {
         let row = Row::new()
             .json("z", 1u64)
             .both("policy", "policy", "supervisor")
-            .text("retention", "97.2%")
-            .json("a", 0.972)
-            .both("ok", "ok", true);
+            .pct("a", "retention", 0.972)
+            .pair(["ok", "sent"], "ok/sent", [3, 4])
+            .cell("kib", "waste", 2048u64, "2 KiB");
         assert_eq!(
             row.record().render(),
-            r#"{"z":1,"policy":"supervisor","a":0.972,"ok":true}"#
+            r#"{"z":1,"policy":"supervisor","a":0.972,"ok":3,"sent":4,"kib":2048}"#
         );
-        assert_eq!(row.headers, ["policy", "retention", "ok"]);
-        assert_eq!(row.cells, ["supervisor", "97.2%", "true"]);
+        assert_eq!(row.headers, ["policy", "retention", "ok/sent", "waste"]);
+        assert_eq!(row.cells, ["supervisor", "97.2%", "3/4", "2 KiB"]);
         assert_eq!(rows_json([&row]), Json::Arr(vec![row.record().clone()]));
     }
 

@@ -16,6 +16,7 @@
 //! *scaling*: monitor area must stay a small, tile-count-proportional
 //! fraction of the device.
 
+use crate::monitor::{MonitorConfig, CAP_SLOTS};
 use apiary_resources::Area;
 
 /// Which monitor features are instantiated.
@@ -36,14 +37,16 @@ pub struct MonitorFeatures {
 }
 
 impl Default for MonitorFeatures {
+    /// The monitor every tile instantiates: its capability table and the
+    /// default [`MonitorConfig`]'s outbox.
     fn default() -> Self {
         MonitorFeatures {
-            cap_slots: 32,
+            cap_slots: CAP_SLOTS as u32,
             name_slots: 16,
             rate_limiter: true,
             mem_protection: true,
             trace_ring: false,
-            queue_depth: 16,
+            queue_depth: MonitorConfig::default().outbox_depth as u32,
         }
     }
 }
